@@ -522,6 +522,7 @@ func Load(r io.Reader) (*Model, error) {
 	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
 		return nil, fmt.Errorf("core: model file missing parameter blocks")
 	}
+	m.Cfg.Workers = 0 // the writing host's CPU count, not a model parameter
 	if err := m.CheckShapes(); err != nil {
 		return nil, err
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // Handler exposes the routed query surface. Paths and parameters mirror
@@ -23,7 +26,8 @@ import (
 //	GET  /api/user?id=42&k=5      owner-routed membership (shard-aware)
 //	GET  /api/pirow?id=42         owner-routed membership row (shard-aware)
 //	POST /api/foldin              owner-routed fold-in (?user=K overrides the seed-derived key;
-//	                              friend rows hydrated from owners on sharded fleets)
+//	                              on sharded fleets the rows of the friends the target does
+//	                              not own are hydrated from their owners)
 //	GET  /api/rank?w=17,204&k=10  scatter-gather, partial top-K merge (Members summed across shards)
 //	GET  /api/diffusion?...       scatter-gather, freshest answer (row-hydrated on sharded fleets)
 //	GET  /api/communities         freshest-replica proxy
@@ -33,72 +37,27 @@ import (
 //	GET  /api/stats               per-replica health/generation/lag + endpoint latency
 //	GET  /metrics                 Prometheus text exposition
 //	GET  /healthz                 liveness + fleet summary
+//
+// The five query endpoints speak the compact codec of serve's wire.go
+// and relay wherever they can: an owner's reply goes to the client as
+// the bytes the owner wrote, a hydrated membership row travels from its
+// owner to the scorer as the text the owner formatted, and only a merged
+// answer (rank, full-replication diffusion) is decoded and re-encoded —
+// once. Replies from replicas that still indent or order members
+// differently decode the same.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/user", func(w http.ResponseWriter, r *http.Request) {
+	byUser := func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
 		if err != nil {
 			http.Error(w, "bad or missing user id", http.StatusBadRequest)
 			return
 		}
 		rt.routeToOwner(w, r, rt.userChain(id), nil)
-	})
-	mux.HandleFunc("/api/pirow", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad or missing user id", http.StatusBadRequest)
-			return
-		}
-		rt.routeToOwner(w, r, rt.userChain(id), nil)
-	})
-	mux.HandleFunc("/api/foldin", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST a FoldInRequest", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Fold-in requests carry no user id (the user is by definition
-		// unseen), so the routing key is the caller's ?user= hint when
-		// given, else the request seed — deterministic either way, so
-		// retries of the same request land on the same replica's warm
-		// cache.
-		var key uint64
-		if u := r.URL.Query().Get("user"); u != "" {
-			id, err := strconv.ParseInt(u, 10, 64)
-			if err != nil {
-				http.Error(w, "bad user routing hint", http.StatusBadRequest)
-				return
-			}
-			key = uint64(id)
-		} else {
-			var req struct {
-				Seed uint64 `json:"seed"`
-			}
-			if err := json.Unmarshal(body, &req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			key = req.Seed
-		}
-		// On a sharded fleet no single replica owns every friend's Pi
-		// row, so the router hydrates the rows from the owning replicas
-		// and ships them with the request. The backend ignores hydrated
-		// rows for friends it owns, so the answer stays bit-identical to
-		// a full node regardless of which replica serves it.
-		if rt.fleetSharded() {
-			hydrated, err := rt.hydrateFriendRows(r, body)
-			if err != nil {
-				http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
-				return
-			}
-			body = hydrated
-		}
-		rt.routeToOwner(w, r, rt.owners(key), body)
-	})
+	}
+	mux.HandleFunc("/api/user", byUser)
+	mux.HandleFunc("/api/pirow", byUser)
+	mux.HandleFunc("/api/foldin", rt.foldInHandler)
 	mux.HandleFunc("/api/rank", rt.rankHandler)
 	mux.HandleFunc("/api/diffusion", rt.diffusionHandler)
 	for _, path := range []string{"/api/communities", "/api/community", "/api/quality"} {
@@ -126,23 +85,25 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// attempt sends one backend request; body non-nil replays a buffered
-// POST body. It returns the backend response with its body UNREAD.
-func (rt *Router) attempt(r *replica, req *http.Request, body []byte) (*http.Response, error) {
-	url := r.base + req.URL.Path
-	if req.URL.RawQuery != "" {
-		url += "?" + req.URL.RawQuery
-	}
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(req.Context(), req.Method, url, rdr)
-	if err != nil {
-		return nil, err
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		out.Header.Set("Content-Type", ct)
+var (
+	jsonContentType = []string{"application/json"}
+	textContentType = []string{"text/plain; charset=utf-8"}
+)
+
+// attempt sends one backend request to r, built on the replica's
+// pre-parsed base URL, and returns the response with its body UNREAD.
+// A body must not live in a pooled buffer: the transport may still be
+// writing it out after the reply has arrived.
+func (rt *Router) attempt(ctx context.Context, r *replica, method, path, rawQuery string, body []byte) (*http.Response, error) {
+	u := r.url
+	u.Path += path
+	u.RawQuery = rawQuery
+	out := (&http.Request{Method: method, URL: &u, Header: http.Header{}}).WithContext(ctx)
+	if len(body) > 0 {
+		out.Header["Content-Type"] = jsonContentType
+		out.ContentLength = int64(len(body))
+		out.Body = io.NopCloser(bytes.NewReader(body))
+		out.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	}
 	r.requests.Add(1)
 	resp, err := rt.opts.Client.Do(out)
@@ -154,20 +115,29 @@ func (rt *Router) attempt(r *replica, req *http.Request, body []byte) (*http.Res
 	return resp, nil
 }
 
-// routeToOwner forwards the request down the given preference chain in
-// three tiers: healthy non-draining replicas first in owner order, then
-// healthy draining ones (a fully-draining fleet must still answer), and
-// only if every healthy attempt failed at transport level do the
-// unhealthy ones get a recovery try. The first replica that answers HTTP
-// wins and its response is relayed verbatim — except 421 (Misdirected
-// Request: the replica disowns the user, its shard moved under the
-// router's topology view), which counts as a misroute and falls through
-// to the next candidate.
-func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain []*replica, body []byte) {
-	start := time.Now()
-	var reqErr error
-	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
-	var misBody []byte
+// fetch is attempt with the reply read into a pooled buffer, which the
+// caller hands back with wire.PutBuffer once nothing aliases it.
+func (rt *Router) fetch(ctx context.Context, r *replica, method, path, rawQuery string, body []byte) (int, *wire.Buffer, error) {
+	resp, err := rt.attempt(ctx, r, method, path, rawQuery, body)
+	if err != nil {
+		return 0, nil, err
+	}
+	buf := wire.GetBuffer()
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		wire.PutBuffer(buf)
+		r.fail(err)
+		return 0, nil, err
+	}
+	return resp.StatusCode, buf, nil
+}
+
+// tiered offers the chain's replicas to try in routing order — healthy
+// non-draining ones first in owner order, then healthy draining ones (a
+// fully-draining fleet must still answer), then the unhealthy ones for a
+// recovery try — until try reports the request settled.
+func tiered(chain []*replica, try func(*replica) bool) bool {
 	for pass := 0; pass < 3; pass++ {
 		for _, r := range chain {
 			healthy, draining := r.healthy.Load(), r.draining.Load()
@@ -180,37 +150,85 @@ func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain [
 			default:
 				want = !healthy
 			}
-			if !want {
-				continue
+			if want && try(r) {
+				return true
 			}
-			resp, err := rt.attempt(r, req, body)
-			if err != nil {
-				continue
-			}
-			if resp.StatusCode == http.StatusMisdirectedRequest {
-				r.misroutes.Add(1)
-				misBody, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-				resp.Body.Close()
-				continue
-			}
-			relay(w, resp)
-			return
 		}
 	}
-	if misBody != nil {
-		// Every candidate disowned the user: relay the misroute so the
-		// client sees why instead of a generic 502.
-		reqErr = fmt.Errorf("all candidates misrouted")
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusMisdirectedRequest)
-		w.Write(misBody)
-		return
-	}
-	reqErr = fmt.Errorf("no replica reachable")
-	http.Error(w, "router: no replica reachable for key", http.StatusBadGateway)
+	return false
 }
 
-// relay copies a backend response to the client.
+var errUnreachable = errors.New("no replica reachable")
+
+// ownerFetch sends one request down a preference chain (see tiered) and
+// returns the first HTTP answer, read into a pooled buffer the caller
+// releases. 421 (Misdirected Request: the replica disowns the user, its
+// shard moved under the router's topology view) counts as a misroute and
+// falls through to the next candidate; if every candidate misroutes, the
+// last 421 is returned so the caller sees why.
+func (rt *Router) ownerFetch(ctx context.Context, chain []*replica, method, path, rawQuery string, body []byte) (status int, buf *wire.Buffer, err error) {
+	var mis *wire.Buffer
+	answered := tiered(chain, func(r *replica) bool {
+		status, buf, err = rt.fetch(ctx, r, method, path, rawQuery, body)
+		if err != nil {
+			return false
+		}
+		if status != http.StatusMisdirectedRequest {
+			return true
+		}
+		r.misroutes.Add(1)
+		if mis != nil {
+			wire.PutBuffer(mis)
+		}
+		mis = buf
+		return false
+	})
+	switch {
+	case answered:
+		if mis != nil {
+			wire.PutBuffer(mis)
+		}
+		return status, buf, nil
+	case mis != nil:
+		return http.StatusMisdirectedRequest, mis, nil
+	}
+	return 0, nil, errUnreachable
+}
+
+// routeToOwner forwards the request down the given preference chain and
+// relays the first answer verbatim.
+func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain []*replica, body []byte) {
+	start := time.Now()
+	var reqErr error
+	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
+	status, buf, err := rt.ownerFetch(req.Context(), chain, req.Method, req.URL.Path, req.URL.RawQuery, body)
+	if err != nil {
+		reqErr = err
+		http.Error(w, "router: no replica reachable for key", http.StatusBadGateway)
+		return
+	}
+	if status == http.StatusMisdirectedRequest {
+		reqErr = fmt.Errorf("all candidates misrouted")
+	}
+	relayBytes(w, status, buf.B)
+	wire.PutBuffer(buf)
+}
+
+// relayBytes writes an already-read answer to the client. Write copies
+// the bytes before it returns, so a pooled body can be released after.
+func relayBytes(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	if status == http.StatusOK {
+		h["Content-Type"] = jsonContentType
+	} else {
+		h["Content-Type"] = textContentType
+	}
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// relay streams a backend response to the client.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -235,7 +253,7 @@ func (rt *Router) proxyFreshest(w http.ResponseWriter, req *http.Request) {
 		return order[i].generation.Load() > order[j].generation.Load()
 	})
 	for _, r := range order {
-		resp, err := rt.attempt(r, req, nil)
+		resp, err := rt.attempt(req.Context(), r, req.Method, req.URL.Path, req.URL.RawQuery, nil)
 		if err != nil {
 			continue
 		}
@@ -246,19 +264,27 @@ func (rt *Router) proxyFreshest(w http.ResponseWriter, req *http.Request) {
 	http.Error(w, "router: no replica reachable", http.StatusBadGateway)
 }
 
-// gathered is one replica's scatter response.
+// gathered is one replica's scatter response, its body in a pooled
+// buffer.
 type gathered struct {
 	r      *replica
 	status int
-	body   []byte
+	buf    *wire.Buffer
+}
+
+func release(results []gathered) {
+	for _, g := range results {
+		wire.PutBuffer(g.buf)
+	}
 }
 
 // scatter fans the request out to the healthy replicas (all of them when
 // none are marked healthy — a cold or fully-degraded fleet must still
-// try) and gathers whatever answers. Transport failures mark the replica
-// unhealthy and drop out; the gather proceeds with the rest — losing a
-// replica mid-scatter degrades redundancy, not availability.
-func (rt *Router) scatter(req *http.Request) []gathered {
+// try) and gathers whatever answers; the caller releases the results.
+// Transport failures mark the replica unhealthy and drop out; the gather
+// proceeds with the rest — losing a replica mid-scatter degrades
+// redundancy, not availability.
+func (rt *Router) scatter(ctx context.Context, method, path, rawQuery string) []gathered {
 	targets := make([]*replica, 0, len(rt.replicas))
 	for _, r := range rt.replicas {
 		if r.healthy.Load() {
@@ -269,24 +295,21 @@ func (rt *Router) scatter(req *http.Request) []gathered {
 		targets = rt.replicas
 	}
 	results := make([]gathered, len(targets))
-	var wg sync.WaitGroup
-	for i, r := range targets {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			resp, err := rt.attempt(r, req, nil)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				r.fail(err)
-				return
-			}
-			results[i] = gathered{r: r, status: resp.StatusCode, body: body}
-		}(i, r)
+	ask := func(i int) {
+		status, buf, err := rt.fetch(ctx, targets[i], method, path, rawQuery, nil)
+		if err == nil {
+			results[i] = gathered{r: targets[i], status: status, buf: buf}
+		}
 	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(targets); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ask(i)
+		}(i)
+	}
+	ask(0)
 	wg.Wait()
 	out := results[:0]
 	for _, g := range results {
@@ -297,93 +320,118 @@ func (rt *Router) scatter(req *http.Request) []gathered {
 	return out
 }
 
-// scatterCall is one in-flight shared scatter: followers block on done
-// and read results (which they must treat as read-only — the bodies are
-// shared across every request on the flight).
-type scatterCall struct {
-	done    chan struct{}
-	results []gathered
+// answer is a finished reply: a status and a body no pool owns, so
+// every request of a shared flight can write it at its own pace. A nil
+// err with a non-200 status is a backend's own verdict being relayed.
+type answer struct {
+	status int
+	body   []byte
+	err    error
 }
 
-// scatterShared is scatter behind a singleflight: concurrent requests
-// for the same method, path and (canonicalised) query share one fleet
-// fan-out instead of multiplying backend load — under a thundering herd
+// flight is one in-flight shared scatter: followers block on done.
+type flight struct {
+	done chan struct{}
+	ans  answer
+}
+
+// shared runs compute behind a singleflight: concurrent requests for the
+// same method, path and query string share one fleet fan-out — and one
+// merge — instead of multiplying backend load. Under a thundering herd
 // of identical rank/diffusion queries the fleet sees one request per
 // replica, not one per client. Scatter answers depend only on the query
 // and the replicas' published generation, so every caller on the flight
-// would have received the same gather anyway; the leader detaches from
+// would have computed the same answer anyway; the leader detaches from
 // its own request's cancellation, so a leader whose client hangs up
 // still completes the flight for its followers. A follower whose own
-// context dies stops waiting and returns nil (degraded response).
-func (rt *Router) scatterShared(req *http.Request) []gathered {
-	key := req.Method + " " + req.URL.Path + "?" + req.URL.Query().Encode()
+// context dies stops waiting and reports ok=false.
+func (rt *Router) shared(req *http.Request, compute func(ctx context.Context) answer) (ans answer, ok bool) {
+	key := req.Method + " " + req.URL.Path + "?" + req.URL.RawQuery
 	rt.sfMu.Lock()
-	if c, ok := rt.sfCalls[key]; ok {
+	if f, ok := rt.sfCalls[key]; ok {
 		rt.sfMu.Unlock()
 		rt.sharedScatters.Add(1)
 		select {
-		case <-c.done:
-			return c.results
+		case <-f.done:
+			return f.ans, true
 		case <-req.Context().Done():
-			return nil
+			return answer{}, false
 		}
 	}
-	c := &scatterCall{done: make(chan struct{})}
-	rt.sfCalls[key] = c
+	f := &flight{done: make(chan struct{})}
+	rt.sfCalls[key] = f
 	rt.sfMu.Unlock()
-	c.results = rt.scatter(req.WithContext(context.WithoutCancel(req.Context())))
+	f.ans = compute(context.WithoutCancel(req.Context()))
 	rt.sfMu.Lock()
 	delete(rt.sfCalls, key)
 	rt.sfMu.Unlock()
-	close(c.done)
-	return c.results
+	close(f.done)
+	return f.ans, true
 }
 
-// respondDegraded relays the most useful non-success the gather
-// produced: the first HTTP error any replica returned (they agree on
-// semantic errors like a bad word id), else 502.
-func respondDegraded(w http.ResponseWriter, results []gathered, reqErr *error) {
-	for _, g := range results {
-		if g.status != 0 {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(g.status)
-			w.Write(g.body)
-			return
-		}
-	}
-	*reqErr = fmt.Errorf("no replica answered")
-	http.Error(w, "router: no replica answered the scatter", http.StatusBadGateway)
-}
-
-func (rt *Router) rankHandler(w http.ResponseWriter, req *http.Request) {
+// serveShared answers a scatter-gather request from its shared flight.
+func (rt *Router) serveShared(w http.ResponseWriter, req *http.Request, compute func(ctx context.Context) answer) {
 	start := time.Now()
 	var reqErr error
 	defer func() { rt.lat[opScatter].Observe(time.Since(start), reqErr) }()
-	results := rt.scatterShared(req)
-	var answers []*serve.RankResult
-	var infos []*shard.Info
+	ans, ok := rt.shared(req, compute)
+	if !ok {
+		ans = degraded(nil)
+	}
+	reqErr = ans.err
+	relayBytes(w, ans.status, ans.body)
+}
+
+// degraded is the most useful non-success a gather produced: the first
+// HTTP error any replica returned (they agree on semantic errors like a
+// bad word id), else 502.
+func degraded(results []gathered) answer {
 	for _, g := range results {
 		if g.status != http.StatusOK {
-			continue
+			return answer{status: g.status, body: bytes.Clone(g.buf.B)}
 		}
-		var res serve.RankResult
-		if err := json.Unmarshal(g.body, &res); err != nil {
-			continue
+	}
+	return answer{
+		status: http.StatusBadGateway,
+		body:   []byte("router: no replica answered the scatter\n"),
+		err:    fmt.Errorf("no replica answered"),
+	}
+}
+
+// encoded is the 200 answer carrying v.
+func encoded(v interface{ AppendWire([]byte) ([]byte, error) }) answer {
+	body, err := v.AppendWire(make([]byte, 0, 1024))
+	if err != nil {
+		return answer{status: http.StatusInternalServerError, body: []byte(err.Error() + "\n"), err: err}
+	}
+	return answer{status: http.StatusOK, body: append(body, '\n')}
+}
+
+func (rt *Router) rankHandler(w http.ResponseWriter, req *http.Request) {
+	rt.serveShared(w, req, func(ctx context.Context) answer {
+		results := rt.scatter(ctx, req.Method, req.URL.Path, req.URL.RawQuery)
+		defer release(results)
+		decoded := make([]serve.RankResult, len(results))
+		answers := make([]*serve.RankResult, 0, len(results))
+		infos := make([]*shard.Info, 0, len(results))
+		for i, g := range results {
+			res := &decoded[i]
+			if g.status != http.StatusOK || res.DecodeWire(g.buf.B) != nil {
+				continue
+			}
+			g.r.generation.Store(res.Generation)
+			answers = append(answers, res)
+			infos = append(infos, g.r.shard.Load())
 		}
-		g.r.generation.Store(res.Generation)
-		answers = append(answers, &res)
-		infos = append(infos, g.r.shard.Load())
-	}
-	if len(answers) == 0 {
-		respondDegraded(w, results, &reqErr)
-		return
-	}
-	k := intParam(req, "k", 10)
-	if merged, ok := mergeRankSharded(answers, infos, k); ok {
-		writeJSON(w, merged)
-		return
-	}
-	writeJSON(w, mergeRank(answers, k))
+		if len(answers) == 0 {
+			return degraded(results)
+		}
+		k := intParam(req.URL.Query(), "k", 10)
+		if merged, ok := mergeRankSharded(answers, infos, k); ok {
+			return encoded(merged)
+		}
+		return encoded(mergeRank(answers, k))
+	})
 }
 
 // mergeRankSharded merges rank answers from shard-owning replicas: the
@@ -396,65 +444,75 @@ func (rt *Router) rankHandler(w http.ResponseWriter, req *http.Request) {
 // when no answer carries shard info or no generation has full coverage —
 // the caller then falls back to the unsharded merge.
 func mergeRankSharded(answers []*serve.RankResult, infos []*shard.Info, k int) (*serve.RankResult, bool) {
-	// gen → shard index → representative answer for that shard.
-	byGen := map[uint64]map[int]*serve.RankResult{}
 	count := 0
-	for i, a := range answers {
-		in := infos[i]
-		if in == nil || in.Count <= 0 {
-			continue
-		}
-		count = in.Count
-		m := byGen[a.Generation]
-		if m == nil {
-			m = map[int]*serve.RankResult{}
-			byGen[a.Generation] = m
-		}
-		if _, dup := m[in.Index]; !dup {
-			m[in.Index] = a
+	for _, in := range infos {
+		if in != nil && in.Count > 0 {
+			count = in.Count
 		}
 	}
 	if count == 0 {
 		return nil, false
 	}
-	var gens []uint64
-	for g, m := range byGen {
-		if len(m) == count {
-			gens = append(gens, g)
-		}
-	}
-	if len(gens) == 0 {
-		return nil, false
-	}
-	best := gens[0]
-	for _, g := range gens[1:] {
-		if g > best {
-			best = g
-		}
-	}
-	shards := byGen[best]
-	rep := shards[0]
-	if rep == nil { // coverage is full but index 0 missing ⇒ inconsistent infos
-		return nil, false
-	}
-	merged := &serve.RankResult{Generation: best}
-	for _, e := range rep.Entries {
-		sum := 0
-		for _, a := range shards {
-			for _, ae := range a.Entries {
-				if ae.Community == e.Community {
-					sum += ae.Members
-					break
-				}
+	// byShard[i] is shard i's representative answer at one generation;
+	// fill reports whether that generation has every shard's.
+	byShard := make([]*serve.RankResult, count)
+	fill := func(gen uint64) bool {
+		clear(byShard)
+		covered := 0
+		for i, a := range answers {
+			in := infos[i]
+			if in == nil || in.Count != count || in.Index < 0 || in.Index >= count || a.Generation != gen {
+				continue
+			}
+			if byShard[in.Index] == nil {
+				byShard[in.Index] = a
+				covered++
 			}
 		}
-		e.Members = sum
-		merged.Entries = append(merged.Entries, e)
+		return covered == count
 	}
-	if k > 0 && len(merged.Entries) > k {
-		merged.Entries = merged.Entries[:k]
+	var best uint64
+	found := false
+	for _, a := range answers {
+		if (!found || a.Generation > best) && fill(a.Generation) {
+			best, found = a.Generation, true
+		}
+	}
+	if !found || !fill(best) {
+		return nil, false
+	}
+	rep := byShard[0]
+	n := len(rep.Entries)
+	if k > 0 && n > k {
+		n = k
+	}
+	merged := &serve.RankResult{Generation: rep.Generation}
+	if n > 0 {
+		merged.Entries = make([]serve.RankEntry, n)
+	}
+	for i := range merged.Entries {
+		e := &merged.Entries[i]
+		*e = rep.Entries[i]
+		e.Members = 0
+		for _, a := range byShard {
+			e.Members += membersOf(a, i, e.Community)
+		}
 	}
 	return merged, true
+}
+
+// membersOf is the member count answer a reports for community c, which
+// sits at position i when the shards list communities in the same order.
+func membersOf(a *serve.RankResult, i, c int) int {
+	if i < len(a.Entries) && a.Entries[i].Community == c {
+		return a.Entries[i].Members
+	}
+	for _, e := range a.Entries {
+		if e.Community == c {
+			return e.Members
+		}
+	}
+	return 0
 }
 
 func (rt *Router) diffusionHandler(w http.ResponseWriter, req *http.Request) {
@@ -462,33 +520,29 @@ func (rt *Router) diffusionHandler(w http.ResponseWriter, req *http.Request) {
 		rt.diffusionSharded(w, req)
 		return
 	}
-	start := time.Now()
-	var reqErr error
-	defer func() { rt.lat[opScatter].Observe(time.Since(start), reqErr) }()
-	results := rt.scatterShared(req)
-	var best *serve.DiffusionResult
-	for _, g := range results {
-		if g.status != http.StatusOK {
-			continue
+	rt.serveShared(w, req, func(ctx context.Context) answer {
+		results := rt.scatter(ctx, req.Method, req.URL.Path, req.URL.RawQuery)
+		defer release(results)
+		var best serve.DiffusionResult
+		found := false
+		for _, g := range results {
+			var res serve.DiffusionResult
+			if g.status != http.StatusOK || res.DecodeWire(g.buf.B) != nil {
+				continue
+			}
+			g.r.generation.Store(res.Generation)
+			// Freshest generation wins; within one generation every replica's
+			// answer is bit-identical, so any representative will do.
+			if !found || res.Generation > best.Generation {
+				best, found = res, true
+			}
 		}
-		var res serve.DiffusionResult
-		if err := json.Unmarshal(g.body, &res); err != nil {
-			continue
+		if !found {
+			return degraded(results)
 		}
-		g.r.generation.Store(res.Generation)
-		// Freshest generation wins; within one generation every replica's
-		// answer is bit-identical, so any representative will do.
-		if best == nil || res.Generation > best.Generation {
-			r := res
-			best = &r
-		}
-	}
-	if best == nil {
-		respondDegraded(w, results, &reqErr)
-		return
-	}
-	best.Version = 0 // process-local backend counter; meaningless here
-	writeJSON(w, best)
+		best.Version = 0 // whichever replica won the scatter is arbitrary
+		return encoded(&best)
+	})
 }
 
 // mergeRank is the partial top-K merge: entries from the freshest
@@ -534,18 +588,27 @@ func mergeRank(answers []*serve.RankResult, k int) *serve.RankResult {
 	return merged
 }
 
+// maxGenerationTries bounds how often a request that combines answers
+// of several replicas starts over because a rollout put them on
+// different generations.
+const maxGenerationTries = 3
+
 // diffusionSharded scores a diffusion query on a sharded fleet. When one
 // shard owns both endpoints the query forwards to that shard's owner
 // chain unchanged (both rows local — the exact single-node computation).
 // A cross-shard pair fetches v's membership row from its owning replica
-// (/api/pirow) and POSTs the row-carrying variant to u's owner; a
-// generation mismatch between the row and the scoring replica — a
-// rollout racing the query — retries up to three times rather than mix
-// rows from two generations.
+// (/api/pirow) and POSTs it, as the text its owner wrote, to u's owner;
+// a generation mismatch between the row and the scoring replica — a
+// rollout racing the query — retries rather than mix rows from two
+// generations. Either way the scorer's reply is relayed verbatim.
 func (rt *Router) diffusionSharded(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	var reqErr error
 	defer func() { rt.lat[opScatter].Observe(time.Since(start), reqErr) }()
+	unreachable := func(err error) {
+		reqErr = err
+		http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
+	}
 	q := req.URL.Query()
 	u, err1 := strconv.Atoi(q.Get("u"))
 	v, err2 := strconv.Atoi(q.Get("v"))
@@ -554,177 +617,246 @@ func (rt *Router) diffusionSharded(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "u, v and topic are required integers", http.StatusBadRequest)
 		return
 	}
-	bucket := intParam(req, "bucket", -1)
+	ctx := req.Context()
 	chain := rt.userChain(int64(u))
 	if in := chain[0].shard.Load(); in != nil && in.Owns(u) && in.Owns(v) {
-		status, body, err := rt.ownerFetch(req.Context(), chain, http.MethodGet, req.URL.Path+"?"+req.URL.RawQuery, nil)
+		status, buf, err := rt.ownerFetch(ctx, chain, http.MethodGet, req.URL.Path, req.URL.RawQuery, nil)
 		if err != nil {
-			reqErr = err
-			http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
+			unreachable(err)
 			return
 		}
-		relayBytes(w, status, body)
+		relayBytes(w, status, buf.B)
+		wire.PutBuffer(buf)
 		return
 	}
-	for try := 0; try < 3; try++ {
-		vres, err := rt.fetchPiRow(req.Context(), int64(v))
+	bucket := intParam(q, "bucket", -1)
+	for try := 0; try < maxGenerationTries; try++ {
+		vrow, err := rt.fetchPiRow(ctx, int32(v))
 		if err != nil {
-			reqErr = err
-			http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
+			unreachable(err)
 			return
 		}
-		body, err := json.Marshal(serve.DiffusionRowsRequest{U: u, V: v, Topic: z, Bucket: bucket, VRow: vres.Row})
+		body := serve.AppendDiffusionRowsRequest(make([]byte, 0, len(vrow.text)+96), u, v, z, bucket, vrow.text)
+		rowGen := vrow.gen
+		vrow.release()
+		status, buf, err := rt.ownerFetch(ctx, chain, http.MethodPost, "/api/diffusion", "", body)
 		if err != nil {
-			reqErr = err
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		status, respBody, err := rt.ownerFetch(req.Context(), chain, http.MethodPost, "/api/diffusion", body)
-		if err != nil {
-			reqErr = err
-			http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
-			return
-		}
-		if status != http.StatusOK {
-			relayBytes(w, status, respBody)
+			unreachable(err)
 			return
 		}
 		var res serve.DiffusionResult
-		if err := json.Unmarshal(respBody, &res); err != nil {
-			reqErr = err
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
+		if status == http.StatusOK {
+			if err := res.DecodeWire(buf.B); err != nil {
+				wire.PutBuffer(buf)
+				unreachable(err)
+				return
+			}
 		}
-		if res.Generation == vres.Generation {
-			res.Version = 0 // process-local backend counter; meaningless here
-			writeJSON(w, &res)
+		if status != http.StatusOK || res.Generation == rowGen {
+			relayBytes(w, status, buf.B)
+			wire.PutBuffer(buf)
 			return
 		}
 		// Generations diverged between the row fetch and the scoring
 		// replica; refetch against the (presumably settled) fleet.
+		wire.PutBuffer(buf)
 	}
-	reqErr = fmt.Errorf("generation mismatch persisted")
-	http.Error(w, "router: generation mismatch across shards persisted after retries", http.StatusBadGateway)
+	unreachable(fmt.Errorf("generation mismatch across shards persisted after retries"))
 }
 
-// hydrateFriendRows parses a fold-in body, fetches a membership row for
-// every listed friend from the friend's owning replica, and returns the
-// body with FriendRows filled in. Rows are refetched until they all come
-// from one generation (three attempts) — a fold-in must not see two
-// friends from different model generations.
-func (rt *Router) hydrateFriendRows(req *http.Request, body []byte) ([]byte, error) {
-	var fr serve.FoldInRequest
-	if err := json.Unmarshal(body, &fr); err != nil {
-		return nil, fmt.Errorf("parsing fold-in request: %w", err)
+// piRow is one hydrated membership row: the JSON text its owner wrote
+// and the generation it was read from. The text aliases buf, the pooled
+// reply it arrived in, until release.
+type piRow struct {
+	gen  uint64
+	text []byte
+	buf  *wire.Buffer
+}
+
+func (p *piRow) release() {
+	if p.buf != nil {
+		wire.PutBuffer(p.buf)
 	}
-	if len(fr.Friends) == 0 {
-		return body, nil
-	}
-	for try := 0; try < 3; try++ {
-		rows := make([]serve.FriendRow, len(fr.Friends))
-		var gen uint64
-		consistent := true
-		for i, friend := range fr.Friends {
-			res, err := rt.fetchPiRow(req.Context(), int64(friend))
-			if err != nil {
-				return nil, fmt.Errorf("hydrating friend %d: %w", friend, err)
-			}
-			if i == 0 {
-				gen = res.Generation
-			} else if res.Generation != gen {
-				consistent = false
-				break
-			}
-			rows[i] = serve.FriendRow{User: friend, Row: res.Row}
-		}
-		if !consistent {
-			continue
-		}
-		fr.FriendRows = rows
-		return json.Marshal(&fr)
-	}
-	return nil, fmt.Errorf("friend rows kept straddling generations")
+	*p = piRow{}
 }
 
 // fetchPiRow fetches one user's membership row from the user's owning
 // replica chain.
-func (rt *Router) fetchPiRow(ctx context.Context, user int64) (*serve.PiRowResult, error) {
-	status, body, err := rt.ownerFetch(ctx, rt.userChain(user), http.MethodGet, "/api/pirow?id="+strconv.FormatInt(user, 10), nil)
+func (rt *Router) fetchPiRow(ctx context.Context, user int32) (piRow, error) {
+	status, buf, err := rt.ownerFetch(ctx, rt.userChain(int64(user)), http.MethodGet, "/api/pirow", "id="+strconv.Itoa(int(user)), nil)
 	if err != nil {
-		return nil, err
+		return piRow{}, err
 	}
 	if status != http.StatusOK {
-		return nil, fmt.Errorf("pirow for user %d answered status %d: %s", user, status, bytes.TrimSpace(body))
+		err := fmt.Errorf("pirow for user %d answered status %d: %s", user, status, bytes.TrimSpace(buf.B))
+		wire.PutBuffer(buf)
+		return piRow{}, err
 	}
-	var res serve.PiRowResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, err
+	gen, text, err := serve.DecodePiRowRaw(buf.B)
+	if err != nil {
+		wire.PutBuffer(buf)
+		return piRow{}, err
 	}
-	return &res, nil
+	return piRow{gen: gen, text: text, buf: buf}, nil
 }
 
-// ownerFetch sends one synthesized request down a preference chain with
-// routeToOwner's tiering (healthy non-draining, healthy draining,
-// unhealthy) and returns the first HTTP answer, read fully. 421 answers
-// count as misroutes and fall through to the next candidate; if every
-// candidate misroutes, the last 421 is returned so the caller sees why.
-func (rt *Router) ownerFetch(ctx context.Context, chain []*replica, method, pathAndQuery string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, "http://router.invalid"+pathAndQuery, nil)
+// foldInHandler routes a fold-in. Fold-in requests carry no user id (the
+// user is by definition unseen), so the routing key is the caller's
+// ?user= hint when given, else the request seed — deterministic either
+// way, so retries of the same request land on the same replica's warm
+// cache. Only the friends and the seed are read off the body; the
+// documents are forwarded as the client wrote them.
+func (rt *Router) foldInHandler(w http.ResponseWriter, req *http.Request) {
+	if req.Method != http.MethodPost {
+		http.Error(w, "POST a FoldInRequest", http.StatusMethodNotAllowed)
+		return
+	}
+	// Not a pooled buffer: the body goes out again as a backend request.
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 16<<20))
 	if err != nil {
-		return 0, nil, err
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	env, err := serve.ScanFoldIn(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	var misBody []byte
-	for pass := 0; pass < 3; pass++ {
-		for _, r := range chain {
-			healthy, draining := r.healthy.Load(), r.draining.Load()
-			var want bool
-			switch pass {
-			case 0:
-				want = healthy && !draining
-			case 1:
-				want = healthy && draining
-			default:
-				want = !healthy
-			}
-			if !want {
-				continue
-			}
-			resp, err := rt.attempt(r, req, body)
-			if err != nil {
-				continue
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				r.fail(err)
-				continue
-			}
-			if resp.StatusCode == http.StatusMisdirectedRequest {
-				r.misroutes.Add(1)
-				misBody = b
-				continue
-			}
-			return resp.StatusCode, b, nil
+	key := env.Seed
+	if u := req.URL.Query().Get("user"); u != "" {
+		id, err := strconv.ParseInt(u, 10, 64)
+		if err != nil {
+			http.Error(w, "bad user routing hint", http.StatusBadRequest)
+			return
+		}
+		key = uint64(id)
+	}
+	chain := rt.owners(key)
+	if len(env.Friends) == 0 || !rt.fleetSharded() {
+		rt.routeToOwner(w, req, chain, env.Body())
+		return
+	}
+	if len(env.Friends) > serve.MaxFoldInFriends {
+		// What any replica would answer, before fetching a row per friend.
+		http.Error(w, fmt.Sprintf("serve: fold-in request has %d friends (limit %d)", len(env.Friends), serve.MaxFoldInFriends), http.StatusBadRequest)
+		return
+	}
+	rt.foldInSharded(w, req, chain, &env)
+}
+
+// foldInSharded serves a fold-in with friends on a sharded fleet, where
+// no single replica owns every friend's membership row. The target
+// replica is chosen first, then the rows of the friends it does NOT own
+// are fetched from their owners and added to the request as the text
+// their owners wrote; the backend reads its own rows for the rest, so
+// the answer is bit-identical to a full node whichever replica serves
+// it. A candidate that fails over or disowns the request (421) hands on
+// to the next one, which re-hydrates for its own range, reusing rows
+// already fetched. The rows travel with their generation: rows that
+// straddle generations among themselves, or that the scoring replica
+// refuses (409: it serves another one), are dropped and fetched again,
+// maxGenerationTries times in all — a fold-in never mixes generations.
+func (rt *Router) foldInSharded(w http.ResponseWriter, req *http.Request, chain []*replica, env *serve.FoldInEnvelope) {
+	start := time.Now()
+	var reqErr error
+	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
+	giveUp := func(err error) bool {
+		reqErr = err
+		http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
+		return true
+	}
+	ctx := req.Context()
+	rows := make([]piRow, len(env.Friends)) // by position in Friends; no text = not fetched
+	drop := func() {
+		for i := range rows {
+			rows[i].release()
 		}
 	}
-	if misBody != nil {
-		return http.StatusMisdirectedRequest, misBody, nil
+	defer drop()
+	tries := 0
+	var mis *wire.Buffer
+	settled := tiered(chain, func(r *replica) bool {
+		for {
+			users, texts, gen, err := rt.hydrate(ctx, r, env.Friends, rows)
+			// Rows that straddle generations are the conflict the scoring
+			// replica would report, seen before asking it.
+			status, buf := http.StatusConflict, (*wire.Buffer)(nil)
+			switch {
+			case err == nil:
+				body := env.Body()
+				if len(users) > 0 {
+					body = env.WithRows(users, texts, gen)
+				}
+				if status, buf, err = rt.fetch(ctx, r, http.MethodPost, req.URL.Path, req.URL.RawQuery, body); err != nil {
+					return false
+				}
+			case !errors.Is(err, errStraddle):
+				return giveUp(err)
+			}
+			switch status {
+			case http.StatusConflict:
+				if buf != nil {
+					wire.PutBuffer(buf)
+				}
+				drop()
+				if tries++; tries == maxGenerationTries {
+					return giveUp(errStraddle)
+				}
+			case http.StatusMisdirectedRequest:
+				r.misroutes.Add(1)
+				if mis != nil {
+					wire.PutBuffer(mis)
+				}
+				mis = buf
+				return false
+			default:
+				relayBytes(w, status, buf.B)
+				wire.PutBuffer(buf)
+				return true
+			}
+		}
+	})
+	switch {
+	case settled:
+	case mis != nil:
+		// Every candidate disowned the request: relay the misroute so the
+		// client sees why instead of a generic 502.
+		reqErr = fmt.Errorf("all candidates misrouted")
+		relayBytes(w, http.StatusMisdirectedRequest, mis.B)
+	default:
+		reqErr = errUnreachable
+		http.Error(w, "router: no replica reachable for key", http.StatusBadGateway)
 	}
-	return 0, nil, fmt.Errorf("no replica reachable")
+	if mis != nil {
+		wire.PutBuffer(mis)
+	}
 }
 
-// relayBytes writes an already-read backend response to the client.
-func relayBytes(w http.ResponseWriter, status int, body []byte) {
-	if status == http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+var errStraddle = errors.New("friend rows kept straddling generations")
+
+// hydrate returns what a fold-in sent to r must carry: the friends r
+// does not own, the text of their rows and the one generation those are
+// from (errStraddle if they are from several). Rows not yet in rows —
+// which is indexed like friends — are fetched into it.
+func (rt *Router) hydrate(ctx context.Context, r *replica, friends []int32, rows []piRow) (users []int32, texts [][]byte, gen uint64, err error) {
+	in := r.shard.Load()
+	for i, friend := range friends {
+		if in == nil || in.Owns(int(friend)) {
+			continue
+		}
+		if rows[i].text == nil {
+			if rows[i], err = rt.fetchPiRow(ctx, friend); err != nil {
+				return nil, nil, 0, fmt.Errorf("hydrating friend %d: %w", friend, err)
+			}
+		}
+		if len(users) > 0 && rows[i].gen != gen {
+			return nil, nil, 0, errStraddle
+		}
+		gen = rows[i].gen
+		users = append(users, friend)
+		texts = append(texts, rows[i].text)
 	}
-	w.WriteHeader(status)
-	w.Write(body)
+	return users, texts, gen, nil
 }
 
 func (rt *Router) getJSON(r *replica, path string, v any) error {
@@ -740,8 +872,8 @@ func (rt *Router) getJSON(r *replica, path string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func intParam(r *http.Request, name string, def int) int {
-	if s := r.URL.Query().Get(name); s != "" {
+func intParam(q url.Values, name string, def int) int {
+	if s := q.Get(name); s != "" {
 		if v, err := strconv.Atoi(s); err == nil {
 			return v
 		}

@@ -36,6 +36,15 @@
 // marked lagging but keep serving — a scatter that loses its freshest
 // replica mid-flight falls back to the stale group rather than failing.
 // Per-replica health/generation/lag surface on /api/stats and /metrics.
+//
+// Every reply carries the publisher generation it was answered from;
+// `version` is a different thing, a counter local to one replica process
+// (it moves on every swap, reload or restart). The rule for it: an
+// answer ONE replica scored — membership, a membership row, fold-in,
+// sharded diffusion, where the owner of u scores the pair — is relayed
+// verbatim, that replica's version included; an answer the router
+// assembled from a scatter — rank on either topology, full-replication
+// diffusion — belongs to no one process and carries version 0.
 package router
 
 import (
@@ -43,6 +52,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -95,6 +105,7 @@ var opNames = [opCount]string{"route", "scatter", "proxy"}
 type replica struct {
 	name   string
 	base   string
+	url    url.URL // base, parsed once; every backend request is built on a copy
 	weight float64
 
 	healthy    atomic.Bool
@@ -138,9 +149,9 @@ type Router struct {
 	lat      [opCount]hist.Atomic
 
 	// Scatter singleflight: identical concurrent rank/diffusion queries
-	// collapse onto one in-flight fleet fan-out (see scatterShared).
+	// collapse onto one in-flight fleet fan-out (see shared).
 	sfMu           sync.Mutex
-	sfCalls        map[string]*scatterCall
+	sfCalls        map[string]*flight
 	sharedScatters atomic.Uint64
 }
 
@@ -159,7 +170,7 @@ func New(replicas []Replica, opts Options) (*Router, error) {
 	if opts.MaxLag == 0 {
 		opts.MaxLag = 1
 	}
-	rt := &Router{opts: opts, sfCalls: map[string]*scatterCall{}}
+	rt := &Router{opts: opts, sfCalls: map[string]*flight{}}
 	seen := map[string]bool{}
 	for _, r := range replicas {
 		if r.Name == "" || r.Base == "" {
@@ -176,7 +187,12 @@ func New(replicas []Replica, opts Options) (*Router, error) {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("router: replica %q has invalid weight %v", r.Name, r.Weight)
 		}
-		rep := &replica{name: r.Name, base: strings.TrimRight(r.Base, "/"), weight: w}
+		base := strings.TrimRight(r.Base, "/")
+		u, err := url.Parse(base)
+		if err != nil || u.Host == "" {
+			return nil, fmt.Errorf("router: replica %q has an unusable base URL %q", r.Name, r.Base)
+		}
+		rep := &replica{name: r.Name, base: base, url: *u, weight: w}
 		rep.healthy.Store(true) // optimistic until a request says otherwise
 		rt.replicas = append(rt.replicas, rep)
 	}
@@ -269,25 +285,20 @@ func rendezvousScore(name string, key uint64) uint64 {
 // so the ordering — and every existing ownership mapping — is identical
 // to the unweighted raw-hash comparison.
 func (rt *Router) owners(key uint64) []*replica {
-	type scored struct {
-		r *replica
-		s float64
-	}
-	xs := make([]scored, len(rt.replicas))
-	for i, r := range rt.replicas {
+	out := make([]*replica, len(rt.replicas))
+	scores := make([]float64, len(rt.replicas))
+	for n, r := range rt.replicas {
 		h := rendezvousScore(r.name, key)
 		u := (float64(h) + 0.5) / float64(1<<63) / 2
-		xs[i] = scored{r, -r.weight / math.Log(u)}
-	}
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].s != xs[j].s {
-			return xs[i].s > xs[j].s
+		s := -r.weight / math.Log(u)
+		// Insertion sort: fleets are a handful of replicas and this runs on
+		// every owner-routed request. rt.replicas is name-ascending, so
+		// moving past strictly smaller scores only keeps ties in name order.
+		i := n
+		for ; i > 0 && scores[i-1] < s; i-- {
+			out[i], scores[i] = out[i-1], scores[i-1]
 		}
-		return xs[i].r.name < xs[j].r.name
-	})
-	out := make([]*replica, len(xs))
-	for i, x := range xs {
-		out[i] = x.r
+		out[i], scores[i] = r, s
 	}
 	return out
 }
@@ -314,16 +325,19 @@ func (rt *Router) userChain(user int64) []*replica {
 	if !rt.fleetSharded() {
 		return chain
 	}
-	owning := make([]*replica, 0, len(chain))
+	// Compact the owning replicas to the front, in place; with none, not
+	// one element has moved.
+	n := 0
 	for _, r := range chain {
 		if in := r.shard.Load(); in != nil && in.Owns(int(user)) {
-			owning = append(owning, r)
+			chain[n] = r
+			n++
 		}
 	}
-	if len(owning) == 0 {
+	if n == 0 {
 		return chain
 	}
-	return owning
+	return chain[:n]
 }
 
 // Owner returns the name of the replica owning key — the unit the

@@ -450,3 +450,60 @@ func TestOwnerRoutingFailover(t *testing.T) {
 		t.Fatalf("bad id: status %d", resp.StatusCode)
 	}
 }
+
+// The version rule of the package comment: what one replica scored is
+// relayed verbatim, that replica's process-local version included; what
+// the router assembled from a scatter carries version 0.
+func TestRoutedVersionRule(t *testing.T) {
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v: %s", url, resp.StatusCode, err, body)
+		}
+		return string(body)
+	}
+
+	// Full replication: rank and diffusion are scatter-gathered.
+	entries := []serve.RankEntry{{Community: 1, Score: 9}}
+	a, b := newFakeReplica(t, "a", 3, entries), newFakeReplica(t, "b", 3, entries)
+	front := httptest.NewServer(newTestRouter(t, a, b).Handler())
+	defer front.Close()
+	if res, _ := getRank(t, front.URL, "?w=1"); res.Version != 0 || res.Generation != 3 {
+		t.Errorf("merged rank = %+v, want version 0 at generation 3 (the replicas said version 7)", res)
+	}
+	var d serve.DiffusionResult
+	if err := json.Unmarshal([]byte(get(front.URL+"/api/diffusion?u=1&v=2&topic=0")), &d); err != nil || d.Version != 0 || d.Generation != 3 {
+		t.Errorf("scattered diffusion = %+v (%v), want version 0 at generation 3 (the replicas said version 3)", d, err)
+	}
+	if body := get(front.URL + "/api/user?id=5"); !strings.HasPrefix(body, `{"replica": "`) {
+		t.Errorf("membership was not relayed verbatim: %s", body)
+	}
+
+	// Sharded: the owner of u scores a diffusion pair, alone when it owns
+	// v too, with v's row shipped in when it does not. Either way the
+	// reply is that replica's, byte for byte.
+	s0, s1 := newGenReplica(t, "s0", 0, 0, 10), newGenReplica(t, "s1", 1, 10, 20)
+	rt, err := New([]Replica{{Name: "s0", Base: s0.srv.URL}, {Name: "s1", Base: s1.srv.URL}}, Options{Client: &http.Client{Timeout: 2 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollReplicas()
+	sharded := httptest.NewServer(rt.Handler())
+	defer sharded.Close()
+	for _, tc := range []struct{ query, want string }{
+		{"u=1&v=2&topic=0", get(s0.srv.URL + "/api/diffusion")},   // both on s0
+		{"u=12&v=15&topic=0", get(s1.srv.URL + "/api/diffusion")}, // both on s1
+		{"u=1&v=15&topic=0", get(s0.srv.URL + "/api/diffusion")},  // s0 scores with s1's row
+		{"u=15&v=1&topic=0", get(s1.srv.URL + "/api/diffusion")},  // s1 scores with s0's row
+	} {
+		if got := get(sharded.URL + "/api/diffusion?" + tc.query); got != tc.want {
+			t.Errorf("sharded diffusion %s = %q, want the scoring replica's own reply %q", tc.query, got, tc.want)
+		}
+	}
+}

@@ -182,11 +182,15 @@ func Run(p Preset, opts RunOptions) (*Metrics, error) {
 // equalModels verifies that every parameter block survived serialization
 // bit-identically.
 func equalModels(a, b *core.Model) error {
+	// Workers is the training host's worker count, which snapshot decoders
+	// drop: not a parameter block.
+	acfg, bcfg := a.Cfg, b.Cfg
+	acfg.Workers, bcfg.Workers = 0, 0
 	checks := []struct {
 		name     string
 		got, exp any
 	}{
-		{"config", b.Cfg, a.Cfg},
+		{"config", bcfg, acfg},
 		{"dims", [4]int{b.NumUsers, b.NumWords, b.NumBuckets, b.NumAttrs},
 			[4]int{a.NumUsers, a.NumWords, a.NumBuckets, a.NumAttrs}},
 		{"pi", b.Pi.Data, a.Pi.Data},

@@ -30,6 +30,12 @@ type FoldInRequest struct {
 	// friends are ignored in favor of the local (identical) row, so the
 	// result is bit-identical to a full node for the same request.
 	FriendRows []FriendRow `json:"friendRows,omitempty"`
+	// RowsGeneration is the publisher generation FriendRows were read
+	// from. A snapshot serving another generation refuses the request with
+	// ErrGenerationConflict rather than score rows of one generation
+	// against parameters of another; the router re-hydrates. Zero (rows
+	// from unversioned snapshots, or no rows) skips the check.
+	RowsGeneration uint64 `json:"rowsGeneration,omitempty"`
 	// Seed drives the request's private RNG; the result is a pure function
 	// of (snapshot, request), so a fixed seed reproduces bit-identically
 	// regardless of pool size or concurrent load.
@@ -49,6 +55,17 @@ const (
 	MaxFoldInTokens  = 1 << 20 // total words across a request's documents
 	MaxFoldInFriends = 1 << 16
 )
+
+// ErrGenerationConflict reports a fold-in whose hydrated rows come from
+// a different generation than the snapshot asked to score them (HTTP
+// 409) — a rollout passed between the row fetch and the fold-in.
+type ErrGenerationConflict struct {
+	Rows, Serving uint64
+}
+
+func (e *ErrGenerationConflict) Error() string {
+	return fmt.Sprintf("serve: friend rows are from generation %d, this snapshot serves generation %d", e.Rows, e.Serving)
+}
 
 // FriendRow is one hydrated friend membership row (see
 // FoldInRequest.FriendRows).
@@ -181,6 +198,9 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 	}
 	if tokens > MaxFoldInTokens {
 		return nil, fmt.Errorf("serve: fold-in request has %d words (limit %d)", tokens, MaxFoldInTokens)
+	}
+	if req.RowsGeneration != 0 && req.RowsGeneration != s.Generation {
+		return nil, &ErrGenerationConflict{Rows: req.RowsGeneration, Serving: s.Generation}
 	}
 	// Friend rows resolve locally for owned users and from the hydrated
 	// FriendRows otherwise; the build happens in Friends order, so the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // APIHandler exposes the engine's typed query API as a JSON HTTP surface —
@@ -42,6 +44,11 @@ import (
 // selecting one of the engine's named snapshots (default "default");
 // unknown names answer 404.
 //
+// The query endpoints a router relays — rank, user, diffusion, pirow,
+// foldin — answer compact JSON with an explicit Content-Length, written
+// and read by the append-based codec of wire.go; pipe them through
+// `jq .` to read them. The browsing and admin endpoints stay indented.
+//
 // reload is invoked by POST /api/reload; pass nil to disable the endpoint
 // (it returns 501). cmd/cpd-serve wires it to re-read the paths the server
 // was started with, so HTTP clients cannot point the server at arbitrary
@@ -49,7 +56,7 @@ import (
 func APIHandler(e *Engine, reload func() error) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/communities", func(w http.ResponseWriter, r *http.Request) {
-		out, err := e.CommunitiesIn(snapParam(r))
+		out, err := e.CommunitiesIn(snapName(r.URL.Query()))
 		if err != nil {
 			writeQueryErr(w, err)
 			return
@@ -57,12 +64,13 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/api/community", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(r.URL.Query().Get("id"))
+		q := r.URL.Query()
+		id, err := strconv.Atoi(q.Get("id"))
 		if err != nil {
 			http.Error(w, "bad or missing community id", http.StatusBadRequest)
 			return
 		}
-		d, err := e.CommunityIn(snapParam(r), id)
+		d, err := e.CommunityIn(snapName(q), id)
 		if err != nil {
 			writeQueryErr(w, err)
 			return
@@ -70,27 +78,32 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		writeJSON(w, d)
 	})
 	mux.HandleFunc("/api/user", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(r.URL.Query().Get("id"))
+		q := r.URL.Query()
+		id, err := strconv.Atoi(q.Get("id"))
 		if err != nil {
 			http.Error(w, "bad or missing user id", http.StatusBadRequest)
 			return
 		}
-		res, err := e.MembershipIn(snapParam(r), id, intParam(r, "k", 0))
+		res, err := e.MembershipIn(snapName(q), id, intValue(q, "k", 0))
 		if err != nil {
 			writeQueryErr(w, err)
 			return
 		}
-		writeJSON(w, res)
+		writeWire(w, res)
 	})
 	mux.HandleFunc("/api/rank", func(w http.ResponseWriter, r *http.Request) {
-		k := intParam(r, "k", 10)
-		name := snapParam(r)
+		q := r.URL.Query()
+		k := intValue(q, "k", 10)
+		name := snapName(q)
 		var res *RankResult
 		var err error
 		switch {
-		case r.URL.Query().Get("w") != "":
-			var ids []int32
-			for _, s := range strings.Split(r.URL.Query().Get("w"), ",") {
+		case q.Get("w") != "":
+			words := q.Get("w")
+			ids := make([]int32, 0, strings.Count(words, ",")+1)
+			for more := true; more; {
+				var s string
+				s, words, more = strings.Cut(words, ",")
 				v, convErr := strconv.ParseInt(strings.TrimSpace(s), 10, 32)
 				if convErr != nil {
 					http.Error(w, fmt.Sprintf("bad word id %q", s), http.StatusBadRequest)
@@ -99,8 +112,8 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 				ids = append(ids, int32(v))
 			}
 			res, err = e.RankIn(name, ids, k)
-		case strings.TrimSpace(r.URL.Query().Get("q")) != "":
-			res, err = e.RankTextIn(name, r.URL.Query().Get("q"), k)
+		case strings.TrimSpace(q.Get("q")) != "":
+			res, err = e.RankTextIn(name, q.Get("q"), k)
 		default:
 			http.Error(w, "missing q or w parameter", http.StatusBadRequest)
 			return
@@ -109,53 +122,53 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 			writeQueryErr(w, err)
 			return
 		}
-		writeJSON(w, res)
+		writeWire(w, res)
 	})
 	mux.HandleFunc("/api/diffusion", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
 		if r.Method == http.MethodPost {
 			// Row-carrying variant for sharded fleets: a router scoring a
 			// cross-shard pair fetches the remote row (/api/pirow) and posts
 			// it here with the owner of the other side.
-			r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 			var req DiffusionRowsRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
+			if !readWire(w, r, 1<<20, &req) {
 				return
 			}
-			res, err := e.DiffusionRowsIn(snapParam(r), req.U, req.V, req.Topic, req.Bucket, req.URow, req.VRow)
+			res, err := e.DiffusionRowsIn(snapName(q), req.U, req.V, req.Topic, req.Bucket, req.URow, req.VRow)
 			if err != nil {
 				writeQueryErr(w, err)
 				return
 			}
-			writeJSON(w, res)
+			writeWire(w, res)
 			return
 		}
-		u, err1 := strconv.Atoi(r.URL.Query().Get("u"))
-		v, err2 := strconv.Atoi(r.URL.Query().Get("v"))
-		z, err3 := strconv.Atoi(r.URL.Query().Get("topic"))
+		u, err1 := strconv.Atoi(q.Get("u"))
+		v, err2 := strconv.Atoi(q.Get("v"))
+		z, err3 := strconv.Atoi(q.Get("topic"))
 		if err1 != nil || err2 != nil || err3 != nil {
 			http.Error(w, "u, v and topic are required integers", http.StatusBadRequest)
 			return
 		}
-		res, err := e.DiffusionIn(snapParam(r), u, v, z, intParam(r, "bucket", -1))
+		res, err := e.DiffusionIn(snapName(q), u, v, z, intValue(q, "bucket", -1))
 		if err != nil {
 			writeQueryErr(w, err)
 			return
 		}
-		writeJSON(w, res)
+		writeWire(w, res)
 	})
 	mux.HandleFunc("/api/pirow", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(r.URL.Query().Get("id"))
+		q := r.URL.Query()
+		id, err := strconv.Atoi(q.Get("id"))
 		if err != nil {
 			http.Error(w, "bad or missing user id", http.StatusBadRequest)
 			return
 		}
-		res, err := e.PiRowIn(snapParam(r), id)
+		res, err := e.PiRowIn(snapName(q), id)
 		if err != nil {
 			writeQueryErr(w, err)
 			return
 		}
-		writeJSON(w, res)
+		writeWire(w, res)
 	})
 	mux.HandleFunc("/api/drain", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -173,18 +186,16 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		// Cap the body before decoding: the fold-in limits cannot protect
 		// the server if the JSON for an over-limit request is allowed to
 		// materialize first. 16 MiB comfortably fits MaxFoldInTokens.
-		r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
 		var req FoldInRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readWire(w, r, 16<<20, &req) {
 			return
 		}
-		res, err := e.FoldInNamed(snapParam(r), &req)
+		res, err := e.FoldInNamed(snapName(r.URL.Query()), &req)
 		if err != nil {
 			writeQueryErr(w, err)
 			return
 		}
-		writeJSON(w, res)
+		writeWire(w, res)
 	})
 	mux.HandleFunc("/api/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -244,7 +255,7 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		e.lat[epStats].Observe(time.Since(start), nil)
 	})
 	mux.HandleFunc("/api/quality", func(w http.ResponseWriter, r *http.Request) {
-		p, err := e.QualityIn(snapParam(r))
+		p, err := e.QualityIn(snapName(r.URL.Query()))
 		if err != nil {
 			writeQueryErr(w, err)
 			return
@@ -331,9 +342,9 @@ type DiffusionRowsRequest struct {
 	VRow   []float64 `json:"vrow,omitempty"`
 }
 
-// snapParam resolves the optional ?snapshot= parameter.
-func snapParam(r *http.Request) string {
-	if name := r.URL.Query().Get("snapshot"); name != "" {
+// snapName resolves the optional ?snapshot= parameter.
+func snapName(q url.Values) string {
+	if name := q.Get("snapshot"); name != "" {
 		return name
 	}
 	return DefaultSnapshot
@@ -341,17 +352,21 @@ func snapParam(r *http.Request) string {
 
 // writeQueryErr maps engine errors to HTTP statuses: unknown snapshot
 // names are 404, missing vocabularies 501, misrouted shard queries 421
-// (Misdirected Request — retry against the owning replica), anything
+// (Misdirected Request — retry against the owning replica), hydrated
+// rows from another generation 409 (Conflict — re-hydrate), anything
 // else a 400.
 func writeQueryErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var noSnap *ErrNoSnapshot
 	var notOwned *ErrNotOwned
+	var conflict *ErrGenerationConflict
 	switch {
 	case errors.As(err, &noSnap):
 		status = http.StatusNotFound
 	case errors.As(err, &notOwned):
 		status = http.StatusMisdirectedRequest
+	case errors.As(err, &conflict):
+		status = http.StatusConflict
 	case errors.Is(err, ErrNoVocabulary):
 		status = http.StatusNotImplemented
 	}
@@ -391,13 +406,57 @@ func RunHTTPWithShutdown(addr string, h http.Handler, onSignal func()) error {
 	return srv.Shutdown(shutdownCtx)
 }
 
-func intParam(r *http.Request, name string, def int) int {
-	if s := r.URL.Query().Get(name); s != "" {
+func intValue(q url.Values, name string, def int) int {
+	if s := q.Get(name); s != "" {
 		if v, err := strconv.Atoi(s); err == nil {
 			return v
 		}
 	}
 	return def
+}
+
+// jsonContentType is shared by every hot reply's header map; net/http
+// only reads header values.
+var jsonContentType = []string{"application/json"}
+
+// writeWire answers 200 with v's compact encoding from a pooled buffer.
+// Write copies the bytes before it returns, so the buffer can go back to
+// the pool on the way out.
+func writeWire(w http.ResponseWriter, v wireAppender) {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	b, err := v.AppendWire(buf.B)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	buf.B = append(b, '\n')
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(buf.B))}
+	w.Write(buf.B)
+}
+
+// wireDecoder is a request message that decodes itself.
+type wireDecoder interface {
+	DecodeWire(data []byte) error
+}
+
+// readWire reads a request body of at most limit bytes through a pooled
+// buffer and decodes it into v (which keeps no reference to the bytes),
+// answering 400 itself when it reports false.
+func readWire(w http.ResponseWriter, r *http.Request, limit int64, v wireDecoder) bool {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = v.DecodeWire(buf.B)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1049,12 +1049,19 @@ func (s *Snapshot) Membership(u, k int) (*MembershipResult, error) {
 	row := m.Pi.Row(local)
 	res := &MembershipResult{User: u, Version: s.Version, Generation: s.Generation}
 	if comms, ok := s.users.top(local, k); ok {
+		if len(comms) > 0 {
+			res.Communities = make([]CommunityWeight, 0, len(comms))
+		}
 		for _, c := range comms {
 			res.Communities = append(res.Communities, CommunityWeight{Community: int(c), Weight: row[c]})
 		}
 		return res, nil
 	}
-	for _, c := range m.TopCommunities(local, k) {
+	comms := m.TopCommunities(local, k)
+	if len(comms) > 0 {
+		res.Communities = make([]CommunityWeight, 0, len(comms))
+	}
+	for _, c := range comms {
 		res.Communities = append(res.Communities, CommunityWeight{Community: c, Weight: row[c]})
 	}
 	return res, nil
@@ -1152,7 +1159,11 @@ func (s *Snapshot) Rank(query []int32, k int) (*RankResult, error) {
 	scores := make([]float64, C)
 	s.index.Accumulate(scores, query)
 	res := &RankResult{Version: s.Version, Generation: s.Generation}
-	for _, c := range mathx.TopKIndices(scores, k) {
+	top := mathx.TopKIndices(scores, k)
+	if len(top) > 0 {
+		res.Entries = make([]RankEntry, 0, len(top))
+	}
+	for _, c := range top {
 		res.Entries = append(res.Entries, RankEntry{
 			Community: c,
 			Label:     s.labels[c],

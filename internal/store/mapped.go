@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -176,7 +175,7 @@ func aliasV2Section(m *core.Model, tag string, payload []byte, seenDims *bool) e
 	}
 	switch tag {
 	case tagConfig:
-		if err := json.Unmarshal(payload, &m.Cfg); err != nil {
+		if err := decodeConfig(payload, &m.Cfg); err != nil {
 			return fail("%v", err)
 		}
 	case tagDims:

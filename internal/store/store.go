@@ -298,7 +298,7 @@ func decode(r io.Reader, limit uint64) (*core.Model, error) {
 		case tagConfig:
 			buf, err := d.take(payloadLen)
 			if err == nil {
-				err = json.Unmarshal(buf, &m.Cfg)
+				err = decodeConfig(buf, &m.Cfg)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("store: section %q: %w", tag, err)
@@ -616,6 +616,19 @@ func (d *decoder) int64sIntoInts(xs []int) {
 		}
 		i += c
 	}
+}
+
+// decodeConfig reads a CFG section. Workers is a fact about the host
+// that wrote the file (WithDefaults resolves it from the CPU count), not
+// a model parameter; it is still written, and ignored here, so that a
+// loaded model is the same value on every host and resolves its worker
+// count where it runs.
+func decodeConfig(buf []byte, cfg *core.Config) error {
+	if err := json.Unmarshal(buf, cfg); err != nil {
+		return err
+	}
+	cfg.Workers = 0
+	return nil
 }
 
 // Load reads a model from r in either format, sniffing the leading bytes:

@@ -549,7 +549,7 @@ func applyV2Section(m *core.Model, d *decoder, ent v2Entry, seenDims *bool) erro
 	case tagConfig:
 		buf, err := d.take(ent.size)
 		if err == nil {
-			err = json.Unmarshal(buf, &m.Cfg)
+			err = decodeConfig(buf, &m.Cfg)
 		}
 		if err != nil {
 			return fail("%v", err)
