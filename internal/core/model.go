@@ -46,13 +46,15 @@ type Model struct {
 	DocCommunity, DocTopic []int32
 	DocBucket              []int
 
-	// Caches rebuilt by initCaches (not serialized). All matrix-shaped
-	// caches live in flat, row-major contiguous buffers — the same layout
-	// the parameter blocks themselves use — so training, fold-in and
-	// queries walk one cache-friendly representation.
-	piBase  []float64        // per-user smoothing base of pi
-	piResid []*sparse.Vector // per-user sparse residual of pi
-	aggs    []*sparse.BilinearAgg
+	// Caches rebuilt by initCaches (not serialized), all O(|Z|·|C|²):
+	// nothing here is per user, so rehydrating (or mapping) a model costs
+	// the same at 200 users and at 20 million. A membership row's
+	// base+residual form is a pure function of the row's bytes and is
+	// decomposed when a score needs it (SmoothedVecFromRow). All
+	// matrix-shaped caches live in flat, row-major contiguous buffers — the
+	// same layout the parameter blocks themselves use — so training,
+	// fold-in and queries walk one cache-friendly representation.
+	aggs []*sparse.BilinearAgg
 	// etaFlat packs the per-topic diffusion matrices M_z = EtaScale ·
 	// eta[:, :, z] contiguously ([z][c][c'], |Z|·|C|² floats); etaSlice[z]
 	// is a view into it.
@@ -155,13 +157,27 @@ func (m *Model) TopAttributes(c, k int) []int {
 	return mathx.TopKIndices(m.Xi.Row(c), k)
 }
 
-// Rehydrate rebuilds the unexported prediction caches (the sparse-pi
-// decomposition, per-topic bilinear aggregates and the Eq. 19 rank table)
-// from the exported parameter blocks. Load calls it automatically; any
-// other deserializer that fills a Model field-by-field — e.g. the binary
-// snapshot reader in internal/store — must call it before the model serves
-// queries.
+// Rehydrate rebuilds the unexported prediction caches (the per-topic
+// diffusion matrices, their bilinear aggregates and the Eq. 19 rank table)
+// from the exported parameter blocks, in O(|Z|·|C|²) whatever the user
+// count. Load calls it automatically; any other deserializer that fills a
+// Model field-by-field — e.g. the binary snapshot reader in internal/store
+// — must call it before the model serves queries.
 func (m *Model) Rehydrate() { m.initCaches() }
+
+// WithPi returns a copy of m over another user population: pi (|U'| x |C|)
+// replaces Π and NumUsers follows it. Everything else is shared with m —
+// the global blocks, and the prediction caches with them, since those
+// depend on Θ and η only — so re-publishing a model whose membership rows
+// changed or grew costs nothing beyond building pi. The document
+// assignment arrays carry over; a caller that extends them assigns the
+// fields.
+func (m *Model) WithPi(pi *sparse.Dense) *Model {
+	out := *m
+	out.Pi = pi
+	out.NumUsers = pi.Rows
+	return &out
+}
 
 // RankTable exposes the cached Eq. 19 inner sums
 // rankTable[c][z] = Σ_c' η_{c,c',z} θ_{c',z}; the serving layer's inverted
@@ -169,33 +185,10 @@ func (m *Model) Rehydrate() { m.initCaches() }
 // and must not be mutated.
 func (m *Model) RankTable() *sparse.Dense { return m.rankTable }
 
-// initCaches builds the sparse-pi decomposition and the per-topic bilinear
-// aggregates used by the prediction paths. Must be called after Load.
+// initCaches builds the per-topic diffusion matrices, bilinear aggregates
+// and rank table used by the prediction paths. Must be called after Load.
 func (m *Model) initCaches() {
 	C, Z := m.Cfg.NumCommunities, m.Cfg.NumTopics
-	m.piBase = make([]float64, m.NumUsers)
-	m.piResid = make([]*sparse.Vector, m.NumUsers)
-	for u := 0; u < m.NumUsers; u++ {
-		row := m.Pi.Row(u)
-		// The base is the row minimum (the smoothing floor); residuals are
-		// the above-floor mass — exactly inverse to how buildModel filled
-		// the row.
-		base := row[0]
-		for _, v := range row {
-			if v < base {
-				base = v
-			}
-		}
-		m.piBase[u] = base
-		resid := &sparse.Vector{Dim: C}
-		for c, v := range row {
-			if v-base > 1e-12 {
-				resid.Indices = append(resid.Indices, int32(c))
-				resid.Values = append(resid.Values, v-base)
-			}
-		}
-		m.piResid[u] = resid
-	}
 	m.etaFlat = make([]float64, Z*C*C)
 	m.etaSlice = make([]*sparse.Dense, Z)
 	m.aggs = make([]*sparse.BilinearAgg, Z)
@@ -237,15 +230,12 @@ func (m *Model) MatrixBytes() int64 {
 // CacheBytes returns the approximate heap footprint of the rebuilt
 // prediction caches — what a mapped model still allocates on Rehydrate.
 func (m *Model) CacheBytes() int64 {
-	n := 8 * int64(len(m.piBase)+len(m.etaFlat))
+	n := 8 * int64(len(m.etaFlat))
 	if m.thetaColM != nil {
 		n += 8 * int64(len(m.thetaColM.Data))
 	}
 	if m.rankTable != nil {
 		n += 8 * int64(len(m.rankTable.Data))
-	}
-	for _, r := range m.piResid {
-		n += 12 * int64(r.NNZ())
 	}
 	for _, a := range m.aggs {
 		n += 8 * int64(len(a.G)+len(a.H)+1)
@@ -253,20 +243,26 @@ func (m *Model) CacheBytes() int64 {
 	return n
 }
 
-// piVec materialises user u's membership as a SmoothedVec view.
-func (m *Model) piVec(u int, out *sparse.SmoothedVec) {
-	out.Dim = m.Cfg.NumCommunities
-	out.Base = m.piBase[u]
-	out.Idx = m.piResid[u].Indices
-	out.Val = m.piResid[u].Values
+// residBuf is the stack storage a decomposed membership row starts out in,
+// so that scoring a pair allocates nothing. A trained row has one
+// above-floor component per community its user's documents were assigned
+// to — a handful; a row with more than the buffer holds moves its residual
+// to the heap (append), which costs allocations, not results.
+type residBuf struct {
+	idx [64]int32
+	val [64]float64
+}
+
+// decompose returns row's base+residual form, the residual starting in b.
+func (b *residBuf) decompose(row []float64) sparse.SmoothedVec {
+	return SmoothedVecFromRow(row, b.idx[:0], b.val[:0])
 }
 
 // FriendshipProb returns σ(π_u^T π_v), Eq. 3's link probability — the
 // friendship link prediction score of Sect. 6.1.
 func (m *Model) FriendshipProb(u, v int) float64 {
-	var a, b sparse.SmoothedVec
-	m.piVec(u, &a)
-	m.piVec(v, &b)
+	var bufU, bufV residBuf
+	a, b := bufU.decompose(m.Pi.Row(u)), bufV.decompose(m.Pi.Row(v))
 	return mathx.Sigmoid(m.Cfg.FriendScale * a.Dot(&b))
 }
 
@@ -298,38 +294,29 @@ func (m *Model) DocTopicDist(words []int32, user int) []float64 {
 // EtaScale · Σ_cc' π_u,c θ_c,z η_{c,c',z} θ_c',z π_v,c' + popularity +
 // ν^T f_uv (feats may be nil to skip the individual factor).
 func (m *Model) DiffusionLogitTopic(u, v, z, b int, feats []float64) float64 {
-	var a, bb sparse.SmoothedVec
-	m.piVec(u, &a)
-	m.piVec(v, &bb)
-	x := m.aggs[z].Eval(m.etaSlice[z], m.thetaColM.Row(z), &a, &bb)
-	if !m.Cfg.NoTopicPopularity && b >= 0 && b < m.NumBuckets {
-		x += m.Cfg.PopScale * m.PopFreq.At(b, z)
-	}
-	if !m.Cfg.NoIndividual && feats != nil {
-		x += mathx.Dot(m.Nu, feats)
-	}
-	return x
+	return m.DiffusionLogitTopicRows(m.Pi.Row(u), m.Pi.Row(v), z, b, feats)
 }
 
-// PiSmoothed materialises user u's membership row as a SmoothedVec view
-// over the prediction caches — the exported twin of piVec, for serving
-// layers that need the decomposed row itself (cross-shard diffusion ships
-// it to the peer that owns the other endpoint).
-func (m *Model) PiSmoothed(u int, out *sparse.SmoothedVec) { m.piVec(u, out) }
+// DiffusionLogitTopicRows is DiffusionLogitTopic over explicit membership
+// rows (each |C| long) instead of user ids. The score is a pure function
+// of the rows' bytes, so a replica that holds only one endpoint of a pair
+// scores it bit-identically to a full node once it is handed the other
+// endpoint's row — the contract cross-shard diffusion relies on.
+func (m *Model) DiffusionLogitTopicRows(urow, vrow []float64, z, b int, feats []float64) float64 {
+	var bufU, bufV residBuf
+	pu, pv := bufU.decompose(urow), bufV.decompose(vrow)
+	return m.DiffusionLogitTopicVec(&pu, &pv, z, b, feats)
+}
 
-// SmoothedVecFromRow decomposes a raw membership row into the same
-// base+residual form initCaches builds: base is the row minimum, residual
-// entries are the components more than 1e-12 above it. Given the exact
-// bytes of a model's Π row it produces exactly the vector piVec would —
-// the bit-identity contract cross-shard queries rely on when one replica
-// hydrates a row fetched from another.
-func SmoothedVecFromRow(row []float64, out *sparse.SmoothedVec) {
-	out.Dim = len(row)
-	out.Idx = out.Idx[:0]
-	out.Val = out.Val[:0]
+// SmoothedVecFromRow decomposes a raw membership row into base+residual
+// form: base is the row minimum (the smoothing floor), residual entries are
+// the components more than 1e-12 above it — exactly inverse to how
+// buildModel fills a row. The residual is appended to idx and val, which
+// callers pass empty (nil, or the [:0] of storage they want it in).
+func SmoothedVecFromRow(row []float64, idx []int32, val []float64) sparse.SmoothedVec {
+	out := sparse.SmoothedVec{Dim: len(row), Idx: idx, Val: val}
 	if len(row) == 0 {
-		out.Base = 0
-		return
+		return out
 	}
 	base := row[0]
 	for _, v := range row {
@@ -344,14 +331,13 @@ func SmoothedVecFromRow(row []float64, out *sparse.SmoothedVec) {
 			out.Val = append(out.Val, v-base)
 		}
 	}
+	return out
 }
 
-// DiffusionLogitTopicVec is DiffusionLogitTopic with explicit membership
-// vectors: the Eq. 5 sigmoid argument for a diffuser with membership a
-// and an author with membership b on topic z in bucket bkt. It evaluates
-// the identical bilinear aggregate, popularity and individual terms, so
-// DiffusionLogitTopic(u, v, …) == DiffusionLogitTopicVec(piVec(u),
-// piVec(v), …) bit for bit.
+// DiffusionLogitTopicVec is DiffusionLogitTopic with the membership
+// vectors already decomposed: the Eq. 5 sigmoid argument for a diffuser
+// with membership a and an author with membership b on topic z in bucket
+// bkt. Loops over topics decompose once and call this per topic.
 func (m *Model) DiffusionLogitTopicVec(a, b *sparse.SmoothedVec, z, bkt int, feats []float64) float64 {
 	x := m.aggs[z].Eval(m.etaSlice[z], m.thetaColM.Row(z), a, b)
 	if !m.Cfg.NoTopicPopularity && bkt >= 0 && bkt < m.NumBuckets {
@@ -378,12 +364,14 @@ func (m *Model) DiffusionProb(g *socialgraph.Graph, u int, j int, b int) float64
 		feats = g.PairFeatures(nil, u, v)
 	}
 	pz := m.DocTopicDist(g.Docs[j].Words, v)
+	var bufU, bufV residBuf
+	pu, pv := bufU.decompose(m.Pi.Row(u)), bufV.decompose(m.Pi.Row(v))
 	var p float64
 	for z, w := range pz {
 		if w < 1e-6 {
 			continue
 		}
-		p += w * mathx.Sigmoid(m.DiffusionLogitTopic(u, v, z, b, feats))
+		p += w * mathx.Sigmoid(m.DiffusionLogitTopicVec(&pu, &pv, z, b, feats))
 	}
 	return p
 }

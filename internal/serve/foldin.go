@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mathx"
 	"repro/internal/rng"
 )
@@ -161,6 +162,15 @@ func (e *Engine) FoldInBatchNamed(name string, reqs []*FoldInRequest) ([]*FoldIn
 	return out, errs
 }
 
+// logThetaTable builds Snapshot.logTheta.
+func logThetaTable(m *core.Model) []float64 {
+	t := make([]float64, len(m.Theta.Data))
+	for i, v := range m.Theta.Data {
+		t[i] = math.Log(v + 1e-300)
+	}
+	return t
+}
+
 // foldIn is the pure inference kernel: Gibbs over the new user's document
 // assignments (c_i, z_i) with every global (Φ, Θ, π of trained users, ρ)
 // frozen.
@@ -272,6 +282,16 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 		cnt[docC[i]]++
 	}
 
+	// logCnt[k] = log(k + ρ): a community count is an integer in [0, n].
+	// Every logarithm the sweeps need is tabulated — here and in the
+	// snapshot's logTheta — by the expression the sampler would otherwise
+	// evaluate per document and sweep, so the draws are unchanged.
+	logCnt := make([]float64, n+1)
+	for k := range logCnt {
+		logCnt[k] = math.Log(float64(k) + rho)
+	}
+	logTheta := s.logTheta
+
 	dim := Z
 	if C > dim {
 		dim = C
@@ -283,9 +303,9 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 			// z_i | c_i.
 			c := int(docC[i])
 			lw := logw[:Z]
-			theta := m.Theta.Row(c)
+			lt := logTheta[c*Z : (c+1)*Z]
 			for z := 0; z < Z; z++ {
-				lw[z] = math.Log(theta[z]+1e-300) + wordLL[i][z]
+				lw[z] = lt[z] + wordLL[i][z]
 			}
 			z := r.CategoricalLog(lw)
 			docZ[i] = int32(z)
@@ -294,7 +314,7 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 			cnt[c]--
 			lw = logw[:C]
 			for cc := 0; cc < C; cc++ {
-				lw[cc] = math.Log(cnt[cc]+rho) + math.Log(m.Theta.At(cc, z)+1e-300)
+				lw[cc] = logCnt[int(cnt[cc])] + logTheta[cc*Z+z]
 			}
 			for _, piV := range friendPi {
 				// π̂_u(c') = (cnt_¬i[c'] + ρ + [c'==c]) / den; the

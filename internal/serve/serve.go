@@ -50,7 +50,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/quality"
 	"repro/internal/shard"
-	"repro/internal/sparse"
 	"repro/internal/store"
 )
 
@@ -154,6 +153,9 @@ type Snapshot struct {
 	labels   []string
 	index    *RankIndex
 	users    *userIndex
+	// logTheta[c*|Z|+z] = log(θ_{c,z} + 1e-300): the per-snapshot constant
+	// fold-in's conditionals read per document and sweep.
+	logTheta []float64
 
 	refs        atomic.Int64
 	closer      io.Closer // mapped backing; nil for heap snapshots
@@ -173,12 +175,18 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		labels:   communityLabels(m, vocab),
 		index:    buildRankIndex(m, opts.PostingsPerWord),
 		users:    buildUserIndex(m, opts.UserShards, opts.MemberTopK),
+		logTheta: logThetaTable(m),
 	}
 	s.refs.Store(1)
-	// Derived state is always heap; the matrices count as heap until a
-	// mapped backing is attached (attachMapped subtracts them).
-	s.heapBytes = m.CacheBytes() + s.index.Bytes() + s.users.bytes() + m.MatrixBytes()
+	s.heapBytes = s.derivedBytes()
 	return s
+}
+
+// derivedBytes is the heap accounting of a freshly built snapshot. Derived
+// state is always heap; the matrices count as heap until a mapped backing
+// is attached (AttachFiles subtracts them).
+func (s *Snapshot) derivedBytes() int64 {
+	return s.Model.CacheBytes() + s.index.Bytes() + s.users.bytes() + 8*int64(len(s.logTheta)) + s.Model.MatrixBytes()
 }
 
 // Delta describes how a model differs from the one behind an existing
@@ -233,6 +241,7 @@ func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		Name:     prev.Name,
 		opts:     opts,
 		openness: prev.openness, // depends on η only, unchanged by definition here
+		logTheta: prev.logTheta, // depends on Θ only, likewise
 		labels:   prev.labels,
 		users:    patchUserIndex(prev.users, m, normalizeDirty(delta.Users, pm.NumUsers)),
 	}
@@ -248,7 +257,7 @@ func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		s.labels = communityLabels(m, vocab)
 	}
 	s.refs.Store(1)
-	s.heapBytes = m.CacheBytes() + s.index.Bytes() + s.users.bytes() + m.MatrixBytes()
+	s.heapBytes = s.derivedBytes()
 	return s
 }
 
@@ -1079,25 +1088,23 @@ func (s *Snapshot) PiRow(u int) ([]float64, error) {
 	return s.Model.Pi.Row(local), nil
 }
 
-// smoothedFor fills out with user u's smoothed membership vector: from
-// the explicit row when one is supplied, from the snapshot's own (owned)
-// row otherwise. Both paths produce the exact decomposition the model's
-// diffusion cache holds, so scores stay bit-identical to a full node.
-func (s *Snapshot) smoothedFor(u int, row []float64, out *sparse.SmoothedVec) error {
+// rowFor returns user u's membership row: the explicit row when one is
+// supplied, the snapshot's own (owned) row otherwise. A supplied row holds
+// the bytes of its owner's Π row, so scoring it is bit-identical to a full
+// node.
+func (s *Snapshot) rowFor(u int, row []float64) ([]float64, error) {
 	m := s.Model
 	if row != nil {
 		if len(row) != m.Cfg.NumCommunities {
-			return fmt.Errorf("serve: supplied membership row has %d entries, model has %d communities", len(row), m.Cfg.NumCommunities)
+			return nil, fmt.Errorf("serve: supplied membership row has %d entries, model has %d communities", len(row), m.Cfg.NumCommunities)
 		}
-		core.SmoothedVecFromRow(row, out)
-		return nil
+		return row, nil
 	}
 	local, err := s.localUser(u)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.PiSmoothed(local, out)
-	return nil
+	return m.Pi.Row(local), nil
 }
 
 // DiffusionRows is Diffusion with explicit membership rows standing in
@@ -1110,14 +1117,14 @@ func (s *Snapshot) DiffusionRows(u, v, z, b int, urow, vrow []float64) (*Diffusi
 	if z < 0 || z >= m.Cfg.NumTopics {
 		return nil, fmt.Errorf("serve: topic %d out of range [0, %d)", z, m.Cfg.NumTopics)
 	}
-	var a, bb sparse.SmoothedVec
-	if err := s.smoothedFor(u, urow, &a); err != nil {
+	urow, err := s.rowFor(u, urow)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.smoothedFor(v, vrow, &bb); err != nil {
+	if vrow, err = s.rowFor(v, vrow); err != nil {
 		return nil, err
 	}
-	logit := m.DiffusionLogitTopicVec(&a, &bb, z, b, nil)
+	logit := m.DiffusionLogitTopicRows(urow, vrow, z, b, nil)
 	return &DiffusionResult{Version: s.Version, Generation: s.Generation, Logit: logit, Prob: mathx.Sigmoid(logit)}, nil
 }
 

@@ -57,6 +57,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sparse"
@@ -134,7 +135,28 @@ func (s *v2sink) shape(dims ...uint64) {
 	s.raw(b[:])
 }
 
+// aliasNumeric selects how the sink encodes numeric blocks. On a
+// little-endian host a block's own memory already is its on-disk byte
+// sequence, so floats/int32s/int64s hand it to the CRC and the writer as
+// it stands — the write-side mirror of aliasFloat64/aliasInt32 in
+// mapped.go, under the same guard. Elsewhere each element is spelled
+// little-endian through the scratch buffer. The platform chooses, never a
+// caller; tests flip it to hold the two encoders byte-equal.
+var aliasNumeric = nativeLittleEndian()
+
+// elemBytes returns the memory of xs as bytes, without copying.
+func elemBytes[T float64 | int32 | int](xs []T) []byte {
+	if len(xs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*int(unsafe.Sizeof(xs[0])))
+}
+
 func (s *v2sink) floats(xs []float64) {
+	if aliasNumeric {
+		s.raw(elemBytes(xs))
+		return
+	}
 	k := 0
 	for _, x := range xs {
 		binary.LittleEndian.PutUint64(s.scratch[k:], math.Float64bits(x))
@@ -150,6 +172,10 @@ func (s *v2sink) floats(xs []float64) {
 }
 
 func (s *v2sink) int32s(xs []int32) {
+	if aliasNumeric {
+		s.raw(elemBytes(xs))
+		return
+	}
 	k := 0
 	for _, x := range xs {
 		binary.LittleEndian.PutUint32(s.scratch[k:], uint32(x))
@@ -164,7 +190,13 @@ func (s *v2sink) int32s(xs []int32) {
 	}
 }
 
+// int64s writes platform ints as the format's 64-bit words; their memory
+// is that only where int is 8 bytes wide.
 func (s *v2sink) int64s(xs []int) {
+	if aliasNumeric && unsafe.Sizeof(int(0)) == 8 {
+		s.raw(elemBytes(xs))
+		return
+	}
 	k := 0
 	for _, x := range xs {
 		binary.LittleEndian.PutUint64(s.scratch[k:], uint64(int64(x)))
@@ -333,7 +365,11 @@ func encodeV2Plan(w io.Writer, plan []*v2section, reuse map[string]manifestEntry
 		sec.off = off
 		off = alignUp(off + sec.size)
 	}
-	scratch := make([]byte, 1<<15)
+	// One chunk buffer for the portable element loops and for splicing.
+	// It is larger than the bufio buffer below on purpose: a chunk that
+	// size goes to the file in one write instead of being copied into the
+	// buffer and flushed 64 KiB at a time.
+	scratch := make([]byte, 1<<18)
 	for _, sec := range plan {
 		if ent, ok := reuse[sec.tag]; ok {
 			sec.crc = ent.crc

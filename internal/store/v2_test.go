@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -137,6 +138,29 @@ func TestV2MappedOpen(t *testing.T) {
 	}
 	if err := mm.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+}
+
+// TestOpenAllocationsIndependentOfUsers: mapping a snapshot builds nothing
+// per user — the allocation count of Open is the same at 400 users and at
+// 12 000 (the caches it rehydrates are O(|Z|·|C|²)).
+func TestOpenAllocationsIndependentOfUsers(t *testing.T) {
+	dir := t.TempDir()
+	allocs := func(users int) float64 {
+		path := filepath.Join(dir, fmt.Sprintf("users-%d.v2.snap", users))
+		if err := SaveV2(path, testModel(users, 6, 5, 40, 31)); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			mm, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mm.Close()
+		})
+	}
+	if small, large := allocs(400), allocs(12000); small != large {
+		t.Fatalf("Open allocates %.0f times at 400 users and %.0f at 12000", small, large)
 	}
 }
 

@@ -40,7 +40,11 @@
 // unchanged — and only user-index shards containing dirty rows rebuild);
 // and the on-disk generation is written with store.SaveV2Reusing, which
 // splices byte-identical base-model sections out of the previous
-// generation's file instead of re-encoding them. Every layer is
+// generation's file instead of re-encoding them. What stays O(model) in
+// such a publish is one memcpy of Π and the write of the bytes that go to
+// disk: no step walks the users (a model has no per-user cache, the
+// dirty-user gauge is a maintained count), and Ingest costs the same
+// however many stream users exist. Every layer is
 // bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*
 // pins this differentially, down to byte-equal snapshot files). A publish
 // falls back to the full path exactly when the base model itself moved: a

@@ -7,13 +7,28 @@ package stream
 // η, ν, POPF, XI) are the very same arrays. The publisher exploits that
 // at every layer:
 //
+//   - fold: the serving snapshot carries log Θ (shared by every patched
+//     successor) and a fold-in tabulates log(k+ρ) once, so the Gibbs
+//     kernel reads its conditionals instead of recomputing logarithms of
+//     per-snapshot constants per document and sweep;
 //   - model: buildExtendedPatchedLocked copies the previously published
-//     Π wholesale (one memcpy) and overwrites only the changed rows,
-//     instead of reassembling every row (buildExtendedLocked);
+//     Π wholesale (one memcpy, the only O(users) step left), overwrites
+//     the changed rows and keeps the predecessor's global blocks and
+//     prediction caches (core.Model.WithPi) instead of reassembling
+//     every row and rehydrating (buildExtendedLocked);
 //   - save: store.SaveV2Reusing splices unchanged sections byte-for-byte
-//     from the previous snapshot file instead of re-encoding them;
+//     from the previous snapshot file instead of re-encoding them, and
+//     encodes Π from its own memory;
+//   - shard: shard.Publisher hard-links the shard files no changed user
+//     falls in and rewrites the rest the same way;
+//   - open: store.Open maps the written file in O(1) in the user count —
+//     a model has no per-user cache to rebuild;
 //   - serve: serve.PatchFrom clones only the touched posting lists and
 //     user-index shards of the previous snapshot and shares the rest.
+//
+// Ingest is O(1) per event besides the journal append: Status is
+// assembled from counters (the dirty-user gauge included), never by
+// walking the stream users.
 //
 // Each layer is bit-identical to its from-scratch counterpart — the
 // incremental path changes the cost of a publish, never its bytes or its
@@ -47,7 +62,9 @@ type PublishPhases struct {
 	GibbsMicros   int64 `json:"gibbsMicros"`             // delta-Gibbs pass (0 when none ran)
 	ModelMicros   int64 `json:"modelMicros"`             // extended-model assembly
 	SaveMicros    int64 `json:"saveMicros"`              // v2 snapshot write (0 without Dir)
-	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot (index) build
+	ShardMicros   int64 `json:"shardMicros,omitempty"`   // sharded-group emit (0 without Shards)
+	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file (0 without Mmap)
+	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build: PatchFrom or BuildSnapshot only
 	PromoteMicros int64 `json:"promoteMicros"`           // engine swap
 	QualityMicros int64 `json:"qualityMicros,omitempty"` // structural quality scoring (0 when skipped)
 	TotalMicros   int64 `json:"totalMicros"`
@@ -159,14 +176,14 @@ func (u *Updater) Publish() (*PublishInfo, error) {
 
 func (u *Updater) publishLocked() (*PublishInfo, error) {
 	defer u.refreshStatusLocked()
-	dirty := u.dirtyUsersLocked()
 	// The no-op guard is process-local (u.published, not u.generation):
 	// after a restart the restored generation may be > 0 while the engine
 	// slot still serves whatever the process loaded from disk, so the
 	// first publish must rebuild even with nothing pending.
-	if u.pending == 0 && len(dirty) == 0 && u.published {
+	if u.pending == 0 && u.dirty == 0 && u.published {
 		return nil, nil
 	}
+	dirty := u.dirtyUsersLocked()
 	start := time.Now()
 	t := start
 	lap := func() int64 {
@@ -254,10 +271,12 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 				u.generation--
 				return nil, fmt.Errorf("stream: sharded publish: %w", serr)
 			}
+			ph.ShardMicros = lap()
 		}
 	}
 	if u.opts.Mmap && info.Path != "" {
 		mm, merr := store.Open(info.Path)
+		ph.OpenMicros = lap()
 		if merr != nil {
 			// Unmappable output: the engine's loader still knows how to
 			// copy-load the file (full index build, no patching).
@@ -363,24 +382,11 @@ func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
 	last := u.lastModel
 	C := ref.Cfg.NumCommunities
 	total := u.baseUsers + u.newUsers
-	m := &core.Model{
-		Cfg:        ref.Cfg,
-		NumUsers:   total,
-		NumWords:   ref.NumWords,
-		NumBuckets: ref.NumBuckets,
-		NumAttrs:   ref.NumAttrs,
-		Pi:         sparse.NewDense(total, C),
-		Theta:      ref.Theta,
-		Phi:        ref.Phi,
-		Eta:        ref.Eta,
-		Nu:         ref.Nu,
-		PopFreq:    ref.PopFreq,
-		Xi:         ref.Xi,
-	}
-	copy(m.Pi.Data, last.Pi.Data)
+	// Rows of the users added since last, in id order.
+	appended := make([]float64, (total-last.NumUsers)*C)
 	uniform := 1 / float64(C)
 	for id := last.NumUsers; id < total; id++ {
-		dst := m.Pi.Row(id)
+		dst := appended[(id-last.NumUsers)*C:][:C]
 		if row, ok := u.foldPi[int32(id)]; ok {
 			copy(dst, row)
 		} else if id < ref.NumUsers {
@@ -392,6 +398,16 @@ func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
 			}
 		}
 	}
+	// Appending to a clipped slice allocates by copying: last's Π lands in
+	// fresh memory nobody cleared first, with the new rows behind it.
+	pi := append(slices.Clip(last.Pi.Data), appended...)
+	if len(appended) == 0 {
+		pi = slices.Clone(pi) // nothing was appended, so nothing was copied
+	}
+	// last was built from this same reference (the caller's contract), so
+	// its global blocks are ref's and its prediction caches are already the
+	// ones this model needs.
+	m := last.WithPi(sparse.NewDenseView(total, C, pi))
 	for _, id := range rows {
 		if int(id) >= last.NumUsers {
 			continue // appended above
@@ -403,7 +419,6 @@ func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
 		// previous row — which last.Pi already holds.
 	}
 	u.extendedDocArraysLocked(m, ref)
-	m.Rehydrate()
 	return m
 }
 
@@ -457,7 +472,7 @@ func (u *Updater) Drain() error {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.pending == 0 && len(u.dirtyUsersLocked()) == 0 {
+	if u.pending == 0 && u.dirty == 0 {
 		return nil
 	}
 	_, err := u.publishLocked()

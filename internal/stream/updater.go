@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -228,6 +228,7 @@ type Updater struct {
 	baseUsers int                  // base.NumUsers
 	baseDocs  int                  // len(base.DocCommunity)
 	users     map[int32]*userState // stream-touched users (new and changed)
+	dirty     int                  // users with userState.dirty set (setDirtyLocked keeps it)
 	newUsers  int                  // users added above baseUsers
 	docs      []socialgraph.Doc    // stream documents, global user ids
 	docC      []int32              // latest assignment per stream doc
@@ -374,7 +375,7 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 		// process knows — every doc-owning stream user re-folds on the
 		// first publish, rebuilding the rows a previous process had.
 		for _, us := range u.users {
-			us.dirty = true
+			u.setDirtyLocked(us, true)
 		}
 	}
 	u.refreshStatusLocked()
@@ -506,6 +507,20 @@ func (u *Updater) user(id int32) *userState {
 	return us
 }
 
+// setDirtyLocked is the only writer of userState.dirty: it keeps u.dirty,
+// the count Status reports, in step, so reading it never walks u.users.
+func (u *Updater) setDirtyLocked(us *userState, dirty bool) {
+	if us.dirty == dirty {
+		return
+	}
+	us.dirty = dirty
+	if dirty {
+		u.dirty++
+	} else {
+		u.dirty--
+	}
+}
+
 // applyLocked folds one validated event into the corpus state.
 func (u *Updater) applyLocked(ev *Event) error {
 	switch ev.Type {
@@ -527,7 +542,7 @@ func (u *Updater) applyLocked(ev *Event) error {
 			if !containsInt32(us.friends, other(id, ev.User, ev.Target)) {
 				us.friends = append(us.friends, other(id, ev.User, ev.Target))
 			}
-			us.dirty = true
+			u.setDirtyLocked(us, true)
 		}
 	case EvAddDoc, EvDiffusion:
 		total := u.baseUsers + u.newUsers
@@ -547,7 +562,7 @@ func (u *Updater) applyLocked(ev *Event) error {
 		u.docsChanged = true
 		us := u.user(ev.User)
 		us.docs = append(us.docs, docID)
-		us.dirty = true
+		u.setDirtyLocked(us, true)
 	default:
 		return fmt.Errorf("unknown event type %d", ev.Type)
 	}
@@ -617,12 +632,6 @@ func (u *Updater) refreshStatusLocked() {
 }
 
 func (u *Updater) statusLocked() Status {
-	dirty := 0
-	for _, us := range u.users {
-		if us.dirty {
-			dirty++
-		}
-	}
 	st := Status{
 		Snapshot:      u.opts.Snapshot,
 		Generation:    u.generation,
@@ -632,7 +641,7 @@ func (u *Updater) statusLocked() Status {
 		StreamEdges:   len(u.edges),
 		StreamDiffs:   len(u.diffs),
 		PendingEvents: u.pending,
-		DirtyUsers:    dirty,
+		DirtyUsers:    u.dirty,
 		JournalTail:   u.j.Tail(),
 		Watermark:     u.j.Watermark(),
 		JournalBytes:  u.j.SizeBytes(),
@@ -662,13 +671,16 @@ func (u *Updater) statusLocked() Status {
 // dirtyUsersLocked lists dirty users in ascending id order — the fixed
 // fold order determinism depends on.
 func (u *Updater) dirtyUsersLocked() []int32 {
-	var ids []int32
+	if u.dirty == 0 {
+		return nil
+	}
+	ids := make([]int32, 0, u.dirty)
 	for id, us := range u.users {
 		if us.dirty {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -689,7 +701,7 @@ func (u *Updater) foldDirtyLocked(ids []int32) (int, error) {
 	for _, id := range ids {
 		us := u.users[id]
 		if len(us.docs) == 0 {
-			us.dirty = false
+			u.setDirtyLocked(us, false)
 			continue
 		}
 		req := &serve.FoldInRequest{
@@ -744,7 +756,7 @@ func (u *Updater) foldDirtyLocked(ids []int32) (int, error) {
 				u.docsChanged = true
 			}
 		}
-		us.dirty = false
+		u.setDirtyLocked(us, false)
 	}
 	return len(reqs), nil
 }
@@ -1050,7 +1062,9 @@ func (u *Updater) restoreCheckpoint() (uint64, error) {
 	u.applied = st.Applied
 	u.publishes = st.Publishes
 	for id, cu := range st.Users {
-		u.users[id] = &userState{docs: cu.Docs, friends: cu.Friends, dirty: cu.Dirty}
+		us := &userState{docs: cu.Docs, friends: cu.Friends}
+		u.users[id] = us
+		u.setDirtyLocked(us, cu.Dirty)
 	}
 	return st.Offset, nil
 }
