@@ -158,4 +158,9 @@ func main() {
 	}
 	fmt.Printf("trained |C|=%d |Z|=%d in %.1fs E-step + %.1fs M-step; model written to %s\n",
 		*communities, *topics, diag.EStepSeconds, diag.MStepSeconds, *out)
+	if m.Cfg.Sampler == core.SamplerAlias {
+		mh := diag.MH
+		fmt.Printf("MH acceptance: topic-prior %.3f  topic-word %.3f  community-prior %.3f  community-content %.3f\n",
+			mh.TopicPrior.Rate(), mh.TopicWord.Rate(), mh.CommunityPrior.Rate(), mh.CommunityContent.Rate())
+	}
 }

@@ -251,4 +251,47 @@ type Diagnostics struct {
 	// Repacks counts how many times the engine re-ran the knapsack packing
 	// because the measured worker imbalance drifted past its threshold.
 	Repacks int
+	// MH counts the alias sampler's Metropolis–Hastings proposals over all
+	// E-step sweeps (all zero under the exact sampler): chains that stop
+	// accepting have stopped mixing.
+	MH MHStats
+}
+
+// MHStat counts the proposals of one type that named a value other than
+// the current one, and how many of those the exact conditional accepted.
+type MHStat struct{ Proposed, Accepted int64 }
+
+// Rate is Accepted/Proposed, 0 before the first proposal.
+func (s MHStat) Rate() float64 {
+	if s.Proposed == 0 {
+		return 0
+	}
+	return float64(s.Accepted) / float64(s.Proposed)
+}
+
+func (s *MHStat) count(accepted bool) {
+	s.Proposed++
+	if accepted {
+		s.Accepted++
+	}
+}
+
+// MHStats splits the proposals by the table that made them: a topic drawn
+// from the document's community (TopicPrior) or from one of its words
+// (TopicWord), a community drawn from the user's own tokens
+// (CommunityPrior) or from the document's topic (CommunityContent).
+type MHStats struct {
+	TopicPrior, TopicWord, CommunityPrior, CommunityContent MHStat
+}
+
+func (s *MHStat) add(o MHStat) {
+	s.Proposed += o.Proposed
+	s.Accepted += o.Accepted
+}
+
+func (s *MHStats) add(o MHStats) {
+	s.TopicPrior.add(o.TopicPrior)
+	s.TopicWord.add(o.TopicWord)
+	s.CommunityPrior.add(o.CommunityPrior)
+	s.CommunityContent.add(o.CommunityContent)
 }

@@ -32,8 +32,26 @@
 //     included, so the stationary distribution is the exact conditional.
 //     Cost per draw is O(MH steps · (log support + |doc| terms)) instead
 //     of a |Z|- or |C|-linear scan, which is what makes large label
-//     spaces affordable (BenchmarkEStep: ~5x E-step throughput at
-//     |C| = |Z| = 128). Its chains consume randomness differently from
+//     spaces affordable (BenchmarkEStep: ~2x E-step throughput at
+//     |C| = |Z| = 128, against an exact scan that reads its logs from
+//     tables). Its chains consume randomness differently from
 //     the exact sampler's, so alias quality is gated by scenario NMI
-//     floors (internal/scenario) rather than golden equality.
+//     floors (internal/scenario) rather than golden equality. The
+//     engine counts proposed and accepted moves per proposal type
+//     (Diagnostics.MH).
+//
+// # What the kernels read and do not recompute
+//
+// Both samplers score candidates with logs of an integer count plus a
+// hyper-parameter. Those come from read-only tables built with the state
+// (countLogs: log(n+α), log(n+|Z|α), log(n+β), and the two attribute
+// ones), shared by all workers, with math.Log as the fallback past a
+// table's end; the word-likelihood denominators log((n_z+Wβ)+j) come from
+// a per-scratch, per-topic cache keyed by n_z+Wβ (denLogs); n_zw is stored
+// word-major so the exact topic scan adds each word's term over one
+// contiguous run of topics; and the π̂ snapshots carry their residual sums
+// for sparse.SmoothedVec.DotSums. Each of these returns the bits the
+// recomputation would, in the same order of additions, so training is
+// bit-identical with or without them; kernels_oracle_test.go holds the
+// recomputing kernels and checks that.
 package core

@@ -68,6 +68,7 @@ type Engine struct {
 	workerSecs     []float64
 	lastWorkerSecs []float64
 	sweepSecs      []float64
+	mh             MHStats // summed over every pool sweep
 	sinceRepack    int
 	repacks        int
 	closed         bool
@@ -89,6 +90,7 @@ type segment struct {
 type workerResult struct {
 	w    int
 	secs float64
+	mh   MHStats // the worker's proposal counts for the sweep
 }
 
 const (
@@ -267,6 +269,7 @@ func (e *Engine) sweep(record bool) {
 	for range e.jobs {
 		r := <-e.results
 		e.workerSecs[r.w] = r.secs
+		e.mh.add(r.mh)
 	}
 	dt := time.Since(t0).Seconds()
 
@@ -363,7 +366,8 @@ func (e *Engine) workerLoop(w int, ov *overlay) {
 			ov.flush()
 			e.segSecs[s] = time.Since(ts).Seconds()
 		}
-		e.results <- workerResult{w: w, secs: time.Since(t0).Seconds()}
+		e.results <- workerResult{w: w, secs: time.Since(t0).Seconds(), mh: sc.mh}
+		sc.mh = MHStats{}
 	}
 }
 
@@ -400,9 +404,15 @@ func (e *Engine) runSegment(seg *segment, sc *scratch) {
 			}
 		}
 	}
-	// Link augmentation variables are refreshed when either endpoint's
-	// membership may have moved; a link between two clean users keeps its
-	// value (its posterior is unchanged to within the sweep's staleness).
+	e.sampleSegmentLinks(seg, sc)
+}
+
+// sampleSegmentLinks resamples the Pólya-Gamma variables of the links a
+// segment owns. They are refreshed when either endpoint's membership may
+// have moved; a link between two clean users keeps its value (its
+// posterior is unchanged to within the sweep's staleness).
+func (e *Engine) sampleSegmentLinks(seg *segment, sc *scratch) {
+	st, dirty := e.st, e.dirty
 	if !st.cfg.NoFriendship {
 		for _, li := range seg.friends {
 			if dirty != nil {
@@ -449,6 +459,7 @@ func (e *Engine) Diagnostics() *Diagnostics {
 		WorkerActual:    append([]float64(nil), e.lastWorkerSecs...),
 		Segments:        len(e.segs),
 		Repacks:         e.repacks,
+		MH:              e.mh,
 	}
 	for _, s := range e.sweepSecs {
 		d.EStepSeconds += s
@@ -641,17 +652,36 @@ func (st *state) addCT(sc *scratch, c int, d int64) {
 
 func (st *state) cntZW(sc *scratch, z, w int) int64 {
 	if sc.ov == nil {
-		return st.nZW.at(z, w)
+		return st.nZW.at(w, z)
 	}
-	return sc.ov.zw.get(z*st.nZW.cols + w)
+	return sc.ov.zw.get(w*st.nZW.cols + z)
+}
+
+// cntZWAll returns word w's count under every topic — one contiguous run of
+// the word-major table — in a buffer that is good until the next call.
+func (st *state) cntZWAll(sc *scratch, w int) []int64 {
+	Z := st.nZW.cols
+	out := sc.zwRun[:Z]
+	if sc.ov == nil {
+		live := st.nZW.data[w*Z : (w+1)*Z]
+		for z := range out {
+			out[z] = atomic.LoadInt64(&live[z])
+		}
+		return out
+	}
+	snap, delta := sc.ov.zw.snap[w*Z:(w+1)*Z], sc.ov.zw.delta[w*Z:(w+1)*Z]
+	for z := range out {
+		out[z] = snap[z] + delta[z]
+	}
+	return out
 }
 
 func (st *state) addZW(sc *scratch, z, w int, d int64) {
 	if sc.ov == nil {
-		st.nZW.add(z, w, d)
+		st.nZW.add(w, z, d)
 		return
 	}
-	sc.ov.zw.add(z*st.nZW.cols+w, d)
+	sc.ov.zw.add(w*st.nZW.cols+z, d)
 }
 
 func (st *state) cntZT(sc *scratch, z int) int64 {

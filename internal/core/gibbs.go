@@ -41,44 +41,82 @@ outer:
 	}
 }
 
+// addRepeatLogs adds to lw the word-likelihood numerators a word's repeats
+// contribute when it occurs cnt > 1 times in the document and n times under
+// the candidate topic: log((n+β)+m) for m = 1 … cnt-1, after the tabled
+// log(n+β) of its first occurrence. The repeats are computed, not tabled:
+// (n+β)+m and (n+m)+β round differently.
+func (st *state) addRepeatLogs(lw float64, n int64, cnt int) float64 {
+	base := float64(n) + st.cfg.Beta
+	for m := 1; m < cnt; m++ {
+		lw += math.Log(base + float64(m))
+	}
+	return lw
+}
+
+// countDocTopic adds (by = 1) or removes (by = -1) document d, of
+// community c, under topic z in every topic-dependent counter.
+func (st *state) countDocTopic(sc *scratch, d int32, c, z int, by int64) {
+	doc := &st.g.Docs[d]
+	b := st.docBucket[d]
+	st.addCZ(sc, c, z, by)
+	st.addCT(sc, c, by)
+	for _, w := range doc.Words {
+		st.addZW(sc, z, int(w), by)
+	}
+	st.addZT(sc, z, by*int64(len(doc.Words)))
+	st.addTZ(sc, b, z, by)
+	st.addTT(sc, b, by)
+}
+
 // sampleDocTopic resamples z_ui per Eq. 13: the community-topic prior term,
 // the word likelihood term and — through the Pólya-Gamma kernels — the
 // diffusion links for which this document is the diffusing side. Friendship
 // factors do not depend on Z and cancel.
 func (st *state) sampleDocTopic(d int32, sc *scratch) {
-	doc := &st.g.Docs[d]
 	zOld := int(st.zload(d))
 	c := int(st.cload(d))
-	b := st.docBucket[d]
 
 	// Remove the document from all z-dependent counters (the ¬{ui}
 	// convention).
-	st.addCZ(sc, c, zOld, -1)
-	st.addCT(sc, c, -1)
-	for _, w := range doc.Words {
-		st.addZW(sc, zOld, int(w), -1)
-	}
-	st.addZT(sc, zOld, -int64(len(doc.Words)))
-	st.addTZ(sc, b, zOld, -1)
-	st.addTT(sc, b, -1)
+	st.countDocTopic(sc, d, c, zOld, -1)
 
+	zNew := sc.r.CategoricalLog(st.topicLogWeights(d, c, sc))
+	st.zstore(d, int32(zNew))
+	st.countDocTopic(sc, d, c, zNew, 1)
+}
+
+// topicLogWeights fills sc.logw with Eq. 13's log conditional of document
+// d (in community c, already removed from the counters) at every topic.
+// Every logw[z] receives its additions in one fixed order — the prior term,
+// each distinct word's terms, then the denominators one by one — but the
+// scan runs word by word over all topics, not topic by topic over all
+// words: n_zw is stored word-major, so a word's counts are one contiguous
+// run.
+func (st *state) topicLogWeights(d int32, c int, sc *scratch) []float64 {
+	doc := &st.g.Docs[d]
 	Z := st.cfg.NumTopics
-	beta := st.cfg.Beta
-	wBeta := float64(st.g.NumWords) * beta
-	alpha := st.cfg.Alpha
+	wBeta := float64(st.g.NumWords) * st.cfg.Beta
 	sc.groupWords(doc.Words)
 	logw := sc.logw[:Z]
-	for z := 0; z < Z; z++ {
-		lw := math.Log(float64(st.cntCZ(sc, c, z)) + alpha)
-		for k, w := range sc.wordIDs {
-			base := float64(st.cntZW(sc, z, int(w))) + beta
-			for m := 0; m < sc.wordCnt[k]; m++ {
-				lw += math.Log(base + float64(m))
+	for z := range logw {
+		logw[z] = st.lgAlpha.at(st.cntCZ(sc, c, z))
+	}
+	for k, w := range sc.wordIDs {
+		counts := st.cntZWAll(sc, int(w))
+		for z, n := range counts {
+			logw[z] += st.lgBeta.at(n)
+		}
+		if cnt := sc.wordCnt[k]; cnt > 1 {
+			for z, n := range counts {
+				logw[z] = st.addRepeatLogs(logw[z], n, cnt)
 			}
 		}
-		den := float64(st.cntZT(sc, z)) + wBeta
-		for j := 0; j < len(doc.Words); j++ {
-			lw -= math.Log(den + float64(j))
+	}
+	for z := range logw {
+		lw := logw[z]
+		for _, l := range sc.den.row(z, float64(st.cntZT(sc, z))+wBeta, len(doc.Words)) {
+			lw -= l
 		}
 		logw[z] = lw
 	}
@@ -110,17 +148,7 @@ func (st *state) sampleDocTopic(d int32, sc *scratch) {
 			}
 		}
 	}
-
-	zNew := sc.r.CategoricalLog(logw)
-	st.zstore(d, int32(zNew))
-	st.addCZ(sc, c, zNew, 1)
-	st.addCT(sc, c, 1)
-	for _, w := range doc.Words {
-		st.addZW(sc, zNew, int(w), 1)
-	}
-	st.addZT(sc, zNew, int64(len(doc.Words)))
-	st.addTZ(sc, b, zNew, 1)
-	st.addTT(sc, b, 1)
+	return logw
 }
 
 // pickExcl returns d when cond (same user on both link endpoints) so the
@@ -147,18 +175,25 @@ func (st *state) neighborPi(user, cur int32, exclDoc int32, out *sparse.Smoothed
 // the community-topic term, the friendship kernels over Λ_u and the
 // diffusion kernels over Λ_i.
 func (st *state) sampleDocCommunity(d int32, sc *scratch) {
-	doc := &st.g.Docs[d]
-	u := doc.User
 	cOld := int(st.cload(d))
 	z := int(st.zload(d))
 
 	st.addCZ(sc, cOld, z, -1)
 	st.addCT(sc, cOld, -1)
 
+	cNew := sc.r.CategoricalLog(st.communityLogWeights(d, z, sc))
+	st.cstore(d, int32(cNew))
+	st.addCZ(sc, cNew, z, 1)
+	st.addCT(sc, cNew, 1)
+}
+
+// communityLogWeights fills sc.logw with Eq. 14's log conditional of
+// document d (of topic z, already removed from the counters) at every
+// community.
+func (st *state) communityLogWeights(d int32, z int, sc *scratch) []float64 {
+	u := st.g.Docs[d].User
 	C := st.cfg.NumCommunities
 	rho := st.cfg.Rho
-	alpha := st.cfg.Alpha
-	zAlpha := float64(st.cfg.NumTopics) * alpha
 	logw := sc.logw[:C]
 
 	// Prior term log(n_u^c,¬ + rho): base log(rho) everywhere, corrected on
@@ -166,9 +201,8 @@ func (st *state) sampleDocCommunity(d int32, sc *scratch) {
 	st.piHat(u, d, &sc.piU, &sc.idxBufU, &sc.valBufU, sc)
 	denU := st.piHatDen(u)
 	invDenU := 1 / denU
-	logRho := math.Log(rho)
 	for cc := 0; cc < C; cc++ {
-		logw[cc] = logRho
+		logw[cc] = st.logRho
 	}
 	for k, cc := range sc.piU.Idx {
 		logw[cc] = math.Log(rho + sc.piU.Val[k]*denU)
@@ -178,8 +212,7 @@ func (st *state) sampleDocCommunity(d int32, sc *scratch) {
 	// content does not inform detection).
 	if st.contentOn {
 		for cc := 0; cc < C; cc++ {
-			logw[cc] += math.Log(float64(st.cntCZ(sc, cc, z))+alpha) -
-				math.Log(float64(st.cntCT(sc, cc))+zAlpha)
+			logw[cc] += st.lgAlpha.at(st.cntCZ(sc, cc, z)) - st.lgZAlpha.at(st.cntCT(sc, cc))
 		}
 	}
 
@@ -189,14 +222,7 @@ func (st *state) sampleDocCommunity(d int32, sc *scratch) {
 	// x0 = base + base_v/den_u only on support(v); the x0 kernel is an
 	// all-candidates constant, applied once, with per-support corrections.
 	if !st.cfg.NoFriendship {
-		for _, li := range st.userFriendLinks[u] {
-			f := st.g.Friends[li]
-			st.addFriendKernel(u, d, f, st.lamAt(sc, int(li)), true, invDenU, sc, logw)
-		}
-		for _, li := range st.userNegFriendLinks[u] {
-			f := st.negFriends[li]
-			st.addFriendKernel(u, d, f, st.lamNegAt(sc, int(li)), false, invDenU, sc, logw)
-		}
+		st.addFriendKernels(u, invDenU, sc, logw)
 	}
 
 	// Diffusion kernels over Λ_i.
@@ -205,27 +231,37 @@ func (st *state) sampleDocCommunity(d int32, sc *scratch) {
 			st.addDiffusionCommunityTerms(d, int(e), invDenU, sc, logw)
 		}
 	}
+	return logw
+}
 
-	cNew := sc.r.CategoricalLog(logw)
-	st.cstore(d, int32(cNew))
-	st.addCZ(sc, cNew, z, 1)
-	st.addCT(sc, cNew, 1)
+// addFriendKernels adds the Pólya-Gamma kernels of user u's observed and
+// sampled-negative friendship links to the per-candidate community
+// log-weights, against the pi-hat_u in sc.piU.
+func (st *state) addFriendKernels(u int32, invDenU float64, sc *scratch, logw []float64) {
+	sumU := sc.piU.ResidualSum()
+	for _, li := range st.userFriendLinks[u] {
+		st.addFriendKernel(u, st.g.Friends[li], st.lamAt(sc, int(li)), true, invDenU, sumU, sc, logw)
+	}
+	for _, li := range st.userNegFriendLinks[u] {
+		st.addFriendKernel(u, st.negFriends[li], st.lamNegAt(sc, int(li)), false, invDenU, sumU, sc, logw)
+	}
 }
 
 // addFriendKernel adds one friendship link's Pólya-Gamma kernel to the
-// per-candidate community log-weights for document d of user u: the
+// per-candidate community log-weights for a token of user u: the
 // candidate community shifts pi-hat_u by e_c/den_u, so
 // x(c) = fs*(base + (baseV + residV[c])/denU) differs from the
 // support-free value x0 only on support(v); the x0 kernel is applied to
 // all candidates once, then corrected on the support. positive selects the
-// observed-link kernel (logPsi) vs the sampled-negative kernel (logPsiNeg).
-func (st *state) addFriendKernel(u, d int32, f socialgraph.FriendLink, lam float64, positive bool, invDenU float64, sc *scratch, logw []float64) {
+// observed-link kernel (logPsi) vs the sampled-negative kernel (logPsiNeg);
+// sumU is sc.piU's residual sum, the same for every link of the draw.
+func (st *state) addFriendKernel(u int32, f socialgraph.FriendLink, lam float64, positive bool, invDenU, sumU float64, sc *scratch, logw []float64) {
 	other := f.U
 	if other == u {
 		other = f.V
 	}
 	st.piSnap(other, &sc.piV)
-	base := sc.piU.Dot(&sc.piV)
+	base := sc.piU.DotSums(&sc.piV, sumU, st.piSnapSum[other])
 	fs := st.cfg.FriendScale
 	x0 := fs * (base + sc.piV.Base*invDenU)
 	kernel := logPsi
@@ -347,41 +383,36 @@ func (st *state) sampleUserAttr(u int32, k int, sc *scratch) {
 	st.addCA(sc, cOld, a, -1)
 	st.addCATot(sc, cOld, -1)
 
+	cNew := int32(sc.r.CategoricalLog(st.attrLogWeights(u, k, sc)))
+	atomic.StoreInt32(&st.attrC[u][k], cNew)
+	st.addCA(sc, int(cNew), a, 1)
+	st.addCATot(sc, int(cNew), 1)
+}
+
+// attrLogWeights fills sc.logw with the log conditional of user u's k-th
+// attribute token (already removed from the counters) at every community.
+func (st *state) attrLogWeights(u int32, k int, sc *scratch) []float64 {
+	a := int(st.g.Attrs[u][k])
 	C := st.cfg.NumCommunities
 	rho := st.cfg.Rho
-	mu := st.cfg.Mu
-	aMu := float64(st.g.NumAttrs) * mu
 	logw := sc.logw[:C]
 
 	st.piHatExcl(u, -1, k, &sc.piU, &sc.idxBufU, &sc.valBufU, sc)
 	denU := st.piHatDen(u)
 	invDenU := 1 / denU
-	logRho := math.Log(rho)
 	for cc := 0; cc < C; cc++ {
-		logw[cc] = logRho
+		logw[cc] = st.logRho
 	}
 	for kk, cc := range sc.piU.Idx {
 		logw[cc] = math.Log(rho + sc.piU.Val[kk]*denU)
 	}
 	for cc := 0; cc < C; cc++ {
-		logw[cc] += math.Log(float64(st.cntCA(sc, cc, a))+mu) -
-			math.Log(float64(st.cntCATot(sc, cc))+aMu)
+		logw[cc] += st.lgMu.at(st.cntCA(sc, cc, a)) - st.lgAMu.at(st.cntCATot(sc, cc))
 	}
 	if !st.cfg.NoFriendship {
-		for _, li := range st.userFriendLinks[u] {
-			f := st.g.Friends[li]
-			st.addFriendKernel(u, -1, f, st.lamAt(sc, int(li)), true, invDenU, sc, logw)
-		}
-		for _, li := range st.userNegFriendLinks[u] {
-			f := st.negFriends[li]
-			st.addFriendKernel(u, -1, f, st.lamNegAt(sc, int(li)), false, invDenU, sc, logw)
-		}
+		st.addFriendKernels(u, invDenU, sc, logw)
 	}
-
-	cNew := int32(sc.r.CategoricalLog(logw))
-	atomic.StoreInt32(&st.attrC[u][k], cNew)
-	st.addCA(sc, int(cNew), a, 1)
-	st.addCATot(sc, int(cNew), 1)
+	return logw
 }
 
 // sampleUserCommunityBlock block-samples one community for ALL of user u's

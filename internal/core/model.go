@@ -111,7 +111,7 @@ func (st *state) buildModel() *Model {
 		den := float64(st.nZT.at(z)) + wBeta
 		row := m.Phi.Row(z)
 		for w := range row {
-			row[w] = (float64(st.nZW.at(z, w)) + cfg.Beta) / den
+			row[w] = (float64(st.nZW.at(w, z)) + cfg.Beta) / den
 		}
 	}
 	for b := 0; b < st.nTZ.rows; b++ {

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"repro/internal/rng"
 	"repro/internal/socialgraph"
 )
 
@@ -94,86 +92,12 @@ func NewEngineFromModel(g *socialgraph.Graph, m *Model, opts ResumeOptions) (*En
 	return newEngine(newStateFromModel(g, m, cfg)), nil
 }
 
-// newStateFromModel is newState with assignments seeded from the model
-// instead of drawn at random. It mirrors newState's structure exactly so
-// the two construction paths stay comparable.
+// newStateFromModel is newState with assignments, η and ν seeded from the
+// model instead of drawn at random. Documents of g beyond the model's (a
+// graph extended since the snapshot) start at random, exactly as in a fresh
+// run, so the resumed state is deterministic.
 func newStateFromModel(g *socialgraph.Graph, m *Model, cfg Config) *state {
-	st := &state{
-		cfg:       cfg,
-		g:         g,
-		numDocs:   len(g.Docs),
-		docC:      make([]int32, len(g.Docs)),
-		docZ:      make([]int32, len(g.Docs)),
-		nCZ:       newTable(cfg.NumCommunities, cfg.NumTopics),
-		nCT:       newVec(cfg.NumCommunities),
-		nZW:       newTable(cfg.NumTopics, g.NumWords),
-		nZT:       newVec(cfg.NumTopics),
-		nDoc:      make([]int, g.NumUsers),
-		eta:       m.Eta.Clone(),
-		nu:        make([]float64, socialgraph.FeatureDim),
-		contentOn: true,
-		root:      rng.New(cfg.Seed),
-	}
-	copy(st.nu, m.Nu)
-	buckets, nb := g.TimeBuckets(cfg.TimeBuckets)
-	st.docBucket = buckets
-	st.nTZ = newTable(nb, cfg.NumTopics)
-	st.nTT = newVec(nb)
-
-	nKeep := len(m.DocCommunity)
-	for i, d := range g.Docs {
-		st.nDoc[d.User]++
-		var c, z int32
-		if i < nKeep {
-			c, z = m.DocCommunity[i], m.DocTopic[i]
-		} else {
-			// New documents (a graph extended since the snapshot) start at
-			// random, exactly as in a fresh run, consuming the root RNG in
-			// document order so the resumed state is deterministic.
-			c = int32(st.root.Intn(cfg.NumCommunities))
-			z = int32(st.root.Intn(cfg.NumTopics))
-		}
-		st.docC[i] = c
-		st.docZ[i] = z
-		st.nCZ.add(int(c), int(z), 1)
-		st.nCT.add(int(c), 1)
-		for _, w := range d.Words {
-			st.nZW.add(int(z), int(w), 1)
-			st.nZT.add(int(z), 1)
-		}
-		st.nTZ.add(st.docBucket[i], int(z), 1)
-		st.nTT.add(st.docBucket[i], 1)
-	}
-	st.nAttr = make([]int, g.NumUsers)
-	// Pólya-Gamma variables restart at the PG(1, 0) mean — they are not
-	// serialized, and one sweep re-equilibrates them against the resumed
-	// assignments.
-	pgInit := math.Float64bits(0.25)
-	st.lambda = newFloats(uint64(len(g.Friends)), pgInit)
-	st.delta = newFloats(uint64(len(g.Diffs)), pgInit)
-	st.linkFeat = make([][]float64, len(g.Diffs))
-	st.linkOffset = make([]float64, len(g.Diffs))
-	st.diffPairSet = make(map[int64]struct{}, len(g.Diffs))
-	for e, l := range g.Diffs {
-		u := int(g.Docs[l.I].User)
-		v := int(g.Docs[l.J].User)
-		st.linkFeat[e] = g.PairFeatures(nil, u, v)
-		st.diffPairSet[int64(l.I)*int64(len(g.Docs))+int64(l.J)] = struct{}{}
-	}
-	st.userFriendLinks = make([][]int32, g.NumUsers)
-	for l, f := range g.Friends {
-		st.userFriendLinks[f.U] = append(st.userFriendLinks[f.U], int32(l))
-		if f.V != f.U {
-			st.userFriendLinks[f.V] = append(st.userFriendLinks[f.V], int32(l))
-		}
-	}
-	st.sampleNegFriends()
-	st.refreshNuOffsets()
-	st.refreshCaches()
-	if cfg.aliasSampling() {
-		st.als = newAliasSampler(st)
-	}
-	return st
+	return buildState(g, cfg, m.Eta.Clone(), m.Nu, m.DocCommunity, m.DocTopic)
 }
 
 // SetDirty restricts subsequent sweeps to the dirty users: only their

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alias"
-	"repro/internal/sparse"
 )
 
 // This file implements Config.Sampler = "alias": alias-table proposal
@@ -26,6 +25,17 @@ import (
 // snapshot; their within-sweep staleness is exactly what the MH
 // acceptance ratio corrects (q is known in closed form from the table
 // weights).
+//
+// Cost per draw: a topic evaluation is one table lookup per distinct word
+// (log(n_zw+β); a repeated word's further terms are computed), |doc|
+// subtractions read from the scratch's denominator cache (computed only
+// for the two topics whose n_z the previous draw moved), and one bilinear
+// form per diffusing link. A community evaluation is two table lookups
+// plus, per incident link, a binary search in the neighbour's support:
+// predigestLinks has digested every candidate-independent part once per
+// draw, the dot product among them, with both residual sums taken from
+// where they are already known. A word's proposal table is built on
+// first use from one contiguous run of the word-major n_zw snapshot.
 //
 // Determinism: the tables are built from sweep-start state (identical for
 // every segment-to-worker packing), draws consume only the per-segment
@@ -121,14 +131,14 @@ func (as *aliasSampler) wordTable(st *state, w int) *alias.Table {
 	Z := st.cfg.NumTopics
 	beta := st.cfg.Beta
 	wts := make([]float64, Z)
+	// n_zw is word-major: word w's counts are the run [w*Z, (w+1)*Z).
 	if as.zwSnap != nil {
-		cols := st.nZW.cols
-		for z := 0; z < Z; z++ {
-			wts[z] = float64(as.zwSnap[z*cols+w]) + beta
+		for z, n := range as.zwSnap[w*Z : (w+1)*Z] {
+			wts[z] = float64(n) + beta
 		}
 	} else {
-		for z := 0; z < Z; z++ {
-			wts[z] = float64(st.nZW.at(z, w)) + beta
+		for z := range wts {
+			wts[z] = float64(st.nZW.at(w, z)) + beta
 		}
 	}
 	t := alias.New(wts)
@@ -169,20 +179,9 @@ func (st *state) sampleDocTopicAlias(d int32, sc *scratch) {
 	doc := &st.g.Docs[d]
 	zOld := int(st.zload(d))
 	c := int(st.cload(d))
-	b := st.docBucket[d]
 
-	st.addCZ(sc, c, zOld, -1)
-	st.addCT(sc, c, -1)
-	for _, w := range doc.Words {
-		st.addZW(sc, zOld, int(w), -1)
-	}
-	st.addZT(sc, zOld, -int64(len(doc.Words)))
-	st.addTZ(sc, b, zOld, -1)
-	st.addTT(sc, b, -1)
+	st.countDocTopic(sc, d, c, zOld, -1)
 
-	beta := st.cfg.Beta
-	wBeta := float64(st.g.NumWords) * beta
-	alpha := st.cfg.Alpha
 	sc.groupWords(doc.Words)
 
 	// Build the sampled user's exact pi-hat once if any diffusion kernel
@@ -200,41 +199,13 @@ func (st *state) sampleDocTopicAlias(d int32, sc *scratch) {
 		}
 	}
 
-	// logPost evaluates Eq. 13's log conditional at a single candidate
-	// topic: O(|doc| + difflinks·support) instead of O(|Z|·...).
-	logPost := func(z int) float64 {
-		lw := math.Log(float64(st.cntCZ(sc, c, z)) + alpha)
-		for k, w := range sc.wordIDs {
-			base := float64(st.cntZW(sc, z, int(w))) + beta
-			for m := 0; m < sc.wordCnt[k]; m++ {
-				lw += math.Log(base + float64(m))
-			}
-		}
-		den := float64(st.cntZT(sc, z)) + wBeta
-		for j := 0; j < len(doc.Words); j++ {
-			lw -= math.Log(den + float64(j))
-		}
-		if diffuses {
-			for _, e := range st.g.DocDiffLinks(int(d)) {
-				l := st.g.Diffs[e]
-				if l.I != d {
-					continue
-				}
-				st.neighborPi(st.g.Docs[l.J].User, doc.User, d, &sc.piV, &sc.idxBufV, &sc.valBufV, sc)
-				x := st.aggs[z].Eval(st.etaSlice[z], st.thetaColM.Row(z), &sc.piU, &sc.piV) +
-					st.popTerm(sc, st.docBucket[l.I], z) + st.indivTerm(int(e))
-				lw += logPsi(x, st.delAt(sc, int(e)))
-			}
-		}
-		return lw
-	}
-
 	as := st.als
 	cur := zOld
 	curLP := math.Inf(1) // computed lazily on the first real proposal
 	for step := 0; step < topicMHSteps; step++ {
 		var prop int
 		var lqRatio float64 // log q(cur) − log q(prop)
+		var stat *MHStat
 		if step&1 == 0 || len(doc.Words) == 0 {
 			t := as.cz[c]
 			prop = t.Draw(sc.r)
@@ -242,6 +213,7 @@ func (st *state) sampleDocTopicAlias(d int32, sc *scratch) {
 				continue
 			}
 			lqRatio = math.Log(t.Prob(cur)) - math.Log(t.Prob(prop))
+			stat = &sc.mh.TopicPrior
 		} else {
 			w := doc.Words[sc.r.Intn(len(doc.Words))]
 			prop = as.wordTable(st, int(w)).Draw(sc.r)
@@ -249,26 +221,56 @@ func (st *state) sampleDocTopicAlias(d int32, sc *scratch) {
 				continue
 			}
 			lqRatio = as.wordMixRatio(st, sc, cur, prop)
+			stat = &sc.mh.TopicWord
 		}
 		if math.IsInf(curLP, 1) {
-			curLP = logPost(cur)
+			curLP = st.topicLogPost(d, c, cur, diffuses, sc)
 		}
-		propLP := logPost(prop)
-		if mhAccept(sc, propLP-curLP+lqRatio) {
+		propLP := st.topicLogPost(d, c, prop, diffuses, sc)
+		accepted := mhAccept(sc, propLP-curLP+lqRatio)
+		if accepted {
 			cur, curLP = prop, propLP
 		}
+		stat.count(accepted)
 	}
 
 	zNew := cur
 	st.zstore(d, int32(zNew))
-	st.addCZ(sc, c, zNew, 1)
-	st.addCT(sc, c, 1)
-	for _, w := range doc.Words {
-		st.addZW(sc, zNew, int(w), 1)
+	st.countDocTopic(sc, d, c, zNew, 1)
+}
+
+// topicLogPost evaluates Eq. 13's log conditional for document d (in
+// community c) at the single candidate topic z: O(|doc| +
+// difflinks·support) instead of O(|Z|·...). The document's words must be
+// grouped in sc and, when it diffuses, its user's exclusion-aware pi-hat
+// built in sc.piU.
+func (st *state) topicLogPost(d int32, c, z int, diffuses bool, sc *scratch) float64 {
+	doc := &st.g.Docs[d]
+	lw := st.lgAlpha.at(st.cntCZ(sc, c, z))
+	for k, w := range sc.wordIDs {
+		n := st.cntZW(sc, z, int(w))
+		lw += st.lgBeta.at(n)
+		if cnt := sc.wordCnt[k]; cnt > 1 {
+			lw = st.addRepeatLogs(lw, n, cnt)
+		}
 	}
-	st.addZT(sc, zNew, int64(len(doc.Words)))
-	st.addTZ(sc, b, zNew, 1)
-	st.addTT(sc, b, 1)
+	wBeta := float64(st.g.NumWords) * st.cfg.Beta
+	for _, l := range sc.den.row(z, float64(st.cntZT(sc, z))+wBeta, len(doc.Words)) {
+		lw -= l
+	}
+	if diffuses {
+		for _, e := range st.g.DocDiffLinks(int(d)) {
+			l := st.g.Diffs[e]
+			if l.I != d {
+				continue
+			}
+			st.neighborPi(st.g.Docs[l.J].User, doc.User, d, &sc.piV, &sc.idxBufV, &sc.valBufV, sc)
+			x := st.aggs[z].Eval(st.etaSlice[z], st.thetaColM.Row(z), &sc.piU, &sc.piV) +
+				st.popTerm(sc, st.docBucket[l.I], z) + st.indivTerm(int(e))
+			lw += logPsi(x, st.delAt(sc, int(e)))
+		}
+	}
+	return lw
 }
 
 // residualAt returns the sparse residual of a SmoothedVec-shaped support
@@ -309,104 +311,11 @@ func (st *state) sampleDocCommunityAlias(d int32, sc *scratch) {
 
 	C := st.cfg.NumCommunities
 	rho := st.cfg.Rho
-	alpha := st.cfg.Alpha
-	zAlpha := float64(st.cfg.NumTopics) * alpha
 
 	st.piHat(u, d, &sc.piU, &sc.idxBufU, &sc.valBufU, sc)
 	denU := st.piHatDen(u)
 	invDenU := 1 / denU
-
-	// priorAt returns rho + n_u^{c,¬d} from the exclusion-aware pi-hat.
-	priorAt := func(cc int) float64 {
-		return rho + residualAt(sc.piU.Idx, sc.piU.Val, cc)*denU
-	}
-
-	// Predigest every link kernel once: the pi materialisation, dot
-	// product, bilinear aggregate, and augmentation lookups are all
-	// candidate-independent, so hoisting them out of the MH loop leaves
-	// each evaluation a residual lookup (or one support scan for
-	// heterogeneous diffusion) per link. See evalLinkAt.
-	fs := st.cfg.FriendScale
-	sc.links = sc.links[:0]
-	addFlat := func(other int32, aug float64, kind uint8) {
-		var pv *sparse.SmoothedVec
-		oth := other
-		if other == u {
-			pv, oth = &sc.piU, -1
-		} else {
-			st.piSnap(other, &sc.piV)
-			pv = &sc.piV
-		}
-		x0 := fs * (sc.piU.Dot(pv) + pv.Base*invDenU)
-		sc.links = append(sc.links, linkEval{x0: x0, aug: aug, other: oth, kind: kind})
-	}
-	if !st.cfg.NoFriendship {
-		for _, li := range st.userFriendLinks[u] {
-			f := st.g.Friends[li]
-			other := f.U
-			if other == u {
-				other = f.V
-			}
-			addFlat(other, st.lamAt(sc, int(li)), linkFriendPos)
-		}
-		for _, li := range st.userNegFriendLinks[u] {
-			f := st.negFriends[li]
-			other := f.U
-			if other == u {
-				other = f.V
-			}
-			addFlat(other, st.lamNegAt(sc, int(li)), linkFriendNeg)
-		}
-	}
-	if st.contentOn {
-		for _, e := range st.g.DocDiffLinks(int(d)) {
-			l := st.g.Diffs[e]
-			delta := st.delAt(sc, int(e))
-			otherU := st.g.Docs[l.J].User
-			if l.I != d {
-				otherU = st.g.Docs[l.I].User
-			}
-			if st.cfg.NoHeterogeneity {
-				addFlat(otherU, delta, linkDiffFlat)
-				continue
-			}
-			lz := st.zAt(sc, l.I, d) // link topic = diffusing document's topic
-			w := st.thetaColM.Row(int(lz))
-			m := st.etaSlice[lz]
-			agg := st.aggs[lz]
-			base := st.popTerm(sc, st.docBucket[l.I], int(lz)) + st.indivTerm(int(e))
-			var pv *sparse.SmoothedVec
-			oth := otherU
-			if otherU == u {
-				pv, oth = &sc.piU, -1
-			} else {
-				st.piSnap(otherU, &sc.piV)
-				pv = &sc.piV
-			}
-			kind := linkDiffRow
-			if l.I == d {
-				// d is the diffusing side: the candidate perturbs the row.
-				base += agg.Eval(m, w, &sc.piU, pv)
-			} else {
-				kind = linkDiffCol
-				base += agg.Eval(m, w, pv, &sc.piU)
-			}
-			sc.links = append(sc.links, linkEval{x0: base, aug: delta, other: oth, z: lz, kind: kind})
-		}
-	}
-
-	// logPost evaluates Eq. 14's log conditional at a single candidate.
-	logPost := func(cc int) float64 {
-		lp := math.Log(priorAt(cc))
-		if st.contentOn {
-			lp += math.Log(float64(st.cntCZ(sc, cc, z))+alpha) -
-				math.Log(float64(st.cntCT(sc, cc))+zAlpha)
-		}
-		for i := range sc.links {
-			lp += st.evalLinkAt(&sc.links[i], cc, invDenU, sc)
-		}
-		return lp
-	}
+	st.predigestLinks(d, invDenU, sc)
 
 	// Sparse-bucket prior proposal: the prior mass splits into C·rho of
 	// smoothing (uniform over communities) and one unit per remaining
@@ -438,12 +347,14 @@ func (st *state) sampleDocCommunityAlias(d int32, sc *scratch) {
 	for step := 0; step < communityMHSteps; step++ {
 		var prop int
 		var lqRatio float64
+		var stat *MHStat
 		if step&1 == 0 {
 			prop = drawPrior()
 			if prop == cur {
 				continue
 			}
-			lqRatio = math.Log(priorAt(cur)) - math.Log(priorAt(prop))
+			lqRatio = math.Log(st.priorAt(cur, denU, sc)) - math.Log(st.priorAt(prop, denU, sc))
+			stat = &sc.mh.CommunityPrior
 		} else {
 			t := as.zc[z]
 			prop = t.Draw(sc.r)
@@ -451,14 +362,17 @@ func (st *state) sampleDocCommunityAlias(d int32, sc *scratch) {
 				continue
 			}
 			lqRatio = math.Log(t.Prob(cur)) - math.Log(t.Prob(prop))
+			stat = &sc.mh.CommunityContent
 		}
 		if math.IsInf(curLP, 1) {
-			curLP = logPost(cur)
+			curLP = st.communityLogPost(cur, z, denU, invDenU, sc)
 		}
-		propLP := logPost(prop)
-		if mhAccept(sc, propLP-curLP+lqRatio) {
+		propLP := st.communityLogPost(prop, z, denU, invDenU, sc)
+		accepted := mhAccept(sc, propLP-curLP+lqRatio)
+		if accepted {
 			cur, curLP = prop, propLP
 		}
+		stat.count(accepted)
 	}
 
 	cNew := cur
@@ -467,8 +381,102 @@ func (st *state) sampleDocCommunityAlias(d int32, sc *scratch) {
 	st.addCT(sc, cNew, 1)
 }
 
+// priorAt returns rho + n_u^{c,¬d} from the exclusion-aware pi-hat in
+// sc.piU.
+func (st *state) priorAt(cc int, denU float64, sc *scratch) float64 {
+	return st.cfg.Rho + residualAt(sc.piU.Idx, sc.piU.Val, cc)*denU
+}
+
+// communityLogPost evaluates Eq. 14's log conditional for a document of
+// topic z at the single candidate community cc, against the pi-hat in
+// sc.piU and the link kernels predigestLinks left in sc.links.
+func (st *state) communityLogPost(cc, z int, denU, invDenU float64, sc *scratch) float64 {
+	lp := math.Log(st.priorAt(cc, denU, sc))
+	if st.contentOn {
+		lp += st.lgAlpha.at(st.cntCZ(sc, cc, z)) - st.lgZAlpha.at(st.cntCT(sc, cc))
+	}
+	for i := range sc.links {
+		lp += st.evalLinkAt(&sc.links[i], cc, invDenU, sc)
+	}
+	return lp
+}
+
+// predigestLinks fills sc.links with every link kernel of document d,
+// digested once: the pi materialisation, dot product, bilinear aggregate
+// and augmentation lookups are all candidate-independent, so hoisting them
+// out of the MH loop leaves each evaluation a residual lookup (or one
+// support scan for heterogeneous diffusion) per link. See evalLinkAt. The
+// user's exclusion-aware pi-hat must be in sc.piU.
+func (st *state) predigestLinks(d int32, invDenU float64, sc *scratch) {
+	u := st.g.Docs[d].User
+	sumU := sc.piU.ResidualSum()
+	fs := st.cfg.FriendScale
+	sc.links = sc.links[:0]
+	addFlat := func(other int32, aug float64, kind uint8) {
+		pv, sumV, oth := &sc.piU, sumU, int32(-1)
+		if other != u {
+			st.piSnap(other, &sc.piV)
+			pv, sumV, oth = &sc.piV, st.piSnapSum[other], other
+		}
+		x0 := fs * (sc.piU.DotSums(pv, sumU, sumV) + pv.Base*invDenU)
+		sc.links = append(sc.links, linkEval{x0: x0, aug: aug, other: oth, kind: kind})
+	}
+	if !st.cfg.NoFriendship {
+		for _, li := range st.userFriendLinks[u] {
+			f := st.g.Friends[li]
+			other := f.U
+			if other == u {
+				other = f.V
+			}
+			addFlat(other, st.lamAt(sc, int(li)), linkFriendPos)
+		}
+		for _, li := range st.userNegFriendLinks[u] {
+			f := st.negFriends[li]
+			other := f.U
+			if other == u {
+				other = f.V
+			}
+			addFlat(other, st.lamNegAt(sc, int(li)), linkFriendNeg)
+		}
+	}
+	if !st.contentOn {
+		return
+	}
+	for _, e := range st.g.DocDiffLinks(int(d)) {
+		l := st.g.Diffs[e]
+		delta := st.delAt(sc, int(e))
+		otherU := st.g.Docs[l.J].User
+		if l.I != d {
+			otherU = st.g.Docs[l.I].User
+		}
+		if st.cfg.NoHeterogeneity {
+			addFlat(otherU, delta, linkDiffFlat)
+			continue
+		}
+		lz := st.zAt(sc, l.I, d) // link topic = diffusing document's topic
+		w := st.thetaColM.Row(int(lz))
+		m := st.etaSlice[lz]
+		agg := st.aggs[lz]
+		base := st.popTerm(sc, st.docBucket[l.I], int(lz)) + st.indivTerm(int(e))
+		pv, oth := &sc.piU, int32(-1)
+		if otherU != u {
+			st.piSnap(otherU, &sc.piV)
+			pv, oth = &sc.piV, otherU
+		}
+		kind := linkDiffRow
+		if l.I == d {
+			// d is the diffusing side: the candidate perturbs the row.
+			base += agg.Eval(m, w, &sc.piU, pv)
+		} else {
+			kind = linkDiffCol
+			base += agg.Eval(m, w, pv, &sc.piU)
+		}
+		sc.links = append(sc.links, linkEval{x0: base, aug: delta, base: pv.Base, other: oth, z: lz, kind: kind})
+	}
+}
+
 // linkEval is one predigested link kernel for the alias community
-// sampler. sampleDocCommunityAlias computes the candidate-independent
+// sampler. predigestLinks computes the candidate-independent
 // part of each kernel argument once per document draw (pi views, the dot
 // product or bilinear aggregate, the augmentation variable), so each MH
 // candidate evaluation is O(log support) for the friendship-shaped
@@ -476,6 +484,7 @@ func (st *state) sampleDocCommunityAlias(d int32, sc *scratch) {
 type linkEval struct {
 	x0    float64 // candidate-independent part of the kernel argument
 	aug   float64 // PG augmentation variable (lambda or delta)
+	base  float64 // counterparty's smoothing base (heterogeneous diffusion kinds only)
 	other int32   // counterparty user; -1 when the view is piU itself
 	z     int32   // link topic (heterogeneous diffusion kinds only)
 	kind  uint8
@@ -494,13 +503,8 @@ const (
 // storage (the sampled user's own exclusion-aware pi-hat in sc.piU, or
 // the sweep-start snapshot slices) — nothing is copied per evaluation.
 func (st *state) evalLinkAt(le *linkEval, cc int, invDenU float64, sc *scratch) float64 {
-	var base float64
-	var idx []int32
-	var val []float64
-	if le.other < 0 {
-		base, idx, val = sc.piU.Base, sc.piU.Idx, sc.piU.Val
-	} else {
-		base = st.cfg.Rho / st.piHatDen(le.other)
+	idx, val := sc.piU.Idx, sc.piU.Val
+	if le.other >= 0 {
 		idx, val = st.piSnapIdx[le.other], st.piSnapVal[le.other]
 	}
 	switch le.kind {
@@ -517,7 +521,7 @@ func (st *state) evalLinkAt(le *linkEval, cc int, invDenU float64, sc *scratch) 
 		z := int(le.z)
 		w := st.thetaColM.Row(z)
 		m := st.etaSlice[z]
-		y := base * st.aggs[z].G[cc]
+		y := le.base * st.aggs[z].G[cc]
 		for k, cp := range idx {
 			y += m.At(cc, int(cp)) * val[k] * w[cp]
 		}
@@ -526,7 +530,7 @@ func (st *state) evalLinkAt(le *linkEval, cc int, invDenU float64, sc *scratch) 
 		z := int(le.z)
 		w := st.thetaColM.Row(z)
 		m := st.etaSlice[z]
-		y := base * st.aggs[z].H[cc]
+		y := le.base * st.aggs[z].H[cc]
 		for k, cr := range idx {
 			y += m.Row(int(cr))[cc] * val[k] * w[cr]
 		}

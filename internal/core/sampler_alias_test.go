@@ -142,3 +142,50 @@ func TestAliasResumeContinuesChain(t *testing.T) {
 	}
 	checkCounters(t, e.st)
 }
+
+// TestAliasMHStatsEqualAcrossWorkers pins the acceptance counters: each
+// worker counts in its own scratch and the engine sums at the sweep
+// barrier, so the totals are a property of the chain, not of the packing —
+// and every proposal type is in use and accepts no more than it proposes.
+func TestAliasMHStatsEqualAcrossWorkers(t *testing.T) {
+	var ref MHStats
+	for i, workers := range workerSweepVariants() {
+		cfg := aliasConfig()
+		cfg.Workers = workers
+		e, err := NewEngine(testGraph(150, 99), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 3; s++ {
+			e.Sweep()
+		}
+		got := e.Diagnostics().MH
+		e.Close()
+		if i == 0 {
+			ref = got
+			for name, s := range map[string]MHStat{
+				"topic-prior": got.TopicPrior, "topic-word": got.TopicWord,
+				"community-prior": got.CommunityPrior, "community-content": got.CommunityContent,
+			} {
+				if s.Proposed == 0 || s.Accepted > s.Proposed || s.Accepted < 0 {
+					t.Fatalf("%s: %d accepted of %d proposed", name, s.Accepted, s.Proposed)
+				}
+				if r := s.Rate(); r < 0 || r > 1 {
+					t.Fatalf("%s: rate %v", name, r)
+				}
+			}
+		} else if got != ref {
+			t.Fatalf("Workers=%d counted %+v, Workers=%d counted %+v", workers, got, workerSweepVariants()[0], ref)
+		}
+	}
+	// The exact sampler proposes nothing.
+	e, err := NewEngine(testGraph(60, 99), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Sweep()
+	if got := e.Diagnostics().MH; got != (MHStats{}) {
+		t.Fatalf("exact sampler counted MH proposals: %+v", got)
+	}
+}

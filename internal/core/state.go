@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/rng"
@@ -60,6 +60,43 @@ func (f *floats) set(i int, v float64) {
 	atomic.StoreUint64(&f.bits[i], math.Float64bits(v))
 }
 
+// countLogs is a read-only table of log(n + off) over the integer counts n
+// a counter can hold. The collapsed conditionals of Eqs. 13–14 are sums of
+// such logs, and a sweep asks for the same few thousand values |Z| times
+// per document; tab[n] holds exactly the float math.Log returns for
+// float64(n)+off, so a lookup and a recomputation are interchangeable bit
+// for bit, and at falls back to the latter past the end of the table.
+type countLogs struct {
+	off float64
+	tab []float64
+}
+
+// maxCountLogs caps a table's length: counts beyond it are the handful of
+// totals of a large corpus, not worth 8 bytes per possible value.
+const maxCountLogs = 1 << 16
+
+// newCountLogs tables log(n + off) for n = 0 … maxCount (a bound on the
+// counter, e.g. the corpus's document count), up to the cap.
+func newCountLogs(off float64, maxCount int) countLogs {
+	t := countLogs{off: off, tab: make([]float64, min(maxCount+1, maxCountLogs))}
+	for n := range t.tab {
+		t.tab[n] = math.Log(float64(n) + off)
+	}
+	return t
+}
+
+func (t *countLogs) at(n int64) float64 {
+	if uint64(n) < uint64(len(t.tab)) {
+		return t.tab[n]
+	}
+	return t.compute(n)
+}
+
+// compute is at's path past the table, kept out of line so that at inlines.
+//
+//go:noinline
+func (t *countLogs) compute(n int64) float64 { return math.Log(float64(n) + t.off) }
+
 // state is the full sampler state for one training run.
 type state struct {
 	cfg Config
@@ -77,7 +114,7 @@ type state struct {
 	// documents' assignments), which keeps pi-hat construction lock-free.
 	nCZ  *table // community-topic counts n_c^z
 	nCT  *vec   // community totals n_c
-	nZW  *table // topic-word counts n_z^w
+	nZW  *table // topic-word counts n_z^w, stored word-major: row w, column z
 	nZT  *vec   // topic totals n_z
 	nTZ  *table // timebucket-topic counts (popularity factor n_tz)
 	nTT  *vec   // timebucket totals
@@ -143,6 +180,7 @@ type state struct {
 	thetaColM *sparse.Dense         // row z = theta-hat column z
 	piSnapIdx [][]int32             // per-user snapshot support
 	piSnapVal [][]float64           // per-user snapshot residuals
+	piSnapSum []float64             // per-user sum of piSnapVal, in slice order
 	cFrozen   bool                  // phase-2 of NoJointModeling: freeze C
 	contentOn bool                  // phase-1 of NoJointModeling disables content+diffusion
 
@@ -151,12 +189,35 @@ type state struct {
 	// samplers, leaving their code path — and RNG consumption — untouched.
 	als *aliasSampler
 
+	// Logs of count + hyper-parameter, shared read-only by every worker:
+	// lgAlpha over n_c^z, lgZAlpha over n_c, lgBeta over n_z^w, and under
+	// the attribute extension lgMu over n_c^a and lgAMu over the attribute
+	// totals. logRho is log ρ, the community prior off a user's support.
+	lgAlpha, lgZAlpha, lgBeta countLogs
+	lgMu, lgAMu               countLogs
+	logRho                    float64
+
 	root *rng.RNG
 }
 
 // newState initializes assignments uniformly at random and builds every
 // counter.
 func newState(g *socialgraph.Graph, cfg Config) *state {
+	// Uniform eta start so the diffusion bilinear form is informative from
+	// sweep one; nu starts at zero.
+	eta := sparse.NewTensor3(cfg.NumCommunities, cfg.NumCommunities, cfg.NumTopics)
+	eta.Fill(1 / float64(cfg.NumCommunities*cfg.NumCommunities*cfg.NumTopics))
+	return buildState(g, cfg, eta, nil, nil, nil)
+}
+
+// buildState is the one place a sampler state is put together, for a fresh
+// run (newState) and for a run resumed from a model (newStateFromModel):
+// the first len(keepC) documents take the given assignments, every further
+// one is drawn uniformly from the root RNG in document order, and the
+// counters (with their layouts), link metadata, negative sample, log tables,
+// caches and alias sampler all follow from those. The state owns eta; nu is
+// copied.
+func buildState(g *socialgraph.Graph, cfg Config, eta *sparse.Tensor3, nu []float64, keepC, keepZ []int32) *state {
 	st := &state{
 		cfg:       cfg,
 		g:         g,
@@ -165,31 +226,39 @@ func newState(g *socialgraph.Graph, cfg Config) *state {
 		docZ:      make([]int32, len(g.Docs)),
 		nCZ:       newTable(cfg.NumCommunities, cfg.NumTopics),
 		nCT:       newVec(cfg.NumCommunities),
-		nZW:       newTable(cfg.NumTopics, g.NumWords),
+		nZW:       newTable(g.NumWords, cfg.NumTopics),
 		nZT:       newVec(cfg.NumTopics),
 		nDoc:      make([]int, g.NumUsers),
-		eta:       sparse.NewTensor3(cfg.NumCommunities, cfg.NumCommunities, cfg.NumTopics),
+		eta:       eta,
 		nu:        make([]float64, socialgraph.FeatureDim),
 		contentOn: true,
 		root:      rng.New(cfg.Seed),
 	}
+	copy(st.nu, nu)
 	buckets, nb := g.TimeBuckets(cfg.TimeBuckets)
 	st.docBucket = buckets
 	st.nTZ = newTable(nb, cfg.NumTopics)
 	st.nTT = newVec(nb)
 
+	tokens := 0
 	for i, d := range g.Docs {
 		st.nDoc[d.User]++
-		c := int32(st.root.Intn(cfg.NumCommunities))
-		z := int32(st.root.Intn(cfg.NumTopics))
+		var c, z int32
+		if i < len(keepC) {
+			c, z = keepC[i], keepZ[i]
+		} else {
+			c = int32(st.root.Intn(cfg.NumCommunities))
+			z = int32(st.root.Intn(cfg.NumTopics))
+		}
 		st.docC[i] = c
 		st.docZ[i] = z
 		st.nCZ.add(int(c), int(z), 1)
 		st.nCT.add(int(c), 1)
 		for _, w := range d.Words {
-			st.nZW.add(int(z), int(w), 1)
-			st.nZT.add(int(z), 1)
+			st.nZW.add(int(w), int(z), 1)
 		}
+		st.nZT.add(int(z), int64(len(d.Words)))
+		tokens += len(d.Words)
 		st.nTZ.add(st.docBucket[i], int(z), 1)
 		st.nTT.add(st.docBucket[i], 1)
 	}
@@ -200,6 +269,7 @@ func newState(g *socialgraph.Graph, cfg Config) *state {
 		st.attrC = make([][]int32, g.NumUsers)
 		st.nCA = newTable(cfg.NumCommunities, g.NumAttrs)
 		st.nCATot = newVec(cfg.NumCommunities)
+		attrTokens := 0
 		for u := 0; u < g.NumUsers; u++ {
 			as := g.Attrs[u]
 			st.nAttr[u] = len(as)
@@ -210,16 +280,23 @@ func newState(g *socialgraph.Graph, cfg Config) *state {
 				st.nCA.add(int(c), int(a), 1)
 				st.nCATot.add(int(c), 1)
 			}
+			attrTokens += len(as)
 		}
+		st.lgMu = newCountLogs(cfg.Mu, attrTokens)
+		st.lgAMu = newCountLogs(float64(g.NumAttrs)*cfg.Mu, attrTokens)
 	}
-	// Pólya-Gamma variables start at the PG(1, 0) mean.
+	// A community-topic count or community total cannot exceed the number of
+	// documents, a topic-word count the number of tokens.
+	st.lgAlpha = newCountLogs(cfg.Alpha, len(g.Docs))
+	st.lgZAlpha = newCountLogs(float64(cfg.NumTopics)*cfg.Alpha, len(g.Docs))
+	st.lgBeta = newCountLogs(cfg.Beta, tokens)
+	st.logRho = math.Log(cfg.Rho)
+	// Pólya-Gamma variables start at the PG(1, 0) mean (they are not
+	// serialized: a resumed run re-equilibrates them in one sweep).
 	pgInit := math.Float64bits(0.25)
 	st.lambda = newFloats(uint64(len(g.Friends)), pgInit)
 	st.delta = newFloats(uint64(len(g.Diffs)), pgInit)
-	// Uniform eta start so the diffusion bilinear form is informative from
-	// sweep one.
-	st.eta.Fill(1 / float64(cfg.NumCommunities*cfg.NumCommunities*cfg.NumTopics))
-	// Per-link features (fixed) and nu offsets (nu starts at zero).
+	// Per-link features (fixed) and nu offsets.
 	st.linkFeat = make([][]float64, len(g.Diffs))
 	st.linkOffset = make([]float64, len(g.Diffs))
 	st.diffPairSet = make(map[int64]struct{}, len(g.Diffs))
@@ -237,6 +314,7 @@ func newState(g *socialgraph.Graph, cfg Config) *state {
 		}
 	}
 	st.sampleNegFriends()
+	st.refreshNuOffsets()
 	st.refreshCaches()
 	if cfg.aliasSampling() {
 		st.als = newAliasSampler(st)
@@ -320,14 +398,30 @@ func (st *state) refreshCaches() {
 }
 
 // refreshPiSnapshots rebuilds the per-user pi-hat snapshots (O(total
-// tokens) per sweep).
+// tokens) per sweep), each with the sum of its residuals: a sweep dots a
+// neighbour's snapshot once per incident link per document, and the sum is
+// the part of that product that does not depend on the other side.
 func (st *state) refreshPiSnapshots() {
+	C := st.cfg.NumCommunities
 	if st.piSnapIdx == nil {
+		// A user's support holds at most one community per token, so the
+		// snapshots are carved out of two arrays once and never grow.
 		st.piSnapIdx = make([][]int32, st.g.NumUsers)
 		st.piSnapVal = make([][]float64, st.g.NumUsers)
+		st.piSnapSum = make([]float64, st.g.NumUsers)
+		total := 0
+		for u := range st.piSnapIdx {
+			total += min(C, st.nDoc[u]+st.nAttr[u])
+		}
+		idx, val := make([]int32, total), make([]float64, total)
+		for u := range st.piSnapIdx {
+			n := min(C, st.nDoc[u]+st.nAttr[u])
+			st.piSnapIdx[u], idx = idx[:0:n], idx[n:]
+			st.piSnapVal[u], val = val[:0:n], val[n:]
+		}
 	}
-	cnt := make([]float64, st.cfg.NumCommunities)
-	var touched []int32
+	cnt := make([]float64, C)
+	touched := make([]int32, 0, C)
 	for u := 0; u < st.g.NumUsers; u++ {
 		touched = touched[:0]
 		bump := func(c int32) {
@@ -344,17 +438,21 @@ func (st *state) refreshPiSnapshots() {
 				bump(atomic.LoadInt32(&st.attrC[u][k]))
 			}
 		}
-		sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+		slices.Sort(touched)
 		den := st.piHatDen(int32(u))
 		idx := st.piSnapIdx[u][:0]
 		val := st.piSnapVal[u][:0]
+		var sum float64
 		for _, c := range touched {
+			v := cnt[c] / den
 			idx = append(idx, c)
-			val = append(val, cnt[c]/den)
+			val = append(val, v)
+			sum += v
 			cnt[c] = 0
 		}
 		st.piSnapIdx[u] = idx
 		st.piSnapVal[u] = val
+		st.piSnapSum[u] = sum
 	}
 }
 
@@ -401,26 +499,72 @@ type scratch struct {
 	// per-doc word count pairs.
 	wordIDs []int32
 	wordCnt []int
+	// one word's counts under every topic (cntZWAll).
+	zwRun []int64
+	// per-topic word-likelihood denominators.
+	den denLogs
 	// predigested link kernels for the alias community sampler (see
 	// sampler_alias.go).
 	links []linkEval
+	// Metropolis–Hastings proposal counts of the alias sampler since the
+	// owner last collected them (the engine does at every sweep barrier).
+	mh MHStats
 }
 
 func newScratch(cfg Config, r *rng.RNG) *scratch {
-	n := cfg.NumCommunities
-	if cfg.NumTopics > n {
-		n = cfg.NumTopics
-	}
+	C, Z := cfg.NumCommunities, cfg.NumTopics
+	// A pi-hat support never exceeds |C| entries, so none of these grows.
 	return &scratch{
 		r:       r,
-		cnt:     make([]float64, cfg.NumCommunities),
-		logw:    make([]float64, n),
-		yBuf:    make([]float64, cfg.NumCommunities),
-		idxBufU: make([]int32, 0, 64),
-		valBufU: make([]float64, 0, 64),
-		idxBufV: make([]int32, 0, 64),
-		valBufV: make([]float64, 0, 64),
+		cnt:     make([]float64, C),
+		touched: make([]int32, 0, C),
+		logw:    make([]float64, max(C, Z)),
+		yBuf:    make([]float64, C),
+		idxBufU: make([]int32, 0, C),
+		valBufU: make([]float64, 0, C),
+		idxBufV: make([]int32, 0, C),
+		valBufV: make([]float64, 0, C),
+		zwRun:   make([]int64, Z),
+		den:     newDenLogs(Z),
 	}
+}
+
+// denLogs caches, per topic, the word-likelihood denominators of Eq. 13:
+// logs[z][j] = log(den[z] + j) for den[z] = n_z + Wβ and j = 0, 1, … up to
+// the longest document this scratch has scored at that value. Drawing a
+// topic moves n_z for two topics only — the one the document leaves and the
+// one it joins — so every other topic's logs outlive the draw, the document
+// and the sweep. A row is keyed by the den it was computed from, which is
+// everything its values depend on.
+type denLogs struct {
+	den  []float64
+	logs [][]float64
+}
+
+func newDenLogs(topics int) denLogs {
+	// Room for documents of 16 words before any row reallocates.
+	const room = 16
+	dl := denLogs{den: make([]float64, topics), logs: make([][]float64, topics)}
+	back := make([]float64, topics*room)
+	for z := range dl.logs {
+		dl.logs[z] = back[z*room : z*room : (z+1)*room]
+	}
+	return dl
+}
+
+// row returns log(den + j) for j = 0 … n-1, reusing what topic z's row
+// already holds for this den and computing the rest.
+func (dl *denLogs) row(z int, den float64, n int) []float64 {
+	l := dl.logs[z]
+	if dl.den[z] != den {
+		dl.den[z] = den
+		l = l[:0]
+	}
+	for j := len(l); j < n; j++ {
+		l = append(l, math.Log(den+float64(j)))
+	}
+	dl.logs[z] = l
+	return l[:n]
 }
 
 // piHat materialises pi-hat_u into out, excluding document excl (pass -1
@@ -462,7 +606,7 @@ func (st *state) piHatExcl(u int32, exclDoc int32, exclAttr int, out *sparse.Smo
 			bump(atomic.LoadInt32(&st.attrC[u][k]))
 		}
 	}
-	sort.Slice(sc.touched, func(i, j int) bool { return sc.touched[i] < sc.touched[j] })
+	slices.Sort(sc.touched)
 	*idxBuf = (*idxBuf)[:0]
 	*valBuf = (*valBuf)[:0]
 	for _, c := range sc.touched {

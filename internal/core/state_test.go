@@ -50,10 +50,14 @@ func checkCounters(t *testing.T, st *state) {
 			t.Fatalf("nCT[%d] = %v, recount %v", c, got, rowSum)
 		}
 	}
+	if st.nZW.rows != st.g.NumWords || st.nZW.cols != cfg.NumTopics {
+		t.Fatalf("nZW is %d x %d, want words x topics = %d x %d", st.nZW.rows, st.nZW.cols, st.g.NumWords, cfg.NumTopics)
+	}
 	for z := 0; z < cfg.NumTopics; z++ {
 		var rowSum float64
 		for w := 0; w < st.g.NumWords; w++ {
-			if got := float64(st.nZW.at(z, w)); got != nZW.At(z, w) {
+			// The sampler keeps n_z^w word-major: row w, column z.
+			if got := float64(st.nZW.at(w, z)); got != nZW.At(z, w) {
 				t.Fatalf("nZW[%d][%d] = %v, recount %v", z, w, got, nZW.At(z, w))
 			}
 			rowSum += nZW.At(z, w)

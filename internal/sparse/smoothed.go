@@ -47,12 +47,20 @@ func (x *SmoothedVec) ResidualSum() float64 {
 //
 // O(nnz(x)+nnz(y)) instead of O(Dim).
 func (x *SmoothedVec) Dot(y *SmoothedVec) float64 {
+	return x.DotSums(y, x.ResidualSum(), y.ResidualSum())
+}
+
+// DotSums is Dot for a caller that already holds xSum = x.ResidualSum() and
+// ySum = y.ResidualSum(): one vector is usually dotted against many, so its
+// sum is worth keeping. The result has Dot's bits exactly — the same
+// products are added in the same order.
+func (x *SmoothedVec) DotSums(y *SmoothedVec, xSum, ySum float64) float64 {
 	if x.Dim != y.Dim {
 		panic("sparse: SmoothedVec.Dot dimension mismatch")
 	}
 	s := x.Base * y.Base * float64(x.Dim)
-	s += x.Base * y.ResidualSum()
-	s += y.Base * x.ResidualSum()
+	s += x.Base * ySum
+	s += y.Base * xSum
 	i, j := 0, 0
 	for i < len(x.Idx) && j < len(y.Idx) {
 		switch {

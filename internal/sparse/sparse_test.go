@@ -188,6 +188,81 @@ func TestSmoothedDotMatchesDense(t *testing.T) {
 	}
 }
 
+// summingDot is Dot as it was before it could be handed the residual sums:
+// both are re-summed inside the product.
+func summingDot(x, y *SmoothedVec) float64 {
+	s := x.Base * y.Base * float64(x.Dim)
+	s += x.Base * y.ResidualSum()
+	s += y.Base * x.ResidualSum()
+	i, j := 0, 0
+	for i < len(x.Idx) && j < len(y.Idx) {
+		switch {
+		case x.Idx[i] < y.Idx[j]:
+			i++
+		case x.Idx[i] > y.Idx[j]:
+			j++
+		default:
+			s += x.Val[i] * y.Val[j]
+			i++
+			j++
+		}
+	}
+	return s
+}
+
+// TestDotSumsBitEqualsDot: a caller that sums a vector's residual once —
+// in slice order, as ResidualSum does — and hands the sum to DotSums gets
+// the bits the summing product gives, whatever the two supports look like.
+func TestDotSumsBitEqualsDot(t *testing.T) {
+	r := rng.New(11)
+	const dim = 24
+	sum := func(v *SmoothedVec) float64 {
+		var s float64
+		for _, x := range v.Val {
+			s += x
+		}
+		return s
+	}
+	check := func(what string, x, y *SmoothedVec) {
+		t.Helper()
+		want := summingDot(x, y)
+		if got := x.DotSums(y, sum(x), sum(y)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: DotSums %v, summing product %v", what, got, want)
+		}
+		if got := x.Dot(y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: Dot %v, summing product %v", what, got, want)
+		}
+	}
+	empty := &SmoothedVec{Dim: dim, Base: 0.03}
+	for i := 0; i < 500; i++ {
+		x, _ := randomSmoothed(r, dim)
+		y, _ := randomSmoothed(r, dim)
+		check("random", x, y)
+		check("empty right", x, empty)
+		check("empty left", empty, y)
+		check("identical", x, x)
+		// Disjoint: y keeps only the coordinates x lacks.
+		dis := &SmoothedVec{Dim: dim, Base: y.Base}
+		for k, c := range y.Idx {
+			if residualIndex(x, c) < 0 {
+				dis.Idx = append(dis.Idx, c)
+				dis.Val = append(dis.Val, y.Val[k])
+			}
+		}
+		check("disjoint", x, dis)
+	}
+	check("both empty", empty, empty)
+}
+
+func residualIndex(x *SmoothedVec, c int32) int {
+	for k, i := range x.Idx {
+		if i == c {
+			return k
+		}
+	}
+	return -1
+}
+
 func TestBilinearAggMatchesDense(t *testing.T) {
 	// The central scalability property: the O(nnz^2) smoothed evaluation
 	// must equal the O(C^2) dense evaluation exactly.

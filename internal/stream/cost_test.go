@@ -193,9 +193,9 @@ func requireDirtyCount(t *testing.T, when string, u *Updater) int {
 
 // TestDirtyUsersCountOnEveryPath walks the maintained dirty-user count
 // through every place a dirty flag flips — apply, fold, a fold that fails
-// after clearing the doc-less users, restore from a checkpoint that carries
-// dirty flags, and a replay from the journal base — recounting from the
-// user states each time.
+// after clearing the doc-less users, a replay from the journal base, and
+// restarts on a checkpoint with and without dirty flags in it — recounting
+// from the user states each time.
 func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	g, m := testBase(t)
 	evs := streamFixture(g, m)
@@ -260,14 +260,27 @@ func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	}
 	requireDirtyCount(t, "after checkpoint", u)
 
-	// A checkpoint that carries a dirty flag, restored as such. A checkpoint
-	// follows a publish, so the flag has to be planted; and a restart treats
-	// a journal compacted down to its watermark like one without a
-	// checkpoint (everything dirty), so the restart below runs on the
-	// journal as it was before the checkpoint compacted it — the state a
-	// crash between the two steps of Checkpoint leaves.
+	// A restart on a checkpoint adopts its state — a checkpoint compacts the
+	// journal down to its watermark, so nothing replays — and nobody is
+	// dirty: the first publish after it re-folds nobody.
+	u.Close()
+	j.Close()
+	j, u = open()
+	if j.Base() != j.Watermark() {
+		t.Fatal("the checkpoint left the journal uncompacted")
+	}
+	if n := requireDirtyCount(t, "after a restart on a checkpoint", u); n != 0 {
+		t.Fatalf("%d dirty users after restoring a checkpoint taken after a publish", n)
+	}
+
+	// One more window dirties its own users only, and a checkpoint that
+	// carries a dirty flag is restored as such. A checkpoint follows a
+	// publish, so the flag has to be planted.
 	if _, err := u.Ingest([]Event{{Type: EvAddEdge, User: 5, Target: 6}}); err != nil {
 		t.Fatal(err)
+	}
+	if n := requireDirtyCount(t, "after the window that follows the restart", u); n != 2 {
+		t.Fatalf("%d dirty users after one edge between two base users, want 2", n)
 	}
 	if _, err := u.Publish(); err != nil {
 		t.Fatal(err)
@@ -276,25 +289,88 @@ func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	u.setDirtyLocked(u.users[2], true)
 	u.refreshStatusLocked()
 	u.mu.Unlock()
-	uncompacted, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := u.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	u.Close()
 	j.Close()
-	if err := os.WriteFile(path, uncompacted, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	j, u = open()
 	defer j.Close()
 	defer u.Close()
-	if j.Base() == j.Watermark() {
-		t.Fatal("the restored journal is compacted; the restart would not take the checkpoint's flags as they are")
-	}
 	if n := requireDirtyCount(t, "after restoring the checkpoint", u); n != 1 {
 		t.Fatalf("%d dirty users restored from a checkpoint holding 1", n)
+	}
+}
+
+// TestRestartAfterCheckpointRefoldsOnlyTheNewWindow: ingest, publish,
+// checkpoint, restart, one more window, publish. The restart must cost
+// nothing — the publish after it folds the users of that window only, the
+// same number as without the restart, and writes the same bytes.
+func TestRestartAfterCheckpointRefoldsOnlyTheNewWindow(t *testing.T) {
+	g, m := testBase(t)
+	evs := streamFixture(g, m)
+	run := func(restart bool) (folded int, file []byte) {
+		path := filepath.Join(t.TempDir(), "events.wal")
+		dir := t.TempDir()
+		engine := serve.New(m, nil, serve.Options{})
+		defer engine.Close()
+		open := func() (*Journal, *Updater) {
+			j, err := OpenJournal(path, JournalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := NewUpdater(j, Options{Engine: engine, Base: m, FoldSweeps: 4, FoldSeed: 99, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j, u
+		}
+		j, u := open()
+		if _, err := u.Ingest(evs[:6]); err != nil {
+			t.Fatal(err)
+		}
+		first, err := u.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if restart {
+			u.Close()
+			j.Close()
+			j, u = open()
+			if n := requireDirtyCount(t, "after the restart", u); n != 0 {
+				t.Fatalf("%d dirty users after a restart on a checkpoint", n)
+			}
+		}
+		defer j.Close()
+		defer u.Close()
+		if _, err := u.Ingest(evs[6:]); err != nil {
+			t.Fatal(err)
+		}
+		dirty := requireDirtyCount(t, "after the second window", u)
+		info, err := u.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Folded > dirty || info.Folded >= first.Folded+dirty {
+			t.Fatalf("restart=%v: the second publish folded %d users; its window dirtied %d and the first publish folded %d",
+				restart, info.Folded, dirty, first.Folded)
+		}
+		file, err = os.ReadFile(info.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Folded, file
+	}
+	folded, file := run(false)
+	foldedRestarted, fileRestarted := run(true)
+	if foldedRestarted != folded {
+		t.Fatalf("the publish after a restart folded %d users, %d without the restart", foldedRestarted, folded)
+	}
+	if !bytes.Equal(fileRestarted, file) {
+		t.Fatalf("the snapshot published after a restart (%d bytes) differs from the one published without it (%d bytes)",
+			len(fileRestarted), len(file))
 	}
 }

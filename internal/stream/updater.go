@@ -352,7 +352,7 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 				g.NumUsers, len(g.Docs), g.NumWords, u.baseUsers, u.baseDocs, u.base.NumWords)
 		}
 	}
-	from, err := u.restoreCheckpoint()
+	from, restored, err := u.restoreCheckpoint()
 	if err != nil {
 		u.close()
 		return nil, err
@@ -370,10 +370,12 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 		u.close()
 		return nil, err
 	}
-	if from == j.Base() {
+	if !restored {
 		// No checkpoint: everything replayed is unpublished as far as this
 		// process knows — every doc-owning stream user re-folds on the
-		// first publish, rebuilding the rows a previous process had.
+		// first publish, rebuilding the rows a previous process had. The
+		// replay offset cannot tell: a checkpoint compacts the journal down
+		// to its watermark, so an adopted one replays from the base too.
 		for _, us := range u.users {
 			u.setDirtyLocked(us, true)
 		}
@@ -1018,35 +1020,36 @@ func (u *Updater) Checkpoint() error {
 }
 
 // restoreCheckpoint loads the sidecar state if it matches the journal's
-// watermark, returning the offset to replay from. A missing, corrupt or
-// stale checkpoint falls back to the journal base with zero state.
-func (u *Updater) restoreCheckpoint() (uint64, error) {
+// watermark, returning the offset to replay from and whether a state was
+// adopted. A missing, corrupt or stale checkpoint falls back to the journal
+// base with zero state.
+func (u *Updater) restoreCheckpoint() (from uint64, restored bool, err error) {
 	buf, err := os.ReadFile(u.statePath())
 	if err != nil {
-		return u.j.Base(), nil
+		return u.j.Base(), false, nil
 	}
 	hdr := len(checkpointMagic)
 	if len(buf) < hdr+12 || string(buf[:hdr]) != checkpointMagic {
-		return u.j.Base(), nil
+		return u.j.Base(), false, nil
 	}
 	n := binary.LittleEndian.Uint64(buf[hdr:])
 	if uint64(len(buf)) != uint64(hdr)+8+n+4 {
-		return u.j.Base(), nil
+		return u.j.Base(), false, nil
 	}
 	payload := buf[hdr+8 : hdr+8+int(n)]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[hdr+8+int(n):]) {
-		return u.j.Base(), nil
+		return u.j.Base(), false, nil
 	}
 	var st checkpointState
 	if err := json.Unmarshal(payload, &st); err != nil {
-		return u.j.Base(), nil
+		return u.j.Base(), false, nil
 	}
 	if st.Offset < u.j.Base() || st.Offset > u.j.Tail() {
-		return u.j.Base(), nil
+		return u.j.Base(), false, nil
 	}
 	// Defensive shape check before adopting the state.
 	if len(st.DocC) != len(st.Docs) || len(st.DocZ) != len(st.Docs) {
-		return u.j.Base(), nil
+		return u.j.Base(), false, nil
 	}
 	u.newUsers = st.NewUsers
 	u.docs = st.Docs
@@ -1066,5 +1069,5 @@ func (u *Updater) restoreCheckpoint() (uint64, error) {
 		u.users[id] = us
 		u.setDirtyLocked(us, cu.Dirty)
 	}
-	return st.Offset, nil
+	return st.Offset, true, nil
 }
