@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/socialgraph"
 	"repro/internal/store"
 )
@@ -158,6 +159,16 @@ func main() {
 	}
 	fmt.Printf("trained |C|=%d |Z|=%d in %.1fs E-step + %.1fs M-step; model written to %s\n",
 		*communities, *topics, diag.EStepSeconds, diag.MStepSeconds, *out)
+	if lazy := diag.Lazy; lazy.Total().Considered > 0 {
+		pct := func(s rng.LazyStats) string {
+			if s.Considered == 0 {
+				return "none drawn"
+			}
+			return fmt.Sprintf("%.1f %%", 100*s.Share())
+		}
+		fmt.Printf("lazy draws: evaluated %s of candidates (topic %s / community %s)\n",
+			pct(lazy.Total()), pct(lazy.Topic), pct(lazy.Community))
+	}
 	if m.Cfg.Sampler == core.SamplerAlias {
 		mh := diag.MH
 		fmt.Printf("MH acceptance: topic-prior %.3f  topic-word %.3f  community-prior %.3f  community-content %.3f\n",

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
+
+	"repro/internal/rng"
 )
 
 // Sampler names for Config.Sampler.
@@ -255,6 +257,29 @@ type Diagnostics struct {
 	// E-step sweeps (all zero under the exact sampler): chains that stop
 	// accepting have stopped mixing.
 	MH MHStats
+	// Lazy counts, over all E-step sweeps, the candidates the exact
+	// sampler's Gumbel-max draws were offered and the ones they had to
+	// evaluate (near zero under the alias sampler, which draws this way
+	// only for attribute tokens and detection block moves).
+	Lazy LazyDraws
+}
+
+// LazyDraws splits the lazy-draw counters by what was drawn: a document's
+// topic, or a community (of a document, an attribute token or a detection
+// block move). An evaluated share near 1 means flat conditionals: the
+// bounds prune nothing and a draw costs what the full scan did.
+type LazyDraws struct{ Topic, Community rng.LazyStats }
+
+func (s *LazyDraws) add(o LazyDraws) {
+	s.Topic.Add(o.Topic)
+	s.Community.Add(o.Community)
+}
+
+// Total is the two kinds summed.
+func (s LazyDraws) Total() rng.LazyStats {
+	t := s.Topic
+	t.Add(s.Community)
+	return t
 }
 
 // MHStat counts the proposals of one type that named a value other than

@@ -68,7 +68,8 @@ type Engine struct {
 	workerSecs     []float64
 	lastWorkerSecs []float64
 	sweepSecs      []float64
-	mh             MHStats // summed over every pool sweep
+	mh             MHStats   // summed over every pool sweep
+	lazy           LazyDraws // summed over every sweep
 	sinceRepack    int
 	repacks        int
 	closed         bool
@@ -90,7 +91,8 @@ type segment struct {
 type workerResult struct {
 	w    int
 	secs float64
-	mh   MHStats // the worker's proposal counts for the sweep
+	mh   MHStats   // the worker's proposal counts for the sweep
+	lazy LazyDraws // the worker's lazy-draw counts for the sweep
 }
 
 const (
@@ -270,6 +272,7 @@ func (e *Engine) sweep(record bool) {
 		r := <-e.results
 		e.workerSecs[r.w] = r.secs
 		e.mh.add(r.mh)
+		e.lazy.add(r.lazy)
 	}
 	dt := time.Since(t0).Seconds()
 
@@ -309,6 +312,8 @@ func (e *Engine) sweepDetect(record bool) {
 		e.detSC.r = seg.r
 		e.runSegment(seg, e.detSC)
 	}
+	e.lazy.add(e.detSC.lazy)
+	e.detSC.lazy = LazyDraws{}
 	dt := time.Since(t0).Seconds()
 	if record {
 		e.sweepSecs = append(e.sweepSecs, dt)
@@ -366,8 +371,8 @@ func (e *Engine) workerLoop(w int, ov *overlay) {
 			ov.flush()
 			e.segSecs[s] = time.Since(ts).Seconds()
 		}
-		e.results <- workerResult{w: w, secs: time.Since(t0).Seconds(), mh: sc.mh}
-		sc.mh = MHStats{}
+		e.results <- workerResult{w: w, secs: time.Since(t0).Seconds(), mh: sc.mh, lazy: sc.lazy}
+		sc.mh, sc.lazy = MHStats{}, LazyDraws{}
 	}
 }
 
@@ -460,6 +465,7 @@ func (e *Engine) Diagnostics() *Diagnostics {
 		Segments:        len(e.segs),
 		Repacks:         e.repacks,
 		MH:              e.mh,
+		Lazy:            e.lazy,
 	}
 	for _, s := range e.sweepSecs {
 		d.EStepSeconds += s

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/synth"
 )
 
@@ -88,6 +89,7 @@ func workerSweepVariants() []int {
 // sampler state is bit-identical for every Workers value.
 func TestEngineSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	var ref *state
+	var refLazy LazyDraws
 	var refWorkers int
 	for _, workers := range workerSweepVariants() {
 		g := testGraph(80, 21)
@@ -97,13 +99,32 @@ func TestEngineSweepBitIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
+		const sweeps = 3
+		for i := 0; i < sweeps; i++ {
 			e.Sweep()
 		}
+		lazy := e.Diagnostics().Lazy
 		if ref == nil {
-			ref, refWorkers = e.st, workers
-		} else if d := stateDiff(ref, e.st); d != "" {
-			t.Fatalf("Workers=%d diverges from Workers=%d: %s", workers, refWorkers, d)
+			ref, refLazy, refWorkers = e.st, lazy, workers
+			// One topic and one community draw per document and sweep, each
+			// offered every candidate and evaluating at least one of them.
+			draws := uint64(sweeps * len(g.Docs))
+			for _, k := range []struct {
+				name string
+				got  rng.LazyStats
+				dim  int
+			}{{"topic", lazy.Topic, cfg.NumTopics}, {"community", lazy.Community, cfg.NumCommunities}} {
+				if k.got.Considered != draws*uint64(k.dim) || k.got.Evaluated < draws || k.got.Evaluated >= k.got.Considered {
+					t.Fatalf("%s draws: %+v, want %d considered and between %d and that evaluated", k.name, k.got, draws*uint64(k.dim), draws)
+				}
+			}
+		} else {
+			if d := stateDiff(ref, e.st); d != "" {
+				t.Fatalf("Workers=%d diverges from Workers=%d: %s", workers, refWorkers, d)
+			}
+			if lazy != refLazy {
+				t.Fatalf("Workers=%d counted lazy draws %+v, Workers=%d counted %+v", workers, lazy, refWorkers, refLazy)
+			}
 		}
 		e.Close()
 	}

@@ -81,7 +81,7 @@ func (st *state) sampleDocTopic(d int32, sc *scratch) {
 	// convention).
 	st.countDocTopic(sc, d, c, zOld, -1)
 
-	zNew := sc.r.CategoricalLog(st.topicLogWeights(d, c, sc))
+	zNew := sc.drawLog(st.topicLogWeights(d, c, sc), &sc.lazy.Topic)
 	st.zstore(d, int32(zNew))
 	st.countDocTopic(sc, d, c, zNew, 1)
 }
@@ -181,7 +181,7 @@ func (st *state) sampleDocCommunity(d int32, sc *scratch) {
 	st.addCZ(sc, cOld, z, -1)
 	st.addCT(sc, cOld, -1)
 
-	cNew := sc.r.CategoricalLog(st.communityLogWeights(d, z, sc))
+	cNew := sc.drawLog(st.communityLogWeights(d, z, sc), &sc.lazy.Community)
 	st.cstore(d, int32(cNew))
 	st.addCZ(sc, cNew, z, 1)
 	st.addCT(sc, cNew, 1)
@@ -383,7 +383,7 @@ func (st *state) sampleUserAttr(u int32, k int, sc *scratch) {
 	st.addCA(sc, cOld, a, -1)
 	st.addCATot(sc, cOld, -1)
 
-	cNew := int32(sc.r.CategoricalLog(st.attrLogWeights(u, k, sc)))
+	cNew := int32(sc.drawLog(st.attrLogWeights(u, k, sc), &sc.lazy.Community))
 	atomic.StoreInt32(&st.attrC[u][k], cNew)
 	st.addCA(sc, int(cNew), a, 1)
 	st.addCATot(sc, int(cNew), 1)
@@ -489,7 +489,7 @@ func (st *state) sampleUserCommunityBlock(u int32, sc *scratch) {
 	addLinks(st.userFriendLinks[u], st.g.Friends, func(li int) float64 { return st.lamAt(sc, li) }, true)
 	addLinks(st.userNegFriendLinks[u], st.negFriends, func(li int) float64 { return st.lamNegAt(sc, li) }, false)
 
-	cNew := int32(sc.r.CategoricalLog(logw))
+	cNew := int32(sc.drawLog(logw, &sc.lazy.Community))
 	for _, d := range docs {
 		z := int(st.zload(d))
 		st.cstore(d, cNew)

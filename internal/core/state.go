@@ -509,6 +509,16 @@ type scratch struct {
 	// Metropolis–Hastings proposal counts of the alias sampler since the
 	// owner last collected them (the engine does at every sweep barrier).
 	mh MHStats
+	// lazy-draw counts since the owner last collected them, likewise.
+	lazy LazyDraws
+}
+
+// drawLog draws an index from log-weights with the scratch's generator and
+// books what the lazy draw considered and evaluated under into.
+func (sc *scratch) drawLog(logw []float64, into *rng.LazyStats) int {
+	i := sc.r.CategoricalLog(logw)
+	into.Drain(&sc.r.Lazy)
+	return i
 }
 
 func newScratch(cfg Config, r *rng.RNG) *scratch {

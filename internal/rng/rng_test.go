@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -350,3 +351,244 @@ func TestShuffleCoverage(t *testing.T) {
 		t.Fatalf("shuffle produced %d/6 permutations", len(seen))
 	}
 }
+
+// categoricalLogScan is CategoricalLog as it was before the draw became
+// lazy: every candidate's Gumbel value, two logarithms each, in one
+// ascending strict-> scan. It is the oracle the lazy kernel must match in
+// both the index it returns and the state it leaves the generator in.
+func categoricalLogScan(r *RNG, logits []float64) int {
+	best, bestV := -1, math.Inf(-1)
+	for i, l := range logits {
+		if math.IsNaN(l) {
+			panic("rng: CategoricalLog with NaN logit")
+		}
+		v := l - math.Log(r.Exp()) // l + Gumbel noise
+		if v > bestV {
+			best, bestV = i, v
+		}
+	}
+	if best < 0 {
+		panic("rng: CategoricalLog with empty logits")
+	}
+	return best
+}
+
+// draw runs f and reports the index it returned, or ok=false if it
+// panicked.
+func draw(f func() int) (idx int, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return f(), true
+}
+
+// sameDraw holds a lazy draw to the scan's: both panic, or both return the
+// same index and leave generators that started equal in the same state.
+func sameDraw(t testing.TB, what string, seed uint64, logits []float64, lazy func(r *RNG) int) {
+	t.Helper()
+	a, b := New(seed), New(seed)
+	want, wantOK := draw(func() int { return categoricalLogScan(a, logits) })
+	got, gotOK := draw(func() int { return lazy(b) })
+	if wantOK != gotOK {
+		t.Fatalf("%s: scan returned=%v, lazy returned=%v, seed %d logits %v", what, wantOK, gotOK, seed, logits)
+	}
+	if !wantOK {
+		return
+	}
+	if got != want {
+		t.Fatalf("%s: lazy draw picked %d, scan picked %d, seed %d logits %v", what, got, want, seed, logits)
+	}
+	if a.s != b.s {
+		t.Fatalf("%s: generator states differ after the draw, seed %d n=%d", what, seed, len(logits))
+	}
+}
+
+// randomLogits draws one test vector: n in 1…300 (small sizes favoured,
+// some past the stack buffer), a scale in 0.01…1000, and — per regime —
+// ±Inf entries, duplicated entries, or logits so coarse (floats are 2
+// apart at 1e16) that the Gumbel noise rounds into exact ties between
+// neighbours.
+func randomLogits(r *RNG) []float64 {
+	n := 1 + r.Intn(12)
+	switch r.Intn(4) {
+	case 0:
+		n = 1 + r.Intn(64)
+	case 1:
+		n = 1 + r.Intn(300)
+	}
+	scale := math.Pow(10, -2+5*r.Float64())
+	logits := make([]float64, n)
+	for i := range logits {
+		logits[i] = scale * r.Norm()
+	}
+	switch r.Intn(6) {
+	case 0: // infinities; sometimes every entry
+		p := r.Float64()
+		for i := range logits {
+			switch {
+			case r.Float64() < p:
+				logits[i] = math.Inf(-1)
+			case r.Float64() < 0.05:
+				logits[i] = math.Inf(1)
+			}
+		}
+	case 1: // duplicates
+		for i := range logits {
+			logits[i] = logits[r.Intn(n)]
+		}
+	case 2: // coarse: ties between computed values
+		for i := range logits {
+			logits[i] = 1e16 + 2*float64(r.Intn(4))
+		}
+	}
+	return logits
+}
+
+func TestCategoricalLogMatchesScan(t *testing.T) {
+	trials := 120000
+	if testing.Short() {
+		trials = 20000
+	}
+	r := New(99)
+	for trial := 0; trial < trials; trial++ {
+		logits := randomLogits(r)
+		sameDraw(t, "CategoricalLog", r.Uint64(), logits, func(g *RNG) int { return g.CategoricalLog(logits) })
+	}
+}
+
+// TestCategoricalLogBoundedMatchesScan offers the bounded draw the same
+// vectors behind upper bounds that are exact, barely above, or far above
+// the logits: whatever the bounds let it skip, the draw is the scan's over
+// the exact logits.
+func TestCategoricalLogBoundedMatchesScan(t *testing.T) {
+	trials := 120000
+	if testing.Short() {
+		trials = 20000
+	}
+	r := New(100)
+	for trial := 0; trial < trials; trial++ {
+		logits := randomLogits(r)
+		upper := make([]float64, len(logits))
+		loose := []float64{0, 1e-9, 0.5, 30}[r.Intn(4)]
+		for i, l := range logits {
+			upper[i] = l + loose*r.Float64()
+		}
+		calls := 0
+		sameDraw(t, "CategoricalLogBounded", r.Uint64(), logits, func(g *RNG) int {
+			return g.CategoricalLogBounded(upper, func(i int) float64 { calls++; return logits[i] })
+		})
+		if calls > len(logits) {
+			t.Fatalf("exact called %d times for %d candidates", calls, len(logits))
+		}
+	}
+}
+
+// TestCategoricalLogTiesKeepLowestIndex pins the tie rule where it is
+// forced: at 1e16 floats are 2 apart, so every computed value is the logit
+// plus its Gumbel noise rounded to an even number, and neighbours tie. The
+// scan keeps the lowest index — also when the largest logit, which the
+// lazy draw evaluates first, sits further up and ties with index 0 only
+// after rounding.
+func TestCategoricalLogTiesKeepLowestIndex(t *testing.T) {
+	stepped := []float64{1e16, 1e16 + 2, 1e16}
+	ties := 0
+	for seed := uint64(0); seed < 2000; seed++ {
+		sameDraw(t, "stepped ties", seed, stepped, func(g *RNG) int { return g.CategoricalLog(stepped) })
+		g := New(seed)
+		v0 := stepped[0] - math.Log(g.Exp())
+		v1 := stepped[1] - math.Log(g.Exp())
+		v2 := stepped[2] - math.Log(g.Exp())
+		if v0 == v1 && v0 >= v2 {
+			ties++
+			if got := New(seed).CategoricalLog(stepped); got != 0 {
+				t.Fatalf("seed %d: values tie at %v, picked index %d, want 0", seed, v0, got)
+			}
+		}
+	}
+	if ties < 50 {
+		t.Fatalf("only %d of 2000 draws tied; the test no longer forces ties", ties)
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestCategoricalLogPanics(t *testing.T) {
+	ninf, nan := math.Inf(-1), math.NaN()
+	mustPanic(t, "empty logits", func() { New(1).CategoricalLog(nil) })
+	mustPanic(t, "all -Inf", func() { New(1).CategoricalLog([]float64{ninf, ninf, ninf}) })
+	mustPanic(t, "NaN logit", func() { New(1).CategoricalLog([]float64{0, nan, 1}) })
+	// A NaN logit panics even where the scan would have picked a winner
+	// long before reaching it.
+	mustPanic(t, "NaN behind +Inf", func() { New(1).CategoricalLog([]float64{math.Inf(1), nan}) })
+
+	id := func(v []float64) func(int) float64 { return func(i int) float64 { return v[i] } }
+	mustPanic(t, "bounded: NaN upper", func() { New(1).CategoricalLogBounded([]float64{0, nan}, id([]float64{0, 0})) })
+	mustPanic(t, "bounded: all -Inf upper", func() { New(1).CategoricalLogBounded([]float64{ninf, ninf}, id([]float64{ninf, ninf})) })
+	mustPanic(t, "bounded: every exact -Inf", func() { New(1).CategoricalLogBounded([]float64{0, 0}, id([]float64{ninf, ninf})) })
+	mustPanic(t, "bounded: NaN in an evaluated exact", func() { New(1).CategoricalLogBounded([]float64{5, 0}, id([]float64{nan, 0})) })
+	mustPanic(t, "bounded: exact above upper", func() { New(1).CategoricalLogBounded([]float64{5, 0}, id([]float64{5.5, 0})) })
+	// An exact the bounds rule out is never computed, NaN or not.
+	for seed := uint64(0); seed < 50; seed++ {
+		if got := New(seed).CategoricalLogBounded([]float64{0, -1e6}, id([]float64{0, nan})); got != 0 {
+			t.Fatalf("seed %d: picked %d", seed, got)
+		}
+	}
+}
+
+// TestLazyStats checks the counters: every candidate is considered, at
+// least one and at most all are evaluated, a peaked vector evaluates a
+// small share, and Drain moves the counts out.
+func TestLazyStats(t *testing.T) {
+	r := New(5)
+	logits := make([]float64, 200)
+	for i := range logits {
+		logits[i] = -float64(i)
+	}
+	for i := 0; i < 100; i++ {
+		r.CategoricalLog(logits)
+	}
+	if r.Lazy.Considered != 100*200 {
+		t.Fatalf("Considered = %d, want %d", r.Lazy.Considered, 100*200)
+	}
+	if r.Lazy.Evaluated < 100 || r.Lazy.Evaluated > r.Lazy.Considered/10 {
+		t.Fatalf("Evaluated = %d of %d on a peaked vector", r.Lazy.Evaluated, r.Lazy.Considered)
+	}
+	var total LazyStats
+	total.Drain(&r.Lazy)
+	total.Drain(&r.Lazy)
+	if total.Considered != 100*200 || r.Lazy != (LazyStats{}) || total.Share() <= 0 || total.Share() > 0.1 {
+		t.Fatalf("after Drain: total %+v (share %v), generator %+v", total, total.Share(), r.Lazy)
+	}
+}
+
+func BenchmarkCategoricalLog(b *testing.B) {
+	for _, n := range []int{8, 64, 128, 256} {
+		r := New(1)
+		logits := make([]float64, n)
+		for i := range logits {
+			logits[i] = 3 * r.Norm()
+		}
+		b.Run("lazy/n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = r.CategoricalLog(logits)
+			}
+		})
+		b.Run("scan/n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = categoricalLogScan(r, logits)
+			}
+		})
+	}
+}
+
+var sink int

@@ -105,7 +105,16 @@ func (e *Engine) FoldInNamed(name string, req *FoldInRequest) (res *FoldInResult
 		return nil, err
 	}
 	defer release()
-	return foldIn(s, req)
+	return e.foldIn(s, req)
+}
+
+// foldIn runs the kernel and books what its lazy draws did.
+func (e *Engine) foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
+	var lazy rng.LazyStats
+	res, err := foldIn(s, req, &lazy)
+	e.foldConsidered.Add(lazy.Considered)
+	e.foldEvaluated.Add(lazy.Evaluated)
+	return res, err
 }
 
 // foldJob carries one batch entry to the persistent worker pool.
@@ -121,7 +130,7 @@ type foldJob struct {
 func (e *Engine) foldWorker() {
 	for job := range e.foldJobs {
 		start := time.Now()
-		res, err := foldIn(job.snap, job.req)
+		res, err := e.foldIn(job.snap, job.req)
 		// Per-request accounting, so the foldin stats (count, errors,
 		// latency) mean the same thing for batch and single requests.
 		e.lat[epFoldIn].Observe(time.Since(start), err)
@@ -173,7 +182,8 @@ func logThetaTable(m *core.Model) []float64 {
 
 // foldIn is the pure inference kernel: Gibbs over the new user's document
 // assignments (c_i, z_i) with every global (Φ, Θ, π of trained users, ρ)
-// frozen.
+// frozen. *lazy receives what the request's lazy draws considered and
+// evaluated.
 //
 // Per sweep and document it resamples
 //
@@ -185,7 +195,7 @@ func logThetaTable(m *core.Model) []float64 {
 // replaced by the exact sigmoid likelihood (fold-in conditions on observed
 // links only and needs no augmentation variables, since the globals are
 // fixed).
-func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
+func foldIn(s *Snapshot, req *FoldInRequest, lazy *rng.LazyStats) (*FoldInResult, error) {
 	m := s.Model
 	C, Z := m.Cfg.NumCommunities, m.Cfg.NumTopics
 	if len(req.Docs) == 0 {
@@ -215,7 +225,10 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 	// Friend rows resolve locally for owned users and from the hydrated
 	// FriendRows otherwise; the build happens in Friends order, so the
 	// Gibbs pass visits rows exactly as a full node would.
-	hydrated := make(map[int32][]float64, len(req.FriendRows))
+	var hydrated map[int32][]float64
+	if len(req.FriendRows) > 0 {
+		hydrated = make(map[int32][]float64, len(req.FriendRows))
+	}
 	for _, fr := range req.FriendRows {
 		if len(fr.Row) != C {
 			return nil, fmt.Errorf("serve: hydrated row for friend %d has %d entries, model has %d communities", fr.User, len(fr.Row), C)
@@ -252,18 +265,27 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 
 	rho := m.Cfg.Rho
 	n := len(req.Docs)
+	F := len(friendPi)
 	den := float64(n) + float64(C)*rho
-	cnt := make([]float64, C)
 	docC := make([]int32, n)
 	docZ := make([]int32, n)
+	// Every float64 working array of the request, carved from one
+	// allocation.
+	buf := make([]float64, n*Z+(n+1)+max(C, Z)+2*C+3*F)
+	carve := func(k int) []float64 {
+		part := buf[:k:k]
+		buf = buf[k:]
+		return part
+	}
+	cnt := carve(C)
 
 	r := rng.New(req.Seed)
 
-	// Per-document word log-likelihood table wordLL[i][z] = Σ_w log φ_z,w,
+	// Per-document word log-likelihood table wordLL[i*Z+z] = Σ_w log φ_z,w,
 	// computed once: the only per-sweep z-dependence left is θ_{c,z}.
-	wordLL := make([][]float64, n)
+	wordLL := carve(n * Z)
 	for i, doc := range req.Docs {
-		ll := make([]float64, Z)
+		ll := wordLL[i*Z : (i+1)*Z]
 		for z := 0; z < Z; z++ {
 			phi := m.Phi.Row(z)
 			var lw float64
@@ -272,7 +294,6 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 			}
 			ll[z] = lw
 		}
-		wordLL[i] = ll
 	}
 
 	// Seeded random init, counted.
@@ -286,49 +307,83 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 	// Every logarithm the sweeps need is tabulated — here and in the
 	// snapshot's logTheta — by the expression the sampler would otherwise
 	// evaluate per document and sweep, so the draws are unchanged.
-	logCnt := make([]float64, n+1)
+	logCnt := carve(n + 1)
 	for k := range logCnt {
 		logCnt[k] = math.Log(float64(k) + rho)
 	}
 	logTheta := s.logTheta
 
-	dim := Z
-	if C > dim {
-		dim = C
+	// The community draw is bounded, then refined. Candidate c's logit is
+	// base[c] plus, per friend v, logσ(fs·(s0_v + π_v[c]/den)) — 64 × friends
+	// Log1pExp calls if every candidate is computed. logσ is monotone and
+	// π_v[c] lies in [min π_v, max π_v], so the larger of the term's values at
+	// the two ends of that range (both: fs may be negative) bounds it for
+	// every candidate at two calls per friend, and CategoricalLogBounded
+	// asks for the exact logit — summed in the order the full computation
+	// uses — of the few candidates those bounds cannot rule out.
+	logw, base := carve(max(C, Z)), carve(C)
+	topicW, upper := logw[:Z], logw[:C] // never live together
+	piMin, piMax, s0 := carve(F), carve(F), carve(F)
+	for k, piV := range friendPi {
+		piMin[k], piMax[k] = piV[0], piV[0]
+		for _, p := range piV {
+			piMin[k], piMax[k] = min(piMin[k], p), max(piMax[k], p)
+		}
 	}
-	logw := make([]float64, dim)
 	fs := m.Cfg.FriendScale
+	friendTerm := func(k int, p float64) float64 {
+		return mathx.LogSigmoid(fs * (s0[k] + p/den))
+	}
+	exact := func(cc int) float64 {
+		lw := base[cc]
+		for k, piV := range friendPi {
+			lw += friendTerm(k, piV[cc])
+		}
+		return lw
+	}
+	// upper must not fall below the float64 exact returns, so the slack
+	// covers the rounding of both sums: F+1 additions each, every partial sum
+	// at most |base| + Σ_v |smaller endpoint| in magnitude. A finite base is a
+	// sum of two logarithms of float64s, so below 1500 in magnitude; a −Inf
+	// base (ρ = 0 and an empty community) stays −Inf, as its exact logit is.
+	const maxFiniteBase = 1500
+	relSlack := float64(F+2) * 0x1p-50
+
 	for sweep := 0; sweep < sweeps; sweep++ {
 		for i := 0; i < n; i++ {
 			// z_i | c_i.
 			c := int(docC[i])
-			lw := logw[:Z]
 			lt := logTheta[c*Z : (c+1)*Z]
-			for z := 0; z < Z; z++ {
-				lw[z] = lt[z] + wordLL[i][z]
+			ll := wordLL[i*Z : (i+1)*Z]
+			for z := range topicW {
+				topicW[z] = lt[z] + ll[z]
 			}
-			z := r.CategoricalLog(lw)
+			z := r.CategoricalLog(topicW)
 			docZ[i] = int32(z)
 
 			// c_i | z_i, c_¬i.
 			cnt[c]--
-			lw = logw[:C]
-			for cc := 0; cc < C; cc++ {
-				lw[cc] = logCnt[int(cnt[cc])] + logTheta[cc*Z+z]
+			for cc := range base {
+				base[cc] = logCnt[int(cnt[cc])] + logTheta[cc*Z+z]
 			}
-			for _, piV := range friendPi {
+			var hi, lo float64
+			for k, piV := range friendPi {
 				// π̂_u(c') = (cnt_¬i[c'] + ρ + [c'==c]) / den; the
 				// candidate-independent part of π̂_u^T π_v is shared.
-				var s0 float64
+				var dot float64
 				for cc := 0; cc < C; cc++ {
-					s0 += (cnt[cc] + rho) * piV[cc]
+					dot += (cnt[cc] + rho) * piV[cc]
 				}
-				s0 /= den
-				for cc := 0; cc < C; cc++ {
-					lw[cc] += mathx.LogSigmoid(fs * (s0 + piV[cc]/den))
-				}
+				s0[k] = dot / den
+				a, b := friendTerm(k, piMin[k]), friendTerm(k, piMax[k])
+				hi += max(a, b)
+				lo += min(a, b)
 			}
-			cNew := r.CategoricalLog(lw)
+			hi += 1e-9 + relSlack*(maxFiniteBase-lo)
+			for cc, b := range base {
+				upper[cc] = b + hi
+			}
+			cNew := r.CategoricalLogBounded(upper, exact)
 			docC[i] = int32(cNew)
 			cnt[cNew]++
 		}
@@ -357,5 +412,6 @@ func foldIn(s *Snapshot, req *FoldInRequest) (*FoldInResult, error) {
 	for _, c := range mathx.TopKIndices(res.Pi, topK) {
 		res.Top = append(res.Top, CommunityWeight{Community: c, Weight: res.Pi[c]})
 	}
+	*lazy = r.Lazy
 	return res, nil
 }

@@ -12,11 +12,31 @@ import (
 	"repro/internal/sparse"
 )
 
-// foldInLogReference is the fold-in Gibbs kernel as it was before the
-// snapshot carried log Θ and the request log(k+ρ): every logarithm is
-// taken where it is needed, per document and sweep. friendPi holds the
-// friends' membership rows in request order. The tabulated kernel must
-// reproduce its draws, and so its result, bit for bit.
+// categoricalLogScan is rng.CategoricalLog as it was before the draw
+// became lazy: every candidate's Gumbel value in one ascending scan.
+func categoricalLogScan(r *rng.RNG, logits []float64) int {
+	best, bestV := -1, math.Inf(-1)
+	for i, l := range logits {
+		if math.IsNaN(l) {
+			panic("NaN logit")
+		}
+		v := l - math.Log(r.Exp())
+		if v > bestV {
+			best, bestV = i, v
+		}
+	}
+	if best < 0 {
+		panic("empty logits")
+	}
+	return best
+}
+
+// foldInLogReference is the fold-in Gibbs kernel with nothing tabulated,
+// bounded or skipped: every logarithm is taken where it is needed, per
+// document and sweep, every candidate's friend terms are computed, and
+// both draws scan every candidate. friendPi holds the friends' membership
+// rows in request order. The production kernel must reproduce its draws,
+// and so its result, bit for bit.
 func foldInLogReference(m *core.Model, version uint64, docs [][]int32, friendPi [][]float64, seed uint64, sweeps, topK int) *FoldInResult {
 	C, Z := m.Cfg.NumCommunities, m.Cfg.NumTopics
 	rho := m.Cfg.Rho
@@ -54,7 +74,7 @@ func foldInLogReference(m *core.Model, version uint64, docs [][]int32, friendPi 
 			for z := 0; z < Z; z++ {
 				lw[z] = math.Log(theta[z]+1e-300) + wordLL[i][z]
 			}
-			z := r.CategoricalLog(lw)
+			z := categoricalLogScan(r, lw)
 			docZ[i] = int32(z)
 
 			cnt[c]--
@@ -72,7 +92,7 @@ func foldInLogReference(m *core.Model, version uint64, docs [][]int32, friendPi 
 					lw[cc] += mathx.LogSigmoid(fs * (s0 + piV[cc]/den))
 				}
 			}
-			cNew := r.CategoricalLog(lw)
+			cNew := categoricalLogScan(r, lw)
 			docC[i] = int32(cNew)
 			cnt[cNew]++
 		}
@@ -103,15 +123,55 @@ func foldInLogReference(m *core.Model, version uint64, docs [][]int32, friendPi 
 	return res
 }
 
-// TestFoldInTablesMatchLogKernel drives random requests (1–5 documents,
-// 0–3 friends) through a full snapshot, through a shard snapshot that owns
+// TestFoldInTablesMatchLogKernel drives random requests (1–6 documents,
+// 0–6 friends) through a full snapshot, through a shard snapshot that owns
 // a third of the users and is handed the other friends' rows, and through
 // a snapshot patched from the full one (which shares its log Θ table), and
-// holds each result to the reference kernel's.
+// holds each result to the reference kernel's. The models cover a positive
+// and a negative FriendScale (which swaps the end of a friend's row that
+// bounds its term), a tiny ρ (logits hundreds apart) and ρ = 0 (−Inf
+// logits for empty communities), and peaked friend rows, whose wide range
+// is what makes the bounds loose.
 func TestFoldInTablesMatchLogKernel(t *testing.T) {
-	m := SyntheticModel(90, 7, 5, 120, 11)
-	// A zero in Θ exercises the 1e-300 floor inside the table.
-	m.Theta.Set(2, 3, 0)
+	for _, tc := range []struct {
+		name        string
+		friendScale float64
+		rho         float64
+		minDocs     int
+		trials      int
+	}{
+		{"default", 0, -1, 1, 300},
+		{"negative-friend-scale", -6, -1, 1, 150},
+		{"tiny-rho", 9, 1e-200, 1, 150},
+		// With ρ = 0 a lone document leaves every community empty while it
+		// is resampled: every logit is −Inf and the draw panics, before and
+		// after. Two documents always leave one community.
+		{"zero-rho", 3, 0, 2, 150},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := SyntheticModel(90, 7, 5, 120, 11)
+			if tc.friendScale != 0 {
+				m.Cfg.FriendScale = tc.friendScale
+			}
+			if tc.rho >= 0 {
+				m.Cfg.Rho = tc.rho
+			}
+			// A zero in Θ exercises the 1e-300 floor inside the table.
+			m.Theta.Set(2, 3, 0)
+			// Peaked rows: one community holds nearly all of the mass.
+			for u := 0; u < m.NumUsers; u += 3 {
+				row := m.Pi.Row(u)
+				for c := range row {
+					row[c] = 1e-4
+				}
+				row[u%len(row)] = 1 - 1e-4*float64(len(row)-1)
+			}
+			testFoldInAgainstReference(t, m, tc.minDocs, tc.trials)
+		})
+	}
+}
+
+func testFoldInAgainstReference(t *testing.T, m *core.Model, minDocs, trials int) {
 	C := m.Cfg.NumCommunities
 	opts := Options{}.withDefaults()
 	full := newSnapshot(m, nil, "full", 1, opts)
@@ -126,9 +186,10 @@ func TestFoldInTablesMatchLogKernel(t *testing.T) {
 	}
 
 	r := rng.New(2024)
-	for trial := 0; trial < 300; trial++ {
+	var lazy, total rng.LazyStats
+	for trial := 0; trial < trials; trial++ {
 		req := &FoldInRequest{Seed: r.Uint64(), Sweeps: 1 + r.Intn(12), TopK: 1 + r.Intn(C)}
-		for d := 1 + r.Intn(5); d > 0; d-- {
+		for d := minDocs + r.Intn(7-minDocs); d > 0; d-- {
 			doc := make([]int32, 1+r.Intn(9))
 			for i := range doc {
 				doc[i] = int32(r.Intn(m.NumWords))
@@ -136,7 +197,7 @@ func TestFoldInTablesMatchLogKernel(t *testing.T) {
 			req.Docs = append(req.Docs, doc)
 		}
 		var rows, movedRows [][]float64
-		for f := r.Intn(4); f > 0; f-- {
+		for f := r.Intn(7); f > 0; f-- {
 			v := r.Intn(m.NumUsers)
 			req.Friends = append(req.Friends, int32(v))
 			rows = append(rows, m.Pi.Row(v))
@@ -147,20 +208,63 @@ func TestFoldInTablesMatchLogKernel(t *testing.T) {
 		}
 		want := foldInLogReference(m, 1, req.Docs, rows, req.Seed, req.Sweeps, req.TopK)
 		for _, s := range []*Snapshot{full, owned} {
-			got, err := foldIn(s, req)
+			got, err := foldIn(s, req, &lazy)
 			if err != nil {
 				t.Fatalf("trial %d on %s: %v", trial, s.Name, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d on %s: tabulated fold-in\n%+v\nreference kernel\n%+v", trial, s.Name, got, want)
+				t.Fatalf("trial %d on %s: production fold-in\n%+v\nreference kernel\n%+v", trial, s.Name, got, want)
 			}
+			total.Add(lazy)
 		}
-		got, err := foldIn(patched, req)
+		got, err := foldIn(patched, req, &lazy)
 		if err != nil {
 			t.Fatalf("trial %d on the patched snapshot: %v", trial, err)
 		}
 		if want := foldInLogReference(moved, patched.Version, req.Docs, movedRows, req.Seed, req.Sweeps, req.TopK); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d on the patched snapshot: tabulated fold-in\n%+v\nreference kernel\n%+v", trial, got, want)
+			t.Fatalf("trial %d on the patched snapshot: production fold-in\n%+v\nreference kernel\n%+v", trial, got, want)
 		}
+	}
+	if total.Evaluated == 0 || total.Evaluated >= total.Considered {
+		t.Fatalf("lazy draws evaluated %d of %d candidates; the bounds pruned nothing", total.Evaluated, total.Considered)
+	}
+}
+
+// TestFoldInLazyShare pins, without a clock, how much of a fold-in the
+// lazy draws actually compute on the shape cpd-bench sends (2 documents of
+// 8 words, 10 sweeps, 3 friends a third of the id space apart, |C| = 64,
+// |Z| = 32): every step offers 32 topic and 64 community candidates, and
+// fewer than one in five may be evaluated. A bound that stops pruning — a
+// looser friend-term bound, a coarser Gumbel cap — shows here first.
+func TestFoldInLazyShare(t *testing.T) {
+	const users, C, Z, words = 3000, 64, 32, 20000
+	const requests, docs, docLen, sweeps, friends = 2000, 2, 8, 10, 3
+	s := newSnapshot(SyntheticModel(users, C, Z, words, 2017), nil, "bench", 1, Options{}.withDefaults())
+	r := rng.New(1)
+	var lazy, total rng.LazyStats
+	for i := 0; i < requests; i++ {
+		req := &FoldInRequest{Seed: r.Uint64(), Sweeps: sweeps}
+		for d := 0; d < docs; d++ {
+			doc := make([]int32, docLen)
+			for j := range doc {
+				doc[j] = int32(r.Intn(words))
+			}
+			req.Docs = append(req.Docs, doc)
+		}
+		first := r.Intn(users)
+		for f := 0; f < friends; f++ {
+			req.Friends = append(req.Friends, int32((first+f*users/friends)%users))
+		}
+		if _, err := foldIn(s, req, &lazy); err != nil {
+			t.Fatal(err)
+		}
+		total.Add(lazy)
+	}
+	if want := uint64(requests * docs * sweeps * (C + Z)); total.Considered != want {
+		t.Fatalf("considered %d candidates, want %d", total.Considered, want)
+	}
+	t.Logf("evaluated %.1f %% of %d candidates", 100*total.Share(), total.Considered)
+	if total.Share() >= 0.20 {
+		t.Fatalf("fold-in evaluated %.1f %% of its candidates, want under 20 %%", 100*total.Share())
 	}
 }

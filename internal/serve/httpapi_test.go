@@ -82,8 +82,18 @@ func TestAPIHandler(t *testing.T) {
 		t.Fatalf("reload: %d (called %d times)", rec.Code, reloaded)
 	}
 
-	if rec := apiGet(t, h, "/api/stats"); rec.Code != http.StatusOK {
+	rec = apiGet(t, h, "/api/stats")
+	if rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d", rec.Code)
+	}
+	// The one fold-in served above shows up as lazy-draw counters.
+	var stats StatsReport
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if lz := stats.FoldInLazy; lz == nil || lz.Considered == 0 || lz.Evaluated == 0 || lz.Evaluated > lz.Considered ||
+		lz.EvaluatedShare != float64(lz.Evaluated)/float64(lz.Considered) {
+		t.Fatalf("stats foldinLazy = %+v", lz)
 	}
 	rec = apiGet(t, h, "/healthz")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"version": 1`) {

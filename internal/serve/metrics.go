@@ -43,6 +43,10 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 		stats[i].WriteProm(w, "cpd_endpoint_latency_seconds", `endpoint=`+strconv.Quote(endpointNames[i]))
 	}
 
+	lazy := e.FoldInLazy()
+	fmt.Fprint(w, "# HELP cpd_foldin_candidates_total Topic and community candidates the fold-in draws were offered (considered) and computed (evaluated).\n# TYPE cpd_foldin_candidates_total counter\n")
+	fmt.Fprintf(w, "cpd_foldin_candidates_total{state=\"considered\"} %d\ncpd_foldin_candidates_total{state=\"evaluated\"} %d\n", lazy.Considered, lazy.Evaluated)
+
 	gauge(w, "cpd_process_rss_bytes", "Process resident set size.", "", float64(ProcessRSS()))
 
 	infos := e.SnapshotsInfo()

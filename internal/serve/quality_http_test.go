@@ -225,6 +225,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	r := quality.FromModel(m, nil, nil)
 	r.Generation = 7
 	e.RecordQuality(DefaultSnapshot, r)
+	// Two documents, the default 20 sweeps, 4 topic and 6 community
+	// candidates per step.
+	if _, err := e.FoldIn(&FoldInRequest{Docs: [][]int32{{1, 2}, {3}}, Friends: []int32{5}, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
 
 	rec := apiGet(t, h, "/metrics")
 	if rec.Code != http.StatusOK {
@@ -241,6 +246,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cpd_endpoint_requests_total{endpoint="membership"} 1`,
 		"cpd_endpoint_latency_seconds_bucket",
 		"cpd_process_rss_bytes",
+		`cpd_foldin_candidates_total{state="considered"} 400`,
+		`cpd_foldin_candidates_total{state="evaluated"} `,
 		`cpd_snapshot_users{snapshot="default"} 20`,
 		`cpd_quality_generation{snapshot="default",algo="cpd"} 7`,
 		"cpd_quality_modularity",

@@ -49,6 +49,7 @@ import (
 	"repro/internal/hist"
 	"repro/internal/mathx"
 	"repro/internal/quality"
+	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -415,6 +416,10 @@ type Engine struct {
 	draining atomic.Bool
 
 	lat [epCount]hist.Atomic
+
+	// foldConsidered / foldEvaluated sum the lazy-draw counters of every
+	// fold-in request served (see FoldInLazyStats).
+	foldConsidered, foldEvaluated atomic.Uint64
 
 	// ingestStats, when set (SetIngestStats), contributes the streaming
 	// freshness/lag section of StatsReport; replicaStats
@@ -852,6 +857,9 @@ type StatsReport struct {
 	// ProcessRSSBytes is the process's resident set size (0 where the
 	// platform offers no cheap reading).
 	ProcessRSSBytes int64 `json:"processRSSBytes"`
+	// FoldInLazy reports how much of their candidate sets the fold-in
+	// draws computed, present once a fold-in was served.
+	FoldInLazy *FoldInLazyStats `json:"foldinLazy,omitempty"`
 	// Quality is the latest structural quality report per snapshot slot
 	// (the /api/quality history's head), present once any were recorded.
 	Quality map[string]*quality.Report `json:"quality,omitempty"`
@@ -879,6 +887,23 @@ func (e *Engine) SetReplicaStats(fn func() any) {
 	e.replicaStats.Store(fn)
 }
 
+// FoldInLazyStats is the fold-in kernel's lazy Gumbel-max accounting over
+// every request served: the topic and community candidates its draws were
+// offered, those whose Gumbel value (and, with friends, friend terms) were
+// actually computed, and their ratio. A share drifting toward 1 means the
+// bounds stopped pruning — flat posteriors, or friend rows whose range
+// makes the bound-then-refine bounds loose — and fold-in latency follows.
+type FoldInLazyStats struct {
+	Considered     uint64  `json:"considered"`
+	Evaluated      uint64  `json:"evaluated"`
+	EvaluatedShare float64 `json:"evaluatedShare"`
+}
+
+// FoldInLazy returns the fold-in lazy-draw counters.
+func (e *Engine) FoldInLazy() rng.LazyStats {
+	return rng.LazyStats{Considered: e.foldConsidered.Load(), Evaluated: e.foldEvaluated.Load()}
+}
+
 // StatsReport assembles the full stats payload.
 func (e *Engine) StatsReport() *StatsReport {
 	r := &StatsReport{
@@ -886,6 +911,9 @@ func (e *Engine) StatsReport() *StatsReport {
 		Snapshots:       e.SnapshotsInfo(),
 		ProcessRSSBytes: ProcessRSS(),
 		Quality:         e.latestQuality(),
+	}
+	if lazy := e.FoldInLazy(); lazy.Considered > 0 {
+		r.FoldInLazy = &FoldInLazyStats{Considered: lazy.Considered, Evaluated: lazy.Evaluated, EvaluatedShare: lazy.Share()}
 	}
 	if fn, ok := e.ingestStats.Load().(func() any); ok && fn != nil {
 		r.Ingest = fn()

@@ -3,9 +3,12 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -530,5 +533,74 @@ func FuzzSplitJoin(f *testing.F) {
 			t.Fatal(err)
 		}
 		splitJoinIdentical(t, src, s, nil)
+	})
+}
+
+// FuzzReadManifest feeds ReadManifest arbitrary files — as they are, and
+// sealed under a correct CRC header so the JSON and the range validation
+// behind it are reached. It must never panic, and a manifest it accepts
+// keeps the promises every consumer leans on: the ranges tile [0,Users)
+// and [0,Docs) in index order, Owner agrees with them, and the manifest
+// survives a write/read round trip unchanged.
+func FuzzReadManifest(f *testing.F) {
+	valid := &Manifest{
+		Version: 1, Generation: 7, Shards: 2, Users: 10, Docs: 30,
+		SectionOrder: []string{"CONF", "PI"},
+		Global:       FileEntry{Name: "gen-7.global.snap", Size: 64, Sections: []store.SectionSum{{Tag: "CONF", Size: 12, CRC: 5}}},
+		Ranges: []Range{
+			{Index: 0, UserLo: 0, UserHi: 4, DocLo: 0, DocHi: 12, File: FileEntry{Name: "gen-7.shard-0.snap", Size: 80}},
+			{Index: 1, UserLo: 4, UserHi: 10, DocLo: 12, DocHi: 30, File: FileEntry{Name: "gen-7.shard-1.snap", Size: 96}},
+		},
+	}
+	var doc bytes.Buffer
+	if err := EncodeManifest(&doc, valid); err != nil {
+		f.Fatal(err)
+	}
+	payload := doc.Bytes()[bytes.IndexByte(doc.Bytes(), '\n')+1:]
+	f.Add(doc.Bytes(), false)
+	f.Add(doc.Bytes()[:doc.Len()/2], false)
+	f.Add(payload, true)
+	f.Add([]byte(`{"shards":1,"users":3,"docs":0,"ranges":[{"index":0,"user_lo":0,"user_hi":3}]}`), true)
+	f.Add([]byte(`{"shards":2,"users":3,"ranges":[{"index":0,"user_hi":3},{"index":1,"user_lo":2,"user_hi":3}]}`), true)
+	f.Add([]byte(`{"shards":-1,"ranges":null}`), true)
+	f.Add([]byte(`{"shards":1,"users":9223372036854775807,"ranges":[{"user_hi":9223372036854775807}]}`), true)
+	f.Add([]byte(manifestMagic+" zzzzzzzz\n{}"), false)
+	f.Add([]byte{}, true)
+
+	path := filepath.Join(f.TempDir(), "shards.json") // one per fuzz worker process
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		if seal {
+			data = append([]byte(fmt.Sprintf("%s %08x\n", manifestMagic, crc32.ChecksumIEEE(data))), data...)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man, err := ReadManifest(path)
+		if err != nil {
+			return // refused: fine, as long as it did not panic
+		}
+		if man.Shards < 1 || len(man.Ranges) != man.Shards {
+			t.Fatalf("accepted %d shards with %d ranges", man.Shards, len(man.Ranges))
+		}
+		users, docs := 0, 0
+		for i, r := range man.Ranges {
+			if r.Index != i || r.UserLo != users || r.UserHi < r.UserLo || r.DocLo != docs || r.DocHi < r.DocLo {
+				t.Fatalf("accepted range %d = %+v after %d users / %d docs", i, r, users, docs)
+			}
+			users, docs = r.UserHi, r.DocHi
+			if r.UserHi > r.UserLo && (man.Owner(r.UserLo) != i || man.Owner(r.UserHi-1) != i) {
+				t.Fatalf("range %d [%d,%d) is owned by %d / %d", i, r.UserLo, r.UserHi, man.Owner(r.UserLo), man.Owner(r.UserHi-1))
+			}
+		}
+		if users != man.Users || docs != man.Docs || man.Owner(-1) != -1 || man.Owner(man.Users) != -1 {
+			t.Fatalf("accepted ranges covering %d users / %d docs of %d / %d", users, docs, man.Users, man.Docs)
+		}
+		if err := WriteManifest(path, man); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadManifest(path)
+		if err != nil || !reflect.DeepEqual(again, man) {
+			t.Fatalf("round trip: %v\nread  %+v\nwrote %+v", err, again, man)
+		}
 	})
 }

@@ -44,10 +44,10 @@ func FuzzLoad(f *testing.F) {
 	}
 	validV2 := v2.Bytes()
 	f.Add(validV2)
-	f.Add(validV2[:v2HeaderLen])     // header only
-	f.Add(validV2[:v2HeaderLen+40])  // mid-table truncation
-	f.Add(validV2[:len(validV2)/2])  // mid-payload truncation
-	f.Add(validV2[:len(validV2)-1])  // last payload byte missing
+	f.Add(validV2[:v2HeaderLen])    // header only
+	f.Add(validV2[:v2HeaderLen+40]) // mid-table truncation
+	f.Add(validV2[:len(validV2)/2]) // mid-payload truncation
+	f.Add(validV2[:len(validV2)-1]) // last payload byte missing
 	v2flip := append([]byte(nil), validV2...)
 	v2flip[v2HeaderLen+10] ^= 0x20 // table entry offset byte
 	f.Add(v2flip)

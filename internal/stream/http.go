@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 )
 
@@ -78,15 +79,18 @@ func (u *Updater) Handler() http.Handler {
 }
 
 // decodeEventBatch accepts either a bare JSON array of events or an
-// {"events": [...]} wrapper.
+// {"events": [...]} wrapper. A body that ends (or fails to read — the size
+// cap) before its closing bracket is an error, never a shorter batch.
 func decodeEventBatch(r *http.Request) ([]Event, error) {
 	dec := json.NewDecoder(r.Body)
 	tok, err := dec.Token()
 	if err != nil {
 		return nil, err
 	}
+	open, _ := tok.(json.Delim)
 	var evs []Event
-	if d, ok := tok.(json.Delim); ok && d == '[' {
+	switch open {
+	case '[':
 		for dec.More() {
 			var ev Event
 			if err := dec.Decode(&ev); err != nil {
@@ -94,15 +98,14 @@ func decodeEventBatch(r *http.Request) ([]Event, error) {
 			}
 			evs = append(evs, ev)
 		}
-		return evs, nil
-	}
-	if d, ok := tok.(json.Delim); ok && d == '{' {
+	case '{':
 		for dec.More() {
 			key, err := dec.Token()
 			if err != nil {
 				return nil, err
 			}
 			if name, ok := key.(string); ok && name == "events" {
+				evs = nil // a repeated key replaces the batch, stale fields included
 				if err := dec.Decode(&evs); err != nil {
 					return nil, err
 				}
@@ -113,9 +116,13 @@ func decodeEventBatch(r *http.Request) ([]Event, error) {
 				}
 			}
 		}
-		return evs, nil
+	default:
+		return nil, errors.New("stream: ingest body must be an event array or {\"events\": [...]}")
 	}
-	return nil, errors.New("stream: ingest body must be an event array or {\"events\": [...]}")
+	if _, err := dec.Token(); err != nil { // the closing bracket
+		return nil, fmt.Errorf("stream: ingest body is truncated: %w", err)
+	}
+	return evs, nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -30,7 +30,7 @@ func testBase(t *testing.T) (*socialgraph.Graph, *core.Model) {
 }
 
 // newTestUpdater stands up engine + journal + updater over a fresh base.
-func newTestUpdater(t *testing.T, g *socialgraph.Graph, m *core.Model, mod func(*Options)) (*serve.Engine, *Journal, *Updater) {
+func newTestUpdater(t testing.TB, g *socialgraph.Graph, m *core.Model, mod func(*Options)) (*serve.Engine, *Journal, *Updater) {
 	t.Helper()
 	engine := serve.New(m, nil, serve.Options{})
 	t.Cleanup(engine.Close)
@@ -405,6 +405,13 @@ func TestIngestHTTPAndDrain(t *testing.T) {
 	}
 	if rec := post(`{"events":[{"type":"add-doc","user":99999,"words":[1]}]}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("invalid event answered %d", rec.Code)
+	}
+	// A body cut off mid-batch is refused whole, not ingested up to the cut.
+	for _, cut := range []string{`[{"type":"add-user"}`, `[{"type":"add-user"},`, `{"events":[{"type":"add-user"}]`} {
+		before := u.Pending()
+		if rec := post(cut); rec.Code != http.StatusBadRequest || u.Pending() != before {
+			t.Fatalf("truncated body %q answered %d, pending %d -> %d", cut, rec.Code, before, u.Pending())
+		}
 	}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/ingest/status", nil))
