@@ -348,16 +348,91 @@ func MaxIndex(xs []float64) int {
 }
 
 // TopKIndices returns the indices of the k largest elements of xs in
-// descending order of value. k is truncated to len(xs).
+// descending order of value. k is clamped to [0, len(xs)].
+//
+// When the answer is unique — no NaN, the kept values strictly decreasing
+// and the k-th strictly above everything dropped — any correct selection
+// returns it, so a bounded sorted insert (O(n) plus the rare insertions)
+// answers. Ties and NaN are ordered by the partial selection sort this
+// function has always been (selectTopK), which then runs instead: the
+// result equals that reference's for every input.
 func TopKIndices(xs []float64, k int) []int {
 	if k > len(xs) {
 		k = len(xs)
 	}
+	if k <= 0 {
+		return []int{}
+	}
+	if top, ok := uniqueTopK(xs, k); ok {
+		return top
+	}
+	return selectTopK(xs, k)
+}
+
+// uniqueTopK keeps the k largest elements seen so far sorted descending
+// (values beside indices, on the stack for k <= 32) and reports ok only
+// when that answer is the only one a correct top-k could give (see
+// TopKIndices). 1 <= k <= len(xs).
+//
+// No comparison with a NaN is true, so a NaN among the first k elements
+// enters the kept list and never leaves it, failing the strict-order check
+// at the end. A NaN further on is passed over — as it is by selectTopK,
+// which selects a NaN only from the position a round starts at (below k)
+// and moves no element it has not selected.
+func uniqueTopK(xs []float64, k int) ([]int, bool) {
+	var valBuf [32]float64
+	var topBuf [32]int
+	vals, top := valBuf[:], topBuf[:]
+	if k > len(valBuf) {
+		vals, top = make([]float64, k), make([]int, k)
+	}
+	vals, top = vals[:k], top[:k]
+	for n, x := range xs[:k] {
+		insertDescending(vals, top, n, x, n)
+	}
+	last := vals[k-1]
+	dropped := math.Inf(-1) // largest value not kept
+	for i, x := range xs[k:] {
+		if !(x > last) {
+			if x > dropped {
+				dropped = x
+			}
+			continue
+		}
+		if last > dropped {
+			dropped = last
+		}
+		insertDescending(vals, top, k-1, x, k+i) // over the evicted last
+		last = vals[k-1]
+	}
+	for j := 1; j < k; j++ {
+		if !(vals[j-1] > vals[j]) {
+			return nil, false
+		}
+	}
+	if k < len(xs) && !(last > dropped) {
+		return nil, false
+	}
+	return append([]int(nil), top...), true
+}
+
+// insertDescending places (x, i) into the descending vals[:n] / top[:n],
+// behind any equal value, growing both by one.
+func insertDescending(vals []float64, top []int, n int, x float64, i int) {
+	for n > 0 && x > vals[n-1] {
+		vals[n], top[n] = vals[n-1], top[n-1]
+		n--
+	}
+	vals[n], top[n] = x, i
+}
+
+// selectTopK is the reference order: k rounds of selection sort over the
+// identity permutation, each taking the first largest remaining element.
+func selectTopK(xs []float64, k int) []int {
 	idx := make([]int, len(xs))
 	for i := range idx {
 		idx[i] = i
 	}
-	// Partial selection sort: k is small (<=20) in every caller.
 	for i := 0; i < k; i++ {
 		best := i
 		for j := i + 1; j < len(idx); j++ {

@@ -31,7 +31,10 @@ import (
 // with its predecessor (copy-on-write): patchRankIndex recomputes only
 // the listed words and aliases everything else, making a publish that
 // touches d words cost O(d·|C|·|Z|) plus one O(|W|) header copy instead
-// of a full O(|W|·|C|·|Z|) rebuild.
+// of a full O(|W|·|C|·(|Z|+perWord)) rebuild. Which words to list is the
+// caller's knowledge or, failing that, one byte comparison of Φ
+// (Engine.BuildSnapshot); when Θ or η moved, every column of S did and
+// the index is rebuilt.
 type RankIndex struct {
 	numWords int
 	lists    []postingList // len numWords
@@ -57,6 +60,7 @@ type rankScratch struct {
 	colSum []float64 // Σ_z φ_z,w per block column
 	wordSc []float64 // wordSc[c*block+j] = S[c][w0+j]
 	sel    []float64 // one word's dense score vector, len |C|
+	nz     []int     // topics with a non-zero rank-table entry, one community at a time
 }
 
 func newRankScratch(C, Z int) *rankScratch {
@@ -65,6 +69,7 @@ func newRankScratch(C, Z int) *rankScratch {
 		colSum: make([]float64, rankBlockLen),
 		wordSc: make([]float64, C*rankBlockLen),
 		sel:    make([]float64, C),
+		nz:     make([]int, 0, Z),
 	}
 }
 
@@ -100,15 +105,33 @@ func scoreWordBlock(m *core.Model, rt *sparse.Dense, w0, n int, sc *rankScratch,
 		for j := range dst {
 			dst[j] = 0
 		}
+		// Each dst[j] is the sum over the topics with a non-zero rank-table
+		// entry, added in ascending z. Four topics a pass keep the running
+		// sum in a register between them — same additions, same order, a
+		// quarter of the loads and stores of dst.
 		row := rt.Row(c)
-		for z := 0; z < Z; z++ {
-			rv := row[z]
-			if rv == 0 {
-				continue
+		nz := sc.nz[:0]
+		for z, rv := range row {
+			if rv != 0 {
+				nz = append(nz, z)
 			}
-			src := sc.pz[z*rankBlockLen : z*rankBlockLen+n]
-			for j, v := range src {
-				dst[j] += rv * v
+		}
+		col := func(z int) []float64 { return sc.pz[z*rankBlockLen:][:len(dst)] }
+		for ; len(nz) >= 4; nz = nz[4:] {
+			r0, r1, r2, r3 := row[nz[0]], row[nz[1]], row[nz[2]], row[nz[3]]
+			s0, s1, s2, s3 := col(nz[0]), col(nz[1]), col(nz[2]), col(nz[3])
+			for j, d := range dst {
+				d += r0 * s0[j]
+				d += r1 * s1[j]
+				d += r2 * s2[j]
+				d += r3 * s3[j]
+				dst[j] = d
+			}
+		}
+		for _, z := range nz {
+			rv, src := row[z], col(z)
+			for j := range dst {
+				dst[j] += rv * src[j]
 			}
 		}
 	}

@@ -47,6 +47,11 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	fmt.Fprint(w, "# HELP cpd_foldin_candidates_total Topic and community candidates the fold-in draws were offered (considered) and computed (evaluated).\n# TYPE cpd_foldin_candidates_total counter\n")
 	fmt.Fprintf(w, "cpd_foldin_candidates_total{state=\"considered\"} %d\ncpd_foldin_candidates_total{state=\"evaluated\"} %d\n", lazy.Considered, lazy.Evaluated)
 
+	fmt.Fprint(w, "# HELP cpd_snapshot_builds_total Snapshots constructed, by whether the predecessor's indexes were patched or everything was built in full.\n# TYPE cpd_snapshot_builds_total counter\n")
+	fmt.Fprintf(w, "cpd_snapshot_builds_total{kind=%q} %d\ncpd_snapshot_builds_total{kind=%q} %d\n", BuildPatched, e.patchedBuilds.Load(), BuildFull, e.fullBuilds.Load())
+	fmt.Fprint(w, "# HELP cpd_snapshot_build_seconds Snapshot construction time (delta derivation and index build or patch).\n# TYPE cpd_snapshot_build_seconds histogram\n")
+	e.buildLat.Snapshot().WriteProm(w, "cpd_snapshot_build_seconds", "")
+
 	gauge(w, "cpd_process_rss_bytes", "Process resident set size.", "", float64(ProcessRSS()))
 
 	infos := e.SnapshotsInfo()

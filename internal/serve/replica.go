@@ -77,6 +77,14 @@ type FetchStatus struct {
 	Failures  uint64 `json:"failures"`
 	LastPoll  string `json:"lastPoll,omitempty"`
 	LastError string `json:"lastError,omitempty"`
+
+	// PatchedPromotes counts the fetched generations adopted by patching
+	// the previous one's indexes (the rest were built in full — /api/stats
+	// snapshots[].build.reason says why the live one was);
+	// LastPromoteMicros is what adopting the newest cost once its files
+	// were verified: open, build or patch, swap.
+	PatchedPromotes   uint64 `json:"patchedPromotes"`
+	LastPromoteMicros int64  `json:"lastPromoteMicros,omitempty"`
 }
 
 // Fetcher keeps one engine slot tracking a publisher's newest generation.
@@ -91,6 +99,9 @@ type Fetcher struct {
 	failures uint64
 	lastPoll time.Time
 	lastErr  string
+
+	patched           uint64
+	lastPromoteMicros int64
 }
 
 // NewFetcher validates the options and returns a Fetcher. No fetch
@@ -142,6 +153,9 @@ func (f *Fetcher) Status() FetchStatus {
 		Fetches:    f.fetches,
 		Failures:   f.failures,
 		LastError:  f.lastErr,
+
+		PatchedPromotes:   f.patched,
+		LastPromoteMicros: f.lastPromoteMicros,
 	}
 	if !f.lastPoll.IsZero() {
 		st.LastPoll = f.lastPoll.UTC().Format(time.RFC3339)
@@ -156,6 +170,8 @@ func (f *Fetcher) WriteMetrics(w io.Writer) {
 	gauge(w, "cpd_replica_generation", "Publisher generation this replica serves.", "", float64(st.Generation))
 	gauge(w, "cpd_replica_fetches_total", "Generations fetched, verified and promoted.", "", float64(st.Fetches))
 	gauge(w, "cpd_replica_fetch_failures_total", "Failed fetch or verify attempts.", "", float64(st.Failures))
+	gauge(w, "cpd_replica_patched_promotes_total", "Fetched generations adopted by patching the previous one's indexes.", "", float64(st.PatchedPromotes))
+	gauge(w, "cpd_replica_last_promote_seconds", "Open, index build or patch, and swap of the newest fetched generation.", "", float64(st.LastPromoteMicros)/1e6)
 }
 
 // Poll runs one discover→fetch→verify→warm→promote cycle. It returns
@@ -221,9 +237,11 @@ func (f *Fetcher) poll() (uint64, error) {
 	if err := warmFile(path); err != nil {
 		return 0, fmt.Errorf("warming generation %d: %w", latest, err)
 	}
+	start := time.Now()
 	if _, err := f.e.LoadGeneration(f.opts.Snapshot, path, f.opts.Vocab, latest); err != nil {
 		return 0, fmt.Errorf("promoting generation %d: %w", latest, err)
 	}
+	f.promoted(start)
 	if f.http {
 		f.pruneCache(latest)
 	}
@@ -264,15 +282,35 @@ func (f *Fetcher) pollSharded() (uint64, error) {
 			return 0, fmt.Errorf("warming generation %d: %w", latest, err)
 		}
 	}
+	start := time.Now()
 	g, err := shard.OpenGroup(dir, man, f.opts.Shard)
 	if err != nil {
 		return 0, fmt.Errorf("opening generation %d shard %d: %w", latest, f.opts.Shard, err)
 	}
 	f.e.PromoteShardGroup(f.opts.Snapshot, g, f.opts.Vocab, latest)
+	f.promoted(start)
 	if f.http {
 		f.pruneShardCache(latest)
 	}
 	return latest, nil
+}
+
+// promoted books the promote that began at start: its wall time, and
+// whether the snapshot now live was patched from its predecessor.
+func (f *Fetcher) promoted(start time.Time) {
+	micros := time.Since(start).Microseconds()
+	s, release, err := f.e.AcquireNamed(f.opts.Snapshot)
+	if err != nil {
+		return
+	}
+	patched := s.build.Kind == BuildPatched
+	release()
+	f.mu.Lock()
+	f.lastPromoteMicros = micros
+	if patched {
+		f.patched++
+	}
+	f.mu.Unlock()
 }
 
 // discoverSharded finds the newest sharded generation the source offers.

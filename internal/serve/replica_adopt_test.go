@@ -1,0 +1,285 @@
+package serve_test
+
+// Replica adoption against a real publisher. These live in the external
+// test package because internal/stream imports internal/serve; the
+// hand-rolled generations of replica_test.go cannot stand in for them —
+// what is checked here is that two consecutive generations of a
+// stream.Updater (same global blocks in two files, a handful of moved
+// rows, appended users, pinned shard boundaries) are adopted by patching,
+// and that a patched replica answers what a fresh one does.
+
+import (
+	"errors"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/serve"
+	"repro/internal/shard"
+	"repro/internal/store"
+	"repro/internal/stream"
+)
+
+const (
+	adoptUsers, adoptC, adoptZ, adoptV = 300, 8, 5, 120
+	adoptShards                        = 3
+)
+
+// adoptPublisher is a stream.Updater publishing full files and a 3-shard
+// group per generation into dir.
+type adoptPublisher struct {
+	dir   string
+	u     *stream.Updater
+	r     *rand.Rand
+	users int
+}
+
+func newAdoptPublisher(t *testing.T) *adoptPublisher {
+	t.Helper()
+	base := serve.SyntheticModel(adoptUsers, adoptC, adoptZ, adoptV, 41)
+	engine := serve.New(base, nil, serve.Options{Mmap: true})
+	t.Cleanup(engine.Close)
+	j, err := stream.OpenJournal(filepath.Join(t.TempDir(), "events.wal"), stream.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	p := &adoptPublisher{dir: t.TempDir(), r: rand.New(rand.NewSource(6)), users: adoptUsers}
+	p.u, err = stream.NewUpdater(j, stream.Options{
+		Engine: engine, Base: base, FoldSweeps: 4, FoldSeed: 9,
+		Dir: p.dir, Shards: adoptShards, Mmap: true, KeepSnapshots: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.u.Close)
+	return p
+}
+
+// publish streams documents for users spread over every shard plus a few
+// new users, and publishes one generation.
+func (p *adoptPublisher) publish(t *testing.T, newUsers int) uint64 {
+	t.Helper()
+	var evs []stream.Event
+	for i := 0; i < newUsers; i++ {
+		evs = append(evs, stream.Event{Type: stream.EvAddUser})
+		p.users++
+	}
+	for i := 0; i < 12; i++ {
+		words := make([]int32, 6)
+		for k := range words {
+			words[k] = int32(p.r.Intn(adoptV))
+		}
+		evs = append(evs, stream.Event{Type: stream.EvAddDoc, User: int32(p.r.Intn(p.users)), Time: int64(i), Words: words})
+	}
+	if _, err := p.u.Ingest(evs); err != nil {
+		t.Fatal(err)
+	}
+	info, err := p.u.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Generation
+}
+
+func liveBuild(t *testing.T, e *serve.Engine) serve.BuildInfo {
+	t.Helper()
+	infos := e.SnapshotsInfo()
+	if len(infos) != 1 {
+		t.Fatalf("engine holds %d snapshots, want 1", len(infos))
+	}
+	return infos[0].Build
+}
+
+// requireSameAnswers holds got to want on everything a replica answers:
+// membership of every user id (owned or not — the error must agree too),
+// rank for a spread of queries, community summaries, and fold-ins with
+// owned friends.
+func requireSameAnswers(t *testing.T, got, want *serve.Engine, users int) {
+	t.Helper()
+	var owned []int32
+	for u := 0; u < users; u++ {
+		a, aerr := got.Membership(u, 4)
+		b, berr := want.Membership(u, 4)
+		var notOwned *serve.ErrNotOwned
+		if (aerr != nil) != (berr != nil) || errors.As(aerr, &notOwned) != errors.As(berr, &notOwned) {
+			t.Fatalf("membership(%d) errors diverge: %v vs %v", u, aerr, berr)
+		}
+		if aerr != nil {
+			continue
+		}
+		owned = append(owned, int32(u))
+		a.Version, b.Version = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("membership(%d): adopted %+v, fresh %+v", u, a, b)
+		}
+	}
+	if len(owned) == 0 {
+		t.Fatal("no user answered")
+	}
+	for w := 0; w < adoptV; w += 7 {
+		q := []int32{int32(w), int32((w * 5) % adoptV)}
+		a, aerr := got.Rank(q, 5)
+		b, berr := want.Rank(q, 5)
+		if aerr != nil || berr != nil {
+			t.Fatalf("rank(%v): %v, %v", q, aerr, berr)
+		}
+		a.Version, b.Version = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("rank(%v): adopted %+v, fresh %+v", q, a, b)
+		}
+	}
+	if a, b := got.Communities(), want.Communities(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("communities: adopted %+v, fresh %+v", a, b)
+	}
+	for i := 0; i < 6; i++ {
+		req := &serve.FoldInRequest{
+			Docs:    [][]int32{{int32(i), int32(3 * i), 11}, {7, int32(100 - i)}},
+			Friends: []int32{owned[i%len(owned)], owned[(7*i+3)%len(owned)], owned[len(owned)-1]},
+			Seed:    uint64(50 + i), Sweeps: 6,
+		}
+		a, aerr := got.FoldIn(req)
+		b, berr := want.FoldIn(req)
+		if aerr != nil || berr != nil {
+			t.Fatalf("fold-in %d: %v, %v", i, aerr, berr)
+		}
+		a.Version, b.Version = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("fold-in %d: adopted %+v, fresh %+v", i, a, b)
+		}
+	}
+}
+
+// TestFetcherAdoptsFullFileByPatch: a full-file replica builds its first
+// generation from scratch and patches the second; an engine loading the
+// second file fresh answers the same.
+func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
+	p := newAdoptPublisher(t)
+	replica := serve.NewMulti(serve.Options{Mmap: true})
+	defer replica.Close()
+	f, err := serve.NewFetcher(replica, serve.FetchOptions{Source: p.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g1 := p.publish(t, 4)
+	if gen, err := f.Poll(); gen != g1 || err != nil {
+		t.Fatalf("first poll = %d, %v; want %d", gen, err, g1)
+	}
+	if b := liveBuild(t, replica); b.Kind != serve.BuildFull || b.Reason != "no predecessor" {
+		t.Fatalf("first adoption built %+v, want a full build into an empty slot", b)
+	}
+	if st := f.Status(); st.PatchedPromotes != 0 || st.LastPromoteMicros <= 0 {
+		t.Fatalf("status after the first adoption: %+v", st)
+	}
+
+	g2 := p.publish(t, 3)
+	if gen, err := f.Poll(); gen != g2 || err != nil {
+		t.Fatalf("second poll = %d, %v; want %d", gen, err, g2)
+	}
+	b := liveBuild(t, replica)
+	if b.Kind != serve.BuildPatched || !b.Derived || b.Words != 0 {
+		t.Fatalf("second adoption built %+v, want a derived patch", b)
+	}
+	// 12 documents moved at most 12 rows; 3 users were appended.
+	if b.Users < 3 || b.Users > 15 {
+		t.Fatalf("second adoption re-indexed %d users, want the 3 appended plus at most 12 touched", b.Users)
+	}
+	if st := f.Status(); st.PatchedPromotes != 1 || st.Fetches != 2 {
+		t.Fatalf("status after the second adoption: %+v", st)
+	}
+
+	fresh := serve.NewMulti(serve.Options{Mmap: true})
+	defer fresh.Close()
+	if _, err := fresh.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, g2), nil, g2); err != nil {
+		t.Fatal(err)
+	}
+	requireSameAnswers(t, replica, fresh, p.users)
+}
+
+// TestFetcherAdoptsShardsByPatch: shard replicas patch across the
+// publisher's pinned boundaries — a middle shard, the first, and the last
+// one, which grows — and rebuild when a re-planned group moves their first
+// user. Each is compared with a fresh engine promoted from the same files.
+func TestFetcherAdoptsShardsByPatch(t *testing.T) {
+	p := newAdoptPublisher(t)
+	replicas := make([]*serve.Engine, adoptShards)
+	fetchers := make([]*serve.Fetcher, adoptShards)
+	for i := range replicas {
+		replicas[i] = serve.NewMulti(serve.Options{Mmap: true})
+		defer replicas[i].Close()
+		var err error
+		fetchers[i], err = serve.NewFetcher(replicas[i], serve.FetchOptions{Source: p.dir, Sharded: true, Shard: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pollAll := func(want uint64) {
+		t.Helper()
+		for i, f := range fetchers {
+			if gen, err := f.Poll(); gen != want || err != nil {
+				t.Fatalf("shard %d poll = %d, %v; want %d", i, gen, err, want)
+			}
+		}
+	}
+	freshShard := func(gen uint64, index int) *serve.Engine {
+		t.Helper()
+		man, err := shard.ReadManifest(shard.ManifestPath(p.dir, gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := shard.OpenGroup(p.dir, man, index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := serve.NewMulti(serve.Options{Mmap: true})
+		t.Cleanup(e.Close)
+		e.PromoteShardGroup(serve.DefaultSnapshot, g, nil, gen)
+		return e
+	}
+
+	g1 := p.publish(t, 5)
+	pollAll(g1)
+	for i, e := range replicas {
+		if b := liveBuild(t, e); b.Kind != serve.BuildFull || b.Reason != "no predecessor" {
+			t.Fatalf("shard %d first adoption built %+v", i, b)
+		}
+	}
+
+	g2 := p.publish(t, 6)
+	pollAll(g2)
+	for i, e := range replicas {
+		b := liveBuild(t, e)
+		if b.Kind != serve.BuildPatched || !b.Derived {
+			t.Fatalf("shard %d second adoption built %+v, want a derived patch", i, b)
+		}
+		if last := i == adoptShards-1; last && b.Users < 6 || !last && b.Users > 12 {
+			t.Fatalf("shard %d re-indexed %d users (6 were appended to the last shard, 12 documents streamed)", i, b.Users)
+		}
+		if st := fetchers[i].Status(); st.PatchedPromotes != 1 {
+			t.Fatalf("shard %d status: %+v", i, st)
+		}
+		requireSameAnswers(t, e, freshShard(g2, i), p.users)
+	}
+
+	// A publisher that lost its pinned boundaries re-plans them over the
+	// grown user set: same model, every boundary but 0 somewhere else.
+	g3 := g2 + 1
+	if _, err := shard.Split(store.GenPath(p.dir, g2), p.dir, g3, shard.SplitOptions{Shards: adoptShards}); err != nil {
+		t.Fatal(err)
+	}
+	pollAll(g3)
+	for i, e := range replicas {
+		b := liveBuild(t, e)
+		if i == 0 {
+			// Shard 0 still starts at user 0 and only gained users.
+			if b.Kind != serve.BuildPatched || b.Users == 0 {
+				t.Fatalf("shard 0 after the re-plan built %+v, want a patch appending users", b)
+			}
+		} else if b.Kind != serve.BuildFull || b.Reason != "shard moved" {
+			t.Fatalf("shard %d after the re-plan built %+v, want a full build because the shard moved", i, b)
+		}
+		requireSameAnswers(t, e, freshShard(g3, i), p.users)
+	}
+}

@@ -19,6 +19,13 @@
 //   - Eq. 19 community ranking runs over a precomputed inverted index
 //     (word → community posting lists, see RankIndex) instead of scoring
 //     every community against every topic per query;
+//   - that derived state has one builder, Engine.BuildSnapshot (build.go),
+//     behind every way a model reaches a slot — Swap, Reload,
+//     LoadGeneration, PromoteShardGroup, the stream publisher. It patches
+//     the slot's current snapshot wherever the new model's bytes equal the
+//     old one's, from a delta the caller supplies or one it derives by
+//     comparing the blocks, so adopting a generation costs what changed;
+//     Snapshot.Build, /api/stats and /metrics say what each build did;
 //   - fold-in inference (FoldIn) gives users the model was never trained
 //     on a community membership and profile, by a short seeded Gibbs pass
 //     against the frozen Φ/Θ/Π — batched through a persistent worker pool
@@ -105,7 +112,7 @@ func (o Options) withDefaults() Options {
 	if o.Pipeline.MinDocTokens == 0 {
 		o.Pipeline.MinDocTokens = 1
 	}
-	if o.MemberTopK == 0 {
+	if o.MemberTopK <= 0 {
 		o.MemberTopK = 5
 	}
 	if o.QualityHistory == 0 {
@@ -158,6 +165,9 @@ type Snapshot struct {
 	// fold-in's conditionals read per document and sweep.
 	logTheta []float64
 
+	// build records how the derived state above came to be (Build).
+	build BuildInfo
+
 	refs        atomic.Int64
 	closer      io.Closer // mapped backing; nil for heap snapshots
 	mapped      bool
@@ -165,6 +175,9 @@ type Snapshot struct {
 	heapBytes   int64
 }
 
+// newSnapshot builds every derived structure from the model. Production
+// code reaches it through Engine.BuildSnapshot (and PatchFrom's fallback)
+// only; it is the reference the patch paths are held bit-identical to.
 func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version uint64, opts Options) *Snapshot {
 	s := &Snapshot{
 		Model:    m,
@@ -177,11 +190,15 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		index:    buildRankIndex(m, opts.PostingsPerWord),
 		users:    buildUserIndex(m, opts.UserShards, opts.MemberTopK),
 		logTheta: logThetaTable(m),
+		build:    BuildInfo{Kind: BuildFull, Users: m.NumUsers, Words: m.NumWords},
 	}
 	s.refs.Store(1)
 	s.heapBytes = s.derivedBytes()
 	return s
 }
+
+// Build reports how the snapshot's derived state was constructed.
+func (s *Snapshot) Build() BuildInfo { return s.build }
 
 // derivedBytes is the heap accounting of a freshly built snapshot. Derived
 // state is always heap; the matrices count as heap until a mapped backing
@@ -194,6 +211,13 @@ func (s *Snapshot) derivedBytes() int64 {
 // snapshot, letting snapshot construction reuse unchanged derived state
 // (PatchFrom). The zero Delta means "nothing changed beyond appended
 // users".
+//
+// A delta must be complete: PatchFrom recomputes what it lists and
+// nothing else, so a changed row or column left out keeps its stale
+// entries. A caller that cannot vouch for that passes Engine.BuildSnapshot
+// no delta and gets one derived from the bytes (deriveDelta), complete by
+// construction: every block derived state reads is compared exactly, and
+// whatever a Delta cannot name forces the full build.
 type Delta struct {
 	// Users lists the users whose membership row (π_u) changed, in any
 	// order (PatchFrom normalizes). Users with ids at or past the
@@ -206,6 +230,11 @@ type Delta struct {
 	// Globals marks the shared profile blocks (Θ, Φ, η, ν wholesale) as
 	// changed — forces a full rebuild of every derived structure.
 	Globals bool
+	// Base, when non-zero, is the Version of the snapshot the delta was
+	// computed against. Engine.BuildSnapshot honours the delta only while
+	// the slot still holds that snapshot; after an external swap (operator
+	// reload, another writer) it derives one from the bytes instead.
+	Base uint64
 }
 
 // PatchFrom builds a snapshot of m by patching prev's derived state:
@@ -221,21 +250,31 @@ type Delta struct {
 // per-word rank scorer and per-slot top-K selection run the exact float
 // operation sequences of the full builders. When patching does not apply
 // — delta.Globals, a changed community/topic/word count, or a shrunken
-// user set — PatchFrom falls back to a full build.
+// user set — PatchFrom falls back to a full build (Build().Reason says
+// which). It does not look at delta.Base or at shard identities: those
+// are Engine.BuildSnapshot's to check before it calls here.
 //
 // The returned snapshot is not yet published and carries one reference
 // (for the slot that will own it); callers that abandon it must Release
 // it.
 func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta Delta) *Snapshot {
 	pm := prev.Model
-	if delta.Globals ||
-		m.Cfg.NumCommunities != pm.Cfg.NumCommunities ||
+	reason := ""
+	if delta.Globals {
+		reason = reasonGlobals
+	} else if m.Cfg.NumCommunities != pm.Cfg.NumCommunities ||
 		m.Cfg.NumTopics != pm.Cfg.NumTopics ||
 		m.NumWords != pm.NumWords ||
 		m.NumUsers < pm.NumUsers {
-		return newSnapshot(m, vocab, prev.Name, 0, prev.opts)
+		reason = reasonShape
+	}
+	if reason != "" {
+		s := newSnapshot(m, vocab, prev.Name, 0, prev.opts)
+		s.build.Reason = reason
+		return s
 	}
 	opts := prev.opts
+	dirty := normalizeDirty(delta.Users, pm.NumUsers)
 	s := &Snapshot{
 		Model:    m,
 		Vocab:    vocab,
@@ -244,7 +283,8 @@ func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		openness: prev.openness, // depends on η only, unchanged by definition here
 		logTheta: prev.logTheta, // depends on Θ only, likewise
 		labels:   prev.labels,
-		users:    patchUserIndex(prev.users, m, normalizeDirty(delta.Users, pm.NumUsers)),
+		users:    patchUserIndex(prev.users, m, dirty),
+		build:    BuildInfo{Kind: BuildPatched, Users: len(dirty) + m.NumUsers - pm.NumUsers, Words: len(delta.Words)},
 	}
 	if len(delta.Words) == 0 {
 		s.index = prev.index
@@ -416,6 +456,11 @@ type Engine struct {
 	draining atomic.Bool
 
 	lat [epCount]hist.Atomic
+
+	// Snapshot-construction accounting (BuildSnapshot): builds by kind and
+	// their latency, whether or not the snapshot was then promoted.
+	patchedBuilds, fullBuilds atomic.Uint64
+	buildLat                  hist.Atomic
 
 	// foldConsidered / foldEvaluated sum the lazy-draw counters of every
 	// fold-in request served (see FoldInLazyStats).
@@ -623,7 +668,7 @@ func (e *Engine) Swap(m *core.Model, vocab *corpus.Vocabulary) uint64 {
 
 // SwapNamed atomically replaces (or creates) the named snapshot.
 func (e *Engine) SwapNamed(name string, m *core.Model, vocab *corpus.Vocabulary) uint64 {
-	return e.publish(newSnapshot(m, vocab, name, 0, e.opts))
+	return e.publish(e.BuildSnapshot(name, m, vocab, nil))
 }
 
 // SwapMapped atomically replaces (or creates) the named snapshot with a
@@ -631,27 +676,9 @@ func (e *Engine) SwapNamed(name string, m *core.Model, vocab *corpus.Vocabulary)
 // of mm: its mapping is closed when the snapshot is retired and the last
 // in-flight query releases it.
 func (e *Engine) SwapMapped(name string, mm *store.MappedModel, vocab *corpus.Vocabulary) uint64 {
-	s := newSnapshot(mm.Model, vocab, name, 0, e.opts)
+	s := e.BuildSnapshot(name, mm.Model, vocab, nil)
 	s.AttachMapped(mm)
 	return e.publish(s)
-}
-
-// BuildSnapshot constructs — without publishing — a snapshot of m for
-// the named slot: patched from the slot's current snapshot when delta is
-// non-nil and a predecessor exists (PatchFrom), fully built otherwise.
-// The caller publishes it with Promote or must Release it if abandoned.
-// Splitting construction from promotion lets callers time the two phases
-// separately and attach a mapped backing (Snapshot.AttachMapped) before
-// the snapshot goes live.
-func (e *Engine) BuildSnapshot(name string, m *core.Model, vocab *corpus.Vocabulary, delta *Delta) *Snapshot {
-	if delta != nil {
-		if prev, release, err := e.AcquireNamed(name); err == nil {
-			s := PatchFrom(prev, m, vocab, *delta)
-			release()
-			return s
-		}
-	}
-	return newSnapshot(m, vocab, name, 0, e.opts)
 }
 
 // Promote atomically installs a snapshot from BuildSnapshot into its
@@ -666,10 +693,8 @@ func (e *Engine) Promote(s *Snapshot) uint64 { return e.publish(s) }
 // takes ownership of g — its mappings close when the snapshot retires
 // and the last in-flight query drains.
 func (e *Engine) PromoteShardGroup(name string, g *shard.Group, vocab *corpus.Vocabulary, gen uint64) uint64 {
-	s := newSnapshot(g.Model, vocab, name, 0, e.opts)
+	s := e.buildSnapshot(name, g.Model, vocab, nil, &g.Info)
 	s.Generation = gen
-	info := g.Info
-	s.Shard = &info
 	s.AttachFiles(g, g.Mapped, g.MappedBytes)
 	return e.publish(s)
 }
@@ -764,7 +789,7 @@ func (e *Engine) LoadGeneration(name, modelPath string, vocab *corpus.Vocabulary
 func (e *Engine) loadGeneration(name, modelPath string, vocab *corpus.Vocabulary, gen uint64) (uint64, error) {
 	if e.opts.Mmap {
 		if mm, err := store.Open(modelPath); err == nil {
-			s := newSnapshot(mm.Model, vocab, name, 0, e.opts)
+			s := e.BuildSnapshot(name, mm.Model, vocab, nil)
 			s.Generation = gen
 			s.AttachMapped(mm)
 			return e.publish(s), nil
@@ -776,7 +801,7 @@ func (e *Engine) loadGeneration(name, modelPath string, vocab *corpus.Vocabulary
 	if err != nil {
 		return 0, err
 	}
-	s := newSnapshot(m, vocab, name, 0, e.opts)
+	s := e.BuildSnapshot(name, m, vocab, nil)
 	s.Generation = gen
 	return e.publish(s), nil
 }
@@ -821,6 +846,9 @@ type SnapshotStats struct {
 	// Shard is the owned user range for shard snapshots (nil for full
 	// snapshots) — the topology routers read off /api/snapshots.
 	Shard *shard.Info `json:"shard,omitempty"`
+	// Build says how the live snapshot's indexes were constructed: patched
+	// from its predecessor or built in full (and why), and what it cost.
+	Build BuildInfo `json:"build"`
 }
 
 // SnapshotsInfo reports every live snapshot's accounting, sorted by name.
@@ -842,6 +870,7 @@ func (e *Engine) SnapshotsInfo() []SnapshotStats {
 			HeapBytes:   s.heapBytes,
 			Refs:        s.refs.Load() - 2, // exclude the slot's ref and our own pin
 			Shard:       s.Shard,
+			Build:       s.build,
 		})
 		release()
 	}

@@ -433,3 +433,29 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatalf("final version %d, want 13", got)
 	}
 }
+
+// TestNegativeMemberTopKSelectsDefault: a negative MemberTopK used to pass
+// withDefaults (which replaced only zero) and reach the user index's
+// make([]int32, n*topK); it now means the default, like zero.
+func TestNegativeMemberTopKSelectsDefault(t *testing.T) {
+	m := SyntheticModel(30, 8, 4, 60, 3)
+	neg := testEngine(t, m, nil, Options{MemberTopK: -3})
+	def := testEngine(t, m, nil, Options{})
+	for u := 0; u < m.NumUsers; u++ {
+		a, err := neg.Membership(u, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := def.Membership(u, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Version, b.Version = 0, 0
+		if len(a.Communities) != 5 || !reflect.DeepEqual(a, b) {
+			t.Fatalf("membership(%d) with MemberTopK -3: %+v, default %+v", u, a, b)
+		}
+	}
+	if a, b := neg.Communities(), def.Communities(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("member counts differ: %+v vs %+v", a, b)
+	}
+}

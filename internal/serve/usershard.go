@@ -15,11 +15,13 @@ import (
 // lock or a resize of one giant array.
 //
 // Membership queries for k <= topK read the precomputed entries; the
-// prefix of a top-K list is exactly the top-k list (mathx.TopKIndices is
-// a deterministic partial selection sort), so served results are
-// bit-identical to the model scan. Community member lists are derived
-// from the same entries in ascending user order, preserving the ordering
-// contract of core.Model.CommunityMembers.
+// prefix of a top-K list is exactly the top-k list (mathx.TopKIndices
+// equals its selection-sort reference for every input, whose k-th round
+// does not depend on how many follow, so the prefix property is
+// inherited), and served results are bit-identical to the model scan.
+// Community member lists are derived from the same entries in ascending
+// user order, preserving the ordering contract of
+// core.Model.CommunityMembers.
 //
 // Shard buffers and member lists are immutable once built, so a derived
 // index can share them with its predecessor: patchUserIndex copies only
@@ -74,7 +76,23 @@ func buildUserIndex(m *core.Model, shardCount, topK int) *userIndex {
 	}
 	wg.Wait()
 
+	// Member lists are sized by a counting pass and carved out of one
+	// arena (capacity clipped: a patched successor never appends in place).
+	counts := make([]int, C)
+	for sh := range ix.shards {
+		for _, c := range ix.shards[sh].comms {
+			counts[c]++
+		}
+	}
+	arena := make([]int, m.NumUsers*topK)
 	ix.memberLists = make([][]int, C)
+	off := 0
+	for c, n := range counts {
+		if n > 0 { // a community nobody is in keeps its nil list
+			ix.memberLists[c] = arena[off : off : off+n]
+			off += n
+		}
+	}
 	for u := 0; u < m.NumUsers; u++ {
 		for _, c := range ix.userTop(u) {
 			ix.memberLists[c] = append(ix.memberLists[c], u)

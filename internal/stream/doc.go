@@ -35,8 +35,9 @@
 // compose the incremental path (see publish.go's header for the flow):
 // the extended model is patched from the previous publish's (only
 // re-folded Π rows overwritten, new-user rows appended); the serving
-// snapshot is patched copy-on-write from the live one via serve.PatchFrom
-// (the shared rank index is reused — Φ unchanged means word scores
+// snapshot is patched copy-on-write from the live one by
+// serve.Engine.BuildSnapshot, given the re-folded rows as an explicit
+// delta (the shared rank index is reused — Φ unchanged means word scores
 // unchanged — and only user-index shards containing dirty rows rebuild);
 // and the on-disk generation is written with store.SaveV2Reusing, which
 // splices byte-identical base-model sections out of the previous
@@ -47,9 +48,16 @@
 // however many stream users exist. Every layer is
 // bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*
 // pins this differentially, down to byte-equal snapshot files). A publish
-// falls back to the full path exactly when the base model itself moved: a
-// delta-Gibbs pass ran, the process restarted, the served snapshot was
-// swapped externally, or Options.FullRebuild pins the baseline.
+// falls back to the full model and save path exactly when the base model
+// itself moved or is unknown to this process: a delta-Gibbs pass ran, the
+// process restarted, or Options.FullRebuild pins the baseline. Even then
+// the serving index is rebuilt only if it has to be: with no delta to
+// give, the publisher lets the engine derive one by comparing the new
+// model's bytes with the served model's, so the first publish after a
+// restart, and a publish after the served snapshot was swapped
+// externally, patch the index (status.lastPublishPhases.indexPatched);
+// a delta-Gibbs publish, whose Θ/Φ/η really differ, and FullRebuild
+// build it from scratch.
 //
 // # Freshness and determinism guarantees
 //

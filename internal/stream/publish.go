@@ -23,8 +23,10 @@ package stream
 //     falls in and rewrites the rest the same way;
 //   - open: store.Open maps the written file in O(1) in the user count —
 //     a model has no per-user cache to rebuild;
-//   - serve: serve.PatchFrom clones only the touched posting lists and
-//     user-index shards of the previous snapshot and shares the rest.
+//   - serve: serve.Engine.BuildSnapshot, handed the publisher's explicit
+//     delta (the re-folded rows, relative to its own last promote), clones
+//     only the touched user-index shards of the previous snapshot and
+//     shares the rest, posting lists included.
 //
 // Ingest is O(1) per event besides the journal append: Status is
 // assembled from counters (the dirty-user gauge included), never by
@@ -32,10 +34,23 @@ package stream
 //
 // Each layer is bit-identical to its from-scratch counterpart — the
 // incremental path changes the cost of a publish, never its bytes or its
-// query results. A publish falls back to the full path whenever the
-// incremental preconditions do not hold: the first publish of a process,
-// a publish right after a delta-Gibbs pass (the refined reference — and
-// with it every global block — changed), or Options.FullRebuild.
+// query results. A publish falls back to the full model and save path
+// whenever the incremental preconditions do not hold: the first publish of
+// a process, a publish right after a delta-Gibbs pass (the refined
+// reference — and with it every global block — changed), or
+// Options.FullRebuild.
+//
+// The serving index is a separate question, and the engine answers it from
+// the bytes: a full publish hands BuildSnapshot no delta, the engine
+// compares the new model's blocks with the ones it serves and still
+// patches when only Π rows moved or grew. So the first publish of a
+// process — after every (re)start — no longer rebuilds the index
+// (PublishPhases reads Full with IndexPatched), and neither does a publish
+// after somebody else swapped the slot (the stale explicit delta is
+// dropped for a derived one). What still builds the index from scratch:
+// a delta-Gibbs publish (Θ, Φ and η really changed), a slot holding
+// nothing or a model of another shape or vocabulary, and
+// Options.FullRebuild, which stays the from-scratch baseline.
 
 import (
 	"fmt"
@@ -64,12 +79,19 @@ type PublishPhases struct {
 	SaveMicros    int64 `json:"saveMicros"`              // v2 snapshot write (0 without Dir)
 	ShardMicros   int64 `json:"shardMicros,omitempty"`   // sharded-group emit (0 without Shards)
 	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file (0 without Mmap)
-	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build: PatchFrom or BuildSnapshot only
+	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build (Engine.BuildSnapshot: patch or full, see IndexPatched)
 	PromoteMicros int64 `json:"promoteMicros"`           // engine swap
 	QualityMicros int64 `json:"qualityMicros,omitempty"` // structural quality scoring (0 when skipped)
 	TotalMicros   int64 `json:"totalMicros"`
 	// Full marks a from-scratch publish; incremental otherwise.
 	Full bool `json:"full"`
+	// IndexPatched marks IndexMicros as a patch of the previous serving
+	// snapshot's indexes. Every incremental publish patches; a full one
+	// does too when the engine finds the model's global blocks
+	// byte-identical to those it already serves (the first publish after a
+	// restart reads "full model, patched index"), so a large IndexMicros
+	// with this false is a from-scratch index, not a regression.
+	IndexPatched bool `json:"indexPatched"`
 	// SectionsReused counts v2 sections spliced from the previous file.
 	SectionsReused int `json:"sectionsReused"`
 }
@@ -295,6 +317,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 			// against it preserves bit-identity.
 			snap := u.buildServeSnapshotLocked(mm.Model, full)
 			ph.IndexMicros = lap()
+			ph.IndexPatched = snap.Build().Kind == serve.BuildPatched
 			snap.AttachMapped(mm)
 			snap.Generation = u.generation
 			info.Version = u.opts.Engine.Promote(snap)
@@ -303,6 +326,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	} else {
 		snap := u.buildServeSnapshotLocked(model, full)
 		ph.IndexMicros = lap()
+		ph.IndexPatched = snap.Build().Kind == serve.BuildPatched
 		snap.Generation = u.generation
 		info.Version = u.opts.Engine.Promote(snap)
 		ph.PromoteMicros = lap()
@@ -343,28 +367,24 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	return info, nil
 }
 
-// buildServeSnapshotLocked builds the serving snapshot for m: patched
-// from the engine's current snapshot when this publish is incremental and
-// the slot still holds OUR last promote (an external swap — operator
-// reload, another writer — invalidates the delta, which is relative to
-// u.lastModel), from scratch otherwise.
+// buildServeSnapshotLocked builds the serving snapshot for m. An
+// incremental publish hands the engine its explicit O(changed) delta —
+// only user rows differ: the vocabulary is fixed for the updater's
+// lifetime and without a Gibbs pass the global blocks are unchanged — and
+// names the promote it is relative to (u.lastVersion), so that after an
+// external swap (operator reload, another writer) the engine drops it. A
+// full publish has no delta to give; the engine then derives one from the
+// bytes and still patches when only rows moved (the first publish of a
+// process). Options.FullRebuild stays the from-scratch baseline.
 func (u *Updater) buildServeSnapshotLocked(m *core.Model, full bool) *serve.Snapshot {
-	e, name := u.opts.Engine, u.opts.Snapshot
-	if !full {
-		if prev, release, err := e.AcquireNamed(name); err == nil {
-			ours := prev.Version == u.lastVersion
-			if ours {
-				// Vocabulary is fixed for the updater's lifetime and the
-				// global blocks are unchanged (no Gibbs pass), so only
-				// user rows differ: Words stays empty.
-				s := serve.PatchFrom(prev, m, u.opts.Vocab, serve.Delta{Users: u.pendingRows})
-				release()
-				return s
-			}
-			release()
-		}
+	var delta *serve.Delta
+	switch {
+	case u.opts.FullRebuild:
+		delta = &serve.Delta{Globals: true}
+	case !full:
+		delta = &serve.Delta{Users: u.pendingRows, Base: u.lastVersion}
 	}
-	return e.BuildSnapshot(name, m, u.opts.Vocab, nil)
+	return u.opts.Engine.BuildSnapshot(u.opts.Snapshot, m, u.opts.Vocab, delta)
 }
 
 // buildExtendedPatchedLocked is buildExtendedLocked's O(changed) twin for

@@ -401,3 +401,102 @@ func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 		t.Fatal("friends-only publish rebuilt doc arrays instead of aliasing the last model's")
 	}
 }
+
+// TestPublishPhasesIndexPatched pins what IndexPatched reports and that
+// every way the publisher reaches the index builder serves the same as
+// the from-scratch twin: the first publish of a process assembles the
+// full model but patches the index (the global blocks are the served
+// model's, byte for byte, in other memory when mapped), a steady publish
+// patches from its explicit delta, a delta-Gibbs publish rebuilds, a
+// publish after somebody else swapped the slot derives its delta anew,
+// and FullRebuild never patches.
+func TestPublishPhasesIndexPatched(t *testing.T) {
+	g, m := testBase(t)
+	mod := func(o *Options) {
+		o.Dir = t.TempDir()
+		o.Mmap = true
+		o.BaseGraph = g
+		o.GibbsEvery = 3
+		o.GibbsSweeps = 1
+		o.Workers = 2
+	}
+	mkEngine := func() *serve.Engine {
+		e := serve.New(m, nil, serve.Options{Mmap: true})
+		t.Cleanup(e.Close)
+		return e
+	}
+	mk := func(e *serve.Engine, fullRebuild bool) *Updater {
+		j, err := OpenJournal(filepath.Join(t.TempDir(), "events.wal"), JournalOptions{SyncEvery: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		o := Options{Engine: e, Base: m, WindowEvents: 4, FoldSweeps: 8, FoldSeed: 99, FullRebuild: fullRebuild}
+		mod(&o)
+		u, err := NewUpdater(j, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(u.Close)
+		return u
+	}
+	incEngine, fullEngine := mkEngine(), mkEngine()
+	inc, full := mk(incEngine, false), mk(fullEngine, true)
+
+	evs := randomEvents(g, m, 50, 23)
+	const window = 10
+	publish := func(round int) (*PublishInfo, PublishPhases) {
+		t.Helper()
+		lo := round * window
+		for _, u := range []*Updater{inc, full} {
+			if _, err := u.Ingest(evs[lo : lo+window]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info, err := inc.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := full.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		if ph := full.Status().LastPublishPhases; ph == nil || !ph.Full || ph.IndexPatched {
+			t.Fatalf("round %d: FullRebuild publish reports %+v, want a full model and a from-scratch index", round, ph)
+		}
+		requireSameServed(t, incEngine, fullEngine, info.Users, [][]int32{g.Docs[0].Words[:2]})
+		return info, *inc.Status().LastPublishPhases
+	}
+
+	if info, ph := publish(0); info.Incremental || !ph.Full || !ph.IndexPatched {
+		t.Fatalf("first publish: %+v / %+v, want a full model with a patched index", info, ph)
+	}
+	if info, ph := publish(1); !info.Incremental || ph.Full || !ph.IndexPatched {
+		t.Fatalf("steady publish: %+v / %+v, want incremental with a patched index", info, ph)
+	}
+	info, ph := publish(2)
+	if !info.Gibbs || !ph.Full || ph.IndexPatched {
+		t.Fatalf("delta-Gibbs publish: %+v / %+v, want a full model and a from-scratch index (Θ, Φ, η moved)", info, ph)
+	}
+	// An operator reloads the live generation's file under the publisher:
+	// same bytes, but the publisher's next delta names a promote the slot
+	// no longer holds.
+	if _, err := incEngine.LoadSnapshot(serve.DefaultSnapshot, store.GenPath(inc.opts.Dir, info.Generation), nil); err != nil {
+		t.Fatal(err)
+	}
+	info, ph = publish(3)
+	if !info.Incremental {
+		t.Fatalf("publish after the external swap: %+v, want the incremental model path", info)
+	}
+	requireSameServed(t, incEngine, fullEngine, info.Users, [][]int32{g.Docs[1].Words[:3], {g.Docs[2].Words[0]}})
+	s, release, err := incEngine.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := s.Build(); !b.Derived || b.Kind != serve.BuildPatched || !ph.IndexPatched {
+		t.Fatalf("publish after the external swap built %+v (phases %+v), want a patch by a delta derived from the bytes", b, ph)
+	}
+	release()
+	if _, ph := publish(4); ph.Full || !ph.IndexPatched {
+		t.Fatalf("publish after that: %+v, want the steady patched path again", ph)
+	}
+}
