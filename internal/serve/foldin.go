@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -180,6 +181,37 @@ func logThetaTable(m *core.Model) []float64 {
 	return t
 }
 
+// logPhiTable builds Snapshot.logPhi, by the expression the fold-in kernel
+// would otherwise evaluate per request, document word and topic.
+func logPhiTable(m *core.Model) []float64 {
+	Z := m.Phi.Rows
+	t := make([]float64, len(m.Phi.Data))
+	for z := 0; z < Z; z++ {
+		for w, v := range m.Phi.Row(z) {
+			t[w*Z+z] = math.Log(v + 1e-300)
+		}
+	}
+	return t
+}
+
+// patchLogPhiTable is logPhiTable for a model whose Φ differs from the one
+// behind prev in the columns words only: a copy of prev with those words'
+// runs recomputed (prev is shared with other snapshots). Ids outside the
+// vocabulary are ignored, as patchRankIndex ignores them.
+func patchLogPhiTable(prev []float64, m *core.Model, words []int32) []float64 {
+	Z := m.Phi.Rows
+	t := slices.Clone(prev)
+	for _, w := range words {
+		if w < 0 || int(w) >= m.Phi.Cols {
+			continue
+		}
+		for z := 0; z < Z; z++ {
+			t[int(w)*Z+z] = math.Log(m.Phi.At(z, int(w)) + 1e-300)
+		}
+	}
+	return t
+}
+
 // foldIn is the pure inference kernel: Gibbs over the new user's document
 // assignments (c_i, z_i) with every global (Φ, Θ, π of trained users, ρ)
 // frozen. *lazy receives what the request's lazy draws considered and
@@ -282,17 +314,16 @@ func foldIn(s *Snapshot, req *FoldInRequest, lazy *rng.LazyStats) (*FoldInResult
 	r := rng.New(req.Seed)
 
 	// Per-document word log-likelihood table wordLL[i*Z+z] = Σ_w log φ_z,w,
-	// computed once: the only per-sweep z-dependence left is θ_{c,z}.
+	// computed once: the only per-sweep z-dependence left is θ_{c,z}. Each
+	// word adds its run of the snapshot's word-major log Φ table, so every
+	// topic's sum still accumulates, from zero, in document word order.
 	wordLL := carve(n * Z)
 	for i, doc := range req.Docs {
 		ll := wordLL[i*Z : (i+1)*Z]
-		for z := 0; z < Z; z++ {
-			phi := m.Phi.Row(z)
-			var lw float64
-			for _, w := range doc {
-				lw += math.Log(phi[w] + 1e-300)
+		for _, w := range doc {
+			for z, lp := range s.logPhi[int(w)*Z:][:Z] {
+				ll[z] += lp
 			}
-			ll[z] = lw
 		}
 	}
 
@@ -305,7 +336,7 @@ func foldIn(s *Snapshot, req *FoldInRequest, lazy *rng.LazyStats) (*FoldInResult
 
 	// logCnt[k] = log(k + ρ): a community count is an integer in [0, n].
 	// Every logarithm the sweeps need is tabulated — here and in the
-	// snapshot's logTheta — by the expression the sampler would otherwise
+	// snapshot's logTheta and logPhi — by the expression the sampler would otherwise
 	// evaluate per document and sweep, so the draws are unchanged.
 	logCnt := carve(n + 1)
 	for k := range logCnt {

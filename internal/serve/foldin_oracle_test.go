@@ -125,9 +125,13 @@ func foldInLogReference(m *core.Model, version uint64, docs [][]int32, friendPi 
 
 // TestFoldInTablesMatchLogKernel drives random requests (1–6 documents,
 // 0–6 friends) through a full snapshot, through a shard snapshot that owns
-// a third of the users and is handed the other friends' rows, and through
-// a snapshot patched from the full one (which shares its log Θ table), and
-// holds each result to the reference kernel's. The models cover a positive
+// a third of the users and is handed the other friends' rows, through a
+// snapshot patched from the full one by rows only (which shares its log Θ
+// and log Φ tables), through one patched by Delta.Words (whose log Φ is the
+// shared table with those words' runs recomputed) and through what a
+// delta-Gibbs publish hands the engine — every global block re-estimated,
+// so both tables rebuilt — and holds each result to the reference kernel's,
+// which takes every logarithm where it needs it. The models cover a positive
 // and a negative FriendScale (which swaps the end of a friend's row that
 // bounds its term), a tiny ρ (logits hundreds apart) and ρ = 0 (−Inf
 // logits for empty communities), and peaked friend rows, whose wide range
@@ -181,8 +185,43 @@ func testFoldInAgainstReference(t *testing.T, m *core.Model, minDocs, trials int
 	moved := m.WithPi(m.Pi.Clone())
 	moved.Pi.Row(4)[1] += 0.125
 	patched := PatchFrom(full, moved, nil, Delta{Users: []int32{4}})
-	if &patched.logTheta[0] != &full.logTheta[0] {
-		t.Fatal("a user-only patch rebuilt the log Θ table instead of sharing it")
+	if &patched.logTheta[0] != &full.logTheta[0] || &patched.logPhi[0] != &full.logPhi[0] {
+		t.Fatal("a user-only patch rebuilt the log Θ or log Φ table instead of sharing it")
+	}
+	// Every third word's column moves, one entry to zero (the 1e-300 floor).
+	reworded := *m
+	reworded.Phi = m.Phi.Clone()
+	var words []int32
+	for w := 0; w < m.NumWords; w += 3 {
+		words = append(words, int32(w))
+		for z := 0; z < reworded.Phi.Rows; z++ {
+			reworded.Phi.Set(z, w, reworded.Phi.At(z, w)*float64(2+z))
+		}
+		reworded.Phi.Set(w%reworded.Phi.Rows, w, 0)
+	}
+	rewordedSnap := PatchFrom(full, &reworded, nil, Delta{Words: words})
+	if rewordedSnap.Build().Kind != BuildPatched || &rewordedSnap.logPhi[0] == &full.logPhi[0] {
+		t.Fatal("a Delta.Words patch must patch, into a log Φ table of its own")
+	}
+	if !reflect.DeepEqual(rewordedSnap.logPhi, logPhiTable(&reworded)) {
+		t.Fatal("a Delta.Words patch left a log Φ table other than the one a full build makes")
+	}
+	// A delta-Gibbs publish: the engine is handed a model whose Θ and Φ were
+	// re-estimated, finds that out from the bytes and builds from scratch.
+	e := New(m, nil, Options{})
+	defer e.Close()
+	refined := *m
+	refined.Theta, refined.Phi = m.Theta.Clone(), m.Phi.Clone()
+	for i := range refined.Theta.Data {
+		refined.Theta.Data[i] *= 1 + float64(i%5)/8
+	}
+	for i := range refined.Phi.Data {
+		refined.Phi.Data[i] *= 1 + float64(i%7)/8
+	}
+	refined.Rehydrate()
+	refinedSnap := e.BuildSnapshot(DefaultSnapshot, &refined, nil, nil)
+	if b := refinedSnap.Build(); b.Kind != BuildFull || b.Reason != reasonGlobals {
+		t.Fatalf("the re-estimated model was adopted as %+v, want a full build", b)
 	}
 
 	r := rng.New(2024)
@@ -217,12 +256,23 @@ func testFoldInAgainstReference(t *testing.T, m *core.Model, minDocs, trials int
 			}
 			total.Add(lazy)
 		}
-		got, err := foldIn(patched, req, &lazy)
-		if err != nil {
-			t.Fatalf("trial %d on the patched snapshot: %v", trial, err)
-		}
-		if want := foldInLogReference(moved, patched.Version, req.Docs, movedRows, req.Seed, req.Sweeps, req.TopK); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d on the patched snapshot: production fold-in\n%+v\nreference kernel\n%+v", trial, got, want)
+		for _, alt := range []struct {
+			snap *Snapshot
+			m    *core.Model
+			rows [][]float64
+		}{
+			{patched, moved, movedRows},
+			{rewordedSnap, &reworded, rows},
+			{refinedSnap, &refined, rows},
+		} {
+			got, err := foldIn(alt.snap, req, &lazy)
+			if err != nil {
+				t.Fatalf("trial %d on a %s snapshot: %v", trial, alt.snap.Build().Kind, err)
+			}
+			if want := foldInLogReference(alt.m, alt.snap.Version, req.Docs, alt.rows, req.Seed, req.Sweeps, req.TopK); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d on a %s snapshot (%d words re-indexed): production fold-in\n%+v\nreference kernel\n%+v",
+					trial, alt.snap.Build().Kind, alt.snap.Build().Words, got, want)
+			}
 		}
 	}
 	if total.Evaluated == 0 || total.Evaluated >= total.Considered {

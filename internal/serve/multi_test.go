@@ -169,6 +169,12 @@ func TestMappedSnapshotRefcount(t *testing.T) {
 	if !s.Mapped() && mmA.Mapped() {
 		t.Fatal("snapshot lost the mapped flag")
 	}
+	// What a mapped snapshot keeps on the heap, as /api/stats reports it:
+	// caches, indexes and the two logarithm tables fold-in reads.
+	tables := 8 * int64(len(s.Model.Theta.Data)+len(s.Model.Phi.Data))
+	if want := s.Model.CacheBytes() + s.index.Bytes() + s.users.bytes() + tables; s.Mapped() && e.SnapshotsInfo()[0].HeapBytes != want {
+		t.Fatalf("mapped snapshot reports %d heap bytes, want %d (log Θ and log Φ are %d of them)", e.SnapshotsInfo()[0].HeapBytes, want, tables)
+	}
 
 	// Swap in a second mapped model; the first must stay open while the
 	// query pin exists.

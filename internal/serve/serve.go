@@ -164,6 +164,10 @@ type Snapshot struct {
 	// logTheta[c*|Z|+z] = log(θ_{c,z} + 1e-300): the per-snapshot constant
 	// fold-in's conditionals read per document and sweep.
 	logTheta []float64
+	// logPhi[w*|Z|+z] = log(φ_{z,w} + 1e-300), word-major: a fold-in adds
+	// one contiguous |Z|-run per document word where Φ's own layout would
+	// have it gather |Z| values |W| apart and take their logarithms.
+	logPhi []float64
 
 	// build records how the derived state above came to be (Build).
 	build BuildInfo
@@ -190,6 +194,7 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		index:    buildRankIndex(m, opts.PostingsPerWord),
 		users:    buildUserIndex(m, opts.UserShards, opts.MemberTopK),
 		logTheta: logThetaTable(m),
+		logPhi:   logPhiTable(m),
 		build:    BuildInfo{Kind: BuildFull, Users: m.NumUsers, Words: m.NumWords},
 	}
 	s.refs.Store(1)
@@ -204,7 +209,7 @@ func (s *Snapshot) Build() BuildInfo { return s.build }
 // state is always heap; the matrices count as heap until a mapped backing
 // is attached (AttachFiles subtracts them).
 func (s *Snapshot) derivedBytes() int64 {
-	return s.Model.CacheBytes() + s.index.Bytes() + s.users.bytes() + 8*int64(len(s.logTheta)) + s.Model.MatrixBytes()
+	return s.Model.CacheBytes() + s.index.Bytes() + s.users.bytes() + 8*int64(len(s.logTheta)+len(s.logPhi)) + s.Model.MatrixBytes()
 }
 
 // Delta describes how a model differs from the one behind an existing
@@ -282,6 +287,7 @@ func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		opts:     opts,
 		openness: prev.openness, // depends on η only, unchanged by definition here
 		logTheta: prev.logTheta, // depends on Θ only, likewise
+		logPhi:   prev.logPhi,   // depends on Φ only: stands unless delta.Words
 		labels:   prev.labels,
 		users:    patchUserIndex(prev.users, m, dirty),
 		build:    BuildInfo{Kind: BuildPatched, Users: len(dirty) + m.NumUsers - pm.NumUsers, Words: len(delta.Words)},
@@ -290,6 +296,7 @@ func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		s.index = prev.index
 	} else {
 		s.index = patchRankIndex(prev.index, m, opts.PostingsPerWord, delta.Words)
+		s.logPhi = patchLogPhiTable(prev.logPhi, m, delta.Words)
 		// Labels read Φ's top words; a vocabulary-touching delta may move
 		// them.
 		s.labels = communityLabels(m, vocab)

@@ -14,7 +14,9 @@ package shard
 //   - dirty shards and the global file are written through
 //     store.SaveV2SubsetReusing, so sections whose backing arrays did
 //     not move (doc windows on friends-only publishes, Θ/Φ/η/ν always
-//     outside Gibbs passes) splice byte-for-byte.
+//     outside Gibbs passes) splice byte-for-byte — except the Π of a
+//     shard the delta names, which is always encoded: the updater may
+//     have patched those rows inside the array a manifest remembers.
 //
 // The emitted group is exactly what Split would produce from the full
 // snapshot of the same model with the same pinned ranges — Join on a
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/sparse"
@@ -194,6 +197,13 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 			DocTopic:     m.DocTopic[r.DocLo:r.DocHi],
 			DocBucket:    m.DocBucket[r.DocLo:r.DocHi],
 		}
+		if changed[i] {
+			// The delta says rows of this range moved. The Π on record may
+			// be several generations old (linking a clean shard does not
+			// refresh it) and the caller may have patched that very array
+			// in place since, so its identity proves nothing: encode it.
+			p.shardMans[i].Forget(store.TagPi)
+		}
 		sman, err := store.SaveV2SubsetReusing(path, sub, shardTagsList, p.shardMans[i])
 		if err != nil {
 			return nil, fmt.Errorf("shard: writing shard %d: %w", i, err)
@@ -276,7 +286,7 @@ func linkOrCopy(src, dst string) error {
 		return err
 	}
 	defer in.Close()
-	out, err := os.CreateTemp(dirOf(dst), ".shard-copy-*")
+	out, err := os.CreateTemp(filepath.Dir(dst), ".shard-copy-*")
 	if err != nil {
 		return err
 	}
@@ -296,13 +306,4 @@ func linkOrCopy(src, dst string) error {
 		return err
 	}
 	return os.Rename(out.Name(), dst)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i]
-		}
-	}
-	return "."
 }

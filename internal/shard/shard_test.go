@@ -421,6 +421,68 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 	}
 }
 
+// TestPublisherEncodesPatchedInPlacePi: the updater patches Π inside the
+// array it published last time whenever the engine serves the file mapping
+// instead, so a shard's manifest may remember the very array it is handed,
+// with other bytes in it. Shard 1 is written at generation 1, linked at 2
+// (its manifest is not refreshed) and dirty at 3 over the same-length Π:
+// every file of generation 3 must be what Split makes of the full snapshot
+// of that model, byte for byte.
+func TestPublisherEncodesPatchedInPlacePi(t *testing.T) {
+	dir := t.TempDir()
+	pub, err := NewPublisher(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testModel(45, 6, 4, 70, 43)
+	man, err := pub.Publish(1, m, Delta{Full: true})
+	if err != nil {
+		t.Fatalf("publish gen 1: %v", err)
+	}
+	inShard1 := int32(man.Ranges[1].UserLo)
+
+	m.Pi.Row(3)[0] += 0.5 // shard 0
+	if _, err := pub.Publish(2, m, Delta{ChangedUsers: []int32{3}}); err != nil {
+		t.Fatalf("publish gen 2: %v", err)
+	}
+	assertSameFile(t, ShardPath(dir, 1, 1), ShardPath(dir, 2, 1))
+	assertJoinMatches(t, dir, 2, m)
+
+	m.Pi.Row(int(inShard1))[1] += 0.25
+	man3, err := pub.Publish(3, m, Delta{ChangedUsers: []int32{inShard1}})
+	if err != nil {
+		t.Fatalf("publish gen 3: %v", err)
+	}
+	assertJoinMatches(t, dir, 3, m)
+
+	full := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(full, m); err != nil {
+		t.Fatal(err)
+	}
+	splitDir := t.TempDir()
+	if _, err := Split(full, splitDir, 3, SplitOptions{Ranges: man3.Ranges}); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b string) {
+		t.Helper()
+		want, err := os.ReadFile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("%s differs from %s", filepath.Base(b), a)
+		}
+	}
+	same(GlobalPath(splitDir, 3), GlobalPath(dir, 3))
+	for i := range man3.Ranges {
+		same(ShardPath(splitDir, 3, i), ShardPath(dir, 3, i))
+	}
+}
+
 // clonePi mirrors the stream updater's incremental publish: a brand-new Π
 // backing array, every other block aliased.
 func clonePi(m *core.Model) *core.Model {

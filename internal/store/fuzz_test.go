@@ -13,7 +13,8 @@ import (
 // The corpus seeds the interesting neighbourhoods by construction: a
 // valid binary snapshot, truncations at section boundaries, single-bit
 // corruptions (caught by the CRCs), a forged section length, and a valid
-// JSON model for the sniffing path.
+// JSON model for the sniffing path — and, for v2, the same plus a file
+// whose header was never written.
 func FuzzLoad(f *testing.F) {
 	m := testModel(12, 4, 5, 40, 3)
 	var snap bytes.Buffer
@@ -61,6 +62,9 @@ func FuzzLoad(f *testing.F) {
 	f.Add(js.Bytes())
 	f.Add([]byte("{}"))
 	f.Add([]byte{})
+	// A save that died before its last write: every payload in place
+	// behind a header and table that are still zeros.
+	f.Add(unpatchedV2(f, m))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadBytes(data)

@@ -147,20 +147,29 @@ func (rf *RawFile) Close() error {
 // file reproduces that file byte for byte — the shard joiner's
 // byte-identity guarantee rests on this.
 func EncodeRawSections(w io.Writer, secs []RawSection) error {
+	plan, err := rawPlan(secs)
+	if err != nil {
+		return err
+	}
+	return encodeTo(w, plan)
+}
+
+// rawPlan plans secs as they stand: each payload is its own emitter.
+func rawPlan(secs []RawSection) ([]*v2section, error) {
 	if len(secs) == 0 {
-		return fmt.Errorf("store: no sections to encode")
+		return nil, fmt.Errorf("store: no sections to encode")
 	}
 	if len(secs) > maxV2Entries {
-		return fmt.Errorf("store: %d sections exceed the format's %d-section limit", len(secs), maxV2Entries)
+		return nil, fmt.Errorf("store: %d sections exceed the format's %d-section limit", len(secs), maxV2Entries)
 	}
 	plan := make([]*v2section, len(secs))
 	for i := range secs {
 		sec := secs[i]
 		if len(sec.Tag) != 4 {
-			return fmt.Errorf("store: section tag %q is not 4 bytes", sec.Tag)
+			return nil, fmt.Errorf("store: section tag %q is not 4 bytes", sec.Tag)
 		}
 		if uint64(len(sec.Payload)) > maxSectionBytes {
-			return fmt.Errorf("store: section %q needs %d payload bytes, above the format's %d-byte section limit",
+			return nil, fmt.Errorf("store: section %q needs %d payload bytes, above the format's %d-byte section limit",
 				sec.Tag, len(sec.Payload), uint64(maxSectionBytes))
 		}
 		plan[i] = &v2section{
@@ -169,13 +178,17 @@ func EncodeRawSections(w io.Writer, secs []RawSection) error {
 			emit: func(s *v2sink) { s.raw(sec.Payload) },
 		}
 	}
-	return encodeV2Plan(w, plan, nil, nil)
+	return plan, nil
 }
 
 // WriteRawFile writes secs to path as a v2 snapshot with the usual
 // atomic rename discipline.
 func WriteRawFile(path string, secs []RawSection) error {
-	return saveAtomic(path, func(w io.Writer) error { return EncodeRawSections(w, secs) })
+	plan, err := rawPlan(secs)
+	if err != nil {
+		return err
+	}
+	return saveAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, nil, nil) })
 }
 
 // AssembleRawModel builds a model from an arbitrary section set (e.g.
@@ -347,11 +360,8 @@ func tagSet(tags []string) map[string]bool {
 // Requested matrix blocks must be non-nil, except POPF/XI which are
 // skipped when absent, matching SaveV2.
 func SaveV2Subset(path string, m *core.Model, tags []string) error {
-	plan, err := v2PlanSubset(m, tagSet(tags))
-	if err != nil {
-		return err
-	}
-	return saveAtomic(path, func(w io.Writer) error { return encodeV2Plan(w, plan, nil, nil) })
+	_, err := SaveV2SubsetReusing(path, m, tags, nil)
+	return err
 }
 
 // SaveV2SubsetReusing is SaveV2Subset with SaveV2Reusing's section-splice
@@ -364,24 +374,5 @@ func SaveV2SubsetReusing(path string, m *core.Model, tags []string, prev *Sectio
 	if err != nil {
 		return nil, err
 	}
-	reuse := matchReusable(plan, prev)
-	if len(reuse) > 0 {
-		prevFile, err := os.Open(prev.path)
-		if err == nil {
-			err = saveAtomic(path, func(w io.Writer) error {
-				return encodeV2Plan(w, plan, reuse, prevFile)
-			})
-			prevFile.Close()
-			if err == nil {
-				return manifestFor(path, plan, len(reuse)), nil
-			}
-		}
-		// Reuse failed (missing/corrupt previous file): full encode below.
-	}
-	if err := saveAtomic(path, func(w io.Writer) error {
-		return encodeV2Plan(w, plan, nil, nil)
-	}); err != nil {
-		return nil, err
-	}
-	return manifestFor(path, plan, 0), nil
+	return savePlan(path, plan, prev)
 }

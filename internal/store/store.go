@@ -677,7 +677,7 @@ func LoadFile(path string) (*core.Model, error) {
 // safely (see saveAtomic). SaveV2 writes the mmap-ready v2 layout with the
 // same discipline.
 func Save(path string, m *core.Model) error {
-	return saveAtomic(path, func(w io.Writer) error { return Encode(w, m) })
+	return saveAtomic(path, func(f *os.File) error { return Encode(f, m) })
 }
 
 // saveAtomic writes a snapshot produced by encode to path through a
@@ -688,7 +688,12 @@ func Save(path string, m *core.Model) error {
 // without the file sync a power loss can leave a zero-length file behind
 // the new name, and without the directory sync the rename itself may not
 // have reached stable storage, resurrecting the old (or no) snapshot.
-func saveAtomic(path string, encode func(io.Writer) error) error {
+//
+// encode gets the temporary file itself, positioned at offset 0: the v2
+// encoder streams payloads through Write and then patches the header in
+// front of them through WriteAt. An encode that fails at either leaves
+// nothing under path.
+func saveAtomic(path string, encode func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

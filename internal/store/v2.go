@@ -77,10 +77,9 @@ const (
 func alignUp(off uint64) uint64 { return (off + v2Align - 1) &^ uint64(v2Align-1) }
 
 // v2section is one planned section: its tag, exact payload length, and an
-// emitter that produces the payload bytes through a v2sink. The same
-// emitter runs twice — once against a CRC-only sink to fill the table,
-// once against the file writer — so the payload bytes have a single
-// source of truth.
+// emitter that produces the payload bytes through a v2sink. The emitter
+// runs once: the sink checksums the bytes on their way to the file, and
+// the table that records the checksum is written afterwards.
 type v2section struct {
 	tag  string
 	size uint64
@@ -98,8 +97,7 @@ type v2section struct {
 	dims  []uint64
 }
 
-// v2sink is the payload byte sink: it always feeds the CRC, and writes
-// through to w when non-nil.
+// v2sink is the payload byte sink: every byte feeds the CRC and goes to w.
 type v2sink struct {
 	w       io.Writer
 	crc     hash.Hash32
@@ -112,10 +110,8 @@ func (s *v2sink) raw(p []byte) {
 		return
 	}
 	s.crc.Write(p)
-	if s.w != nil {
-		if _, err := s.w.Write(p); err != nil {
-			s.err = err
-		}
+	if _, err := s.w.Write(p); err != nil {
+		s.err = err
 	}
 }
 
@@ -213,6 +209,14 @@ func (s *v2sink) int64s(xs []int) {
 
 // v2Plan lists the sections of m in file order with exact sizes.
 func v2Plan(m *core.Model) ([]*v2section, error) { return v2PlanSubset(m, nil) }
+
+// fullModelPlan is v2Plan for a model that must be complete.
+func fullModelPlan(m *core.Model) ([]*v2section, error) {
+	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
+		return nil, fmt.Errorf("store: model is missing parameter blocks")
+	}
+	return v2Plan(m)
+}
 
 // v2PlanSubset lists the sections of m restricted to the tags in want
 // (nil = every section), in the canonical file order CFG, DIM, PI, THET,
@@ -338,29 +342,73 @@ func v2Table(plan []*v2section) []byte {
 	return table
 }
 
-// EncodeV2 writes m as a v2 snapshot: section table first, then 64-byte
-// aligned payloads. The encoder runs each payload twice — a CRC pass to
-// fill the table, then the write pass — so encoding costs two streaming
-// passes over the parameter blocks. (SaveV2Reusing skips both passes for
-// sections unchanged since a previous save.)
-func EncodeV2(w io.Writer, m *core.Model) error {
-	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
-		return fmt.Errorf("store: model is missing parameter blocks")
+// v2dest is what a v2 snapshot is encoded into. Payloads stream through
+// Write; the header and section table, which hold the payload checksums,
+// are written last, over their placeholder at offset 0, through WriteAt —
+// so Write must start at offset 0 of whatever WriteAt addresses. A
+// temporary *os.File (saveAtomic) and a memDest are the two in use.
+type v2dest interface {
+	io.Writer
+	io.WriterAt
+}
+
+// memDest is the in-memory v2dest behind the io.Writer entry points.
+type memDest struct{ buf []byte }
+
+func (d *memDest) Write(p []byte) (int, error) {
+	d.buf = append(d.buf, p...)
+	return len(p), nil
+}
+
+func (d *memDest) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || off+int64(len(p)) > int64(len(d.buf)) {
+		return 0, fmt.Errorf("store: internal error: patching bytes %d..%d of a %d-byte encoding", off, off+int64(len(p)), len(d.buf))
 	}
-	plan, err := v2Plan(m)
+	return copy(d.buf[off:], p), nil
+}
+
+// encodeTo encodes plan in memory and hands the finished snapshot to w in
+// one write.
+func encodeTo(w io.Writer, plan []*v2section) error {
+	var d memDest
+	if err := encodeV2Plan(&d, plan, nil, nil); err != nil {
+		return err
+	}
+	if _, err := w.Write(d.buf); err != nil {
+		return fmt.Errorf("store: writing snapshot: %w", err)
+	}
+	return nil
+}
+
+// EncodeV2 writes m as a v2 snapshot: section table first, then 64-byte
+// aligned payloads. Each payload is produced and checksummed in one
+// streaming pass, so the snapshot is assembled in memory (the table in
+// front can only be filled in once the payloads behind it are known) and
+// reaches w whole; SaveV2 streams to its file instead. (SaveV2Reusing
+// skips even that pass for sections unchanged since a previous save.)
+func EncodeV2(w io.Writer, m *core.Model) error {
+	plan, err := fullModelPlan(m)
 	if err != nil {
 		return err
 	}
-	return encodeV2Plan(w, plan, nil, nil)
+	return encodeTo(w, plan)
 }
 
-// encodeV2Plan lays out and writes a planned v2 snapshot. Sections with
-// an entry in reuse skip both emit passes: their CRC is taken from the
-// previous save's table and their payload bytes are spliced verbatim
+// encodeV2Plan lays out and writes a planned v2 snapshot in one pass per
+// section: a zeroed placeholder for header and table, then each payload
+// streamed once through the sink that feeds both its CRC and dst, then the
+// real header and table written over the placeholder. Until that last
+// write the output does not begin with the format's magic, so a file cut
+// short anywhere before it is rejected by every reader — and saveAtomic
+// only ever gives a complete one the final name.
+//
+// Sections with an entry in reuse are not emitted: their CRC is taken from
+// the previous save's table and their payload bytes are spliced verbatim
 // from prevFile (re-verified against that CRC while copying). reuse may
 // be nil for a plain full encode.
-func encodeV2Plan(w io.Writer, plan []*v2section, reuse map[string]manifestEntry, prevFile io.ReaderAt) error {
-	off := alignUp(uint64(v2HeaderLen + v2EntryLen*len(plan)))
+func encodeV2Plan(dst v2dest, plan []*v2section, reuse map[string]manifestEntry, prevFile io.ReaderAt) error {
+	head := make([]byte, v2HeaderLen+v2EntryLen*len(plan))
+	off := alignUp(uint64(len(head)))
 	for _, sec := range plan {
 		sec.off = off
 		off = alignUp(off + sec.size)
@@ -370,33 +418,12 @@ func encodeV2Plan(w io.Writer, plan []*v2section, reuse map[string]manifestEntry
 	// size goes to the file in one write instead of being copied into the
 	// buffer and flushed 64 KiB at a time.
 	scratch := make([]byte, 1<<18)
-	for _, sec := range plan {
-		if ent, ok := reuse[sec.tag]; ok {
-			sec.crc = ent.crc
-			continue
-		}
-		sink := &v2sink{crc: crc32.NewIEEE(), scratch: scratch}
-		sec.emit(sink)
-		if sink.err != nil {
-			return fmt.Errorf("store: encoding section %q: %w", sec.tag, sink.err)
-		}
-		sec.crc = sink.crc.Sum32()
-	}
-	table := v2Table(plan)
-
-	bw := bufio.NewWriterSize(w, 1<<16)
-	hdr := make([]byte, v2HeaderLen)
-	copy(hdr, magicV2)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(plan)))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(crc32.ChecksumIEEE(table)))
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("store: writing v2 header: %w", err)
-	}
-	if _, err := bw.Write(table); err != nil {
-		return fmt.Errorf("store: writing v2 section table: %w", err)
+	bw := bufio.NewWriterSize(dst, 1<<16)
+	if _, err := bw.Write(head); err != nil {
+		return fmt.Errorf("store: writing v2 header placeholder: %w", err)
 	}
 	var pad [v2Align]byte
-	pos := uint64(v2HeaderLen + len(table))
+	pos := uint64(len(head))
 	for _, sec := range plan {
 		if sec.off < pos {
 			return fmt.Errorf("store: internal error: v2 layout overlaps at %q", sec.tag)
@@ -404,11 +431,12 @@ func encodeV2Plan(w io.Writer, plan []*v2section, reuse map[string]manifestEntry
 		if _, err := bw.Write(pad[:sec.off-pos]); err != nil {
 			return fmt.Errorf("store: padding before %q: %w", sec.tag, err)
 		}
+		pos = sec.off + sec.size
 		if ent, ok := reuse[sec.tag]; ok {
 			if err := spliceSection(bw, prevFile, ent, scratch); err != nil {
 				return fmt.Errorf("store: splicing section %q from previous snapshot: %w", sec.tag, err)
 			}
-			pos = sec.off + sec.size
+			sec.crc = ent.crc
 			continue
 		}
 		sink := &v2sink{w: bw, crc: crc32.NewIEEE(), scratch: scratch}
@@ -416,13 +444,18 @@ func encodeV2Plan(w io.Writer, plan []*v2section, reuse map[string]manifestEntry
 		if sink.err != nil {
 			return fmt.Errorf("store: writing section %q: %w", sec.tag, sink.err)
 		}
-		if sink.crc.Sum32() != sec.crc {
-			return fmt.Errorf("store: internal error: section %q bytes changed between passes", sec.tag)
-		}
-		pos = sec.off + sec.size
+		sec.crc = sink.crc.Sum32()
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("store: flushing snapshot: %w", err)
+	}
+	table := v2Table(plan)
+	copy(head, magicV2)
+	binary.LittleEndian.PutUint64(head[8:], uint64(len(plan)))
+	binary.LittleEndian.PutUint64(head[16:], uint64(crc32.ChecksumIEEE(table)))
+	copy(head[v2HeaderLen:], table)
+	if _, err := dst.WriteAt(head, 0); err != nil {
+		return fmt.Errorf("store: writing v2 header and section table: %w", err)
 	}
 	return nil
 }
@@ -678,5 +711,6 @@ func applyV2Section(m *core.Model, d *decoder, ent v2Entry, seenDims *bool) erro
 // SaveV2 writes m to path as a v2 (mmap-ready) snapshot, with the same
 // atomic, crash-safe rename discipline as Save.
 func SaveV2(path string, m *core.Model) error {
-	return saveAtomic(path, func(w io.Writer) error { return EncodeV2(w, m) })
+	_, err := SaveV2Reusing(path, m, nil)
+	return err
 }

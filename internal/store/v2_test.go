@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -312,40 +311,14 @@ func TestSaveV2IsAtomic(t *testing.T) {
 	}
 }
 
-// encodePlanForTest runs the EncodeV2 layout+write steps over an explicit
-// plan (mirrors EncodeV2; kept in the test so the production encoder does
-// not grow a test-only injection seam).
+// encodePlanForTest encodes an explicit plan (the production encoder has
+// no injection seam for one; the two-pass oracle takes any).
 func encodePlanForTest(t *testing.T, plan []*v2section) []byte {
 	t.Helper()
-	off := alignUp(uint64(v2HeaderLen + v2EntryLen*len(plan)))
-	for _, sec := range plan {
-		sec.off = off
-		off = alignUp(off + sec.size)
-	}
-	scratch := make([]byte, 1<<15)
-	for _, sec := range plan {
-		sink := &v2sink{crc: crc32.NewIEEE(), scratch: scratch}
-		sec.emit(sink)
-		sec.crc = sink.crc.Sum32()
-	}
-	table := v2Table(plan)
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	hdr := make([]byte, v2HeaderLen)
-	copy(hdr, magicV2)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(plan)))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(crc32.ChecksumIEEE(table)))
-	bw.Write(hdr)
-	bw.Write(table)
-	var pad [v2Align]byte
-	pos := uint64(v2HeaderLen + len(table))
-	for _, sec := range plan {
-		bw.Write(pad[:sec.off-pos])
-		sink := &v2sink{w: bw, crc: crc32.NewIEEE(), scratch: scratch}
-		sec.emit(sink)
-		pos = sec.off + sec.size
+	if err := encodeV2PlanTwoPass(&buf, plan, nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	bw.Flush()
 	return buf.Bytes()
 }
 

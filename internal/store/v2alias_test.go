@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"os"
@@ -12,22 +14,35 @@ import (
 	"repro/internal/sparse"
 )
 
-// encodePortable runs encode with the sink's per-element little-endian
-// loops — the encoder a big-endian host gets — in place of the aliased one.
-func encodePortable(t *testing.T, encode func(io.Writer) error) []byte {
-	t.Helper()
-	defer func(saved bool) { aliasNumeric = saved }(aliasNumeric)
-	aliasNumeric = false
-	var buf bytes.Buffer
-	if err := encode(&buf); err != nil {
-		t.Fatal(err)
+// planSource builds one encoding job: a fresh plan (encoding fills in its
+// offsets and CRCs, so no encoder sees what another left there) and,
+// for a reusing encode, the sections to splice and the file to splice
+// them from.
+type planSource func() (plan []*v2section, reuse map[string]manifestEntry, prevFile io.ReaderAt)
+
+// modelPlan is the planSource of a plain encode of m: of the sections
+// tags names, or of every section when there are none.
+func modelPlan(t *testing.T, m *core.Model, tags ...string) planSource {
+	return func() ([]*v2section, map[string]manifestEntry, io.ReaderAt) {
+		t.Helper()
+		var want map[string]bool
+		if len(tags) > 0 {
+			want = tagSet(tags)
+		}
+		plan, err := v2PlanSubset(m, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, nil, nil
 	}
-	return buf.Bytes()
 }
 
-// requireBothEncodersAgree encodes through the platform's encoder and
-// through the portable one and returns the (single) byte sequence.
-func requireBothEncodersAgree(t *testing.T, what string, encode func(io.Writer) error) []byte {
+// requireBothEncodersAgree encodes src through the single-pass encoder —
+// into memory and into a file, as saveAtomic drives it — and through the
+// two-pass encoder it replaced, each with the platform's aliased numeric
+// loops and with the portable per-element ones a big-endian host gets,
+// and returns the (single) byte sequence.
+func requireBothEncodersAgree(t *testing.T, what string, src planSource) []byte {
 	t.Helper()
 	if !nativeLittleEndian() {
 		t.Skip("the aliased encoder only exists on little-endian hosts")
@@ -35,19 +50,58 @@ func requireBothEncodersAgree(t *testing.T, what string, encode func(io.Writer) 
 	if !aliasNumeric {
 		t.Fatal("a little-endian host did not select the aliased encoder")
 	}
-	var buf bytes.Buffer
-	if err := encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	portable := encodePortable(t, encode)
-	if !bytes.Equal(buf.Bytes(), portable) {
-		i := 0
-		for i < len(portable) && i < buf.Len() && buf.Bytes()[i] == portable[i] {
-			i++
+	singlePass := func() []byte {
+		plan, reuse, prev := src()
+		var d memDest
+		if err := encodeV2Plan(&d, plan, reuse, prev); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		t.Fatalf("%s: aliased encoding (%d bytes) and portable encoding (%d bytes) differ from byte %d", what, buf.Len(), len(portable), i)
+		return d.buf
 	}
-	return portable
+	twoPass := func() []byte {
+		plan, reuse, prev := src()
+		var buf bytes.Buffer
+		if err := encodeV2PlanTwoPass(&buf, plan, reuse, prev); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return buf.Bytes()
+	}
+	toFile := func() []byte {
+		plan, reuse, prev := src()
+		path := filepath.Join(t.TempDir(), "single-pass.snap")
+		if err := saveAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, reuse, prev) }); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	portably := func(encode func() []byte) []byte {
+		defer func(saved bool) { aliasNumeric = saved }(aliasNumeric)
+		aliasNumeric = false
+		return encode()
+	}
+	want := twoPass()
+	for _, enc := range []struct {
+		name string
+		got  []byte
+	}{
+		{"single-pass, in memory", singlePass()},
+		{"single-pass, to a file", toFile()},
+		{"single-pass, portable element loops", portably(singlePass)},
+		{"two-pass, portable element loops", portably(twoPass)},
+	} {
+		if !bytes.Equal(enc.got, want) {
+			i := 0
+			for i < len(want) && i < len(enc.got) && enc.got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s: the %s encoding (%d bytes) and the two-pass aliased encoding (%d bytes) differ from byte %d", what, enc.name, len(enc.got), len(want), i)
+		}
+	}
+	return want
 }
 
 // awkwardFloats are payloads whose bytes an encoder could plausibly get
@@ -65,7 +119,8 @@ var awkwardFloats = []float64{
 // with and without the optional blocks, on awkward float and integer
 // payloads, on empty blocks, on a section subset, and on blocks that are
 // views starting in the middle of a larger array (the shard publisher's Π
-// and doc windows).
+// and doc windows) — and, through requireBothEncodersAgree, the single-pass
+// encoder byte-equal to the two-pass one on all of them.
 func TestAliasedEncoderMatchesPortable(t *testing.T) {
 	full := testModel(23, 5, 4, 37, 99)
 	attachAttrs(full, 3, 100)
@@ -78,7 +133,7 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 	full.DocCommunity[0], full.DocCommunity[1] = math.MinInt32, math.MaxInt32
 	full.DocTopic[2] = -1
 	full.DocBucket[0], full.DocBucket[1], full.DocBucket[2] = math.MinInt64, math.MaxInt64, -1
-	got := requireBothEncodersAgree(t, "every section kind", func(w io.Writer) error { return EncodeV2(w, full) })
+	got := requireBothEncodersAgree(t, "every section kind", modelPlan(t, full))
 	// And the bytes mean what they should: the copying decoder, which
 	// converts element by element, reads the awkward values back bit for bit.
 	back, err := Decode(bytes.NewReader(got))
@@ -96,11 +151,11 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 
 	plain := testModel(9, 3, 2, 11, 7) // no XI
 	plain.PopFreq, plain.NumBuckets = nil, 0
-	requireBothEncodersAgree(t, "without the optional blocks", func(w io.Writer) error { return EncodeV2(w, plain) })
+	requireBothEncodersAgree(t, "without the optional blocks", modelPlan(t, plain))
 
 	empty := testModel(0, 2, 2, 0, 5) // Π, Φ and the doc arrays are empty blocks
 	empty.Nu = nil
-	requireBothEncodersAgree(t, "empty blocks", func(w io.Writer) error { return EncodeV2(w, empty) })
+	requireBothEncodersAgree(t, "empty blocks", modelPlan(t, empty))
 
 	// A shard file as the publisher writes it: Π is a view starting in the
 	// middle of the full matrix, the doc arrays are windows of the full ones.
@@ -113,11 +168,9 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 		DocTopic:     full.DocTopic[dlo:dhi],
 		DocBucket:    full.DocBucket[dlo:dhi],
 	}
-	plan, err := v2PlanSubset(sub, tagSet([]string{TagConfig, TagDims, TagPi, TagDocC, TagDocZ, TagDocB}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardBytes := requireBothEncodersAgree(t, "mid-array views", func(w io.Writer) error { return encodeV2Plan(w, plan, nil, nil) })
+	shardBytes := requireBothEncodersAgree(t, "mid-array views", modelPlan(t, sub, TagConfig, TagDims, TagPi, TagDocC, TagDocZ, TagDocB))
+	requireBothEncodersAgree(t, "global subset", modelPlan(t, full, TagConfig, TagDims, TagTheta, TagPhi, TagEta, TagNu, TagPop, TagXi))
+	requireBothEncodersAgree(t, "one section", modelPlan(t, full, TagDocB))
 	rf := filepath.Join(t.TempDir(), "shard.snap")
 	if err := os.WriteFile(rf, shardBytes, 0o644); err != nil {
 		t.Fatal(err)
@@ -135,6 +188,134 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 	}
 }
 
+// TestEncodersAgreeOnGoldenFixtures: every committed fixture, loaded by the
+// copying decoder, encodes to one byte sequence whichever encoder runs.
+func TestEncodersAgreeOnGoldenFixtures(t *testing.T) {
+	for _, name := range []string{"golden-v1.snap", "golden-v2.snap", "golden.json"} {
+		m, err := LoadFile(goldenPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBothEncodersAgree(t, name, modelPlan(t, m))
+	}
+}
+
+// TestEncodersAgreeOnReusedSections: a plan that splices some sections from
+// a previous file and re-encodes the rest — the publisher's every save.
+func TestEncodersAgreeOnReusedSections(t *testing.T) {
+	m := reuseModel()
+	p0 := filepath.Join(t.TempDir(), "gen0.v2.snap")
+	man, err := SaveV2Reusing(p0, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := reuseSuccessor(t, m)
+	prev, err := os.Open(p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prev.Close()
+	spliced := 0
+	got := requireBothEncodersAgree(t, "reused and re-encoded sections", func() ([]*v2section, map[string]manifestEntry, io.ReaderAt) {
+		plan, err := v2Plan(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reuse := matchReusable(plan, man)
+		spliced = len(reuse)
+		return plan, reuse, prev
+	})
+	if spliced == 0 || spliced == len(man.entries) {
+		t.Fatalf("%d of %d sections spliced; the case needs a mix", spliced, len(man.entries))
+	}
+	if !bytes.Equal(got, encodeV2ToBytes(t, next)) {
+		t.Fatal("a reusing encode differs from a plain one of the same model")
+	}
+}
+
+// failingDest is a file whose WriteAt fails: the header back-patch of the
+// single-pass encoder has nowhere to land.
+type failingDest struct{ *os.File }
+
+var errNoWriteAt = errors.New("this destination cannot patch")
+
+func (failingDest) WriteAt([]byte, int64) (int, error) { return 0, errNoWriteAt }
+
+// TestSinglePassEncoderBackPatchFailure: the encoder reports a failed
+// back-patch, and the save it ran under leaves nothing behind — neither
+// the final name nor the temporary file.
+func TestSinglePassEncoderBackPatchFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.v2.snap")
+	plan, err := v2Plan(reuseModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = saveAtomic(path, func(f *os.File) error { return encodeV2Plan(failingDest{f}, plan, nil, nil) })
+	if !errors.Is(err, errNoWriteAt) {
+		t.Fatalf("save over an unpatchable destination returned %v", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("the failed save left %q behind", entries[0].Name())
+	}
+}
+
+// unpatchedDest keeps what Write streams and drops the back-patch: what
+// the temporary file holds if the process dies before the last write.
+type unpatchedDest struct{ memDest }
+
+func (*unpatchedDest) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+
+// unpatchedV2 is the v2 encoding of m as it stands before its header and
+// table are written.
+func unpatchedV2(t testing.TB, m *core.Model) []byte {
+	t.Helper()
+	plan, err := v2Plan(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d unpatchedDest
+	if err := encodeV2Plan(&d, plan, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	return d.buf
+}
+
+// TestUnpatchedV2Rejected: a file cut before the header back-patch — whole
+// or shorter — has every payload in place and is still no snapshot to any
+// reader.
+func TestUnpatchedV2Rejected(t *testing.T) {
+	m := testModel(20, 4, 3, 60, 30)
+	raw := unpatchedV2(t, m)
+	// Everything but the header and table is already what the finished file
+	// holds: only the front is missing.
+	want := encodeV2ToBytes(t, m)
+	front := v2HeaderLen + v2EntryLen*int(binary.LittleEndian.Uint64(want[8:]))
+	if len(raw) != len(want) || !bytes.Equal(raw[front:], want[front:]) || !bytes.Equal(raw[:front], make([]byte, front)) {
+		t.Fatal("the unpatched encoding is not the finished one with a zeroed header and table")
+	}
+	for _, n := range []int{len(raw), len(raw) - 1, len(raw) / 2, v2HeaderLen + 40, v2HeaderLen} {
+		path := filepath.Join(t.TempDir(), "cut.v2.snap")
+		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if mm, err := Open(path); err == nil {
+			mm.Close()
+			t.Errorf("%d unpatched bytes accepted by Open", n)
+		}
+		if rf, err := OpenRawFile(path); err == nil {
+			rf.Close()
+			t.Errorf("%d unpatched bytes accepted by OpenRawFile", n)
+		}
+		if err := VerifyV2File(path); err == nil {
+			t.Errorf("%d unpatched bytes accepted by VerifyV2File", n)
+		}
+		if _, err := LoadFile(path); err == nil {
+			t.Errorf("%d unpatched bytes accepted by LoadFile", n)
+		}
+	}
+}
+
 // TestAliasedEncoderReproducesGoldenFixture: both encoders, fed the mapped
 // committed v2 fixture (whose blocks alias the file mapping itself), write
 // every numeric section with exactly the fixture's bytes.
@@ -144,7 +325,7 @@ func TestAliasedEncoderReproducesGoldenFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	got := requireBothEncodersAgree(t, "golden fixture", func(w io.Writer) error { return EncodeV2(w, mm.Model) })
+	got := requireBothEncodersAgree(t, "golden fixture", modelPlan(t, mm.Model))
 	path := filepath.Join(t.TempDir(), "re-encoded.snap")
 	if err := os.WriteFile(path, got, 0o644); err != nil {
 		t.Fatal(err)

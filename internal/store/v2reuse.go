@@ -17,8 +17,10 @@ package store
 // Soundness contract: identity-based reuse assumes the backing arrays
 // are immutable between saves. That is the streaming publisher's
 // discipline (a delta-Gibbs pass allocates a fresh refined model rather
-// than mutating in place); code that mutates matrices in place must save
-// with SaveV2, or drop the manifest first.
+// than mutating in place); code that mutates a matrix in place must save
+// with SaveV2, or first drop that section from the manifest
+// (SectionManifest.Forget) — as the publisher does for Π, which it patches
+// in place whenever the engine serves the file mapping instead.
 //
 // Any reuse failure — the previous file missing, truncated, or failing
 // its CRC — falls back to a full re-encode of every section, so a
@@ -161,28 +163,27 @@ func manifestFor(path string, plan []*v2section, reused int) *SectionManifest {
 	return sm
 }
 
-// SaveV2Reusing writes m to path as a v2 snapshot with SaveV2's atomic
-// rename discipline, splicing byte-identical sections from the previous
-// save described by prev instead of re-encoding them, and returns the
-// manifest describing the new file (pass it to the next SaveV2Reusing).
-// prev may be nil for a full encode. The output file is byte-identical
-// to what SaveV2(path, m) would have written — reuse changes the cost,
-// never the bytes. On any splice failure the save silently retries as a
-// full encode.
-func SaveV2Reusing(path string, m *core.Model, prev *SectionManifest) (*SectionManifest, error) {
-	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
-		return nil, fmt.Errorf("store: model is missing parameter blocks")
+// Forget drops tag from the manifest, so the next reusing save re-encodes
+// that section whatever its backing array looks like. A caller about to
+// overwrite a recorded array in place calls it first: identity can only
+// vouch for arrays nobody wrote to. Safe on a nil manifest.
+func (sm *SectionManifest) Forget(tag string) {
+	if sm != nil {
+		delete(sm.entries, tag)
 	}
-	plan, err := v2Plan(m)
-	if err != nil {
-		return nil, err
-	}
+}
+
+// savePlan writes plan to path with saveAtomic's rename discipline,
+// splicing the sections prev vouches for from the file it describes, and
+// returns the manifest of the file written. On any splice failure the save
+// silently retries as a full encode.
+func savePlan(path string, plan []*v2section, prev *SectionManifest) (*SectionManifest, error) {
 	reuse := matchReusable(plan, prev)
 	if len(reuse) > 0 {
 		prevFile, err := os.Open(prev.path)
 		if err == nil {
-			err = saveAtomic(path, func(w io.Writer) error {
-				return encodeV2Plan(w, plan, reuse, prevFile)
+			err = saveAtomic(path, func(f *os.File) error {
+				return encodeV2Plan(f, plan, reuse, prevFile)
 			})
 			prevFile.Close()
 			if err == nil {
@@ -192,10 +193,26 @@ func SaveV2Reusing(path string, m *core.Model, prev *SectionManifest) (*SectionM
 		// Reuse failed (missing/corrupt previous file): fall back to a
 		// full encode below.
 	}
-	if err := saveAtomic(path, func(w io.Writer) error {
-		return encodeV2Plan(w, plan, nil, nil)
+	if err := saveAtomic(path, func(f *os.File) error {
+		return encodeV2Plan(f, plan, nil, nil)
 	}); err != nil {
 		return nil, err
 	}
 	return manifestFor(path, plan, 0), nil
+}
+
+// SaveV2Reusing writes m to path as a v2 snapshot with SaveV2's atomic
+// rename discipline, splicing byte-identical sections from the previous
+// save described by prev instead of re-encoding them, and returns the
+// manifest describing the new file (pass it to the next SaveV2Reusing).
+// prev may be nil for a full encode. The output file is byte-identical
+// to what SaveV2(path, m) would have written — reuse changes the cost,
+// never the bytes. On any splice failure the save silently retries as a
+// full encode.
+func SaveV2Reusing(path string, m *core.Model, prev *SectionManifest) (*SectionManifest, error) {
+	plan, err := fullModelPlan(m)
+	if err != nil {
+		return nil, err
+	}
+	return savePlan(path, plan, prev)
 }

@@ -118,10 +118,13 @@ func TestIngestAllocationsIndependentOfStreamUsers(t *testing.T) {
 // promotes configured, the shard emit and the map of the written file are
 // their own phases (they used to be booked on indexMicros); the phases
 // still sum to no more than the publish's wall time, and an updater with
-// neither configured omits both from its JSON.
+// neither configured omits both from its JSON. What runs between the
+// promote and Publish's return — the watermark write, and from the fourth
+// generation on the unlinking of the files KeepSnapshots no longer covers —
+// is reported too, outside the total.
 func TestPublishPhasesSeparateShardAndOpen(t *testing.T) {
 	u := costUpdater(t, serve.SyntheticModel(300, 8, 4, 50, 3))
-	for round := 0; round < 2; round++ {
+	for round := 0; round < 5; round++ {
 		if _, err := u.Ingest([]Event{{Type: EvAddDoc, User: 7, Time: int64(round), Words: []int32{1, 2, 3}}}); err != nil {
 			t.Fatal(err)
 		}
@@ -137,6 +140,9 @@ func TestPublishPhasesSeparateShardAndOpen(t *testing.T) {
 		if sum > ph.TotalMicros {
 			t.Fatalf("publish %d: phases sum to %d µs, more than the %d µs total: %+v", round, sum, ph.TotalMicros, ph)
 		}
+		if ph.WatermarkMicros <= 0 || round >= 3 && ph.PruneMicros <= 0 {
+			t.Fatalf("publish %d: watermark/prune phases not reported: %+v", round, ph)
+		}
 	}
 
 	g, m := testBase(t)
@@ -151,7 +157,8 @@ func TestPublishPhasesSeparateShardAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(raw, []byte("shardMicros")) || bytes.Contains(raw, []byte("openMicros")) || !bytes.Contains(raw, []byte(`"indexMicros"`)) {
+	if bytes.Contains(raw, []byte("shardMicros")) || bytes.Contains(raw, []byte("openMicros")) || !bytes.Contains(raw, []byte(`"indexMicros"`)) ||
+		!bytes.Contains(raw, []byte(`"watermarkMicros"`)) || !bytes.Contains(raw, []byte(`"pruneMicros"`)) {
 		t.Fatalf("in-memory publish phases: %s", raw)
 	}
 }

@@ -34,16 +34,20 @@
 // changed since the last publish, not the model size. Three layers
 // compose the incremental path (see publish.go's header for the flow):
 // the extended model is patched from the previous publish's (only
-// re-folded Π rows overwritten, new-user rows appended); the serving
+// re-folded Π rows overwritten, new-user rows appended — inside the
+// previous Π's own array whenever the engine serves the file mapping and
+// never saw that array, in a copy of it when the array was promoted); the
+// serving
 // snapshot is patched copy-on-write from the live one by
 // serve.Engine.BuildSnapshot, given the re-folded rows as an explicit
 // delta (the shared rank index is reused — Φ unchanged means word scores
 // unchanged — and only user-index shards containing dirty rows rebuild);
 // and the on-disk generation is written with store.SaveV2Reusing, which
 // splices byte-identical base-model sections out of the previous
-// generation's file instead of re-encoding them. What stays O(model) in
-// such a publish is one memcpy of Π and the write of the bytes that go to
-// disk: no step walks the users (a model has no per-user cache, the
+// generation's file instead of re-encoding them and checksums what it
+// does encode on its way to the file. What stays O(model) in such a
+// publish is the write of the bytes that go to disk (plus, without
+// Options.Mmap, one memcpy of Π): no step walks the users (a model has no per-user cache, the
 // dirty-user gauge is a maintained count), and Ingest costs the same
 // however many stream users exist. Every layer is
 // bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*

@@ -11,14 +11,19 @@ package stream
 //     successor) and a fold-in tabulates log(k+ρ) once, so the Gibbs
 //     kernel reads its conditionals instead of recomputing logarithms of
 //     per-snapshot constants per document and sweep;
-//   - model: buildExtendedPatchedLocked copies the previously published
-//     Π wholesale (one memcpy, the only O(users) step left), overwrites
-//     the changed rows and keeps the predecessor's global blocks and
-//     prediction caches (core.Model.WithPi) instead of reassembling
-//     every row and rehydrating (buildExtendedLocked);
+//   - model: buildExtendedPatchedLocked overwrites the changed rows of the
+//     previously published Π and appends the new users' — inside that very
+//     array when the engine serves the file mapping and never saw it
+//     (Options.Mmap: O(changed), one Π on the heap), in a copy of it when
+//     the array was promoted and a snapshot may still be reading it — and
+//     keeps the predecessor's global blocks and prediction caches
+//     (core.Model.WithPi) instead of reassembling every row and
+//     rehydrating (buildExtendedLocked);
 //   - save: store.SaveV2Reusing splices unchanged sections byte-for-byte
 //     from the previous snapshot file instead of re-encoding them, and
-//     encodes Π from its own memory;
+//     encodes Π from its own memory, checksumming it on the way to the
+//     file (Π is dropped from the manifest first: its array may be the
+//     one just patched);
 //   - shard: shard.Publisher hard-links the shard files no changed user
 //     falls in and rewrites the rest the same way;
 //   - open: store.Open maps the written file in O(1) in the user count —
@@ -83,6 +88,13 @@ type PublishPhases struct {
 	PromoteMicros int64 `json:"promoteMicros"`           // engine swap
 	QualityMicros int64 `json:"qualityMicros,omitempty"` // structural quality scoring (0 when skipped)
 	TotalMicros   int64 `json:"totalMicros"`
+	// WatermarkMicros (advancing the journal watermark) and PruneMicros
+	// (unlinking the snapshot files past KeepSnapshots) run, like quality
+	// scoring, after the promote and so outside TotalMicros — the generation
+	// is already servable — but before Publish returns: they delay the next
+	// publish.
+	WatermarkMicros int64 `json:"watermarkMicros"`
+	PruneMicros     int64 `json:"pruneMicros"`
 	// Full marks a from-scratch publish; incremental otherwise.
 	Full bool `json:"full"`
 	// IndexPatched marks IndexMicros as a patch of the previous serving
@@ -268,7 +280,10 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 		} else {
 			// Section reuse self-limits: after a Gibbs pass (or on the
 			// first save) no section matches the manifest and every one is
-			// re-encoded — same bytes either way.
+			// re-encoded — same bytes either way. Π is never a candidate:
+			// every publish moves rows, possibly inside the very array the
+			// manifest remembers (buildExtendedPatchedLocked).
+			u.manifest.Forget(store.TagPi)
 			var man *store.SectionManifest
 			man, err = store.SaveV2Reusing(path, model, u.manifest)
 			if err == nil {
@@ -296,6 +311,10 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 			ph.ShardMicros = lap()
 		}
 	}
+	// served: the engine is handed model itself, so from the promote on its
+	// arrays belong to a snapshot. Only a mapped promote leaves them the
+	// updater's own.
+	served := true
 	if u.opts.Mmap && info.Path != "" {
 		mm, merr := store.Open(info.Path)
 		ph.OpenMicros = lap()
@@ -322,6 +341,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 			snap.Generation = u.generation
 			info.Version = u.opts.Engine.Promote(snap)
 			ph.PromoteMicros = lap()
+			served = false
 		}
 	} else {
 		snap := u.buildServeSnapshotLocked(model, full)
@@ -338,6 +358,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	u.drainLagLocked(now, u.pendingTo)
 	u.published = true
 	u.lastModel = model
+	u.lastServed = served
 	u.lastRef = u.refined
 	u.lastVersion = info.Version
 	u.pendingRows = nil
@@ -352,7 +373,9 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	} else {
 		return info, err
 	}
+	u.lastPhases.WatermarkMicros = lap()
 	u.pruneSnapshotsLocked()
+	u.lastPhases.PruneMicros = lap()
 	u.publishes++
 	u.lastPublish = now
 	u.lastPublishMs = now.Sub(start).Milliseconds()
@@ -389,14 +412,24 @@ func (u *Updater) buildServeSnapshotLocked(m *core.Model, full bool) *serve.Snap
 
 // buildExtendedPatchedLocked is buildExtendedLocked's O(changed) twin for
 // the fold-in regime. Instead of reassembling every membership row it
-// copies the last published Π wholesale (one memcpy), overwrites the rows
-// in rows (re-folded since that publish) from their fold results, and
-// appends rows for users added since. Callers guarantee u.lastModel is
-// the promoted predecessor and u.refined == u.lastRef; under that
-// contract every row lands with exactly the bytes buildExtendedLocked
-// would assign it — unchanged rows were built from the same foldPi/ref
-// sources when lastModel was built, changed rows copy the same foldPi
-// entries — so the result is bit-identical, without the O(users) walk.
+// starts from the last published Π, overwrites the rows in rows (re-folded
+// since that publish) from their fold results, and appends rows for users
+// added since. Callers guarantee u.lastModel is the promoted predecessor
+// and u.refined == u.lastRef; under that contract every row lands with
+// exactly the bytes buildExtendedLocked would assign it — unchanged rows
+// were built from the same foldPi/ref sources when lastModel was built,
+// changed rows copy the same foldPi entries — so the result is
+// bit-identical, without the O(users) walk.
+//
+// Whose array the rows land in follows from who can see it. When the last
+// promote handed the engine the file mapping, lastModel's Π was never
+// anybody's but the updater's: it is patched where it stands and grown by
+// append (amortised), and lastModel is spent. A publish that fails after
+// this leaves the patched rows in place; rows — pendingRows — still names
+// every one of them, so the retry writes them again and arrives at the
+// same bytes. When lastModel itself was promoted (no Mmap, or a file that
+// would not map) a snapshot may be reading that Π, and the rows land in a
+// copy.
 func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
 	ref := u.refined
 	last := u.lastModel
@@ -418,11 +451,16 @@ func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
 			}
 		}
 	}
-	// Appending to a clipped slice allocates by copying: last's Π lands in
-	// fresh memory nobody cleared first, with the new rows behind it.
-	pi := append(slices.Clip(last.Pi.Data), appended...)
-	if len(appended) == 0 {
-		pi = slices.Clone(pi) // nothing was appended, so nothing was copied
+	pi := last.Pi.Data
+	if u.lastServed {
+		// Appending to a clipped slice allocates by copying: last's Π lands
+		// in fresh memory nobody cleared first, with the new rows behind it.
+		pi = append(slices.Clip(pi), appended...)
+		if len(appended) == 0 {
+			pi = slices.Clone(pi) // nothing was appended, so nothing was copied
+		}
+	} else {
+		pi = append(pi, appended...)
 	}
 	// last was built from this same reference (the caller's contract), so
 	// its global blocks are ref's and its prediction caches are already the

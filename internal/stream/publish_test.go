@@ -500,3 +500,211 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 		t.Fatalf("publish after that: %+v, want the steady patched path again", ph)
 	}
 }
+
+// TestPromotedPiIsNeverPatched is the copy side of the in-place rule:
+// without Mmap the engine is handed the heap model itself, so the Π of
+// generation N belongs to snapshot N for as long as anybody holds it.
+// Snapshot N is held, and read from another goroutine, across incremental
+// publishes N+1 and N+2 that re-fold its users: its rows and its answers
+// must not move, and under -race a publish that wrote into its array is a
+// reported race.
+func TestPromotedPiIsNeverPatched(t *testing.T) {
+	g, m := testBase(t)
+	engine, _, u := newTestUpdater(t, g, m, nil)
+	// Documents for trained users only: nobody is appended, so Π keeps its
+	// length and patching in place would need no new array at all.
+	const window = 24
+	publish := func(k int) *PublishInfo {
+		t.Helper()
+		for i := 0; i < window; i++ {
+			ev := Event{Type: EvAddDoc, User: int32((7*k + 5*i) % m.NumUsers), Time: int64(1000 + window*k + i), Words: g.Docs[(3*k+i)%len(g.Docs)].Words}
+			if _, err := u.Ingest([]Event{ev}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		info, err := u.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	publish(0)
+	held, release, err := engine.AcquireNamed(serve.DefaultSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if held.Model != u.lastModel {
+		t.Fatal("without Mmap the engine should serve the updater's own model")
+	}
+	rows := append([]float64(nil), held.Model.Pi.Data...)
+	answers := make([]*serve.MembershipResult, held.Model.NumUsers)
+	for id := range answers {
+		if answers[id], err = held.Membership(id, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, v := range held.Model.Pi.Data {
+				if v != rows[i] {
+					t.Errorf("element %d of the held snapshot's Π moved under a reader", i)
+					return
+				}
+			}
+		}
+	}()
+	for k := 1; k <= 2; k++ {
+		info := publish(k)
+		if !info.Incremental {
+			t.Fatalf("publish %d took the full path; the test needs the patched one", k+1)
+		}
+		if &u.lastModel.Pi.Data[0] == &held.Model.Pi.Data[0] {
+			t.Fatalf("publish %d built its Π inside the array a held snapshot reads", k+1)
+		}
+	}
+	close(stop)
+	<-done
+	if !reflect.DeepEqual(held.Model.Pi.Data, rows) {
+		t.Fatal("the held snapshot's rows changed across two publishes")
+	}
+	moved := false
+	for id, want := range answers {
+		got, err := held.Membership(id, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the held snapshot now answers membership(%d) with %+v, before the publishes %+v", id, got, want)
+		}
+		if now, err := engine.Membership(id, 4); err != nil || !reflect.DeepEqual(now.Communities, want.Communities) {
+			moved = true
+		}
+	}
+	if !moved {
+		t.Fatal("no answer moved between generation N and N+2; the publishes re-folded nobody the test can see")
+	}
+}
+
+// dirFiles reads every regular file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// TestFailedPublishRetriesToSameBytes is the patch side of the rule: with
+// Mmap the engine serves the file mapping and the updater patches Π inside
+// the array it published from last time — so a publish that fails after
+// the patch (here: its snapshot directory is gone when the save comes)
+// leaves that array ahead of what is served. The retry, with more events
+// ingested in between, must still write exactly the files an updater that
+// never failed and rebuilds everything from scratch writes: full snapshot
+// and every file of the shard group.
+func TestFailedPublishRetriesToSameBytes(t *testing.T) {
+	g, m := testBase(t)
+	mk := func(fullRebuild bool) (*Updater, string) {
+		e := serve.New(m, nil, serve.Options{Mmap: true})
+		t.Cleanup(e.Close)
+		dir := filepath.Join(t.TempDir(), "snapshots") // a directory the test may rename
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, _, u := newTestUpdater(t, g, m, func(o *Options) {
+			o.Engine, o.Dir, o.Mmap, o.Shards, o.FullRebuild = e, dir, true, 3, fullRebuild
+		})
+		return u, dir
+	}
+	disturbed, dDir := mk(false)
+	steady, sDir := mk(true)
+	evs := randomEvents(g, m, 96, 31)
+	const window = 24
+	ingest := func(u *Updater, k int) {
+		t.Helper()
+		if _, err := u.Ingest(evs[k*window : (k+1)*window]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish := func(u *Updater) *PublishInfo {
+		t.Helper()
+		info, err := u.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	for k := 0; k < 2; k++ { // generation 1 is full, generation 2 patches
+		ingest(disturbed, k)
+		ingest(steady, k)
+		publish(disturbed)
+		publish(steady)
+	}
+	if disturbed.lastServed {
+		t.Fatal("a mapped promote should leave the heap model the updater's own")
+	}
+	ingest(disturbed, 2)
+	if err := os.Rename(dDir, dDir+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := disturbed.Publish(); err == nil {
+		t.Fatalf("publish into a missing directory succeeded: %+v", info)
+	}
+	if err := os.Rename(dDir+".away", dDir); err != nil {
+		t.Fatal(err)
+	}
+	if gen := disturbed.Status().Generation; gen != 2 {
+		t.Fatalf("the failed publish left generation %d, want 2", gen)
+	}
+	ingest(disturbed, 3)
+	info := publish(disturbed)
+	if !info.Incremental || info.Generation != 3 {
+		t.Fatalf("the retry published %+v, want incremental generation 3", info)
+	}
+
+	ingest(steady, 2)
+	ingest(steady, 3)
+	publish(steady)
+
+	got, want := dirFiles(t, dDir), dirFiles(t, sDir)
+	if len(got) != len(want) {
+		t.Fatalf("the disturbed run left %d files, the steady one %d", len(got), len(want))
+	}
+	for name, raw := range want {
+		if !reflect.DeepEqual(got[name], raw) {
+			t.Errorf("%s differs between the retried and the undisturbed run", name)
+		}
+	}
+	requireSameServed(t, disturbed.opts.Engine, steady.opts.Engine, info.Users, [][]int32{g.Docs[0].Words[:2]})
+
+	// And the saving is real: with nobody appended, the next Π is the last
+	// one's array.
+	array := &disturbed.lastModel.Pi.Data[0]
+	if _, err := disturbed.Ingest([]Event{{Type: EvAddDoc, User: 5, Time: 5000, Words: g.Docs[3].Words}}); err != nil {
+		t.Fatal(err)
+	}
+	if info := publish(disturbed); !info.Incremental || &disturbed.lastModel.Pi.Data[0] != array {
+		t.Fatalf("a mapped incremental publish (%+v) should patch Π where it stands", info)
+	}
+}

@@ -255,12 +255,15 @@ type Updater struct {
 	published bool
 
 	// Incremental-publish state (publish.go): the extended model behind
-	// the last successful promote, the refined reference it was built
+	// the last successful promote and whether the engine was handed that
+	// model itself (false: it serves the file mapping, and the model's Π is
+	// the updater's to patch in place), the refined reference it was built
 	// from, the engine version it produced, the section manifest of its
 	// snapshot file, and the user rows re-folded since that promote
 	// (carried across failed attempts so a retried publish cannot lose a
 	// row that was folded before the failure).
 	lastModel   *core.Model
+	lastServed  bool
 	lastRef     *core.Model
 	lastVersion uint64
 	manifest    *store.SectionManifest

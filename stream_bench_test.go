@@ -19,17 +19,23 @@ import (
 // streamBenchSetup stands up a serving-scale model, engine, journal and
 // updater (publish window 256, in-memory promotion).
 func streamBenchSetup(b *testing.B, windowEvents int) (*serve.Engine, *stream.Updater) {
-	return streamBenchSetupMode(b, windowEvents, false)
+	return streamBenchSetupMode(b, windowEvents, false, false)
 }
 
 // streamBenchSetupMode is streamBenchSetup with the publish path pinned:
 // fullRebuild forces every publish to rebuild model, indexes and encoding
-// from scratch (the pre-incremental behavior).
-func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild bool) (*serve.Engine, *stream.Updater) {
+// from scratch (the pre-incremental behavior); mapped publishes through
+// snapshot files the engine maps (Dir + Mmap, a production publisher's
+// configuration), which is what lets the updater patch Π in place.
+func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild, mapped bool) (*serve.Engine, *stream.Updater) {
 	b.Helper()
 	m := serve.SyntheticModel(2000, 100, 50, 50000, 2018)
-	e := serve.New(m, nil, serve.Options{})
+	e := serve.New(m, nil, serve.Options{Mmap: mapped})
 	b.Cleanup(e.Close)
+	dir := ""
+	if mapped {
+		dir = b.TempDir()
+	}
 	j, err := stream.OpenJournal(filepath.Join(b.TempDir(), "bench.wal"), stream.JournalOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -42,6 +48,8 @@ func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild bool) (*se
 		FoldSweeps:   10,
 		FoldSeed:     7,
 		FullRebuild:  fullRebuild,
+		Dir:          dir,
+		Mmap:         mapped,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -115,8 +123,10 @@ func BenchmarkIngestApply(b *testing.B) {
 // scale (2000 users, |C|=100, |W|=50k): ingest one 64-event window of
 // documents, publish, repeat. The incremental sub-benchmark takes the
 // O(changed) path (patched Π, patched per-shard user index, shared rank
-// index); full-rebuild pins Options.FullRebuild and reassembles
-// everything — the pre-incremental publish cost. The two serve
+// index), in memory; incremental-mmap is the same path through snapshot
+// files the engine maps, where Π is patched in place and the save is the
+// single-pass, section-reusing one; full-rebuild pins Options.FullRebuild
+// and reassembles everything — the pre-incremental publish cost. The two serve
 // bit-identical results (TestIncrementalPublishMatchesFullRebuild); the
 // ratio here is what the O(changed) claim buys.
 func BenchmarkIncrementalPublish(b *testing.B) {
@@ -137,14 +147,15 @@ func BenchmarkIncrementalPublish(b *testing.B) {
 		return evs
 	}
 	for _, mode := range []struct {
-		name string
-		full bool
+		name         string
+		full, mapped bool
 	}{
-		{"incremental", false},
-		{"full-rebuild", true},
+		{"incremental", false, false},
+		{"incremental-mmap", false, true},
+		{"full-rebuild", true, false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			_, u := streamBenchSetupMode(b, window, mode.full)
+			_, u := streamBenchSetupMode(b, window, mode.full, mode.mapped)
 			// Prime generation 1 outside the clock: the first publish is
 			// always a full rebuild, so the incremental mode measures
 			// steady-state patching only.
