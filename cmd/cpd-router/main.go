@@ -1,12 +1,13 @@
 // Command cpd-router is the distributed serving front: a stateless tier
 // over N cpd-serve replicas that all pull the same publisher's snapshot
 // generations. Membership and fold-in requests route to the replica
-// owning the user (rendezvous hash, stable across fleet changes); rank
-// and diffusion scatter to the fleet and gather with a partial top-K
-// merge that is bit-identical to a single node answering from the same
-// generation; community browsing proxies to the freshest replica. The
-// query surface is cpd-serve's own JSON API, so every client — curl,
-// cpd-lens -remote, cpd-loadgen -url — points at the router unchanged.
+// owning the user (rendezvous hash, stable across fleet changes);
+// diffusion goes to the owner of u; rank scatters to the fleet and sums
+// one answer per shard into the answer a single node gives from the same
+// generation, bit for bit; community browsing proxies to the freshest
+// replica. The query surface is cpd-serve's own JSON API, so every
+// client — curl, cpd-lens -remote, cpd-loadgen -url — points at the
+// router unchanged.
 //
 // Usage:
 //
@@ -27,11 +28,14 @@
 //
 // Sharded fleets need no extra configuration: replicas started with
 // cpd-serve -fetch-shard advertise their owned user range on
-// /api/generation, and the router switches to shard-aware routing —
-// membership to the owning shard's replicas (421 answers fail over),
-// rank Members summed across shards, cross-shard diffusion and fold-in
-// hydrated with /api/pirow rows from the owners. A replica that has been
-// POSTed /api/drain leaves the preferred rotation until it restarts.
+// /api/generation, and a replica that advertises none owns every user,
+// as shard 0 of 1 — one routing path serves full replication, N shards
+// and N shards × R replicas alike. Users route to the replicas owning
+// them (421 answers fail over, as do dead owners to their shard's other
+// replicas), rank Members are summed across shards, and cross-shard
+// diffusion and fold-in are hydrated with /api/pirow rows from the
+// owners. A replica that has been POSTed /api/drain leaves the preferred
+// rotation until it restarts.
 package main
 
 import (
@@ -99,7 +103,7 @@ func main() {
 	if len(replicas) == 0 {
 		log.Fatal("at least one -replica name=url is required")
 	}
-	// A scatter multiplies every rank/diffusion request by the fleet size,
+	// A scatter multiplies every rank request by the fleet size,
 	// all aimed at a handful of hosts — http.DefaultTransport's 2 idle
 	// conns per host would churn TCP setup under any real concurrency.
 	transport := http.DefaultTransport.(*http.Transport).Clone()

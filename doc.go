@@ -26,22 +26,23 @@
 // cpd-stream backfill CLI and cpd-train -resume on the same core path).
 // A distributed serving tier (internal/router + cmd/cpd-router) fronts
 // N cpd-serve replicas: membership and fold-in route to the owning
-// replica by rendezvous user-hash, rank and diffusion scatter-gather
-// with an exact partial top-K merge, and replicas pull generation
+// replica by rendezvous user-hash, diffusion to the owner of u, rank
+// scatter-gathers with an exact merge, and replicas pull generation
 // snapshots from the publisher (serve.Fetcher: CRC-verified, warmed,
 // atomically swapped) with per-replica health/generation/lag on the
 // router's stats and metrics. Sharded snapshots (internal/shard) split
 // a v2 generation into a CRC-manifested group — one global file plus N
 // per-user-range shard files — so each replica maps only the users it
 // owns (cpd-serve -ingest-shards / -fetch-shard); the router routes by
-// shard containment, sums per-shard member counts in its rank merge,
-// and hydrates cross-shard fold-in/diffusion rows from the owners. A
-// workload harness (internal/scenario) adds named seeded scenario
-// presets across degree/membership/vocabulary/diffusion regimes —
-// including streaming ingest regimes with replay-equals-batch and
-// freshness invariants, and multi-replica and sharded-fleet presets
-// pinning routed-vs-single-node bit-equality
-// across a live generation rollout — an end-to-end regression runner
+// shard containment (a full-snapshot replica being shard 0 of 1, one
+// path serves every topology), sums per-shard member counts in its rank
+// merge, and hydrates cross-shard fold-in/diffusion rows from the
+// owners. A workload harness (internal/scenario) adds named seeded
+// scenario presets across degree/membership/vocabulary/diffusion
+// regimes — including streaming ingest regimes with replay-equals-batch
+// and freshness invariants, and fleet presets (full replication, N
+// shards, N shards × R replicas) pinning routed-vs-single-node
+// bit-equality across a live generation rollout — an end-to-end regression runner
 // with golden metric files, and the cpd-loadgen traffic generator that
 // reports QPS and latency percentiles (reads and ingest writes) against
 // a served model or a router front.

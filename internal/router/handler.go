@@ -23,13 +23,14 @@ import (
 // serve.APIHandler exactly, so any cpd-serve client — cpd-loadgen
 // included — can point at a router base URL unchanged:
 //
-//	GET  /api/user?id=42&k=5      owner-routed membership (shard-aware)
-//	GET  /api/pirow?id=42         owner-routed membership row (shard-aware)
+//	GET  /api/user?id=42&k=5      owner-routed membership
+//	GET  /api/pirow?id=42         owner-routed membership row
 //	POST /api/foldin              owner-routed fold-in (?user=K overrides the seed-derived key;
-//	                              on sharded fleets the rows of the friends the target does
-//	                              not own are hydrated from their owners)
-//	GET  /api/rank?w=17,204&k=10  scatter-gather, partial top-K merge (Members summed across shards)
-//	GET  /api/diffusion?...       scatter-gather, freshest answer (row-hydrated on sharded fleets)
+//	                              the rows of the friends the target does not own are
+//	                              hydrated from their owners)
+//	GET  /api/rank?w=17,204&k=10  scatter-gather, one answer per shard, Members summed
+//	GET  /api/diffusion?...       to the owner of u (v's row hydrated when it owns another
+//	                              range); any other method is 405
 //	GET  /api/communities         freshest-replica proxy
 //	GET  /api/community?id=3      freshest-replica proxy
 //	GET  /api/quality             freshest-replica proxy
@@ -41,10 +42,10 @@ import (
 // The five query endpoints speak the compact codec of serve's wire.go
 // and relay wherever they can: an owner's reply goes to the client as
 // the bytes the owner wrote, a hydrated membership row travels from its
-// owner to the scorer as the text the owner formatted, and only a merged
-// answer (rank, full-replication diffusion) is decoded and re-encoded —
-// once. Replies from replicas that still indent or order members
-// differently decode the same.
+// owner to the scorer as the text the owner formatted, and only rank —
+// the one merged answer — is decoded and re-encoded, once. Replies from
+// replicas that still indent or order members differently decode the
+// same.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	byUser := func(w http.ResponseWriter, r *http.Request) {
@@ -338,13 +339,13 @@ type flight struct {
 // shared runs compute behind a singleflight: concurrent requests for the
 // same method, path and query string share one fleet fan-out — and one
 // merge — instead of multiplying backend load. Under a thundering herd
-// of identical rank/diffusion queries the fleet sees one request per
-// replica, not one per client. Scatter answers depend only on the query
-// and the replicas' published generation, so every caller on the flight
-// would have computed the same answer anyway; the leader detaches from
-// its own request's cancellation, so a leader whose client hangs up
-// still completes the flight for its followers. A follower whose own
-// context dies stops waiting and reports ok=false.
+// of identical rank queries the fleet sees one request per replica, not
+// one per client. Scatter answers depend only on the query and the
+// replicas' published generation, so every caller on the flight would
+// have computed the same answer anyway; the leader detaches from its own
+// request's cancellation, so a leader whose client hangs up still
+// completes the flight for its followers. A follower whose own context
+// dies stops waiting and reports ok=false.
 func (rt *Router) shared(req *http.Request, compute func(ctx context.Context) answer) (ans answer, ok bool) {
 	key := req.Method + " " + req.URL.Path + "?" + req.URL.RawQuery
 	rt.sfMu.Lock()
@@ -421,72 +422,84 @@ func (rt *Router) rankHandler(w http.ResponseWriter, req *http.Request) {
 			}
 			g.r.generation.Store(res.Generation)
 			answers = append(answers, res)
-			infos = append(infos, g.r.shard.Load())
+			infos = append(infos, g.r.owned())
 		}
-		if len(answers) == 0 {
+		merged, partial := mergeRankSharded(answers, infos, intParam(req.URL.Query(), "k", 10))
+		if merged == nil {
 			return degraded(results)
 		}
-		k := intParam(req.URL.Query(), "k", 10)
-		if merged, ok := mergeRankSharded(answers, infos, k); ok {
-			return encoded(merged)
+		if partial {
+			rt.partialRanks.Add(1)
 		}
-		return encoded(mergeRank(answers, k))
+		return encoded(merged)
 	})
 }
 
-// mergeRankSharded merges rank answers from shard-owning replicas: the
-// entry lists and scores are identical across shards (ranking reads only
-// global sections), but each shard's Members counts only its own user
-// range — the fleet-wide count is their sum. The merge takes the newest
-// generation with FULL shard coverage (one answer per shard index; a
-// partial sum would silently under-count members) and sums Members per
-// community across one representative answer per shard. Returns ok=false
-// when no answer carries shard info or no generation has full coverage —
-// the caller then falls back to the unsharded merge.
-func mergeRankSharded(answers []*serve.RankResult, infos []*shard.Info, k int) (*serve.RankResult, bool) {
+// mergeRankSharded merges rank answers, infos[i] being the range the
+// replica behind answers[i] owns. Entry lists and scores are identical
+// across shards (ranking reads only global sections), but each shard's
+// Members counts only its own user range — the fleet-wide count is their
+// sum over one answer per shard index, whichever of the shard's replicas
+// gave it. Only answers from replicas of the largest shard Count take
+// part, so on a fleet mixing full and sharded replicas the full ones'
+// answers are ignored. The merge uses the newest generation at which
+// every shard index answered. With no such generation it uses the
+// newest generation, sums over the shard indices that did answer, and
+// reports partial — a Members count that is short, and says so. Returns
+// nil when no answer is usable.
+func mergeRankSharded(answers []*serve.RankResult, infos []*shard.Info, k int) (merged *serve.RankResult, partial bool) {
 	count := 0
 	for _, in := range infos {
-		if in != nil && in.Count > 0 {
-			count = in.Count
-		}
+		count = max(count, in.Count)
 	}
-	if count == 0 {
-		return nil, false
+	usable := func(i int) bool {
+		in := infos[i]
+		return in.Count == count && in.Index >= 0 && in.Index < count
 	}
 	// byShard[i] is shard i's representative answer at one generation;
-	// fill reports whether that generation has every shard's.
+	// fill reports how many shard indices that generation has.
 	byShard := make([]*serve.RankResult, count)
-	fill := func(gen uint64) bool {
+	fill := func(gen uint64) int {
 		clear(byShard)
 		covered := 0
 		for i, a := range answers {
-			in := infos[i]
-			if in == nil || in.Count != count || in.Index < 0 || in.Index >= count || a.Generation != gen {
-				continue
-			}
-			if byShard[in.Index] == nil {
+			if in := infos[i]; usable(i) && a.Generation == gen && byShard[in.Index] == nil {
 				byShard[in.Index] = a
 				covered++
 			}
 		}
-		return covered == count
+		return covered
 	}
-	var best uint64
+	var best, newest uint64
 	found := false
-	for _, a := range answers {
-		if (!found || a.Generation > best) && fill(a.Generation) {
+	for i, a := range answers {
+		if !usable(i) {
+			continue
+		}
+		newest = max(newest, a.Generation)
+		if (!found || a.Generation > best) && fill(a.Generation) == count {
 			best, found = a.Generation, true
 		}
 	}
-	if !found || !fill(best) {
+	if !found {
+		best, partial = newest, true
+	}
+	fill(best)
+	var rep *serve.RankResult
+	for _, a := range byShard {
+		if a != nil {
+			rep = a
+			break
+		}
+	}
+	if rep == nil {
 		return nil, false
 	}
-	rep := byShard[0]
 	n := len(rep.Entries)
 	if k > 0 && n > k {
 		n = k
 	}
-	merged := &serve.RankResult{Generation: rep.Generation}
+	merged = &serve.RankResult{Generation: best}
 	if n > 0 {
 		merged.Entries = make([]serve.RankEntry, n)
 	}
@@ -495,10 +508,12 @@ func mergeRankSharded(answers []*serve.RankResult, infos []*shard.Info, k int) (
 		*e = rep.Entries[i]
 		e.Members = 0
 		for _, a := range byShard {
-			e.Members += membersOf(a, i, e.Community)
+			if a != nil {
+				e.Members += membersOf(a, i, e.Community)
+			}
 		}
 	}
-	return merged, true
+	return merged, partial
 }
 
 // membersOf is the member count answer a reports for community c, which
@@ -515,93 +530,26 @@ func membersOf(a *serve.RankResult, i, c int) int {
 	return 0
 }
 
-func (rt *Router) diffusionHandler(w http.ResponseWriter, req *http.Request) {
-	if req.Method == http.MethodGet && rt.fleetSharded() {
-		rt.diffusionSharded(w, req)
-		return
-	}
-	rt.serveShared(w, req, func(ctx context.Context) answer {
-		results := rt.scatter(ctx, req.Method, req.URL.Path, req.URL.RawQuery)
-		defer release(results)
-		var best serve.DiffusionResult
-		found := false
-		for _, g := range results {
-			var res serve.DiffusionResult
-			if g.status != http.StatusOK || res.DecodeWire(g.buf.B) != nil {
-				continue
-			}
-			g.r.generation.Store(res.Generation)
-			// Freshest generation wins; within one generation every replica's
-			// answer is bit-identical, so any representative will do.
-			if !found || res.Generation > best.Generation {
-				best, found = res, true
-			}
-		}
-		if !found {
-			return degraded(results)
-		}
-		best.Version = 0 // whichever replica won the scatter is arbitrary
-		return encoded(&best)
-	})
-}
-
-// mergeRank is the partial top-K merge: entries from the freshest
-// generation represented among the answers, deduplicated per community
-// keeping the best score, ordered score-descending with community id
-// ascending on ties — exactly the order mathx.TopKIndices produces on a
-// single node, so a merge over replicas serving the same generation is
-// bit-identical to that single node's answer. Answers from older
-// generations are dropped, never mixed: a torn merge across generations
-// could rank communities by incomparable scores.
-func mergeRank(answers []*serve.RankResult, k int) *serve.RankResult {
-	var maxGen uint64
-	for _, a := range answers {
-		if a.Generation > maxGen {
-			maxGen = a.Generation
-		}
-	}
-	best := map[int]serve.RankEntry{}
-	for _, a := range answers {
-		if a.Generation != maxGen {
-			continue
-		}
-		for _, e := range a.Entries {
-			if cur, ok := best[e.Community]; !ok || e.Score > cur.Score {
-				best[e.Community] = e
-			}
-		}
-	}
-	merged := &serve.RankResult{Generation: maxGen}
-	for _, e := range best {
-		merged.Entries = append(merged.Entries, e)
-	}
-	sort.Slice(merged.Entries, func(i, j int) bool {
-		a, b := merged.Entries[i], merged.Entries[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		return a.Community < b.Community
-	})
-	if k > 0 && len(merged.Entries) > k {
-		merged.Entries = merged.Entries[:k]
-	}
-	return merged
-}
-
 // maxGenerationTries bounds how often a request that combines answers
 // of several replicas starts over because a rollout put them on
 // different generations.
 const maxGenerationTries = 3
 
-// diffusionSharded scores a diffusion query on a sharded fleet. When one
-// shard owns both endpoints the query forwards to that shard's owner
-// chain unchanged (both rows local — the exact single-node computation).
-// A cross-shard pair fetches v's membership row from its owning replica
-// (/api/pirow) and POSTs it, as the text its owner wrote, to u's owner;
-// a generation mismatch between the row and the scoring replica — a
-// rollout racing the query — retries rather than mix rows from two
-// generations. Either way the scorer's reply is relayed verbatim.
-func (rt *Router) diffusionSharded(w http.ResponseWriter, req *http.Request) {
+// diffusionHandler scores a diffusion query on the owner of u. When that
+// owner also holds v the query forwards to u's owner chain unchanged
+// (both rows local — the exact single-node computation); on a fully
+// replicated fleet that is every pair. Otherwise v's membership row is
+// fetched from its owning replica (/api/pirow) and POSTed, as the text
+// its owner wrote, to u's owner; a generation mismatch between the row
+// and the scoring replica — a rollout racing the query — retries rather
+// than mix rows from two generations. Either way the scorer's reply is
+// relayed verbatim. The row-carrying POST is a router→replica hop only:
+// clients GET.
+func (rt *Router) diffusionHandler(w http.ResponseWriter, req *http.Request) {
+	if req.Method != http.MethodGet {
+		http.Error(w, "GET a diffusion query", http.StatusMethodNotAllowed)
+		return
+	}
 	start := time.Now()
 	var reqErr error
 	defer func() { rt.lat[opScatter].Observe(time.Since(start), reqErr) }()
@@ -619,7 +567,7 @@ func (rt *Router) diffusionSharded(w http.ResponseWriter, req *http.Request) {
 	}
 	ctx := req.Context()
 	chain := rt.userChain(int64(u))
-	if in := chain[0].shard.Load(); in != nil && in.Owns(u) && in.Owns(v) {
+	if in := chain[0].owned(); in.Owns(u) && in.Owns(v) {
 		status, buf, err := rt.ownerFetch(ctx, chain, http.MethodGet, req.URL.Path, req.URL.RawQuery, nil)
 		if err != nil {
 			unreachable(err)
@@ -732,7 +680,7 @@ func (rt *Router) foldInHandler(w http.ResponseWriter, req *http.Request) {
 		key = uint64(id)
 	}
 	chain := rt.owners(key)
-	if len(env.Friends) == 0 || !rt.fleetSharded() {
+	if len(env.Friends) == 0 {
 		rt.routeToOwner(w, req, chain, env.Body())
 		return
 	}
@@ -741,22 +689,24 @@ func (rt *Router) foldInHandler(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("serve: fold-in request has %d friends (limit %d)", len(env.Friends), serve.MaxFoldInFriends), http.StatusBadRequest)
 		return
 	}
-	rt.foldInSharded(w, req, chain, &env)
+	rt.foldInHydrated(w, req, chain, &env)
 }
 
-// foldInSharded serves a fold-in with friends on a sharded fleet, where
-// no single replica owns every friend's membership row. The target
-// replica is chosen first, then the rows of the friends it does NOT own
-// are fetched from their owners and added to the request as the text
-// their owners wrote; the backend reads its own rows for the rest, so
-// the answer is bit-identical to a full node whichever replica serves
-// it. A candidate that fails over or disowns the request (421) hands on
-// to the next one, which re-hydrates for its own range, reusing rows
-// already fetched. The rows travel with their generation: rows that
-// straddle generations among themselves, or that the scoring replica
-// refuses (409: it serves another one), are dropped and fetched again,
-// maxGenerationTries times in all — a fold-in never mixes generations.
-func (rt *Router) foldInSharded(w http.ResponseWriter, req *http.Request, chain []*replica, env *serve.FoldInEnvelope) {
+// foldInHydrated serves a fold-in with friends, whose membership rows
+// the target replica may not all own. The target replica is chosen
+// first, then the rows of the friends it does NOT own are fetched from
+// their owners and added to the request as the text their owners wrote;
+// the backend reads its own rows for the rest, so the answer is
+// bit-identical to a full node whichever replica serves it (a replica
+// that owns every friend — any replica of a fully replicated fleet — is
+// sent the client's request unchanged). A candidate that fails over or
+// disowns the request (421) hands on to the next one, which re-hydrates
+// for its own range, reusing rows already fetched. The rows travel with
+// their generation: rows that straddle generations among themselves, or
+// that the scoring replica refuses (409: it serves another one), are
+// dropped and fetched again, maxGenerationTries times in all — a
+// fold-in never mixes generations.
+func (rt *Router) foldInHydrated(w http.ResponseWriter, req *http.Request, chain []*replica, env *serve.FoldInEnvelope) {
 	start := time.Now()
 	var reqErr error
 	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
@@ -839,9 +789,9 @@ var errStraddle = errors.New("friend rows kept straddling generations")
 // from (errStraddle if they are from several). Rows not yet in rows —
 // which is indexed like friends — are fetched into it.
 func (rt *Router) hydrate(ctx context.Context, r *replica, friends []int32, rows []piRow) (users []int32, texts [][]byte, gen uint64, err error) {
-	in := r.shard.Load()
+	in := r.owned()
 	for i, friend := range friends {
-		if in == nil || in.Owns(int(friend)) {
+		if in.Owns(int(friend)) {
 			continue
 		}
 		if rows[i].text == nil {

@@ -5,24 +5,29 @@
 // profiling queries need at the network scales the source corpora have,
 // where one process cannot hold the whole fleet's page-cache working set.
 //
+// There is one topology: every replica owns a user range (shard.Info),
+// advertised on /api/generation. A replica that advertises none — a
+// full-snapshot replica — owns every user as shard 0 of 1, so full
+// replication is one shard with R owners and a sharded fleet is N shards
+// with R owners each, served by the same code.
+//
 // Routing policy per endpoint class:
 //
 //   - Membership (/api/user, /api/pirow) and fold-in (/api/foldin)
 //     route to the OWNING replica by weighted rendezvous user-hash, with
-//     failover down the preference list. On a full-snapshot fleet every
-//     replica answers identically; ownership concentrates each user's Pi
-//     rows (and fold-in locality) on one replica's page cache. On a
-//     SHARDED fleet (replicas advertise a shard.Info user range on
-//     /api/generation) only the replicas whose range contains the user
-//     are candidates, a 421 answer counts as a misroute and fails over,
-//     and fold-in friend rows are hydrated from the owning replicas
-//     before the request is forwarded.
-//   - Rank (/api/rank) and diffusion (/api/diffusion) SCATTER to all
-//     replicas and gather: responses are grouped by the publisher
-//     generation they answered from, the freshest group wins, and rank
-//     entries go through a partial top-K merge that reproduces the
-//     single-node ordering bit-for-bit (score descending, community
-//     ascending on ties — exactly mathx.TopKIndices' tie rule).
+//     failover down the preference list. Only the replicas whose range
+//     contains the user are candidates; within a shard, ownership
+//     concentrates each user's Pi rows (and fold-in locality) on one
+//     replica's page cache. A 421 answer counts as a misroute and fails
+//     over, and fold-in friend rows the target does not own are hydrated
+//     from their owners before the request is forwarded.
+//   - Diffusion (/api/diffusion) goes to the owner of u: forwarded when
+//     that owner also holds v, otherwise with v's row fetched from its
+//     owner and POSTed along.
+//   - Rank (/api/rank) SCATTERS to all replicas and gathers: every shard
+//     scores the same entries, each counts Members over its own users,
+//     and the merge sums one answer per shard from the newest generation
+//     every shard answered at — the single-node answer bit-for-bit.
 //   - Community browsing and quality (/api/communities, /api/community,
 //     /api/quality) proxy to the freshest healthy replica, failing over.
 //
@@ -41,10 +46,9 @@
 // `version` is a different thing, a counter local to one replica process
 // (it moves on every swap, reload or restart). The rule for it: an
 // answer ONE replica scored — membership, a membership row, fold-in,
-// sharded diffusion, where the owner of u scores the pair — is relayed
-// verbatim, that replica's version included; an answer the router
-// assembled from a scatter — rank on either topology, full-replication
-// diffusion — belongs to no one process and carries version 0.
+// diffusion, where the owner of u scores the pair — is relayed verbatim,
+// that replica's version included; rank, the only answer the router
+// assembles, belongs to no one process and carries version 0.
 package router
 
 import (
@@ -94,7 +98,7 @@ type Options struct {
 // endpoint classes the router accounts latency for.
 const (
 	opRoute   = iota // owner-routed: membership, fold-in
-	opScatter        // scatter-gather: rank, diffusion
+	opScatter        // rank's scatter-gather, and diffusion
 	opProxy          // freshest-replica proxy: communities, quality
 	opCount
 )
@@ -117,9 +121,8 @@ type replica struct {
 	// owner-routed work while any non-draining candidate remains, so an
 	// operator can empty a replica before taking it down.
 	draining atomic.Bool
-	// shard is the user range the replica advertises owning (nil on
-	// full-snapshot replicas). Owner routing only considers replicas
-	// whose range contains the user once any replica advertises one.
+	// shard is the user range the replica advertises owning, as polled:
+	// nil on full-snapshot replicas. Routing reads it through owned.
 	shard atomic.Pointer[shard.Info]
 	// misroutes counts 421 (Misdirected Request) answers — the replica
 	// disowned a user the router sent it, usually a topology change
@@ -128,6 +131,19 @@ type replica struct {
 
 	mu      sync.Mutex
 	lastErr string
+}
+
+// allUsers is the range a replica advertising none serves: every user,
+// as shard 0 of 1.
+var allUsers = shard.Info{Index: 0, Count: 1, UserLo: 0, UserHi: math.MaxInt}
+
+// owned is the user range r serves — its advertised shard, else
+// allUsers. Callers must not modify the result.
+func (r *replica) owned() *shard.Info {
+	if in := r.shard.Load(); in != nil {
+		return in
+	}
+	return &allUsers
 }
 
 func (r *replica) fail(err error) {
@@ -148,11 +164,14 @@ type Router struct {
 	replicas []*replica
 	lat      [opCount]hist.Atomic
 
-	// Scatter singleflight: identical concurrent rank/diffusion queries
-	// collapse onto one in-flight fleet fan-out (see shared).
+	// Scatter singleflight: identical concurrent rank queries collapse
+	// onto one in-flight fleet fan-out (see shared).
 	sfMu           sync.Mutex
 	sfCalls        map[string]*flight
 	sharedScatters atomic.Uint64
+	// partialRanks counts rank merges no generation had every shard's
+	// answer for (see mergeRankSharded).
+	partialRanks atomic.Uint64
 }
 
 // New builds a router over the given replicas. Replica names must be
@@ -303,33 +322,18 @@ func (rt *Router) owners(key uint64) []*replica {
 	return out
 }
 
-// fleetSharded reports whether any replica advertises a shard range —
-// the signal that owner routing must respect user → shard containment.
-func (rt *Router) fleetSharded() bool {
-	for _, r := range rt.replicas {
-		if r.shard.Load() != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // userChain is the failover chain for user-addressed work: the owners
-// chain for the user's key, filtered to the replicas whose advertised
-// shard range contains the user once the fleet is sharded. A fleet where
-// no advertised shard contains the user falls back to the whole chain —
-// the backends then answer 421/400 and the client sees the truth rather
-// than a routing dead-end.
+// chain for the user's key, filtered to the replicas whose range
+// contains the user. A fleet where no range contains the user falls back
+// to the whole chain — the backends then answer 421/400 and the client
+// sees the truth rather than a routing dead-end.
 func (rt *Router) userChain(user int64) []*replica {
 	chain := rt.owners(uint64(user))
-	if !rt.fleetSharded() {
-		return chain
-	}
 	// Compact the owning replicas to the front, in place; with none, not
 	// one element has moved.
 	n := 0
 	for _, r := range chain {
-		if in := r.shard.Load(); in != nil && in.Owns(int(user)) {
+		if r.owned().Owns(int(user)) {
 			chain[n] = r
 			n++
 		}

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // fakeReplica is a scripted backend: it answers /api/generation with its
@@ -189,46 +191,87 @@ func TestScatterMixedGenerations(t *testing.T) {
 	}
 }
 
-// The partial top-K merge must reproduce the single-node order exactly:
-// score descending, community ascending on score ties (TopKIndices'
-// tie-to-first-index rule), duplicates deduplicated to the best score,
-// and older generations dropped rather than mixed.
-func TestMergeRankTies(t *testing.T) {
-	merged := mergeRank([]*serve.RankResult{
-		{Generation: 7, Entries: []serve.RankEntry{
-			{Community: 5, Score: 3.0},
-			{Community: 2, Score: 3.0}, // ties 5; lower id must sort first
-			{Community: 8, Score: 1.0},
-		}},
-		{Generation: 7, Entries: []serve.RankEntry{
-			{Community: 5, Score: 3.0}, // duplicate of the tie
-			{Community: 3, Score: 9.0},
-			{Community: 8, Score: 2.0}, // same community, better score
-		}},
-		{Generation: 6, Entries: []serve.RankEntry{
-			{Community: 1, Score: 100}, // stale: must not appear
-		}},
-	}, 4)
-	if merged.Generation != 7 {
-		t.Fatalf("generation = %d, want 7", merged.Generation)
+// The rank merge sums Members over one answer per shard index — a full
+// replica being shard 0 of 1 — at the newest generation every shard of
+// the largest advertised Count answered at, and reports partial when no
+// generation had them all.
+func TestMergeRankCoverage(t *testing.T) {
+	// Every shard scores the same entries; only Members differ.
+	ans := func(gen uint64, members int) *serve.RankResult {
+		return &serve.RankResult{Version: 7, Generation: gen, Entries: []serve.RankEntry{
+			{Community: 4, Score: 9, Members: members},
+			{Community: 2, Score: 5, Members: 2 * members},
+		}}
 	}
-	want := []serve.RankEntry{
-		{Community: 3, Score: 9.0},
-		{Community: 2, Score: 3.0},
-		{Community: 5, Score: 3.0},
-		{Community: 8, Score: 2.0},
+	sh := func(index, count int) *shard.Info { return &shard.Info{Index: index, Count: count} }
+	full := &allUsers
+	type part struct {
+		in  *shard.Info
+		res *serve.RankResult
 	}
-	if len(merged.Entries) != len(want) {
-		t.Fatalf("entries = %+v, want %+v", merged.Entries, want)
-	}
-	for i := range want {
-		if merged.Entries[i] != want[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, merged.Entries[i], want[i])
+	for _, tc := range []struct {
+		name    string
+		parts   []part
+		gen     uint64
+		members int
+		partial bool
+	}{
+		{"one shard: its replicas answer alike, a stale one is dropped",
+			[]part{{full, ans(5, 30)}, {full, ans(5, 30)}, {full, ans(4, 99)}}, 5, 30, false},
+		{"two replicas per shard: a shard answering twice counts once",
+			[]part{{sh(0, 2), ans(3, 10)}, {sh(1, 2), ans(3, 7)}, {sh(0, 2), ans(3, 10)}, {sh(1, 2), ans(3, 7)}}, 3, 17, false},
+		{"rollout: full coverage at g-1 beats partial coverage at g",
+			[]part{{sh(0, 3), ans(6, 1)}, {sh(1, 3), ans(6, 2)}, {sh(0, 3), ans(5, 10)}, {sh(1, 3), ans(5, 20)}, {sh(2, 3), ans(5, 30)}}, 5, 60, false},
+		{"no full coverage anywhere: newest generation, partial sum",
+			[]part{{sh(1, 3), ans(5, 20)}, {sh(0, 3), ans(6, 1)}, {sh(2, 3), ans(4, 30)}}, 6, 1, true},
+		{"mixed fleet: the full replica's answer is ignored",
+			[]part{{full, ans(5, 1000)}, {sh(0, 2), ans(5, 10)}, {sh(1, 2), ans(5, 7)}}, 5, 17, false},
+		{"mixed fleet, no shard owner answered: the full replica is the fleet",
+			[]part{{full, ans(5, 1000)}}, 5, 1000, false},
+	} {
+		var answers []*serve.RankResult
+		var infos []*shard.Info
+		for _, p := range tc.parts {
+			answers, infos = append(answers, p.res), append(infos, p.in)
+		}
+		merged, partial := mergeRankSharded(answers, infos, 10)
+		want := ans(tc.gen, tc.members)
+		want.Version = 0 // the router assembled it
+		if !reflect.DeepEqual(merged, want) || partial != tc.partial {
+			t.Errorf("%s: merged %+v (partial %v), want %+v (partial %v)", tc.name, merged, partial, want, tc.partial)
 		}
 	}
-	// Truncation keeps the top of the same order.
-	if top := mergeRank([]*serve.RankResult{{Generation: 7, Entries: want}}, 2); len(top.Entries) != 2 || top.Entries[1].Community != 2 {
-		t.Fatalf("truncated merge = %+v", top.Entries)
+	if top, _ := mergeRankSharded([]*serve.RankResult{ans(1, 3)}, []*shard.Info{full}, 1); len(top.Entries) != 1 || top.Entries[0].Community != 4 {
+		t.Errorf("k=1 merge = %+v, want the top entry alone", top)
+	}
+	if merged, _ := mergeRankSharded(nil, nil, 10); merged != nil {
+		t.Errorf("merge of no answers = %+v, want nil", merged)
+	}
+}
+
+// A client cannot POST a diffusion query: the row-carrying POST is the
+// router's own hop to the scoring replica, and a routed one could never
+// carry the row. The router answers 405 without asking any replica.
+func TestDiffusionRejectsNonGET(t *testing.T) {
+	a := newFakeReplica(t, "a", 1, nil)
+	front := httptest.NewServer(newTestRouter(t, a).Handler())
+	defer front.Close()
+	for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
+		req, err := http.NewRequest(method, front.URL+"/api/diffusion?u=1&v=2&topic=0", strings.NewReader(`{"u":1,"v":2,"topic":0}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s /api/diffusion: status %d, want 405", method, resp.StatusCode)
+		}
+	}
+	if len(a.hits) != 0 {
+		t.Errorf("a rejected diffusion reached the replica: %v", a.hits)
 	}
 }
 
@@ -452,8 +495,8 @@ func TestOwnerRoutingFailover(t *testing.T) {
 }
 
 // The version rule of the package comment: what one replica scored is
-// relayed verbatim, that replica's process-local version included; what
-// the router assembled from a scatter carries version 0.
+// relayed verbatim, that replica's process-local version included; rank,
+// which the router assembles from a scatter, carries version 0.
 func TestRoutedVersionRule(t *testing.T) {
 	get := func(url string) string {
 		t.Helper()
@@ -469,17 +512,28 @@ func TestRoutedVersionRule(t *testing.T) {
 		return string(body)
 	}
 
-	// Full replication: rank and diffusion are scatter-gathered.
+	// Full replication: rank is scatter-gathered; diffusion goes to the
+	// owner of u alone, which holds every row.
 	entries := []serve.RankEntry{{Community: 1, Score: 9}}
 	a, b := newFakeReplica(t, "a", 3, entries), newFakeReplica(t, "b", 3, entries)
-	front := httptest.NewServer(newTestRouter(t, a, b).Handler())
+	full := newTestRouter(t, a, b)
+	front := httptest.NewServer(full.Handler())
 	defer front.Close()
 	if res, _ := getRank(t, front.URL, "?w=1"); res.Version != 0 || res.Generation != 3 {
 		t.Errorf("merged rank = %+v, want version 0 at generation 3 (the replicas said version 7)", res)
 	}
-	var d serve.DiffusionResult
-	if err := json.Unmarshal([]byte(get(front.URL+"/api/diffusion?u=1&v=2&topic=0")), &d); err != nil || d.Version != 0 || d.Generation != 3 {
-		t.Errorf("scattered diffusion = %+v (%v), want version 0 at generation 3 (the replicas said version 3)", d, err)
+	owner, other := a, b
+	if full.Owner(1) == "b" {
+		owner, other = b, a
+	}
+	got := get(front.URL + "/api/diffusion?u=1&v=2&topic=0")
+	if want := get(owner.srv.URL + "/api/diffusion?u=1&v=2&topic=0"); got != want || !strings.Contains(got, `"version":3`) {
+		t.Errorf("fully replicated diffusion = %q, want the owner of u's own reply %q, version 3 included", got, want)
+	}
+	for _, path := range other.hits {
+		if path == "/api/diffusion" {
+			t.Errorf("fully replicated diffusion reached %s, which does not own u", other.name)
+		}
 	}
 	if body := get(front.URL + "/api/user?id=5"); !strings.HasPrefix(body, `{"replica": "`) {
 		t.Errorf("membership was not relayed verbatim: %s", body)

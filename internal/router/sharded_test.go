@@ -470,6 +470,15 @@ func newGenReplica(t *testing.T, name string, index, lo, hi int) *genReplica {
 		// plus 11, so a reply shows which replica scored it.
 		fmt.Fprintf(w, "{\"version\":%d,\"generation\":%d,\"logit\":0.5,\"prob\":0.625}\n", g.info.Index+11, g.gen.Load())
 	})
+	mux.HandleFunc("/api/user", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"replica": %q}`, g.name)
+	})
+	mux.HandleFunc("/api/rank", func(w http.ResponseWriter, r *http.Request) {
+		// One community, counted over the users this replica owns.
+		json.NewEncoder(w).Encode(serve.RankResult{Generation: g.gen.Load(), Entries: []serve.RankEntry{
+			{Community: 0, Score: 1, Members: g.info.UserHi - g.info.UserLo},
+		}})
+	})
 	g.srv = httptest.NewServer(mux)
 	t.Cleanup(g.srv.Close)
 	return g
@@ -542,5 +551,70 @@ func TestFoldInNeverMixesGenerations(t *testing.T) {
 	}
 	if len(a.foldIns) != maxGenerationTries || b.piRows != maxGenerationTries {
 		t.Errorf("a saw %d fold-ins and b %d row fetches, want %d each", len(a.foldIns), b.piRows, maxGenerationTries)
+	}
+}
+
+// A full-snapshot replica beside shard owners owns every user as shard 0
+// of 1: it is in every user's chain, next to that user's shard owner and
+// no other replica, and answers for a shard whose owner is gone. The rank
+// merge ignores it and sums the shard owners' Members — partially, and
+// counted as such, once one of them is gone.
+func TestMixedFleetFullReplicaOwnsEveryUser(t *testing.T) {
+	full := newFakeReplica(t, "full", 1, []serve.RankEntry{{Community: 0, Score: 1, Members: 1000}})
+	s0, s1 := newGenReplica(t, "s0", 0, 0, 10), newGenReplica(t, "s1", 1, 10, 20)
+	rt, err := New([]Replica{{Name: "full", Base: full.srv.URL}, {Name: "s0", Base: s0.srv.URL}, {Name: "s1", Base: s1.srv.URL}}, Options{Client: &http.Client{Timeout: 2 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollReplicas()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	for u := 0; u < 20; u++ {
+		owner := map[bool]string{true: "s0", false: "s1"}[u < 10]
+		chain := map[string]bool{}
+		for _, r := range rt.userChain(int64(u)) {
+			chain[r.name] = true
+		}
+		if !reflect.DeepEqual(chain, map[string]bool{"full": true, owner: true}) {
+			t.Errorf("user %d's chain is %v, want full and %s", u, chain, owner)
+		}
+	}
+	rank := func() serve.RankResult {
+		t.Helper()
+		res, status := getRank(t, front.URL, "?w=1")
+		if status != http.StatusOK || len(res.Entries) != 1 {
+			t.Fatalf("rank over the mixed fleet: status %d, %+v", status, res)
+		}
+		return res
+	}
+	if res := rank(); res.Entries[0].Members != 20 {
+		t.Errorf("rank Members = %d, want 10 + 10 from the shard owners, the full replica ignored", res.Entries[0].Members)
+	}
+
+	s0.srv.Close()
+	for u := 0; u < 10; u++ {
+		status, body := 0, ""
+		if resp, err := http.Get(fmt.Sprintf("%s/api/user?id=%d", front.URL, u)); err == nil {
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			status, body = resp.StatusCode, string(raw)
+		}
+		if status != http.StatusOK || !strings.Contains(body, `"full"`) {
+			t.Errorf("user %d with its shard owner down: status %d %q, want the full replica's answer", u, status, body)
+		}
+	}
+	if res := rank(); res.Entries[0].Members != 10 {
+		t.Errorf("rank Members with s0 down = %d, want s1's 10 alone", res.Entries[0].Members)
+	}
+	if st := rt.Stats(); st.PartialRanks != 1 || !st.Sharded || st.Shards != 2 {
+		t.Errorf("stats: partialRanks %d sharded %v shards %d, want 1, true, 2", st.PartialRanks, st.Sharded, st.Shards)
+	}
+	var metrics strings.Builder
+	rt.WriteMetrics(&metrics)
+	for _, want := range []string{"cpd_router_partial_ranks_total 1\n", `cpd_router_replica_shard_index{replica="full"} -1`} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

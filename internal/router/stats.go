@@ -55,6 +55,10 @@ type Stats struct {
 	// SharedScatters counts scatter requests that joined an identical
 	// in-flight query's fan-out instead of launching their own.
 	SharedScatters uint64 `json:"sharedScatters"`
+	// PartialRanks counts rank answers whose Members were summed over
+	// fewer shards than the fleet has: no generation had every shard's
+	// answer (a shard's only replica down, or mid-rollout).
+	PartialRanks uint64 `json:"partialRanks"`
 }
 
 // Stats snapshots the router's view of the fleet.
@@ -64,6 +68,7 @@ func (rt *Router) Stats() Stats {
 		Generation:     max,
 		Endpoints:      make(map[string]serve.EndpointStats, opCount),
 		SharedScatters: rt.sharedScatters.Load(),
+		PartialRanks:   rt.partialRanks.Load(),
 	}
 	for _, r := range rt.replicas {
 		gen := r.generation.Load()
@@ -165,6 +170,7 @@ func (rt *Router) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP cpd_router_generation Fleet-wide newest generation observed.\n# TYPE cpd_router_generation gauge\ncpd_router_generation %d\n", st.Generation)
 	fmt.Fprintf(w, "# HELP cpd_router_shards Advertised shard count (0 unsharded).\n# TYPE cpd_router_shards gauge\ncpd_router_shards %d\n", st.Shards)
 	fmt.Fprintf(w, "# HELP cpd_router_shared_scatters_total Scatter requests that joined an identical in-flight fan-out.\n# TYPE cpd_router_shared_scatters_total counter\ncpd_router_shared_scatters_total %d\n", st.SharedScatters)
+	fmt.Fprintf(w, "# HELP cpd_router_partial_ranks_total Rank answers summed over fewer shards than the fleet has.\n# TYPE cpd_router_partial_ranks_total counter\ncpd_router_partial_ranks_total %d\n", st.PartialRanks)
 	for i := 0; i < opCount; i++ {
 		h := rt.lat[i].Snapshot()
 		h.WriteProm(w, "cpd_router_latency_seconds", "class="+strconv.Quote(opNames[i]))
