@@ -58,7 +58,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cpd-loadgen: ")
 	var (
-		modelPath = flag.String("model", "", "model snapshot (binary v1/v2 or JSON; required — defines the query id space)")
+		modelPath = flag.String("model", "", "model snapshot (v2, or legacy v1/JSON; required — defines the query id space)")
 		vocabPath = flag.String("vocab", "", "optional vocabulary (in-process target only; enables labelled responses)")
 		url       = flag.String("url", "", "drive a live endpoint at this base URL instead of the in-process engine")
 		snapName  = flag.String("snapshot", "", "route queries to this named snapshot (default snapshot when empty)")

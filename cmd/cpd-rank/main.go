@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cpd-rank -model model.json -vocab twitter.vocab -k 5 "deep learning"
+//	cpd-rank -model model.v2.snap -vocab twitter.vocab -k 5 "deep learning"
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 	)
 	flag.Parse()
 	if *modelPath == "" || *vocabPath == "" || flag.NArg() == 0 {
-		log.Fatal("usage: cpd-rank -model m.json -vocab v.txt [-k 5] <query words>")
+		log.Fatal("usage: cpd-rank -model model.v2.snap -vocab v.txt [-k 5] <query words>")
 	}
 	m, err := store.LoadFile(*modelPath)
 	if err != nil {

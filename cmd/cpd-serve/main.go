@@ -1,5 +1,5 @@
 // Command cpd-serve is the headless profile-serving API: it loads one or
-// more trained model snapshots (binary v1/v2 or JSON) into a serve.Engine
+// more trained model snapshots (v2, or legacy v1/JSON) into a serve.Engine
 // and exposes the typed query surface as JSON over HTTP — community
 // profiles, user memberships, Eq. 19 ranking via the inverted index,
 // per-topic diffusion probabilities, fold-in inference for unseen users,

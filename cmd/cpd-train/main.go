@@ -1,9 +1,8 @@
 // Command cpd-train trains a CPD model on a social graph file and saves
-// the model — by default as a v1 binary snapshot (internal/store), the
-// format the serving layer loads ~10x faster than JSON; -format v2 writes
-// the 64-byte-aligned layout cpd-serve can memory-map for zero-copy
-// serving, and -format json keeps the legacy encoding. Every reader in
-// this repository sniffs all formats.
+// the model as a v2 snapshot (internal/store): the 64-byte-aligned layout
+// cpd-serve can memory-map for zero-copy serving. The snapshot does not
+// record -workers, so training the same graph and seed with any worker
+// count writes the same bytes.
 //
 // With -resume, training continues from a saved snapshot instead of
 // starting fresh: the stored assignments seed the sampler (core's
@@ -28,12 +27,10 @@
 //
 // Usage:
 //
-//	cpd-train -graph twitter.graph -communities 50 -topics 25 -iters 30 -out model.snap
-//	cpd-train -graph twitter.graph -communities 200 -topics 100 -sampler alias -out model.snap
-//	cpd-train -graph twitter.graph -format v2 -out model.v2.snap
-//	cpd-train -graph twitter.graph -format json -out model.json
+//	cpd-train -graph twitter.graph -communities 50 -topics 25 -iters 30 -out model.v2.snap
+//	cpd-train -graph twitter.graph -communities 200 -topics 100 -sampler alias -out model.v2.snap
 //	cpd-train -graph twitter.graph -resume model.v2.snap -iters 10 -out model2.v2.snap
-//	cpd-train -graph twitter.graph -init plp -iters 20 -out model.snap
+//	cpd-train -graph twitter.graph -init plp -iters 20 -out model.v2.snap
 package main
 
 import (
@@ -61,7 +58,6 @@ func main() {
 		seed        = flag.Uint64("seed", 7, "sampler seed")
 		rho         = flag.Float64("rho", 0, "membership prior (0 = paper default 50/|C|)")
 		out         = flag.String("out", "", "model output file (required)")
-		format      = flag.String("format", "binary", "model output format: binary (v1) | v2 (mmap-ready) | json")
 		resume      = flag.String("resume", "", "continue training from this saved model snapshot (ignores -communities/-topics/-rho/-sampler)")
 		initMode    = flag.String("init", "random", "sampler initialization: random | plp (warm-start from parallel label propagation)")
 		sampler     = flag.String("sampler", "exact", "E-step sampler: exact (full conditional scan) | alias (alias-table + Metropolis-Hastings, sub-linear at large |C|/|Z|)")
@@ -131,31 +127,8 @@ func main() {
 	} else {
 		log.Fatalf("unknown -init %q (want random or plp)", *initMode)
 	}
-	switch *format {
-	case "binary", "v1":
-		if err := store.Save(*out, m); err != nil {
-			log.Fatal(err)
-		}
-	case "v2":
-		if err := store.SaveV2(*out, m); err != nil {
-			log.Fatal(err)
-		}
-	case "json":
-		of, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := m.Save(of); err != nil {
-			of.Close()
-			log.Fatal(err)
-		}
-		// An unchecked Close here can silently lose the tail of the model
-		// on a full disk.
-		if err := of.Close(); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown format %q (want binary, v2 or json)", *format)
+	if err := store.SaveV2(*out, m); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("trained |C|=%d |Z|=%d in %.1fs E-step + %.1fs M-step; model written to %s\n",
 		*communities, *topics, diag.EStepSeconds, diag.MStepSeconds, *out)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	cpd-viz -model model.json -vocab twitter.vocab -topic -1 -format dot > diffusion.dot
+//	cpd-viz -model model.v2.snap -vocab twitter.vocab -topic -1 -format dot > diffusion.dot
 package main
 
 import (

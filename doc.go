@@ -9,9 +9,9 @@
 // visualization), a benchmark harness that regenerates every table and
 // figure of the paper's evaluation section on synthetic Twitter-like and
 // DBLP-like workloads, and an online serving layer: versioned binary
-// model snapshots (internal/store) — a streaming v1 codec plus the
-// 64-byte-aligned v2 layout that store.Open serves zero-copy from a
-// memory mapping — and a concurrent query engine hosting named,
+// model snapshots (internal/store) — the 64-byte-aligned v2 layout that
+// store.Open serves zero-copy from a memory mapping — and a concurrent
+// query engine hosting named,
 // refcount-hot-swappable snapshots with a sharded user index, an
 // inverted rank index and fold-in inference for unseen users
 // (internal/serve), the SocialLens browser UI on top of it

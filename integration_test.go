@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,23 +81,13 @@ func TestFullPipeline(t *testing.T) {
 	if diag.EStepSeconds <= 0 || len(diag.SweepSeconds) == 0 {
 		t.Fatalf("diagnostics empty: %+v", diag)
 	}
-	modelPath := filepath.Join(dir, "model.json")
-	mf, err := os.Create(modelPath)
-	if err != nil {
+	modelPath := filepath.Join(dir, "model.v2.snap")
+	if err := store.SaveV2(modelPath, model); err != nil {
 		t.Fatal(err)
 	}
-	if err := model.Save(mf); err != nil {
-		t.Fatal(err)
-	}
-	mf.Close()
 
 	// 4. Reload the model (cpd-rank / cpd-viz path).
-	lf, err := os.Open(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.Load(lf)
-	lf.Close()
+	loaded, err := store.LoadFile(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +140,9 @@ func TestFullPipeline(t *testing.T) {
 }
 
 // TestServingPipeline covers the online read path the serving cmds wire
-// together: train → binary snapshot (cpd-train) → serve.Engine
-// (cpd-serve) → rank/membership/fold-in queries → hot-swap reload from a
-// JSON model (format compatibility both ways).
+// together: train → v2 snapshot (cpd-train) → serve.Engine (cpd-serve) →
+// rank/membership/fold-in queries → hot-swap reload from a legacy JSON
+// model file (old files keep loading).
 func TestServingPipeline(t *testing.T) {
 	dir := t.TempDir()
 	cfg := synth.TwitterLike(120, 31)
@@ -164,9 +155,9 @@ func TestServingPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Snapshot to disk in the binary format, reload, serve.
-	snapPath := filepath.Join(dir, "model.snap")
-	if err := store.Save(snapPath, model); err != nil {
+	// Snapshot to disk, reload, serve.
+	snapPath := filepath.Join(dir, "model.v2.snap")
+	if err := store.SaveV2(snapPath, model); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.LoadFile(snapPath)
@@ -208,14 +199,11 @@ func TestServingPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	jsonPath := filepath.Join(dir, "model2.json")
-	jf, err := os.Create(jsonPath)
+	js, err := json.Marshal(model2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := model2.Save(jf); err != nil {
-		t.Fatal(err)
-	}
-	if err := jf.Close(); err != nil {
+	if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := engine.Reload(jsonPath, ""); err != nil {
@@ -244,11 +232,11 @@ func TestPipelineFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := store.EncodeV2(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	truncated := buf.Bytes()[:buf.Len()/2]
-	if _, err := core.Load(bytes.NewReader(truncated)); err == nil {
+	if _, err := store.LoadBytes(truncated); err == nil {
 		t.Fatal("truncated model accepted")
 	}
 	// Inconsistent graph caught before training.

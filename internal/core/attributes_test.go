@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -83,9 +84,9 @@ func TestAttributeExtensionTrains(t *testing.T) {
 	}
 	_ = gt
 
-	// Save/Load keeps Xi.
+	// The JSON reader keeps Xi.
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(m); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Load(&buf)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestCheckShapesRejectsInconsistentModels(t *testing.T) {
 	// The JSON loader must apply the same rules end to end.
 	m := valid()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(m); err != nil {
 		t.Fatal(err)
 	}
 	mangled := strings.Replace(buf.String(), `"NumUsers":4`, `"NumUsers":40`, 1)
@@ -63,7 +64,7 @@ func TestCheckShapesRejectsInconsistentModels(t *testing.T) {
 	popless := valid()
 	popless.PopFreq = nil
 	buf.Reset()
-	if err := popless.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(popless); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf); err == nil {

@@ -111,7 +111,11 @@ type Config struct {
 	// of work is the data segment — fixed segmentation, per-segment RNG
 	// streams, snapshot reads across segments — and Workers only controls
 	// how segments are packed onto pool goroutines. See Engine.
-	Workers int
+	//
+	// Being a fact about the host rather than the model, Workers is not
+	// serialized: a snapshot written with any value has the same bytes, and
+	// a legacy file's "Workers" key is ignored on load.
+	Workers int `json:"-"`
 	// SegmentLDAIters bounds the segmentation LDA's Gibbs sweeps
 	// (default 15).
 	SegmentLDAIters int

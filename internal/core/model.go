@@ -494,13 +494,10 @@ func (m *Model) TopWords(z, k int) []int {
 	return mathx.TopKIndices(m.Phi.Row(z), k)
 }
 
-// Save serializes the model as JSON.
-func (m *Model) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(m)
-}
-
-// Load deserializes a model saved by Save and rebuilds its caches.
+// Load deserializes a model from its JSON encoding and rebuilds its
+// caches. It is the legacy format's read-only path: nothing in this
+// repository writes JSON models any more (internal/store writes v2
+// snapshots and reads all three formats).
 func Load(r io.Reader) (*Model, error) {
 	var m Model
 	dec := json.NewDecoder(r)
@@ -510,7 +507,6 @@ func Load(r io.Reader) (*Model, error) {
 	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
 		return nil, fmt.Errorf("core: model file missing parameter blocks")
 	}
-	m.Cfg.Workers = 0 // the writing host's CPU count, not a model parameter
 	if err := m.CheckShapes(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -186,7 +187,7 @@ func TestNoJointModelingRuns(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	g, m := trainSmall(t, nil)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(m); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Load(&buf)

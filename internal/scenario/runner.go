@@ -69,8 +69,8 @@ type RunOptions struct {
 }
 
 // Run executes one preset's full regression: build the bundle, train,
-// round-trip the model through a binary snapshot, stand up a serving
-// engine, and verify every invariant. It returns the scenario metrics;
+// round-trip the model through a v2 snapshot, stand up a serving engine,
+// and verify every invariant. It returns the scenario metrics;
 // the error aggregates every violated invariant (the metrics are still
 // returned alongside, for reporting).
 func Run(p Preset, opts RunOptions) (*Metrics, error) {
@@ -93,9 +93,10 @@ func Run(p Preset, opts RunOptions) (*Metrics, error) {
 	}
 
 	// Snapshot round-trip: the serving layer must load bit-identical
-	// parameters from the binary format.
-	snapPath := filepath.Join(dir, p.Name+".snap")
-	if err := store.Save(snapPath, model); err != nil {
+	// parameters from the one snapshot file, through the CRC-verifying
+	// copying loader here and the mapped open in checkMappedPath.
+	snapPath := filepath.Join(dir, p.Name+".v2.snap")
+	if err := store.SaveV2(snapPath, model); err != nil {
 		return nil, fmt.Errorf("scenario %s: snapshot save failed: %w", p.Name, err)
 	}
 	loaded, err := store.LoadFile(snapPath)
@@ -164,7 +165,7 @@ func Run(p Preset, opts RunOptions) (*Metrics, error) {
 	if err := checkMembershipAgreement(engine, loaded); err != nil {
 		fail("%v", err)
 	}
-	if err := checkMappedPath(dir, p, model, engine, b); err != nil {
+	if err := checkMappedPath(snapPath, model, engine, b); err != nil {
 		fail("%v", err)
 	}
 	if !opts.SkipHTTP {
@@ -182,8 +183,8 @@ func Run(p Preset, opts RunOptions) (*Metrics, error) {
 // equalModels verifies that every parameter block survived serialization
 // bit-identically.
 func equalModels(a, b *core.Model) error {
-	// Workers is the training host's worker count, which snapshot decoders
-	// drop: not a parameter block.
+	// Workers is the training host's worker count, which snapshots do not
+	// persist: not a parameter block.
 	acfg, bcfg := a.Cfg, b.Cfg
 	acfg.Workers, bcfg.Workers = 0, 0
 	checks := []struct {
@@ -314,15 +315,11 @@ func checkFoldInDeterminism(e *serve.Engine, b *Bundle) error {
 }
 
 // checkMappedPath verifies the zero-copy serving path end to end: the
-// model round-trips bit-identically through a v2 snapshot opened via
-// store.Open, a multi-snapshot engine serving the mapped model answers
-// rank/membership/fold-in queries identically to the heap engine, and a
-// mapped hot-reload mid-flight leaves answers unchanged.
-func checkMappedPath(dir string, p Preset, model *core.Model, heap *serve.Engine, b *Bundle) error {
-	v2Path := filepath.Join(dir, p.Name+".v2.snap")
-	if err := store.SaveV2(v2Path, model); err != nil {
-		return fmt.Errorf("v2 snapshot save failed: %w", err)
-	}
+// model round-trips bit-identically through the v2 snapshot at v2Path
+// opened via store.Open, a multi-snapshot engine serving the mapped model
+// answers rank/membership/fold-in queries identically to the heap engine,
+// and a mapped hot-reload mid-flight leaves answers unchanged.
+func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bundle) error {
 	mm, err := store.Open(v2Path)
 	if err != nil {
 		return fmt.Errorf("v2 snapshot open failed: %w", err)

@@ -10,7 +10,7 @@
 // regression floors. On top of the presets sit two consumers:
 //
 //   - Run (runner.go): the deterministic end-to-end regression check —
-//     train → binary snapshot → serve.Engine → query (library and HTTP
+//     train → v2 snapshot → serve.Engine → query (library and HTTP
 //     surface) — verifying ground-truth recovery (NMI), fold-in
 //     determinism, rank-index/full-scan agreement and snapshot round-trip
 //     equality, with golden metric files (golden.go) for drift detection;

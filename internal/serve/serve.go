@@ -82,9 +82,11 @@ type Options struct {
 	// 0 selects the default (8).
 	UserShards int
 	// Mmap makes Reload open v2 snapshot files through store.Open — the
-	// zero-copy mapped path — instead of the copying loader. v1 and JSON
-	// files still load by copy. The mapped file stays mapped for as long
-	// as any query uses the snapshot (refcounted; see Snapshot).
+	// zero-copy mapped path — instead of store.LoadFile, which reads the
+	// file onto the heap and verifies every payload CRC. Legacy v1 and
+	// JSON files always load through LoadFile. The mapped file stays
+	// mapped for as long as any query uses the snapshot (refcounted; see
+	// Snapshot).
 	Mmap bool
 	// Pipeline tokenizes free-text rank queries. A zero pipeline (with
 	// MinDocTokens forced to 1) passes tokens through unstemmed.
@@ -741,10 +743,10 @@ func (e *Engine) DropSnapshot(name string) bool {
 }
 
 // Reload loads a model snapshot from modelPath into the default slot —
-// binary v1/v2 or JSON, sniffed; with Options.Mmap, v2 files load through
-// the zero-copy mapped path — and hot-swaps it in. vocabPath may be empty
-// to keep the slot's current vocabulary. On error the serving state is
-// left untouched.
+// v2, or legacy v1 or JSON, sniffed; with Options.Mmap, v2 files load
+// through the zero-copy mapped path — and hot-swaps it in. vocabPath may
+// be empty to keep the slot's current vocabulary. On error the serving
+// state is left untouched.
 func (e *Engine) Reload(modelPath, vocabPath string) (version uint64, err error) {
 	return e.ReloadNamed(DefaultSnapshot, modelPath, vocabPath)
 }

@@ -285,10 +285,10 @@ func TestReloadSwapsAndFailsClosed(t *testing.T) {
 	a := SyntheticModel(20, 6, 4, 80, 5)
 	b := SyntheticModel(25, 9, 4, 90, 6)
 	pa, pb := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
-	if err := store.Save(pa, a); err != nil {
+	if err := store.SaveV2(pa, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(pb, b); err != nil {
+	if err := store.SaveV2(pb, b); err != nil {
 		t.Fatal(err)
 	}
 	e := testEngine(t, a, nil, Options{})
@@ -328,10 +328,10 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	a := SyntheticModel(30, 8, 5, 120, 7)
 	b := SyntheticModel(45, 14, 6, 200, 8)
 	pa, pb := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
-	if err := store.Save(pa, a); err != nil {
+	if err := store.SaveV2(pa, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(pb, b); err != nil {
+	if err := store.SaveV2(pb, b); err != nil {
 		t.Fatal(err)
 	}
 	// Model shape by generation parity: odd versions serve a, even b.

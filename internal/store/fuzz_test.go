@@ -2,43 +2,48 @@ package store
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
 // FuzzLoad throws arbitrary bytes at the snapshot loader. The invariants:
 // never panic, never allocate beyond what the input length can back
 // (LoadBytes bounds section claims by len(data)), and any input accepted
-// as a model must be internally consistent enough to re-encode.
+// as a model must be internally consistent enough to re-encode as v2 and
+// load back.
 //
-// The corpus seeds the interesting neighbourhoods by construction: a
-// valid binary snapshot, truncations at section boundaries, single-bit
-// corruptions (caught by the CRCs), a forged section length, and a valid
-// JSON model for the sniffing path — and, for v2, the same plus a file
+// The corpus seeds the interesting neighbourhoods of the three committed
+// fixtures and of a fresh v2 encoding: the valid files, truncations at
+// section boundaries, single-bit corruptions (caught by the CRCs), a
+// forged section length or count, a future format version, and a v2 file
 // whose header was never written.
 func FuzzLoad(f *testing.F) {
-	m := testModel(12, 4, 5, 40, 3)
-	var snap bytes.Buffer
-	if err := Encode(&snap, m); err != nil {
-		f.Fatal(err)
+	fixture := func(name string) []byte {
+		raw, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
 	}
-	valid := snap.Bytes()
-	f.Add(valid)
-	f.Add(valid[:8])              // magic only
-	f.Add(valid[:len(valid)/2])   // mid-section truncation
-	f.Add(valid[:len(valid)-2])   // missing terminator CRC tail
+	v1 := fixture("golden-v1.snap")
+	f.Add(v1)
+	f.Add(v1[:8])                 // magic only
+	f.Add(v1[:len(v1)/2])         // mid-section truncation
+	f.Add(v1[:len(v1)-2])         // missing terminator CRC tail
 	f.Add([]byte("CPDSNP\x03\n")) // future format version
-	bitflip := append([]byte(nil), valid...)
+	bitflip := append([]byte(nil), v1...)
 	bitflip[len(bitflip)/3] ^= 0x10
 	f.Add(bitflip)
 	// Forged length field on the first section header (offset 8 is the
 	// tag, 12..20 the little-endian length).
-	forged := append([]byte(nil), valid...)
+	forged := append([]byte(nil), v1...)
 	forged[12] = 0xff
 	forged[13] = 0xff
 	f.Add(forged)
 	// The v2 neighbourhoods: a valid section-table snapshot, its header
 	// and table truncations, a corrupted table entry, and a forged
 	// section count.
+	m := testModel(12, 4, 5, 40, 3)
 	var v2 bytes.Buffer
 	if err := EncodeV2(&v2, m); err != nil {
 		f.Fatal(err)
@@ -55,16 +60,13 @@ func FuzzLoad(f *testing.F) {
 	v2count := append([]byte(nil), validV2...)
 	v2count[8] = 0xff // forged section count
 	f.Add(v2count)
-	var js bytes.Buffer
-	if err := m.Save(&js); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(js.Bytes())
+	f.Add(fixture("golden.json"))
 	f.Add([]byte("{}"))
 	f.Add([]byte{})
 	// A save that died before its last write: every payload in place
 	// behind a header and table that are still zeros.
 	f.Add(unpatchedV2(f, m))
+	f.Add(fixture("golden-v2.snap"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadBytes(data)
@@ -77,8 +79,11 @@ func FuzzLoad(f *testing.F) {
 			t.Fatal("nil model with nil error")
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, loaded); err != nil {
+		if err := EncodeV2(&buf, loaded); err != nil {
 			t.Fatalf("accepted model does not re-encode: %v", err)
+		}
+		if _, err := LoadBytes(buf.Bytes()); err != nil {
+			t.Fatalf("accepted model re-encodes to a snapshot that does not load: %v", err)
 		}
 	})
 }

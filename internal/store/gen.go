@@ -8,9 +8,7 @@ package store
 // directory-scan live here so every tier parses the same convention.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -86,40 +84,20 @@ func ScanGenerations(dir string) ([]GenFile, error) {
 }
 
 // VerifyV2File checks the full integrity of a v2 snapshot: the section
-// table CRC (as every reader does) and then every payload CRC — the
-// O(model) pass Open deliberately skips. This is the check a replica
-// runs after fetching a generation file and before mapping it, so a
-// torn download or bit-rotted byte is caught once at distribution time
-// rather than surfacing as a wrong answer in some query later.
+// table CRC (as every reader does), then every payload CRC — the O(model)
+// pass Open deliberately skips — and every section's structure, through
+// the section decoder LoadFile and Open use. This is the check a replica
+// runs after fetching a generation or shard file and before mapping it,
+// so a torn download or bit-rotted byte is caught once at distribution
+// time rather than surfacing as a wrong answer in some query later. It
+// does not require a whole model: a shard file holds only some sections.
 func VerifyV2File(path string) error {
-	data, err := os.ReadFile(path)
+	data, err := readAligned(path)
+	if err == nil {
+		_, err = readV2Sections(data, true)
+	}
 	if err != nil {
-		return err
-	}
-	if len(data) < v2HeaderLen {
-		return fmt.Errorf("store: %s: file shorter than a v2 header", path)
-	}
-	if string(data[:len(magicV2)]) != magicV2 {
-		return fmt.Errorf("store: %s: not a v2 CPD snapshot", path)
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	if count == 0 || count > maxV2Entries {
-		return fmt.Errorf("store: %s: v2 snapshot claims %d sections", path, count)
-	}
-	tableEnd := uint64(v2HeaderLen) + count*v2EntryLen
-	if tableEnd > uint64(len(data)) {
-		return fmt.Errorf("store: %s: v2 section table truncated", path)
-	}
-	entries, err := parseV2Table(data[:v2HeaderLen], data[v2HeaderLen:tableEnd], uint64(len(data)))
-	if err != nil {
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	for _, ent := range entries {
-		payload := data[ent.off : ent.off+ent.size]
-		if got := crc32.ChecksumIEEE(payload); got != ent.crc {
-			return fmt.Errorf("store: %s: section %q payload checksum mismatch (%08x, stored %08x)",
-				path, ent.tag, got, ent.crc)
-		}
+		return fmt.Errorf("store: verifying %s: %w", path, err)
 	}
 	return nil
 }

@@ -1,20 +1,11 @@
 package store
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 )
-
-// updateGolden regenerates the committed snapshot fixtures. Run after a
-// DELIBERATE format change only — the whole point of the fixtures is that
-// old files keep loading byte-identically through new code:
-//
-//	go test ./internal/store -run TestGoldenFixtures -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the committed snapshot fixtures")
 
 // goldenModel is the fixed model the committed fixtures encode. Its seed
 // and shape must never change (that would amount to rewriting history).
@@ -26,52 +17,44 @@ func goldenModel() *core.Model {
 
 func goldenPath(name string) string { return filepath.Join("testdata", name) }
 
+// withConvertedNumerics runs fn with the section decoder and the sink on
+// the per-element branch a big-endian host takes, so this host exercises
+// it too.
+func withConvertedNumerics(fn func()) {
+	defer func(saved bool) { aliasNumeric = saved }(aliasNumeric)
+	aliasNumeric = false
+	fn()
+}
+
 // TestGoldenFixtures pins on-disk format compatibility: the committed v1,
 // v2 and JSON encodings of a fixed model must keep decoding to
 // bit-identical parameter blocks through every future change to the
-// loading code. A failure here means a break of the storage contract, not
-// a test to "fix" by re-pinning.
+// loading code. The fixtures are frozen inputs — nothing in the tree can
+// write v1 or JSON any more — and a failure here means a break of the
+// storage contract, not a test to "fix" by re-pinning. Every fixture is
+// read twice: with numeric blocks aliased in place where the host allows,
+// and converted element by element as on a big-endian host.
 func TestGoldenFixtures(t *testing.T) {
 	m := goldenModel()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	check := func(t *testing.T) {
+		for _, name := range []string{"golden-v1.snap", "golden-v2.snap", "golden.json"} {
+			t.Run(name, func(t *testing.T) {
+				got, err := LoadFile(goldenPath(name))
+				if err != nil {
+					t.Fatalf("committed %s fixture no longer loads: %v", name, err)
+				}
+				modelsEquivalent(t, m, got)
+			})
 		}
-		if err := Save(goldenPath("golden-v1.snap"), m); err != nil {
-			t.Fatal(err)
-		}
-		if err := SaveV2(goldenPath("golden-v2.snap"), m); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Create(goldenPath("golden.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Save(f); err != nil {
-			f.Close()
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		t.Log("golden snapshot fixtures rewritten")
-		return
-	}
-	for _, name := range []string{"golden-v1.snap", "golden-v2.snap", "golden.json"} {
-		t.Run(name, func(t *testing.T) {
-			got, err := LoadFile(goldenPath(name))
+		t.Run("golden-v2.snap/mapped", func(t *testing.T) {
+			mm, err := Open(goldenPath("golden-v2.snap"))
 			if err != nil {
-				t.Fatalf("committed %s fixture no longer loads: %v", name, err)
+				t.Fatalf("committed v2 fixture no longer opens mapped: %v", err)
 			}
-			modelsEquivalent(t, m, got)
+			defer mm.Close()
+			modelsEquivalent(t, m, mm.Model)
 		})
 	}
-	t.Run("golden-v2.snap/mapped", func(t *testing.T) {
-		mm, err := Open(goldenPath("golden-v2.snap"))
-		if err != nil {
-			t.Fatalf("committed v2 fixture no longer opens mapped: %v", err)
-		}
-		defer mm.Close()
-		modelsEquivalent(t, m, mm.Model)
-	})
+	check(t)
+	t.Run("converted", func(t *testing.T) { withConvertedNumerics(func() { check(t) }) })
 }

@@ -1,9 +1,8 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -46,11 +45,12 @@ type MappedModel struct {
 
 // Open maps the v2 snapshot at path and returns a model whose matrices
 // alias the mapping. The section table is checksum-verified; payload bytes
-// are used in place and NOT checksummed (see the v2 format doc). On hosts
-// without a usable mmap the file is read into aligned memory instead
-// (Mapped reports false); on big-endian hosts Open falls back to the
-// copying decoder. v1 or JSON files are rejected: callers that want
-// format-agnostic loading use LoadFile, which always copies.
+// are used in place and NOT checksummed (see the v2 format doc), though
+// every section gets the same structural checks LoadFile applies. On
+// hosts without a usable mmap the file is read into aligned memory
+// instead (Mapped reports false); on big-endian hosts the numeric blocks
+// are converted onto the heap. v1 or JSON files are rejected: callers
+// that want format-agnostic loading use LoadFile.
 //
 // Cost: the section table, one pass over DOCB (copied into []int), and
 // core.Model.Rehydrate's O(|Z|·|C|²) caches — nothing per user or per
@@ -61,12 +61,14 @@ func Open(path string) (*MappedModel, error) {
 		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
 	}
 	mm := &MappedModel{path: path, data: data, mapped: mapped}
-	m, err := assembleMapped(data)
+	a, err := readV2Sections(data, false)
+	if err == nil {
+		mm.Model, err = a.model()
+	}
 	if err != nil {
 		mm.Close()
 		return nil, fmt.Errorf("store: opening %s: %w", path, err)
 	}
-	mm.Model = m
 	return mm, nil
 }
 
@@ -102,87 +104,64 @@ func (mm *MappedModel) MappedBytes() int64 { return int64(len(mm.data)) }
 // the file.
 func (mm *MappedModel) HeapBytes() int64 { return mm.Model.CacheBytes() }
 
-// assembleMapped builds a model over the mapping without copying numeric
-// payloads. On big-endian hosts it routes through the copying decoder
-// (the bytes are little-endian on disk).
-func assembleMapped(data []byte) (*core.Model, error) {
-	if len(data) < v2HeaderLen {
-		return nil, fmt.Errorf("file shorter than a v2 header")
-	}
-	if string(data[:len(magicV2)]) != magicV2 {
-		if bytes.Equal(data[:6], []byte(magicV2[:6])) {
-			return nil, fmt.Errorf("snapshot is format version %d; Open requires v2 (retrain or re-save with -format v2, or load with LoadFile)", data[6])
-		}
-		return nil, fmt.Errorf("not a v2 CPD snapshot")
-	}
-	if !nativeLittleEndian() {
-		return decodeV2(bufio.NewReader(bytes.NewReader(data)), uint64(len(data)))
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	if count == 0 || count > maxV2Entries {
-		return nil, fmt.Errorf("v2 snapshot claims %d sections", count)
-	}
-	tableEnd := uint64(v2HeaderLen) + count*v2EntryLen
-	if tableEnd > uint64(len(data)) {
-		return nil, fmt.Errorf("v2 section table truncated")
-	}
-	entries, err := parseV2Table(data[:v2HeaderLen], data[v2HeaderLen:tableEnd], uint64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	m := &core.Model{}
-	var seenDims bool
-	for _, ent := range entries {
-		payload := data[ent.off : ent.off+ent.size]
-		if err := aliasV2Section(m, ent.tag, payload, &seenDims); err != nil {
-			return nil, err
-		}
-	}
-	if !seenDims {
-		return nil, fmt.Errorf("snapshot is missing the dimension section")
-	}
-	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
-		return nil, fmt.Errorf("snapshot is missing parameter blocks")
-	}
-	if err := m.CheckShapes(); err != nil {
-		return nil, err
-	}
-	m.Rehydrate()
-	return m, nil
+// assembly builds a model out of snapshot sections. section is the one
+// section decoder: every reader, in every format, turns payload bytes
+// into model blocks through it, so they all apply the same bounds.
+type assembly struct {
+	m        core.Model
+	seenDims bool
+	// v1 selects v1's payload layout: shape words unpadded (8 bytes each,
+	// not v2's 64-byte header) and numeric data never aliased — v1
+	// payloads have no alignment guarantee.
+	v1 bool
 }
 
-// aliasV2Section wires one section into the model, aliasing numeric data
-// in place. Only DOCB (int-width on disk vs. platform int) and the two
-// small metadata sections are materialized on the heap.
-func aliasV2Section(m *core.Model, tag string, payload []byte, seenDims *bool) error {
+// section decodes one payload into its block of the model; a later
+// section with the same tag replaces an earlier one, and unknown tags are
+// skipped. Numeric blocks of a v2 payload alias the payload bytes where
+// aliasNumeric allows (see numeric); the caller keeps those bytes valid
+// for the model's lifetime.
+func (a *assembly) section(tag string, payload []byte) error {
 	fail := func(format string, args ...any) error {
-		return fmt.Errorf("section %q: "+format, append([]any{tag}, args...)...)
+		return fmt.Errorf("store: section %q: "+format, append([]any{tag}, args...)...)
 	}
-	shape := func(n int) ([]uint64, []byte, error) {
-		if len(payload) < v2ShapeLen {
-			return nil, nil, fail("payload shorter than the shape header")
+	// shape splits a numeric payload into its n dimension words and its
+	// element bytes.
+	var dims [3]uint64
+	shape := func(n int) ([]byte, error) {
+		hdr := v2ShapeLen
+		if a.v1 {
+			hdr = 8 * n
 		}
-		dims := make([]uint64, n)
-		for i := range dims {
+		if len(payload) < hdr {
+			return nil, fail("payload shorter than the shape header")
+		}
+		for i := 0; i < n; i++ {
 			dims[i] = binary.LittleEndian.Uint64(payload[8*i:])
 		}
-		return dims, payload[v2ShapeLen:], nil
+		return payload[hdr:], nil
+	}
+	// holds reports whether data is exactly n elements of width bytes;
+	// bounding n by the payload first keeps n*width from wrapping.
+	holds := func(data []byte, n, width uint64) bool {
+		return n <= uint64(len(data))/width && n*width == uint64(len(data))
 	}
 	dense := func(dst **sparse.Dense) error {
-		dims, data, err := shape(2)
+		data, err := shape(2)
 		if err != nil {
 			return err
 		}
-		rows, cols := int(int64(dims[0])), int(int64(dims[1]))
-		if rows < 0 || cols < 0 || rows > maxDim || cols > maxDim || uint64(len(data)) != 8*dims[0]*dims[1] {
-			return fail("matrix header %dx%d disagrees with %d payload bytes", rows, cols, len(payload))
+		rows, cols := dims[0], dims[1]
+		if rows > maxDim || cols > maxDim || !holds(data, rows*cols, 8) {
+			return fail("matrix header %dx%d disagrees with %d payload bytes", int64(rows), int64(cols), len(payload))
 		}
-		*dst = sparse.NewDenseView(rows, cols, aliasFloat64(data))
+		*dst = sparse.NewDenseView(int(rows), int(cols), numeric[float64](data, !a.v1))
 		return nil
 	}
+	m := &a.m
 	switch tag {
 	case tagConfig:
-		if err := decodeConfig(payload, &m.Cfg); err != nil {
+		if err := json.Unmarshal(payload, &m.Cfg); err != nil {
 			return fail("%v", err)
 		}
 	case tagDims:
@@ -193,7 +172,7 @@ func aliasV2Section(m *core.Model, tag string, payload []byte, seenDims *bool) e
 		m.NumWords = int(int64(binary.LittleEndian.Uint64(payload[8:])))
 		m.NumBuckets = int(int64(binary.LittleEndian.Uint64(payload[16:])))
 		m.NumAttrs = int(int64(binary.LittleEndian.Uint64(payload[24:])))
-		*seenDims = true
+		a.seenDims = true
 	case tagPi:
 		return dense(&m.Pi)
 	case tagTheta:
@@ -205,51 +184,50 @@ func aliasV2Section(m *core.Model, tag string, payload []byte, seenDims *bool) e
 	case tagXi:
 		return dense(&m.Xi)
 	case tagEta:
-		dims, data, err := shape(3)
+		data, err := shape(3)
 		if err != nil {
 			return err
 		}
-		d1, d2, d3 := int(int64(dims[0])), int(int64(dims[1])), int(int64(dims[2]))
-		if d1 < 0 || d2 < 0 || d3 < 0 || d1 > maxDim || d2 > maxDim || d3 > maxDim ||
-			dims[0]*dims[1] > maxSectionBytes/8 || uint64(len(data)) != 8*dims[0]*dims[1]*dims[2] {
-			return fail("tensor header %dx%dx%d disagrees with %d payload bytes", d1, d2, d3, len(payload))
+		d1, d2, d3 := dims[0], dims[1], dims[2]
+		if d1 > maxDim || d2 > maxDim || d3 > maxDim ||
+			d1*d2 > uint64(len(data))/8 || !holds(data, d1*d2*d3, 8) {
+			return fail("tensor header %dx%dx%d disagrees with %d payload bytes", int64(d1), int64(d2), int64(d3), len(payload))
 		}
-		m.Eta = sparse.NewTensor3View(d1, d2, d3, aliasFloat64(data))
+		m.Eta = sparse.NewTensor3View(int(d1), int(d2), int(d3), numeric[float64](data, !a.v1))
 	case tagNu:
-		dims, data, err := shape(1)
+		data, err := shape(1)
 		if err != nil {
 			return err
 		}
-		if uint64(len(data)) != 8*dims[0] {
-			return fail("element data is %d bytes, want %d", len(data), 8*dims[0])
+		if !holds(data, dims[0], 8) {
+			return fail("slice header %d disagrees with %d payload bytes", dims[0], len(payload))
 		}
-		m.Nu = aliasFloat64(data)
+		m.Nu = numeric[float64](data, !a.v1)
 	case tagDocC, tagDocZ:
-		dims, data, err := shape(1)
+		data, err := shape(1)
 		if err != nil {
 			return err
 		}
-		if uint64(len(data)) != 4*dims[0] {
-			return fail("element data is %d bytes, want %d", len(data), 4*dims[0])
+		if !holds(data, dims[0], 4) {
+			return fail("slice header %d disagrees with %d payload bytes", dims[0], len(payload))
 		}
 		if tag == tagDocC {
-			m.DocCommunity = aliasInt32(data)
+			m.DocCommunity = numeric[int32](data, !a.v1)
 		} else {
-			m.DocTopic = aliasInt32(data)
+			m.DocTopic = numeric[int32](data, !a.v1)
 		}
 	case tagDocB:
-		// DocBucket is []int in the model; on-disk it is int64. Copy (it
-		// is metadata-sized next to the matrices, and aliasing []int would
+		// DocBucket is []int in the model and int64 on disk: always copied
+		// (it is metadata-sized next to the matrices, and aliasing would
 		// tie the format to the platform's int width).
-		dims, data, err := shape(1)
+		data, err := shape(1)
 		if err != nil {
 			return err
 		}
-		n := dims[0]
-		if n > maxSectionBytes/8 || uint64(len(data)) != 8*n {
-			return fail("element data is %d bytes, want %d", len(data), 8*n)
+		if !holds(data, dims[0], 8) {
+			return fail("slice header %d disagrees with %d payload bytes", dims[0], len(payload))
 		}
-		if n > 0 {
+		if n := dims[0]; n > 0 {
 			m.DocBucket = make([]int, n)
 			for i := range m.DocBucket {
 				m.DocBucket[i] = int(int64(binary.LittleEndian.Uint64(data[8*i:])))
@@ -257,6 +235,23 @@ func aliasV2Section(m *core.Model, tag string, payload []byte, seenDims *bool) e
 		}
 	}
 	return nil
+}
+
+// model checks that the sections made a whole, consistent model and
+// rebuilds its prediction caches.
+func (a *assembly) model() (*core.Model, error) {
+	m := &a.m
+	if !a.seenDims {
+		return nil, fmt.Errorf("store: snapshot is missing the dimension section")
+	}
+	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
+		return nil, fmt.Errorf("store: snapshot is missing parameter blocks")
+	}
+	if err := m.CheckShapes(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	m.Rehydrate()
+	return m, nil
 }
 
 // nativeLittleEndian reports whether the host stores multi-byte integers
@@ -267,33 +262,41 @@ func nativeLittleEndian() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
-// aliasFloat64 reinterprets b (length a multiple of 8, 8-byte aligned —
-// guaranteed by the v2 alignment rules) as a []float64 without copying.
-func aliasFloat64(b []byte) []float64 {
-	if len(b) == 0 {
+// numeric returns the little-endian elements of data as a []T. With
+// alias set, on a host where aliasNumeric holds, and with data aligned for
+// T (the v2 layout guarantees it), the slice is data's memory itself, with
+// cap == len: an append to the block reallocates, never writing into the
+// next section. Otherwise the elements are converted into a new slice.
+// Empty data gives nil either way.
+func numeric[T float64 | int32](data []byte, alias bool) []T {
+	var zero T
+	width := int(unsafe.Sizeof(zero))
+	n := len(data) / width
+	if n == 0 {
 		return nil
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
-		panic("store: misaligned float64 section")
+	if alias && aliasNumeric && uintptr(unsafe.Pointer(&data[0]))%uintptr(width) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&data[0])), n)
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
+	xs := make([]T, n)
+	// Decode fails only on a buffer shorter than xs, and this one is not.
+	binary.Decode(data[:n*width], binary.LittleEndian, xs)
+	return xs
 }
 
-// aliasInt32 reinterprets b (length a multiple of 4, 4-byte aligned) as a
-// []int32 without copying.
-func aliasInt32(b []byte) []int32 {
-	if len(b) == 0 {
+// alignedBytes returns n zeroed bytes of 8-byte-aligned heap memory, the
+// alignment the section decoder needs to alias numeric blocks.
+func alignedBytes(n int) []byte {
+	words := make([]uint64, (n+7)/8)
+	if len(words) == 0 {
 		return nil
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
-		panic("store: misaligned int32 section")
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
 }
 
 // readAligned reads a whole file into 8-byte-aligned heap memory — the
-// portable mapFile fallback (and the small-file path some platforms
-// prefer). The result supports the same aliasing as a real mapping.
+// portable mapFile fallback and LoadFile's buffer. The result supports the
+// same aliasing as a real mapping.
 func readAligned(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -308,11 +311,7 @@ func readAligned(path string) ([]byte, error) {
 	if size < 0 || size > int64(maxSectionBytes)*2 {
 		return nil, fmt.Errorf("snapshot size %d out of range", size)
 	}
-	words := make([]uint64, (size+7)/8)
-	var buf []byte
-	if len(words) > 0 {
-		buf = unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
-	}
+	buf := alignedBytes(int(size))
 	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil, err
 	}

@@ -14,9 +14,7 @@ package store
 // file sections before assembly).
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,28 +77,13 @@ func OpenRawFile(path string) (*RawFile, error) {
 }
 
 func (rf *RawFile) parse() error {
-	data := rf.data
-	if len(data) < v2HeaderLen {
-		return fmt.Errorf("file shorter than a v2 header")
-	}
-	if string(data[:len(magicV2)]) != magicV2 {
-		return fmt.Errorf("not a v2 CPD snapshot")
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	if count == 0 || count > maxV2Entries {
-		return fmt.Errorf("v2 snapshot claims %d sections", count)
-	}
-	tableEnd := uint64(v2HeaderLen) + count*v2EntryLen
-	if tableEnd > uint64(len(data)) {
-		return fmt.Errorf("v2 section table truncated")
-	}
-	entries, err := parseV2Table(data[:v2HeaderLen], data[v2HeaderLen:tableEnd], uint64(len(data)))
+	entries, _, err := readV2Table(bytes.NewReader(rf.data), uint64(len(rf.data)))
 	if err != nil {
 		return err
 	}
 	rf.sections = make([]RawSection, len(entries))
 	for i, ent := range entries {
-		rf.sections[i] = RawSection{Tag: ent.tag, Payload: data[ent.off : ent.off+ent.size]}
+		rf.sections[i] = RawSection{Tag: ent.tag, Payload: rf.data[ent.off : ent.off+ent.size : ent.off+ent.size]}
 	}
 	return nil
 }
@@ -192,38 +175,18 @@ func WriteRawFile(path string, secs []RawSection) error {
 }
 
 // AssembleRawModel builds a model from an arbitrary section set (e.g.
-// the merged sections of a shard group's global and user-shard files).
-// On little-endian hosts numeric payloads are aliased in place, exactly
-// as Open does; the payload slices must stay valid for the model's
-// lifetime. Shape checks and cache rehydration run as for any load.
+// the merged sections of a shard group's global and user-shard files)
+// through the same section decoder and checks as Open: numeric payloads
+// are aliased in place where the host allows, so the payload slices must
+// stay valid for the model's lifetime, and payload CRCs are not checked.
 func AssembleRawModel(secs []RawSection) (*core.Model, error) {
-	if !nativeLittleEndian() {
-		// Big-endian host: round-trip through the copying decoder, which
-		// converts byte order while verifying the re-emitted CRCs.
-		var buf bytes.Buffer
-		if err := EncodeRawSections(&buf, secs); err != nil {
-			return nil, err
-		}
-		return decodeV2(bufio.NewReader(bytes.NewReader(buf.Bytes())), uint64(buf.Len()))
-	}
-	m := &core.Model{}
-	var seenDims bool
+	a := &assembly{}
 	for _, sec := range secs {
-		if err := aliasV2Section(m, sec.Tag, sec.Payload, &seenDims); err != nil {
+		if err := a.section(sec.Tag, sec.Payload); err != nil {
 			return nil, err
 		}
 	}
-	if !seenDims {
-		return nil, fmt.Errorf("store: section set is missing the dimension section")
-	}
-	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
-		return nil, fmt.Errorf("store: section set is missing parameter blocks")
-	}
-	if err := m.CheckShapes(); err != nil {
-		return nil, err
-	}
-	m.Rehydrate()
-	return m, nil
+	return a.model()
 }
 
 // SectionSum is one section's identity in a file: tag, payload size and
@@ -240,39 +203,34 @@ type SectionSum struct {
 // path and returns each section's identity plus the total file size —
 // O(1) in the model size.
 func FileSections(path string) ([]SectionSum, int64, error) {
-	f, err := os.Open(path)
+	entries, size, _, err := readFileTable(path)
 	if err != nil {
 		return nil, 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	hdr := make([]byte, v2HeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, 0, fmt.Errorf("store: %s: reading v2 header: %w", path, err)
-	}
-	if string(hdr[:len(magicV2)]) != magicV2 {
-		return nil, 0, fmt.Errorf("store: %s: not a v2 CPD snapshot", path)
-	}
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	if count == 0 || count > maxV2Entries {
-		return nil, 0, fmt.Errorf("store: %s: v2 snapshot claims %d sections", path, count)
-	}
-	table := make([]byte, count*v2EntryLen)
-	if _, err := io.ReadFull(f, table); err != nil {
-		return nil, 0, fmt.Errorf("store: %s: reading v2 section table: %w", path, err)
-	}
-	entries, err := parseV2Table(hdr, table, uint64(fi.Size()))
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %s: %w", path, err)
 	}
 	sums := make([]SectionSum, len(entries))
 	for i, ent := range entries {
 		sums[i] = SectionSum{Tag: ent.tag, Size: ent.size, CRC: ent.crc}
 	}
-	return sums, fi.Size(), nil
+	return sums, size, nil
+}
+
+// readFileTable runs readV2Table over the file at path, reading only its
+// header and table.
+func readFileTable(path string) (entries []v2Entry, size int64, tableCRC uint64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	entries, tableCRC, err = readV2Table(f, uint64(fi.Size()))
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("store: reading %s: %w", path, err)
+	}
+	return entries, fi.Size(), tableCRC, nil
 }
 
 // verifiedSidecar is the cached verification receipt VerifyV2FileCached
@@ -289,23 +247,6 @@ type verifiedSidecar struct {
 // verification receipt.
 const VerifiedSidecarSuffix = ".verified"
 
-// readTableCRC returns the stored table CRC from a v2 file's header.
-func readTableCRC(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, v2HeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, err
-	}
-	if string(hdr[:len(magicV2)]) != magicV2 {
-		return 0, fmt.Errorf("store: %s: not a v2 CPD snapshot", path)
-	}
-	return binary.LittleEndian.Uint64(hdr[16:]), nil
-}
-
 // VerifyV2FileCached is VerifyV2File with a persistent receipt: a
 // successful full verification writes a ".verified" sidecar recording
 // the file's size, mtime and table CRC, and a later call whose stat and
@@ -319,7 +260,7 @@ func VerifyV2FileCached(path string) error {
 		return err
 	}
 	side := path + VerifiedSidecarSuffix
-	crc, crcErr := readTableCRC(path)
+	_, _, crc, crcErr := readFileTable(path)
 	if crcErr == nil {
 		if raw, err := os.ReadFile(side); err == nil {
 			var sc verifiedSidecar

@@ -1,13 +1,15 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,6 +75,20 @@ func attachAttrs(m *core.Model, attrs int, seed uint64) {
 	m.Xi.NormalizeRows()
 }
 
+// sameFloats compares two blocks bit for bit; an empty block equals a nil
+// one (decoders hand back nil for empty sections).
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func denseEqual(t *testing.T, name string, a, b *sparse.Dense) {
 	t.Helper()
 	if (a == nil) != (b == nil) {
@@ -81,14 +97,14 @@ func denseEqual(t *testing.T, name string, a, b *sparse.Dense) {
 	if a == nil {
 		return
 	}
-	if a.Rows != b.Rows || a.Cols != b.Cols || !reflect.DeepEqual(a.Data, b.Data) {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !sameFloats(a.Data, b.Data) {
 		t.Fatalf("%s differs after round trip", name)
 	}
 }
 
 func modelsEquivalent(t *testing.T, a, b *core.Model) {
 	t.Helper()
-	// Modulo Workers: a host fact the decoders drop (decodeConfig).
+	// Modulo Workers: a host fact no format persists.
 	ac, bc := a.Cfg, b.Cfg
 	ac.Workers, bc.Workers = 0, 0
 	if !reflect.DeepEqual(ac, bc) {
@@ -103,120 +119,83 @@ func modelsEquivalent(t *testing.T, a, b *core.Model) {
 	denseEqual(t, "phi", a.Phi, b.Phi)
 	denseEqual(t, "popfreq", a.PopFreq, b.PopFreq)
 	denseEqual(t, "xi", a.Xi, b.Xi)
-	if !reflect.DeepEqual(a.Eta.Data, b.Eta.Data) {
+	if !sameFloats(a.Eta.Data, b.Eta.Data) {
 		t.Fatalf("eta differs")
 	}
-	if !reflect.DeepEqual(a.Nu, b.Nu) {
+	if !sameFloats(a.Nu, b.Nu) {
 		t.Fatalf("nu differs")
 	}
-	if !reflect.DeepEqual(a.DocCommunity, b.DocCommunity) ||
-		!reflect.DeepEqual(a.DocTopic, b.DocTopic) ||
-		!reflect.DeepEqual(a.DocBucket, b.DocBucket) {
+	if !slices.Equal(a.DocCommunity, b.DocCommunity) ||
+		!slices.Equal(a.DocTopic, b.DocTopic) ||
+		!slices.Equal(a.DocBucket, b.DocBucket) {
 		t.Fatalf("document assignments differ")
 	}
 }
 
-func encodeToBytes(t *testing.T, m *core.Model) []byte {
+// goldenV1 returns the bytes of the committed v1 fixture: nothing writes
+// v1 any more, so every v1 reader test mutates these.
+func goldenV1(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Encode(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	m := testModel(40, 6, 5, 120, 1)
-	got, err := Decode(bytes.NewReader(encodeToBytes(t, m)))
+	raw, err := os.ReadFile(goldenPath("golden-v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsEquivalent(t, m, got)
-	// The decoded model must have working caches: the Eq. 19 ranking and a
-	// link probability must match the original bit-for-bit.
-	q := []int32{3, 7}
-	want, have := m.RankCommunities(q), got.RankCommunities(q)
-	if !reflect.DeepEqual(want, have) {
-		t.Fatalf("rank scores differ after round trip: %v vs %v", want, have)
-	}
-	if a, b := m.FriendshipProb(0, 1), got.FriendshipProb(0, 1); a != b {
-		t.Fatalf("friendship prob differs: %v vs %v", a, b)
-	}
+	return raw
 }
 
-func TestBinaryRoundTripWithAttributes(t *testing.T) {
-	m := testModel(25, 5, 4, 80, 2)
-	attachAttrs(m, 9, 3)
-	got, err := Decode(bytes.NewReader(encodeToBytes(t, m)))
+// jsonBytes is m in the legacy JSON encoding, the way a model file of
+// that format was written.
+func jsonBytes(t testing.TB, m *core.Model) []byte {
+	t.Helper()
+	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsEquivalent(t, m, got)
+	return raw
 }
 
-// TestJSONBinaryEquivalence feeds both encodings of the same model through
-// the sniffing Load and requires identical models back.
+// TestJSONBinaryEquivalence feeds the JSON and v2 encodings of the same
+// model through the sniffing LoadBytes and requires identical models back.
 func TestJSONBinaryEquivalence(t *testing.T) {
 	m := testModel(30, 5, 4, 100, 4)
-	var jsonBuf bytes.Buffer
-	if err := m.Save(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Load(bytes.NewReader(jsonBuf.Bytes()))
+	fromJSON, err := LoadBytes(jsonBytes(t, m))
 	if err != nil {
 		t.Fatalf("loading JSON: %v", err)
 	}
-	fromBinary, err := Load(bytes.NewReader(encodeToBytes(t, m)))
+	fromBinary, err := LoadBytes(encodeV2ToBytes(t, m))
 	if err != nil {
-		t.Fatalf("loading binary: %v", err)
+		t.Fatalf("loading v2: %v", err)
 	}
 	modelsEquivalent(t, m, fromJSON)
 	modelsEquivalent(t, fromJSON, fromBinary)
 }
 
-func TestEmptyModelRoundTrip(t *testing.T) {
-	m := &core.Model{
-		Cfg:     core.Config{NumCommunities: 2, NumTopics: 2}.WithDefaults(),
-		Pi:      sparse.NewDense(0, 2),
-		Theta:   sparse.NewDense(2, 2),
-		Phi:     sparse.NewDense(2, 0),
-		Eta:     sparse.NewTensor3(2, 2, 2),
-		PopFreq: sparse.NewDense(0, 2),
-	}
-	m.Rehydrate()
-	got, err := Decode(bytes.NewReader(encodeToBytes(t, m)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelsEquivalent(t, m, got)
-}
-
 func TestCorruptSnapshotRejected(t *testing.T) {
-	raw := encodeToBytes(t, testModel(20, 4, 3, 60, 5))
+	raw := goldenV1(t)
 	// Flip one byte in every region of the file: header, early section,
 	// deep payload, trailing checksum.
 	for _, pos := range []int{2, 20, len(raw) / 2, len(raw) - 3} {
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0x41
-		if _, err := Decode(bytes.NewReader(bad)); err == nil {
+		if _, err := LoadBytes(bad); err == nil {
 			t.Fatalf("corruption at byte %d accepted", pos)
 		}
 	}
 }
 
 func TestTruncatedSnapshotRejected(t *testing.T) {
-	raw := encodeToBytes(t, testModel(20, 4, 3, 60, 6))
+	raw := goldenV1(t)
 	for _, n := range []int{0, 4, len(magic), 30, len(raw) / 3, len(raw) - 1} {
-		if _, err := Decode(bytes.NewReader(raw[:n])); err == nil {
+		if _, err := LoadBytes(raw[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
 }
 
 func TestUnsupportedVersionRejected(t *testing.T) {
-	raw := encodeToBytes(t, testModel(10, 3, 3, 40, 7))
+	raw := goldenV1(t)
 	raw[6] = 0x7f // version byte
-	_, err := Decode(bytes.NewReader(raw))
+	_, err := LoadBytes(raw)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version error, got %v", err)
 	}
@@ -225,24 +204,26 @@ func TestUnsupportedVersionRejected(t *testing.T) {
 // TestUnknownSectionSkipped verifies forward compatibility: a reader must
 // skip (but checksum) sections it does not know.
 func TestUnknownSectionSkipped(t *testing.T) {
-	m := testModel(15, 4, 3, 50, 8)
-	raw := encodeToBytes(t, m)
+	raw := goldenV1(t)
 	// Splice an unknown section right after the magic.
 	extra := buildSection("ZZZZ", []byte("future payload"))
 	spliced := append(append(append([]byte(nil), raw[:len(magic)]...), extra...), raw[len(magic):]...)
-	got, err := Decode(bytes.NewReader(spliced))
+	got, err := LoadBytes(spliced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsEquivalent(t, m, got)
+	modelsEquivalent(t, goldenModel(), got)
+	spliced[len(magic)+12] ^= 1 // the unknown payload no longer matches its CRC
+	if _, err := LoadBytes(spliced); err == nil {
+		t.Fatal("an unknown section failing its checksum was accepted")
+	}
 }
 
+// buildSection frames payload as one v1 section.
 func buildSection(tag string, payload []byte) []byte {
-	var buf bytes.Buffer
-	e := &encoder{w: bufio.NewWriter(&buf), crc: crc32.NewIEEE(), scratch: make([]byte, 64)}
-	e.section(tag, uint64(len(payload)), func() { e.raw(payload) })
-	e.w.Flush()
-	return buf.Bytes()
+	out := append([]byte(tag), binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
 // TestOverflowingHeaderRejected: crafted dimension headers whose element
@@ -252,9 +233,7 @@ func TestOverflowingHeaderRejected(t *testing.T) {
 	u64 := func(vs ...uint64) []byte {
 		var out []byte
 		for _, v := range vs {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], v)
-			out = append(out, b[:]...)
+			out = binary.LittleEndian.AppendUint64(out, v)
 		}
 		return out
 	}
@@ -266,10 +245,13 @@ func TestOverflowingHeaderRejected(t *testing.T) {
 		// Slice count wraps 8*n around to 8, matching the 16-byte payload.
 		"slice-overflow": buildSection(tagNu, u64(1<<61+1, 0)),
 	}
+	fixture := goldenV1(t)
 	for name, sec := range cases {
+		// The forged section goes in front of the fixture's own, so the
+		// file is whole apart from it.
 		raw := append([]byte(magic), sec...)
-		raw = append(raw, buildSection(tagEnd, nil)...)
-		if _, err := Decode(bytes.NewReader(raw)); err == nil {
+		raw = append(raw, fixture[len(magic):]...)
+		if _, err := LoadBytes(raw); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -280,7 +262,7 @@ func TestSaveIsAtomicAndLoadFileSniffs(t *testing.T) {
 	m := testModel(12, 3, 3, 30, 9)
 
 	binPath := filepath.Join(dir, "model.snap")
-	if err := Save(binPath, m); err != nil {
+	if err := SaveV2(binPath, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(binPath)
@@ -289,7 +271,7 @@ func TestSaveIsAtomicAndLoadFileSniffs(t *testing.T) {
 	}
 	modelsEquivalent(t, m, got)
 
-	// No temporary file may survive a successful Save.
+	// No temporary file may survive a successful save.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -300,16 +282,9 @@ func TestSaveIsAtomicAndLoadFileSniffs(t *testing.T) {
 		}
 	}
 
-	// LoadFile must also read the JSON format.
+	// LoadFile must also read the legacy formats.
 	jsonPath := filepath.Join(dir, "model.json")
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(jsonPath, jsonBytes(t, m), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err = LoadFile(jsonPath)
@@ -317,24 +292,25 @@ func TestSaveIsAtomicAndLoadFileSniffs(t *testing.T) {
 		t.Fatal(err)
 	}
 	modelsEquivalent(t, m, got)
+	got, err = LoadFile(goldenPath("golden-v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelsEquivalent(t, goldenModel(), got)
 }
 
 // TestBinarySmallerThanJSON pins the size advantage: 8 bytes per float
 // beats JSON's decimal expansion.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	m := testModel(50, 8, 6, 200, 10)
-	var jsonBuf bytes.Buffer
-	if err := m.Save(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	bin := encodeToBytes(t, m)
-	if len(bin) >= jsonBuf.Len() {
-		t.Fatalf("binary snapshot (%d bytes) not smaller than JSON (%d bytes)", len(bin), jsonBuf.Len())
+	bin, js := encodeV2ToBytes(t, m), jsonBytes(t, m)
+	if len(bin) >= len(js) {
+		t.Fatalf("binary snapshot (%d bytes) not smaller than JSON (%d bytes)", len(bin), len(js))
 	}
 }
 
 func TestEncodeRejectsIncompleteModel(t *testing.T) {
-	if err := Encode(&bytes.Buffer{}, &core.Model{}); err == nil {
+	if err := EncodeV2(&bytes.Buffer{}, &core.Model{}); err == nil {
 		t.Fatal("model without parameter blocks accepted")
 	}
 }

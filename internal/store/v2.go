@@ -1,18 +1,15 @@
 package store
 
-// Snapshot format v2: the zero-copy serving layout.
+// Snapshot format v2: the one format this repository writes.
 //
-// v1 (store.go) streams length-prefixed sections through a fixed buffer —
-// robust and simple, but loading is inherently O(model): every float64 is
-// copied from the file into freshly allocated matrices. v2 instead lays
-// the file out so the big numeric blocks can be used *in place* from a
-// read-only memory mapping (Open / MappedModel):
+// The file is laid out so the big numeric blocks can be used *in place*
+// from a read-only memory mapping (Open / MappedModel):
 //
 //	offset 0   magic "CPDSNP\x02\n"                       (8 bytes)
 //	offset 8   sectionCount  uint64 LE
 //	offset 16  tableCRC      uint64 LE (IEEE CRC32 of the table, low 32 bits)
 //	offset 24  section table: sectionCount × 32-byte entries
-//	             tag      [4]byte   (same tags as v1)
+//	             tag      [4]byte
 //	             reserved [4]byte   (zero)
 //	             offset   uint64 LE (absolute payload offset, 64-byte aligned)
 //	             length   uint64 LE (payload bytes)
@@ -25,7 +22,7 @@ package store
 // zero-padded), so the raw element data also starts on a 64-byte boundary
 // — cache-line aligned and therefore safely reinterpretable as []float64 /
 // []int32 without copying. Numeric data is little-endian; on a big-endian
-// host Open transparently falls back to the copying decoder.
+// host the section decoder converts it into heap slices instead.
 //
 // Payload layouts:
 //
@@ -37,19 +34,19 @@ package store
 //	DOCC/DOCZ    64-byte header {n u64}, then n int32
 //	DOCB         64-byte header {n u64}, then n int64
 //
-// Integrity: the table CRC is always verified (a torn or corrupt table can
-// never be walked), and per-payload CRCs are verified by the copying
-// decoder (Decode/Load/LoadFile). Open skips payload CRCs by design — an
-// O(model) checksum pass would defeat the O(1) map — so a mapped open
-// trusts the payload bytes the way any mmap-consuming system does; run the
-// copying loader when end-to-end verification matters more than load time.
-//
-// Unknown tags are skipped by both readers (forward compatibility), and
-// the v1 and JSON formats keep loading byte-identically through the same
-// sniffing entry points.
+// Reading: readV2Table is the one header+table parser, and the section
+// decoder in mapped.go turns each payload into a model block. The table
+// CRC is always verified (a torn or corrupt table can never be walked).
+// LoadFile, LoadBytes and VerifyV2File also verify every payload CRC;
+// Open and AssembleRawModel skip that by design — an O(model) checksum
+// pass would defeat the O(1) map — so a mapped open trusts the payload
+// bytes the way any mmap-consuming system does. Every reader applies the
+// same structural checks, so apart from payload bit-flips they accept and
+// reject the same files. Unknown tags are skipped (forward compatibility).
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -131,13 +128,14 @@ func (s *v2sink) shape(dims ...uint64) {
 	s.raw(b[:])
 }
 
-// aliasNumeric selects how the sink encodes numeric blocks. On a
+// aliasNumeric selects how numeric blocks cross the format boundary. On a
 // little-endian host a block's own memory already is its on-disk byte
-// sequence, so floats/int32s/int64s hand it to the CRC and the writer as
-// it stands — the write-side mirror of aliasFloat64/aliasInt32 in
-// mapped.go, under the same guard. Elsewhere each element is spelled
-// little-endian through the scratch buffer. The platform chooses, never a
-// caller; tests flip it to hold the two encoders byte-equal.
+// sequence, so the sink's floats/int32s/int64s hand it to the CRC and the
+// writer as it stands, and the section decoder (mapped.go) aliases v2
+// payload bytes as the block. Elsewhere each element is spelled
+// little-endian through the scratch buffer on the way out and converted
+// into a heap slice on the way in. The platform chooses, never a caller;
+// tests flip it to hold both branches to the same bytes and models.
 var aliasNumeric = nativeLittleEndian()
 
 // elemBytes returns the memory of xs as bytes, without copying.
@@ -468,248 +466,89 @@ type v2Entry struct {
 	crc  uint32
 }
 
-// parseV2Table validates the v2 header+table bytes (table CRC, entry
-// bounds, 64-byte alignment, ascending non-overlapping offsets) and
-// returns the entries. size is the total input size when known (> 0).
-func parseV2Table(hdr, table []byte, size uint64) ([]v2Entry, error) {
+// isV2 reports whether data starts with the v2 magic.
+func isV2(data []byte) bool { return bytes.HasPrefix(data, []byte(magicV2)) }
+
+// readV2Table parses the header and section table at the front of the v2
+// snapshot of size bytes behind r — the one parser every v2 reader
+// shares. It checks the magic, the section count, the table CRC, and that
+// every entry is 64-byte aligned, ascending, non-overlapping and inside
+// the snapshot; it reads no payload. It also returns the stored table CRC.
+func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, uint64, error) {
+	hdr := make([]byte, v2HeaderLen)
+	if _, err := r.ReadAt(hdr, 0); err != nil {
+		return nil, 0, fmt.Errorf("store: reading the v2 header: %w", err)
+	}
+	if !isV2(hdr) {
+		if bytes.HasPrefix(hdr, []byte(magicV2[:6])) {
+			return nil, 0, fmt.Errorf("store: snapshot is format version %d, not v2 (LoadFile reads it)", hdr[6])
+		}
+		return nil, 0, fmt.Errorf("store: not a v2 CPD snapshot")
+	}
 	count := binary.LittleEndian.Uint64(hdr[8:])
-	wantCRC := binary.LittleEndian.Uint64(hdr[16:])
+	tableCRC := binary.LittleEndian.Uint64(hdr[16:])
 	if count == 0 || count > maxV2Entries {
-		return nil, fmt.Errorf("store: v2 snapshot claims %d sections", count)
+		return nil, 0, fmt.Errorf("store: v2 snapshot claims %d sections", count)
 	}
-	if uint64(len(table)) != count*v2EntryLen {
-		return nil, fmt.Errorf("store: v2 section table truncated")
+	table := make([]byte, count*v2EntryLen)
+	if _, err := r.ReadAt(table, v2HeaderLen); err != nil {
+		return nil, 0, fmt.Errorf("store: reading the v2 section table: %w", err)
 	}
-	if got := uint64(crc32.ChecksumIEEE(table)); got != wantCRC {
-		return nil, fmt.Errorf("store: v2 section table checksum mismatch (%08x, stored %08x)", got, wantCRC)
+	if got := uint64(crc32.ChecksumIEEE(table)); got != tableCRC {
+		return nil, 0, fmt.Errorf("store: v2 section table checksum mismatch (%08x, stored %08x)", got, tableCRC)
 	}
 	entries := make([]v2Entry, count)
 	end := alignUp(uint64(v2HeaderLen) + count*v2EntryLen)
 	for i := range entries {
 		e := table[v2EntryLen*i:]
-		entries[i] = v2Entry{
+		ent := v2Entry{
 			tag:  string(e[:4]),
 			off:  binary.LittleEndian.Uint64(e[8:]),
 			size: binary.LittleEndian.Uint64(e[16:]),
 			crc:  binary.LittleEndian.Uint32(e[24:]),
 		}
-		ent := &entries[i]
-		if ent.size > maxSectionBytes || (size > 0 && ent.size > size) {
-			return nil, fmt.Errorf("store: section %q claims %d payload bytes", ent.tag, ent.size)
-		}
-		if ent.off%v2Align != 0 {
-			return nil, fmt.Errorf("store: section %q offset %d is not %d-byte aligned", ent.tag, ent.off, v2Align)
-		}
-		if ent.off < end {
-			return nil, fmt.Errorf("store: section %q overlaps the preceding section", ent.tag)
+		switch {
+		case ent.size > maxSectionBytes || ent.size > size:
+			return nil, 0, fmt.Errorf("store: section %q claims %d payload bytes", ent.tag, ent.size)
+		case ent.off%v2Align != 0:
+			return nil, 0, fmt.Errorf("store: section %q offset %d is not %d-byte aligned", ent.tag, ent.off, v2Align)
+		case ent.off < end:
+			return nil, 0, fmt.Errorf("store: section %q overlaps the preceding section", ent.tag)
+		case ent.off > size || ent.size > size-ent.off:
+			return nil, 0, fmt.Errorf("store: section %q extends past the snapshot end", ent.tag)
 		}
 		end = alignUp(ent.off + ent.size)
-		if end < ent.off { // overflow
-			return nil, fmt.Errorf("store: section %q extends past the addressable range", ent.tag)
-		}
-		if size > 0 && ent.off+ent.size > size {
-			return nil, fmt.Errorf("store: section %q extends past the snapshot end", ent.tag)
-		}
+		entries[i] = ent
 	}
-	return entries, nil
+	return entries, tableCRC, nil
 }
 
-// decodeV2 is the copying v2 reader: it streams the file in table order,
-// verifies every payload CRC, and builds a fully heap-owned model — the
-// path Load/LoadFile use so non-mmap callers (and big-endian hosts) read
-// v2 snapshots with the same guarantees as v1.
-func decodeV2(br *bufio.Reader, limit uint64) (*core.Model, error) {
-	head := make([]byte, v2HeaderLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("store: reading v2 header: %w", err)
-	}
-	if string(head[:len(magicV2)]) != magicV2 {
-		return nil, fmt.Errorf("store: not a v2 CPD snapshot")
-	}
-	count := binary.LittleEndian.Uint64(head[8:])
-	if count == 0 || count > maxV2Entries {
-		return nil, fmt.Errorf("store: v2 snapshot claims %d sections", count)
-	}
-	table := make([]byte, count*v2EntryLen)
-	if _, err := io.ReadFull(br, table); err != nil {
-		return nil, fmt.Errorf("store: reading v2 section table: %w", err)
-	}
-	entries, err := parseV2Table(head, table, limit)
+// readV2Sections parses the v2 snapshot held in data (8-byte aligned, a
+// mapping or readAligned's memory) and hands every section to the
+// section decoder. With verify, each payload's CRC is checked first — the
+// O(model) pass the mapped readers skip by design.
+func readV2Sections(data []byte, verify bool) (*assembly, error) {
+	entries, _, err := readV2Table(bytes.NewReader(data), uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	m := &core.Model{}
-	var seenDims bool
-	pos := uint64(v2HeaderLen) + count*v2EntryLen
-	d := &decoder{r: br, crc: crc32.NewIEEE(), scratch: make([]byte, 1<<15)}
+	a := &assembly{}
 	for _, ent := range entries {
-		if ent.off < pos {
-			return nil, fmt.Errorf("store: section %q out of order", ent.tag)
+		payload := data[ent.off : ent.off+ent.size : ent.off+ent.size]
+		if verify {
+			if got := crc32.ChecksumIEEE(payload); got != ent.crc {
+				return nil, fmt.Errorf("store: section %q: checksum mismatch (payload %08x, stored %08x)", ent.tag, got, ent.crc)
+			}
 		}
-		if _, err := io.CopyN(io.Discard, br, int64(ent.off-pos)); err != nil {
-			return nil, fmt.Errorf("store: snapshot truncated before section %q", ent.tag)
-		}
-		d.crc.Reset()
-		if err := applyV2Section(m, d, ent, &seenDims); err != nil {
+		if err := a.section(ent.tag, payload); err != nil {
 			return nil, err
 		}
-		if d.err != nil {
-			return nil, fmt.Errorf("store: section %q: %w", ent.tag, d.err)
-		}
-		if got := d.crc.Sum32(); got != ent.crc {
-			return nil, fmt.Errorf("store: section %q: checksum mismatch (payload %08x, stored %08x)", ent.tag, got, ent.crc)
-		}
-		pos = ent.off + ent.size
 	}
-	if !seenDims {
-		return nil, fmt.Errorf("store: snapshot is missing the dimension section")
-	}
-	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
-		return nil, fmt.Errorf("store: snapshot is missing parameter blocks")
-	}
-	if err := validateShapes(m); err != nil {
-		return nil, err
-	}
-	m.Rehydrate()
-	return m, nil
+	return a, nil
 }
 
-// applyV2Section streams one section payload into the model through the
-// shared decoder (fixed scratch buffer, running CRC) — the copy path
-// never materializes a whole section in memory, matching v1's streaming
-// profile.
-func applyV2Section(m *core.Model, d *decoder, ent v2Entry, seenDims *bool) error {
-	tag := ent.tag
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("store: section %q: "+format, append([]any{tag}, args...)...)
-	}
-	// shape reads the 64-byte shape header and returns n dimension words.
-	shape := func(n int) ([]uint64, error) {
-		if ent.size < v2ShapeLen {
-			return nil, fail("payload shorter than the shape header")
-		}
-		var hdr [v2ShapeLen]byte
-		d.read(hdr[:])
-		if d.err != nil {
-			return nil, nil
-		}
-		dims := make([]uint64, n)
-		for i := range dims {
-			dims[i] = binary.LittleEndian.Uint64(hdr[8*i:])
-		}
-		return dims, nil
-	}
-	dense := func(dst **sparse.Dense) error {
-		dims, err := shape(2)
-		if err != nil || d.err != nil {
-			return err
-		}
-		rows, cols := int(int64(dims[0])), int(int64(dims[1]))
-		if rows < 0 || cols < 0 || rows > maxDim || cols > maxDim ||
-			ent.size != v2ShapeLen+8*dims[0]*dims[1] {
-			return fail("matrix header %dx%d disagrees with section length %d", rows, cols, ent.size)
-		}
-		mat := sparse.NewDense(rows, cols)
-		d.floats(mat.Data)
-		*dst = mat
-		return nil
-	}
-	switch tag {
-	case tagConfig:
-		buf, err := d.take(ent.size)
-		if err == nil {
-			err = decodeConfig(buf, &m.Cfg)
-		}
-		if err != nil {
-			return fail("%v", err)
-		}
-	case tagDims:
-		if ent.size != 4*8 {
-			return fail("has length %d, want 32", ent.size)
-		}
-		m.NumUsers = int(int64(d.u64()))
-		m.NumWords = int(int64(d.u64()))
-		m.NumBuckets = int(int64(d.u64()))
-		m.NumAttrs = int(int64(d.u64()))
-		*seenDims = true
-	case tagPi:
-		return dense(&m.Pi)
-	case tagTheta:
-		return dense(&m.Theta)
-	case tagPhi:
-		return dense(&m.Phi)
-	case tagPop:
-		return dense(&m.PopFreq)
-	case tagXi:
-		return dense(&m.Xi)
-	case tagEta:
-		dims, err := shape(3)
-		if err != nil || d.err != nil {
-			return err
-		}
-		d1, d2, d3 := int(int64(dims[0])), int(int64(dims[1])), int(int64(dims[2]))
-		if d1 < 0 || d2 < 0 || d3 < 0 || d1 > maxDim || d2 > maxDim || d3 > maxDim ||
-			dims[0]*dims[1] > maxSectionBytes/8 ||
-			ent.size != v2ShapeLen+8*dims[0]*dims[1]*dims[2] {
-			return fail("tensor header %dx%dx%d disagrees with section length %d", d1, d2, d3, ent.size)
-		}
-		t := sparse.NewTensor3(d1, d2, d3)
-		d.floats(t.Data)
-		m.Eta = t
-	case tagNu:
-		dims, err := shape(1)
-		if err != nil || d.err != nil {
-			return err
-		}
-		if dims[0] > maxSectionBytes/8 || ent.size != v2ShapeLen+8*dims[0] {
-			return fail("slice header %d disagrees with section length %d", dims[0], ent.size)
-		}
-		if dims[0] > 0 {
-			m.Nu = make([]float64, dims[0])
-			d.floats(m.Nu)
-		}
-	case tagDocC, tagDocZ:
-		dims, err := shape(1)
-		if err != nil || d.err != nil {
-			return err
-		}
-		n := dims[0]
-		if n > maxSectionBytes/4 || ent.size != v2ShapeLen+4*n {
-			return fail("slice header %d disagrees with section length %d", n, ent.size)
-		}
-		var xs []int32
-		if n > 0 {
-			xs = make([]int32, n)
-			d.int32sInto(xs)
-		}
-		if tag == tagDocC {
-			m.DocCommunity = xs
-		} else {
-			m.DocTopic = xs
-		}
-	case tagDocB:
-		dims, err := shape(1)
-		if err != nil || d.err != nil {
-			return err
-		}
-		n := dims[0]
-		if n > maxSectionBytes/8 || ent.size != v2ShapeLen+8*n {
-			return fail("slice header %d disagrees with section length %d", n, ent.size)
-		}
-		if n > 0 {
-			m.DocBucket = make([]int, n)
-			d.int64sIntoInts(m.DocBucket)
-		}
-	default:
-		// Forward compatibility: unknown sections are skipped, their CRC
-		// still verified by the caller.
-		d.discard(ent.size)
-	}
-	return nil
-}
-
-// SaveV2 writes m to path as a v2 (mmap-ready) snapshot, with the same
-// atomic, crash-safe rename discipline as Save.
+// SaveV2 writes m to path as a v2 (mmap-ready) snapshot, atomically and
+// crash-safely (see saveAtomic).
 func SaveV2(path string, m *core.Model) error {
 	_, err := SaveV2Reusing(path, m, nil)
 	return err

@@ -25,35 +25,64 @@ func encodeV2ToBytes(t *testing.T, m *core.Model) []byte {
 	return buf.Bytes()
 }
 
-func TestV2RoundTrip(t *testing.T) {
-	m := testModel(40, 6, 5, 120, 21)
-	raw := encodeV2ToBytes(t, m)
-	got, err := Decode(bytes.NewReader(raw))
-	if err != nil {
+// everyReader loads raw through each v2 reader: the verifying copies
+// (LoadBytes, LoadFile) and the mapped ones (Open, OpenRawFile +
+// AssembleRawModel). Mapped models are closed at the end of the test.
+func everyReader(t *testing.T, raw []byte) map[string]*core.Model {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.v2.snap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	modelsEquivalent(t, m, got)
-	q := []int32{3, 7}
-	if want, have := m.RankCommunities(q), got.RankCommunities(q); !reflect.DeepEqual(want, have) {
-		t.Fatalf("rank scores differ after v2 round trip: %v vs %v", want, have)
+	models := make(map[string]*core.Model)
+	load := func(name string, m *core.Model, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		models[name] = m
 	}
-	// The sniffing loaders must route v2 too.
-	if _, err := Load(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("Load does not sniff v2: %v", err)
+	m, err := LoadBytes(raw)
+	load("LoadBytes", m, err)
+	m, err = LoadFile(path)
+	load("LoadFile", m, err)
+	mm, err := Open(path)
+	if err == nil {
+		t.Cleanup(func() { mm.Close() })
+		m = mm.Model
 	}
-	if _, err := LoadBytes(raw); err != nil {
-		t.Fatalf("LoadBytes does not sniff v2: %v", err)
+	load("Open", m, err)
+	rf, err := OpenRawFile(path)
+	if err == nil {
+		t.Cleanup(func() { rf.Close() })
+		m, err = AssembleRawModel(rf.Sections())
+	}
+	load("AssembleRawModel", m, err)
+	return models
+}
+
+func TestV2RoundTrip(t *testing.T) {
+	m := testModel(40, 6, 5, 120, 21)
+	for name, got := range everyReader(t, encodeV2ToBytes(t, m)) {
+		modelsEquivalent(t, m, got)
+		// The loaded model must have working caches: the Eq. 19 ranking and
+		// a link probability must match the original bit-for-bit.
+		q := []int32{3, 7}
+		if want, have := m.RankCommunities(q), got.RankCommunities(q); !reflect.DeepEqual(want, have) {
+			t.Fatalf("%s: rank scores differ after v2 round trip: %v vs %v", name, want, have)
+		}
+		if a, b := m.FriendshipProb(0, 1), got.FriendshipProb(0, 1); a != b {
+			t.Fatalf("%s: friendship prob differs: %v vs %v", name, a, b)
+		}
 	}
 }
 
 func TestV2RoundTripWithAttributes(t *testing.T) {
 	m := testModel(25, 5, 4, 80, 22)
 	attachAttrs(m, 9, 23)
-	got, err := Decode(bytes.NewReader(encodeV2ToBytes(t, m)))
-	if err != nil {
-		t.Fatal(err)
+	for _, got := range everyReader(t, encodeV2ToBytes(t, m)) {
+		modelsEquivalent(t, m, got)
 	}
-	modelsEquivalent(t, m, got)
 }
 
 func TestV2EmptyModelRoundTrip(t *testing.T) {
@@ -66,11 +95,21 @@ func TestV2EmptyModelRoundTrip(t *testing.T) {
 		PopFreq: sparse.NewDense(0, 2),
 	}
 	m.Rehydrate()
-	got, err := Decode(bytes.NewReader(encodeV2ToBytes(t, m)))
-	if err != nil {
-		t.Fatal(err)
+	for _, got := range everyReader(t, encodeV2ToBytes(t, m)) {
+		modelsEquivalent(t, m, got)
 	}
-	modelsEquivalent(t, m, got)
+}
+
+// TestWorkersNotPersisted: the worker count is a fact about the training
+// host, so two models that differ only in it are the same snapshot, byte
+// for byte.
+func TestWorkersNotPersisted(t *testing.T) {
+	a := testModel(12, 3, 3, 30, 40)
+	b := *a
+	a.Cfg.Workers, b.Cfg.Workers = 1, 8
+	if !bytes.Equal(encodeV2ToBytes(t, a), encodeV2ToBytes(t, &b)) {
+		t.Fatal("models differing only in Cfg.Workers encode to different snapshots")
+	}
 }
 
 // TestV2Alignment pins the format's layout promises: every payload offset
@@ -79,8 +118,7 @@ func TestV2EmptyModelRoundTrip(t *testing.T) {
 // in ascending offset order.
 func TestV2Alignment(t *testing.T) {
 	raw := encodeV2ToBytes(t, testModel(17, 5, 4, 70, 24))
-	count := binary.LittleEndian.Uint64(raw[8:])
-	entries, err := parseV2Table(raw[:v2HeaderLen], raw[v2HeaderLen:v2HeaderLen+count*v2EntryLen], uint64(len(raw)))
+	entries, _, err := readV2Table(bytes.NewReader(raw), uint64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +240,8 @@ func TestV2CorruptTableRejected(t *testing.T) {
 	for _, pos := range []int{2, 9, 20, 40} { // magic, count, table bytes
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0x41
-		if _, err := Decode(bytes.NewReader(bad)); err == nil {
-			t.Errorf("table corruption at byte %d accepted by Decode", pos)
+		if _, err := LoadBytes(bad); err == nil {
+			t.Errorf("table corruption at byte %d accepted by LoadBytes", pos)
 		}
 		if mm, err := openBytesForTest(t, bad); err == nil {
 			mm.Close()
@@ -214,14 +252,14 @@ func TestV2CorruptTableRejected(t *testing.T) {
 
 func TestV2CorruptPayloadRejectedByCopyDecoder(t *testing.T) {
 	raw := encodeV2ToBytes(t, testModel(20, 4, 3, 60, 29))
-	// Flip bytes deep in payload territory: the copying decoder verifies
+	// Flip bytes deep in payload territory: the copying loader verifies
 	// every payload CRC. (Open intentionally does not — see the format
-	// doc — so only Decode is asserted here.)
+	// doc — so only LoadBytes is asserted here.)
 	for _, pos := range []int{len(raw) / 2, len(raw) - 3} {
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0x41
-		if _, err := Decode(bytes.NewReader(bad)); err == nil {
-			t.Errorf("payload corruption at byte %d accepted by Decode", pos)
+		if _, err := LoadBytes(bad); err == nil {
+			t.Errorf("payload corruption at byte %d accepted by LoadBytes", pos)
 		}
 	}
 }
@@ -229,8 +267,8 @@ func TestV2CorruptPayloadRejectedByCopyDecoder(t *testing.T) {
 func TestV2TruncatedRejected(t *testing.T) {
 	raw := encodeV2ToBytes(t, testModel(20, 4, 3, 60, 30))
 	for _, n := range []int{0, 4, 8, v2HeaderLen, v2HeaderLen + 16, len(raw) / 3, len(raw) - 1} {
-		if _, err := Decode(bytes.NewReader(raw[:n])); err == nil {
-			t.Errorf("truncation to %d bytes accepted by Decode", n)
+		if _, err := LoadBytes(raw[:n]); err == nil {
+			t.Errorf("truncation to %d bytes accepted by LoadBytes", n)
 		}
 		if mm, err := openBytesForTest(t, raw[:n]); err == nil {
 			mm.Close()
@@ -239,7 +277,7 @@ func TestV2TruncatedRejected(t *testing.T) {
 	}
 }
 
-// TestV2UnknownSectionSkipped: both v2 readers must skip sections with
+// TestV2UnknownSectionSkipped: every v2 reader must skip sections with
 // unknown tags (forward compatibility), like the v1 reader does.
 func TestV2UnknownSectionSkipped(t *testing.T) {
 	m := testModel(15, 4, 3, 50, 31)
@@ -253,18 +291,9 @@ func TestV2UnknownSectionSkipped(t *testing.T) {
 		size: uint64(len(future)),
 		emit: func(s *v2sink) { s.raw(future) },
 	})
-	raw := encodePlanForTest(t, plan)
-	got, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	for _, got := range everyReader(t, encodePlanForTest(t, plan)) {
+		modelsEquivalent(t, m, got)
 	}
-	modelsEquivalent(t, m, got)
-	mm, err := openBytesForTest(t, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mm.Close()
-	modelsEquivalent(t, m, mm.Model)
 }
 
 // TestV2MisalignedOffsetRejected guards the aliasing precondition: a table
@@ -279,8 +308,8 @@ func TestV2MisalignedOffsetRejected(t *testing.T) {
 	binary.LittleEndian.PutUint64(bad[v2HeaderLen+8:], off+8)
 	table := bad[v2HeaderLen : v2HeaderLen+count*v2EntryLen]
 	binary.LittleEndian.PutUint64(bad[16:], uint64(crc32.ChecksumIEEE(table)))
-	if _, err := Decode(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "aligned") {
-		t.Errorf("misaligned section accepted by Decode (err=%v)", err)
+	if _, err := LoadBytes(bad); err == nil || !strings.Contains(err.Error(), "aligned") {
+		t.Errorf("misaligned section accepted by LoadBytes (err=%v)", err)
 	}
 	if mm, err := openBytesForTest(t, bad); err == nil {
 		mm.Close()

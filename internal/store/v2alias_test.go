@@ -78,10 +78,9 @@ func requireBothEncodersAgree(t *testing.T, what string, src planSource) []byte 
 		}
 		return raw
 	}
-	portably := func(encode func() []byte) []byte {
-		defer func(saved bool) { aliasNumeric = saved }(aliasNumeric)
-		aliasNumeric = false
-		return encode()
+	portably := func(encode func() []byte) (out []byte) {
+		withConvertedNumerics(func() { out = encode() })
+		return out
 	}
 	want := twoPass()
 	for _, enc := range []struct {
@@ -134,9 +133,12 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 	full.DocTopic[2] = -1
 	full.DocBucket[0], full.DocBucket[1], full.DocBucket[2] = math.MinInt64, math.MaxInt64, -1
 	got := requireBothEncodersAgree(t, "every section kind", modelPlan(t, full))
-	// And the bytes mean what they should: the copying decoder, which
-	// converts element by element, reads the awkward values back bit for bit.
-	back, err := Decode(bytes.NewReader(got))
+	// And the bytes mean what they should: the section decoder, converting
+	// element by element as on a big-endian host, reads the awkward values
+	// back bit for bit.
+	var back *core.Model
+	var err error
+	withConvertedNumerics(func() { back, err = LoadBytes(got) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 	}
 	defer raw.Close()
 	pi, _ := raw.Section(TagPi)
-	for i, v := range aliasFloat64(pi[v2ShapeLen:]) {
+	for i, v := range numeric[float64](pi[v2ShapeLen:], true) {
 		if math.Float64bits(v) != math.Float64bits(full.Pi.Data[lo*C+i]) {
 			t.Fatalf("shard Π element %d is %x on disk, %x in the view", i, math.Float64bits(v), math.Float64bits(full.Pi.Data[lo*C+i]))
 		}

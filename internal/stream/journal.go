@@ -438,7 +438,7 @@ func (j *Journal) Watermark() uint64 {
 
 // SetWatermark records that every record below off has been applied and
 // published. The mark is persisted to the sidecar file atomically (temp
-// file, fsync, rename, directory fsync — the store.Save discipline);
+// file, fsync, rename, directory fsync — the store.SaveV2 discipline);
 // compaction may later drop records below it.
 func (j *Journal) SetWatermark(off uint64) error {
 	j.mu.Lock()

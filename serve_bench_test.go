@@ -113,22 +113,16 @@ func BenchmarkFoldIn(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad compares loading the serving-scale model across
-// every snapshot path: the v1 binary copy load, the legacy JSON load, the
-// v2 copy load, and the v2 memory-mapped open (store.Open). Every
-// sub-benchmark reports allocations, and the v1/v2 pair plus mmap report
-// an rss-delta metric (process resident-set growth across the run) — the
+// BenchmarkSnapshotLoad compares the two ways to load the serving-scale
+// model from its v2 snapshot: the copying load (store.LoadBytes: aligned
+// copy, every payload CRC verified, then the section decoder) and the
+// memory-mapped open (store.Open). Both report allocations and an
+// rss-delta metric (process resident-set growth across the run) — the
 // mapped open is the one whose heap and RSS stay O(1) in the matrix
 // payload (matrices alias the mapping; only caches allocate).
 func BenchmarkSnapshotLoad(b *testing.B) {
 	m := serveBenchModel(b)
-	var bin, js, v2 bytes.Buffer
-	if err := store.Encode(&bin, m); err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Save(&js); err != nil {
-		b.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := store.EncodeV2(&v2, m); err != nil {
 		b.Fatal(err)
 	}
@@ -144,26 +138,10 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			}
 		}
 	}
-	b.Run(fmt.Sprintf("binary-%dMB", bin.Len()>>20), withRSS(func(b *testing.B) {
-		b.SetBytes(int64(bin.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := store.Load(bytes.NewReader(bin.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	b.Run(fmt.Sprintf("json-%dMB", js.Len()>>20), withRSS(func(b *testing.B) {
-		b.SetBytes(int64(js.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := store.Load(bytes.NewReader(js.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
 	b.Run(fmt.Sprintf("v2-copy-%dMB", v2.Len()>>20), withRSS(func(b *testing.B) {
 		b.SetBytes(int64(v2.Len()))
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Load(bytes.NewReader(v2.Bytes())); err != nil {
+			if _, err := store.LoadBytes(v2.Bytes()); err != nil {
 				b.Fatal(err)
 			}
 		}
