@@ -102,6 +102,11 @@ type Fetcher struct {
 
 	patched           uint64
 	lastPromoteMicros int64
+
+	// global is the manifest entry of the global file of the shard group
+	// generation gen (Sharded mode): a newer group whose global file has
+	// the same content reuses the local copy.
+	global shard.FileEntry
 }
 
 // NewFetcher validates the options and returns a Fetcher. No fetch
@@ -288,6 +293,9 @@ func (f *Fetcher) pollSharded() (uint64, error) {
 		return 0, fmt.Errorf("opening generation %d shard %d: %w", latest, f.opts.Shard, err)
 	}
 	f.e.PromoteShardGroup(f.opts.Snapshot, g, f.opts.Vocab, latest)
+	f.mu.Lock()
+	f.global = man.Global
+	f.mu.Unlock()
 	f.promoted(start)
 	if f.http {
 		f.pruneShardCache(latest)
@@ -344,7 +352,11 @@ func (f *Fetcher) discoverSharded() (uint64, error) {
 // manifest, global file and this replica's shard, plus the parsed
 // manifest: the publisher's directory itself for a directory source,
 // downloaded copies for an HTTP source. Already-downloaded files are
-// reused; the caller re-verifies every CRC either way.
+// reused, and so is the served generation's global file when the manifest
+// gives the new one the same content — the community profiles, which
+// fold-in publishes never move: it is hard-linked under the new name with
+// its .verified receipt. The caller re-verifies against the manifest
+// either way.
 func (f *Fetcher) materializeSharded(gen uint64) (string, *shard.Manifest, error) {
 	if !f.http {
 		man, err := shard.ReadManifest(shard.ManifestPath(f.opts.Source, gen))
@@ -360,8 +372,15 @@ func (f *Fetcher) materializeSharded(gen uint64) (string, *shard.Manifest, error
 	if err != nil {
 		return "", nil, err
 	}
+	globalPath := shard.GlobalPath(f.opts.Dir, gen)
+	f.mu.Lock()
+	have, served := f.gen, f.global
+	f.mu.Unlock()
+	if have > 0 && man.Global.SameContent(served) {
+		linkCached(shard.GlobalPath(f.opts.Dir, have), globalPath)
+	}
 	fetches := []struct{ url, path string }{
-		{fmt.Sprintf("%s/api/shards/file?gen=%d&global=1", f.opts.Source, gen), shard.GlobalPath(f.opts.Dir, gen)},
+		{fmt.Sprintf("%s/api/shards/file?gen=%d&global=1", f.opts.Source, gen), globalPath},
 		{fmt.Sprintf("%s/api/shards/file?gen=%d&shard=%d", f.opts.Source, gen, f.opts.Shard), shard.ShardPath(f.opts.Dir, gen, f.opts.Shard)},
 	}
 	for _, fe := range fetches {
@@ -373,6 +392,19 @@ func (f *Fetcher) materializeSharded(gen uint64) (string, *shard.Manifest, error
 		}
 	}
 	return f.opts.Dir, man, nil
+}
+
+// linkCached hard-links the cached file src, and its .verified receipt
+// when there is one, to dst. Nothing is linked when dst exists; a failed
+// link leaves dst to be downloaded.
+func linkCached(src, dst string) {
+	if _, err := os.Stat(dst); err == nil {
+		return
+	}
+	if os.Link(src, dst) == nil {
+		// Without the receipt the caller's verification walks the CRCs.
+		_ = os.Link(src+store.VerifiedSidecarSuffix, dst+store.VerifiedSidecarSuffix)
+	}
 }
 
 // download fetches url into path via a temp file and atomic rename.

@@ -11,8 +11,12 @@ package serve_test
 import (
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/serve"
@@ -281,5 +285,135 @@ func TestFetcherAdoptsShardsByPatch(t *testing.T) {
 			t.Fatalf("shard %d after the re-plan built %+v, want a full build because the shard moved", i, b)
 		}
 		requireSameAnswers(t, e, freshShard(g3, i), p.users)
+	}
+}
+
+// TestFetcherReusesUnchangedGlobalFile: fold-in generations that append
+// users leave the group's global file (the community profiles) as it was,
+// so sharded replicas fetching over HTTP download it once and hard-link
+// their copy, .verified receipt included, for every later generation — and
+// still answer what a full node does.
+func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
+	p := newAdoptPublisher(t)
+	var globalFetches atomic.Int64
+	origin := stream.SnapshotServer(p.dir)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/shards/file" && r.URL.Query().Get("global") != "" {
+			globalFetches.Add(1)
+		}
+		origin.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	replicas := make([]*serve.Engine, adoptShards)
+	fetchers := make([]*serve.Fetcher, adoptShards)
+	caches := make([]string, adoptShards)
+	for i := range replicas {
+		replicas[i] = serve.NewMulti(serve.Options{Mmap: true})
+		defer replicas[i].Close()
+		caches[i] = t.TempDir()
+		var err error
+		fetchers[i], err = serve.NewFetcher(replicas[i], serve.FetchOptions{Source: srv.URL, Dir: caches[i], Sharded: true, Shard: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var last uint64
+	for round, newUsers := range []int{2, 5, 3} {
+		gen := p.publish(t, newUsers)
+		for i, f := range fetchers {
+			if got, err := f.Poll(); got != gen || err != nil {
+				t.Fatalf("round %d: shard %d poll = %d, %v; want %d", round, i, got, err, gen)
+			}
+			if round == 0 {
+				continue
+			}
+			a, err := os.Stat(shard.GlobalPath(caches[i], last))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.Stat(shard.GlobalPath(caches[i], gen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !os.SameFile(a, b) {
+				t.Fatalf("replica %d: generation %d's global file is not its predecessor's", i, gen)
+			}
+			if _, err := os.Stat(shard.GlobalPath(caches[i], gen) + store.VerifiedSidecarSuffix); err != nil {
+				t.Fatalf("replica %d: generation %d's global file has no receipt: %v", i, gen, err)
+			}
+		}
+		last = gen
+	}
+	if n := globalFetches.Load(); n != adoptShards {
+		t.Fatalf("the global file was downloaded %d times by %d replicas, want once each", n, adoptShards)
+	}
+
+	full := serve.NewMulti(serve.Options{Mmap: true})
+	defer full.Close()
+	if _, err := full.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, last), nil, last); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range replicas {
+		requireOwnedAnswersMatch(t, e, full, p.users)
+		if st := fetchers[i].Status(); st.Generation != last || st.Failures != 0 {
+			t.Fatalf("shard %d status: %+v", i, st)
+		}
+	}
+}
+
+// requireOwnedAnswersMatch holds a shard replica to a full node on what
+// it answers alone: the membership of every user it owns, the community
+// order and scores of rank answers (member counts are its own users'),
+// and fold-ins whose friends it owns.
+func requireOwnedAnswersMatch(t *testing.T, replica, full *serve.Engine, users int) {
+	t.Helper()
+	var owned []int32
+	for u := 0; u < users; u++ {
+		a, err := replica.Membership(u, 4)
+		var notOwned *serve.ErrNotOwned
+		if errors.As(err, &notOwned) {
+			continue
+		}
+		b, berr := full.Membership(u, 4)
+		if err != nil || berr != nil {
+			t.Fatalf("membership(%d): %v, %v", u, err, berr)
+		}
+		owned = append(owned, int32(u))
+		if !reflect.DeepEqual(a.Communities, b.Communities) {
+			t.Fatalf("membership(%d): replica %+v, full node %+v", u, a, b)
+		}
+	}
+	if len(owned) == 0 {
+		t.Fatal("the replica owns no user")
+	}
+	for w := 0; w < adoptV; w += 11 {
+		q := []int32{int32(w), int32((w * 3) % adoptV)}
+		a, aerr := replica.Rank(q, adoptC)
+		b, berr := full.Rank(q, adoptC)
+		if aerr != nil || berr != nil || len(a.Entries) != len(b.Entries) {
+			t.Fatalf("rank(%v): %v, %v", q, aerr, berr)
+		}
+		for k := range a.Entries {
+			if a.Entries[k].Community != b.Entries[k].Community || a.Entries[k].Score != b.Entries[k].Score {
+				t.Fatalf("rank(%v) entry %d: replica %+v, full node %+v", q, k, a.Entries[k], b.Entries[k])
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		req := &serve.FoldInRequest{
+			Docs:    [][]int32{{int32(i), 9, int32(40 + i)}},
+			Friends: []int32{owned[i%len(owned)], owned[len(owned)-1]},
+			Seed:    uint64(70 + i), Sweeps: 6,
+		}
+		a, aerr := replica.FoldIn(req)
+		b, berr := full.FoldIn(req)
+		if aerr != nil || berr != nil {
+			t.Fatalf("fold-in %d: %v, %v", i, aerr, berr)
+		}
+		a.Version, b.Version = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("fold-in %d: replica %+v, full node %+v", i, a, b)
+		}
 	}
 }

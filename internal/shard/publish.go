@@ -8,15 +8,19 @@ package shard
 //     shard's user/doc upper bound growing as the stream appends users
 //     and documents — so shards 0..N−2 keep byte-stable ranges across
 //     generations and routing stays valid through a rollout;
+//   - the global file holds only the community profiles (no DIM, so no
+//     user count), which fold-in never moves: every publish that is not
+//     Full HARD-LINKS the previous generation's global file, appended
+//     users or not;
 //   - a shard whose range holds no re-folded user (and whose doc window
-//     is unchanged) is HARD-LINKED to the previous generation's file —
+//     is unchanged) is hard-linked to the previous generation's file —
 //     zero encode, zero extra disk;
-//   - dirty shards and the global file are written through
-//     store.SaveV2SubsetReusing, so sections whose backing arrays did
-//     not move (doc windows on friends-only publishes, Θ/Φ/η/ν always
-//     outside Gibbs passes) splice byte-for-byte — except the Π of a
-//     shard the delta names, which is always encoded: the updater may
-//     have patched those rows inside the array a manifest remembers.
+//   - dirty shards, and the global file of a Full publish, are written
+//     through store.SaveV2SubsetReusing, so sections whose backing arrays
+//     did not move (doc windows on friends-only publishes) splice
+//     byte-for-byte — except the Π of a shard the delta names, which is
+//     always encoded: the updater may have patched those rows inside the
+//     array a manifest remembers.
 //
 // The emitted group is exactly what Split would produce from the full
 // snapshot of the same model with the same pinned ranges — Join on a
@@ -35,8 +39,15 @@ import (
 
 var (
 	shardTagsList  = []string{store.TagConfig, store.TagDims, store.TagPi, store.TagDocC, store.TagDocZ, store.TagDocB}
-	globalTagsList = []string{store.TagConfig, store.TagDims, store.TagTheta, store.TagPhi, store.TagEta, store.TagNu, store.TagPop, store.TagXi}
+	globalTagsList = []string{store.TagConfig, store.TagTheta, store.TagPhi, store.TagEta, store.TagNu, store.TagPop, store.TagXi}
 )
+
+// PublishStats is what one Publish put on disk. Links cost no bytes.
+type PublishStats struct {
+	FilesWritten, FilesLinked int
+	// BytesWritten sums the sizes of the files written, manifest included.
+	BytesWritten int64
+}
 
 // Delta tells Publish what moved since the previous published model.
 type Delta struct {
@@ -71,9 +82,11 @@ type Publisher struct {
 	shardMans []*store.SectionManifest
 	globalMan *store.SectionManifest
 
-	// LinkedFiles / WrittenFiles count shard files hard-linked vs
+	// LinkedFiles / WrittenFiles count group files hard-linked vs
 	// re-encoded across the publisher's lifetime (observability).
 	LinkedFiles, WrittenFiles uint64
+	// Last describes the most recent successful Publish.
+	Last PublishStats
 }
 
 // NewPublisher builds a sharded-generation emitter writing into dir.
@@ -151,16 +164,15 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 		Ranges:       make([]Range, p.shards),
 	}
 
+	var st PublishStats
 	// Global file. Outside full rebuilds the global blocks alias the
-	// previous model's arrays and DIM/CFG are value-stable, so when the
-	// user count did not change the previous file is re-linked; otherwise
-	// SaveV2SubsetReusing re-encodes only CFG+DIM and splices the rest.
+	// previous model's arrays and CFG is value-stable, so the previous file
+	// is re-linked.
 	globalPath := GlobalPath(p.dir, gen)
-	if !full && users == p.prevUsers && p.prevMan != nil && p.globalMan != nil &&
-		linkOrCopy(GlobalPath(p.dir, p.prevGen), globalPath) == nil {
+	if !full && p.prevMan != nil && linkOrCopy(GlobalPath(p.dir, p.prevGen), globalPath) == nil {
 		man.Global = p.prevMan.Global
 		man.Global.Name = fmt.Sprintf(globalFormat, gen)
-		p.LinkedFiles++
+		st.FilesLinked++
 	} else {
 		gm, err := store.SaveV2SubsetReusing(globalPath, m, globalTagsList, p.globalMan)
 		if err != nil {
@@ -170,7 +182,8 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 		if man.Global, err = fileEntry(globalPath); err != nil {
 			return nil, err
 		}
-		p.WrittenFiles++
+		st.FilesWritten++
+		st.BytesWritten += man.Global.Size
 	}
 
 	for i := range p.ranges {
@@ -183,7 +196,7 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 			ent := p.prevMan.Ranges[i].File
 			ent.Name = fmt.Sprintf(shardFormat, gen, i)
 			man.Ranges[i] = Range{Index: i, UserLo: r.UserLo, UserHi: r.UserHi, DocLo: r.DocLo, DocHi: r.DocHi, File: ent}
-			p.LinkedFiles++
+			st.FilesLinked++
 			continue
 		}
 		sub := &core.Model{
@@ -214,12 +227,22 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 			return nil, err
 		}
 		man.Ranges[i] = Range{Index: i, UserLo: r.UserLo, UserHi: r.UserHi, DocLo: r.DocLo, DocHi: r.DocHi, File: ent}
-		p.WrittenFiles++
+		st.FilesWritten++
+		st.BytesWritten += ent.Size
 	}
 
-	if err := WriteManifest(ManifestPath(p.dir, gen), man); err != nil {
+	manPath := ManifestPath(p.dir, gen)
+	if err := WriteManifest(manPath, man); err != nil {
 		return nil, err
 	}
+	fi, err := os.Stat(manPath)
+	if err != nil {
+		return nil, err
+	}
+	st.BytesWritten += fi.Size()
+	p.Last = st
+	p.LinkedFiles += uint64(st.FilesLinked)
+	p.WrittenFiles += uint64(st.FilesWritten)
 	p.prevGen = gen
 	p.prevMan = man
 	p.prevUsers = users

@@ -6,10 +6,12 @@
 //
 //	gen-%08d.shards.json        manifest: shard count, user/doc range
 //	                            boundaries, per-file section checksums
-//	gen-%08d.global.v2.snap     one v2 file with everything that is NOT
-//	                            user-indexed: CFG, the original DIM,
-//	                            Θ/Φ/η/ν (+ POPF/XI when present) — all
-//	                            rank and diffusion scoring needs
+//	gen-%08d.global.v2.snap     one v2 file with the community profiles:
+//	                            CFG and Θ/Φ/η/ν (+ POPF/XI when present),
+//	                            all rank and diffusion scoring needs. It
+//	                            holds no DIM (its first word is the user
+//	                            count), so it changes only when the
+//	                            profiles do
 //	gen-%08d.shard-%03d.v2.snap N v2 files, each holding the user-indexed
 //	                            sections for one contiguous user range:
 //	                            the Π row slice (+ a DIM patched to the
@@ -22,15 +24,17 @@
 // publish directory.
 //
 // Split turns any v2 snapshot written by this repo's encoder into a
-// sharded generation; Join reassembles one back byte-identically.
+// sharded generation; Join reassembles one back byte-identically, taking
+// the full DIM from shard 0's with the manifest's user count.
 // Boundaries come from a weight-balancing pass over per-user row+doc
 // bytes (PlanRanges) — power-law corpora put most document mass on few
 // users, so equal-width ranges would load shards unevenly. OpenGroup
 // mmaps a global+shard pair into a servable partial model whose
 // mapped-byte cost is ~(1/N of Π + the global sections). Publisher is
 // the streaming integration: it emits a sharded generation next to each
-// full one, hard-linking shard files whose user range did not change —
-// the O(changed) property at the file level.
+// full one, hard-linking the global file on every fold-in publish and
+// the shard files whose user range did not change — the O(changed)
+// property at the file level.
 package shard
 
 import (
@@ -41,6 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/store"
@@ -112,6 +117,13 @@ type FileEntry struct {
 	Name     string             `json:"name"`
 	Size     int64              `json:"size"`
 	Sections []store.SectionSum `json:"sections"`
+}
+
+// SameContent reports whether two entries describe the same bytes under
+// possibly different names: equal size and equal section tags, sizes and
+// CRCs.
+func (e FileEntry) SameContent(o FileEntry) bool {
+	return e.Size == o.Size && slices.Equal(e.Sections, o.Sections)
 }
 
 // Range is one shard's slice of the model: users [UserLo,UserHi) own the

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -385,15 +387,42 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 		t.Fatalf("linked shard must reuse the previous file entry")
 	}
 
-	// Growth publish: appended users and documents (fresh doc arrays).
+	// Growth publish: appended users and documents (fresh doc arrays). The
+	// global file holds no user count, so it is still a link; only shard
+	// files are written.
 	m3 := growModel(m2, 8, 20, 77)
-	if _, err := pub.Publish(3, m3, Delta{ChangedUsers: []int32{10}}); err != nil {
+	written := pub.WrittenFiles
+	man3, err := pub.Publish(3, m3, Delta{ChangedUsers: []int32{10}})
+	if err != nil {
 		t.Fatalf("publish gen 3: %v", err)
 	}
 	assertJoinMatches(t, dir, 3, m3)
+	assertSameFile(t, GlobalPath(dir, 2), GlobalPath(dir, 3))
+	shardsWritten, bytes3 := 0, statSize(t, ManifestPath(dir, 3))
+	for i := range man3.Ranges {
+		if !sameFile(t, ShardPath(dir, 2, i), ShardPath(dir, 3, i)) {
+			shardsWritten++
+			bytes3 += statSize(t, ShardPath(dir, 3, i))
+		}
+	}
+	if shardsWritten == 0 || pub.WrittenFiles-written != uint64(shardsWritten) {
+		t.Fatalf("gen 3 wrote %d files, %d of them shard files", pub.WrittenFiles-written, shardsWritten)
+	}
+	if want := (PublishStats{FilesWritten: shardsWritten, FilesLinked: 1 + man3.Shards - shardsWritten, BytesWritten: bytes3}); pub.Last != want {
+		t.Fatalf("gen 3 stats %+v, want %+v", pub.Last, want)
+	}
+
+	// A Full publish (delta-Gibbs, forced rebuild) writes the global file.
+	if _, err := pub.Publish(4, m3, Delta{Full: true}); err != nil {
+		t.Fatalf("publish gen 4: %v", err)
+	}
+	assertJoinMatches(t, dir, 4, m3)
+	if sameFile(t, GlobalPath(dir, 3), GlobalPath(dir, 4)) {
+		t.Fatal("a Full publish must write a new global file")
+	}
 
 	// Every generation's files verify against their manifests.
-	for gen := uint64(1); gen <= 3; gen++ {
+	for gen := uint64(1); gen <= 4; gen++ {
 		man, err := ReadManifest(ManifestPath(dir, gen))
 		if err != nil {
 			t.Fatal(err)
@@ -547,6 +576,13 @@ func assertJoinMatches(t *testing.T, dir string, gen uint64, m *core.Model) {
 
 func assertSameFile(t *testing.T, a, b string) {
 	t.Helper()
+	if !sameFile(t, a, b) {
+		t.Fatalf("%s and %s should be hard links of the same file", a, b)
+	}
+}
+
+func sameFile(t *testing.T, a, b string) bool {
+	t.Helper()
 	fa, err := os.Stat(a)
 	if err != nil {
 		t.Fatal(err)
@@ -555,8 +591,163 @@ func assertSameFile(t *testing.T, a, b string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !os.SameFile(fa, fb) {
-		t.Fatalf("%s and %s should be hard links of the same file", a, b)
+	return os.SameFile(fa, fb)
+}
+
+func statSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// rewriteSections rewrites the v2 file at path with edit applied to a
+// copy of its sections.
+func rewriteSections(t *testing.T, path string, edit func([]store.RawSection) []store.RawSection) {
+	t.Helper()
+	rf, err := store.OpenRawFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secs []store.RawSection
+	for _, s := range rf.Sections() {
+		secs = append(secs, store.RawSection{Tag: s.Tag, Payload: bytes.Clone(s.Payload)})
+	}
+	rf.Close()
+	if err := store.WriteRawFile(path, edit(secs)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinRejectsInconsistentGroups: Join derives the full DIM from the
+// shard files, so it refuses a group whose shards disagree on the model's
+// shape or on their own user counts, and one whose ranges do not add up to
+// the manifest's users.
+func TestJoinRejectsInconsistentGroups(t *testing.T) {
+	m := testModel(30, 5, 3, 40, 17)
+	src := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(src, m); err != nil {
+		t.Fatal(err)
+	}
+	setDim := func(word int, v uint64) func([]store.RawSection) []store.RawSection {
+		return func(secs []store.RawSection) []store.RawSection {
+			for _, s := range secs {
+				if s.Tag == store.TagDims {
+					binary.LittleEndian.PutUint64(s.Payload[8*word:], v)
+				}
+			}
+			return secs
+		}
+	}
+	cases := []struct {
+		name    string
+		corrupt func(t *testing.T, dir string, man *Manifest)
+		want    string
+	}{
+		{"shape-disagrees", func(t *testing.T, dir string, man *Manifest) {
+			rewriteSections(t, ShardPath(dir, 3, 2), setDim(1, uint64(m.NumWords+1)))
+		}, "shard 2 DIM words 1-3 [41 4 0] disagree with shard 0's [40 4 0]"},
+		{"local-count", func(t *testing.T, dir string, man *Manifest) {
+			rewriteSections(t, ShardPath(dir, 3, 1), setDim(0, 99))
+		}, "shard 1 DIM claims 99 users"},
+		{"no-dim", func(t *testing.T, dir string, man *Manifest) {
+			rewriteSections(t, ShardPath(dir, 3, 0), func(secs []store.RawSection) []store.RawSection {
+				return slices.DeleteFunc(secs, func(s store.RawSection) bool { return s.Tag == store.TagDims })
+			})
+		}, "shard 0 of generation 3 has no 32-byte dimension section"},
+		{"ranges-short", func(t *testing.T, dir string, man *Manifest) {
+			man.Users++
+			if err := WriteManifest(ManifestPath(dir, 3), man); err != nil {
+				t.Fatal(err)
+			}
+		}, "ranges cover 30 users / 90 docs of 31 / 90"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			man, err := Split(src, dir, 3, SplitOptions{Shards: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(t, dir, man)
+			err = Join(dir, 3, filepath.Join(t.TempDir(), "joined.v2.snap"))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Join = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestParentLayoutGroupStillReads: groups written while the global file
+// still carried the full DIM (every non-user section of the source) join
+// byte-identically and open to the same models as today's layout.
+func TestParentLayoutGroupStillReads(t *testing.T) {
+	m := testModel(40, 6, 4, 60, 29)
+	src := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(src, m); err != nil {
+		t.Fatal(err)
+	}
+	dir, oldDir := t.TempDir(), t.TempDir()
+	man, err := Split(src, dir, 5, SplitOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Split(src, oldDir, 5, SplitOptions{Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := store.OpenRawFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oldGlobal []store.RawSection
+	for _, s := range rf.Sections() {
+		if !userTags[s.Tag] {
+			oldGlobal = append(oldGlobal, s)
+		}
+	}
+	err = store.WriteRawFile(GlobalPath(oldDir, 5), oldGlobal)
+	rf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldMan := *man
+	if oldMan.Global, err = fileEntry(GlobalPath(oldDir, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if oldMan.Global.SameContent(man.Global) || len(oldMan.Global.Sections) != len(man.Global.Sections)+1 {
+		t.Fatalf("the parent-layout global file should carry one section more: %+v", oldMan.Global)
+	}
+	if err := WriteManifest(ManifestPath(oldDir, 5), &oldMan); err != nil {
+		t.Fatal(err)
+	}
+
+	joined := filepath.Join(t.TempDir(), "joined.v2.snap")
+	if err := Join(oldDir, 5, joined); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(joined); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("join of a parent-layout group is not byte-identical (%v)", err)
+	}
+	for k := 0; k < man.Shards; k++ {
+		g, err := OpenGroup(dir, man, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := OpenGroup(oldDir, &oldMan, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.Model, old.Model) || g.Info != old.Info {
+			t.Fatalf("shard %d opens to a different model from the parent layout", k)
+		}
+		g.Close()
+		old.Close()
 	}
 }
 

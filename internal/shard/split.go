@@ -6,6 +6,7 @@ package shard
 // byte-identical to f for any v2 file written by this repo's encoder.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -13,14 +14,18 @@ import (
 	"repro/internal/store"
 )
 
-// userTags are the user-indexed sections that move to shard files;
-// everything else is global.
+// userTags are the user-indexed sections that move to shard files.
 var userTags = map[string]bool{
 	store.TagPi:   true,
 	store.TagDocC: true,
 	store.TagDocZ: true,
 	store.TagDocB: true,
 }
+
+// inGlobal reports whether a section belongs in the global file: all but
+// the user-indexed sections and DIM, whose first word is the user count
+// (each shard file carries its own, patched to its range).
+func inGlobal(tag string) bool { return !userTags[tag] && tag != store.TagDims }
 
 const shapeLen = 64 // the v2 numeric payload shape header
 
@@ -137,10 +142,10 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 		Ranges:       make([]Range, len(ranges)),
 	}
 
-	// Global file: every non-user section verbatim, in source order.
+	// Global file: every global section verbatim, in source order.
 	var globalSecs []store.RawSection
 	for _, s := range secs {
-		if !userTags[s.Tag] {
+		if inGlobal(s.Tag) {
 			globalSecs = append(globalSecs, s)
 		}
 	}
@@ -208,7 +213,9 @@ func checkRanges(ranges []Range, users, docs int) error {
 // Join reassembles sharded generation gen from dir into a single v2
 // snapshot at dstPath, byte-identical to the file the group was split
 // from (or, for a published group, to the full snapshot published
-// alongside it).
+// alongside it). The full DIM is derived from the shard files' (see
+// joinDims); a global file that still carries one, as groups written
+// before DIM left it do, is read the same way.
 func Join(dir string, gen uint64, dstPath string) error {
 	man, err := ReadManifest(ManifestPath(dir, gen))
 	if err != nil {
@@ -264,6 +271,10 @@ func Join(dir string, gen uint64, dstPath string) error {
 		return store.RawSection{Tag: tag, Payload: out}, nil
 	}
 
+	dim, err := joinDims(man, shards)
+	if err != nil {
+		return err
+	}
 	var cols uint64
 	if p, ok := shards[0].Section(store.TagPi); ok && len(p) >= shapeLen {
 		d, err := sectionDims(p, 2)
@@ -279,6 +290,8 @@ func Join(dir string, gen uint64, dstPath string) error {
 	for _, tag := range man.SectionOrder {
 		var sec store.RawSection
 		switch tag {
+		case store.TagDims:
+			sec = store.RawSection{Tag: tag, Payload: dim}
 		case store.TagPi:
 			s, err := concat(tag, []uint64{uint64(man.Users), cols}, 8)
 			if err != nil {
@@ -307,6 +320,39 @@ func Join(dir string, gen uint64, dstPath string) error {
 		out = append(out, sec)
 	}
 	return store.WriteRawFile(dstPath, out)
+}
+
+// joinDims rebuilds the full DIM payload from the shard files': word 0 is
+// the manifest's user count, words 1–3 (vocabulary, buckets, attributes)
+// are shard 0's. Every shard must carry its own range's user count as
+// word 0 and the same words 1–3 — shards that disagree cannot come from
+// one model.
+func joinDims(man *Manifest, shards []*store.RawFile) ([]byte, error) {
+	var full []byte
+	for i, sf := range shards {
+		p, ok := sf.Section(store.TagDims)
+		if !ok || len(p) != 32 {
+			return nil, fmt.Errorf("shard: shard %d of generation %d has no 32-byte dimension section", i, man.Generation)
+		}
+		r := man.Ranges[i]
+		if got := binary.LittleEndian.Uint64(p); got != uint64(r.UserHi-r.UserLo) {
+			return nil, fmt.Errorf("shard: shard %d DIM claims %d users, its range [%d,%d) holds %d",
+				i, got, r.UserLo, r.UserHi, r.UserHi-r.UserLo)
+		}
+		if full == nil {
+			full = bytes.Clone(p)
+			binary.LittleEndian.PutUint64(full, uint64(man.Users))
+		} else if !bytes.Equal(p[8:], full[8:]) {
+			return nil, fmt.Errorf("shard: shard %d DIM words 1-3 %v disagree with shard 0's %v",
+				i, dimWords(p), dimWords(full))
+		}
+	}
+	return full, nil
+}
+
+// dimWords lists a DIM payload's words 1–3 for error messages.
+func dimWords(p []byte) [3]uint64 {
+	return [3]uint64{binary.LittleEndian.Uint64(p[8:]), binary.LittleEndian.Uint64(p[16:]), binary.LittleEndian.Uint64(p[24:])}
 }
 
 // elemCount multiplies shape words into an element count.

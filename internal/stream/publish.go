@@ -24,8 +24,10 @@ package stream
 //     encodes Π from its own memory, checksumming it on the way to the
 //     file (Π is dropped from the manifest first: its array may be the
 //     one just patched);
-//   - shard: shard.Publisher hard-links the shard files no changed user
-//     falls in and rewrites the rest the same way;
+//   - shard: shard.Publisher hard-links the group's global file (the
+//     community profiles, with no user count in it) on every incremental
+//     publish, appended users or not, and the shard files no changed user
+//     falls in, and rewrites the rest the same way;
 //   - open: store.Open maps the written file in O(1) in the user count —
 //     a model has no per-user cache to rebuild;
 //   - serve: serve.Engine.BuildSnapshot, handed the publisher's explicit
@@ -106,6 +108,13 @@ type PublishPhases struct {
 	IndexPatched bool `json:"indexPatched"`
 	// SectionsReused counts v2 sections spliced from the previous file.
 	SectionsReused int `json:"sectionsReused"`
+	// BytesWritten sums the sizes of the files this publish wrote: the
+	// full snapshot, the shard-group files it did not hard-link and the
+	// group manifest. FilesLinked counts the group files it hard-linked
+	// (links write no bytes). Unlike the timings, both are the same on
+	// every host.
+	BytesWritten int64 `json:"bytesWritten"`
+	FilesLinked  int   `json:"filesLinked,omitempty"`
 }
 
 // lagSample timestamps an applied ingest batch; the publish that covers
@@ -292,11 +301,16 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 				info.SectionsReused = man.ReusedSections()
 			}
 		}
+		var fi os.FileInfo
+		if err == nil {
+			fi, err = os.Stat(path)
+		}
 		if err != nil {
 			u.generation--
 			return nil, err
 		}
 		info.Path = path
+		ph.BytesWritten = fi.Size()
 		ph.SaveMicros = lap()
 		if u.sharder != nil {
 			// The sharded group is published next to the full file from the
@@ -308,6 +322,8 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 				u.generation--
 				return nil, fmt.Errorf("stream: sharded publish: %w", serr)
 			}
+			ph.BytesWritten += u.sharder.Last.BytesWritten
+			ph.FilesLinked = u.sharder.Last.FilesLinked
 			ph.ShardMicros = lap()
 		}
 	}

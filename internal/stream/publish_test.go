@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/socialgraph"
 	"repro/internal/store"
 )
@@ -706,5 +709,72 @@ func TestFailedPublishRetriesToSameBytes(t *testing.T) {
 	}
 	if info := publish(disturbed); !info.Incremental || &disturbed.lastModel.Pi.Data[0] != array {
 		t.Fatalf("a mapped incremental publish (%+v) should patch Π where it stands", info)
+	}
+}
+
+// TestPublishPhasesCountBytesWritten: a fold-in publish that appends a
+// user to a 3-shard updater hard-links the group's global file (it holds no
+// user count) and reports as BytesWritten exactly the on-disk sizes of the
+// files it did write: the full snapshot, the group manifest and the group
+// files that are not links of the previous generation's.
+func TestPublishPhasesCountBytesWritten(t *testing.T) {
+	u := costUpdater(t, serve.SyntheticModel(300, 8, 4, 50, 3))
+	dir := u.opts.Dir
+	stat := func(path string) os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	var prev uint64
+	for round, evs := range [][]Event{
+		{{Type: EvAddDoc, User: 7, Words: []int32{1, 2, 3}}},
+		{{Type: EvAddUser}, {Type: EvAddDoc, User: 300, Time: 1, Words: []int32{4, 5}}},
+	} {
+		if _, err := u.Ingest(evs); err != nil {
+			t.Fatal(err)
+		}
+		info, err := u.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph := u.Status().LastPublishPhases
+		gen := info.Generation
+		want := stat(store.GenPath(dir, gen)).Size() + stat(shard.ManifestPath(dir, gen)).Size()
+		linked := 0
+		group := []string{shard.GlobalPath(dir, gen)}
+		prevGroup := []string{shard.GlobalPath(dir, prev)}
+		for i := 0; i < 3; i++ {
+			group = append(group, shard.ShardPath(dir, gen, i))
+			prevGroup = append(prevGroup, shard.ShardPath(dir, prev, i))
+		}
+		for i, path := range group {
+			if pi, err := os.Stat(prevGroup[i]); err == nil && os.SameFile(stat(path), pi) {
+				linked++
+			} else {
+				want += stat(path).Size()
+			}
+		}
+		if ph.BytesWritten != want || ph.FilesLinked != linked {
+			t.Fatalf("publish %d reports %d bytes written / %d files linked; the files say %d / %d", round, ph.BytesWritten, ph.FilesLinked, want, linked)
+		}
+		if round == 1 {
+			if ph.Full || info.Users != 301 || linked < 1 {
+				t.Fatalf("growth publish: %+v with %d users and %d links, want an incremental publish of 301 users with the global file linked", ph, info.Users, linked)
+			}
+			if !os.SameFile(stat(group[0]), stat(prevGroup[0])) {
+				t.Fatal("growth publish rewrote the global file")
+			}
+		}
+		prev = gen
+	}
+	raw, err := json.Marshal(u.Status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"bytesWritten"`)) || !bytes.Contains(raw, []byte(`"filesLinked"`)) {
+		t.Fatalf("status lacks the write counters: %s", raw)
 	}
 }
