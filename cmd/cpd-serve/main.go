@@ -128,7 +128,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		postings  = flag.Int("postings", 0, "rank-index posting-list length per word (0 = default)")
 		workers   = flag.Int("foldin-workers", 0, "fold-in worker pool size (0 = default)")
-		shards    = flag.Int("user-shards", 0, "user-index shard count (0 = default)")
 		useMmap   = flag.Bool("mmap", false, "serve v2 snapshots zero-copy from a memory mapping")
 		usePprof  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
@@ -159,7 +158,6 @@ func main() {
 	engine := serve.NewMulti(serve.Options{
 		PostingsPerWord: *postings,
 		FoldInWorkers:   *workers,
-		UserShards:      *shards,
 		Mmap:            *useMmap,
 	})
 	defer engine.Close()

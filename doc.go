@@ -12,7 +12,7 @@
 // model snapshots (internal/store) — the 64-byte-aligned v2 layout that
 // store.Open serves zero-copy from a memory mapping — and a concurrent
 // query engine hosting named,
-// refcount-hot-swappable snapshots with a sharded user index, an
+// refcount-hot-swappable snapshots with a flat top-K user index, an
 // inverted rank index and fold-in inference for unseen users
 // (internal/serve), the SocialLens browser UI on top of it
 // (internal/lens), and the cpd-serve / cpd-lens servers. A streaming

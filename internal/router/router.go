@@ -1,9 +1,9 @@
 // Package router is the distributed serving tier: a stateless front over
 // N cpd-serve replicas that all pull the same publisher's generation
-// snapshots (serve.Fetcher). It lifts the in-process user-shard boundary
-// (serve's sharded user index) across processes — the step the paper's
-// profiling queries need at the network scales the source corpora have,
-// where one process cannot hold the whole fleet's page-cache working set.
+// snapshots (serve.Fetcher). It partitions users across processes by
+// range (internal/shard) — the step the paper's profiling queries need
+// at the network scales the source corpora have, where one process
+// cannot hold the whole fleet's page-cache working set.
 //
 // There is one topology: every replica owns a user range (shard.Info),
 // advertised on /api/generation. A replica that advertises none — a

@@ -100,31 +100,14 @@ func requireSameRankIndex(t *testing.T, got, want *RankIndex) {
 
 func requireSameUserIndex(t *testing.T, got, want *userIndex) {
 	t.Helper()
-	if got.shardCount != want.shardCount || got.topK != want.topK || got.users != want.users {
-		t.Fatalf("shape (%d,%d,%d) != (%d,%d,%d)",
-			got.shardCount, got.topK, got.users, want.shardCount, want.topK, want.users)
+	if got.topK != want.topK || got.users != want.users {
+		t.Fatalf("shape (%d,%d) != (%d,%d)", got.topK, got.users, want.topK, want.users)
 	}
-	for sh := range want.shards {
-		if got.shards[sh].users != want.shards[sh].users {
-			t.Fatalf("shard %d users %d != %d", sh, got.shards[sh].users, want.shards[sh].users)
-		}
-		if !reflect.DeepEqual(got.shards[sh].comms, want.shards[sh].comms) {
-			t.Fatalf("shard %d comms differ", sh)
-		}
+	if !reflect.DeepEqual(got.comms, want.comms) {
+		t.Fatalf("top-K tables differ")
 	}
-	if len(got.memberLists) != len(want.memberLists) {
-		t.Fatalf("memberLists len %d != %d", len(got.memberLists), len(want.memberLists))
-	}
-	for c := range want.memberLists {
-		g, w := got.memberLists[c], want.memberLists[c]
-		if len(g) != len(w) {
-			t.Fatalf("community %d member count %d != %d: got %v want %v", c, len(g), len(w), g, w)
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("community %d member %d: %d != %d", c, i, g[i], w[i])
-			}
-		}
+	if !reflect.DeepEqual(got.counts, want.counts) {
+		t.Fatalf("member counts %v != %v", got.counts, want.counts)
 	}
 }
 
@@ -141,7 +124,7 @@ func TestPatchFromDifferential(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(42))
 	m := SyntheticModel(users, C, Z, V, 99)
-	opts := Options{UserShards: 4, PostingsPerWord: 8}.withDefaults()
+	opts := Options{PostingsPerWord: 8}.withDefaults()
 	snap := newSnapshot(m, nil, DefaultSnapshot, 0, opts)
 	for round := 0; round < rounds; round++ {
 		var next *core.Model
@@ -197,13 +180,12 @@ func TestPatchFromDifferential(t *testing.T) {
 	snap.Release()
 }
 
-// TestPatchFromSharing asserts the whole point of the patch path: with
-// an empty delta every posting list, every shard buffer, and every
-// member list is shared (aliased) with the predecessor, and a small
-// delta shares all untouched words/shards.
+// TestPatchFromSharing asserts the point of the rank-index patch path:
+// with an empty delta every posting list is shared (aliased) with the
+// predecessor, and a small delta shares all untouched words.
 func TestPatchFromSharing(t *testing.T) {
 	m := SyntheticModel(64, 8, 4, 200, 7)
-	opts := Options{UserShards: 4}.withDefaults()
+	opts := Options{}.withDefaults()
 	snap := newSnapshot(m, nil, DefaultSnapshot, 0, opts)
 	defer snap.Release()
 
@@ -218,13 +200,8 @@ func TestPatchFromSharing(t *testing.T) {
 			t.Fatalf("word %d list not shared under empty delta", w)
 		}
 	}
-	for sh := range snap.users.shards {
-		if !same(empty.users.shards[sh].comms, snap.users.shards[sh].comms) {
-			t.Fatalf("shard %d not shared under empty delta", sh)
-		}
-	}
 
-	// One dirty user (id 5, shard 1) and one dirty word (id 9).
+	// One dirty user (id 5) and one dirty word (id 9).
 	next := clonePatchModel(m)
 	r := rand.New(rand.NewSource(3))
 	randomizePiRow(next.Pi.Row(5), r)
@@ -243,15 +220,6 @@ func TestPatchFromSharing(t *testing.T) {
 			t.Fatalf("clean word %d was copied", w)
 		}
 	}
-	for sh := range snap.users.shards {
-		shared := same(patched.users.shards[sh].comms, snap.users.shards[sh].comms)
-		if sh == 5%4 && shared {
-			t.Fatalf("dirty shard %d still shares its buffer", sh)
-		}
-		if sh != 5%4 && !shared {
-			t.Fatalf("clean shard %d was copied", sh)
-		}
-	}
 }
 
 // TestPatchFromFallbacks: deltas the patch path must refuse — Globals,
@@ -259,7 +227,7 @@ func TestPatchFromSharing(t *testing.T) {
 // snapshots.
 func TestPatchFromFallbacks(t *testing.T) {
 	m := SyntheticModel(50, 6, 4, 120, 11)
-	opts := Options{UserShards: 2}.withDefaults()
+	opts := Options{}.withDefaults()
 	snap := newSnapshot(m, nil, DefaultSnapshot, 0, opts)
 	defer snap.Release()
 
@@ -286,14 +254,15 @@ func TestPatchFromFallbacks(t *testing.T) {
 }
 
 // TestSwapPatchedMatchesSwapNamed drives the engine-level API: a chain
-// of SwapPatched publishes must serve results deep-equal to an engine
-// fully rebuilt at each step (modulo the version counter).
+// of delta-carrying BuildSnapshot+Promote publishes must serve results
+// deep-equal to an engine fully rebuilt at each step (modulo the version
+// counter).
 func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 	const users, C, Z, V = 80, 10, 5, 300
 	m := SyntheticModel(users, C, Z, V, 21)
-	inc := New(m, nil, Options{UserShards: 4})
+	inc := New(m, nil, Options{})
 	defer inc.Close()
-	ref := New(m, nil, Options{UserShards: 4})
+	ref := New(m, nil, Options{})
 	defer ref.Close()
 
 	r := rand.New(rand.NewSource(77))
@@ -306,7 +275,7 @@ func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 			dirty = append(dirty, int32(u))
 		}
 		next.Rehydrate()
-		inc.SwapPatched(DefaultSnapshot, next, nil, Delta{Users: dirty})
+		inc.Promote(inc.BuildSnapshot(DefaultSnapshot, next, nil, &Delta{Users: dirty}))
 		ref.SwapNamed(DefaultSnapshot, next, nil)
 		m = next
 
@@ -387,7 +356,7 @@ func testVocabulary(words int, prefix string) *corpus.Vocabulary {
 // counts. Every next model is a deep copy, so nothing is equal by aliasing.
 func TestBuildSnapshotDerivedDelta(t *testing.T) {
 	const users, C, Z, V = 90, 10, 5, 240
-	opts := Options{UserShards: 4, PostingsPerWord: 6}
+	opts := Options{PostingsPerWord: 6}
 	vocab := testVocabulary(V, "w")
 	negZero := math.Copysign(0, -1)
 	type want struct {
@@ -544,7 +513,7 @@ func TestBuildSnapshotDerivedChain(t *testing.T) {
 	const users, C, Z, V = 100, 9, 4, 180
 	r := rand.New(rand.NewSource(8))
 	m := SyntheticModel(users, C, Z, V, 12)
-	e := New(m, nil, Options{UserShards: 3, PostingsPerWord: 5})
+	e := New(m, nil, Options{PostingsPerWord: 5})
 	defer e.Close()
 	for round := 0; round < 30; round++ {
 		next := clonePatchModel(m)
@@ -578,7 +547,7 @@ func TestBuildSnapshotDerivedChain(t *testing.T) {
 func TestBuildSnapshotExplicitDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	m := SyntheticModel(60, 8, 4, 150, 5)
-	e := New(m, nil, Options{UserShards: 2})
+	e := New(m, nil, Options{})
 	defer e.Close()
 	base := e.View().Version
 

@@ -499,29 +499,7 @@ func (f *Fetcher) materialize(gen uint64) (string, error) {
 	if _, err := os.Stat(path); err == nil {
 		return path, nil
 	}
-	resp, err := f.opts.Client.Get(fmt.Sprintf("%s/api/generations/file?gen=%d", f.opts.Source, gen))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return "", fmt.Errorf("fetching generation %d: status %d", gen, resp.StatusCode)
-	}
-	tmp, err := os.CreateTemp(f.opts.Dir, ".fetch-*")
-	if err != nil {
-		return "", err
-	}
-	_, err = io.Copy(tmp, resp.Body)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := f.download(fmt.Sprintf("%s/api/generations/file?gen=%d", f.opts.Source, gen), path); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -13,9 +13,9 @@
 //     and the mapping's lifetime is tied to the snapshot's reference
 //     count — the file is unmapped only when the last in-flight query
 //     releases it, never under one;
-//   - user-scoped state (memberships, community member lists) lives in a
-//     sharded user index (N shards by user id), built shard-parallel per
-//     snapshot;
+//   - every user's top-K memberships live in one flat per-snapshot table
+//     (plus a member count per community), from which memberships, member
+//     counts and member lists are answered;
 //   - Eq. 19 community ranking runs over a precomputed inverted index
 //     (word → community posting lists, see RankIndex) instead of scoring
 //     every community against every topic per query;
@@ -77,10 +77,6 @@ type Options struct {
 	// request is a pure function of the snapshot and its own seed);
 	// 0 selects the default (4).
 	FoldInWorkers int
-	// UserShards is the shard count of the per-snapshot user index (users
-	// partition by id modulo UserShards; shards build in parallel).
-	// 0 selects the default (8).
-	UserShards int
 	// Mmap makes Reload open v2 snapshot files through store.Open — the
 	// zero-copy mapped path — instead of store.LoadFile, which reads the
 	// file onto the heap and verifies every payload CRC. Legacy v1 and
@@ -107,9 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FoldInWorkers == 0 {
 		o.FoldInWorkers = 4
-	}
-	if o.UserShards == 0 {
-		o.UserShards = 8
 	}
 	if o.Pipeline.MinDocTokens == 0 {
 		o.Pipeline.MinDocTokens = 1
@@ -194,7 +187,7 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		openness: apps.Openness(m),
 		labels:   communityLabels(m, vocab),
 		index:    buildRankIndex(m, opts.PostingsPerWord),
-		users:    buildUserIndex(m, opts.UserShards, opts.MemberTopK),
+		users:    buildUserIndex(m, opts.MemberTopK),
 		logTheta: logThetaTable(m),
 		logPhi:   logPhiTable(m),
 		build:    BuildInfo{Kind: BuildFull, Users: m.NumUsers, Words: m.NumWords},
@@ -245,16 +238,16 @@ type Delta struct {
 }
 
 // PatchFrom builds a snapshot of m by patching prev's derived state:
-// rank-index posting lists are recomputed only for delta.Words, user
-// shards and member lists only where delta.Users (plus appended users)
-// moved, and everything else — openness, labels, unchanged posting
-// lists, untouched shards — is shared with prev. Sharing is safe because
-// derived state is immutable and heap-allocated (never a view into
-// prev's possibly-mapped matrices), so it outlives prev's retirement.
+// rank-index posting lists are recomputed only for delta.Words, user-index
+// rows and member counts only for delta.Users (plus appended users), and
+// everything else — openness, labels, unchanged posting lists — is
+// shared with prev. Sharing is safe because derived state is immutable
+// and heap-allocated (never a view into prev's possibly-mapped
+// matrices), so it outlives prev's retirement.
 //
 // A patched snapshot is bit-identical to a from-scratch newSnapshot of m
 // provided the delta covers every change between prev.Model and m: the
-// per-word rank scorer and per-slot top-K selection run the exact float
+// per-word rank scorer and per-user top-K selection run the exact float
 // operation sequences of the full builders. When patching does not apply
 // — delta.Globals, a changed community/topic/word count, or a shrunken
 // user set — PatchFrom falls back to a full build (Build().Reason says
@@ -384,16 +377,15 @@ func (s *Snapshot) Label(c int) string { return s.labels[c] }
 // Members returns the users having community c among their top-k
 // memberships (k = Options.MemberTopK), as global ids. On a shard
 // snapshot the list covers only the owned user range.
-func (s *Snapshot) Members(c int) []int {
-	ms := s.users.members(c)
-	if s.Shard == nil {
-		return ms
-	}
-	out := make([]int, len(ms))
+func (s *Snapshot) Members(c int) []int { return s.members(c, s.users.memberCount(c)) }
+
+// members returns community c's first n members, ascending, as global ids.
+func (s *Snapshot) members(c, n int) []int {
+	ms := s.users.members(c, n)
 	for i, u := range ms {
-		out[i] = u + s.Shard.UserLo
+		ms[i] = s.globalUser(u)
 	}
-	return out
+	return ms
 }
 
 // Openness returns community c's openness count (above-average diffusion
@@ -716,12 +708,6 @@ func (e *Engine) Drain() { e.draining.Store(true) }
 
 // Draining reports whether Drain was called.
 func (e *Engine) Draining() bool { return e.draining.Load() }
-
-// SwapPatched is BuildSnapshot+Promote in one step — the delta-aware
-// counterpart of SwapNamed.
-func (e *Engine) SwapPatched(name string, m *core.Model, vocab *corpus.Vocabulary, delta Delta) uint64 {
-	return e.publish(e.BuildSnapshot(name, m, vocab, &delta))
-}
 
 // DropSnapshot removes the named slot, releasing the engine's reference.
 // In-flight queries finish unharmed; new queries for the name fail with
@@ -1079,11 +1065,7 @@ func (s *Snapshot) Community(c int) (*CommunityDetail, error) {
 	}
 	d.TopAttributes = m.TopAttributes(c, 5)
 	d.OutFlows, d.InFlows = topFlows(m, c, 5)
-	sample := s.Members(c)
-	if len(sample) > 10 {
-		sample = sample[:10]
-	}
-	d.MemberSample = append(d.MemberSample, sample...)
+	d.MemberSample = s.members(c, 10)
 	return d, nil
 }
 
@@ -1111,7 +1093,7 @@ func topFlows(m *core.Model, c, k int) (outs, ins []FlowSummary) {
 }
 
 // Membership returns user u's top-k community memberships, served from
-// the sharded user index when k is within the precomputed depth.
+// the user index when k is within the precomputed depth.
 func (s *Snapshot) Membership(u, k int) (*MembershipResult, error) {
 	m := s.Model
 	local, err := s.localUser(u)

@@ -365,7 +365,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				// One coherent snapshot view per iteration.
 				s := e.View()
 				C, users, _ := shape(s.Version)
-				if s.Model.Cfg.NumCommunities != C || len(s.users.memberLists) != C {
+				if s.Model.Cfg.NumCommunities != C || len(s.users.counts) != C {
 					report("snapshot shape mismatch")
 					return
 				}

@@ -41,7 +41,7 @@
 // snapshot is patched copy-on-write from the live one by
 // serve.Engine.BuildSnapshot, given the re-folded rows as an explicit
 // delta (the shared rank index is reused — Φ unchanged means word scores
-// unchanged — and only user-index shards containing dirty rows rebuild);
+// unchanged — and only the dirty users' user-index rows are recomputed);
 // and the on-disk generation is written with store.SaveV2Reusing, which
 // splices byte-identical base-model sections out of the previous
 // generation's file instead of re-encoding them and checksums what it

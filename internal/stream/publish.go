@@ -31,9 +31,9 @@ package stream
 //   - open: store.Open maps the written file in O(1) in the user count —
 //     a model has no per-user cache to rebuild;
 //   - serve: serve.Engine.BuildSnapshot, handed the publisher's explicit
-//     delta (the re-folded rows, relative to its own last promote), clones
-//     only the touched user-index shards of the previous snapshot and
-//     shares the rest, posting lists included.
+//     delta (the re-folded rows, relative to its own last promote),
+//     recomputes only those rows of the previous snapshot's user index
+//     and shares the rest of its derived state, posting lists included.
 //
 // Ingest is O(1) per event besides the journal append: Status is
 // assembled from counters (the dirty-user gauge included), never by
