@@ -177,9 +177,14 @@ func BenchmarkEngineSweep(b *testing.B) {
 
 // BenchmarkEStep compares the E-step samplers at large K (the regime the
 // alias + Metropolis–Hastings sampler targets — sub-linear in |Z| and |C|
-// per draw, where the exact sampler scans every candidate). One op is one
-// full sweep over the same graph, so the exact/alias ns/op ratio IS the
-// per-token speedup; tokens/s makes the throughput comparison explicit.
+// per draw, where the exact sampler scores every candidate's cheap terms
+// and computes the full conditional only where its bounds cannot rule the
+// candidate out). One op is one full sweep over the same graph, so the
+// exact/alias ns/op ratio IS the per-token speedup; tokens/s makes the
+// throughput comparison explicit. topic-eval-% and community-eval-% are
+// Diagnostics.Lazy's evaluated shares over the engine's sweeps, warm-up
+// included (zero for the alias sampler, whose document draws are
+// Metropolis–Hastings steps, not Gumbel-max draws).
 func BenchmarkEStep(b *testing.B) {
 	g, _ := synth.Generate(synth.TwitterLike(300, 99))
 	var tokens int
@@ -203,6 +208,9 @@ func BenchmarkEStep(b *testing.B) {
 				eng.Sweep()
 			}
 			b.ReportMetric(float64(tokens)*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
+			lazy := eng.Diagnostics().Lazy
+			b.ReportMetric(100*lazy.Topic.Share(), "topic-eval-%")
+			b.ReportMetric(100*lazy.Community.Share(), "community-eval-%")
 		})
 	}
 }

@@ -16,7 +16,8 @@
 // on large graphs), deterministic per seed, and it gives the Gibbs
 // sampler a structurally sensible starting point. Only the default joint
 // model supports it (attribute-augmented and no-joint-modeling variants
-// initialize differently).
+// initialize differently), and a resumed run rejects it: -resume starts
+// from the snapshot's assignments. An unknown -init is rejected either way.
 //
 // With -sampler alias, the E-step runs the alias-table +
 // Metropolis–Hastings samplers instead of the exact full-conditional
@@ -60,11 +61,14 @@ func main() {
 		out         = flag.String("out", "", "model output file (required)")
 		resume      = flag.String("resume", "", "continue training from this saved model snapshot (ignores -communities/-topics/-rho/-sampler)")
 		initMode    = flag.String("init", "random", "sampler initialization: random | plp (warm-start from parallel label propagation)")
-		sampler     = flag.String("sampler", "exact", "E-step sampler: exact (full conditional scan) | alias (alias-table + Metropolis-Hastings, sub-linear at large |C|/|Z|)")
+		sampler     = flag.String("sampler", "exact", "E-step sampler: exact (draws from the full conditional) | alias (alias-table + Metropolis-Hastings, sub-linear at large |C|/|Z|)")
 	)
 	flag.Parse()
 	if *graphPath == "" || *out == "" {
 		log.Fatal("-graph and -out are required")
+	}
+	if err := checkInit(*initMode, *resume); err != nil {
+		log.Fatal(err)
 	}
 	f, err := os.Open(*graphPath)
 	if err != nil {
@@ -111,7 +115,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else if *initMode == "random" {
+	} else {
 		m, diag, err = core.Train(g, core.Config{
 			NumCommunities: *communities,
 			NumTopics:      *topics,
@@ -124,8 +128,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else {
-		log.Fatalf("unknown -init %q (want random or plp)", *initMode)
 	}
 	if err := store.SaveV2(*out, m); err != nil {
 		log.Fatal(err)
@@ -147,4 +149,20 @@ func main() {
 		fmt.Printf("MH acceptance: topic-prior %.3f  topic-word %.3f  community-prior %.3f  community-content %.3f\n",
 			mh.TopicPrior.Rate(), mh.TopicWord.Rate(), mh.CommunityPrior.Rate(), mh.CommunityContent.Rate())
 	}
+}
+
+// checkInit validates -init before any training branch is chosen: the mode
+// must be known, and a resumed run starts from the snapshot's assignments,
+// so it cannot also take a PLP warm start.
+func checkInit(initMode, resume string) error {
+	switch initMode {
+	case "random":
+		return nil
+	case "plp":
+		if resume != "" {
+			return fmt.Errorf("-init plp cannot be combined with -resume: a resumed run starts from the snapshot's assignments")
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown -init %q (want random or plp)", initMode)
 }

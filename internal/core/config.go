@@ -270,8 +270,12 @@ type Diagnostics struct {
 
 // LazyDraws splits the lazy-draw counters by what was drawn: a document's
 // topic, or a community (of a document, an attribute token or a detection
-// block move). An evaluated share near 1 means flat conditionals: the
-// bounds prune nothing and a draw costs what the full scan did.
+// block move). For a topic, evaluated means the candidate's exact log
+// conditional — its diffusion kernels — was computed, not only its Gumbel
+// value: the count is the work the bound saved. For a community it means
+// the Gumbel value was computed over a fully scored candidate. An evaluated
+// share near 1 means flat conditionals or loose bounds: they prune nothing
+// and a draw costs what the full scan did.
 type LazyDraws struct{ Topic, Community rng.LazyStats }
 
 func (s *LazyDraws) add(o LazyDraws) {

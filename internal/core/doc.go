@@ -16,12 +16,19 @@
 // conditionals and share the engine's determinism contract (bit-identical
 // training for any Workers value, from the same seed).
 //
-//   - SamplerExact (the default, gibbs.go) evaluates the full conditional
-//     at every candidate: O(|Z|·(|doc| + links)) per topic draw,
-//     O(|C|·links) per community draw. It is the reference path — its
-//     training trajectories are pinned bit-for-bit by golden tests, and
-//     the zero value of Config.Sampler means exact so that configs
-//     serialize identically to pre-Sampler releases.
+//   - SamplerExact (the default, gibbs.go) draws from the full conditional
+//     by a Gumbel-max over every candidate (rng.CategoricalLog). A topic
+//     draw scores every topic's prior and word terms — O(|Z|·|doc|) — but
+//     bounds each diffusion kernel log ψ(x, δ) by its peak 1/(8δ) and
+//     computes the kernels (one bilinear form per link) only for the
+//     topics that bound cannot rule out (rng.CategoricalLogBounded): about
+//     2.5 % of them on cpd-bench's train workload, so the O(|Z|·links)
+//     term all but disappears. A community draw still scans:
+//     O(|C|·links). Either way the winner and the generator state are the
+//     full scan's, bit for bit. It is the reference path — its training
+//     trajectories are pinned bit-for-bit by golden tests, and the zero
+//     value of Config.Sampler means exact so that configs serialize
+//     identically to pre-Sampler releases.
 //
 //   - SamplerAlias (sampler_alias.go) replaces the full scan with a few
 //     Metropolis–Hastings steps per draw: candidates come from O(1)
@@ -32,9 +39,10 @@
 //     included, so the stationary distribution is the exact conditional.
 //     Cost per draw is O(MH steps · (log support + |doc| terms)) instead
 //     of a |Z|- or |C|-linear scan, which is what makes large label
-//     spaces affordable (BenchmarkEStep: ~2x E-step throughput at
-//     |C| = |Z| = 128, against an exact scan that reads its logs from
-//     tables). Its chains consume randomness differently from
+//     spaces affordable (BenchmarkEStep: ~1.5x E-step throughput at
+//     |C| = |Z| = 128, against an exact sampler that reads its logs from
+//     tables and bounds its topic draws). Its chains consume randomness
+//     differently from
 //     the exact sampler's, so alias quality is gated by scenario NMI
 //     floors (internal/scenario) rather than golden equality. The
 //     engine counts proposed and accepted moves per proposal type

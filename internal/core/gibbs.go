@@ -72,7 +72,9 @@ func (st *state) countDocTopic(sc *scratch, d int32, c, z int, by int64) {
 // sampleDocTopic resamples z_ui per Eq. 13: the community-topic prior term,
 // the word likelihood term and — through the Pólya-Gamma kernels — the
 // diffusion links for which this document is the diffusing side. Friendship
-// factors do not depend on Z and cancel.
+// factors do not depend on Z and cancel. The draw is bounded: topicBounds
+// gives every topic a cheap upper bound, and the diffusion kernels are
+// summed (topicExact) only for the topics the bound cannot rule out.
 func (st *state) sampleDocTopic(d int32, sc *scratch) {
 	zOld := int(st.zload(d))
 	c := int(st.cload(d))
@@ -81,19 +83,36 @@ func (st *state) sampleDocTopic(d int32, sc *scratch) {
 	// convention).
 	st.countDocTopic(sc, d, c, zOld, -1)
 
-	zNew := sc.drawLog(st.topicLogWeights(d, c, sc), &sc.lazy.Topic)
+	upper := st.topicBounds(d, c, sc)
+	zNew := sc.r.CategoricalLogBounded(upper, func(z int) float64 { return st.topicExact(d, z, sc) })
+	sc.lazy.Topic.Drain(&sc.r.Lazy)
 	st.zstore(d, int32(zNew))
 	st.countDocTopic(sc, d, c, zNew, 1)
 }
 
-// topicLogWeights fills sc.logw with Eq. 13's log conditional of document
-// d (in community c, already removed from the counters) at every topic.
-// Every logw[z] receives its additions in one fixed order — the prior term,
-// each distinct word's terms, then the denominators one by one — but the
-// scan runs word by word over all topics, not topic by topic over all
-// words: n_zw is stored word-major, so a word's counts are one contiguous
-// run.
-func (st *state) topicLogWeights(d int32, c int, sc *scratch) []float64 {
+// topicLink is what topicExact needs of one diffusion link on which the
+// sampled document is the diffusing side: the counterparty's π̂ and the
+// link's constants.
+type topicLink struct {
+	piV          sparse.SmoothedVec
+	indiv, delta float64
+}
+
+// topicBounds prepares the bounded topic draw of document d (in community
+// c, already removed from the counters) and returns its upper bounds.
+//
+// Eq. 13's log conditional at topic z is a partial — the prior term, each
+// distinct word's terms, then the denominators one by one — plus one
+// diffusion kernel log ψ(x_z, δ) per link d diffuses on. The partials are
+// cheap and land in sc.logw: the scan runs word by word over all topics,
+// not topic by topic over all words, because n_zw is stored word-major, so
+// a word's counts are one contiguous run. The kernels are not cheap (one
+// bilinear form per link and topic), but log ψ(·, δ) peaks at 1/(8δ)
+// whatever its argument, so upper[z] = partial[z] + Σ_links 1/(8δ) plus a
+// rounding slack. A δ that is not a positive finite number bounds its link
+// at +Inf: every topic is then evaluated. The links are collected into
+// sc.topicLinks for topicExact.
+func (st *state) topicBounds(d int32, c int, sc *scratch) []float64 {
 	doc := &st.g.Docs[d]
 	Z := st.cfg.NumTopics
 	wBeta := float64(st.g.NumWords) * st.cfg.Beta
@@ -123,32 +142,71 @@ func (st *state) topicLogWeights(d int32, c int, sc *scratch) []float64 {
 
 	// Diffusion kernels: only links where d is the diffusing document
 	// depend on the candidate topic (the link topic is the diffusing
-	// document's topic). Skipped entirely under the heterogeneity ablation
-	// (diffusion is then topic-free) and in the no-joint detection phase.
+	// document's topic). None under the heterogeneity ablation (diffusion
+	// is then topic-free).
+	sc.topicLinks = sc.topicLinks[:0]
+	var peaks float64 // Σ_links 1/(8δ)
 	if !st.cfg.NoHeterogeneity {
-		builtPiU := false
 		for _, e := range st.g.DocDiffLinks(int(d)) {
 			l := st.g.Diffs[e]
 			if l.I != d {
 				continue
 			}
-			if !builtPiU {
+			if len(sc.topicLinks) == 0 {
 				st.piHat(doc.User, d, &sc.piU, &sc.idxBufU, &sc.valBufU, sc)
-				builtPiU = true
 			}
-			vUser := st.g.Docs[l.J].User
-			st.neighborPi(vUser, doc.User, d, &sc.piV, &sc.idxBufV, &sc.valBufV, sc)
-			indiv := st.indivTerm(int(e))
-			delta := st.delAt(sc, int(e))
-			lb := st.docBucket[l.I]
-			for z := 0; z < Z; z++ {
-				x := st.aggs[z].Eval(st.etaSlice[z], st.thetaColM.Row(z), &sc.piU, &sc.piV) +
-					st.popTerm(sc, lb, z) + indiv
-				logw[z] += logPsi(x, delta)
+			lk := topicLink{indiv: st.indivTerm(int(e)), delta: st.delAt(sc, int(e))}
+			// A link within d's own user reads the exclusion-aware π̂ of
+			// that user — sc.piU, bit for bit what neighborPi would
+			// rebuild; any other counterparty its sweep-start snapshot.
+			if vUser := st.g.Docs[l.J].User; vUser == doc.User {
+				lk.piV = sc.piU
+			} else {
+				st.piSnap(vUser, &lk.piV)
+			}
+			sc.topicLinks = append(sc.topicLinks, lk)
+			if lk.delta > 0 && !math.IsInf(lk.delta, 1) {
+				peaks += 1 / (8 * lk.delta)
+			} else {
+				peaks = math.Inf(1)
 			}
 		}
 	}
-	return logw
+
+	// upper must not fall below the float64 topicExact returns. A computed
+	// log ψ exceeds its link's 1/(8δ) by a few ulps of that peak at most,
+	// and a kernel below its peak lowers the sum by more than the rounding
+	// its size adds, so the exact sum can exceed partial + peaks only by
+	// the rounding of one addition per link on numbers no larger than
+	// |partial| + peaks. Eight ulps per addition on that cover it and the
+	// rounding of upper's own sums, as serve.foldIn's relSlack does.
+	relSlack := float64(len(sc.topicLinks)+2) * 0x1p-50
+	upper := sc.upper[:Z]
+	for z, p := range logw {
+		upper[z] = p + (peaks + 1e-9 + relSlack*(math.Abs(p)+peaks))
+		if math.IsInf(p, -1) {
+			upper[z] = p // so is the exact logit, whatever the kernels add
+		}
+	}
+	return upper
+}
+
+// topicExact is Eq. 13's log conditional of the document topicBounds last
+// prepared, at topic z: its partial plus the diffusion kernels of
+// sc.topicLinks, added one by one in link order.
+func (st *state) topicExact(d int32, z int, sc *scratch) float64 {
+	lw := sc.logw[z]
+	if len(sc.topicLinks) == 0 {
+		return lw
+	}
+	agg, m, w := st.aggs[z], st.etaSlice[z], st.thetaColM.Row(z)
+	pop := st.popTerm(sc, st.docBucket[d], z)
+	for i := range sc.topicLinks {
+		lk := &sc.topicLinks[i]
+		x := agg.Eval(m, w, &sc.piU, &lk.piV) + pop + lk.indiv
+		lw += logPsi(x, lk.delta)
+	}
+	return lw
 }
 
 // pickExcl returns d when cond (same user on both link endpoints) so the

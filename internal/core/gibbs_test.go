@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/synth"
 )
 
 // bruteForcePiHat computes pi-hat_u densely from the raw assignments, with
@@ -259,6 +260,45 @@ func TestLogPsiIdentities(t *testing.T) {
 		w := r.Gamma(1)
 		if diff := logPsi(x, w) - logPsiNeg(x, w); math.Abs(diff-x) > 1e-12 {
 			t.Fatalf("kernel ratio = %v, want %v", diff, x)
+		}
+		// The peak the topic draw's bounds rest on: 1/(8ω), at x = 1/(2ω).
+		peak := 1 / (8 * w)
+		if got := logPsi(1/(2*w), w); math.Abs(got-peak) > 1e-12*peak {
+			t.Fatalf("logPsi at 1/(2ω) = %v, want %v", got, peak)
+		}
+		if got := logPsi(x, w); got > peak {
+			t.Fatalf("logPsi(%v, %v) = %v above its peak %v", x, w, got, peak)
+		}
+	}
+}
+
+// TestTopicDrawLazyShare is the bounded topic draw's deterministic work
+// counter, the analogue of serve's fold-in one. At the shape of cpd-bench's
+// train workload (TwitterLike(150, 99), |C| = |Z| = 50, eight EM
+// iterations) the exact sampler computes the exact log conditional of at
+// most 5 % of the topic candidates it is offered, and it counts the same
+// work whatever the worker count.
+func TestTopicDrawLazyShare(t *testing.T) {
+	g, _ := synth.Generate(synth.TwitterLike(150, 99))
+	var ref LazyDraws
+	for _, workers := range []int{1, 3} {
+		_, diag, err := Train(g, Config{NumCommunities: 50, NumTopics: 50, EMIters: 8, Workers: workers, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy := diag.Lazy
+		if workers > 1 {
+			if lazy != ref {
+				t.Fatalf("Workers=%d counted %+v, Workers=1 counted %+v", workers, lazy, ref)
+			}
+			continue
+		}
+		ref = lazy
+		topic := lazy.Topic
+		t.Logf("evaluated %.1f %% of %d topic candidates, %.1f %% of %d community candidates",
+			100*topic.Share(), topic.Considered, 100*lazy.Community.Share(), lazy.Community.Considered)
+		if topic.Considered == 0 || topic.Share() > 0.05 {
+			t.Fatalf("topic draws evaluated %d of %d candidates, want at most 5 %%", topic.Evaluated, topic.Considered)
 		}
 	}
 }

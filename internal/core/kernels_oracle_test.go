@@ -14,11 +14,14 @@ import (
 
 // kernelOracle runs the E-step with the weight computations the samplers
 // had before the count-log tables, the denominator cache, the word-major
-// scan and the sum-carrying dot products: every log recomputed, every
-// residual re-summed, one topic at a time. Each of its draws first asks the
-// production kernel for the same weights on the same state and requires the
-// two to agree bit for bit, then draws from its own — so a chain it drives
-// must also end where the production chain ends.
+// scan and the sum-carrying dot products, and before the bounded topic
+// draw: every log recomputed, every residual re-summed, one topic at a
+// time, every topic's diffusion kernels summed. Each of its draws first
+// asks the production kernel for the same weights on the same state and
+// requires the two to agree bit for bit — for a topic draw, the exact logit
+// of every topic, each under its bound — then draws from its own with the
+// full scan, so a chain it drives must also end where the production chain
+// ends.
 type kernelOracle struct {
 	t      *testing.T
 	st     *state
@@ -43,6 +46,24 @@ func (o *kernelOracle) sameBits(what string, id int32, got, want []float64) {
 				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
+}
+
+// sameBounded holds a bounded draw's inputs to the reference weights at
+// every candidate, not only at those a draw would evaluate: exact(i) has
+// want[i]'s bits, and upper[i] is at least exact(i).
+func (o *kernelOracle) sameBounded(what string, id int32, upper []float64, exact func(i int) float64, want []float64) {
+	o.t.Helper()
+	if len(upper) != len(want) {
+		o.t.Fatalf("%s of %d: %d bounds, reference has %d weights", what, id, len(upper), len(want))
+	}
+	got := make([]float64, len(want))
+	for i := range want {
+		got[i] = exact(i)
+		if !(upper[i] >= got[i]) {
+			o.t.Fatalf("%s of %d, candidate %d: bound %v below the exact logit %v", what, id, i, upper[i], got[i])
+		}
+	}
+	o.sameBits(what, id, got, want)
 }
 
 // --- the exact sampler's weights, as they were ---------------------------
@@ -103,7 +124,7 @@ func (o *kernelOracle) sampleDocTopic(d int32, sc *scratch) {
 	st.countDocTopic(sc, d, c, zOld, -1)
 
 	want := o.topicLogWeights(d, c, sc)
-	o.sameBits("topic weights", d, st.topicLogWeights(d, c, sc), want)
+	o.sameBounded("topic weights", d, st.topicBounds(d, c, sc), func(z int) float64 { return st.topicExact(d, z, sc) }, want)
 
 	zNew := sc.r.CategoricalLog(want)
 	st.zstore(d, int32(zNew))
@@ -660,6 +681,28 @@ func repeatWords(g *socialgraph.Graph) *socialgraph.Graph {
 	return g
 }
 
+// selfDiffusions points every third diffusion link at another document of
+// the diffusing document's own user, so the topic draw's counterparty is
+// the exclusion-aware π̂ of the sampled user rather than a snapshot.
+func selfDiffusions(g *socialgraph.Graph) *socialgraph.Graph {
+	for k := 0; k < len(g.Diffs); k += 3 {
+		l := &g.Diffs[k]
+		for _, j := range g.UserDocs(int(g.Docs[l.I].User)) {
+			if j != l.I {
+				l.J = j
+				break
+			}
+		}
+	}
+	g.InvalidateIndexes()
+	return g
+}
+
+// zeroDelta forces the first diffusion link's Pólya-Gamma variable to 0,
+// where log ψ(·, δ) has no finite peak: the topic draw of its diffusing
+// document bounds every topic at +Inf and evaluates them all.
+func zeroDelta(st *state) { st.delta.set(0, 0) }
+
 // pastTheCap leaves the tables three entries long and lifts some counters
 // far beyond any table's cap, so that lookups of both kinds — a count a
 // shorter table lacks, a count no table holds — take the computed path.
@@ -697,6 +740,8 @@ func kernelCases() []kernelCase {
 			cfg: func(c *Config) { c.Beta = 0.37 }},
 		{name: "past-the-cap", graph: plain, prep: pastTheCap},
 		{name: "no-heterogeneity", graph: plain, cfg: func(c *Config) { c.NoHeterogeneity = true }},
+		{name: "self-diffusion", graph: func() *socialgraph.Graph { return selfDiffusions(plain()) }},
+		{name: "zero-delta", graph: plain, prep: zeroDelta},
 		{name: "no-friendship", graph: plain, cfg: func(c *Config) { c.NoFriendship = true }},
 		{name: "attributes", graph: withAttrs, cfg: func(c *Config) { c.ModelAttributes = true }},
 		{name: "nojoint-detection", graph: plain, prep: func(st *state) { st.contentOn = false }, idle: true},
@@ -842,8 +887,10 @@ func TestKernelWeightsMatchOracleDirectMode(t *testing.T) {
 }
 
 // TestKernelCasesReachTheirPaths checks that the cases above do exercise
-// what they are named for: repeated words, counts beyond the tables, and a
-// table lookup that is the computed value bit for bit at either end.
+// what they are named for: repeated words, counts beyond the tables, a
+// table lookup that is the computed value bit for bit at either end,
+// diffusion within one user, and a zero δ that lifts every topic bound of
+// its document to +Inf.
 func TestKernelCasesReachTheirPaths(t *testing.T) {
 	g := repeatWords(testGraph(80, 21))
 	sc := newScratch(testConfig().withDefaults(), nil)
@@ -885,6 +932,34 @@ func TestKernelCasesReachTheirPaths(t *testing.T) {
 	for _, n := range []int64{0, 1, 10, 11, 1 << 20, 1 << 40} {
 		if got, want := tab.at(n), math.Log(float64(n)+0.1); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("at(%d) = %v, math.Log gives %v", n, got, want)
+		}
+	}
+
+	sg := selfDiffusions(testGraph(80, 21))
+	within := 0
+	for _, l := range sg.Diffs {
+		if sg.Docs[l.I].User == sg.Docs[l.J].User {
+			within++
+		}
+	}
+	if within < len(sg.Diffs)/4 {
+		t.Fatalf("only %d of %d diffusion links stay within one user", within, len(sg.Diffs))
+	}
+	if err := sg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = newState(testGraph(80, 21), testConfig().withDefaults())
+	st.refreshCaches()
+	zeroDelta(st)
+	sc = newScratch(st.cfg, nil)
+	for _, e := range []int{0, 1} {
+		d := st.g.Diffs[e].I
+		upper := st.topicBounds(d, int(st.cload(d)), sc)
+		for z, u := range upper {
+			if inf := math.IsInf(u, 1); inf != (e == 0) {
+				t.Fatalf("link %d (δ = %v): topic %d bound %v", e, st.delta.get(e), z, u)
+			}
 		}
 	}
 }

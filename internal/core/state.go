@@ -492,8 +492,13 @@ type scratch struct {
 	valBufU []float64
 	idxBufV []int32
 	valBufV []float64
-	// sampling weights (log domain), size max(|C|, |Z|).
+	// sampling weights (log domain), size max(|C|, |Z|); a topic draw's
+	// partials (see topicBounds).
 	logw []float64
+	// a topic draw's upper bounds, size |Z|, and the diffusion links its
+	// exact logits add.
+	upper      []float64
+	topicLinks []topicLink
 	// per-candidate diffusion contributions.
 	yBuf []float64 // |C|
 	// per-doc word count pairs.
@@ -529,6 +534,7 @@ func newScratch(cfg Config, r *rng.RNG) *scratch {
 		cnt:     make([]float64, C),
 		touched: make([]int32, 0, C),
 		logw:    make([]float64, max(C, Z)),
+		upper:   make([]float64, Z),
 		yBuf:    make([]float64, C),
 		idxBufU: make([]int32, 0, C),
 		valBufU: make([]float64, 0, C),

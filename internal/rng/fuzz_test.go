@@ -12,13 +12,6 @@ import (
 // panic. The same vector is then drawn through CategoricalLogBounded
 // behind bounds a step above the logits.
 func FuzzCategoricalLog(f *testing.F) {
-	seedVec := func(v ...float64) []byte {
-		b := make([]byte, 8*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-		}
-		return b
-	}
 	f.Add(seedVec(0, 0, 0), uint64(1))
 	f.Add(seedVec(-3, 2, 0.5, 2), uint64(2))
 	f.Add(seedVec(math.Inf(-1), math.Inf(-1)), uint64(3))
@@ -40,4 +33,49 @@ func FuzzCategoricalLog(f *testing.F) {
 			return r.CategoricalLogBounded(upper, func(i int) float64 { return logits[i] })
 		})
 	})
+}
+
+// FuzzCategoricalLogBounded decodes the input as (logit, slack) pairs of
+// float64s and draws through CategoricalLogBounded with each bound a
+// non-negative slack above its logit: |slack|, with a NaN slack read as
+// +Inf, and a +Inf bound where −Inf plus that slack has no value. Loose,
+// tight and infinite bounds side by side must still give the full scan's
+// index and generator state, or both panic — the contract the exact
+// sampler's topic draw relies on.
+func FuzzCategoricalLogBounded(f *testing.F) {
+	inf := math.Inf(1)
+	f.Add(seedVec(0, 0, 0, 1, 0, 1e-9), uint64(1))
+	f.Add(seedVec(-3, 0.5, 2, inf, 0.5, 0, 2, 1e-300), uint64(2))
+	f.Add(seedVec(math.Inf(-1), inf, math.Inf(-1), 3, 1, 0), uint64(3))
+	f.Add(seedVec(1, math.NaN(), 1, 2), uint64(4))
+	f.Add(seedVec(1e16, 2, 1e16+2, 0, 1e16, 1e17), uint64(5))
+	f.Add(seedVec(inf, 0, 7, inf, inf, 1), uint64(6))
+	f.Add(seedVec(-1e300, 1e300, 1e300, -1, -40, 40), uint64(7))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		n := len(data) / 16
+		logits, upper := make([]float64, n), make([]float64, n)
+		for i := range logits {
+			l := math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:]))
+			slack := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:])))
+			if math.IsNaN(slack) {
+				slack = math.Inf(1)
+			}
+			logits[i], upper[i] = l, l+slack
+			if math.IsInf(l, -1) && math.IsInf(slack, 1) {
+				upper[i] = math.Inf(1)
+			}
+		}
+		sameDraw(t, "CategoricalLogBounded", seed, logits, func(r *RNG) int {
+			return r.CategoricalLogBounded(upper, func(i int) float64 { return logits[i] })
+		})
+	})
+}
+
+// seedVec encodes float64s as a fuzz seed, eight little-endian bytes each.
+func seedVec(v ...float64) []byte {
+	b := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b
 }
