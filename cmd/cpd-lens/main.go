@@ -1,9 +1,10 @@
 // Command cpd-lens serves the SocialLens companion system (the paper's
 // footnote 1): an interactive HTTP service for browsing communities by
 // content and interaction — community profiles, profile-driven ranking and
-// the Fig. 7 diffusion graphs. The browser UI runs on a serve.Engine, so
-// the model can be hot-swapped without restarting (see cmd/cpd-serve for
-// the headless API, which shares the engine design).
+// the Fig. 7 diffusion graphs. It serves serve.APIHandler, the same
+// surface as cmd/cpd-serve: the page at /, the JSON routes under /api/
+// (the Fig. 7 graph at /api/graph?topic=-1&format=dot), so each path
+// means one thing in every binary.
 //
 // Usage:
 //
@@ -36,7 +37,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/lens"
 	"repro/internal/quality"
 	"repro/internal/serve"
 	"repro/internal/socialgraph"
@@ -122,7 +122,7 @@ func main() {
 	engine := serve.New(model, vocab, serve.Options{})
 	defer engine.Close()
 	fmt.Printf("SocialLens listening on %s\n", *addr)
-	if err := serve.RunHTTP(*addr, lens.New(engine)); err != nil && err != http.ErrServerClosed {
+	if err := serve.RunHTTP(*addr, serve.APIHandler(engine, nil)); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
 	fmt.Println("shut down cleanly")

@@ -6,8 +6,8 @@
 // one answer per shard into the answer a single node gives from the same
 // generation, bit for bit; community browsing proxies to the freshest
 // replica. The query surface is cpd-serve's own JSON API, so every
-// client — curl, cpd-lens -remote, cpd-loadgen -url — points at the
-// router unchanged.
+// client — curl, cpd-loadgen -url, cpd-lens -quality-url — points at
+// the router unchanged.
 //
 // Usage:
 //

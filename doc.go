@@ -14,8 +14,9 @@
 // query engine hosting named,
 // refcount-hot-swappable snapshots with a flat top-K user index, an
 // inverted rank index and fold-in inference for unseen users
-// (internal/serve), the SocialLens browser UI on top of it
-// (internal/lens), and the cpd-serve / cpd-lens servers. A streaming
+// (internal/serve), and one HTTP surface over it — the JSON API, the
+// Fig. 7 diffusion graph and the SocialLens browser page — that the
+// cpd-serve and cpd-lens servers both serve. A streaming
 // write path (internal/stream) keeps served models fresh without full
 // retrains: a CRC'd append-only event journal with crash-safe replay,
 // watermark and compaction; an incremental updater that folds affected

@@ -86,7 +86,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 4. Reload the model (cpd-rank / cpd-viz path).
+	// 4. Reload the model (cpd-rank / cpd-serve path).
 	loaded, err := store.LoadFile(modelPath)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("ranking returned %d communities", len(ranked))
 	}
 
-	// 7. Visualization export (cpd-viz).
+	// 7. Visualization export (what GET /api/graph serves).
 	dg := apps.BuildDiffusionGraph(loaded, vocab, -1)
 	var dot bytes.Buffer
 	if err := dg.WriteDOT(&dot); err != nil {

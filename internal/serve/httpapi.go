@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -14,20 +15,23 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
-// APIHandler exposes the engine's typed query API as a JSON HTTP surface —
-// the headless counterpart of the lens browser UI, served by
-// cmd/cpd-serve:
+// APIHandler exposes the engine's typed query API as a JSON HTTP surface,
+// plus the SocialLens browser page (the paper's footnote 1) over it. It is
+// the one HTTP surface of cmd/cpd-serve and cmd/cpd-lens:
 //
+//	GET  /                                      SocialLens page
 //	GET  /api/communities                       community summaries
 //	GET  /api/community?id=3                    full community profile
 //	GET  /api/user?id=42&k=5                    user membership
 //	GET  /api/rank?q=deep+learning&k=10         free-text Eq. 19 ranking
 //	GET  /api/rank?w=17,204&k=10                word-id Eq. 19 ranking
 //	GET  /api/diffusion?u=1&v=2&topic=0&bucket=3 per-topic diffusion prob
+//	GET  /api/graph?topic=-1&format=dot         Fig. 7 diffusion graph (JSON, or DOT)
 //	POST /api/diffusion                         diffusion with explicit rows (sharded routing)
 //	GET  /api/pirow?id=42                       owned user's membership row (sharded routing)
 //	POST /api/foldin                            fold-in one FoldInRequest
@@ -55,6 +59,10 @@ import (
 // files.
 func APIHandler(e *Engine, reload func() error) http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/{$}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		io.WriteString(w, lensPage)
+	})
 	mux.HandleFunc("/api/communities", func(w http.ResponseWriter, r *http.Request) {
 		out, err := e.CommunitiesIn(snapName(r.URL.Query()))
 		if err != nil {
@@ -155,6 +163,34 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 			return
 		}
 		writeWire(w, res)
+	})
+	mux.HandleFunc("/api/graph", func(w http.ResponseWriter, r *http.Request) {
+		// Pinned for the whole request, so a concurrent hot-swap cannot
+		// unmap a mapped model while the graph is built.
+		q := r.URL.Query()
+		s, release, err := e.AcquireNamed(snapName(q))
+		if err != nil {
+			writeQueryErr(w, err)
+			return
+		}
+		defer release()
+		topic := -1 // aggregate over topics, Fig. 7(a)
+		if tq := q.Get("topic"); tq != "" {
+			topic, err = strconv.Atoi(tq)
+			if err != nil || topic < -1 || topic >= s.Model.Cfg.NumTopics {
+				http.Error(w, fmt.Sprintf("bad topic %q (want -1..%d)", tq, s.Model.Cfg.NumTopics-1), http.StatusBadRequest)
+				return
+			}
+		}
+		dg := apps.BuildDiffusionGraph(s.Model, s.Vocab, topic)
+		if q.Get("format") != "dot" {
+			writeJSON(w, dg)
+			return
+		}
+		w.Header().Set("Content-Type", "text/vnd.graphviz")
+		if err := dg.WriteDOT(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 	mux.HandleFunc("/api/pirow", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -376,8 +412,8 @@ func writeQueryErr(w http.ResponseWriter, err error) {
 // RunHTTP serves h on addr until the process receives SIGINT or SIGTERM,
 // then shuts down gracefully: the listener closes immediately, in-flight
 // requests get up to ten seconds to drain. It returns nil on a clean
-// signal-triggered shutdown. Both cmd/cpd-serve and cmd/cpd-lens run
-// through it instead of bare http.ListenAndServe.
+// signal-triggered shutdown. Both cmd/cpd-serve and cmd/cpd-lens serve
+// APIHandler through it instead of bare http.ListenAndServe.
 func RunHTTP(addr string, h http.Handler) error {
 	return RunHTTPWithShutdown(addr, h, nil)
 }
@@ -467,3 +503,40 @@ func writeJSON(w http.ResponseWriter, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
+
+// lensPage is the SocialLens page: a minimal single-page browser over the
+// JSON routes above. It sorts the community summaries by size itself and
+// renders a ranking from its entries.
+const lensPage = `<!DOCTYPE html>
+<html><head><title>SocialLens — community profiles</title>
+<style>
+body{font-family:sans-serif;margin:2em;max-width:60em}
+table{border-collapse:collapse}td,th{border:1px solid #ccc;padding:4px 8px;text-align:left}
+input{padding:4px;width:20em}pre{background:#f6f6f6;padding:1em;overflow:auto}
+</style></head><body>
+<h1>SocialLens</h1>
+<p>Browse communities by content and interaction (CPD profiles).</p>
+<p><input id="q" placeholder="query, e.g. a campaign keyword"> <button onclick="rank()">rank communities</button></p>
+<div id="out"></div>
+<script>
+async function load(){
+  const cs = await (await fetch('/api/communities')).json();
+  cs.sort((a,b)=>b.members-a.members);
+  render('<h2>Communities</h2>', cs);
+}
+async function rank(){
+  const q = document.getElementById('q').value;
+  const r = await fetch('/api/rank?q='+encodeURIComponent(q));
+  if(!r.ok){document.getElementById('out').textContent = await r.text();return;}
+  render('<h2>Top communities for "'+q+'"</h2>', (await r.json()).entries);
+}
+function render(title, rows){
+  if(!rows.length){document.getElementById('out').textContent='no data';return;}
+  const cols = Object.keys(rows[0]);
+  let h = title+'<table><tr>'+cols.map(c=>'<th>'+c+'</th>').join('')+'</tr>';
+  for(const row of rows){h += '<tr>'+cols.map(c=>'<td>'+JSON.stringify(row[c])+'</td>').join('')+'</tr>';}
+  document.getElementById('out').innerHTML = h+'</table>';
+}
+load();
+</script></body></html>
+`

@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/apps"
 )
 
 func apiGet(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -109,6 +114,86 @@ func TestAPIHandler(t *testing.T) {
 	}
 }
 
+// TestRankEndpoint pins free-text ranking over a vocabulary: a known word
+// ranks, a word outside the vocabulary or an empty query is a 400. The
+// vocabulary-less 501 is in TestAPIHandler.
+func TestRankEndpoint(t *testing.T) {
+	m := SyntheticModel(20, 6, 4, 80, 11)
+	h := APIHandler(testEngine(t, m, testVocabulary(80, "word"), Options{}), nil)
+	rec := apiGet(t, h, "/api/rank?q=word7&k=3")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("text rank: %d %s", rec.Code, rec.Body.String())
+	}
+	var ranked RankResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &ranked); err != nil {
+		t.Fatal(err)
+	}
+	if len(ranked.Entries) != 3 {
+		t.Fatalf("text rank answered %d entries, want 3", len(ranked.Entries))
+	}
+	if rec := apiGet(t, h, "/api/rank?q=zzzz-unknown"); rec.Code != http.StatusBadRequest {
+		t.Fatalf("unknown word: %d", rec.Code)
+	}
+	if rec := apiGet(t, h, "/api/rank?q="); rec.Code != http.StatusBadRequest {
+		t.Fatalf("empty query: %d", rec.Code)
+	}
+}
+
+// TestGraphEndpoint pins the Fig. 7 export: /api/graph answers exactly
+// what apps.BuildDiffusionGraph renders for the served model (DOT byte for
+// byte, JSON field for field). Its error statuses are in
+// TestAPIHandlerErrorPaths.
+func TestGraphEndpoint(t *testing.T) {
+	m := SyntheticModel(20, 6, 4, 80, 11)
+	vocab := testVocabulary(80, "word")
+	h := APIHandler(testEngine(t, m, vocab, Options{}), nil)
+	for _, topic := range []int{-1, 0} {
+		want := apps.BuildDiffusionGraph(m, vocab, topic)
+		if len(want.Edges) == 0 {
+			t.Fatalf("topic %d: the fixture's diffusion graph has no edges", topic)
+		}
+		var dot bytes.Buffer
+		if err := want.WriteDOT(&dot); err != nil {
+			t.Fatal(err)
+		}
+		paths := []string{"/api/graph?format=dot&topic=" + strconv.Itoa(topic)}
+		if topic == -1 {
+			paths = append(paths, "/api/graph?format=dot") // the default
+		}
+		for _, path := range paths {
+			rec := apiGet(t, h, path)
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "text/vnd.graphviz" {
+				t.Fatalf("%s: %d %q", path, rec.Code, rec.Header().Get("Content-Type"))
+			}
+			if !bytes.Equal(rec.Body.Bytes(), dot.Bytes()) {
+				t.Fatalf("%s differs from WriteDOT:\n%s\nwant:\n%s", path, rec.Body.String(), dot.String())
+			}
+		}
+		rec := apiGet(t, h, "/api/graph?snapshot=default&topic="+strconv.Itoa(topic))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("graph JSON topic %d: %d", topic, rec.Code)
+		}
+		var got apps.DiffusionGraph
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("graph JSON topic %d = %+v, want %+v", topic, got, want)
+		}
+	}
+}
+
+// TestIndexPage pins that / serves the SocialLens page; every other
+// unmatched path is a 404 (in TestAPIHandlerErrorPaths).
+func TestIndexPage(t *testing.T) {
+	m := SyntheticModel(20, 6, 4, 80, 11)
+	h := APIHandler(testEngine(t, m, testVocabulary(80, "word"), Options{}), nil)
+	rec := apiGet(t, h, "/")
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "SocialLens") {
+		t.Fatalf("page: %d", rec.Code)
+	}
+}
+
 // TestAPIHandlerErrorPaths closes the error-path gaps the happy-path test
 // above leaves open: malformed and oversize bodies, out-of-range ids,
 // unparsable parameters, fold-in limit violations and failing reloads.
@@ -158,6 +243,12 @@ func TestAPIHandlerErrorPaths(t *testing.T) {
 		{"foldin oversize body", "POST", "/api/foldin", oversize, http.StatusBadRequest},
 		{"foldin wrong method", "GET", "/api/foldin", "", http.StatusMethodNotAllowed},
 		{"reload wrong method", "GET", "/api/reload", "", http.StatusMethodNotAllowed},
+		{"graph topic below -1", "GET", "/api/graph?topic=-2", "", http.StatusBadRequest},
+		{"graph topic out of range", "GET", "/api/graph?topic=999", "", http.StatusBadRequest},
+		{"graph topic equals |Z|", "GET", "/api/graph?topic=4", "", http.StatusBadRequest},
+		{"graph topic not a number", "GET", "/api/graph?topic=x", "", http.StatusBadRequest},
+		{"graph unknown snapshot", "GET", "/api/graph?snapshot=nope", "", http.StatusNotFound},
+		{"unknown path", "GET", "/nope", "", http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

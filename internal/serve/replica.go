@@ -453,10 +453,8 @@ func (f *Fetcher) pruneShardCache(latest uint64) {
 			continue
 		}
 		os.Remove(shard.ManifestPath(f.opts.Dir, gen))
-		for _, p := range []string{shard.GlobalPath(f.opts.Dir, gen), shard.ShardPath(f.opts.Dir, gen, f.opts.Shard)} {
-			os.Remove(p)
-			os.Remove(p + store.VerifiedSidecarSuffix)
-		}
+		store.RemoveVerified(shard.GlobalPath(f.opts.Dir, gen))
+		store.RemoveVerified(shard.ShardPath(f.opts.Dir, gen, f.opts.Shard))
 	}
 }
 
@@ -505,9 +503,9 @@ func (f *Fetcher) materialize(gen uint64) (string, error) {
 	return path, nil
 }
 
-// pruneCache drops downloaded generations older than the newest Keep.
-// Gaps don't matter: retention lists the directory (the same discipline
-// as the publisher's own pruning).
+// pruneCache drops downloaded generations older than the newest Keep,
+// each with its .verified receipt. Gaps don't matter: retention lists
+// the directory (the same discipline as the publisher's own pruning).
 func (f *Fetcher) pruneCache(latest uint64) {
 	if latest <= uint64(f.opts.Keep) {
 		return
@@ -519,7 +517,7 @@ func (f *Fetcher) pruneCache(latest uint64) {
 	}
 	for _, gf := range files {
 		if gf.Generation <= cut {
-			os.Remove(filepath.Join(f.opts.Dir, gf.Name))
+			store.RemoveVerified(filepath.Join(f.opts.Dir, gf.Name))
 		}
 	}
 }

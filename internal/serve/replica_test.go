@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -95,12 +96,9 @@ func TestFetcherDirSource(t *testing.T) {
 // contract (a hand-rolled stand-in for stream.SnapshotServer, which this
 // package cannot import without a cycle): manifest discovery, file
 // download into the local cache, verification, promotion, and cache
-// retention.
+// retention, receipts included.
 func TestFetcherHTTPSource(t *testing.T) {
 	pub := t.TempDir()
-	for gen := uint64(1); gen <= 4; gen++ {
-		publishGen(t, pub, gen, gen)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/generations", func(w http.ResponseWriter, r *http.Request) {
 		files, _ := store.ScanGenerations(pub)
@@ -119,19 +117,30 @@ func TestFetcherHTTPSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen, err := f.Poll(); gen != 4 || err != nil {
-		t.Fatalf("http poll = %d, %v; want 4", gen, err)
+	// One poll per generation, so every generation is downloaded,
+	// verified (leaving a receipt) and then pruned.
+	for gen := uint64(1); gen <= 4; gen++ {
+		publishGen(t, pub, gen, gen)
+		if got, err := f.Poll(); got != gen || err != nil {
+			t.Fatalf("http poll = %d, %v; want %d", got, err, gen)
+		}
 	}
 	if res, err := e.Membership(0, 3); err != nil || res.Generation != 4 {
 		t.Fatalf("membership after http fetch = %+v, %v", res, err)
 	}
-	// Only the newest Keep generations stay in the local cache.
-	files, err := store.ScanGenerations(cache)
+	// Only the newest Keep generations stay in the local cache, and no
+	// receipt outlives its generation.
+	entries, err := os.ReadDir(cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 1 || files[0].Generation != 4 {
-		t.Fatalf("local cache after retention: %+v, want only generation 4", files)
+	var names []string
+	for _, ent := range entries {
+		names = append(names, ent.Name())
+	}
+	want := []string{"gen-00000004.v2.snap", "gen-00000004.v2.snap" + store.VerifiedSidecarSuffix}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("local cache after retention: %v, want %v", names, want)
 	}
 
 	// A fetcher with an HTTP source but no cache dir is a config error.

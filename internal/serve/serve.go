@@ -37,8 +37,9 @@
 //     (internal/quality) served on /api/quality, and WriteMetrics
 //     exports the whole surface in Prometheus text format (/metrics).
 //
-// internal/lens builds its browser UI on this engine; cmd/cpd-serve
-// exposes it as a headless JSON API.
+// APIHandler exposes the engine over HTTP — the JSON API, the Fig. 7
+// diffusion graph and the SocialLens page — as the one surface of
+// cmd/cpd-serve and cmd/cpd-lens.
 package serve
 
 import (

@@ -276,8 +276,7 @@ func (p *Publisher) Prune(cut uint64) {
 			}
 		}
 		for _, path := range paths {
-			os.Remove(path)
-			os.Remove(path + store.VerifiedSidecarSuffix)
+			store.RemoveVerified(path)
 		}
 	}
 }

@@ -247,6 +247,14 @@ type verifiedSidecar struct {
 // verification receipt.
 const VerifiedSidecarSuffix = ".verified"
 
+// RemoveVerified removes a snapshot file and its verification receipt,
+// so retention never leaves a receipt behind its file. Errors are
+// ignored: a file already gone is what the caller wants.
+func RemoveVerified(path string) {
+	os.Remove(path)
+	os.Remove(path + VerifiedSidecarSuffix)
+}
+
 // VerifyV2FileCached is VerifyV2File with a persistent receipt: a
 // successful full verification writes a ".verified" sidecar recording
 // the file's size, mtime and table CRC, and a later call whose stat and
@@ -296,20 +304,15 @@ func tagSet(tags []string) map[string]bool {
 	return want
 }
 
-// SaveV2Subset writes only the named sections of m to path as a v2
-// snapshot (canonical section order, independent of the order of tags).
-// Requested matrix blocks must be non-nil, except POPF/XI which are
-// skipped when absent, matching SaveV2.
-func SaveV2Subset(path string, m *core.Model, tags []string) error {
-	_, err := SaveV2SubsetReusing(path, m, tags, nil)
-	return err
-}
-
-// SaveV2SubsetReusing is SaveV2Subset with SaveV2Reusing's section-splice
-// optimization: sections whose backing arrays are identical to the
-// previous save described by prev are byte-copied from that file instead
-// of re-encoded. It returns the manifest for the new file. The output is
-// byte-identical to SaveV2Subset with the same arguments.
+// SaveV2SubsetReusing writes only the named sections of m to path as a
+// v2 snapshot (canonical section order, independent of the order of
+// tags). Requested matrix blocks must be non-nil, except POPF/XI which
+// are skipped when absent, matching SaveV2. With a non-nil prev it applies
+// SaveV2Reusing's section-splice optimization: sections whose backing
+// arrays are identical to the previous save described by prev are
+// byte-copied from that file instead of re-encoded, and the output is
+// byte-identical to a save with a nil prev. It returns the manifest for
+// the new file.
 func SaveV2SubsetReusing(path string, m *core.Model, tags []string, prev *SectionManifest) (*SectionManifest, error) {
 	plan, err := v2PlanSubset(m, tagSet(tags))
 	if err != nil {

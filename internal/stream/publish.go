@@ -511,7 +511,8 @@ func mergeIDs(a, b []int32) []int32 {
 }
 
 // pruneSnapshotsLocked deletes published snapshot files older than the
-// last KeepSnapshots generations. Retention works off a directory
+// last KeepSnapshots generations, with the .verified receipts a
+// directory-source replica writes beside them. Retention works off a directory
 // listing rather than counting generations down from the cut: a gap in
 // the gen-%08d sequence (a failed publish rolled the generation back, or
 // a file was removed externally) must not shadow everything older than
@@ -528,7 +529,7 @@ func (u *Updater) pruneSnapshotsLocked() {
 	}
 	for _, f := range files {
 		if f.Generation <= cut {
-			os.Remove(filepath.Join(u.opts.Dir, f.Name))
+			store.RemoveVerified(filepath.Join(u.opts.Dir, f.Name))
 		}
 	}
 	if u.sharder != nil {

@@ -316,6 +316,52 @@ func TestPruneSurvivesGenerationGap(t *testing.T) {
 	}
 }
 
+// TestPruneRemovesReplicaReceipts: a directory-source replica verifies
+// each generation in the publisher's own directory and leaves a .verified
+// receipt beside it; the publisher's retention must remove that receipt
+// with its generation, so the directory holds exactly the newest
+// KeepSnapshots generations and their receipts.
+func TestPruneRemovesReplicaReceipts(t *testing.T) {
+	g, m := testBase(t)
+	dir := t.TempDir()
+	_, _, u := newTestUpdater(t, g, m, func(o *Options) {
+		o.Dir = dir
+		o.KeepSnapshots = 2
+	})
+	replica := serve.NewMulti(serve.Options{})
+	t.Cleanup(replica.Close)
+	f, err := serve.NewFetcher(replica, serve.FetchOptions{Source: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		if _, err := u.Ingest([]Event{{Type: EvAddDoc, User: 3, Time: int64(round), Words: []int32{1, 2}}}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := u.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := f.Poll(); got != info.Generation || err != nil {
+			t.Fatalf("round %d: replica polled generation %d, %v; want %d", round, got, err, info.Generation)
+		}
+		var receipts, want []string
+		for gen := max(info.Generation, 2) - 1; gen <= info.Generation; gen++ {
+			want = append(want, filepath.Base(store.GenPath(dir, gen))+store.VerifiedSidecarSuffix)
+		}
+		matches, err := filepath.Glob(filepath.Join(dir, "*"+store.VerifiedSidecarSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range matches {
+			receipts = append(receipts, filepath.Base(path))
+		}
+		if !reflect.DeepEqual(receipts, want) {
+			t.Fatalf("generation %d: receipts in the publisher's directory %v, want %v", info.Generation, receipts, want)
+		}
+	}
+}
+
 // TestFriendsOnlyPublishReusesDocSections pins the doc-array publish
 // headroom: a delta window containing only edge events among users with
 // no stream documents must splice DOCC/DOCZ/DOCB from the previous
