@@ -23,7 +23,7 @@
 //	cpd-serve -model model.v2.snap -ingest events.wal -ingest-dir snapshots/
 //
 //	# Replica mode: no local model, pull generations from a publisher —
-//	# a shared snapshot directory or a publisher's /api/generations URL.
+//	# a shared snapshot directory or a publisher's URL (/api/shards*).
 //	cpd-serve -fetch /shared/snapshots -mmap
 //	cpd-serve -fetch http://publisher:8080 -fetch-dir /var/cache/cpd -mmap
 //
@@ -57,8 +57,11 @@
 // source (directory or publisher URL), CRC-verifies each new generation,
 // warms it and hot-swaps it in — the pull half of snapshot distribution
 // behind cmd/cpd-router. A publisher started with -ingest serves its
-// generations to such replicas on /api/generations (manifest) and
-// /api/generations/file. -model is optional in replica mode.
+// generations to such replicas on /api/shards (manifest list),
+// /api/shards/manifest and /api/shards/file: every generation has a shard
+// manifest, and without -ingest-shards it names the full file as shard 0
+// of 1, which a replica owns by default (-fetch-shard 0). -model is
+// optional in replica mode.
 //
 // -quality-every N scores every N-th published generation with the
 // structural metrics of internal/quality (modularity, coverage,
@@ -142,14 +145,14 @@ func main() {
 		fullRebuild  = flag.Bool("ingest-full-rebuild", false, "pin every publish to the full rebuild path (differential baseline / escape hatch; default is the O(changed) incremental publish)")
 		qualityEvery = flag.Int("quality-every", 0, "score every N-th published generation with structural quality metrics (0 = off)")
 		qualityPLP   = flag.Bool("quality-plp", false, "also score the parallel label-propagation baseline as the /api/quality comparison row")
-		ingestShards = flag.Int("ingest-shards", 0, "also publish each generation as an N-shard group (manifest + global + per-user-range shard files; 0 = off)")
+		ingestShards = flag.Int("ingest-shards", 0, "also publish each generation as an N-shard group (global + per-user-range shard files under the manifest; 0 or 1 = the manifest names the full file as the only shard)")
 
 		fetchSource   = flag.String("fetch", "", "replica mode: snapshot source to poll — a directory or a publisher base URL")
 		fetchDir      = flag.String("fetch-dir", "", "local cache for generations fetched over HTTP (required for URL sources)")
 		fetchSlot     = flag.String("fetch-snapshot", serve.DefaultSnapshot, "snapshot slot fetched generations are promoted into")
 		fetchInterval = flag.Duration("fetch-interval", 2*time.Second, "snapshot source poll period")
 		fetchKeep     = flag.Int("fetch-keep", 2, "fetched generations retained in the local cache")
-		fetchShard    = flag.Int("fetch-shard", -1, "shard-owning replica mode: fetch only the global file plus this shard of sharded generations (-1 = full snapshots)")
+		fetchShard    = flag.Int("fetch-shard", 0, "shard this replica owns: it fetches the global file plus this shard (an unsharded generation's only shard, 0, is its full file)")
 	)
 	flag.Parse()
 	if len(models) == 0 && *fetchSource == "" {
@@ -204,7 +207,6 @@ func main() {
 			Vocab:    vocab,
 			Interval: *fetchInterval,
 			Keep:     *fetchKeep,
-			Sharded:  *fetchShard >= 0,
 			Shard:    *fetchShard,
 		})
 		if err != nil {
@@ -290,11 +292,8 @@ func main() {
 		mux.Handle("/api/ingest", updater.Handler())
 		mux.Handle("/api/ingest/status", updater.Handler())
 		// Any publisher is a snapshot origin: replicas started with
-		// -fetch <this server's URL> pull generations from here — full
-		// files on /api/generations*, shard groups on /api/shards*.
+		// -fetch <this server's URL> pull generations from here.
 		snaps := stream.SnapshotServer(dir)
-		mux.Handle("/api/generations", snaps)
-		mux.Handle("/api/generations/file", snaps)
 		mux.Handle("/api/shards", snaps)
 		mux.Handle("/api/shards/manifest", snaps)
 		mux.Handle("/api/shards/file", snaps)

@@ -34,7 +34,9 @@
 // router's stats and metrics. Sharded snapshots (internal/shard) split
 // a v2 generation into a CRC-manifested group — one global file plus N
 // per-user-range shard files — so each replica maps only the users it
-// owns (cpd-serve -ingest-shards / -fetch-shard); the router routes by
+// owns (cpd-serve -ingest-shards / -fetch-shard); every generation is
+// fetched through its manifest, an unsharded one naming the full file as
+// its only shard; the router routes by
 // shard containment (a full-snapshot replica being shard 0 of 1, one
 // path serves every topology), sums per-shard member counts in its rank
 // merge, and hydrates cross-shard fold-in/diffusion rows from the

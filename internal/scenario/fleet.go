@@ -40,11 +40,11 @@ type FleetPreset struct {
 	BaseFraction float64
 
 	// Shards is the number of user ranges. At 1 the fleet is fully
-	// replicated: the publisher writes no shard group and every replica
-	// fetches the full file, as cpd-serve -fetch does. Above 1 the
-	// publisher also emits each generation as a group and each replica
-	// fetches the global file plus its own shard (cpd-serve -fetch-shard),
-	// mapping ~1/Shards of the user payload.
+	// replicated: each generation's manifest names the full file as its
+	// only shard, which every replica fetches as shard 0, as cpd-serve
+	// -fetch does. Above 1 the publisher also emits each generation as a
+	// group and each replica fetches the global file plus its own shard
+	// (cpd-serve -fetch-shard), mapping ~1/Shards of the user payload.
 	Shards int
 	// Replicas is how many replicas serve each shard: replica i of the
 	// Shards × Replicas fleet serves shard i mod Shards.
@@ -186,7 +186,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 		BaseGraph:    baseG,
 		Workers:      2,
 		Dir:          snapDir,
-		Shards:       p.Shards, // 1 writes no group
+		Shards:       p.Shards, // 1: the manifest names the full file
 	})
 	if err != nil {
 		return nil, err
@@ -214,7 +214,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 		e := serve.NewMulti(serve.Options{Mmap: true})
 		f, err := serve.NewFetcher(e, serve.FetchOptions{
 			Source: snapDir, Vocab: b.Vocab, Interval: 2 * time.Millisecond,
-			Sharded: p.Shards > 1, Shard: i % p.Shards,
+			Shard: i % p.Shards,
 		})
 		if err != nil {
 			e.Close()

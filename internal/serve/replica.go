@@ -1,17 +1,20 @@
 package serve
 
 // Replica-side snapshot distribution: a Fetcher pulls generation-numbered
-// v2 snapshots from a publisher — either its snapshot directory (shared
-// filesystem) or its HTTP snapshot endpoint (internal/stream's
-// SnapshotServer) — and promotes them into an Engine slot. Distribution
-// is pull-by-generation: each poll discovers the newest generation, and
-// only a strictly newer one triggers a fetch. Before a fetched file goes
-// live it is (1) fully CRC-verified — the section table AND every payload,
-// the O(model) pass the mapped opener skips by design — and (2) warmed
-// with a sequential read, so the page cache is hot before the first query
-// touches the mapping. Promotion is the engine's usual atomic swap;
-// in-flight queries finish on the snapshot they started with, exactly as
-// for a local reload.
+// shard groups (internal/shard) from a publisher — either its snapshot
+// directory (shared filesystem) or its HTTP snapshot endpoints
+// (internal/stream's SnapshotServer) — and promotes them into an Engine
+// slot. Every published generation is announced by a shard manifest; an
+// unsharded one names its full file as its only shard, so a full replica
+// is the owner of shard 0 of 1 and takes the same path as a shard
+// replica. Distribution is pull-by-generation: each poll discovers the
+// newest manifest, and only a strictly newer one triggers a fetch. Before
+// a fetched file goes live it is (1) fully CRC-verified against the
+// manifest — the section table AND every payload, the O(model) pass the
+// mapped opener skips by design — and (2) warmed with a sequential read,
+// so the page cache is hot before the first query touches the mapping.
+// Promotion is the engine's usual atomic swap; in-flight queries finish
+// on the snapshot they started with, exactly as for a local reload.
 
 import (
 	"context"
@@ -53,15 +56,12 @@ type FetchOptions struct {
 	// removed (default 2; the file backing the live mapping stays valid
 	// even once unlinked).
 	Keep int
-	// Sharded switches the fetcher to shard-group generations
-	// (internal/shard): each poll discovers the newest shard manifest,
-	// fetches the manifest plus the global file and this replica's own
-	// shard, verifies every file against the manifest's per-section CRCs,
-	// warms both, and promotes the group as a unit
-	// (Engine.PromoteShardGroup). The replica then maps ~(1/N of the user
-	// state + the global sections) instead of the whole model.
-	Sharded bool
-	// Shard is the shard index this replica owns (Sharded mode only).
+	// Shard is the shard index this replica owns (default 0). It fetches
+	// the manifest plus the global file and this shard's file, verifies
+	// each against the manifest's per-section CRCs and promotes them as a
+	// unit (Engine.PromoteShardGroup), mapping ~(1/N of the user state +
+	// the global sections). A one-shard generation's only shard is 0: its
+	// full file.
 	Shard int
 }
 
@@ -71,6 +71,10 @@ type FetchStatus struct {
 	Source     string `json:"source"`
 	Snapshot   string `json:"snapshot"`
 	Generation uint64 `json:"generation"`
+	// Shard is the owned shard of the promoted generation's Shards (0 of
+	// 0 before the first promote).
+	Shard  int `json:"shard"`
+	Shards int `json:"shards"`
 	// Fetches counts promoted generations; Failures failed poll or
 	// fetch attempts (the generation is re-attempted next poll).
 	Fetches   uint64 `json:"fetches"`
@@ -95,6 +99,7 @@ type Fetcher struct {
 
 	mu       sync.Mutex
 	gen      uint64
+	shards   int
 	fetches  uint64
 	failures uint64
 	lastPoll time.Time
@@ -103,9 +108,9 @@ type Fetcher struct {
 	patched           uint64
 	lastPromoteMicros int64
 
-	// global is the manifest entry of the global file of the shard group
-	// generation gen (Sharded mode): a newer group whose global file has
-	// the same content reuses the local copy.
+	// global is the manifest entry of generation gen's global file: a
+	// newer generation whose global file has the same content reuses the
+	// local copy.
 	global shard.FileEntry
 }
 
@@ -114,6 +119,9 @@ type Fetcher struct {
 func NewFetcher(e *Engine, opts FetchOptions) (*Fetcher, error) {
 	if opts.Source == "" {
 		return nil, fmt.Errorf("serve: fetcher needs a source")
+	}
+	if opts.Shard < 0 {
+		return nil, fmt.Errorf("serve: fetcher shard %d is negative", opts.Shard)
 	}
 	isHTTP := strings.HasPrefix(opts.Source, "http://") || strings.HasPrefix(opts.Source, "https://")
 	if isHTTP {
@@ -155,6 +163,8 @@ func (f *Fetcher) Status() FetchStatus {
 		Source:     f.opts.Source,
 		Snapshot:   f.opts.Snapshot,
 		Generation: f.gen,
+		Shard:      f.opts.Shard,
+		Shards:     f.shards,
 		Fetches:    f.fetches,
 		Failures:   f.failures,
 		LastError:  f.lastErr,
@@ -179,7 +189,7 @@ func (f *Fetcher) WriteMetrics(w io.Writer) {
 	gauge(w, "cpd_replica_last_promote_seconds", "Open, index build or patch, and swap of the newest fetched generation.", "", float64(st.LastPromoteMicros)/1e6)
 }
 
-// Poll runs one discover→fetch→verify→warm→promote cycle. It returns
+// Poll runs one discover→fetch→verify→warm→promote→prune cycle. It returns
 // the promoted generation (0 if the replica is already current) and
 // records failures for Status; a failed attempt leaves the serving state
 // untouched and is retried on the next poll.
@@ -215,10 +225,10 @@ func (f *Fetcher) Run(ctx context.Context) {
 	}
 }
 
+// poll is one discover→materialize→verify→warm→promote→prune cycle: the
+// manifest names every file and its per-section CRCs, so the generation
+// either verifies and promotes as a unit or is retried whole next poll.
 func (f *Fetcher) poll() (uint64, error) {
-	if f.opts.Sharded {
-		return f.pollSharded()
-	}
 	latest, err := f.discover()
 	if err != nil {
 		return 0, err
@@ -229,61 +239,26 @@ func (f *Fetcher) poll() (uint64, error) {
 	if latest == 0 || latest <= have {
 		return 0, nil // nothing published yet, or already current
 	}
-	path, err := f.materialize(latest)
+	dir, man, err := f.materialize(latest)
 	if err != nil {
 		return 0, err
 	}
-	// Cached verification: a generation this replica already walked (the
-	// .verified sidecar matches size+mtime) skips the O(model) CRC pass —
-	// the restart-fast path for big cached generations.
-	if err := store.VerifyV2FileCached(path); err != nil {
-		return 0, fmt.Errorf("verifying generation %d: %w", latest, err)
+	files := []shard.FileEntry{man.Global}
+	if own := man.Ranges[f.opts.Shard].File; own.Name != man.Global.Name {
+		files = append(files, own)
 	}
-	if err := warmFile(path); err != nil {
-		return 0, fmt.Errorf("warming generation %d: %w", latest, err)
-	}
-	start := time.Now()
-	if _, err := f.e.LoadGeneration(f.opts.Snapshot, path, f.opts.Vocab, latest); err != nil {
-		return 0, fmt.Errorf("promoting generation %d: %w", latest, err)
-	}
-	f.promoted(start)
-	if f.http {
-		f.pruneCache(latest)
-	}
-	return latest, nil
-}
-
-// pollSharded is one sharded discover→fetch→verify→warm→promote cycle:
-// the manifest names every file and its per-section CRCs, so the group
-// either verifies and promotes as a unit or is retried whole next poll.
-func (f *Fetcher) pollSharded() (uint64, error) {
-	latest, err := f.discoverSharded()
-	if err != nil {
-		return 0, err
-	}
-	f.mu.Lock()
-	have := f.gen
-	f.mu.Unlock()
-	if latest == 0 || latest <= have {
-		return 0, nil
-	}
-	dir, man, err := f.materializeSharded(latest)
-	if err != nil {
-		return 0, err
-	}
-	if f.opts.Shard < 0 || f.opts.Shard >= man.Shards {
-		return 0, fmt.Errorf("replica owns shard %d but generation %d has %d shards", f.opts.Shard, latest, man.Shards)
-	}
-	globalPath := shard.GlobalPath(dir, latest)
-	shardPath := shard.ShardPath(dir, latest, f.opts.Shard)
-	if err := shard.VerifyAgainstManifest(globalPath, man.Global); err != nil {
-		return 0, fmt.Errorf("verifying generation %d global file: %w", latest, err)
-	}
-	if err := shard.VerifyAgainstManifest(shardPath, man.Ranges[f.opts.Shard].File); err != nil {
-		return 0, fmt.Errorf("verifying generation %d shard %d: %w", latest, f.opts.Shard, err)
-	}
-	for _, p := range []string{globalPath, shardPath} {
-		if err := warmFile(p); err != nil {
+	for _, ent := range files {
+		path := filepath.Join(dir, ent.Name)
+		// Cached verification: a file this replica already walked (the
+		// .verified sidecar matches size+mtime) skips the O(model) CRC
+		// pass — the restart-fast path for big cached generations.
+		if err := shard.VerifyAgainstManifest(path, ent); err != nil {
+			if f.http {
+				store.RemoveVerified(path) // downloaded bad: fetch it again next poll
+			}
+			return 0, fmt.Errorf("verifying generation %d: %w", latest, err)
+		}
+		if err := warmFile(path); err != nil {
 			return 0, fmt.Errorf("warming generation %d: %w", latest, err)
 		}
 	}
@@ -295,10 +270,11 @@ func (f *Fetcher) pollSharded() (uint64, error) {
 	f.e.PromoteShardGroup(f.opts.Snapshot, g, f.opts.Vocab, latest)
 	f.mu.Lock()
 	f.global = man.Global
+	f.shards = man.Shards
 	f.mu.Unlock()
 	f.promoted(start)
-	if f.http {
-		f.pruneShardCache(latest)
+	if f.http && latest > uint64(f.opts.Keep) {
+		shard.Prune(f.opts.Dir, latest-uint64(f.opts.Keep))
 	}
 	return latest, nil
 }
@@ -321,8 +297,8 @@ func (f *Fetcher) promoted(start time.Time) {
 	f.mu.Unlock()
 }
 
-// discoverSharded finds the newest sharded generation the source offers.
-func (f *Fetcher) discoverSharded() (uint64, error) {
+// discover finds the newest generation the source offers.
+func (f *Fetcher) discover() (uint64, error) {
 	if !f.http {
 		gens, err := shard.ScanManifests(f.opts.Source)
 		if err != nil || len(gens) == 0 {
@@ -348,50 +324,52 @@ func (f *Fetcher) discoverSharded() (uint64, error) {
 	return man.Generation, nil
 }
 
-// materializeSharded returns a directory holding generation gen's
-// manifest, global file and this replica's shard, plus the parsed
-// manifest: the publisher's directory itself for a directory source,
-// downloaded copies for an HTTP source. Already-downloaded files are
-// reused, and so is the served generation's global file when the manifest
-// gives the new one the same content — the community profiles, which
-// fold-in publishes never move: it is hard-linked under the new name with
-// its .verified receipt. The caller re-verifies against the manifest
-// either way.
-func (f *Fetcher) materializeSharded(gen uint64) (string, *shard.Manifest, error) {
-	if !f.http {
-		man, err := shard.ReadManifest(shard.ManifestPath(f.opts.Source, gen))
-		return f.opts.Source, man, err
-	}
-	manPath := shard.ManifestPath(f.opts.Dir, gen)
-	if _, err := os.Stat(manPath); err != nil {
-		if err := f.download(fmt.Sprintf("%s/api/shards/manifest?gen=%d", f.opts.Source, gen), manPath); err != nil {
+// materialize returns a directory holding generation gen's manifest,
+// global file and this replica's shard file, plus the parsed manifest:
+// the publisher's directory itself for a directory source, downloaded
+// copies for an HTTP source. Already-downloaded files are reused, and so
+// is the served generation's global file when the manifest gives the new
+// one the same content — the community profiles, which fold-in publishes
+// never move: it is hard-linked under the new name with its .verified
+// receipt. The caller verifies against the manifest either way, and a
+// downloaded manifest that does not parse is removed so the next poll
+// fetches it again.
+func (f *Fetcher) materialize(gen uint64) (string, *shard.Manifest, error) {
+	dir := f.opts.Source
+	manPath := shard.ManifestPath(dir, gen)
+	if f.http {
+		dir, manPath = f.opts.Dir, shard.ManifestPath(f.opts.Dir, gen)
+		if err := f.fetchOnce(fmt.Sprintf("%s/api/shards/manifest?gen=%d", f.opts.Source, gen), manPath); err != nil {
 			return "", nil, err
 		}
 	}
 	man, err := shard.ReadManifest(manPath)
-	if err != nil {
+	switch {
+	case err != nil:
+		if f.http {
+			os.Remove(manPath)
+		}
 		return "", nil, err
+	case f.opts.Shard >= man.Shards:
+		return "", nil, fmt.Errorf("replica owns shard %d but generation %d has %d shards", f.opts.Shard, gen, man.Shards)
+	case !f.http:
+		return dir, man, nil
 	}
-	globalPath := shard.GlobalPath(f.opts.Dir, gen)
+	globalPath := filepath.Join(dir, man.Global.Name)
 	f.mu.Lock()
 	have, served := f.gen, f.global
 	f.mu.Unlock()
 	if have > 0 && man.Global.SameContent(served) {
-		linkCached(shard.GlobalPath(f.opts.Dir, have), globalPath)
+		linkCached(filepath.Join(dir, served.Name), globalPath)
 	}
-	fetches := []struct{ url, path string }{
-		{fmt.Sprintf("%s/api/shards/file?gen=%d&global=1", f.opts.Source, gen), globalPath},
-		{fmt.Sprintf("%s/api/shards/file?gen=%d&shard=%d", f.opts.Source, gen, f.opts.Shard), shard.ShardPath(f.opts.Dir, gen, f.opts.Shard)},
+	if err := f.fetchOnce(fmt.Sprintf("%s/api/shards/file?gen=%d&global=1", f.opts.Source, gen), globalPath); err != nil {
+		return "", nil, err
 	}
-	for _, fe := range fetches {
-		if _, err := os.Stat(fe.path); err == nil {
-			continue
-		}
-		if err := f.download(fe.url, fe.path); err != nil {
-			return "", nil, err
-		}
+	own := man.Ranges[f.opts.Shard].File.Name
+	if err := f.fetchOnce(fmt.Sprintf("%s/api/shards/file?gen=%d&shard=%d", f.opts.Source, gen, f.opts.Shard), filepath.Join(dir, own)); err != nil {
+		return "", nil, err
 	}
-	return f.opts.Dir, man, nil
+	return dir, man, nil
 }
 
 // linkCached hard-links the cached file src, and its .verified receipt
@@ -407,8 +385,12 @@ func linkCached(src, dst string) {
 	}
 }
 
-// download fetches url into path via a temp file and atomic rename.
-func (f *Fetcher) download(url, path string) error {
+// fetchOnce downloads url into path unless path is already there, via a
+// temp file and atomic rename.
+func (f *Fetcher) fetchOnce(url, path string) error {
+	if _, err := os.Stat(path); err == nil {
+		return nil
+	}
 	resp, err := f.opts.Client.Get(url)
 	if err != nil {
 		return err
@@ -435,91 +417,6 @@ func (f *Fetcher) download(url, path string) error {
 		return err
 	}
 	return nil
-}
-
-// pruneShardCache drops downloaded shard-group files (and .verified
-// sidecars) older than the newest Keep generations.
-func (f *Fetcher) pruneShardCache(latest uint64) {
-	if latest <= uint64(f.opts.Keep) {
-		return
-	}
-	cut := latest - uint64(f.opts.Keep)
-	gens, err := shard.ScanManifests(f.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, gen := range gens {
-		if gen > cut {
-			continue
-		}
-		os.Remove(shard.ManifestPath(f.opts.Dir, gen))
-		store.RemoveVerified(shard.GlobalPath(f.opts.Dir, gen))
-		store.RemoveVerified(shard.ShardPath(f.opts.Dir, gen, f.opts.Shard))
-	}
-}
-
-// discover finds the newest generation the source offers.
-func (f *Fetcher) discover() (uint64, error) {
-	if !f.http {
-		files, err := store.ScanGenerations(f.opts.Source)
-		if err != nil || len(files) == 0 {
-			return 0, err
-		}
-		return files[len(files)-1].Generation, nil
-	}
-	resp, err := f.opts.Client.Get(f.opts.Source + "/api/generations")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return 0, fmt.Errorf("%s/api/generations answered status %d", f.opts.Source, resp.StatusCode)
-	}
-	var man struct {
-		Generation uint64 `json:"generation"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&man); err != nil {
-		return 0, err
-	}
-	return man.Generation, nil
-}
-
-// materialize returns a local path holding generation gen: the publisher
-// file itself for a directory source, a downloaded copy (atomic rename)
-// for an HTTP source. An already-downloaded copy is reused — its CRCs
-// are re-verified by the caller either way.
-func (f *Fetcher) materialize(gen uint64) (string, error) {
-	if !f.http {
-		return store.GenPath(f.opts.Source, gen), nil
-	}
-	path := store.GenPath(f.opts.Dir, gen)
-	if _, err := os.Stat(path); err == nil {
-		return path, nil
-	}
-	if err := f.download(fmt.Sprintf("%s/api/generations/file?gen=%d", f.opts.Source, gen), path); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// pruneCache drops downloaded generations older than the newest Keep,
-// each with its .verified receipt. Gaps don't matter: retention lists
-// the directory (the same discipline as the publisher's own pruning).
-func (f *Fetcher) pruneCache(latest uint64) {
-	if latest <= uint64(f.opts.Keep) {
-		return
-	}
-	cut := latest - uint64(f.opts.Keep)
-	files, err := store.ScanGenerations(f.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, gf := range files {
-		if gf.Generation <= cut {
-			store.RemoveVerified(filepath.Join(f.opts.Dir, gf.Name))
-		}
-	}
 }
 
 // warmFile reads the file once, sequentially, populating the page cache

@@ -9,6 +9,7 @@ package serve_test
 // and that a patched replica answers what a fresh one does.
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -30,8 +31,9 @@ const (
 	adoptShards                        = 3
 )
 
-// adoptPublisher is a stream.Updater publishing full files and a 3-shard
-// group per generation into dir.
+// adoptPublisher is a stream.Updater publishing a full file per
+// generation into dir, committed by a one-shard manifest or next to a
+// group of the given shard count.
 type adoptPublisher struct {
 	dir   string
 	u     *stream.Updater
@@ -39,7 +41,7 @@ type adoptPublisher struct {
 	users int
 }
 
-func newAdoptPublisher(t *testing.T) *adoptPublisher {
+func newAdoptPublisher(t *testing.T, shards int) *adoptPublisher {
 	t.Helper()
 	base := serve.SyntheticModel(adoptUsers, adoptC, adoptZ, adoptV, 41)
 	engine := serve.New(base, nil, serve.Options{Mmap: true})
@@ -52,7 +54,7 @@ func newAdoptPublisher(t *testing.T) *adoptPublisher {
 	p := &adoptPublisher{dir: t.TempDir(), r: rand.New(rand.NewSource(6)), users: adoptUsers}
 	p.u, err = stream.NewUpdater(j, stream.Options{
 		Engine: engine, Base: base, FoldSweeps: 4, FoldSeed: 9,
-		Dir: p.dir, Shards: adoptShards, Mmap: true, KeepSnapshots: 8,
+		Dir: p.dir, Shards: shards, Mmap: true, KeepSnapshots: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,11 +157,12 @@ func requireSameAnswers(t *testing.T, got, want *serve.Engine, users int) {
 	}
 }
 
-// TestFetcherAdoptsFullFileByPatch: a full-file replica builds its first
-// generation from scratch and patches the second; an engine loading the
-// second file fresh answers the same.
+// TestFetcherAdoptsFullFileByPatch: a replica of an unsharded publisher
+// fetches each full file as shard 0 of 1, builds its first generation
+// from scratch and patches the second; an engine loading the second file
+// fresh answers the same.
 func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
-	p := newAdoptPublisher(t)
+	p := newAdoptPublisher(t, 1)
 	replica := serve.NewMulti(serve.Options{Mmap: true})
 	defer replica.Close()
 	f, err := serve.NewFetcher(replica, serve.FetchOptions{Source: p.dir})
@@ -200,6 +203,33 @@ func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameAnswers(t, replica, fresh, p.users)
+	// Shard 0 of 1 is the full snapshot it holds: same error past the last
+	// user, no shard range, the one file mapped once, the same /healthz
+	// but for the process-local version.
+	_, aerr := replica.Membership(p.users, 4)
+	_, berr := fresh.Membership(p.users, 4)
+	if aerr == nil || berr == nil || aerr.Error() != berr.Error() {
+		t.Fatalf("membership past the last user: adopted %v, fresh %v", aerr, berr)
+	}
+	if a, b := replica.SnapshotsInfo()[0], fresh.SnapshotsInfo()[0]; a.Shard != nil || a.Mapped != b.Mapped || a.MappedBytes != b.MappedBytes || a.HeapBytes != b.HeapBytes {
+		t.Fatalf("adopted snapshot %+v, fresh %+v", a, b)
+	}
+	healthz := func(e *serve.Engine) map[string]any {
+		rec := httptest.NewRecorder()
+		serve.APIHandler(e, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		var h map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatal(err)
+		}
+		delete(h, "version")
+		return h
+	}
+	if a, b := healthz(replica), healthz(fresh); !reflect.DeepEqual(a, b) {
+		t.Fatalf("/healthz: adopted %v, fresh %v", a, b)
+	}
+	if st := f.Status(); st.Shard != 0 || st.Shards != 1 {
+		t.Fatalf("status: %+v, want shard 0 of 1", st)
+	}
 }
 
 // TestFetcherAdoptsShardsByPatch: shard replicas patch across the
@@ -207,14 +237,14 @@ func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
 // one, which grows — and rebuild when a re-planned group moves their first
 // user. Each is compared with a fresh engine promoted from the same files.
 func TestFetcherAdoptsShardsByPatch(t *testing.T) {
-	p := newAdoptPublisher(t)
+	p := newAdoptPublisher(t, adoptShards)
 	replicas := make([]*serve.Engine, adoptShards)
 	fetchers := make([]*serve.Fetcher, adoptShards)
 	for i := range replicas {
 		replicas[i] = serve.NewMulti(serve.Options{Mmap: true})
 		defer replicas[i].Close()
 		var err error
-		fetchers[i], err = serve.NewFetcher(replicas[i], serve.FetchOptions{Source: p.dir, Sharded: true, Shard: i})
+		fetchers[i], err = serve.NewFetcher(replicas[i], serve.FetchOptions{Source: p.dir, Shard: i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +291,7 @@ func TestFetcherAdoptsShardsByPatch(t *testing.T) {
 		if last := i == adoptShards-1; last && b.Users < 6 || !last && b.Users > 12 {
 			t.Fatalf("shard %d re-indexed %d users (6 were appended to the last shard, 12 documents streamed)", i, b.Users)
 		}
-		if st := fetchers[i].Status(); st.PatchedPromotes != 1 {
+		if st := fetchers[i].Status(); st.PatchedPromotes != 1 || st.Shard != i || st.Shards != adoptShards {
 			t.Fatalf("shard %d status: %+v", i, st)
 		}
 		requireSameAnswers(t, e, freshShard(g2, i), p.users)
@@ -294,7 +324,7 @@ func TestFetcherAdoptsShardsByPatch(t *testing.T) {
 // their copy, .verified receipt included, for every later generation — and
 // still answer what a full node does.
 func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
-	p := newAdoptPublisher(t)
+	p := newAdoptPublisher(t, adoptShards)
 	var globalFetches atomic.Int64
 	origin := stream.SnapshotServer(p.dir)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -313,7 +343,7 @@ func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
 		defer replicas[i].Close()
 		caches[i] = t.TempDir()
 		var err error
-		fetchers[i], err = serve.NewFetcher(replicas[i], serve.FetchOptions{Source: srv.URL, Dir: caches[i], Sharded: true, Shard: i})
+		fetchers[i], err = serve.NewFetcher(replicas[i], serve.FetchOptions{Source: srv.URL, Dir: caches[i], Shard: i})
 		if err != nil {
 			t.Fatal(err)
 		}

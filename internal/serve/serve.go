@@ -691,11 +691,17 @@ func (e *Engine) Promote(s *Snapshot) uint64 { return e.publish(s) }
 // PromoteShardGroup publishes an opened shard group (internal/shard) as
 // the named snapshot: local Π rows and doc windows, full global sections,
 // with the shard identity attached so user-scoped queries translate
-// global ids and answer ErrNotOwned outside the owned range. The engine
-// takes ownership of g — its mappings close when the snapshot retires
-// and the last in-flight query drains.
+// global ids and answer ErrNotOwned outside the owned range. The one
+// shard of a one-shard group holds every user, so it carries no identity
+// and serves as the full snapshot it is. The engine takes ownership of g
+// — its mappings close when the snapshot retires and the last in-flight
+// query drains.
 func (e *Engine) PromoteShardGroup(name string, g *shard.Group, vocab *corpus.Vocabulary, gen uint64) uint64 {
-	s := e.buildSnapshot(name, g.Model, vocab, nil, &g.Info)
+	sh := &g.Info
+	if g.Info.Count == 1 {
+		sh = nil
+	}
+	s := e.buildSnapshot(name, g.Model, vocab, nil, sh)
 	s.Generation = gen
 	s.AttachFiles(g, g.Mapped, g.MappedBytes)
 	return e.publish(s)

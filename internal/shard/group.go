@@ -2,49 +2,48 @@ package shard
 
 // OpenGroup: the serving-side open path. A replica that owns shard k of
 // a sharded generation maps exactly two files — the global sections and
-// its own shard — and assembles a partial model over them: local Π rows
+// its own shard (one full file for a one-shard generation) — and assembles a partial model over them: local Π rows
 // and doc windows, full Θ/Φ/η/ν/POPF/XI. Membership and fold-in work for
 // owned users; rank and diffusion scoring are exact because they only
 // read the global sections (plus membership rows the caller supplies).
 
 import (
 	"fmt"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/store"
 )
 
-// Group is an opened shard group: a servable partial model plus the two
+// Group is an opened shard group: a servable partial model plus the
 // mappings backing it. The model must not be used after Close.
 type Group struct {
 	Model *core.Model
 	Info  Info
 
-	// MappedBytes is the total mapping size (global + shard file) — the
-	// per-replica memory win the format exists for.
+	// MappedBytes is the total mapping size (global + shard file, or the
+	// one full file of a one-shard generation) — the per-replica memory
+	// win the format exists for.
 	MappedBytes int64
-	// Mapped reports whether both files are real kernel mappings (false
+	// Mapped reports whether every file is a real kernel mapping (false
 	// on the aligned-copy fallback platforms).
 	Mapped bool
 
-	global, shard *store.RawFile
+	files []*store.RawFile
 }
 
 // OpenGroup maps generation files for shard index of the manifest under
-// dir and assembles the partial model. The caller owns the group and
-// must Close it when the last query drains.
+// dir, resolved from the manifest's entry names, and assembles the
+// partial model. A file named twice (the full file of a one-shard
+// generation) is mapped once. The caller owns the group and must Close
+// it when the last query drains.
 func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 	if index < 0 || index >= man.Shards {
 		return nil, fmt.Errorf("shard: index %d out of range (manifest has %d shards)", index, man.Shards)
 	}
 	r := man.Ranges[index]
-	global, err := store.OpenRawFile(GlobalPath(dir, man.Generation))
+	global, err := store.OpenRawFile(filepath.Join(dir, man.Global.Name))
 	if err != nil {
-		return nil, err
-	}
-	sf, err := store.OpenRawFile(ShardPath(dir, man.Generation, index))
-	if err != nil {
-		global.Close()
 		return nil, err
 	}
 	g := &Group{
@@ -55,10 +54,20 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 			UserHi:     r.UserHi,
 			TotalUsers: man.Users,
 		},
-		MappedBytes: global.SizeBytes() + sf.SizeBytes(),
-		Mapped:      global.Mapped() && sf.Mapped(),
-		global:      global,
-		shard:       sf,
+		files: []*store.RawFile{global},
+	}
+	sf := global
+	if r.File.Name != man.Global.Name {
+		if sf, err = store.OpenRawFile(filepath.Join(dir, r.File.Name)); err != nil {
+			global.Close()
+			return nil, err
+		}
+		g.files = append(g.files, sf)
+	}
+	g.Mapped = true
+	for _, f := range g.files {
+		g.MappedBytes += f.SizeBytes()
+		g.Mapped = g.Mapped && f.Mapped()
 	}
 	// Merge: user-indexed sections (and the patched DIM + CFG) from the
 	// shard file, everything else from the global file.
@@ -90,11 +99,13 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 	return g, nil
 }
 
-// Close releases both mappings. Idempotent.
+// Close releases every mapping. Idempotent.
 func (g *Group) Close() error {
-	err := g.global.Close()
-	if err2 := g.shard.Close(); err == nil {
-		err = err2
+	var err error
+	for _, f := range g.files {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

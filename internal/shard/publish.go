@@ -252,28 +252,64 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 	return man, nil
 }
 
-// Prune removes shard-group files (and their .verified sidecars) of
-// generations at or below cut.
-func (p *Publisher) Prune(cut uint64) {
-	gens, err := ScanManifests(p.dir)
+// PublishWhole commits generation gen's full snapshot, already written
+// from m at store.GenPath(dir, gen), as a one-shard group: a manifest
+// whose global entry and only range both name that file, in its own
+// section order. Replicas fetch it exactly as they fetch shard 0 of a
+// sharded generation, and Join reproduces the file.
+func PublishWhole(dir string, gen uint64, m *core.Model) (*Manifest, error) {
+	ent, err := fileEntry(store.GenPath(dir, gen))
+	if err != nil {
+		return nil, err
+	}
+	order := make([]string, len(ent.Sections))
+	for i, sec := range ent.Sections {
+		order[i] = sec.Tag
+	}
+	users, docs := m.NumUsers, len(m.DocCommunity)
+	man := &Manifest{
+		Version:      1,
+		Generation:   gen,
+		Shards:       1,
+		Users:        users,
+		Docs:         docs,
+		SectionOrder: order,
+		Global:       ent,
+		Ranges:       []Range{{Index: 0, UserHi: users, DocHi: docs, File: ent}},
+	}
+	if err := WriteManifest(ManifestPath(dir, gen), man); err != nil {
+		return nil, err
+	}
+	return man, nil
+}
+
+// Prune removes the groups of generations at or below cut from dir, in
+// commit order: each manifest goes before the files it names (for a
+// one-shard generation, the full snapshot), so no reader finds a manifest
+// whose files are gone. Files go with their .verified receipts. A
+// manifest that no longer parses takes its generation's group file names
+// with it.
+func Prune(dir string, cut uint64) {
+	gens, err := ScanManifests(dir)
 	if err != nil {
 		return
 	}
 	for _, gen := range gens {
 		if gen > cut {
-			continue
+			break
 		}
-		man, err := ReadManifest(ManifestPath(p.dir, gen))
-		os.Remove(ManifestPath(p.dir, gen))
-		paths := []string{GlobalPath(p.dir, gen)}
+		manPath := ManifestPath(dir, gen)
+		man, err := ReadManifest(manPath)
+		os.Remove(manPath)
+		var paths []string
 		if err == nil {
-			for i := range man.Ranges {
-				paths = append(paths, ShardPath(p.dir, gen, i))
+			paths = append(paths, filepath.Join(dir, man.Global.Name))
+			for _, r := range man.Ranges {
+				paths = append(paths, filepath.Join(dir, r.File.Name))
 			}
 		} else {
-			for i := 0; i < p.shards; i++ {
-				paths = append(paths, ShardPath(p.dir, gen, i))
-			}
+			paths, _ = filepath.Glob(filepath.Join(dir, fmt.Sprintf("gen-%08d.shard-*.v2.snap", gen)))
+			paths = append(paths, GlobalPath(dir, gen))
 		}
 		for _, path := range paths {
 			store.RemoveVerified(path)

@@ -5,7 +5,8 @@
 // described by a CRC'd manifest:
 //
 //	gen-%08d.shards.json        manifest: shard count, user/doc range
-//	                            boundaries, per-file section checksums
+//	                            boundaries, per-file names and section
+//	                            checksums
 //	gen-%08d.global.v2.snap     one v2 file with the community profiles:
 //	                            CFG and Θ/Φ/η/ν (+ POPF/XI when present),
 //	                            all rank and diffusion scoring needs. It
@@ -19,9 +20,13 @@
 //	                            of the DocC/DocZ/DocB arrays
 //
 // Every file is an ordinary v2 container (store.VerifyV2File applies
-// unchanged), and the three file names are invisible to
-// store.ScanGenerations, so sharded and full generations coexist in one
-// publish directory.
+// unchanged). The manifest is how every published generation is
+// announced and fetched: an unsharded publish writes a one-shard manifest
+// whose global entry and only range both name the generation's full file
+// (store.GenPath), so a fully replicated fleet is shard 0 of 1 on the
+// same fetch path. Readers resolve files from the entries' names, which
+// DecodeManifest accepts only as the generation's own group names (or,
+// with one shard, its full-file name) — a manifest is outside input.
 //
 // Split turns any v2 snapshot written by this repo's encoder into a
 // sharded generation; Join reassembles one back byte-identically, taking
@@ -226,7 +231,8 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 }
 
 // validate rejects manifests whose ranges do not tile [0,Users) and
-// [0,Docs) contiguously — the invariant every consumer leans on.
+// [0,Docs) contiguously, or whose entries name any file but their own —
+// the invariants every consumer leans on.
 func (man *Manifest) validate() error {
 	if man.Shards <= 0 || len(man.Ranges) != man.Shards {
 		return fmt.Errorf("shard: manifest claims %d shards with %d ranges", man.Shards, len(man.Ranges))
@@ -246,6 +252,19 @@ func (man *Manifest) validate() error {
 	}
 	if wantU != man.Users || wantD != man.Docs {
 		return fmt.Errorf("shard: ranges cover %d users / %d docs of %d / %d", wantU, wantD, man.Users, man.Docs)
+	}
+	// Readers join the names to a directory, so each must be this
+	// generation's own file for its role: no path, no other generation.
+	own := func(name, groupName string) bool {
+		return name == groupName || man.Shards == 1 && name == filepath.Base(store.GenPath("", man.Generation))
+	}
+	if !own(man.Global.Name, fmt.Sprintf(globalFormat, man.Generation)) {
+		return fmt.Errorf("shard: global entry names %q", man.Global.Name)
+	}
+	for i, r := range man.Ranges {
+		if !own(r.File.Name, fmt.Sprintf(shardFormat, man.Generation, i)) {
+			return fmt.Errorf("shard: range %d names %q", i, r.File.Name)
+		}
 	}
 	return nil
 }

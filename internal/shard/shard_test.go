@@ -438,7 +438,7 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 	}
 
 	// Prune removes generations at or below the cut, leaving newer ones.
-	pub.Prune(2)
+	Prune(dir, 2)
 	if _, err := ReadManifest(ManifestPath(dir, 1)); err == nil {
 		t.Fatal("generation 1 should be pruned")
 	}
@@ -772,6 +772,134 @@ func TestScanManifests(t *testing.T) {
 	}
 }
 
+// TestPublishWhole: an unsharded generation's one-shard manifest names
+// the full file as global file and only shard, so Join reproduces it,
+// OpenGroup maps it once into the model store.Open reads, and Prune takes
+// the manifest and the file.
+func TestPublishWhole(t *testing.T) {
+	dir := t.TempDir()
+	m := testModel(30, 5, 3, 40, 19)
+	full := store.GenPath(dir, 4)
+	if err := store.SaveV2(full, m); err != nil {
+		t.Fatal(err)
+	}
+	man, err := PublishWhole(dir, 4, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read, err := ReadManifest(ManifestPath(dir, 4)); err != nil || !reflect.DeepEqual(read, man) {
+		t.Fatalf("manifest on disk %+v (%v), published %+v", read, err, man)
+	}
+	if man.Shards != 1 || man.Global.Name != filepath.Base(full) || !reflect.DeepEqual(man.Ranges[0].File, man.Global) ||
+		man.Ranges[0].UserHi != 30 || man.Ranges[0].DocHi != 90 || len(man.SectionOrder) != len(man.Global.Sections) {
+		t.Fatalf("one-shard manifest %+v", man)
+	}
+
+	joined := filepath.Join(t.TempDir(), "joined.v2.snap")
+	if err := Join(dir, 4, joined); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(joined); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("join of a one-shard generation is not its full file (%v)", err)
+	}
+
+	g, err := OpenGroup(dir, man, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	mm, err := store.Open(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	if !reflect.DeepEqual(g.Model, mm.Model) {
+		t.Fatal("the one-shard group opens to a different model from store.Open")
+	}
+	if g.MappedBytes != int64(len(want)) || len(g.files) != 1 {
+		t.Fatalf("the group maps %d bytes over %d files, want the %d-byte file once", g.MappedBytes, len(g.files), len(want))
+	}
+	if want := (Info{Index: 0, Count: 1, UserLo: 0, UserHi: 30, TotalUsers: 30}); g.Info != want {
+		t.Fatalf("group info %+v, want %+v", g.Info, want)
+	}
+
+	if err := VerifyAgainstManifest(full, man.Global); err != nil {
+		t.Fatal(err)
+	}
+	Prune(dir, 4)
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("prune left %v", entries)
+	}
+}
+
+// TestManifestRejectsForeignNames: entry names come from outside (a
+// downloaded manifest), and readers join them to a directory, so
+// DecodeManifest accepts only the generation's own file for each role:
+// its global file or shard i's, or — with one shard — its full file.
+func TestManifestRejectsForeignNames(t *testing.T) {
+	m := testModel(20, 4, 3, 30, 7)
+	src := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(src, m); err != nil {
+		t.Fatal(err)
+	}
+	split, err := Split(src, t.TempDir(), 3, SplitOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wholeDir := t.TempDir()
+	if err := store.SaveV2(store.GenPath(wholeDir, 3), m); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := PublishWhole(wholeDir, 3, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullName := filepath.Base(store.GenPath("", 3))
+	cases := []struct {
+		name string
+		base *Manifest
+		edit func(man *Manifest)
+		ok   bool
+	}{
+		{"split", split, func(man *Manifest) {}, true},
+		{"whole", whole, func(man *Manifest) {}, true},
+		{"whole-group-names", whole, func(man *Manifest) {
+			man.Global.Name, man.Ranges[0].File.Name = fmt.Sprintf(globalFormat, 3), fmt.Sprintf(shardFormat, 3, 0)
+		}, true},
+		{"global-escapes", split, func(man *Manifest) { man.Global.Name = "../x" }, false},
+		{"shard-escapes", split, func(man *Manifest) { man.Ranges[1].File.Name = "../" + man.Ranges[1].File.Name }, false},
+		{"whole-escapes", whole, func(man *Manifest) { man.Ranges[0].File.Name = "../" + fullName }, false},
+		{"other-generation-global", split, func(man *Manifest) { man.Global.Name = fmt.Sprintf(globalFormat, 2) }, false},
+		{"other-generation-full", whole, func(man *Manifest) { man.Global.Name = filepath.Base(store.GenPath("", 2)) }, false},
+		{"shard-index-mismatch", split, func(man *Manifest) { man.Ranges[1].File.Name = fmt.Sprintf(shardFormat, 3, 0) }, false},
+		{"full-global-in-group", split, func(man *Manifest) { man.Global.Name = fullName }, false},
+		{"full-shard-in-group", split, func(man *Manifest) { man.Ranges[0].File.Name = fullName }, false},
+		{"empty", split, func(man *Manifest) { man.Global.Name = "" }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			man := *tc.base
+			man.Ranges = slices.Clone(tc.base.Ranges)
+			tc.edit(&man)
+			var doc bytes.Buffer
+			if err := EncodeManifest(&doc, &man); err != nil {
+				t.Fatal(err)
+			}
+			_, err := DecodeManifest(&doc)
+			if tc.ok && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "names")) {
+				t.Fatalf("DecodeManifest = %v, want the entry name refused", err)
+			}
+		})
+	}
+}
+
 // FuzzSplitJoin drives split→join byte-identity over fuzz-chosen shapes.
 func FuzzSplitJoin(f *testing.F) {
 	f.Add(uint16(10), uint8(2), uint64(1))
@@ -799,10 +927,10 @@ func FuzzReadManifest(f *testing.F) {
 	valid := &Manifest{
 		Version: 1, Generation: 7, Shards: 2, Users: 10, Docs: 30,
 		SectionOrder: []string{"CONF", "PI"},
-		Global:       FileEntry{Name: "gen-7.global.snap", Size: 64, Sections: []store.SectionSum{{Tag: "CONF", Size: 12, CRC: 5}}},
+		Global:       FileEntry{Name: "gen-00000007.global.v2.snap", Size: 64, Sections: []store.SectionSum{{Tag: "CONF", Size: 12, CRC: 5}}},
 		Ranges: []Range{
-			{Index: 0, UserLo: 0, UserHi: 4, DocLo: 0, DocHi: 12, File: FileEntry{Name: "gen-7.shard-0.snap", Size: 80}},
-			{Index: 1, UserLo: 4, UserHi: 10, DocLo: 12, DocHi: 30, File: FileEntry{Name: "gen-7.shard-1.snap", Size: 96}},
+			{Index: 0, UserLo: 0, UserHi: 4, DocLo: 0, DocHi: 12, File: FileEntry{Name: "gen-00000007.shard-000.v2.snap", Size: 80}},
+			{Index: 1, UserLo: 4, UserHi: 10, DocLo: 12, DocHi: 30, File: FileEntry{Name: "gen-00000007.shard-001.v2.snap", Size: 96}},
 		},
 	}
 	var doc bytes.Buffer
@@ -847,6 +975,11 @@ func FuzzReadManifest(f *testing.F) {
 		}
 		if users != man.Users || docs != man.Docs || man.Owner(-1) != -1 || man.Owner(man.Users) != -1 {
 			t.Fatalf("accepted ranges covering %d users / %d docs of %d / %d", users, docs, man.Users, man.Docs)
+		}
+		for _, name := range []string{man.Global.Name, man.Ranges[man.Shards-1].File.Name} {
+			if !strings.HasPrefix(name, fmt.Sprintf("gen-%08d.", man.Generation)) || filepath.Base(name) != name {
+				t.Fatalf("accepted entry name %q in a manifest of generation %d", name, man.Generation)
+			}
 		}
 		if err := WriteManifest(path, man); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/store"
 )
@@ -213,7 +214,7 @@ func checkRanges(ranges []Range, users, docs int) error {
 // Join reassembles sharded generation gen from dir into a single v2
 // snapshot at dstPath, byte-identical to the file the group was split
 // from (or, for a published group, to the full snapshot published
-// alongside it). The full DIM is derived from the shard files' (see
+// alongside it — which a one-shard manifest names as its only file). The full DIM is derived from the shard files' (see
 // joinDims); a global file that still carries one, as groups written
 // before DIM left it do, is read the same way.
 func Join(dir string, gen uint64, dstPath string) error {
@@ -221,7 +222,7 @@ func Join(dir string, gen uint64, dstPath string) error {
 	if err != nil {
 		return err
 	}
-	global, err := store.OpenRawFile(GlobalPath(dir, gen))
+	global, err := store.OpenRawFile(filepath.Join(dir, man.Global.Name))
 	if err != nil {
 		return err
 	}
@@ -234,8 +235,8 @@ func Join(dir string, gen uint64, dstPath string) error {
 			}
 		}
 	}()
-	for i := range shards {
-		if shards[i], err = store.OpenRawFile(ShardPath(dir, gen, i)); err != nil {
+	for i, r := range man.Ranges {
+		if shards[i], err = store.OpenRawFile(filepath.Join(dir, r.File.Name)); err != nil {
 			return err
 		}
 	}

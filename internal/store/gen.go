@@ -2,8 +2,8 @@ package store
 
 // Generation-numbered snapshot files: the on-disk contract between the
 // streaming publisher (internal/stream writes gen-%08d.v2.snap into its
-// snapshot dir), the replica fetcher (internal/serve polls that dir — or
-// its HTTP mirror — and promotes new generations), and retention
+// snapshot dir), the replica fetcher (internal/serve reaches these files
+// through the internal/shard manifest that names them), and retention
 // (pruning keeps the newest K generation files). The naming and the
 // directory-scan live here so every tier parses the same convention.
 
@@ -46,7 +46,7 @@ func ParseGenName(name string) (uint64, bool) {
 }
 
 // GenFile is one generation snapshot present in a directory — the unit
-// of the publisher's manifest and the fetcher's poll.
+// of the publisher's retention.
 type GenFile struct {
 	Generation uint64 `json:"generation"`
 	Name       string `json:"name"`

@@ -24,7 +24,12 @@
 //     monotonic generation number, atomically promotes it into the target
 //     serve.Engine slot (hot-swap; in-flight queries finish on their old
 //     snapshot), advances the journal watermark, and prunes old snapshot
-//     files. Status() is the freshness/lag gauge /api/stats exposes, now
+//     files. Each written generation is committed by a shard manifest
+//     (internal/shard) — a group's with Options.Shards > 1, otherwise a
+//     one-shard manifest naming the full file — which replicas fetch it
+//     through: the snapshot directory itself, or SnapshotServer's
+//     /api/shards endpoints (manifest.go). Pruning removes each manifest
+//     before the files it names. Status() is the freshness/lag gauge /api/stats exposes, now
 //     including per-phase publish timings and publish-latency /
 //     append→servable-lag histograms.
 //

@@ -1,8 +1,8 @@
 package stream
 
-// The publisher half of snapshot distribution: a generation manifest
-// (what generations exist, newest first-class) plus an HTTP handler that
-// serves the manifest and the generation files themselves. Replicas
+// The publisher half of snapshot distribution: an HTTP handler that
+// serves a snapshot directory's shard manifests — one per published
+// generation, sharded or not — and the files they name. Replicas
 // (serve.Fetcher) poll either the snapshot directory directly — shared
 // filesystem deployments — or these endpoints when the only path to the
 // publisher is the network. The files are immutable once written
@@ -11,77 +11,28 @@ package stream
 
 import (
 	"net/http"
+	"path/filepath"
 	"strconv"
 
 	"repro/internal/shard"
-	"repro/internal/store"
 )
-
-// Manifest lists the generation snapshots a publisher currently offers.
-type Manifest struct {
-	// Generation is the newest complete generation on disk (0 when none
-	// has been published yet).
-	Generation uint64 `json:"generation"`
-	// Files are the retained generation snapshots, ascending.
-	Files []store.GenFile `json:"files"`
-}
-
-// DirManifest builds the manifest for a snapshot directory.
-func DirManifest(dir string) (Manifest, error) {
-	files, err := store.ScanGenerations(dir)
-	if err != nil {
-		return Manifest{}, err
-	}
-	m := Manifest{Files: files}
-	if n := len(files); n > 0 {
-		m.Generation = files[n-1].Generation
-	}
-	return m, nil
-}
-
-// Manifest reports the updater's published generations (the programmatic
-// face of the snapshot endpoints; empty when the updater has no Dir).
-func (u *Updater) Manifest() (Manifest, error) {
-	if u.opts.Dir == "" {
-		return Manifest{}, nil
-	}
-	return DirManifest(u.opts.Dir)
-}
 
 // SnapshotServer serves a publisher's snapshot directory to replicas:
 //
-//	GET /api/generations                 the Manifest (JSON)
-//	GET /api/generations/file?gen=N      one generation file's bytes
-//	GET /api/shards                      the sharded-generation manifest list (JSON)
-//	GET /api/shards/manifest?gen=N       one shard manifest's bytes
-//	GET /api/shards/file?gen=N&shard=K   one shard file's bytes
-//	GET /api/shards/file?gen=N&global=1  one global file's bytes
+//	GET /api/shards                      the manifest list (JSON)
+//	GET /api/shards/manifest?gen=N       one manifest's bytes
+//	GET /api/shards/file?gen=N&shard=K   the file manifest N names for shard K
+//	GET /api/shards/file?gen=N&global=1  the file manifest N names as global
 //
-// Every file path is reconstructed from parsed numbers, never from
-// client-supplied names, so the handler cannot be walked out of dir.
-// cmd/cpd-serve mounts this next to the query API whenever it publishes
-// snapshots, making any publisher a snapshot origin for its replicas.
+// A file is served only by the name its manifest gives it, which
+// shard.DecodeManifest accepts only as one of that generation's own file
+// names; the manifest path itself is built from the parsed number. So the
+// handler cannot be walked out of dir, and a manifest that does not
+// decode serves nothing. cmd/cpd-serve mounts this next to the query API
+// whenever it publishes snapshots, making any publisher a snapshot origin
+// for its replicas.
 func SnapshotServer(dir string) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/generations", func(w http.ResponseWriter, r *http.Request) {
-		m, err := DirManifest(dir)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, m)
-	})
-	mux.HandleFunc("/api/generations/file", func(w http.ResponseWriter, r *http.Request) {
-		gen, err := strconv.ParseUint(r.URL.Query().Get("gen"), 10, 64)
-		if err != nil || gen == 0 {
-			http.Error(w, "bad or missing gen parameter", http.StatusBadRequest)
-			return
-		}
-		// ServeFile handles ranges, content-length and 404 for pruned
-		// generations; the octet-stream type stops any sniffing.
-		w.Header().Set("Content-Type", "application/octet-stream")
-		http.ServeFile(w, r, store.GenPath(dir, gen))
-	})
 	mux.HandleFunc("/api/shards", func(w http.ResponseWriter, r *http.Request) {
 		gens, err := shard.ScanManifests(dir)
 		if err != nil {
@@ -104,35 +55,47 @@ func SnapshotServer(dir string) http.Handler {
 		http.ServeFile(w, r, shard.ManifestPath(dir, gen))
 	})
 	mux.HandleFunc("/api/shards/file", func(w http.ResponseWriter, r *http.Request) {
-		gen, err := strconv.ParseUint(r.URL.Query().Get("gen"), 10, 64)
+		q := r.URL.Query()
+		gen, err := strconv.ParseUint(q.Get("gen"), 10, 64)
 		if err != nil || gen == 0 {
 			http.Error(w, "bad or missing gen parameter", http.StatusBadRequest)
 			return
 		}
-		var path string
+		idx := -1
 		switch {
-		case r.URL.Query().Get("global") != "":
-			path = shard.GlobalPath(dir, gen)
-		case r.URL.Query().Get("shard") != "":
-			idx, err := strconv.Atoi(r.URL.Query().Get("shard"))
-			if err != nil || idx < 0 || idx > 999 {
+		case q.Get("global") != "":
+		case q.Get("shard") != "":
+			if idx, err = strconv.Atoi(q.Get("shard")); err != nil || idx < 0 {
 				http.Error(w, "bad shard index", http.StatusBadRequest)
 				return
 			}
-			path = shard.ShardPath(dir, gen, idx)
 		default:
 			http.Error(w, "need shard=K or global=1", http.StatusBadRequest)
 			return
 		}
+		man, err := shard.ReadManifest(shard.ManifestPath(dir, gen))
+		if err != nil {
+			http.Error(w, "no valid manifest for that generation", http.StatusNotFound)
+			return
+		}
+		name := man.Global.Name
+		if idx >= 0 {
+			if idx >= man.Shards {
+				http.Error(w, "no such shard in that generation", http.StatusNotFound)
+				return
+			}
+			name = man.Ranges[idx].File.Name
+		}
+		// ServeFile handles ranges, content-length and 404 for pruned
+		// files; the octet-stream type stops any sniffing.
 		w.Header().Set("Content-Type", "application/octet-stream")
-		http.ServeFile(w, r, path)
+		http.ServeFile(w, r, filepath.Join(dir, name))
 	})
 	return mux
 }
 
-// ShardManifestList is the /api/shards payload: which sharded
-// generations the publisher currently offers (Generation = newest, 0
-// when none).
+// ShardManifestList is the /api/shards payload: which generations the
+// publisher currently offers (Generation = newest, 0 when none).
 type ShardManifestList struct {
 	Generation  uint64   `json:"generation"`
 	Generations []uint64 `json:"generations,omitempty"`

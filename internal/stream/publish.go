@@ -84,7 +84,7 @@ type PublishPhases struct {
 	GibbsMicros   int64 `json:"gibbsMicros"`             // delta-Gibbs pass (0 when none ran)
 	ModelMicros   int64 `json:"modelMicros"`             // extended-model assembly
 	SaveMicros    int64 `json:"saveMicros"`              // v2 snapshot write (0 without Dir)
-	ShardMicros   int64 `json:"shardMicros,omitempty"`   // sharded-group emit (0 without Shards)
+	ShardMicros   int64 `json:"shardMicros,omitempty"`   // shard-group emit, or the one-shard manifest without Shards
 	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file (0 without Mmap)
 	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build (Engine.BuildSnapshot: patch or full, see IndexPatched)
 	PromoteMicros int64 `json:"promoteMicros"`           // engine swap
@@ -324,8 +324,19 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 			}
 			ph.BytesWritten += u.sharder.Last.BytesWritten
 			ph.FilesLinked = u.sharder.Last.FilesLinked
-			ph.ShardMicros = lap()
+		} else {
+			// Unsharded: the manifest names the full file as the only shard.
+			var fi os.FileInfo
+			if _, err = shard.PublishWhole(u.opts.Dir, u.generation, model); err == nil {
+				fi, err = os.Stat(shard.ManifestPath(u.opts.Dir, u.generation))
+			}
+			if err != nil {
+				u.generation--
+				return nil, fmt.Errorf("stream: writing the generation manifest: %w", err)
+			}
+			ph.BytesWritten += fi.Size()
 		}
+		ph.ShardMicros = lap()
 	}
 	// served: the engine is handed model itself, so from the promote on its
 	// arrays belong to a snapshot. Only a mapped promote leaves them the
@@ -510,19 +521,23 @@ func mergeIDs(a, b []int32) []int32 {
 	return slices.Compact(a)
 }
 
-// pruneSnapshotsLocked deletes published snapshot files older than the
-// last KeepSnapshots generations, with the .verified receipts a
-// directory-source replica writes beside them. Retention works off a directory
-// listing rather than counting generations down from the cut: a gap in
-// the gen-%08d sequence (a failed publish rolled the generation back, or
-// a file was removed externally) must not shadow everything older than
-// it — counting down and stopping at the first missing file did exactly
-// that, leaving stale snapshots on disk forever.
+// pruneSnapshotsLocked deletes published generations older than the
+// last KeepSnapshots, with the .verified receipts a directory-source
+// replica writes beside their files. Manifests go first, each before the
+// files it names (shard.Prune), so a replica never reads a manifest whose
+// file is already gone; the full files no manifest names — a sharded
+// publisher's — go after. Retention works off directory listings rather
+// than counting generations down from the cut: a gap in the gen-%08d
+// sequence (a failed publish rolled the generation back, or a file was
+// removed externally) must not shadow everything older than it —
+// counting down and stopping at the first missing file did exactly that,
+// leaving stale snapshots on disk forever.
 func (u *Updater) pruneSnapshotsLocked() {
 	if u.opts.Dir == "" || u.generation <= uint64(u.opts.KeepSnapshots) {
 		return
 	}
 	cut := u.generation - uint64(u.opts.KeepSnapshots)
+	shard.Prune(u.opts.Dir, cut)
 	files, err := store.ScanGenerations(u.opts.Dir)
 	if err != nil {
 		return // transient listing failure; retried next publish
@@ -531,9 +546,6 @@ func (u *Updater) pruneSnapshotsLocked() {
 		if f.Generation <= cut {
 			store.RemoveVerified(filepath.Join(u.opts.Dir, f.Name))
 		}
-	}
-	if u.sharder != nil {
-		u.sharder.Prune(cut)
 	}
 }
 

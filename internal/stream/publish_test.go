@@ -362,6 +362,94 @@ func TestPruneRemovesReplicaReceipts(t *testing.T) {
 	}
 }
 
+// TestPruneCommitsInOrder: an unsharded publisher's one-shard manifests
+// name its full files (each generation joins to its file byte for byte),
+// so retention must remove each manifest before the file it names. A watcher lists the directory throughout five publishes
+// with KeepSnapshots 2 and fails on any manifest it finds still on disk
+// after one of its files is gone.
+func TestPruneCommitsInOrder(t *testing.T) {
+	g, m := testBase(t)
+	dir := t.TempDir()
+	_, _, u := newTestUpdater(t, g, m, func(o *Options) {
+		o.Dir = dir
+		o.KeepSnapshots = 2
+	})
+	// dangling reports a manifest in dir that names a missing file.
+	dangling := func() string {
+		gens, _ := shard.ScanManifests(dir)
+		for _, gen := range gens {
+			path := shard.ManifestPath(dir, gen)
+			man, err := shard.ReadManifest(path)
+			if err != nil {
+				continue // pruned since the listing
+			}
+			for _, name := range []string{man.Global.Name, man.Ranges[0].File.Name} {
+				if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+					if _, err := os.Stat(path); err == nil {
+						return fmt.Sprintf("generation %d's manifest outlives %s", gen, name)
+					}
+				}
+			}
+		}
+		return ""
+	}
+	stop := make(chan struct{})
+	found := make(chan string, 1)
+	go func() {
+		defer close(found)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if d := dangling(); d != "" {
+				found <- d
+				return
+			}
+		}
+	}()
+	for round := 0; round < 5; round++ {
+		if _, err := u.Ingest([]Event{{Type: EvAddDoc, User: 3, Time: int64(round), Words: []int32{1, 2}}}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := u.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := dangling(); d != "" {
+			t.Fatalf("after generation %d: %s", info.Generation, d)
+		}
+		// The one-shard group joins to the full file it names.
+		joined := filepath.Join(t.TempDir(), "joined.v2.snap")
+		if err := shard.Join(dir, info.Generation, joined); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(joined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := os.ReadFile(info.Path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("generation %d does not join to its full file (%v)", info.Generation, err)
+		}
+		gens, err := shard.ScanManifests(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []uint64{info.Generation}
+		if info.Generation > 1 {
+			want = []uint64{info.Generation - 1, info.Generation}
+		}
+		if !reflect.DeepEqual(gens, want) {
+			t.Fatalf("after generation %d: manifests %v, want %v", info.Generation, gens, want)
+		}
+	}
+	close(stop)
+	if d := <-found; d != "" {
+		t.Fatal(d)
+	}
+}
+
 // TestFriendsOnlyPublishReusesDocSections pins the doc-array publish
 // headroom: a delta window containing only edge events among users with
 // no stream documents must splice DOCC/DOCZ/DOCB from the previous

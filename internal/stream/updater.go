@@ -38,17 +38,20 @@ type Options struct {
 	// Vocab labels published snapshots (nil keeps free-text queries off).
 	Vocab *corpus.Vocabulary
 	// Dir, when non-empty, is where published v2 snapshot files land
-	// (gen-%08d.v2.snap); empty publishes in-memory only.
+	// (gen-%08d.v2.snap), each committed by a shard manifest
+	// (gen-%08d.shards.json) that replicas fetch it through; empty
+	// publishes in-memory only.
 	Dir string
 	// KeepSnapshots bounds how many published snapshot files are retained
 	// in Dir (default 3; older generations are pruned).
 	KeepSnapshots int
 	// Shards, when > 1 (and Dir is set), additionally publishes each
-	// generation as a sharded group (internal/shard): a CRC'd manifest, a
-	// global file and Shards per-user-range shard files, which
+	// generation as a sharded group (internal/shard): a global file and
+	// Shards per-user-range shard files under the manifest, which
 	// shard-owning replicas fetch instead of the full snapshot. Shard
 	// files whose users did not change between generations are hard-linked
 	// rather than re-encoded, keeping the extra publish work O(changed).
+	// At 0 or 1 the manifest names the full snapshot as the only shard.
 	Shards int
 
 	// WindowEvents is the delta window: MaybePublish (and Run) publish
