@@ -29,8 +29,8 @@ import (
 //	                              the rows of the friends the target does not own are
 //	                              hydrated from their owners)
 //	GET  /api/rank?w=17,204&k=10  scatter-gather, one answer per shard, Members summed
-//	GET  /api/diffusion?...       to the owner of u (v's row hydrated when it owns another
-//	                              range); any other method is 405
+//	GET  /api/diffusion?...       to the owner of u (v's row hydrated, as fold-in friends'
+//	                              are, when another range holds v); any other method is 405
 //	GET  /api/communities         freshest-replica proxy
 //	GET  /api/community?id=3      freshest-replica proxy
 //	GET  /api/quality             freshest-replica proxy
@@ -54,7 +54,7 @@ func (rt *Router) Handler() http.Handler {
 			http.Error(w, "bad or missing user id", http.StatusBadRequest)
 			return
 		}
-		rt.routeToOwner(w, r, rt.userChain(id), nil)
+		rt.routeToOwner(w, r, rt.userChain(id))
 	}
 	mux.HandleFunc("/api/user", byUser)
 	mux.HandleFunc("/api/pirow", byUser)
@@ -161,16 +161,16 @@ func tiered(chain []*replica, try func(*replica) bool) bool {
 
 var errUnreachable = errors.New("no replica reachable")
 
-// ownerFetch sends one request down a preference chain (see tiered) and
-// returns the first HTTP answer, read into a pooled buffer the caller
-// releases. 421 (Misdirected Request: the replica disowns the user, its
-// shard moved under the router's topology view) counts as a misroute and
-// falls through to the next candidate; if every candidate misroutes, the
-// last 421 is returned so the caller sees why.
-func (rt *Router) ownerFetch(ctx context.Context, chain []*replica, method, path, rawQuery string, body []byte) (status int, buf *wire.Buffer, err error) {
+// ownerFetch sends one bodiless request down a preference chain (see
+// tiered) and returns the first HTTP answer, read into a pooled buffer
+// the caller releases. 421 (Misdirected Request: the replica disowns
+// the user, its shard moved under the router's topology view) counts as
+// a misroute and falls through to the next candidate; if every
+// candidate misroutes, the last 421 is returned so the caller sees why.
+func (rt *Router) ownerFetch(ctx context.Context, chain []*replica, method, path, rawQuery string) (status int, buf *wire.Buffer, err error) {
 	var mis *wire.Buffer
 	answered := tiered(chain, func(r *replica) bool {
-		status, buf, err = rt.fetch(ctx, r, method, path, rawQuery, body)
+		status, buf, err = rt.fetch(ctx, r, method, path, rawQuery, nil)
 		if err != nil {
 			return false
 		}
@@ -198,11 +198,11 @@ func (rt *Router) ownerFetch(ctx context.Context, chain []*replica, method, path
 
 // routeToOwner forwards the request down the given preference chain and
 // relays the first answer verbatim.
-func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain []*replica, body []byte) {
+func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain []*replica) {
 	start := time.Now()
 	var reqErr error
 	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
-	status, buf, err := rt.ownerFetch(req.Context(), chain, req.Method, req.URL.Path, req.URL.RawQuery, body)
+	status, buf, err := rt.ownerFetch(req.Context(), chain, req.Method, req.URL.Path, req.URL.RawQuery)
 	if err != nil {
 		reqErr = err
 		http.Error(w, "router: no replica reachable for key", http.StatusBadGateway)
@@ -535,81 +535,30 @@ func membersOf(a *serve.RankResult, i, c int) int {
 // different generations.
 const maxGenerationTries = 3
 
-// diffusionHandler scores a diffusion query on the owner of u. When that
-// owner also holds v the query forwards to u's owner chain unchanged
-// (both rows local — the exact single-node computation); on a fully
-// replicated fleet that is every pair. Otherwise v's membership row is
-// fetched from its owning replica (/api/pirow) and POSTed, as the text
-// its owner wrote, to u's owner; a generation mismatch between the row
-// and the scoring replica — a rollout racing the query — retries rather
-// than mix rows from two generations. Either way the scorer's reply is
-// relayed verbatim. The row-carrying POST is a router→replica hop only:
-// clients GET.
+// diffusionHandler scores a diffusion query on the owner of u, hydrating
+// v's row when that owner does not hold v (see hydrated); a pair the
+// scorer owns in full — every pair on a fully replicated fleet — is
+// forwarded as the client's GET. The row-carrying POST is a
+// router→replica hop only: clients GET.
 func (rt *Router) diffusionHandler(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		http.Error(w, "GET a diffusion query", http.StatusMethodNotAllowed)
 		return
 	}
-	start := time.Now()
-	var reqErr error
-	defer func() { rt.lat[opScatter].Observe(time.Since(start), reqErr) }()
-	unreachable := func(err error) {
-		reqErr = err
-		http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
-	}
 	q := req.URL.Query()
 	u, err1 := strconv.Atoi(q.Get("u"))
-	v, err2 := strconv.Atoi(q.Get("v"))
+	// v is hydrated by its int32 id, as fold-in friends are; a v beyond
+	// int32 is outside every model, so 400 is what a node answers too.
+	v, err2 := strconv.ParseInt(q.Get("v"), 10, 32)
 	z, err3 := strconv.Atoi(q.Get("topic"))
 	if err1 != nil || err2 != nil || err3 != nil {
 		http.Error(w, "u, v and topic are required integers", http.StatusBadRequest)
 		return
 	}
-	ctx := req.Context()
-	chain := rt.userChain(int64(u))
-	if in := chain[0].owned(); in.Owns(u) && in.Owns(v) {
-		status, buf, err := rt.ownerFetch(ctx, chain, http.MethodGet, req.URL.Path, req.URL.RawQuery, nil)
-		if err != nil {
-			unreachable(err)
-			return
-		}
-		relayBytes(w, status, buf.B)
-		wire.PutBuffer(buf)
-		return
-	}
 	bucket := intParam(q, "bucket", -1)
-	for try := 0; try < maxGenerationTries; try++ {
-		vrow, err := rt.fetchPiRow(ctx, int32(v))
-		if err != nil {
-			unreachable(err)
-			return
-		}
-		body := serve.AppendDiffusionRowsRequest(make([]byte, 0, len(vrow.text)+96), u, v, z, bucket, vrow.text)
-		rowGen := vrow.gen
-		vrow.release()
-		status, buf, err := rt.ownerFetch(ctx, chain, http.MethodPost, "/api/diffusion", "", body)
-		if err != nil {
-			unreachable(err)
-			return
-		}
-		var res serve.DiffusionResult
-		if status == http.StatusOK {
-			if err := res.DecodeWire(buf.B); err != nil {
-				wire.PutBuffer(buf)
-				unreachable(err)
-				return
-			}
-		}
-		if status != http.StatusOK || res.Generation == rowGen {
-			relayBytes(w, status, buf.B)
-			wire.PutBuffer(buf)
-			return
-		}
-		// Generations diverged between the row fetch and the scoring
-		// replica; refetch against the (presumably settled) fleet.
-		wire.PutBuffer(buf)
-	}
-	unreachable(fmt.Errorf("generation mismatch across shards persisted after retries"))
+	rt.hydrated(w, req, opScatter, rt.userChain(int64(u)), []int32{int32(v)}, nil, func(_ []int32, rows [][]byte, gen uint64) []byte {
+		return serve.AppendDiffusionRowsRequest(make([]byte, 0, len(rows[0])+96), u, int(v), z, bucket, rows[0], gen)
+	})
 }
 
 // piRow is one hydrated membership row: the JSON text its owner wrote
@@ -628,15 +577,30 @@ func (p *piRow) release() {
 	*p = piRow{}
 }
 
+// rowVerdict is a row owner's own 4xx answer to a row fetch — the user
+// id is bad — which the client gets as a single node would give it. A
+// 409 or 421 speaks of the fleet's state, not the id, and is no verdict.
+type rowVerdict struct {
+	status int
+	body   []byte
+}
+
+func (v *rowVerdict) Error() string {
+	return fmt.Sprintf("row owner answered status %d: %s", v.status, bytes.TrimSpace(v.body))
+}
+
 // fetchPiRow fetches one user's membership row from the user's owning
 // replica chain.
 func (rt *Router) fetchPiRow(ctx context.Context, user int32) (piRow, error) {
-	status, buf, err := rt.ownerFetch(ctx, rt.userChain(int64(user)), http.MethodGet, "/api/pirow", "id="+strconv.Itoa(int(user)), nil)
+	status, buf, err := rt.ownerFetch(ctx, rt.userChain(int64(user)), http.MethodGet, "/api/pirow", "id="+strconv.Itoa(int(user)))
 	if err != nil {
 		return piRow{}, err
 	}
 	if status != http.StatusOK {
 		err := fmt.Errorf("pirow for user %d answered status %d: %s", user, status, bytes.TrimSpace(buf.B))
+		if status/100 == 4 && status != http.StatusConflict && status != http.StatusMisdirectedRequest {
+			err = &rowVerdict{status: status, body: bytes.Clone(buf.B)}
+		}
 		wire.PutBuffer(buf)
 		return piRow{}, err
 	}
@@ -648,11 +612,12 @@ func (rt *Router) fetchPiRow(ctx context.Context, user int32) (piRow, error) {
 	return piRow{gen: gen, text: text, buf: buf}, nil
 }
 
-// foldInHandler routes a fold-in. Fold-in requests carry no user id (the
-// user is by definition unseen), so the routing key is the caller's
-// ?user= hint when given, else the request seed — deterministic either
-// way, so retries of the same request land on the same replica's warm
-// cache. Only the friends and the seed are read off the body; the
+// foldInHandler routes a fold-in, hydrating the rows of the friends the
+// target replica does not own (see hydrated). Fold-in requests carry no
+// user id (the user is by definition unseen), so the routing key is the
+// caller's ?user= hint when given, else the request seed — deterministic
+// either way, so retries of the same request land on the same replica's
+// warm cache. Only the friends and the seed are read off the body; the
 // documents are forwarded as the client wrote them.
 func (rt *Router) foldInHandler(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
@@ -679,44 +644,44 @@ func (rt *Router) foldInHandler(w http.ResponseWriter, req *http.Request) {
 		}
 		key = uint64(id)
 	}
-	chain := rt.owners(key)
-	if len(env.Friends) == 0 {
-		rt.routeToOwner(w, req, chain, env.Body())
-		return
-	}
 	if len(env.Friends) > serve.MaxFoldInFriends {
 		// What any replica would answer, before fetching a row per friend.
 		http.Error(w, fmt.Sprintf("serve: fold-in request has %d friends (limit %d)", len(env.Friends), serve.MaxFoldInFriends), http.StatusBadRequest)
 		return
 	}
-	rt.foldInHydrated(w, req, chain, &env)
+	rt.hydrated(w, req, opRoute, rt.owners(key), env.Friends, env.Body(), env.WithRows)
 }
 
-// foldInHydrated serves a fold-in with friends, whose membership rows
-// the target replica may not all own. The target replica is chosen
-// first, then the rows of the friends it does NOT own are fetched from
-// their owners and added to the request as the text their owners wrote;
-// the backend reads its own rows for the rest, so the answer is
-// bit-identical to a full node whichever replica serves it (a replica
-// that owns every friend — any replica of a fully replicated fleet — is
-// sent the client's request unchanged). A candidate that fails over or
-// disowns the request (421) hands on to the next one, which re-hydrates
-// for its own range, reusing rows already fetched. The rows travel with
-// their generation: rows that straddle generations among themselves, or
-// that the scoring replica refuses (409: it serves another one), are
-// dropped and fetched again, maxGenerationTries times in all — a
-// fold-in never mixes generations.
-func (rt *Router) foldInHydrated(w http.ResponseWriter, req *http.Request, chain []*replica, env *serve.FoldInEnvelope) {
+// hydrated is the router's one protocol for a request that reads the
+// membership rows of users — fold-in friends, a diffusion pair's v —
+// which the replica scoring it may not own. The scoring replica is
+// chosen first, down chain (see tiered); then the rows of the users it
+// does NOT own are fetched from their owners, and withRows builds the
+// row-carrying POST with each row as the text its owner wrote, so the
+// answer is bit-identical to a full node whichever replica serves it.
+// With nothing to hydrate — a scorer that owns every user, as any
+// replica of a fully replicated fleet does — the client's request is
+// forwarded unchanged (body is what the client sent). A candidate that
+// fails over or disowns the request (421) hands on to the next one,
+// which re-hydrates for its own range, reusing rows already fetched.
+// The rows travel with their generation: rows that straddle generations
+// among themselves, or that the scorer refuses (409: it serves another
+// one), are dropped and fetched again, maxGenerationTries times in all
+// — a request never mixes generations. A row owner's 4xx verdict on a
+// bad user id is relayed as a single node would answer it; a row that
+// cannot be had otherwise is a 502. The request's latency is booked
+// under op.
+func (rt *Router) hydrated(w http.ResponseWriter, req *http.Request, op int, chain []*replica, users []int32, body []byte, withRows func(users []int32, rows [][]byte, gen uint64) []byte) {
 	start := time.Now()
 	var reqErr error
-	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
+	defer func() { rt.lat[op].Observe(time.Since(start), reqErr) }()
 	giveUp := func(err error) bool {
 		reqErr = err
 		http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
 		return true
 	}
 	ctx := req.Context()
-	rows := make([]piRow, len(env.Friends)) // by position in Friends; no text = not fetched
+	rows := make([]piRow, len(users)) // by position in users; no text = not fetched
 	drop := func() {
 		for i := range rows {
 			rows[i].release()
@@ -727,19 +692,23 @@ func (rt *Router) foldInHydrated(w http.ResponseWriter, req *http.Request, chain
 	var mis *wire.Buffer
 	settled := tiered(chain, func(r *replica) bool {
 		for {
-			users, texts, gen, err := rt.hydrate(ctx, r, env.Friends, rows)
+			need, texts, gen, err := rt.hydrate(ctx, r, users, rows)
 			// Rows that straddle generations are the conflict the scoring
 			// replica would report, seen before asking it.
 			status, buf := http.StatusConflict, (*wire.Buffer)(nil)
+			var verdict *rowVerdict
 			switch {
 			case err == nil:
-				body := env.Body()
-				if len(users) > 0 {
-					body = env.WithRows(users, texts, gen)
+				method, out := req.Method, body
+				if len(need) > 0 {
+					method, out = http.MethodPost, withRows(need, texts, gen)
 				}
-				if status, buf, err = rt.fetch(ctx, r, http.MethodPost, req.URL.Path, req.URL.RawQuery, body); err != nil {
+				if status, buf, err = rt.fetch(ctx, r, method, req.URL.Path, req.URL.RawQuery, out); err != nil {
 					return false
 				}
+			case errors.As(err, &verdict):
+				relayBytes(w, verdict.status, verdict.body)
+				return true
 			case !errors.Is(err, errStraddle):
 				return giveUp(err)
 			}
@@ -782,31 +751,31 @@ func (rt *Router) foldInHydrated(w http.ResponseWriter, req *http.Request, chain
 	}
 }
 
-var errStraddle = errors.New("friend rows kept straddling generations")
+var errStraddle = errors.New("hydrated rows kept straddling generations")
 
-// hydrate returns what a fold-in sent to r must carry: the friends r
-// does not own, the text of their rows and the one generation those are
-// from (errStraddle if they are from several). Rows not yet in rows —
-// which is indexed like friends — are fetched into it.
-func (rt *Router) hydrate(ctx context.Context, r *replica, friends []int32, rows []piRow) (users []int32, texts [][]byte, gen uint64, err error) {
+// hydrate returns what a request sent to r must carry: the users r does
+// not own, the text of their rows and the one generation those are from
+// (errStraddle if they are from several). Rows not yet in rows — which
+// is indexed like users — are fetched into it.
+func (rt *Router) hydrate(ctx context.Context, r *replica, users []int32, rows []piRow) (need []int32, texts [][]byte, gen uint64, err error) {
 	in := r.owned()
-	for i, friend := range friends {
-		if in.Owns(int(friend)) {
+	for i, user := range users {
+		if in.Owns(int(user)) {
 			continue
 		}
 		if rows[i].text == nil {
-			if rows[i], err = rt.fetchPiRow(ctx, friend); err != nil {
-				return nil, nil, 0, fmt.Errorf("hydrating friend %d: %w", friend, err)
+			if rows[i], err = rt.fetchPiRow(ctx, user); err != nil {
+				return nil, nil, 0, fmt.Errorf("hydrating user %d: %w", user, err)
 			}
 		}
-		if len(users) > 0 && rows[i].gen != gen {
+		if len(need) > 0 && rows[i].gen != gen {
 			return nil, nil, 0, errStraddle
 		}
 		gen = rows[i].gen
-		users = append(users, friend)
+		need = append(need, user)
 		texts = append(texts, rows[i].text)
 	}
-	return users, texts, gen, nil
+	return need, texts, gen, nil
 }
 
 func (rt *Router) getJSON(r *replica, path string, v any) error {

@@ -21,9 +21,11 @@
 //     replica's page cache. A 421 answer counts as a misroute and fails
 //     over, and fold-in friend rows the target does not own are hydrated
 //     from their owners before the request is forwarded.
-//   - Diffusion (/api/diffusion) goes to the owner of u: forwarded when
-//     that owner also holds v, otherwise with v's row fetched from its
-//     owner and POSTed along.
+//   - Diffusion (/api/diffusion) goes to the owner of u, v's row
+//     hydrated by the same protocol as fold-in friends' when another
+//     shard owns v: the row travels with its rowsGeneration, a scorer
+//     serving another generation answers 409, and the router hydrates
+//     again. A pair the owner holds in full is forwarded unchanged.
 //   - Rank (/api/rank) SCATTERS to all replicas and gathers: every shard
 //     scores the same entries, each counts Members over its own users,
 //     and the merge sums one answer per shard from the newest generation

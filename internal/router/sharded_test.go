@@ -416,7 +416,8 @@ func TestRoutedConcurrentBitEquality(t *testing.T) {
 
 // genReplica is a scripted shard replica for rollout races: it owns a
 // user range, serves whatever generation it is set to, answers 409 to a
-// fold-in whose rows are from another one, and records what it was sent.
+// fold-in or diffusion whose rows are from another one, and records
+// what it was sent.
 type genReplica struct {
 	name string
 	info shard.Info
@@ -426,9 +427,10 @@ type genReplica struct {
 	// written: where a test rolls the fleet mid-request.
 	onPiRow func()
 
-	mu      sync.Mutex
-	foldIns []serve.FoldInRequest
-	piRows  int
+	mu         sync.Mutex
+	foldIns    []serve.FoldInRequest
+	diffusions []serve.DiffusionRowsRequest // the row-carrying POSTs
+	piRows     int
 }
 
 func newGenReplica(t *testing.T, name string, index, lo, hi int) *genReplica {
@@ -466,9 +468,24 @@ func newGenReplica(t *testing.T, name string, index, lo, hi int) *genReplica {
 		fmt.Fprintf(w, `{"version":4,"pi":[1],"top":null,"topicMixture":null,"docCommunity":null,"docTopic":null}`)
 	})
 	mux.HandleFunc("/api/diffusion", func(w http.ResponseWriter, r *http.Request) {
+		gen := g.gen.Load()
+		if r.Method == http.MethodPost {
+			var req serve.DiffusionRowsRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			g.mu.Lock()
+			g.diffusions = append(g.diffusions, req)
+			g.mu.Unlock()
+			if req.RowsGeneration != 0 && req.RowsGeneration != gen {
+				http.Error(w, "rows from another generation", http.StatusConflict)
+				return
+			}
+		}
 		// version is this process's own counter: the replica's shard index
 		// plus 11, so a reply shows which replica scored it.
-		fmt.Fprintf(w, "{\"version\":%d,\"generation\":%d,\"logit\":0.5,\"prob\":0.625}\n", g.info.Index+11, g.gen.Load())
+		fmt.Fprintf(w, "{\"version\":%d,\"generation\":%d,\"logit\":0.5,\"prob\":0.625}\n", g.info.Index+11, gen)
 	})
 	mux.HandleFunc("/api/user", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"replica": %q}`, g.name)
@@ -551,6 +568,89 @@ func TestFoldInNeverMixesGenerations(t *testing.T) {
 	}
 	if len(a.foldIns) != maxGenerationTries || b.piRows != maxGenerationTries {
 		t.Errorf("a saw %d fold-ins and b %d row fetches, want %d each", len(a.foldIns), b.piRows, maxGenerationTries)
+	}
+}
+
+// Cross-shard diffusion hydrates v's row by fold-in's protocol: the row
+// carries its generation, the scorer refuses one from another (409) and
+// the router hydrates again, three tries in all.
+func TestDiffusionNeverMixesGenerations(t *testing.T) {
+	a := newGenReplica(t, "a", 0, 0, 10)
+	b := newGenReplica(t, "b", 1, 10, 20)
+	rt, err := New([]Replica{{Name: "a", Base: a.srv.URL}, {Name: "b", Base: b.srv.URL}}, Options{Client: &http.Client{Timeout: 5 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollReplicas()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	get := func() (int, string) {
+		resp, err := http.Get(front.URL + "/api/diffusion?u=3&v=15&topic=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	// The whole fleet rolls to generation 2 right after b served v's row.
+	b.onPiRow = func() {
+		if b.gen.Load() == 1 {
+			a.gen.Store(2)
+			b.gen.Store(2)
+		}
+	}
+	status, body := get()
+	if status != http.StatusOK || !strings.Contains(body, `"generation":2`) {
+		t.Fatalf("diffusion across a rollout: status %d: %s", status, body)
+	}
+	if len(a.diffusions) != 2 || b.piRows != 2 {
+		t.Fatalf("a saw %d row-carrying diffusions and b %d row fetches, want 2 and 2 (one refused attempt, one re-hydrated)", len(a.diffusions), b.piRows)
+	}
+	for i, wantGen := range []uint64{1, 2} {
+		want := serve.DiffusionRowsRequest{U: 3, V: 15, Topic: 0, Bucket: -1, VRow: []float64{0.1, 0.5}, RowsGeneration: wantGen}
+		if wantGen == 2 {
+			want.VRow = []float64{0.2, 0.5}
+		}
+		if got := a.diffusions[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("attempt %d carried %+v, want %+v", i, got, want)
+		}
+	}
+
+	// A fleet that stays split — a on 3, b on 2 — is given up on after
+	// three hydrations, not scored across the split.
+	a.diffusions, b.piRows, b.onPiRow = nil, 0, nil
+	a.gen.Store(3)
+	status, body = get()
+	if status != http.StatusBadGateway || !strings.Contains(body, "generations") {
+		t.Fatalf("diffusion on a split fleet: status %d: %s", status, body)
+	}
+	if len(a.diffusions) != maxGenerationTries || b.piRows != maxGenerationTries {
+		t.Errorf("a saw %d row-carrying diffusions and b %d row fetches, want %d each", len(a.diffusions), b.piRows, maxGenerationTries)
+	}
+}
+
+// A bad id in a row the router hydrates is the client's error, not the
+// fleet's: the routed status is the single node's (400), not a 502 or,
+// for an id past int32, another user's answer.
+func TestHydrationRelaysBadUserVerdict(t *testing.T) {
+	f := newShardFleet(t, nil)
+	ref := serve.APIHandler(f.ref, nil)
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, fmt.Sprintf("/api/diffusion?u=0&v=%d&topic=0", f.users), ""},
+		{http.MethodGet, "/api/diffusion?u=0&v=-1&topic=0", ""},
+		{http.MethodGet, fmt.Sprintf("/api/diffusion?u=0&v=%d&topic=0", 1<<32+5), ""}, // not user 5
+		{http.MethodPost, "/api/foldin", fmt.Sprintf(`{"docs":[[1]],"friends":[0,%d],"seed":1}`, f.users+5)},
+	} {
+		rec := httptest.NewRecorder()
+		ref.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+		if rec.Code/100 != 4 {
+			t.Fatalf("%s %s: the full node answers %d, want a 4xx", tc.method, tc.target, rec.Code)
+		}
+		if status, out := f.do(t, tc.method, tc.target, []byte(tc.body)); status != rec.Code {
+			t.Errorf("%s %s: routed status %d (%s), the full node's %d", tc.method, tc.target, status, bytes.TrimSpace(out), rec.Code)
+		}
 	}
 }
 

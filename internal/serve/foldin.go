@@ -58,15 +58,16 @@ const (
 	MaxFoldInFriends = 1 << 16
 )
 
-// ErrGenerationConflict reports a fold-in whose hydrated rows come from
-// a different generation than the snapshot asked to score them (HTTP
-// 409) — a rollout passed between the row fetch and the fold-in.
+// ErrGenerationConflict reports a request whose hydrated rows — fold-in
+// friends', a diffusion pair's v — come from a different generation
+// than the snapshot asked to score them (HTTP 409): a rollout passed
+// between the row fetch and the request.
 type ErrGenerationConflict struct {
 	Rows, Serving uint64
 }
 
 func (e *ErrGenerationConflict) Error() string {
-	return fmt.Sprintf("serve: friend rows are from generation %d, this snapshot serves generation %d", e.Rows, e.Serving)
+	return fmt.Sprintf("serve: hydrated rows are from generation %d, this snapshot serves generation %d", e.Rows, e.Serving)
 }
 
 // FriendRow is one hydrated friend membership row (see

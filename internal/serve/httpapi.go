@@ -32,7 +32,8 @@ import (
 //	GET  /api/rank?w=17,204&k=10                word-id Eq. 19 ranking
 //	GET  /api/diffusion?u=1&v=2&topic=0&bucket=3 per-topic diffusion prob
 //	GET  /api/graph?topic=-1&format=dot         Fig. 7 diffusion graph (JSON, or DOT)
-//	POST /api/diffusion                         diffusion with explicit rows (sharded routing)
+//	POST /api/diffusion                         the same query with v's row and its rowsGeneration
+//	                                            (sharded routing; another generation is 409)
 //	GET  /api/pirow?id=42                       owned user's membership row (sharded routing)
 //	POST /api/foldin                            fold-in one FoldInRequest
 //	POST /api/drain                             flip the replica to draining
@@ -134,30 +135,28 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 	})
 	mux.HandleFunc("/api/diffusion", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
+		var req DiffusionRowsRequest
 		if r.Method == http.MethodPost {
-			// Row-carrying variant for sharded fleets: a router scoring a
-			// cross-shard pair fetches the remote row (/api/pirow) and posts
-			// it here with the owner of the other side.
-			var req DiffusionRowsRequest
-			if !readWire(w, r, 1<<20, &req) {
+			// The row-carrying request of a router whose scorer does not
+			// own v. Its own variable: what readWire decodes into escapes,
+			// and a GET should not allocate a request.
+			var posted DiffusionRowsRequest
+			if !readWire(w, r, 1<<20, &posted) {
 				return
 			}
-			res, err := e.DiffusionRowsIn(snapName(q), req.U, req.V, req.Topic, req.Bucket, req.URow, req.VRow)
-			if err != nil {
-				writeQueryErr(w, err)
+			req = posted
+		} else {
+			var err1, err2, err3 error
+			req.U, err1 = strconv.Atoi(q.Get("u"))
+			req.V, err2 = strconv.Atoi(q.Get("v"))
+			req.Topic, err3 = strconv.Atoi(q.Get("topic"))
+			if err1 != nil || err2 != nil || err3 != nil {
+				http.Error(w, "u, v and topic are required integers", http.StatusBadRequest)
 				return
 			}
-			writeWire(w, res)
-			return
+			req.Bucket = intValue(q, "bucket", -1)
 		}
-		u, err1 := strconv.Atoi(q.Get("u"))
-		v, err2 := strconv.Atoi(q.Get("v"))
-		z, err3 := strconv.Atoi(q.Get("topic"))
-		if err1 != nil || err2 != nil || err3 != nil {
-			http.Error(w, "u, v and topic are required integers", http.StatusBadRequest)
-			return
-		}
-		res, err := e.DiffusionIn(snapName(q), u, v, z, intValue(q, "bucket", -1))
+		res, err := e.DiffusionRowsIn(snapName(q), &req)
 		if err != nil {
 			writeQueryErr(w, err)
 			return
@@ -366,16 +365,22 @@ type GenerationReport struct {
 	Draining   bool        `json:"draining,omitempty"`
 }
 
-// DiffusionRowsRequest is the POST /api/diffusion body: a diffusion
-// query with explicit membership rows for whichever of u, v the serving
-// replica does not own (nil rows fall back to the local model).
+// DiffusionRowsRequest is a diffusion query: what GET /api/diffusion
+// names in its query string, and the body of POST /api/diffusion, the
+// request a router sends the owner of u when another shard owns v.
 type DiffusionRowsRequest struct {
-	U      int       `json:"u"`
-	V      int       `json:"v"`
-	Topic  int       `json:"topic"`
-	Bucket int       `json:"bucket"`
-	URow   []float64 `json:"urow,omitempty"`
-	VRow   []float64 `json:"vrow,omitempty"`
+	U      int `json:"u"`
+	V      int `json:"v"`
+	Topic  int `json:"topic"`
+	Bucket int `json:"bucket"`
+	// VRow, when set, is v's membership row as v's owner served it, used
+	// in place of the local one (nil falls back to the local model).
+	VRow []float64 `json:"vrow,omitempty"`
+	// RowsGeneration is the publisher generation VRow was read from, as
+	// FoldInRequest.RowsGeneration is for friend rows: a snapshot serving
+	// another generation answers ErrGenerationConflict (409) and the
+	// router hydrates again. Zero skips the check.
+	RowsGeneration uint64 `json:"rowsGeneration,omitempty"`
 }
 
 // snapName resolves the optional ?snapshot= parameter.

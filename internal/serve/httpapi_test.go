@@ -199,9 +199,27 @@ func TestIndexPage(t *testing.T) {
 // unparsable parameters, fold-in limit violations and failing reloads.
 func TestAPIHandlerErrorPaths(t *testing.T) {
 	m := SyntheticModel(20, 6, 4, 80, 11)
-	e := testEngine(t, m, nil, Options{})
+	e := NewMulti(Options{})
+	t.Cleanup(e.Close)
+	s := e.BuildSnapshot(DefaultSnapshot, m, nil, nil)
+	s.Generation = 5 // so that rows can match it, and miss it, without being zero
+	e.Promote(s)
 	reloadErr := error(nil)
 	h := APIHandler(e, func() error { return reloadErr })
+
+	// A router's row-carrying diffusion: v's row as its owner serves it,
+	// from generation gen. Its path names the same pair, so a 200 can be
+	// held against the GET's answer.
+	pirow, err := e.PiRowIn(DefaultSnapshot, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := pirow.AppendWire(nil)
+	_, vrow, _ := DecodePiRowRaw(raw)
+	diffusionRows := func(gen uint64) string {
+		return string(AppendDiffusionRowsRequest(nil, 0, 1, 2, -1, vrow, gen))
+	}
+	const diffusionPair = "/api/diffusion?u=0&v=1&topic=2&bucket=-1"
 
 	// Oversize fold-in body: MaxBytesReader must cut the request off at
 	// 16 MiB before the JSON for an over-limit request can materialize.
@@ -232,6 +250,9 @@ func TestAPIHandlerErrorPaths(t *testing.T) {
 		{"diffusion params missing", "GET", "/api/diffusion?u=1", "", http.StatusBadRequest},
 		{"diffusion user out of range", "GET", "/api/diffusion?u=99&v=1&topic=0", "", http.StatusBadRequest},
 		{"diffusion topic out of range", "GET", "/api/diffusion?u=0&v=1&topic=44", "", http.StatusBadRequest},
+		{"diffusion rows stale generation", "POST", diffusionPair, diffusionRows(4), http.StatusConflict},
+		{"diffusion rows matching generation", "POST", diffusionPair, diffusionRows(5), http.StatusOK},
+		{"diffusion rows zero generation", "POST", diffusionPair, diffusionRows(0), http.StatusOK},
 		{"foldin malformed JSON", "POST", "/api/foldin", `{"docs":[[1,2`, http.StatusBadRequest},
 		{"foldin not JSON at all", "POST", "/api/foldin", `not json`, http.StatusBadRequest},
 		{"foldin no docs", "POST", "/api/foldin", `{"docs":[]}`, http.StatusBadRequest},
@@ -261,6 +282,13 @@ func TestAPIHandlerErrorPaths(t *testing.T) {
 			if rec.Code != tc.want {
 				t.Fatalf("%s %s: status %d, want %d (%s)",
 					tc.method, tc.path, rec.Code, tc.want, strings.TrimSpace(rec.Body.String()))
+			}
+			if rec.Code == http.StatusOK {
+				// Only a row-carrying POST answers 200 here, and it must
+				// answer what a GET of its path does, byte for byte.
+				if get := apiGet(t, h, tc.path); get.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), get.Body.Bytes()) {
+					t.Fatalf("POST %s answers %s, the GET %d %s", tc.path, rec.Body, get.Code, get.Body)
+				}
 			}
 		})
 	}

@@ -1162,43 +1162,31 @@ func (s *Snapshot) rowFor(u int, row []float64) ([]float64, error) {
 	return m.Pi.Row(local), nil
 }
 
-// DiffusionRows is Diffusion with explicit membership rows standing in
-// for the model's own where supplied (nil urow/vrow fall back to the
-// local row; a nil row for a non-owned user answers ErrNotOwned). This
-// is how a shard-aware router scores cross-shard pairs: it fetches v's
-// row from v's owner (PiRow) and posts it here with u's owner.
-func (s *Snapshot) DiffusionRows(u, v, z, b int, urow, vrow []float64) (*DiffusionResult, error) {
+// DiffusionRows returns the probability that user req.U diffuses user
+// req.V's content on topic req.Topic in time bucket req.Bucket (-1 skips
+// the popularity factor). A supplied VRow stands in for v's row, which
+// is how a shard-aware router scores a pair whose v another shard owns:
+// it fetches v's row from v's owner (PiRow) and posts it here with the
+// owner of u. A row from another generation than the snapshot's is
+// refused with ErrGenerationConflict; then the checks run in the order
+// u, v, topic, whether or not a row was supplied.
+func (s *Snapshot) DiffusionRows(req *DiffusionRowsRequest) (*DiffusionResult, error) {
 	m := s.Model
-	if z < 0 || z >= m.Cfg.NumTopics {
+	if req.RowsGeneration != 0 && req.RowsGeneration != s.Generation {
+		return nil, &ErrGenerationConflict{Rows: req.RowsGeneration, Serving: s.Generation}
+	}
+	urow, err := s.PiRow(req.U)
+	if err != nil {
+		return nil, err
+	}
+	vrow, err := s.rowFor(req.V, req.VRow)
+	if err != nil {
+		return nil, err
+	}
+	if z := req.Topic; z < 0 || z >= m.Cfg.NumTopics {
 		return nil, fmt.Errorf("serve: topic %d out of range [0, %d)", z, m.Cfg.NumTopics)
 	}
-	urow, err := s.rowFor(u, urow)
-	if err != nil {
-		return nil, err
-	}
-	if vrow, err = s.rowFor(v, vrow); err != nil {
-		return nil, err
-	}
-	logit := m.DiffusionLogitTopicRows(urow, vrow, z, b, nil)
-	return &DiffusionResult{Version: s.Version, Generation: s.Generation, Logit: logit, Prob: mathx.Sigmoid(logit)}, nil
-}
-
-// Diffusion returns the probability that user u diffuses user v's content
-// on topic z in time bucket b (pass b = -1 to skip the popularity factor).
-func (s *Snapshot) Diffusion(u, v, z, b int) (*DiffusionResult, error) {
-	m := s.Model
-	lu, err := s.localUser(u)
-	if err != nil {
-		return nil, err
-	}
-	lv, err := s.localUser(v)
-	if err != nil {
-		return nil, err
-	}
-	if z < 0 || z >= m.Cfg.NumTopics {
-		return nil, fmt.Errorf("serve: topic %d out of range [0, %d)", z, m.Cfg.NumTopics)
-	}
-	logit := m.DiffusionLogitTopic(lu, lv, z, b, nil)
+	logit := m.DiffusionLogitTopicRows(urow, vrow, req.Topic, req.Bucket, nil)
 	return &DiffusionResult{Version: s.Version, Generation: s.Generation, Logit: logit, Prob: mathx.Sigmoid(logit)}, nil
 }
 
@@ -1328,12 +1316,8 @@ func (e *Engine) Diffusion(u, v, z, b int) (*DiffusionResult, error) {
 }
 
 // DiffusionIn is Diffusion against a named snapshot.
-func (e *Engine) DiffusionIn(name string, u, v, z, b int) (res *DiffusionResult, err error) {
-	err = e.onSnapshot(epDiffusion, name, func(s *Snapshot) error {
-		res, err = s.Diffusion(u, v, z, b)
-		return err
-	})
-	return res, err
+func (e *Engine) DiffusionIn(name string, u, v, z, b int) (*DiffusionResult, error) {
+	return e.DiffusionRowsIn(name, &DiffusionRowsRequest{U: u, V: v, Topic: z, Bucket: b})
 }
 
 // Rank answers an Eq. 19 ranking query from the default snapshot's
@@ -1391,9 +1375,9 @@ func (e *Engine) PiRowIn(name string, u int) (res *PiRowResult, err error) {
 }
 
 // DiffusionRowsIn is DiffusionRows against a named snapshot.
-func (e *Engine) DiffusionRowsIn(name string, u, v, z, b int, urow, vrow []float64) (res *DiffusionResult, err error) {
+func (e *Engine) DiffusionRowsIn(name string, req *DiffusionRowsRequest) (res *DiffusionResult, err error) {
 	err = e.onSnapshot(epDiffusion, name, func(s *Snapshot) error {
-		res, err = s.DiffusionRows(u, v, z, b, urow, vrow)
+		res, err = s.DiffusionRows(req)
 		return err
 	})
 	return res, err

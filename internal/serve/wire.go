@@ -180,34 +180,6 @@ func (r *DiffusionResult) AppendWire(dst []byte) ([]byte, error) {
 	return append(dst, '}'), err
 }
 
-// DecodeWire parses a diffusion reply in any JSON spelling.
-func (r *DiffusionResult) DecodeWire(data []byte) error { return decode(r, r.scan(data), data) }
-
-func (r *DiffusionResult) scan(data []byte) bool {
-	*r = DiffusionResult{}
-	s := wire.NewScanner(data)
-	var seen uint
-	for it := s.Object(); it.Next(); {
-		switch string(s.Key()) {
-		case "version":
-			once(&s, &seen, 1)
-			r.Version = s.Uint64()
-		case "generation":
-			once(&s, &seen, 2)
-			r.Generation = s.Uint64()
-		case "logit":
-			once(&s, &seen, 4)
-			r.Logit = s.Float64()
-		case "prob":
-			once(&s, &seen, 8)
-			r.Prob = s.Float64()
-		default:
-			s.Fail()
-		}
-	}
-	return s.End()
-}
-
 // AppendWire appends the result as compact JSON.
 func (r *PiRowResult) AppendWire(dst []byte) ([]byte, error) {
 	dst = appendInt(dst, `{"user":`, r.User)
@@ -461,13 +433,15 @@ func (env *FoldInEnvelope) WithRows(users []int32, rows [][]byte, gen uint64) []
 }
 
 // AppendDiffusionRowsRequest appends a POST /api/diffusion body whose
-// vrow is JSON text as DecodePiRowRaw returns it.
-func AppendDiffusionRowsRequest(dst []byte, u, v, topic, bucket int, vrow []byte) []byte {
+// vrow is JSON text as DecodePiRowRaw returns it, read from generation
+// gen.
+func AppendDiffusionRowsRequest(dst []byte, u, v, topic, bucket int, vrow []byte, gen uint64) []byte {
 	dst = appendInt(dst, `{"u":`, u)
 	dst = appendInt(dst, `,"v":`, v)
 	dst = appendInt(dst, `,"topic":`, topic)
 	dst = appendInt(dst, `,"bucket":`, bucket)
 	dst = append(append(dst, `,"vrow":`...), vrow...)
+	dst = appendGeneration(dst, `,"rowsGeneration":`, gen)
 	return append(dst, '}')
 }
 
@@ -492,12 +466,12 @@ func (r *DiffusionRowsRequest) scan(data []byte) bool {
 		case "bucket":
 			once(&s, &seen, 8)
 			r.Bucket = s.Int()
-		case "urow":
-			once(&s, &seen, 16)
-			r.URow = s.Floats()
 		case "vrow":
-			once(&s, &seen, 32)
+			once(&s, &seen, 16)
 			r.VRow = s.Floats()
+		case "rowsGeneration":
+			once(&s, &seen, 32)
+			r.RowsGeneration = s.Uint64()
 		default:
 			s.Fail()
 		}

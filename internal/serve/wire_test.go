@@ -159,7 +159,7 @@ func decoderOf[T any, P interface {
 	return decoderCase{name: name, run: func(data []byte) (any, bool, any, error, any, error) {
 		var scanned, public, ref T
 		// Decoding into a dirty value must not leak the old contents.
-		json.Unmarshal([]byte(`{"version":99,"generation":99,"seed":99,"u":99,"bucket":99}`), &public)
+		json.Unmarshal([]byte(`{"version":99,"generation":99,"seed":99,"u":99,"bucket":99,"rowsGeneration":99}`), &public)
 		ok := P(&scanned).scan(data)
 		publicErr := P(&public).DecodeWire(data)
 		refErr := json.Unmarshal(data, &ref)
@@ -169,7 +169,6 @@ func decoderOf[T any, P interface {
 
 var decoders = []decoderCase{
 	decoderOf[RankResult]("rank"),
-	decoderOf[DiffusionResult]("diffusion"),
 	decoderOf[FoldInRequest]("foldin-request"),
 	decoderOf[DiffusionRowsRequest]("diffusion-rows-request"),
 }
@@ -271,15 +270,13 @@ func wireSamples() []any {
 			{Community: -1, Label: "ünïcödé ✓", Score: 1e-9, Members: 0},
 			{Community: 9, Label: "", Score: -1.5e300, Members: math.MaxInt},
 		}},
-		&DiffusionResult{},
-		&DiffusionResult{Version: 1, Generation: 7, Logit: -3.75, Prob: 0.022977369910025615},
 		&PiRowResult{User: 5, Version: 1, Generation: 2, Row: []float64{0.5, 0.25, 1e-12, 0}},
 		&PiRowResult{User: 5, Row: []float64{}},
 		&FoldInRequest{Docs: [][]int32{{1, 2, 3}, {4}}, Seed: 9},
 		&FoldInRequest{Docs: [][]int32{{0}}, Friends: []int32{3, 4}, Seed: math.MaxUint64, Sweeps: 10, TopK: 3,
 			FriendRows: []FriendRow{{User: 3, Row: []float64{0.75, 0.25}}, {User: 4, Row: []float64{}}}, RowsGeneration: 11},
 		&DiffusionRowsRequest{U: 1, V: 2, Topic: 3, Bucket: -1},
-		&DiffusionRowsRequest{U: 1, V: 2, URow: []float64{1, 0}, VRow: []float64{0.5, 0.5}},
+		&DiffusionRowsRequest{U: 1, V: 2, VRow: []float64{0.5, 0.5}, RowsGeneration: 7},
 	}
 }
 
@@ -308,6 +305,8 @@ var oddSpellings = []string{
 	`{"docs":"\x"}`, `{"docs":[[1]],"topK":{"a":[true,false,null,"s\\"]}}`,
 	`{"docs":` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `}`,
 	`{"u":1,"v":2,"topic":0,"bucket":-1,"vrow":[1,2.5e-3,-0]}`, `{"u":1,"vrow":[]}`, `{"u":1,"vrow":[1,,2]}`, `{"vrow":[1e999]}`,
+	`{"u":1,"vrow":[0.5],"rowsGeneration":3}`, `{"u":1,"rowsGeneration":3,"rowsGeneration":4}`, `{"rowsGeneration":-1}`,
+	`{"u":1,"urow":[1,0],"vrow":[0.5]}`,
 	`{"user":1,"generation":3,"row":[0.5,0.5]}`, `{"user":1,"row":[0.5],"row":[0.25]}`, `{"user":1,"generation":3}`, `{"row":[1e999]}`,
 	`{"row":[1,"2"]}`, `{"row":[[1]]}`,
 }
@@ -323,8 +322,6 @@ func TestWireDecodingMatchesJSON(t *testing.T) {
 			switch v.(type) {
 			case *RankResult:
 				ok = new(RankResult).scan(data)
-			case *DiffusionResult:
-				ok = new(DiffusionResult).scan(data)
 			case *PiRowResult:
 				_, _, ok = scanPiRow(data)
 			case *FoldInRequest:
