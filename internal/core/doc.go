@@ -57,8 +57,11 @@
 // table's end; the word-likelihood denominators log((n_z+Wβ)+j) come from
 // a per-scratch, per-topic cache keyed by n_z+Wβ (denLogs); n_zw is stored
 // word-major so the exact topic scan adds each word's term over one
-// contiguous run of topics; and the π̂ snapshots carry their residual sums
-// for sparse.SmoothedVec.DotSums. Each of these returns the bits the
+// contiguous run of topics; the π̂ snapshots carry their residual sums
+// for sparse.SmoothedVec.DotSums; and each worker scratch spreads the
+// snapshots of the sampled user's friends over dense rows once per user
+// turn (friendTable), from which every draw of the user gathers its
+// friendship dot products and residuals. Each of these returns the bits the
 // recomputation would, in the same order of additions, so training is
 // bit-identical with or without them; kernels_oracle_test.go holds the
 // recomputing kernels and checks that.

@@ -376,37 +376,13 @@ func (e *Engine) workerLoop(w int, ov *overlay) {
 	}
 }
 
-// runSegment executes Alg. 1's E-step over one segment: per-document topic
-// and community moves (or detection-only block moves when content is off),
-// attribute moves under the attribute extension, then the segment's own
-// Pólya-Gamma link variables.
+// runSegment executes Alg. 1's E-step over one segment: sampleUser for
+// each of its users (the dirty ones, under SetDirty), then the segment's
+// own Pólya-Gamma link variables.
 func (e *Engine) runSegment(seg *segment, sc *scratch) {
-	st, dirty := e.st, e.dirty
 	for _, u := range seg.users {
-		if dirty != nil && !dirty[u] {
-			continue
-		}
-		if !st.contentOn {
-			st.sampleUserCommunityBlock(u, sc)
-			continue
-		}
-		for _, d := range st.g.UserDocs(int(u)) {
-			if st.als != nil {
-				st.sampleDocTopicAlias(d, sc)
-				if !st.cFrozen {
-					st.sampleDocCommunityAlias(d, sc)
-				}
-				continue
-			}
-			st.sampleDocTopic(d, sc)
-			if !st.cFrozen {
-				st.sampleDocCommunity(d, sc)
-			}
-		}
-		if st.attrOn {
-			for k := range st.g.Attrs[u] {
-				st.sampleUserAttr(u, k, sc)
-			}
+		if e.dirty == nil || e.dirty[u] {
+			e.st.sampleUser(u, sc)
 		}
 	}
 	e.sampleSegmentLinks(seg, sc)

@@ -293,46 +293,33 @@ func (st *state) communityLogWeights(d int32, z int, sc *scratch) []float64 {
 }
 
 // addFriendKernels adds the Pólya-Gamma kernels of user u's observed and
-// sampled-negative friendship links to the per-candidate community
-// log-weights, against the pi-hat_u in sc.piU.
-func (st *state) addFriendKernels(u int32, invDenU float64, sc *scratch, logw []float64) {
-	sumU := sc.piU.ResidualSum()
-	for _, li := range st.userFriendLinks[u] {
-		st.addFriendKernel(u, st.g.Friends[li], st.lamAt(sc, int(li)), true, invDenU, sumU, sc, logw)
-	}
-	for _, li := range st.userNegFriendLinks[u] {
-		st.addFriendKernel(u, st.negFriends[li], st.lamNegAt(sc, int(li)), false, invDenU, sumU, sc, logw)
-	}
-}
-
-// addFriendKernel adds one friendship link's Pólya-Gamma kernel to the
-// per-candidate community log-weights for a token of user u: the
-// candidate community shifts pi-hat_u by e_c/den_u, so
+// sampled-negative friendship links — the rows of u's friendship table, in
+// table order — to the per-candidate community log-weights, against the
+// pi-hat_u in sc.piU. The candidate community shifts pi-hat_u by
+// e_c/den_u, so a link's argument
 // x(c) = fs*(base + (baseV + residV[c])/denU) differs from the
-// support-free value x0 only on support(v); the x0 kernel is applied to
-// all candidates once, then corrected on the support. positive selects the
-// observed-link kernel (logPsi) vs the sampled-negative kernel (logPsiNeg);
-// sumU is sc.piU's residual sum, the same for every link of the draw.
-func (st *state) addFriendKernel(u int32, f socialgraph.FriendLink, lam float64, positive bool, invDenU, sumU float64, sc *scratch, logw []float64) {
-	other := f.U
-	if other == u {
-		other = f.V
-	}
-	st.piSnap(other, &sc.piV)
-	base := sc.piU.DotSums(&sc.piV, sumU, st.piSnapSum[other])
+// support-free value x0 only on support(v): the x0 kernel is applied to
+// all candidates once, then corrected on the support.
+func (st *state) addFriendKernels(u int32, invDenU float64, sc *scratch, logw []float64) {
+	ft := sc.ft.forUser(u)
+	sumU := sc.piU.ResidualSum()
 	fs := st.cfg.FriendScale
-	x0 := fs * (base + sc.piV.Base*invDenU)
-	kernel := logPsi
-	if !positive {
-		kernel = logPsiNeg
-	}
-	const0 := kernel(x0, lam)
-	for cc := range logw {
-		logw[cc] += const0
-	}
-	for k, cc := range sc.piV.Idx {
-		x := x0 + fs*sc.piV.Val[k]*invDenU
-		logw[cc] += kernel(x, lam) - const0
+	for i := range ft.rows {
+		r := &ft.rows[i]
+		x0 := fs * (ft.dot(i, &sc.piU, sumU) + r.base*invDenU)
+		kernel := logPsi
+		if !r.positive {
+			kernel = logPsiNeg
+		}
+		const0 := kernel(x0, r.lam)
+		for cc := range logw {
+			logw[cc] += const0
+		}
+		row := ft.row(i)
+		for _, cc := range r.idx {
+			x := x0 + fs*row[cc]*invDenU
+			logw[cc] += kernel(x, r.lam) - const0
+		}
 	}
 }
 
@@ -519,11 +506,7 @@ func (st *state) sampleUserCommunityBlock(u int32, sc *scratch) {
 			kernel = logPsiNeg
 		}
 		for _, li := range links {
-			f := friends[li]
-			other := f.U
-			if other == u {
-				other = f.V
-			}
+			other := counterparty(friends[li], u)
 			// Exact (fresh) neighbour reads: the detection-only phase has
 			// no content signal, and snapshot reads stall its label-
 			// propagation-style mixing — which is why the engine runs

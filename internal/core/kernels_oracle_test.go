@@ -575,14 +575,21 @@ func (o *kernelOracle) sampleDocCommunityAlias(d int32, sc *scratch) {
 
 // --- sweeps driven by the oracle -----------------------------------------
 
-// sampleUser is the token half of Engine.runSegment and state.sweepSerial
-// for one user, with the oracle's samplers.
+// sampleUser is state.sampleUser with the oracle's samplers. The
+// production kernels it compares against read the user's friendship
+// table, so it builds and clears that as state.sampleUser does, and
+// requires the table to be all zero afterwards.
 func (o *kernelOracle) sampleUser(u int32, sc *scratch) {
 	st := o.st
 	if !st.contentOn {
 		st.sampleUserCommunityBlock(u, sc) // no kernel of this change in it
 		return
 	}
+	st.buildFriendTable(u, sc)
+	defer func() {
+		sc.ft.clear()
+		requireClearTable(o.t, &sc.ft)
+	}()
 	for _, d := range st.g.UserDocs(int(u)) {
 		if st.als != nil {
 			o.sampleDocTopicAlias(d, sc)
@@ -722,15 +729,17 @@ func pastTheCap(st *state) {
 	}
 }
 
+// attrGraph is a small graph whose users carry attribute tokens.
+func attrGraph() *socialgraph.Graph {
+	cfg := synth.TwitterLike(60, 31)
+	cfg.AttrVocab = 30
+	cfg.AttrsPerUserMean = 2
+	g, _ := synth.Generate(cfg)
+	return g
+}
+
 func kernelCases() []kernelCase {
 	plain := func() *socialgraph.Graph { return testGraph(80, 21) }
-	withAttrs := func() *socialgraph.Graph {
-		cfg := synth.TwitterLike(60, 31)
-		cfg.AttrVocab = 30
-		cfg.AttrsPerUserMean = 2
-		g, _ := synth.Generate(cfg)
-		return g
-	}
 	return []kernelCase{
 		{name: "joint", graph: plain},
 		// β = 0.37 is a value at which (n+β)+m and (n+m)+β differ in the last
@@ -743,36 +752,54 @@ func kernelCases() []kernelCase {
 		{name: "self-diffusion", graph: func() *socialgraph.Graph { return selfDiffusions(plain()) }},
 		{name: "zero-delta", graph: plain, prep: zeroDelta},
 		{name: "no-friendship", graph: plain, cfg: func(c *Config) { c.NoFriendship = true }},
-		{name: "attributes", graph: withAttrs, cfg: func(c *Config) { c.ModelAttributes = true }},
+		{name: "attributes", graph: attrGraph, cfg: func(c *Config) { c.ModelAttributes = true }},
 		{name: "nojoint-detection", graph: plain, prep: func(st *state) { st.contentOn = false }, idle: true},
 		{name: "nojoint-profiles", graph: plain, prep: func(st *state) { st.cFrozen = true }},
-		{name: "resumed-dirty-subset", engine: resumedDirtyEngine},
+		{name: "resumed-dirty-subset", engine: resumedDirtyEngine(func(st *state, u int) bool { return u%3 == 0 })},
+		// One dirty user: the same worker scratch samples the same user in
+		// consecutive sweeps, and the λ of that user's links move between
+		// them — what a friendship table kept across sweeps would miss.
+		{name: "resumed-single-dirty-user", engine: resumedDirtyEngine(func(st *state, u int) bool { return u == busiestUser(st) })},
 	}
 }
 
-// resumedDirtyEngine resumes a trained model on a graph and restricts the
-// sweeps to every third user.
-func resumedDirtyEngine(t *testing.T, cfg Config) *Engine {
-	t.Helper()
-	base := cfg
-	base.Workers, base.EMIters = 1, 3
-	m, _, err := Train(testGraph(80, 21), base)
-	if err != nil {
-		t.Fatal(err)
+// resumedDirtyEngine returns a builder that resumes a trained model on a
+// graph and restricts the sweeps to the users dirty marks.
+func resumedDirtyEngine(dirty func(st *state, u int) bool) func(t *testing.T, cfg Config) *Engine {
+	return func(t *testing.T, cfg Config) *Engine {
+		t.Helper()
+		base := cfg
+		base.Workers, base.EMIters = 1, 3
+		m, _, err := Train(testGraph(80, 21), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := testGraph(80, 21)
+		e, err := NewEngineFromModel(g, m, ResumeOptions{Workers: cfg.Workers, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		marks := make([]bool, g.NumUsers)
+		for u := range marks {
+			marks[u] = dirty(e.st, u)
+		}
+		if err := e.SetDirty(marks); err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	g := testGraph(80, 21)
-	e, err := NewEngineFromModel(g, m, ResumeOptions{Workers: cfg.Workers, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// busiestUser is the first user with the most friendship links,
+// negatives included.
+func busiestUser(st *state) int {
+	best := 0
+	for u := range st.userFriendLinks {
+		if len(st.userFriendLinks[u])+len(st.userNegFriendLinks[u]) > len(st.userFriendLinks[best])+len(st.userNegFriendLinks[best]) {
+			best = u
+		}
 	}
-	dirty := make([]bool, g.NumUsers)
-	for u := range dirty {
-		dirty[u] = u%3 == 0
-	}
-	if err := e.SetDirty(dirty); err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return best
 }
 
 func (kc kernelCase) build(t *testing.T, sampler string, workers int) *Engine {
@@ -1040,8 +1067,8 @@ func TestKernelDenominatorCache(t *testing.T) {
 }
 
 // TestEngineSweepAllocationsIndependentOfUsers is the allocation gate: a
-// steady-state exact sweep allocates per sweep (the bilinear aggregates,
-// the snapshot refresh's two buffers), not per user or document.
+// steady-state exact sweep allocates per sweep (the bilinear aggregates),
+// not per user or document.
 func TestEngineSweepAllocationsIndependentOfUsers(t *testing.T) {
 	measure := func(users int) float64 {
 		cfg := testConfig()

@@ -31,11 +31,14 @@ import (
 // subtractions read from the scratch's denominator cache (computed only
 // for the two topics whose n_z the previous draw moved), and one bilinear
 // form per diffusing link. A community evaluation is two table lookups
-// plus, per incident link, a binary search in the neighbour's support:
-// predigestLinks has digested every candidate-independent part once per
-// draw, the dot product among them, with both residual sums taken from
-// where they are already known. A word's proposal table is built on
-// first use from one contiguous run of the word-major n_zw snapshot.
+// plus, per incident friendship link, one load from the neighbour's dense
+// row in the user's friendship table (built once per user turn, see
+// friendTable), and per diffusion link a binary search in (or, with
+// heterogeneity, a scan of) the neighbour's support: predigestLinks has
+// digested every candidate-independent part once per draw, the dot
+// product among them, a friendship link's gathered from its row. A word's
+// proposal table is built on first use from one contiguous run of the
+// word-major n_zw snapshot.
 //
 // Determinism: the tables are built from sweep-start state (identical for
 // every segment-to-worker packing), draws consume only the per-segment
@@ -406,37 +409,23 @@ func (st *state) communityLogPost(cc, z int, denU, invDenU float64, sc *scratch)
 // and augmentation lookups are all candidate-independent, so hoisting them
 // out of the MH loop leaves each evaluation a residual lookup (or one
 // support scan for heterogeneous diffusion) per link. See evalLinkAt. The
-// user's exclusion-aware pi-hat must be in sc.piU.
+// user's exclusion-aware pi-hat must be in sc.piU, and the user's
+// friendship table built.
 func (st *state) predigestLinks(d int32, invDenU float64, sc *scratch) {
 	u := st.g.Docs[d].User
 	sumU := sc.piU.ResidualSum()
 	fs := st.cfg.FriendScale
 	sc.links = sc.links[:0]
-	addFlat := func(other int32, aug float64, kind uint8) {
-		pv, sumV, oth := &sc.piU, sumU, int32(-1)
-		if other != u {
-			st.piSnap(other, &sc.piV)
-			pv, sumV, oth = &sc.piV, st.piSnapSum[other], other
-		}
-		x0 := fs * (sc.piU.DotSums(pv, sumU, sumV) + pv.Base*invDenU)
-		sc.links = append(sc.links, linkEval{x0: x0, aug: aug, other: oth, kind: kind})
-	}
 	if !st.cfg.NoFriendship {
-		for _, li := range st.userFriendLinks[u] {
-			f := st.g.Friends[li]
-			other := f.U
-			if other == u {
-				other = f.V
+		ft := sc.ft.forUser(u)
+		for i := range ft.rows {
+			r := &ft.rows[i]
+			kind := linkFriendPos
+			if !r.positive {
+				kind = linkFriendNeg
 			}
-			addFlat(other, st.lamAt(sc, int(li)), linkFriendPos)
-		}
-		for _, li := range st.userNegFriendLinks[u] {
-			f := st.negFriends[li]
-			other := f.U
-			if other == u {
-				other = f.V
-			}
-			addFlat(other, st.lamNegAt(sc, int(li)), linkFriendNeg)
+			x0 := fs * (ft.dot(i, &sc.piU, sumU) + r.base*invDenU)
+			sc.links = append(sc.links, linkEval{x0: x0, aug: r.lam, other: int32(i), kind: kind})
 		}
 	}
 	if !st.contentOn {
@@ -449,8 +438,18 @@ func (st *state) predigestLinks(d int32, invDenU float64, sc *scratch) {
 		if l.I != d {
 			otherU = st.g.Docs[l.I].User
 		}
+		pv, oth := &sc.piU, int32(-1)
+		if otherU != u {
+			st.piSnap(otherU, &sc.piV)
+			pv, oth = &sc.piV, otherU
+		}
 		if st.cfg.NoHeterogeneity {
-			addFlat(otherU, delta, linkDiffFlat)
+			sumV := sumU
+			if oth >= 0 {
+				sumV = st.piSnapSum[oth]
+			}
+			x0 := fs * (sc.piU.DotSums(pv, sumU, sumV) + pv.Base*invDenU)
+			sc.links = append(sc.links, linkEval{x0: x0, aug: delta, other: oth, kind: linkDiffFlat})
 			continue
 		}
 		lz := st.zAt(sc, l.I, d) // link topic = diffusing document's topic
@@ -458,11 +457,6 @@ func (st *state) predigestLinks(d int32, invDenU float64, sc *scratch) {
 		m := st.etaSlice[lz]
 		agg := st.aggs[lz]
 		base := st.popTerm(sc, st.docBucket[l.I], int(lz)) + st.indivTerm(int(e))
-		pv, oth := &sc.piU, int32(-1)
-		if otherU != u {
-			st.piSnap(otherU, &sc.piV)
-			pv, oth = &sc.piV, otherU
-		}
 		kind := linkDiffRow
 		if l.I == d {
 			// d is the diffusing side: the candidate perturbs the row.
@@ -479,14 +473,19 @@ func (st *state) predigestLinks(d int32, invDenU float64, sc *scratch) {
 // sampler. predigestLinks computes the candidate-independent
 // part of each kernel argument once per document draw (pi views, the dot
 // product or bilinear aggregate, the augmentation variable), so each MH
-// candidate evaluation is O(log support) for the friendship-shaped
-// kernels and O(support) for the heterogeneous diffusion perturbation.
+// candidate evaluation is O(1) for a friendship link, O(log support) for
+// a NoHeterogeneity diffusion link and O(support) for the heterogeneous
+// diffusion perturbation.
 type linkEval struct {
-	x0    float64 // candidate-independent part of the kernel argument
-	aug   float64 // PG augmentation variable (lambda or delta)
-	base  float64 // counterparty's smoothing base (heterogeneous diffusion kinds only)
-	other int32   // counterparty user; -1 when the view is piU itself
-	z     int32   // link topic (heterogeneous diffusion kinds only)
+	x0   float64 // candidate-independent part of the kernel argument
+	aug  float64 // PG augmentation variable (lambda or delta)
+	base float64 // counterparty's smoothing base (heterogeneous diffusion kinds only)
+	// other locates the counterparty's residual. Friendship kinds: the
+	// link's row in the sampled user's friendship table. Diffusion kinds:
+	// the counterparty user, whose sweep-start snapshot is read, or -1
+	// when the counterparty is the sampled user and the view is piU itself.
+	other int32
+	z     int32 // link topic (heterogeneous diffusion kinds only)
 	kind  uint8
 }
 
@@ -500,21 +499,25 @@ const (
 
 // evalLinkAt evaluates one predigested link kernel at candidate
 // community cc. The counterparty's pi view is resolved from stable
-// storage (the sampled user's own exclusion-aware pi-hat in sc.piU, or
-// the sweep-start snapshot slices) — nothing is copied per evaluation.
+// storage (the friendship table's row, the sampled user's own
+// exclusion-aware pi-hat in sc.piU, or the sweep-start snapshot slices) —
+// nothing is copied per evaluation.
 func (st *state) evalLinkAt(le *linkEval, cc int, invDenU float64, sc *scratch) float64 {
+	// Friendship-shaped kinds: x(c) = x0 + fs·resid_v[c]/den_u, with
+	// x0 = fs·(π̂_u^T π̂_v + base_v/den_u).
+	switch le.kind {
+	case linkFriendPos:
+		return logPsi(le.x0+st.cfg.FriendScale*invDenU*sc.ft.at(int(le.other), cc), le.aug)
+	case linkFriendNeg:
+		return logPsiNeg(le.x0+st.cfg.FriendScale*invDenU*sc.ft.at(int(le.other), cc), le.aug)
+	}
 	idx, val := sc.piU.Idx, sc.piU.Val
 	if le.other >= 0 {
 		idx, val = st.piSnapIdx[le.other], st.piSnapVal[le.other]
 	}
 	switch le.kind {
-	case linkFriendPos, linkFriendNeg, linkDiffFlat:
-		// x(c) = x0 + fs·resid_v[c]/den_u, with x0 = fs·(π̂_u^T π̂_v + base_v/den_u).
-		x := le.x0 + st.cfg.FriendScale*invDenU*residualAt(idx, val, cc)
-		if le.kind == linkFriendNeg {
-			return logPsiNeg(x, le.aug)
-		}
-		return logPsi(x, le.aug)
+	case linkDiffFlat:
+		return logPsi(le.x0+st.cfg.FriendScale*invDenU*residualAt(idx, val, cc), le.aug)
 	case linkDiffRow:
 		// The candidate perturbs the row argument of the bilinear form:
 		// y[c] accumulated over the neighbour's support only.

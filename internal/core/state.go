@@ -156,6 +156,9 @@ type state struct {
 	negFriends         []socialgraph.FriendLink
 	lambdaNeg          *floats
 	userNegFriendLinks [][]int32
+	// maxFriendRows is the largest friendship degree, negatives included:
+	// the rows a scratch's friendship table needs (see friendTable).
+	maxFriendRows int
 	// diffPairSet holds observed (I, J) document pairs for negative
 	// sampling rejection in the nu M-step.
 	diffPairSet map[int64]struct{}
@@ -183,6 +186,10 @@ type state struct {
 	piSnapSum []float64             // per-user sum of piSnapVal, in slice order
 	cFrozen   bool                  // phase-2 of NoJointModeling: freeze C
 	contentOn bool                  // phase-1 of NoJointModeling disables content+diffusion
+
+	// refreshPiSnapshots' counting buffers, all zero between calls.
+	snapCnt     []float64
+	snapTouched []int32
 
 	// als holds the alias + MH proposal tables when Config.Sampler selects
 	// the "alias" E-step (see sampler_alias.go); nil selects the exact
@@ -314,6 +321,9 @@ func buildState(g *socialgraph.Graph, cfg Config, eta *sparse.Tensor3, nu []floa
 		}
 	}
 	st.sampleNegFriends()
+	for u := range st.userFriendLinks {
+		st.maxFriendRows = max(st.maxFriendRows, len(st.userFriendLinks[u])+len(st.userNegFriendLinks[u]))
+	}
 	st.refreshNuOffsets()
 	st.refreshCaches()
 	if cfg.aliasSampling() {
@@ -400,7 +410,11 @@ func (st *state) refreshCaches() {
 // refreshPiSnapshots rebuilds the per-user pi-hat snapshots (O(total
 // tokens) per sweep), each with the sum of its residuals: a sweep dots a
 // neighbour's snapshot once per incident link per document, and the sum is
-// the part of that product that does not depend on the other side.
+// the part of that product that does not depend on the other side. The
+// friendship links read them through the sampled user's friendship table,
+// built from these slices once per user turn (see friendTable), so a
+// snapshot must not change while a user is being sampled; the diffusion
+// kernels read them directly.
 func (st *state) refreshPiSnapshots() {
 	C := st.cfg.NumCommunities
 	if st.piSnapIdx == nil {
@@ -419,9 +433,9 @@ func (st *state) refreshPiSnapshots() {
 			st.piSnapIdx[u], idx = idx[:0:n], idx[n:]
 			st.piSnapVal[u], val = val[:0:n], val[n:]
 		}
+		st.snapCnt, st.snapTouched = make([]float64, C), make([]int32, 0, C)
 	}
-	cnt := make([]float64, C)
-	touched := make([]int32, 0, C)
+	cnt, touched := st.snapCnt, st.snapTouched
 	for u := 0; u < st.g.NumUsers; u++ {
 		touched = touched[:0]
 		bump := func(c int32) {
@@ -508,6 +522,8 @@ type scratch struct {
 	zwRun []int64
 	// per-topic word-likelihood denominators.
 	den denLogs
+	// the friendship links of the user being sampled (see friendTable).
+	ft friendTable
 	// predigested link kernels for the alias community sampler (see
 	// sampler_alias.go).
 	links []linkEval
@@ -542,6 +558,7 @@ func newScratch(cfg Config, r *rng.RNG) *scratch {
 		valBufV: make([]float64, 0, C),
 		zwRun:   make([]int64, Z),
 		den:     newDenLogs(Z),
+		ft:      friendTable{user: -1, dim: C},
 	}
 }
 

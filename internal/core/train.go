@@ -80,12 +80,45 @@ func (e *Engine) train() (*Model, *Diagnostics, error) {
 	return st.buildModel(), diag, nil
 }
 
+// sampleUser is Alg. 1's E-step for one user, the body Engine.runSegment
+// and sweepSerial share: a detection-only block move when content is off
+// (the no-joint ablation's detection phase), otherwise each document's
+// topic (step 5) then community (step 6), then the attribute tokens under
+// the attribute extension. The user's friendship table is built before
+// the first draw and cleared after the last.
+func (st *state) sampleUser(u int32, sc *scratch) {
+	if !st.contentOn {
+		st.sampleUserCommunityBlock(u, sc)
+		return
+	}
+	st.buildFriendTable(u, sc)
+	for _, d := range st.g.UserDocs(int(u)) {
+		if st.als != nil {
+			st.sampleDocTopicAlias(d, sc)
+			if !st.cFrozen {
+				st.sampleDocCommunityAlias(d, sc)
+			}
+			continue
+		}
+		st.sampleDocTopic(d, sc)
+		if !st.cFrozen {
+			st.sampleDocCommunity(d, sc)
+		}
+	}
+	if st.attrOn {
+		for k := range st.g.Attrs[u] {
+			st.sampleUserAttr(u, k, sc)
+		}
+	}
+	sc.ft.clear()
+}
+
 // sweepSerial is Alg. 1's E-step on a single goroutine with direct
 // in-place counter access: for each user's each document sample the topic
 // (step 5) then the community (step 6), then refresh the friendship
 // (steps 7–8) and diffusion (steps 9–10) augmentation variables. It is the
-// reference implementation the unit tests exercise and the engine's
-// segment runner mirrors.
+// reference implementation the unit tests exercise; it and the engine's
+// segment runner share the per-user body, sampleUser.
 func (st *state) sweepSerial(sc *scratch) {
 	if st.als != nil && st.contentOn {
 		// Serial alias sweeps read live counters for the lazily built word
@@ -94,29 +127,7 @@ func (st *state) sweepSerial(sc *scratch) {
 		st.als.refresh(st, nil)
 	}
 	for u := 0; u < st.g.NumUsers; u++ {
-		if !st.contentOn {
-			// Detection-only phase (no-joint ablation): block moves.
-			st.sampleUserCommunityBlock(int32(u), sc)
-			continue
-		}
-		for _, d := range st.g.UserDocs(u) {
-			if st.als != nil {
-				st.sampleDocTopicAlias(d, sc)
-				if !st.cFrozen {
-					st.sampleDocCommunityAlias(d, sc)
-				}
-				continue
-			}
-			st.sampleDocTopic(d, sc)
-			if !st.cFrozen {
-				st.sampleDocCommunity(d, sc)
-			}
-		}
-		if st.attrOn {
-			for k := range st.g.Attrs[u] {
-				st.sampleUserAttr(int32(u), k, sc)
-			}
-		}
+		st.sampleUser(int32(u), sc)
 	}
 	if !st.cfg.NoFriendship {
 		for li := range st.g.Friends {

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/eval"
@@ -303,5 +306,54 @@ func TestTrainOnDBLPPreset(t *testing.T) {
 	fAUC, dAUC := modelAUCs(g, m)
 	if fAUC < 0.6 || dAUC < 0.65 {
 		t.Fatalf("DBLP-like quality too low: fAUC=%v dAUC=%v", fAUC, dAUC)
+	}
+}
+
+// modelDigest is an FNV-64a over the little-endian bits of Π, Θ, Φ and η,
+// in that order: the digest cpd-bench's train workload prints for each
+// sampler.
+func modelDigest(m *Model) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, block := range [][]float64{m.Pi.Data, m.Theta.Data, m.Phi.Data, m.Eta.Data} {
+		for _, v := range block {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestTrainDigestsPinned pins both samplers' trained models at the shape
+// of cpd-bench's train workload — TwitterLike(150, 99), |C| = |Z| = 50,
+// seed 42, 8 exact and 20 alias EM iterations — for one and for two
+// workers. A kernel change that is meant to be bit-identical must leave
+// both digests as they are. The pins are amd64's: where the compiler
+// fuses multiply-adds the bits legitimately differ.
+func TestTrainDigestsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned for amd64, not %s", runtime.GOARCH)
+	}
+	g, _ := synth.Generate(synth.TwitterLike(150, 99))
+	for _, tc := range []struct {
+		sampler string
+		iters   int
+		digest  uint64
+	}{
+		{SamplerExact, 8, 0x3ba65658cda4b3a8},
+		{SamplerAlias, 20, 0xbb670ab034554af3},
+	} {
+		for _, workers := range []int{1, 2} {
+			m, _, err := Train(g, Config{
+				NumCommunities: 50, NumTopics: 50, Workers: workers,
+				Seed: 42, Sampler: tc.sampler, EMIters: tc.iters,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := modelDigest(m); got != tc.digest {
+				t.Errorf("%s sampler, %d workers: digest %016x, pinned %016x", tc.sampler, workers, got, tc.digest)
+			}
+		}
 	}
 }
