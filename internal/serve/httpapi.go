@@ -256,22 +256,12 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		// empty replica (no snapshot promoted yet) is a valid state — it
 		// answers generation 0 rather than erroring, so a cold replica can
 		// join a fleet before its first fetch completes.
-		name := r.URL.Query().Get("snapshot")
-		explicit := name != ""
-		if !explicit {
-			name = DefaultSnapshot
-		}
-		s, release, err := e.AcquireNamed(name)
-		if err != nil && !explicit {
-			if names := e.Names(); len(names) > 0 {
-				s, release, err = e.AcquireNamed(names[0])
-			}
-		}
+		s, release, err := acquireProbe(e, r.URL.Query())
 		if err != nil {
-			if explicit {
-				writeQueryErr(w, err)
-				return
-			}
+			writeQueryErr(w, err)
+			return
+		}
+		if s == nil {
 			writeJSON(w, GenerationReport{Draining: e.Draining()})
 			return
 		}
@@ -309,27 +299,16 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		// whatever its slots are called (a multi-snapshot server has no
 		// "default"). An explicit ?snapshot= asks about that snapshot and
 		// 404s if unknown.
-		name := r.URL.Query().Get("snapshot")
-		explicit := name != ""
-		if !explicit {
-			name = DefaultSnapshot
-		}
-		s, release, err := e.AcquireNamed(name)
-		if err != nil && !explicit {
-			// No "default" slot; report against the first named one.
-			if names := e.Names(); len(names) > 0 {
-				s, release, err = e.AcquireNamed(names[0])
-			}
+		s, release, err := acquireProbe(e, r.URL.Query())
+		if err != nil {
+			writeQueryErr(w, err)
+			return
 		}
 		status := "ok"
 		if e.Draining() {
 			status = "draining"
 		}
-		if err != nil {
-			if explicit {
-				writeQueryErr(w, err)
-				return
-			}
+		if s == nil {
 			writeJSON(w, map[string]any{"status": status, "draining": e.Draining(), "snapshots": e.Names()})
 			return
 		}
@@ -350,6 +329,25 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		writeJSON(w, payload)
 	})
 	return mux
+}
+
+// acquireProbe pins the snapshot a probe route (/healthz,
+// /api/generation) reports on: the one ?snapshot= names (an unknown name
+// is the error), else the default slot, else the first named one. With no
+// slot to report on it returns a nil snapshot — a valid state for a probe.
+func acquireProbe(e *Engine, q url.Values) (*Snapshot, func(), error) {
+	if name := q.Get("snapshot"); name != "" {
+		return e.AcquireNamed(name)
+	}
+	if s, release, err := e.AcquireNamed(DefaultSnapshot); err == nil {
+		return s, release, nil
+	}
+	if names := e.Names(); len(names) > 0 {
+		if s, release, err := e.AcquireNamed(names[0]); err == nil {
+			return s, release, nil
+		}
+	}
+	return nil, nil, nil
 }
 
 // GenerationReport is the /api/generation payload: which publisher

@@ -385,8 +385,8 @@ func linkCached(src, dst string) {
 	}
 }
 
-// fetchOnce downloads url into path unless path is already there, via a
-// temp file and atomic rename.
+// fetchOnce downloads url into path unless path is already there,
+// committing it through store.WriteFileAtomic.
 func (f *Fetcher) fetchOnce(url, path string) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
@@ -400,23 +400,10 @@ func (f *Fetcher) fetchOnce(url, path string) error {
 		io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("fetching %s: status %d", url, resp.StatusCode)
 	}
-	tmp, err := os.CreateTemp(f.opts.Dir, ".fetch-*")
-	if err != nil {
+	return store.WriteFileAtomic(path, func(tmp *os.File) error {
+		_, err := io.Copy(tmp, resp.Body)
 		return err
-	}
-	_, err = io.Copy(tmp, resp.Body)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	})
 }
 
 // warmFile reads the file once, sequentially, populating the page cache

@@ -344,24 +344,8 @@ func linkOrCopy(src, dst string) error {
 		return err
 	}
 	defer in.Close()
-	out, err := os.CreateTemp(filepath.Dir(dst), ".shard-copy-*")
-	if err != nil {
+	return store.WriteFileAtomic(dst, func(f *os.File) error {
+		_, err := io.Copy(f, in)
 		return err
-	}
-	defer os.Remove(out.Name())
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(out.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(out.Name(), dst)
+	})
 }

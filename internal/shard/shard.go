@@ -269,29 +269,10 @@ func (man *Manifest) validate() error {
 	return nil
 }
 
-// WriteManifest atomically writes man to path (temp file + rename).
+// WriteManifest commits man to path through store.WriteFileAtomic, whose
+// directory fsync makes the generation's files and links durable with it.
 func WriteManifest(path string, man *Manifest) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".shards-*.json")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := EncodeManifest(tmp, man); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return store.WriteFileAtomic(path, func(f *os.File) error { return EncodeManifest(f, man) })
 }
 
 // ReadManifest reads and verifies the manifest at path.

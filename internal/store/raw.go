@@ -171,7 +171,7 @@ func WriteRawFile(path string, secs []RawSection) error {
 	if err != nil {
 		return err
 	}
-	return saveAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, nil, nil) })
+	return WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, nil, nil) })
 }
 
 // AssembleRawModel builds a model from an arbitrary section set (e.g.
@@ -261,7 +261,9 @@ func RemoveVerified(path string) {
 // header still match returns without re-walking the payloads. Any
 // mismatch (or unreadable sidecar) falls back to the full walk and
 // refreshes the receipt. Sidecar write failures are ignored — the
-// receipt is an optimization, never a correctness dependency.
+// receipt is an optimization, never a correctness dependency — which is
+// why it is not committed through WriteFileAtomic: a torn receipt only
+// costs a re-verify.
 func VerifyV2FileCached(path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {

@@ -8,6 +8,9 @@
 // splicing unchanged sections byte-for-byte out of a previous one — the
 // store half of the streaming publisher's O(changed) publish path.
 //
+// WriteFileAtomic is the one routine in the tree that commits a file:
+// snapshots, shard manifests, journal files and replica downloads alike.
+//
 // v2 is the only format written. Two older encodings stay readable
 // through LoadFile and LoadBytes, which sniff the leading bytes: JSON
 // (core.Load) and the v1 stream below. Every reader, v1's included, turns
@@ -152,27 +155,30 @@ func load(data []byte) (*core.Model, error) {
 	return core.Load(bytes.NewReader(data))
 }
 
-// saveAtomic writes a snapshot produced by encode to path through a
-// temporary file in the same directory, fsyncs the file, renames it into
-// place, and fsyncs the directory. The rename makes the swap atomic
-// against concurrent readers (a serve.Engine reloading the path can never
-// observe a partial model); the two syncs make it atomic against crashes —
-// without the file sync a power loss can leave a zero-length file behind
-// the new name, and without the directory sync the rename itself may not
-// have reached stable storage, resurrecting the old (or no) snapshot.
+// WriteFileAtomic is the one file-commit routine of the tree: it writes
+// path through a temporary file in the same directory, fsyncs the file,
+// gives it mode 0644, renames it into place, and fsyncs the directory. The
+// rename makes the swap atomic against concurrent readers (a serve.Engine
+// reloading the path can never observe a partial model); the two syncs
+// make it atomic against crashes — without the file sync a power loss can
+// leave a zero-length file behind the new name, and without the directory
+// sync the rename itself may not have reached stable storage, resurrecting
+// the old (or no) file. The directory sync also makes every earlier link
+// and rename in dir durable: a shard manifest's commit is the sync point
+// of its whole generation.
 //
-// encode gets the temporary file itself, positioned at offset 0: the v2
+// write gets the temporary file itself, positioned at offset 0: the v2
 // encoder streams payloads through Write and then patches the header in
-// front of them through WriteAt. An encode that fails at either leaves
-// nothing under path.
-func saveAtomic(path string, encode func(*os.File) error) error {
+// front of them through WriteAt. A write that fails at either leaves
+// nothing under path, and no temporary file behind.
+func WriteFileAtomic(path string, write func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := encode(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -183,7 +189,7 @@ func saveAtomic(path string, encode func(*os.File) error) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: closing %s: %w", tmp.Name(), err)
 	}
-	// CreateTemp opens 0600; give the snapshot the usual artifact mode.
+	// CreateTemp opens 0600; give the file the usual artifact mode.
 	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

@@ -344,7 +344,7 @@ func v2Table(plan []*v2section) []byte {
 // Write; the header and section table, which hold the payload checksums,
 // are written last, over their placeholder at offset 0, through WriteAt —
 // so Write must start at offset 0 of whatever WriteAt addresses. A
-// temporary *os.File (saveAtomic) and a memDest are the two in use.
+// temporary *os.File (WriteFileAtomic) and a memDest are the two in use.
 type v2dest interface {
 	io.Writer
 	io.WriterAt
@@ -397,7 +397,7 @@ func EncodeV2(w io.Writer, m *core.Model) error {
 // streamed once through the sink that feeds both its CRC and dst, then the
 // real header and table written over the placeholder. Until that last
 // write the output does not begin with the format's magic, so a file cut
-// short anywhere before it is rejected by every reader — and saveAtomic
+// short anywhere before it is rejected by every reader — and WriteFileAtomic
 // only ever gives a complete one the final name.
 //
 // Sections with an entry in reuse are not emitted: their CRC is taken from
@@ -548,7 +548,7 @@ func readV2Sections(data []byte, verify bool) (*assembly, error) {
 }
 
 // SaveV2 writes m to path as a v2 (mmap-ready) snapshot, atomically and
-// crash-safely (see saveAtomic).
+// crash-safely (see WriteFileAtomic).
 func SaveV2(path string, m *core.Model) error {
 	_, err := SaveV2Reusing(path, m, nil)
 	return err

@@ -38,7 +38,7 @@ func modelPlan(t *testing.T, m *core.Model, tags ...string) planSource {
 }
 
 // requireBothEncodersAgree encodes src through the single-pass encoder —
-// into memory and into a file, as saveAtomic drives it — and through the
+// into memory and into a file, as WriteFileAtomic drives it — and through the
 // two-pass encoder it replaced, each with the platform's aliased numeric
 // loops and with the portable per-element ones a big-endian host gets,
 // and returns the (single) byte sequence.
@@ -69,7 +69,7 @@ func requireBothEncodersAgree(t *testing.T, what string, src planSource) []byte 
 	toFile := func() []byte {
 		plan, reuse, prev := src()
 		path := filepath.Join(t.TempDir(), "single-pass.snap")
-		if err := saveAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, reuse, prev) }); err != nil {
+		if err := WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, reuse, prev) }); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		raw, err := os.ReadFile(path)
@@ -253,7 +253,7 @@ func TestSinglePassEncoderBackPatchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = saveAtomic(path, func(f *os.File) error { return encodeV2Plan(failingDest{f}, plan, nil, nil) })
+	err = WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(failingDest{f}, plan, nil, nil) })
 	if !errors.Is(err, errNoWriteAt) {
 		t.Fatalf("save over an unpatchable destination returned %v", err)
 	}

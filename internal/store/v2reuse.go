@@ -173,7 +173,7 @@ func (sm *SectionManifest) Forget(tag string) {
 	}
 }
 
-// savePlan writes plan to path with saveAtomic's rename discipline,
+// savePlan writes plan to path with WriteFileAtomic's rename discipline,
 // splicing the sections prev vouches for from the file it describes, and
 // returns the manifest of the file written. On any splice failure the save
 // silently retries as a full encode.
@@ -182,7 +182,7 @@ func savePlan(path string, plan []*v2section, prev *SectionManifest) (*SectionMa
 	if len(reuse) > 0 {
 		prevFile, err := os.Open(prev.path)
 		if err == nil {
-			err = saveAtomic(path, func(f *os.File) error {
+			err = WriteFileAtomic(path, func(f *os.File) error {
 				return encodeV2Plan(f, plan, reuse, prevFile)
 			})
 			prevFile.Close()
@@ -193,7 +193,7 @@ func savePlan(path string, plan []*v2section, prev *SectionManifest) (*SectionMa
 		// Reuse failed (missing/corrupt previous file): fall back to a
 		// full encode below.
 	}
-	if err := saveAtomic(path, func(f *os.File) error {
+	if err := WriteFileAtomic(path, func(f *os.File) error {
 		return encodeV2Plan(f, plan, nil, nil)
 	}); err != nil {
 		return nil, err

@@ -68,6 +68,25 @@
 // a delta-Gibbs publish, whose Θ/Φ/η really differ, and FullRebuild
 // build it from scratch.
 //
+// # Crash recovery
+//
+// Every file this package writes — snapshot, global and shard files, a
+// generation's manifest, the watermark (.mark) and checkpoint (.state)
+// sidecars, the compacted journal — is committed through
+// store.WriteFileAtomic, so after a crash each is either absent or whole.
+// A publish commits in a fixed order: the journal is fsynced, the
+// generation's files are written, and its manifest is committed last. The
+// directory fsync that ends the manifest commit makes every file and
+// hard link of the generation durable with it, and it happens before the
+// watermark advances, so the watermark never runs ahead of a durable
+// manifest. A crash before the manifest leaves files no manifest names,
+// which the next publish of that number overwrites; a crash after it
+// leaves a committed generation whose events replay into the next one.
+// The checkpoint is durable before a compaction drops the records it
+// summarizes. A restarted updater resumes numbering above both its
+// checkpoint's generation and the newest manifest in Options.Dir, so a
+// generation number replicas may have fetched is never reused.
+//
 // # Freshness and determinism guarantees
 //
 // An event accepted by Ingest is applied to the in-memory corpus

@@ -4,14 +4,13 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
-	"syscall"
+
+	"repro/internal/store"
 )
 
 // EventType enumerates the journal's typed events.
@@ -474,53 +473,23 @@ func (j *Journal) storeMarkLocked() error {
 	var p [12]byte
 	binary.LittleEndian.PutUint64(p[:8], j.mark)
 	binary.LittleEndian.PutUint32(p[8:], crc32.ChecksumIEEE(p[:8]))
-	return writeFileDurable(j.markPath(), p[:])
+	return writeFile(j.markPath(), p[:])
 }
 
-// writeFileDurable writes data to path with the crash-safe discipline the
-// snapshot store uses: temp file in the same directory, fsync, atomic
-// rename, directory fsync. Without the syncs a crash can persist a later
-// journal compaction but not the sidecar that justified it.
-func writeFileDurable(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("stream: syncing %s: %w", dir, err)
-	}
-	return nil
+// writeFile commits data to path. Without store.WriteFileAtomic's syncs a
+// crash could persist a later compaction but not the sidecar behind it.
+func writeFile(path string, data []byte) error {
+	return store.WriteFileAtomic(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
 }
 
 // Compact rewrites the journal keeping only records at offsets >= the
 // watermark, making the watermark the new base. Logical offsets are
 // preserved (the header records the base), so previously returned offsets
-// and the watermark remain valid. The rewrite goes through a temp file and
-// an atomic rename.
+// and the watermark remain valid. The rewrite is committed through
+// store.WriteFileAtomic.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -533,38 +502,20 @@ func (j *Journal) Compact() error {
 	if err := j.syncLocked(); err != nil {
 		return err
 	}
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".compact*")
-	if err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	var hdr [journalHdrLen]byte
-	copy(hdr[:], journalMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], j.mark)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return fmt.Errorf("stream: %w", err)
-	}
-	// Copy the retained suffix byte-for-byte (records are contiguous and
-	// the watermark is always a record boundary).
-	src := io.NewSectionReader(j.f, int64(journalHdrLen)+int64(j.mark-j.base), int64(j.tail-j.mark))
-	if _, err := io.Copy(tmp, src); err != nil {
-		tmp.Close()
+	if err := store.WriteFileAtomic(j.path, func(f *os.File) error {
+		var hdr [journalHdrLen]byte
+		copy(hdr[:], journalMagic)
+		binary.LittleEndian.PutUint64(hdr[8:], j.mark)
+		if _, err := f.Write(hdr[:]); err != nil {
+			return err
+		}
+		// Copy the retained suffix byte-for-byte (records are contiguous
+		// and the watermark is always a record boundary).
+		src := io.NewSectionReader(j.f, int64(journalHdrLen)+int64(j.mark-j.base), int64(j.tail-j.mark))
+		_, err := io.Copy(f, src)
+		return err
+	}); err != nil {
 		return fmt.Errorf("stream: compacting journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("stream: %w", err)
 	}
 	// Re-open the renamed file for further appends and recount events.
 	nf, err := os.OpenFile(j.path, os.O_RDWR, 0o644)

@@ -363,6 +363,18 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 		u.close()
 		return nil, err
 	}
+	if opts.Dir != "" {
+		// The checkpoint may be older than the newest manifest, or gone:
+		// resume above both, so no generation number is ever reused.
+		gens, err := shard.ScanManifests(opts.Dir)
+		if err != nil {
+			u.close()
+			return nil, err
+		}
+		if n := len(gens); n > 0 {
+			u.generation = max(u.generation, gens[n-1])
+		}
+	}
 	u.pendingTo = from
 	if err := j.Replay(from, func(off uint64, ev Event) error {
 		if aerr := u.applyLocked(&ev); aerr != nil {
@@ -1019,7 +1031,7 @@ func (u *Updater) Checkpoint() error {
 	// The checkpoint must be durable BEFORE compaction drops the records
 	// it summarizes — otherwise a crash between the two loses the
 	// pre-watermark corpus from both the journal and the checkpoint.
-	if err := writeFileDurable(u.statePath(), buf); err != nil {
+	if err := writeFile(u.statePath(), buf); err != nil {
 		return err
 	}
 	return u.j.Compact()
