@@ -142,7 +142,6 @@ func main() {
 		gibbsEvery   = flag.Int("ingest-gibbs-every", 0, "run a delta-Gibbs pass every N publishes (needs -ingest-graph; 0 = fold-in only)")
 		gibbsSweeps  = flag.Int("ingest-gibbs-sweeps", 2, "EM iterations per delta-Gibbs pass")
 		ingestGraph  = flag.String("ingest-graph", "", "base training graph, enables the delta-Gibbs refinement")
-		fullRebuild  = flag.Bool("ingest-full-rebuild", false, "pin every publish to the full rebuild path (differential baseline / escape hatch; default is the O(changed) incremental publish)")
 		qualityEvery = flag.Int("quality-every", 0, "score every N-th published generation with structural quality metrics (0 = off)")
 		qualityPLP   = flag.Bool("quality-plp", false, "also score the parallel label-propagation baseline as the /api/quality comparison row")
 		ingestShards = flag.Int("ingest-shards", 0, "also publish each generation as an N-shard group (global + per-user-range shard files under the manifest; 0 or 1 = the manifest names the full file as the only shard)")
@@ -174,7 +173,7 @@ func main() {
 			}
 		}
 		for _, spec := range models {
-			v, err := engine.LoadSnapshot(spec.name, spec.path, vocab)
+			v, err := engine.LoadGeneration(spec.name, spec.path, vocab, 0)
 			if err != nil {
 				return fmt.Errorf("loading %s (%s): %w", spec.name, spec.path, err)
 			}
@@ -266,7 +265,6 @@ func main() {
 			GibbsSweeps:  *gibbsSweeps,
 			BaseGraph:    baseGraph,
 			Mmap:         *useMmap,
-			FullRebuild:  *fullRebuild,
 			Quality:      *qualityEvery,
 			QualityPLP:   *qualityPLP,
 			Shards:       *ingestShards,

@@ -206,10 +206,14 @@ func TestServingPipeline(t *testing.T) {
 	if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Reload(jsonPath, ""); err != nil {
+	if _, err := engine.LoadGeneration(serve.DefaultSnapshot, jsonPath, vocab, 0); err != nil {
 		t.Fatal(err)
 	}
-	v := engine.View()
+	v, release, err := engine.AcquireNamed(serve.DefaultSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	if v.Version != 2 || v.Model.Cfg.NumCommunities != 6 {
 		t.Fatalf("hot-swap failed: version %d |C|=%d", v.Version, v.Model.Cfg.NumCommunities)
 	}

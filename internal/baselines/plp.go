@@ -13,19 +13,20 @@ import (
 
 // PLPOptions tunes the parallel label-propagation baseline.
 type PLPOptions struct {
-	// Seed drives the tie-break hash. Two runs with the same seed, graph
-	// and MaxSweeps produce bit-identical labels for ANY shard count.
+	// Seed drives the tie-break hash. Two runs with the same seed and
+	// graph produce bit-identical labels for ANY shard count.
 	Seed uint64
 	// Shards is the number of contiguous node ranges swept in parallel
 	// (0 = GOMAXPROCS). Purely a throughput knob: the sweep is
 	// synchronous (Jacobi-style), so shard boundaries never change the
 	// result.
 	Shards int
-	// MaxSweeps caps the propagation (0 = 64). Synchronous updates can
-	// oscillate on bipartite-ish structure; the keep-current damping
-	// handles most of it, the cap handles the rest.
-	MaxSweeps int
 }
+
+// plpMaxSweeps caps the propagation. Synchronous updates can oscillate on
+// bipartite-ish structure; the keep-current damping handles most of it,
+// the cap handles the rest.
+const plpMaxSweeps = 64
 
 // PLPResult is the propagation outcome: one dense community label per
 // node, labels numbered by first appearance in node order.
@@ -55,10 +56,6 @@ func PLP(numUsers int, friends []socialgraph.FriendLink, opts PLPOptions) *PLPRe
 	}
 	if shards > numUsers {
 		shards = numUsers
-	}
-	maxSweeps := opts.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 64
 	}
 	res := &PLPResult{Labels: make([]int32, numUsers)}
 	if numUsers == 0 {
@@ -109,7 +106,7 @@ func PLP(numUsers int, friends []socialgraph.FriendLink, opts PLPOptions) *PLPRe
 
 	moves := make([]uint64, shards)
 	per := (numUsers + shards - 1) / shards
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	for sweep := 0; sweep < plpMaxSweeps; sweep++ {
 		var wg sync.WaitGroup
 		for s := 0; s < shards; s++ {
 			lo, hi := s*per, (s+1)*per

@@ -373,7 +373,7 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 	}
 
 	// A mapped hot-reload must leave answers unchanged (same file).
-	if _, err := engine.ReloadNamed("mapped", v2Path, ""); err != nil {
+	if _, err := engine.LoadGeneration("mapped", v2Path, b.Vocab, 0); err != nil {
 		return fmt.Errorf("mapped reload failed: %w", err)
 	}
 	want2, err1 := heap.Rank([]int32{1}, 5)

@@ -298,21 +298,21 @@ func TestAPIHandlerErrorPaths(t *testing.T) {
 	t.Run("reload failure", func(t *testing.T) {
 		reloadErr = errors.New("stat /no/such/model.snap: no such file")
 		defer func() { reloadErr = nil }()
-		before := e.View().Version
+		before := acquireView(t, e).Version
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/reload", nil))
 		if rec.Code != http.StatusInternalServerError {
 			t.Fatalf("failing reload: status %d", rec.Code)
 		}
-		if e.View().Version != before {
+		if acquireView(t, e).Version != before {
 			t.Fatal("failing reload still swapped the snapshot")
 		}
 	})
 
 	// The real reload path against a missing file behaves the same way.
 	t.Run("engine reload missing file", func(t *testing.T) {
-		if _, err := e.Reload("/no/such/model.snap", ""); err == nil {
-			t.Fatal("Reload accepted a missing model path")
+		if _, err := e.LoadGeneration(DefaultSnapshot, "/no/such/model.snap", nil, 0); err == nil {
+			t.Fatal("LoadGeneration accepted a missing model path")
 		}
 	})
 }

@@ -81,7 +81,7 @@ func TestCommunityMembers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, v := range tc.views(t) {
-				want := tc.model.CommunityMembers(v.snap.opts.MemberTopK)
+				want := tc.model.CommunityMembers(memberTopK)
 				summaries := v.snap.Communities()
 				for c := 0; c < C; c++ {
 					var owned []int
@@ -112,7 +112,7 @@ func TestCommunityMembers(t *testing.T) {
 // acquireView pins e's default snapshot until the test ends.
 func acquireView(t *testing.T, e *Engine) *Snapshot {
 	t.Helper()
-	s, release, err := e.Acquire()
+	s, release, err := e.AcquireNamed(DefaultSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestMultiSnapshotEngine(t *testing.T) {
 	mB := SyntheticModel(25, 4, 3, 200, 2)
 	e := NewMulti(Options{})
 	defer e.Close()
-	if _, _, err := e.Acquire(); err == nil {
+	if _, _, err := e.AcquireNamed(DefaultSnapshot); err == nil {
 		t.Fatal("empty engine handed out a snapshot")
 	}
 	e.SwapNamed("eu", mA, nil)
@@ -162,7 +162,7 @@ func TestMappedSnapshotRefcount(t *testing.T) {
 	defer e.Close()
 	e.SwapMapped(DefaultSnapshot, mmA, nil)
 
-	s, release, err := e.Acquire()
+	s, release, err := e.AcquireNamed(DefaultSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +207,8 @@ func TestMappedSnapshotRefcount(t *testing.T) {
 
 // TestMappedEngineConcurrentSwap is the race-suite proof for the
 // refcounted unmap: query hammers run against two named mapped snapshots
-// while writers Reload (mmap path) and Swap them continuously, and a
-// chaos goroutine drops and recreates one slot. Run with -race this
+// while writers reload them continuously through LoadGeneration's mmap
+// path, and a chaos goroutine drops and recreates one slot. Run with -race this
 // demonstrates no query ever touches an unmapped page and no counter
 // races.
 func TestMappedEngineConcurrentSwap(t *testing.T) {
@@ -220,7 +220,7 @@ func TestMappedEngineConcurrentSwap(t *testing.T) {
 	e := NewMulti(Options{Mmap: true, FoldInWorkers: 2})
 	defer e.Close()
 	for name, p := range paths {
-		if _, err := e.ReloadNamed(name, p, ""); err != nil {
+		if _, err := e.LoadGeneration(name, p, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestMappedEngineConcurrentSwap(t *testing.T) {
 		}(g)
 	}
 
-	// Writers: continuous mapped Reloads of both slots.
+	// Writers: continuous mapped reloads of both slots.
 	for _, name := range []string{"eu", "us"} {
 		wg.Add(1)
 		go func(name string) {
@@ -289,7 +289,7 @@ func TestMappedEngineConcurrentSwap(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.ReloadNamed(name, paths[name], ""); err != nil {
+				if _, err := e.LoadGeneration(name, paths[name], nil, 0); err != nil {
 					report("reload: " + err.Error())
 					return
 				}
@@ -308,7 +308,7 @@ func TestMappedEngineConcurrentSwap(t *testing.T) {
 			default:
 			}
 			e.DropSnapshot("us")
-			if _, err := e.ReloadNamed("us", paths["us"], ""); err != nil {
+			if _, err := e.LoadGeneration("us", paths["us"], nil, 0); err != nil {
 				report("recreate: " + err.Error())
 				return
 			}

@@ -549,7 +549,7 @@ func TestBuildSnapshotExplicitDelta(t *testing.T) {
 	m := SyntheticModel(60, 8, 4, 150, 5)
 	e := New(m, nil, Options{})
 	defer e.Close()
-	base := e.View().Version
+	base := acquireView(t, e).Version
 
 	next := clonePatchModel(m)
 	randomizePiRow(next.Pi.Row(9), r)

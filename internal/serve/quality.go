@@ -8,7 +8,7 @@ import (
 )
 
 // RecordQuality appends a structural quality report to the named slot's
-// bounded history (Options.QualityHistory generations; oldest dropped).
+// bounded history (qualityHistory generations; oldest dropped).
 // The streaming publisher calls this after each promote it scores.
 func (e *Engine) RecordQuality(name string, r *quality.Report) {
 	if r == nil {
@@ -17,7 +17,7 @@ func (e *Engine) RecordQuality(name string, r *quality.Report) {
 	e.qualityMu.Lock()
 	defer e.qualityMu.Unlock()
 	h := append(e.qualityHist[name], r)
-	if over := len(h) - e.opts.QualityHistory; over > 0 {
+	if over := len(h) - qualityHistory; over > 0 {
 		h = append(h[:0], h[over:]...)
 	}
 	e.qualityHist[name] = h

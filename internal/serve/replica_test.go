@@ -49,7 +49,7 @@ func TestFetcherDirSource(t *testing.T) {
 	if gen, err := f.Poll(); gen != 1 || err != nil {
 		t.Fatalf("first poll = %d, %v; want 1", gen, err)
 	}
-	s, release, err := e.Acquire()
+	s, release, err := e.AcquireNamed(serve.DefaultSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,10 @@
 // is the engine such a service needs to hold up under load:
 //
 //   - one Engine hosts any number of named snapshots (e.g. per-region
-//     models); each lives behind an atomic pointer, so Swap/Reload
-//     hot-swaps a model with zero downtime — in-flight queries keep the
-//     snapshot they started on, and no query ever observes a torn mix of
-//     two models;
+//     models); each lives behind an atomic pointer, so SwapNamed or
+//     LoadGeneration (the one loader of a model file) hot-swaps a model
+//     with zero downtime — in-flight queries keep the snapshot they
+//     started on, and no query ever observes a torn mix of two models;
 //   - snapshots hold matrix *views*, not owned copies: a model opened
 //     from a v2 snapshot (store.Open) aliases a read-only file mapping,
 //     and the mapping's lifetime is tied to the snapshot's reference
@@ -20,7 +20,7 @@
 //     (word → community posting lists, see RankIndex) instead of scoring
 //     every community against every topic per query;
 //   - that derived state has one builder, Engine.BuildSnapshot (build.go),
-//     behind every way a model reaches a slot — Swap, Reload,
+//     behind every way a model reaches a slot — SwapNamed, SwapMapped,
 //     LoadGeneration, PromoteShardGroup, the stream publisher. It patches
 //     the slot's current snapshot wherever the new model's bytes equal the
 //     old one's, from a delta the caller supplies or one it derives by
@@ -78,25 +78,26 @@ type Options struct {
 	// request is a pure function of the snapshot and its own seed);
 	// 0 selects the default (4).
 	FoldInWorkers int
-	// Mmap makes Reload open v2 snapshot files through store.Open — the
-	// zero-copy mapped path — instead of store.LoadFile, which reads the
-	// file onto the heap and verifies every payload CRC. Legacy v1 and
-	// JSON files always load through LoadFile. The mapped file stays
-	// mapped for as long as any query uses the snapshot (refcounted; see
-	// Snapshot).
+	// Mmap makes LoadGeneration open v2 snapshot files through
+	// store.Open — the zero-copy mapped path — instead of store.LoadFile,
+	// which reads the file onto the heap and verifies every payload CRC.
+	// Legacy v1 and JSON files always load through LoadFile. The mapped
+	// file stays mapped for as long as any query uses the snapshot
+	// (refcounted; see Snapshot).
 	Mmap bool
 	// Pipeline tokenizes free-text rank queries. A zero pipeline (with
 	// MinDocTokens forced to 1) passes tokens through unstemmed.
 	Pipeline corpus.Pipeline
-
-	// MemberTopK is the "top communities per user" convention used for
-	// member lists (default 5, the paper's choice).
-	MemberTopK int
-
-	// QualityHistory bounds the per-snapshot ring of structural quality
-	// reports kept for /api/quality (default 32 generations).
-	QualityHistory int
 }
+
+const (
+	// memberTopK is the "top communities per user" convention used for
+	// member lists (the paper's choice).
+	memberTopK = 5
+	// qualityHistory bounds the per-snapshot ring of structural quality
+	// reports kept for /api/quality, in generations.
+	qualityHistory = 32
+)
 
 func (o Options) withDefaults() Options {
 	if o.PostingsPerWord == 0 {
@@ -108,24 +109,18 @@ func (o Options) withDefaults() Options {
 	if o.Pipeline.MinDocTokens == 0 {
 		o.Pipeline.MinDocTokens = 1
 	}
-	if o.MemberTopK <= 0 {
-		o.MemberTopK = 5
-	}
-	if o.QualityHistory == 0 {
-		o.QualityHistory = 32
-	}
 	return o
 }
 
 // Snapshot is one immutable serving state: a model, its optional
 // vocabulary, and everything precomputed from them. Queries resolve
-// against exactly one snapshot, so a Swap during a request can never mix
+// against exactly one snapshot, so a swap during a request can never mix
 // parameters from two models.
 //
 // A snapshot's matrices are views — for a mapped model they alias a
 // read-only file mapping owned by the snapshot. The snapshot therefore
 // carries a reference count: it is born with one reference (slot
-// ownership), every query pins it for the duration (Engine.Acquire /
+// ownership), every query pins it for the duration (Engine.AcquireNamed /
 // Release), the owning slot drops its reference on swap, and the backing
 // mapping is closed exactly when the count reaches zero. An in-flight
 // query can never see an unmapped page.
@@ -188,7 +183,7 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		openness: apps.Openness(m),
 		labels:   communityLabels(m, vocab),
 		index:    buildRankIndex(m, opts.PostingsPerWord),
-		users:    buildUserIndex(m, opts.MemberTopK),
+		users:    buildUserIndex(m),
 		logTheta: logThetaTable(m),
 		logPhi:   logPhiTable(m),
 		build:    BuildInfo{Kind: BuildFull, Users: m.NumUsers, Words: m.NumWords},
@@ -364,7 +359,7 @@ func (s *Snapshot) tryAcquire() bool {
 
 // Release drops one reference. When the last reference goes, the mapped
 // backing (if any) is closed — after which the snapshot's matrices must
-// not be touched. Engine.Acquire hands out the matching acquire.
+// not be touched. Engine.AcquireNamed hands out the matching acquire.
 func (s *Snapshot) Release() {
 	if s.refs.Add(-1) == 0 && s.closer != nil {
 		s.closer.Close()
@@ -376,7 +371,7 @@ func (s *Snapshot) Release() {
 func (s *Snapshot) Label(c int) string { return s.labels[c] }
 
 // Members returns the users having community c among their top-k
-// memberships (k = Options.MemberTopK), as global ids. On a shard
+// memberships (k = memberTopK), as global ids. On a shard
 // snapshot the list covers only the owned user range.
 func (s *Snapshot) Members(c int) []int { return s.members(c, s.users.memberCount(c)) }
 
@@ -438,8 +433,8 @@ type slot struct {
 
 // Engine is the concurrent query engine: a set of named snapshot slots
 // plus the shared fold-in worker pool and latency counters. All methods
-// are safe for concurrent use, including concurrently with Swap/Reload/
-// DropSnapshot on any slot.
+// are safe for concurrent use, including concurrently with SwapNamed,
+// LoadGeneration, Promote or DropSnapshot on any slot.
 type Engine struct {
 	opts Options
 
@@ -450,7 +445,8 @@ type Engine struct {
 	slots map[string]*slot
 
 	version atomic.Uint64
-	// swapMu serializes writers (Reload/Swap/Drop); readers never take it.
+	// swapMu serializes writers (publish, DropSnapshot, Close); readers
+	// never take it.
 	swapMu sync.Mutex
 
 	// draining is the one-way drain latch (Drain/Draining): advertised on
@@ -488,8 +484,8 @@ type Engine struct {
 	closeOnce sync.Once
 }
 
-// NewMulti builds an engine with no snapshots; load them with Swap,
-// SwapMapped or Reload under chosen names.
+// NewMulti builds an engine with no snapshots; load them with SwapNamed,
+// SwapMapped or LoadGeneration under chosen names.
 func NewMulti(opts Options) *Engine {
 	e := &Engine{
 		opts:            opts.withDefaults(),
@@ -509,7 +505,7 @@ func NewMulti(opts Options) *Engine {
 // fold-in worker pool.
 func New(m *core.Model, vocab *corpus.Vocabulary, opts Options) *Engine {
 	e := NewMulti(opts)
-	e.Swap(m, vocab)
+	e.SwapNamed(DefaultSnapshot, m, vocab)
 	return e
 }
 
@@ -584,15 +580,10 @@ func (s *Snapshot) globalUser(local int) int {
 	return local + s.Shard.UserLo
 }
 
-// Acquire pins the default snapshot for a sequence of reads and returns
-// it with its release func. Every read through the snapshot is consistent
-// regardless of concurrent swaps, and for mapped snapshots the pin is
-// what keeps the file mapped. Always call release (defer it).
-func (e *Engine) Acquire() (*Snapshot, func(), error) {
-	return e.AcquireNamed(DefaultSnapshot)
-}
-
-// AcquireNamed pins the named snapshot; see Acquire.
+// AcquireNamed pins the named snapshot for a sequence of reads and
+// returns it with its release func. Every read through the snapshot is
+// consistent regardless of concurrent swaps, and for mapped snapshots the
+// pin is what keeps the file mapped. Always call release (defer it).
 func (e *Engine) AcquireNamed(name string) (*Snapshot, func(), error) {
 	for {
 		e.mu.RLock()
@@ -611,22 +602,6 @@ func (e *Engine) AcquireNamed(name string) (*Snapshot, func(), error) {
 		// Raced with a swap that released the slot's reference between our
 		// load and pin; the slot already points at a newer snapshot.
 	}
-}
-
-// View returns the current default snapshot WITHOUT pinning it: one
-// atomic load, after which reads through it are consistent. This is safe
-// for heap-backed snapshots (the GC keeps a retired snapshot alive while
-// anyone holds it); code that may serve mapped snapshots must use Acquire
-// instead, because an unpinned mapped snapshot can be unmapped by a
-// concurrent swap.
-func (e *Engine) View() *Snapshot {
-	e.mu.RLock()
-	sl := e.slots[DefaultSnapshot]
-	e.mu.RUnlock()
-	if sl == nil {
-		return nil
-	}
-	return sl.snap.Load()
 }
 
 // Names returns the engine's snapshot names, sorted.
@@ -661,14 +636,9 @@ func (e *Engine) publish(s *Snapshot) uint64 {
 	return s.Version
 }
 
-// Swap atomically replaces the default serving model in-process and
-// returns the new version. In-flight queries finish on the snapshot they
-// started with.
-func (e *Engine) Swap(m *core.Model, vocab *corpus.Vocabulary) uint64 {
-	return e.SwapNamed(DefaultSnapshot, m, vocab)
-}
-
-// SwapNamed atomically replaces (or creates) the named snapshot.
+// SwapNamed atomically replaces (or creates) the named snapshot with an
+// in-process model and returns the new version. In-flight queries finish
+// on the snapshot they started with.
 func (e *Engine) SwapNamed(name string, m *core.Model, vocab *corpus.Vocabulary) uint64 {
 	return e.publish(e.BuildSnapshot(name, m, vocab, nil))
 }
@@ -735,60 +705,17 @@ func (e *Engine) DropSnapshot(name string) bool {
 	return true
 }
 
-// Reload loads a model snapshot from modelPath into the default slot —
-// v2, or legacy v1 or JSON, sniffed; with Options.Mmap, v2 files load
-// through the zero-copy mapped path — and hot-swaps it in. vocabPath may
-// be empty to keep the slot's current vocabulary. On error the serving
-// state is left untouched.
-func (e *Engine) Reload(modelPath, vocabPath string) (version uint64, err error) {
-	return e.ReloadNamed(DefaultSnapshot, modelPath, vocabPath)
-}
-
-// ReloadNamed is Reload into a named slot (created if absent).
-func (e *Engine) ReloadNamed(name, modelPath, vocabPath string) (version uint64, err error) {
-	start := time.Now()
-	defer func() { e.lat[epReload].Observe(time.Since(start), err) }()
-	var vocab *corpus.Vocabulary
-	if s, release, err := e.AcquireNamed(name); err == nil {
-		vocab = s.Vocab
-		release()
-	}
-	if vocabPath != "" {
-		vocab, err = corpus.ReadVocabularyFile(vocabPath)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return e.loadSnapshot(name, modelPath, vocab)
-}
-
-// LoadSnapshot loads modelPath into the named slot with an
-// already-parsed vocabulary (nil disables free-text queries) — the path
-// callers hosting many snapshots over one shared vocabulary use, so the
-// vocabulary file is not re-read per slot.
-func (e *Engine) LoadSnapshot(name, modelPath string, vocab *corpus.Vocabulary) (version uint64, err error) {
-	start := time.Now()
-	defer func() { e.lat[epReload].Observe(time.Since(start), err) }()
-	return e.loadSnapshot(name, modelPath, vocab)
-}
-
-// loadSnapshot loads a model file (mapped when Options.Mmap and the file
-// is v2; copied otherwise) and publishes it under name.
-func (e *Engine) loadSnapshot(name, modelPath string, vocab *corpus.Vocabulary) (uint64, error) {
-	return e.loadGeneration(name, modelPath, vocab, 0)
-}
-
-// LoadGeneration is LoadSnapshot for a generation-numbered snapshot
-// file: the promoted snapshot (and every result it answers) carries gen,
-// so freshness compares across replicas serving the same publisher. The
-// replica fetcher promotes through this after verifying the file.
+// LoadGeneration loads the model file at modelPath — v2, or legacy v1
+// or JSON, sniffed; with Options.Mmap, v2 files load through the
+// zero-copy mapped path — and hot-swaps it into the named slot (created
+// if absent) with an already-parsed vocabulary (nil disables free-text
+// queries). The promoted snapshot, and every result it answers, carries
+// gen, so freshness compares across replicas serving the same publisher;
+// gen 0 marks a snapshot that is not generation-tracked. On error the
+// serving state is left untouched.
 func (e *Engine) LoadGeneration(name, modelPath string, vocab *corpus.Vocabulary, gen uint64) (version uint64, err error) {
 	start := time.Now()
 	defer func() { e.lat[epReload].Observe(time.Since(start), err) }()
-	return e.loadGeneration(name, modelPath, vocab, gen)
-}
-
-func (e *Engine) loadGeneration(name, modelPath string, vocab *corpus.Vocabulary, gen uint64) (uint64, error) {
 	if e.opts.Mmap {
 		if mm, err := store.Open(modelPath); err == nil {
 			s := e.BuildSnapshot(name, mm.Model, vocab, nil)
@@ -1108,7 +1035,7 @@ func (s *Snapshot) Membership(u, k int) (*MembershipResult, error) {
 		return nil, err
 	}
 	if k <= 0 {
-		k = s.opts.MemberTopK
+		k = memberTopK
 	}
 	row := m.Pi.Row(local)
 	res := &MembershipResult{User: u, Version: s.Version, Generation: s.Generation}

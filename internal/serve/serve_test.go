@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -52,7 +54,7 @@ func TestRankTruncatedPostings(t *testing.T) {
 	m := SyntheticModel(50, 16, 8, 200, 2)
 	full := testEngine(t, m, nil, Options{PostingsPerWord: 16})
 	trunc := testEngine(t, m, nil, Options{PostingsPerWord: 4})
-	if got := trunc.View().index.PostingsPerWord(); got > 4 {
+	if got := acquireView(t, trunc).index.PostingsPerWord(); got > 4 {
 		t.Fatalf("posting list length %d exceeds bound 4", got)
 	}
 	for _, w := range []int32{3, 77, 150} {
@@ -292,28 +294,61 @@ func TestReloadSwapsAndFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := testEngine(t, a, nil, Options{})
-	if v := e.View().Version; v != 1 {
+	if v := acquireView(t, e).Version; v != 1 {
 		t.Fatalf("initial version %d", v)
 	}
-	v, err := e.Reload(pb, "")
+	v, err := e.LoadGeneration(DefaultSnapshot, pb, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 2 || e.View().Version != 2 {
-		t.Fatalf("version after reload: %d / %d", v, e.View().Version)
+	if s := acquireView(t, e); v != 2 || s.Version != 2 {
+		t.Fatalf("version after reload: %d / %d", v, s.Version)
 	}
-	if got := e.View().Model.Cfg.NumCommunities; got != 9 {
+	if got := acquireView(t, e).Model.Cfg.NumCommunities; got != 9 {
 		t.Fatalf("reloaded model has |C|=%d, want 9", got)
 	}
 	// A failed reload must leave the serving state untouched.
-	if _, err := e.Reload(filepath.Join(dir, "missing.snap"), ""); err == nil {
+	if _, err := e.LoadGeneration(DefaultSnapshot, filepath.Join(dir, "missing.snap"), nil, 0); err == nil {
 		t.Fatal("missing snapshot accepted")
 	}
-	if e.View().Version != 2 || e.View().Model.Cfg.NumCommunities != 9 {
+	if s := acquireView(t, e); s.Version != 2 || s.Model.Cfg.NumCommunities != 9 {
 		t.Fatal("failed reload disturbed the serving state")
 	}
 	if e.Stats()["reload"].Errors != 1 {
 		t.Fatalf("reload stats %+v", e.Stats()["reload"])
+	}
+}
+
+// TestLoadGenerationCopiesWhatItCannotMap: on a mapped engine, a file
+// store.Open rejects (here a JSON model) goes through the copying loader,
+// and the heap snapshot it promotes still carries the caller's generation
+// — the branch the stream publisher takes for a file it cannot map.
+func TestLoadGenerationCopiesWhatItCannotMap(t *testing.T) {
+	m := SyntheticModel(20, 6, 4, 80, 5)
+	path := filepath.Join(t.TempDir(), "model.json")
+	js, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, js, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if mm, err := store.Open(path); err == nil {
+		mm.Close()
+		t.Fatal("store.Open mapped a JSON model")
+	}
+	e := NewMulti(Options{Mmap: true})
+	defer e.Close()
+	const gen = 7
+	if _, err := e.LoadGeneration(DefaultSnapshot, path, nil, gen); err != nil {
+		t.Fatal(err)
+	}
+	s := acquireView(t, e)
+	if s.Generation != gen || s.Mapped() || s.Model.NumUsers != m.NumUsers {
+		t.Fatalf("copied snapshot: generation %d, mapped %v, %d users", s.Generation, s.Mapped(), s.Model.NumUsers)
+	}
+	if st := e.Stats()["reload"]; st.Count != 1 || st.Errors != 0 {
+		t.Fatalf("reload stats %+v, want one load and no error", st)
 	}
 }
 
@@ -363,9 +398,15 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				default:
 				}
 				// One coherent snapshot view per iteration.
-				s := e.View()
+				s, release, err := e.AcquireNamed(DefaultSnapshot)
+				if err != nil {
+					report("acquire: " + err.Error())
+					return
+				}
 				C, users, _ := shape(s.Version)
-				if s.Model.Cfg.NumCommunities != C || len(s.users.counts) != C {
+				ok := s.Model.Cfg.NumCommunities == C && len(s.users.counts) == C
+				release()
+				if !ok {
 					report("snapshot shape mismatch")
 					return
 				}
@@ -418,7 +459,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		if swap%2 == 1 {
 			path = pa
 		}
-		if _, err := e.Reload(path, ""); err != nil {
+		if _, err := e.LoadGeneration(DefaultSnapshot, path, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,33 +470,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if got := e.View().Version; got != 13 {
+	if got := acquireView(t, e).Version; got != 13 {
 		t.Fatalf("final version %d, want 13", got)
-	}
-}
-
-// TestNegativeMemberTopKSelectsDefault: a negative MemberTopK used to pass
-// withDefaults (which replaced only zero) and reach the user index's
-// make([]int32, n*topK); it now means the default, like zero.
-func TestNegativeMemberTopKSelectsDefault(t *testing.T) {
-	m := SyntheticModel(30, 8, 4, 60, 3)
-	neg := testEngine(t, m, nil, Options{MemberTopK: -3})
-	def := testEngine(t, m, nil, Options{})
-	for u := 0; u < m.NumUsers; u++ {
-		a, err := neg.Membership(u, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := def.Membership(u, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Version, b.Version = 0, 0
-		if len(a.Communities) != 5 || !reflect.DeepEqual(a, b) {
-			t.Fatalf("membership(%d) with MemberTopK -3: %+v, default %+v", u, a, b)
-		}
-	}
-	if a, b := neg.Communities(), def.Communities(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("member counts differ: %+v vs %+v", a, b)
 	}
 }

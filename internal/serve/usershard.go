@@ -25,15 +25,15 @@ import (
 // derives a successor by copying both and rewriting only changed and
 // appended rows.
 type userIndex struct {
-	topK   int     // entries stored per user: min(MemberTopK, |C|)
+	topK   int     // entries stored per user: min(memberTopK, |C|)
 	users  int     // users indexed
 	comms  []int32 // [u*topK + j] = j-th top community of user u
 	counts []int   // community -> rows holding it
 }
 
 // buildUserIndex precomputes every user's top memberships.
-func buildUserIndex(m *core.Model, topK int) *userIndex {
-	topK = min(topK, m.Cfg.NumCommunities)
+func buildUserIndex(m *core.Model) *userIndex {
+	topK := min(memberTopK, m.Cfg.NumCommunities)
 	ix := &userIndex{
 		topK:   topK,
 		users:  m.NumUsers,
@@ -55,7 +55,7 @@ func buildUserIndex(m *core.Model, topK int) *userIndex {
 // dirty must be ascending, duplicate-free, and < prev.users (PatchFrom
 // normalizes it). prev must have the same topK and community count and at
 // most m.NumUsers users — callers fall back to buildUserIndex otherwise.
-// The result is bit-identical to buildUserIndex(m, ...) provided dirty
+// The result is bit-identical to buildUserIndex(m) provided dirty
 // covers every user whose Pi row changed.
 func patchUserIndex(prev *userIndex, m *core.Model, dirty []int32) *userIndex {
 	ix := &userIndex{

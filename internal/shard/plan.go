@@ -2,70 +2,31 @@ package shard
 
 // Range planning: choosing the user boundaries of a shard group.
 //
-// Per-user shard weight is the bytes a user pins in their shard file:
-// one Π row (8·C) plus 16 bytes per document (DocC+DocZ int32, DocB
-// int64). Real corpora follow power laws — a few users own most of the
-// document mass — so boundaries come from a prefix-sum walk over the
-// weights rather than equal-width division: boundary k is the first user
-// at which the cumulative weight reaches k/N of the total.
+// A user's shard weight is the Π row they pin in their shard file (8·cols
+// bytes). Boundaries come from a prefix-sum walk over the weights:
+// boundary k is the first user at which the cumulative weight reaches k/N
+// of the total. Every row weighs the same, so the user ranges come out
+// equal-width, and each shard's document window is apportioned pro rata
+// to its user range.
 
 import "fmt"
 
-// PlanOptions tunes PlanRanges.
-type PlanOptions struct {
-	// Cols is the Π row width (communities); it weights each user's row
-	// bytes. 0 means rows are weightless and only DocCounts matter (or
-	// ranges degenerate to equal width).
-	Cols int
-	// DocCounts[u] is the number of documents owned by user u; when set
-	// (length must equal users, sum must equal docs), it both weights
-	// the boundary walk and pins each shard's doc window to exactly its
-	// users' documents. When nil, users weigh their row only and doc
-	// windows are apportioned pro rata to the user split.
-	DocCounts []int
-}
-
 // PlanRanges partitions users [0,users) and docs [0,docs) into shards
-// contiguous ranges, weight-balanced per the options. Shards may be
-// empty when users < shards; every user and doc lands in exactly one
-// range.
-func PlanRanges(users, docs, shards int, opts PlanOptions) ([]Range, error) {
+// contiguous ranges, weighting each user by one Π row of cols columns.
+// Shards may be empty when users < shards; every user and doc lands in
+// exactly one range.
+func PlanRanges(users, docs, shards, cols int) ([]Range, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count %d must be positive", shards)
 	}
 	if users < 0 || docs < 0 {
 		return nil, fmt.Errorf("shard: negative dimensions (%d users, %d docs)", users, docs)
 	}
-	if opts.DocCounts != nil {
-		if len(opts.DocCounts) != users {
-			return nil, fmt.Errorf("shard: %d doc counts for %d users", len(opts.DocCounts), users)
-		}
-		sum := 0
-		for u, n := range opts.DocCounts {
-			if n < 0 {
-				return nil, fmt.Errorf("shard: user %d has negative doc count %d", u, n)
-			}
-			sum += n
-		}
-		if sum != docs {
-			return nil, fmt.Errorf("shard: doc counts sum to %d, want %d", sum, docs)
-		}
+	w := uint64(8 * cols)
+	if w == 0 {
+		w = 1 // weightless rows: fall back to equal-width
 	}
-	rowW := uint64(8 * opts.Cols)
-	weight := func(u int) uint64 {
-		w := rowW
-		if opts.DocCounts != nil {
-			w += 16 * uint64(opts.DocCounts[u])
-		}
-		if w == 0 {
-			w = 1 // degenerate options: fall back to equal-width
-		}
-		return w
-	}
-	var total uint64
-	for u := 0; u < users; u++ {
-		total += weight(u)
-	}
+	total := uint64(users) * w
 	// Boundary k is the first user index at which the cumulative weight
 	// reaches k·total/shards.
 	userBound := make([]int, shards+1)
@@ -73,7 +34,7 @@ func PlanRanges(users, docs, shards int, opts PlanOptions) ([]Range, error) {
 	var prefix uint64
 	k := 1
 	for u := 0; u < users && k < shards; u++ {
-		prefix += weight(u)
+		prefix += w
 		for k < shards && prefix*uint64(shards) >= total*uint64(k) {
 			userBound[k] = u + 1
 			k++
@@ -82,24 +43,12 @@ func PlanRanges(users, docs, shards int, opts PlanOptions) ([]Range, error) {
 	for ; k < shards; k++ {
 		userBound[k] = users
 	}
-	// Doc boundaries follow the user split: exact per-user document
-	// prefix sums when counts are known, pro-rata otherwise.
+	// Doc boundaries follow the user split pro rata.
 	docBound := make([]int, shards+1)
 	docBound[shards] = docs
-	if opts.DocCounts != nil {
-		prefix := 0
-		u := 0
-		for k := 1; k < shards; k++ {
-			for ; u < userBound[k]; u++ {
-				prefix += opts.DocCounts[u]
-			}
-			docBound[k] = prefix
-		}
-	} else {
-		for k := 1; k < shards; k++ {
-			if users > 0 {
-				docBound[k] = int(uint64(docs) * uint64(userBound[k]) / uint64(users))
-			}
+	for k := 1; k < shards; k++ {
+		if users > 0 {
+			docBound[k] = int(uint64(docs) * uint64(userBound[k]) / uint64(users))
 		}
 	}
 	ranges := make([]Range, shards)

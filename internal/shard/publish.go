@@ -116,7 +116,7 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 	if p.ranges == nil || users < p.prevUsers || users < p.ranges[p.shards-1].UserLo || docs < p.ranges[p.shards-1].DocLo {
 		// First publish, or the model shrank out from under the pinned
 		// boundaries (an external reset): replan and rebuild everything.
-		ranges, err := PlanRanges(users, docs, p.shards, PlanOptions{Cols: C})
+		ranges, err := PlanRanges(users, docs, p.shards, C)
 		if err != nil {
 			return nil, err
 		}

@@ -31,11 +31,10 @@
 // Split turns any v2 snapshot written by this repo's encoder into a
 // sharded generation; Join reassembles one back byte-identically, taking
 // the full DIM from shard 0's with the manifest's user count.
-// Boundaries come from a weight-balancing pass over per-user row+doc
-// bytes (PlanRanges) — power-law corpora put most document mass on few
-// users, so equal-width ranges would load shards unevenly. OpenGroup
-// mmaps a global+shard pair into a servable partial model whose
-// mapped-byte cost is ~(1/N of Π + the global sections). Publisher is
+// Boundaries come from a weight-balancing pass over per-user Π row bytes
+// (PlanRanges). OpenGroup mmaps a global+shard pair into a servable
+// partial model whose mapped-byte cost is ~(1/N of Π + the global
+// sections). Publisher is
 // the streaming integration: it emits a sharded generation next to each
 // full one, hard-linking the global file on every fold-in publish and
 // the shard files whose user range did not change — the O(changed)

@@ -68,10 +68,10 @@ func testModel(users, C, Z, V int, seed uint64) *core.Model {
 
 // splitJoinIdentical asserts that splitting src into shards and joining it
 // back reproduces the source file byte-for-byte.
-func splitJoinIdentical(t *testing.T, src string, shards int, docCounts []int) *Manifest {
+func splitJoinIdentical(t *testing.T, src string, shards int) *Manifest {
 	t.Helper()
 	dir := t.TempDir()
-	man, err := Split(src, dir, 7, SplitOptions{Shards: shards, DocCounts: docCounts})
+	man, err := Split(src, dir, 7, SplitOptions{Shards: shards})
 	if err != nil {
 		t.Fatalf("Split(%d shards): %v", shards, err)
 	}
@@ -99,7 +99,7 @@ func splitJoinIdentical(t *testing.T, src string, shards int, docCounts []int) *
 func TestSplitJoinGoldenFixture(t *testing.T) {
 	src := filepath.Join("..", "store", "testdata", "golden-v2.snap")
 	for _, shards := range []int{1, 2, 3, 5} {
-		splitJoinIdentical(t, src, shards, nil)
+		splitJoinIdentical(t, src, shards)
 	}
 }
 
@@ -130,36 +130,15 @@ func TestSplitJoinGeneratedModels(t *testing.T) {
 			if err := store.SaveV2(src, m); err != nil {
 				t.Fatal(err)
 			}
-			splitJoinIdentical(t, src, tc.shards, nil)
+			splitJoinIdentical(t, src, tc.shards)
 		})
 	}
 }
 
-func TestSplitJoinSkewedDocCounts(t *testing.T) {
-	m := testModel(24, 5, 3, 64, 99)
-	// Power-law-ish skew: user 0 owns most of the documents.
-	docCounts := make([]int, m.NumUsers)
-	docs := len(m.DocCommunity)
-	docCounts[0] = docs - (m.NumUsers - 1)
-	for u := 1; u < m.NumUsers; u++ {
-		docCounts[u] = 1
-	}
-	src := filepath.Join(t.TempDir(), "full.v2.snap")
-	if err := store.SaveV2(src, m); err != nil {
-		t.Fatal(err)
-	}
-	man := splitJoinIdentical(t, src, 3, docCounts)
-	// The heavy user forces nearly everything into shard 0; later shards
-	// still tile the ranges exactly.
-	if man.Ranges[0].UserHi < 1 {
-		t.Fatalf("heavy user not in shard 0: %+v", man.Ranges[0])
-	}
-}
-
 func TestPlanRangesProperties(t *testing.T) {
-	check := func(t *testing.T, users, docs, shards int, opts PlanOptions) []Range {
+	check := func(t *testing.T, users, docs, shards, cols int) []Range {
 		t.Helper()
-		ranges, err := PlanRanges(users, docs, shards, opts)
+		ranges, err := PlanRanges(users, docs, shards, cols)
 		if err != nil {
 			t.Fatalf("PlanRanges(%d,%d,%d): %v", users, docs, shards, err)
 		}
@@ -180,37 +159,21 @@ func TestPlanRangesProperties(t *testing.T) {
 	}
 
 	t.Run("one-user", func(t *testing.T) {
-		ranges := check(t, 1, 3, 4, PlanOptions{Cols: 8})
+		ranges := check(t, 1, 3, 4, 8)
 		if ranges[0].UserHi != 1 {
 			t.Fatalf("single user should land in shard 0: %+v", ranges)
 		}
 	})
 	t.Run("users-eq-shards", func(t *testing.T) {
-		ranges := check(t, 5, 15, 5, PlanOptions{Cols: 8})
+		ranges := check(t, 5, 15, 5, 8)
 		for i, r := range ranges {
 			if r.UserHi-r.UserLo != 1 {
 				t.Fatalf("shard %d holds %d users, want exactly 1", i, r.UserHi-r.UserLo)
 			}
 		}
 	})
-	t.Run("skewed-weights", func(t *testing.T) {
-		users := 100
-		counts := make([]int, users)
-		counts[0] = 1000
-		docs := 1000 + users - 1
-		for u := 1; u < users; u++ {
-			counts[u] = 1
-		}
-		ranges := check(t, users, docs, 4, PlanOptions{Cols: 8, DocCounts: counts})
-		if ranges[0].UserHi != 1 {
-			t.Fatalf("heavy user should fill shard 0 alone: %+v", ranges[0])
-		}
-		if ranges[0].DocHi != 1000 {
-			t.Fatalf("shard 0 doc window should hold the heavy user's documents: %+v", ranges[0])
-		}
-	})
 	t.Run("boundary-ownership", func(t *testing.T) {
-		ranges := check(t, 97, 3*97, 7, PlanOptions{Cols: 16})
+		ranges := check(t, 97, 3*97, 7, 16)
 		man := &Manifest{Shards: 7, Users: 97, Docs: 3 * 97, Ranges: ranges}
 		for u := 0; u < 97; u++ {
 			owners := 0
@@ -231,7 +194,7 @@ func TestPlanRangesProperties(t *testing.T) {
 		}
 	})
 	t.Run("zero-shards", func(t *testing.T) {
-		if _, err := PlanRanges(10, 30, 0, PlanOptions{}); err == nil {
+		if _, err := PlanRanges(10, 30, 0, 0); err == nil {
 			t.Fatal("want error for zero shards")
 		}
 	})
@@ -913,7 +876,7 @@ func FuzzSplitJoin(f *testing.F) {
 		if err := store.SaveV2(src, m); err != nil {
 			t.Fatal(err)
 		}
-		splitJoinIdentical(t, src, s, nil)
+		splitJoinIdentical(t, src, s)
 	})
 }
 

@@ -57,8 +57,6 @@ func shapedSlice(dims []uint64, body []byte) []byte {
 type SplitOptions struct {
 	// Shards is the shard count (required, ≥ 1).
 	Shards int
-	// DocCounts optionally weights the boundary pass (see PlanOptions).
-	DocCounts []int
 	// Ranges pins the boundaries instead of planning them (the
 	// publisher's stable-boundary path). UserLo/UserHi/DocLo/DocHi are
 	// honored; File entries are ignored.
@@ -122,7 +120,7 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 
 	ranges := opts.Ranges
 	if ranges == nil {
-		ranges, err = PlanRanges(users, docs, opts.Shards, PlanOptions{Cols: cols, DocCounts: opts.DocCounts})
+		ranges, err = PlanRanges(users, docs, opts.Shards, cols)
 		if err != nil {
 			return nil, err
 		}

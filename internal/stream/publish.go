@@ -348,7 +348,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 		if merr != nil {
 			// Unmappable output: the engine's loader still knows how to
 			// copy-load the file (full index build, no patching).
-			info.Version, err = u.opts.Engine.LoadSnapshot(u.opts.Snapshot, info.Path, u.opts.Vocab)
+			info.Version, err = u.opts.Engine.LoadGeneration(u.opts.Snapshot, info.Path, u.opts.Vocab, u.generation)
 			if err != nil {
 				// Keep the generation counter aligned with what the engine
 				// actually serves; the retry rewrites the same file.

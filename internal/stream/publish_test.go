@@ -617,7 +617,7 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 	// An operator reloads the live generation's file under the publisher:
 	// same bytes, but the publisher's next delta names a promote the slot
 	// no longer holds.
-	if _, err := incEngine.LoadSnapshot(serve.DefaultSnapshot, store.GenPath(inc.opts.Dir, info.Generation), nil); err != nil {
+	if _, err := incEngine.LoadGeneration(serve.DefaultSnapshot, store.GenPath(inc.opts.Dir, info.Generation), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	info, ph = publish(3)
@@ -625,7 +625,7 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 		t.Fatalf("publish after the external swap: %+v, want the incremental model path", info)
 	}
 	requireSameServed(t, incEngine, fullEngine, info.Users, [][]int32{g.Docs[1].Words[:3], {g.Docs[2].Words[0]}})
-	s, release, err := incEngine.Acquire()
+	s, release, err := incEngine.AcquireNamed(serve.DefaultSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,12 +90,8 @@ type Options struct {
 	// reassembles the extended model from scratch, rebuilds the serving
 	// indexes over every user and word, and re-encodes every snapshot
 	// section. The incremental path is bit-identical to this one — the
-	// flag is the differential-test baseline and an operational escape
-	// hatch, not a correctness knob.
+	// field is the differential-test baseline, not a correctness knob.
 	FullRebuild bool
-	// CompactBytes triggers checkpoint+compaction from Run once the
-	// journal file exceeds this size (default 4 MiB; negative disables).
-	CompactBytes int64
 
 	// Quality, when > 0, scores every Quality-th publish with the
 	// structural metrics of internal/quality (modularity, coverage,
@@ -130,11 +126,12 @@ func (o Options) withDefaults() Options {
 	if o.KeepSnapshots <= 0 {
 		o.KeepSnapshots = 3
 	}
-	if o.CompactBytes == 0 {
-		o.CompactBytes = 4 << 20
-	}
 	return o
 }
+
+// compactBytes triggers checkpoint+compaction from Run once the journal
+// file exceeds this size.
+const compactBytes = 4 << 20
 
 // userState is one stream-touched user's accumulated corpus.
 type userState struct {
@@ -922,7 +919,7 @@ func (u *Updater) extendedDocArraysLocked(m, ref *core.Model) {
 // Run is the background publish loop: it publishes whenever a delta
 // window fills (promptly, via Ingest's notification), at latest every
 // Interval while events are pending, and checkpoints+compacts the journal
-// when it outgrows CompactBytes. A failed publish or checkpoint is
+// when it outgrows compactBytes. A failed publish or checkpoint is
 // recorded in Status().LastError and retried on the next tick — the loop
 // only returns when ctx is cancelled. The caller typically follows with
 // Drain.
@@ -953,7 +950,7 @@ func (u *Updater) Run(ctx context.Context) error {
 				continue
 			}
 		}
-		if u.opts.CompactBytes > 0 && u.j.SizeBytes() > u.opts.CompactBytes {
+		if u.j.SizeBytes() > compactBytes {
 			setErr(u.Checkpoint())
 		}
 	}
