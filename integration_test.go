@@ -125,8 +125,7 @@ func TestFullPipeline(t *testing.T) {
 	if !strings.Contains(dot.String(), "digraph diffusion") {
 		t.Fatal("DOT export malformed")
 	}
-	var js bytes.Buffer
-	if err := dg.WriteJSON(&js); err != nil {
+	if _, err := json.Marshal(dg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,21 +166,21 @@ func TestServingPipeline(t *testing.T) {
 	engine := serve.New(loaded, vocab, serve.Options{})
 	defer engine.Close()
 
-	res, err := engine.RankText(vocab.Word(5), 4)
+	res, err := engine.RankTextIn(serve.DefaultSnapshot, vocab.Word(5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Entries) != 4 || res.Version != 1 {
 		t.Fatalf("rank result %+v", res)
 	}
-	mem, err := engine.Membership(7, 3)
+	mem, err := engine.MembershipIn(serve.DefaultSnapshot, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mem.Communities[0].Community != model.TopCommunity(7) {
 		t.Fatalf("served membership disagrees with the trained model")
 	}
-	fold, err := engine.FoldIn(&serve.FoldInRequest{
+	fold, err := engine.FoldInNamed(serve.DefaultSnapshot, &serve.FoldInRequest{
 		Docs: [][]int32{g.Docs[0].Words, g.Docs[1].Words}, Seed: 11,
 	})
 	if err != nil {
@@ -217,8 +216,8 @@ func TestServingPipeline(t *testing.T) {
 	if v.Version != 2 || v.Model.Cfg.NumCommunities != 6 {
 		t.Fatalf("hot-swap failed: version %d |C|=%d", v.Version, v.Model.Cfg.NumCommunities)
 	}
-	if got := len(engine.Communities()); got != 6 {
-		t.Fatalf("served %d communities after swap", got)
+	if cs, err := engine.CommunitiesIn(serve.DefaultSnapshot); err != nil || len(cs) != 6 {
+		t.Fatalf("served %d communities after swap, err %v", len(cs), err)
 	}
 }
 

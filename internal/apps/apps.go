@@ -2,11 +2,10 @@
 // (Sect. 5) on top of a trained CPD model: community-aware diffusion
 // prediction (Eq. 18), profile-driven community ranking (Eq. 19) and
 // profile-driven community visualization (the Fig. 7 diffusion graphs,
-// exported as DOT and JSON).
+// exported as DOT; the HTTP surface's /api/graph also encodes them as JSON).
 package apps
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -172,13 +171,6 @@ func (dg *DiffusionGraph) WriteDOT(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w, "}")
 	return err
-}
-
-// WriteJSON renders the diffusion graph as JSON.
-func (dg *DiffusionGraph) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(dg)
 }
 
 // Openness returns, per community, the count of above-average edges it

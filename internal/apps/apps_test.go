@@ -2,7 +2,6 @@ package apps
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -123,22 +122,6 @@ func TestWriteDOT(t *testing.T) {
 	}
 	if !strings.Contains(s, "->") {
 		t.Fatal("DOT has no edges")
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	m, _, _ := sharedModel(t)
-	dg := BuildDiffusionGraph(m, nil, -1)
-	var buf bytes.Buffer
-	if err := dg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back DiffusionGraph
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Edges) != len(dg.Edges) {
-		t.Fatal("JSON round trip lost edges")
 	}
 }
 

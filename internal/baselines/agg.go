@@ -31,7 +31,6 @@ type Aggregated struct {
 
 	lda       *lda.Model
 	docTheta  [][]float64
-	userMix   [][]float64 // per-user topic mixture Σ_c π*_u,c θ*_c,·
 	rankTable *sparse.Dense
 	topIdx    [][]int
 	topVal    [][]float64
@@ -131,22 +130,6 @@ func Aggregate(g *socialgraph.Graph, pi *sparse.Dense, ldaM *lda.Model, docTheta
 	}
 
 	// Prediction caches.
-	a.userMix = make([][]float64, g.NumUsers)
-	for u := 0; u < g.NumUsers; u++ {
-		mix := make([]float64, Z)
-		row := pi.Row(u)
-		for c := 0; c < C; c++ {
-			w := row[c]
-			if w < 1e-6 {
-				continue
-			}
-			th := a.ThetaStar.Row(c)
-			for z := 0; z < Z; z++ {
-				mix[z] += w * th[z]
-			}
-		}
-		a.userMix[u] = mix
-	}
 	a.rankTable = sparse.NewDense(C, Z)
 	for c := 0; c < C; c++ {
 		for z := 0; z < Z; z++ {
@@ -207,17 +190,6 @@ func (a *Aggregated) RankScores(query []int32) []float64 {
 	return scores
 }
 
-// WordProb returns p(w|u) = Σ_c π*_u,c Σ_z θ*_c,z φ^LDA_z,w for the
-// perplexity comparison of Fig. 8.
-func (a *Aggregated) WordProb(u int, w int32) float64 {
-	mix := a.userMix[u]
-	var p float64
-	for z := 0; z < a.Z; z++ {
-		p += mix[z] * a.lda.PhiAt(z, int(w))
-	}
-	return p
-}
-
 // ProfileWordProbs returns the |C| x |W| matrix of each aggregated content
 // profile's word distribution P[c][w] = Σ_z θ*_c,z φ^LDA_z,w (Fig. 8's
 // profile-level perplexity evaluates these directly).
@@ -243,7 +215,3 @@ func (a *Aggregated) ProfileWordProbs(numWords int) *sparse.Dense {
 func (a *Aggregated) TopCommunity(u int) int {
 	return mathx.MaxIndex(a.Pi.Row(u))
 }
-
-// MembershipMatrix exposes the detector memberships (for conductance and
-// ranking member sets).
-func (a *Aggregated) MembershipMatrix() *sparse.Dense { return a.Pi }

@@ -188,21 +188,11 @@ func TestAggregated(t *testing.T) {
 			t.Fatalf("eta* row %d sums to %v", c, s)
 		}
 	}
-	// WordProb is a proper-ish probability.
-	for w := 0; w < 5; w++ {
-		p := agg.WordProb(0, int32(w))
-		if p <= 0 || p > 1 {
-			t.Fatalf("WordProb = %v", p)
-		}
-	}
 	if auc := diffusionAUC(t, g, agg.DiffusionScore); auc < 0.5 {
 		t.Fatalf("aggregated diffusion AUC = %v", auc)
 	}
 	if len(agg.RankScores([]int32{0})) != agg.C {
 		t.Fatal("RankScores dim wrong")
-	}
-	if agg.MembershipMatrix() != crm.Pi {
-		t.Fatal("MembershipMatrix is not the detector's Pi")
 	}
 }
 

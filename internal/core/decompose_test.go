@@ -11,12 +11,13 @@ import (
 )
 
 // cachedDecomposition is the per-user cache Rehydrate used to build — one
-// smoothing base and one heap-allocated sparse residual per user — kept as
-// the reference the on-demand decomposition must reproduce bit for bit.
-func cachedDecomposition(m *Model) (base []float64, resid []*sparse.Vector) {
-	C := m.Cfg.NumCommunities
+// smoothing base and one heap-allocated sparse residual (indices and
+// values) per user — kept as the reference the on-demand decomposition must
+// reproduce bit for bit.
+func cachedDecomposition(m *Model) (base []float64, idx [][]int32, val [][]float64) {
 	base = make([]float64, m.NumUsers)
-	resid = make([]*sparse.Vector, m.NumUsers)
+	idx = make([][]int32, m.NumUsers)
+	val = make([][]float64, m.NumUsers)
 	for u := 0; u < m.NumUsers; u++ {
 		row := m.Pi.Row(u)
 		b := row[0]
@@ -26,16 +27,14 @@ func cachedDecomposition(m *Model) (base []float64, resid []*sparse.Vector) {
 			}
 		}
 		base[u] = b
-		r := &sparse.Vector{Dim: C}
 		for c, v := range row {
 			if v-b > 1e-12 {
-				r.Indices = append(r.Indices, int32(c))
-				r.Values = append(r.Values, v-b)
+				idx[u] = append(idx[u], int32(c))
+				val[u] = append(val[u], v-b)
 			}
 		}
-		resid[u] = r
 	}
-	return base, resid
+	return base, idx, val
 }
 
 // decomposeModel is a model with random global blocks and membership rows
@@ -116,15 +115,15 @@ func requireVecEqual(t *testing.T, what string, got *sparse.SmoothedVec, dim int
 func TestOnDemandDecompositionMatchesCache(t *testing.T) {
 	for _, shape := range []struct{ users, C, Z int }{{90, 7, 3}, {60, 64, 5}, {30, 100, 2}, {12, 1, 2}} {
 		m := decomposeModel(shape.users, shape.C, shape.Z, uint64(shape.C)*31+1)
-		base, resid := cachedDecomposition(m)
+		base, idx, val := cachedDecomposition(m)
 		for u := 0; u < m.NumUsers; u++ {
 			fresh := SmoothedVecFromRow(m.Pi.Row(u), nil, nil)
-			requireVecEqual(t, "nil storage", &fresh, shape.C, base[u], resid[u].Indices, resid[u].Values)
+			requireVecEqual(t, "nil storage", &fresh, shape.C, base[u], idx[u], val[u])
 			var buf residBuf
 			onStack := buf.decompose(m.Pi.Row(u))
-			requireVecEqual(t, "stack buffer", &onStack, shape.C, base[u], resid[u].Indices, resid[u].Values)
+			requireVecEqual(t, "stack buffer", &onStack, shape.C, base[u], idx[u], val[u])
 			small := SmoothedVecFromRow(m.Pi.Row(u), make([]int32, 0, 1), make([]float64, 0, 2))
-			requireVecEqual(t, "undersized storage", &small, shape.C, base[u], resid[u].Indices, resid[u].Values)
+			requireVecEqual(t, "undersized storage", &small, shape.C, base[u], idx[u], val[u])
 		}
 	}
 	empty := SmoothedVecFromRow(nil, nil, nil)
@@ -138,9 +137,9 @@ func TestOnDemandDecompositionMatchesCache(t *testing.T) {
 func TestDiffusionScoresMatchCachedDecomposition(t *testing.T) {
 	m := decomposeModel(48, 9, 4, 5)
 	C := m.Cfg.NumCommunities
-	base, resid := cachedDecomposition(m)
+	base, idx, val := cachedDecomposition(m)
 	cached := func(u int) *sparse.SmoothedVec {
-		return &sparse.SmoothedVec{Dim: C, Base: base[u], Idx: resid[u].Indices, Val: resid[u].Values}
+		return &sparse.SmoothedVec{Dim: C, Base: base[u], Idx: idx[u], Val: val[u]}
 	}
 	r := rng.New(77)
 	feats := make([]float64, len(m.Nu))

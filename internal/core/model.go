@@ -139,15 +139,6 @@ func (st *state) buildModel() *Model {
 	return m
 }
 
-// AttributeProfile returns community c's attribute distribution ξ_c, or
-// nil when the model was trained without the attribute extension.
-func (m *Model) AttributeProfile(c int) []float64 {
-	if m.Xi == nil {
-		return nil
-	}
-	return m.Xi.Row(c)
-}
-
 // TopAttributes returns the k highest-probability attribute ids of
 // community c (nil without the attribute extension).
 func (m *Model) TopAttributes(c, k int) []int {
@@ -423,23 +414,6 @@ func (m *Model) CommunityMembers(k int) [][]int {
 	return members
 }
 
-// WordProb returns p(w | u) = Σ_c π_u,c Σ_z θ_c,z φ_z,w, the mixture the
-// content-profile perplexity of Fig. 8 evaluates.
-func (m *Model) WordProb(u int, w int) float64 {
-	Z := m.Cfg.NumTopics
-	C := m.Cfg.NumCommunities
-	piRow := m.Pi.Row(u)
-	var p float64
-	for z := 0; z < Z; z++ {
-		var mix float64
-		for c := 0; c < C; c++ {
-			mix += piRow[c] * m.Theta.At(c, z)
-		}
-		p += mix * m.Phi.At(z, int(w))
-	}
-	return p
-}
-
 // ProfileWordProbs returns the |C| x |W| matrix P[c][w] = Σ_z θ_c,z φ_z,w:
 // each community content profile's word distribution. The Fig. 8
 // perplexity evaluates these profiles directly — how well a user's top
@@ -467,26 +441,6 @@ func (m *Model) ProfileWordProbs() *sparse.Dense {
 // TopCommunity returns user u's highest-membership community.
 func (m *Model) TopCommunity(u int) int {
 	return mathx.MaxIndex(m.Pi.Row(u))
-}
-
-// UserTopicMixture returns Σ_c π_u,c θ_c,· once so per-word scoring is
-// O(|Z|).
-func (m *Model) UserTopicMixture(u int) []float64 {
-	Z := m.Cfg.NumTopics
-	C := m.Cfg.NumCommunities
-	piRow := m.Pi.Row(u)
-	mix := make([]float64, Z)
-	for c := 0; c < C; c++ {
-		pc := piRow[c]
-		if pc == 0 {
-			continue
-		}
-		row := m.Theta.Row(c)
-		for z := 0; z < Z; z++ {
-			mix[z] += pc * row[z]
-		}
-	}
-	return mix
 }
 
 // TopWords returns the k highest-probability word ids of topic z.

@@ -99,14 +99,6 @@ func TestModelDistributionsNormalized(t *testing.T) {
 			t.Fatalf("phi[%d] sums to %v", z, s)
 		}
 	}
-	// WordProb is a distribution over words for any user.
-	var s float64
-	for w := 0; w < m.NumWords; w++ {
-		s += m.WordProb(0, w)
-	}
-	if math.Abs(s-1) > 1e-6 {
-		t.Fatalf("WordProb sums to %v", s)
-	}
 }
 
 func TestDeterministicTraining(t *testing.T) {
@@ -274,18 +266,6 @@ func TestTopCommunitiesAndMembers(t *testing.T) {
 	}
 	if total != m.NumUsers*5 {
 		t.Fatalf("top-5 membership total %d, want %d", total, m.NumUsers*5)
-	}
-}
-
-func TestUserTopicMixture(t *testing.T) {
-	_, m := trainSmall(t, nil)
-	mix := m.UserTopicMixture(1)
-	var s float64
-	for _, v := range mix {
-		s += v
-	}
-	if math.Abs(s-1) > 1e-9 {
-		t.Fatalf("UserTopicMixture sums to %v", s)
 	}
 }
 

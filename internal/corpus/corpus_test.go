@@ -178,36 +178,6 @@ func TestPipelineOptions(t *testing.T) {
 	}
 }
 
-func TestProcessToIDs(t *testing.T) {
-	v := NewVocabulary()
-	p := DefaultPipeline()
-	ids := p.ProcessToIDs(v, "databases store networks and networks store data")
-	if ids == nil {
-		t.Fatal("doc dropped unexpectedly")
-	}
-	// databases→databas, store, networks→network, network, store, data.
-	if v.Len() == 0 {
-		t.Fatal("vocabulary empty")
-	}
-	// Repeated words share ids.
-	counts := map[int32]int{}
-	for _, id := range ids {
-		counts[id]++
-	}
-	foundRepeat := false
-	for _, c := range counts {
-		if c > 1 {
-			foundRepeat = true
-		}
-	}
-	if !foundRepeat {
-		t.Fatalf("expected repeated word ids, got %v", ids)
-	}
-	if p.ProcessToIDs(v, "the") != nil {
-		t.Fatal("dropped doc should return nil ids")
-	}
-}
-
 func TestVocabularyBasics(t *testing.T) {
 	v := NewVocabulary()
 	a := v.Add("alpha")

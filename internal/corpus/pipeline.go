@@ -127,17 +127,3 @@ func (p Pipeline) Process(text string) []string {
 	}
 	return kept
 }
-
-// ProcessToIDs runs Process and interns the surviving tokens into vocab.
-// It returns nil when the document is dropped.
-func (p Pipeline) ProcessToIDs(vocab *Vocabulary, text string) []int32 {
-	tokens := p.Process(text)
-	if tokens == nil {
-		return nil
-	}
-	ids := make([]int32, len(tokens))
-	for i, t := range tokens {
-		ids[i] = int32(vocab.Add(t))
-	}
-	return ids
-}

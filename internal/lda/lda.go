@@ -148,41 +148,6 @@ func (m *Model) DominantTopic(d int) int {
 	return best
 }
 
-// InferDoc folds in an unseen document with `iters` Gibbs sweeps over a
-// fixed topic-word table and returns its topic distribution.
-func (m *Model) InferDoc(words []int32, iters int, seed uint64) []float64 {
-	if iters <= 0 {
-		iters = 20
-	}
-	r := rng.New(seed)
-	counts := make([]float64, m.NumTopics)
-	assign := make([]int32, len(words))
-	for k := range words {
-		z := r.Intn(m.NumTopics)
-		assign[k] = int32(z)
-		counts[z]++
-	}
-	weights := make([]float64, m.NumTopics)
-	for it := 0; it < iters; it++ {
-		for k, w := range words {
-			old := int(assign[k])
-			counts[old]--
-			for z := 0; z < m.NumTopics; z++ {
-				weights[z] = (counts[z] + m.Alpha) * m.PhiAt(z, int(w))
-			}
-			z := r.Categorical(weights)
-			assign[k] = int32(z)
-			counts[z]++
-		}
-	}
-	out := make([]float64, m.NumTopics)
-	denom := float64(len(words)) + float64(m.NumTopics)*m.Alpha
-	for z := range out {
-		out[z] = (counts[z] + m.Alpha) / denom
-	}
-	return out
-}
-
 // Perplexity computes exp(-sum log p(w|d) / N) over the given documents
 // using their inferred (or training) topic mixtures.
 func (m *Model) Perplexity(docs [][]int32, docTopics [][]float64) float64 {

@@ -85,29 +85,6 @@ func TestDistributionsNormalized(t *testing.T) {
 	}
 }
 
-func TestInferDoc(t *testing.T) {
-	docs, numWords := plantedCorpus(3, 40, 8, 10, 5)
-	m := Train(docs, numWords, Config{NumTopics: 3, Iters: 40, Seed: 6})
-	// A fresh doc made of block-0 words must infer the same topic that
-	// dominates the trained block-0 docs.
-	trainTopic := m.DominantTopic(0)
-	theta := m.InferDoc([]int32{0, 1, 2, 3, 4, 5}, 30, 7)
-	var s float64
-	best := 0
-	for z, p := range theta {
-		s += p
-		if p > theta[best] {
-			best = z
-		}
-	}
-	if math.Abs(s-1) > 1e-9 {
-		t.Fatalf("inferred theta sums to %v", s)
-	}
-	if best != trainTopic {
-		t.Fatalf("inferred topic %d, want %d (theta=%v)", best, trainTopic, theta)
-	}
-}
-
 func TestPerplexityOrdering(t *testing.T) {
 	docs, numWords := plantedCorpus(3, 40, 8, 10, 8)
 	m := Train(docs, numWords, Config{NumTopics: 3, Iters: 40, Seed: 9})

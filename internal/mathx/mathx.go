@@ -1,7 +1,7 @@
 // Package mathx provides the numeric kernel shared by the CPD sampler, the
 // baselines and the evaluation code: stable logistic-family functions,
-// special functions (digamma, regularized incomplete beta, normal CDF) and
-// the Student-t tail probability used for the paper's significance tests.
+// special functions (log-gamma, regularized incomplete beta) and the
+// Student-t tail probability used for the paper's significance tests.
 //
 // Everything here is pure stdlib; the implementations favour numerical
 // stability over raw speed except where noted.
@@ -46,28 +46,6 @@ func Logit(p float64) float64 {
 	return math.Log(p / (1 - p))
 }
 
-// LogSumExp returns log(sum_i exp(xs[i])) stably. It returns -Inf for an
-// empty slice.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Exp(x - m)
-	}
-	return m + math.Log(s)
-}
-
 // Softmax overwrites dst with the softmax of src (dst and src may alias).
 // It panics if the slices have different lengths.
 func Softmax(dst, src []float64) {
@@ -103,40 +81,6 @@ func LogGamma(x float64) float64 {
 // LogBeta returns log Beta(a, b) = lgamma(a)+lgamma(b)-lgamma(a+b).
 func LogBeta(a, b float64) float64 {
 	return LogGamma(a) + LogGamma(b) - LogGamma(a+b)
-}
-
-// Digamma returns the digamma function psi(x) for x > 0, using the
-// recurrence psi(x) = psi(x+1) - 1/x to reach the asymptotic region and a
-// standard Bernoulli-number expansion there.
-func Digamma(x float64) float64 {
-	if x <= 0 && x == math.Floor(x) {
-		return math.NaN()
-	}
-	var result float64
-	// Reflection for negative non-integer arguments.
-	if x < 0 {
-		result -= math.Pi / math.Tan(math.Pi*x)
-		x = 1 - x
-	}
-	for x < 6 {
-		result -= 1 / x
-		x++
-	}
-	inv := 1 / x
-	inv2 := inv * inv
-	result += math.Log(x) - 0.5*inv -
-		inv2*(1.0/12-inv2*(1.0/120-inv2*(1.0/252-inv2*(1.0/240-inv2/132*4.0/4))))
-	return result
-}
-
-// NormCDF returns the standard normal CDF at x.
-func NormCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormPDF returns the standard normal density at x.
-func NormPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
 }
 
 // RegIncBeta returns the regularized incomplete beta function I_x(a, b) for
@@ -301,35 +245,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Normalize scales xs in place so it sums to 1. If the sum is not positive
-// it sets the uniform distribution instead and reports false.
-func Normalize(xs []float64) bool {
-	s := Sum(xs)
-	if s <= 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-		u := 1 / float64(len(xs))
-		for i := range xs {
-			xs[i] = u
-		}
-		return false
-	}
-	inv := 1 / s
-	for i := range xs {
-		xs[i] *= inv
-	}
-	return true
-}
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // MaxIndex returns the index of the largest element (first on ties), or -1

@@ -79,24 +79,6 @@ func TestLogitPanics(t *testing.T) {
 	Logit(0)
 }
 
-func TestLogSumExp(t *testing.T) {
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Fatalf("LogSumExp(nil) = %v, want -Inf", got)
-	}
-	xs := []float64{1, 2, 3}
-	want := math.Log(math.Exp(1) + math.Exp(2) + math.Exp(3))
-	if got := LogSumExp(xs); !almostEq(got, want, 1e-12) {
-		t.Fatalf("LogSumExp = %v, want %v", got, want)
-	}
-	// Stability: huge values must not overflow.
-	if got := LogSumExp([]float64{1000, 1000}); !almostEq(got, 1000+math.Ln2, 1e-12) {
-		t.Fatalf("LogSumExp overflow: %v", got)
-	}
-	if got := LogSumExp([]float64{math.Inf(-1), math.Inf(-1)}); !math.IsInf(got, -1) {
-		t.Fatalf("LogSumExp(-Inf,-Inf) = %v", got)
-	}
-}
-
 func TestSoftmax(t *testing.T) {
 	dst := make([]float64, 3)
 	Softmax(dst, []float64{1, 2, 3})
@@ -115,30 +97,6 @@ func TestSoftmax(t *testing.T) {
 	Softmax(x, x)
 	if !almostEq(x[0], 0.5, 1e-12) {
 		t.Fatalf("in-place softmax: %v", x)
-	}
-}
-
-func TestDigammaRecurrence(t *testing.T) {
-	// psi(x+1) = psi(x) + 1/x.
-	f := func(raw float64) bool {
-		x := math.Abs(math.Mod(raw, 20)) + 0.1
-		return almostEq(Digamma(x+1), Digamma(x)+1/x, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDigammaKnownValues(t *testing.T) {
-	const gamma = 0.5772156649015329 // Euler–Mascheroni
-	if got := Digamma(1); !almostEq(got, -gamma, 1e-10) {
-		t.Fatalf("Digamma(1) = %v, want %v", got, -gamma)
-	}
-	if got := Digamma(0.5); !almostEq(got, -gamma-2*math.Ln2, 1e-10) {
-		t.Fatalf("Digamma(0.5) = %v", got)
-	}
-	if got := Digamma(2); !almostEq(got, 1-gamma, 1e-10) {
-		t.Fatalf("Digamma(2) = %v", got)
 	}
 }
 
@@ -260,26 +218,6 @@ func TestDotAndSum(t *testing.T) {
 		}
 	}()
 	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 3}
-	if !Normalize(xs) || !almostEq(xs[0], 0.25, 1e-12) {
-		t.Fatalf("Normalize = %v", xs)
-	}
-	zero := []float64{0, 0}
-	if Normalize(zero) {
-		t.Fatal("Normalize of zeros returned true")
-	}
-	if zero[0] != 0.5 {
-		t.Fatalf("zero fallback = %v", zero)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp wrong")
-	}
 }
 
 func TestMaxIndexAndTopK(t *testing.T) {

@@ -36,16 +36,6 @@ func Sample(r *rng.RNG, z float64) float64 {
 	return sampleJacobiStar(r, zz) / 4
 }
 
-// SampleB draws PG(b, z) for integer b >= 1 as a sum of b independent
-// PG(1, z) draws (the Pólya-Gamma family is closed under convolution in b).
-func SampleB(r *rng.RNG, b int, z float64) float64 {
-	var s float64
-	for i := 0; i < b; i++ {
-		s += Sample(r, z)
-	}
-	return s
-}
-
 // sampleJacobiStar draws from the exponentially tilted Jacobi distribution
 // J*(1, zz) with zz >= 0, by Devroye's method: propose from a mixture of a
 // truncated inverse Gaussian (left of trunc) and a shifted exponential

@@ -105,19 +105,6 @@ func quickMedian(xs []float64) float64 {
 	return cp[len(cp)/2]
 }
 
-func TestSampleB(t *testing.T) {
-	r := rng.New(5)
-	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += SampleB(r, 3, 1)
-	}
-	want := Mean(3, 1)
-	if got := sum / n; math.Abs(got-want) > 0.02*want {
-		t.Fatalf("SampleB mean = %v, want %v", got, want)
-	}
-}
-
 func TestSampleLargeZ(t *testing.T) {
 	// Large tilting must not hang or produce garbage.
 	r := rng.New(3)

@@ -154,14 +154,6 @@ func (r *RNG) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Norm returns a standard normal draw (polar Marsaglia method).
 func (r *RNG) Norm() float64 {
 	for {
@@ -225,26 +217,6 @@ func (r *RNG) Dirichlet(dst, alpha []float64) {
 	var s float64
 	for i, a := range alpha {
 		g := r.Gamma(a)
-		dst[i] = g
-		s += g
-	}
-	if s <= 0 {
-		u := 1 / float64(len(dst))
-		for i := range dst {
-			dst[i] = u
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] /= s
-	}
-}
-
-// DirichletSym fills dst with a symmetric Dirichlet(alpha) draw.
-func (r *RNG) DirichletSym(dst []float64, alpha float64) {
-	var s float64
-	for i := range dst {
-		g := r.Gamma(alpha)
 		dst[i] = g
 		s += g
 	}
@@ -476,32 +448,4 @@ func (r *RNG) Poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// Bernoulli returns true with probability p.
-func (r *RNG) Bernoulli(p float64) bool {
-	return r.Float64() < p
-}
-
-// Zipf returns a draw from {0, ..., n-1} with P(k) proportional to
-// 1/(k+1)^s, via inverse CDF on a precomputable weight table. For repeated
-// draws with the same (n, s), prefer building weights once and using
-// Categorical; this helper is for one-off draws.
-func (r *RNG) Zipf(n int, s float64) int {
-	if n <= 0 {
-		panic("rng: Zipf with non-positive n")
-	}
-	var total float64
-	for k := 1; k <= n; k++ {
-		total += math.Pow(float64(k), -s)
-	}
-	u := r.Float64() * total
-	var acc float64
-	for k := 1; k <= n; k++ {
-		acc += math.Pow(float64(k), -s)
-		if u < acc {
-			return k - 1
-		}
-	}
-	return n - 1
 }

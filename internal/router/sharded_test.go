@@ -174,7 +174,7 @@ func (f *shardFleet) foldIn(t *testing.T, query string, req *serve.FoldInRequest
 	if err := json.Unmarshal(out, &got); err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.ref.FoldIn(req)
+	want, err := f.ref.FoldInNamed(serve.DefaultSnapshot, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func (f *shardFleet) checkAgainstFullNode(t *testing.T) {
 	for w := 0; w < 120; w += 17 {
 		var got serve.RankResult
 		get(fmt.Sprintf("/api/rank?w=%d,%d&k=5", w, (w+3)%120), &got)
-		want, err := f.ref.Rank([]int32{int32(w), int32((w + 3) % 120)}, 5)
+		want, err := f.ref.RankIn(serve.DefaultSnapshot, []int32{int32(w), int32((w + 3) % 120)}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func (f *shardFleet) checkAgainstFullNode(t *testing.T) {
 	for u := 0; u < f.users; u += 7 {
 		var got serve.MembershipResult
 		get(fmt.Sprintf("/api/user?id=%d&k=3", u), &got)
-		want, err := f.ref.Membership(u, 3)
+		want, err := f.ref.MembershipIn(serve.DefaultSnapshot, u, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func (f *shardFleet) checkAgainstFullNode(t *testing.T) {
 		v := (u*13 + 5) % f.users // same shard for some u, another for most
 		var gd serve.DiffusionResult
 		get(fmt.Sprintf("/api/diffusion?u=%d&v=%d&topic=%d&bucket=%d", u, v, u%6, u%5-1), &gd)
-		wd, err := f.ref.Diffusion(u, v, u%6, u%5-1)
+		wd, err := f.ref.DiffusionIn(serve.DefaultSnapshot, u, v, u%6, u%5-1)
 		if err != nil {
 			t.Fatal(err)
 		}

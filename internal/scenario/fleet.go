@@ -317,7 +317,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 			if !query(http.MethodGet, fmt.Sprintf("/api/user?id=%d&k=5", id), nil, &got) {
 				return
 			}
-			want, err := ref.Membership(id, 5)
+			want, err := ref.MembershipIn(serve.DefaultSnapshot, id, 5)
 			if err == nil {
 				got.Version, want.Version = 0, 0
 			}
@@ -333,7 +333,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 			if !query(http.MethodGet, fmt.Sprintf("/api/rank?w=%d&k=5", w), nil, &got) {
 				return
 			}
-			want, err := ref.Rank([]int32{int32(w)}, 5)
+			want, err := ref.RankIn(serve.DefaultSnapshot, []int32{int32(w)}, 5)
 			if err == nil {
 				got.Version, want.Version = 0, 0
 			}
@@ -350,7 +350,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 			if !query(http.MethodGet, fmt.Sprintf("/api/diffusion?u=%d&v=%d&topic=0&bucket=-1", pair[0], pair[1]), nil, &got) {
 				return
 			}
-			want, err := ref.Diffusion(pair[0], pair[1], 0, -1)
+			want, err := ref.DiffusionIn(serve.DefaultSnapshot, pair[0], pair[1], 0, -1)
 			if err == nil {
 				got.Version, want.Version = 0, 0
 			}
@@ -367,7 +367,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 			if !query(http.MethodPost, "/api/foldin", body, &got) {
 				return
 			}
-			want, err := ref.FoldIn(fi)
+			want, err := ref.FoldInNamed(serve.DefaultSnapshot, fi)
 			if err == nil {
 				got.Version, want.Version = 0, 0
 			}

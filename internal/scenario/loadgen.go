@@ -356,6 +356,8 @@ func (o LoadOptions) withDefaults() (LoadOptions, error) {
 	return o, nil
 }
 
+const foldInFriends = 3
+
 // genRequest draws one request from the mix and the query space.
 func genRequest(r *rng.RNG, o *LoadOptions) *Request {
 	req := &Request{Op: OpKind(r.Categorical(o.Mix[:]))}
@@ -390,7 +392,15 @@ func genRequest(r *rng.RNG, o *LoadOptions) *Request {
 			}
 			docs[i] = doc
 		}
-		req.FoldIn = &serve.FoldInRequest{Docs: docs, Seed: r.Uint64(), Sweeps: o.FoldInSweeps}
+		// Three friends a third of the id space apart: on a sharded fleet
+		// at least one of them is owned by another replica, so the router
+		// hydrates rows for the request.
+		friends := make([]int32, foldInFriends)
+		first := r.Intn(s.Users)
+		for i := range friends {
+			friends[i] = int32((first + i*s.Users/foldInFriends) % s.Users)
+		}
+		req.FoldIn = &serve.FoldInRequest{Docs: docs, Friends: friends, Seed: r.Uint64(), Sweeps: o.FoldInSweeps}
 	case OpIngest:
 		// A write-mix op is mostly fresh documents on existing users, with
 		// a sprinkle of edges and brand-new users — the churn shape a live

@@ -157,6 +157,14 @@ func TestGenRequestDeterministicAndInRange(t *testing.T) {
 			if len(ra.FoldIn.Docs) != o.FoldInDocs {
 				t.Fatalf("foldin has %d docs", len(ra.FoldIn.Docs))
 			}
+			if len(ra.FoldIn.Friends) != foldInFriends {
+				t.Fatalf("foldin has %d friends", len(ra.FoldIn.Friends))
+			}
+			for _, f := range ra.FoldIn.Friends {
+				if f < 0 || int(f) >= s.Users {
+					t.Fatalf("foldin friend %d out of range", f)
+				}
+			}
 		}
 	}
 }

@@ -255,7 +255,7 @@ func rankAgreement(e *serve.Engine, m *core.Model) float64 {
 	for w := 0; w < V; w += stride {
 		probes++
 		want := m.RankCommunities([]int32{int32(w)})
-		res, err := e.Rank([]int32{int32(w)}, C)
+		res, err := e.RankIn(serve.DefaultSnapshot, []int32{int32(w)}, C)
 		if err != nil {
 			continue
 		}
@@ -291,18 +291,18 @@ func checkFoldInDeterminism(e *serve.Engine, b *Bundle) error {
 	if len(g.Friends) > 0 {
 		req.Friends = []int32{g.Friends[0].U}
 	}
-	first, err := e.FoldIn(req)
+	first, err := e.FoldInNamed(serve.DefaultSnapshot, req)
 	if err != nil {
 		return fmt.Errorf("fold-in failed: %w", err)
 	}
-	second, err := e.FoldIn(req)
+	second, err := e.FoldInNamed(serve.DefaultSnapshot, req)
 	if err != nil {
 		return fmt.Errorf("fold-in failed on repeat: %w", err)
 	}
 	if !reflect.DeepEqual(first, second) {
 		return errors.New("fold-in is not deterministic for a fixed seed")
 	}
-	batch, errs := e.FoldInBatch([]*serve.FoldInRequest{req, req})
+	batch, errs := e.FoldInBatchNamed(serve.DefaultSnapshot, []*serve.FoldInRequest{req, req})
 	for _, err := range errs {
 		if err != nil {
 			return fmt.Errorf("fold-in batch failed: %w", err)
@@ -339,7 +339,7 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 	// engines (same model bits, same index construction).
 	V := model.NumWords
 	for _, w := range []int{0, V / 3, V - 1} {
-		want, err1 := heap.Rank([]int32{int32(w)}, 5)
+		want, err1 := heap.RankIn(serve.DefaultSnapshot, []int32{int32(w)}, 5)
 		got, err2 := engine.RankIn("mapped", []int32{int32(w)}, 5)
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("mapped rank probe failed: %v / %v", err1, err2)
@@ -349,7 +349,7 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 		}
 	}
 	for _, u := range []int{0, model.NumUsers - 1} {
-		want, err1 := heap.Membership(u, 3)
+		want, err1 := heap.MembershipIn(serve.DefaultSnapshot, u, 3)
 		got, err2 := engine.MembershipIn("mapped", u, 3)
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("mapped membership probe failed: %v / %v", err1, err2)
@@ -359,7 +359,7 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 		}
 	}
 	req := &serve.FoldInRequest{Docs: [][]int32{b.Graph.Docs[0].Words}, Seed: 99}
-	want, err := heap.FoldIn(req)
+	want, err := heap.FoldInNamed(serve.DefaultSnapshot, req)
 	if err != nil {
 		return fmt.Errorf("heap fold-in failed: %w", err)
 	}
@@ -376,7 +376,7 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 	if _, err := engine.LoadGeneration("mapped", v2Path, b.Vocab, 0); err != nil {
 		return fmt.Errorf("mapped reload failed: %w", err)
 	}
-	want2, err1 := heap.Rank([]int32{1}, 5)
+	want2, err1 := heap.RankIn(serve.DefaultSnapshot, []int32{1}, 5)
 	got2, err2 := engine.RankIn("mapped", []int32{1}, 5)
 	if err1 != nil || err2 != nil || !rankEntriesEqual(want2, got2) {
 		return fmt.Errorf("answers drifted across a mapped hot-reload (%v / %v)", err1, err2)
@@ -400,7 +400,7 @@ func rankEntriesEqual(a, b *serve.RankResult) bool {
 // checkMembershipAgreement compares served memberships against the model.
 func checkMembershipAgreement(e *serve.Engine, m *core.Model) error {
 	for _, u := range []int{0, m.NumUsers / 2, m.NumUsers - 1} {
-		res, err := e.Membership(u, 3)
+		res, err := e.MembershipIn(serve.DefaultSnapshot, u, 3)
 		if err != nil {
 			return fmt.Errorf("membership query for user %d failed: %w", u, err)
 		}

@@ -389,11 +389,11 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 			default:
 			}
 			reads.Add(1)
-			if _, err := engine.Rank([]int32{int32(w % baseModel.NumWords)}, 3); err != nil {
+			if _, err := engine.RankIn(serve.DefaultSnapshot, []int32{int32(w % baseModel.NumWords)}, 3); err != nil {
 				readErrs.Add(1)
 			}
 			reads.Add(1)
-			if _, err := engine.Membership(w%baseUsers, 3); err != nil {
+			if _, err := engine.MembershipIn(serve.DefaultSnapshot, w%baseUsers, 3); err != nil {
 				readErrs.Add(1)
 			}
 			w++
@@ -451,7 +451,7 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 		wg.Wait()
 		return m, fmt.Errorf("scenario %s: probe ingest failed: %w", p.Name, err)
 	}
-	if _, err := engine.Membership(int(probeUser), 3); err == nil {
+	if _, err := engine.MembershipIn(serve.DefaultSnapshot, int(probeUser), 3); err == nil {
 		fail("probe user visible before any publish cycle")
 	}
 	if _, err := u.Publish(); err != nil {
@@ -462,7 +462,7 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 	if u.Generation() != genBefore+1 {
 		fail("probe publish did not advance exactly one generation (%d -> %d)", genBefore, u.Generation())
 	}
-	if res, err := engine.Membership(int(probeUser), 3); err != nil || len(res.Communities) == 0 {
+	if res, err := engine.MembershipIn(serve.DefaultSnapshot, int(probeUser), 3); err != nil || len(res.Communities) == 0 {
 		fail("probe event not query-visible within one publish cycle (%v)", err)
 	}
 	if _, err := fb.Ingest(probeEvents); err != nil {
@@ -579,11 +579,13 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 // slots — per-user memberships, word-query rankings and community
 // summaries — with the process-local Version counters normalized away.
 // It returns "" when they are bit-identical, else a description of the
-// first divergence.
+// first divergence. An engine that cannot serve the community summaries
+// (no snapshot in the slot) is a divergence, so two empty engines never
+// compare equal.
 func servedDiff(a, b *serve.Engine, users, words int) string {
 	for id := 0; id < users; id++ {
-		ra, ea := a.Membership(id, 5)
-		rb, eb := b.Membership(id, 5)
+		ra, ea := a.MembershipIn(serve.DefaultSnapshot, id, 5)
+		rb, eb := b.MembershipIn(serve.DefaultSnapshot, id, 5)
 		if (ea != nil) != (eb != nil) {
 			return fmt.Sprintf("membership(%d) errors diverge: %v vs %v", id, ea, eb)
 		}
@@ -600,8 +602,8 @@ func servedDiff(a, b *serve.Engine, users, words int) string {
 		step = 1
 	}
 	for w := 0; w < words; w += step {
-		ra, ea := a.Rank([]int32{int32(w)}, 5)
-		rb, eb := b.Rank([]int32{int32(w)}, 5)
+		ra, ea := a.RankIn(serve.DefaultSnapshot, []int32{int32(w)}, 5)
+		rb, eb := b.RankIn(serve.DefaultSnapshot, []int32{int32(w)}, 5)
 		if (ea != nil) != (eb != nil) {
 			return fmt.Sprintf("rank(%d) errors diverge: %v vs %v", w, ea, eb)
 		}
@@ -613,7 +615,12 @@ func servedDiff(a, b *serve.Engine, users, words int) string {
 			return fmt.Sprintf("rank(%d): %+v vs %+v", w, ra, rb)
 		}
 	}
-	if ca, cb := a.Communities(), b.Communities(); !reflect.DeepEqual(ca, cb) {
+	ca, ea := a.CommunitiesIn(serve.DefaultSnapshot)
+	cb, eb := b.CommunitiesIn(serve.DefaultSnapshot)
+	if ea != nil || eb != nil {
+		return fmt.Sprintf("community summaries: %v vs %v", ea, eb)
+	}
+	if !reflect.DeepEqual(ca, cb) {
 		return fmt.Sprintf("community summaries: %+v vs %+v", ca, cb)
 	}
 	return ""

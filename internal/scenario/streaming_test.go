@@ -173,3 +173,25 @@ func TestLoadGenIngestMix(t *testing.T) {
 		t.Fatalf("report missed the publish count: %+v", rep2)
 	}
 }
+
+// TestServedDiffFailsClosed: the incremental-versus-full shadow check must
+// not call two engines equal when neither serves anything, and must call
+// two engines serving the same model equal.
+func TestServedDiffFailsClosed(t *testing.T) {
+	a, b := serve.NewMulti(serve.Options{}), serve.NewMulti(serve.Options{})
+	defer a.Close()
+	defer b.Close()
+	if diff := servedDiff(a, b, 4, 8); diff == "" {
+		t.Fatal("two engines with no snapshot compared bit-identical")
+	}
+	m := serve.SyntheticModel(12, 4, 3, 20, 1)
+	c, d := serve.New(m, nil, serve.Options{}), serve.New(m, nil, serve.Options{})
+	defer c.Close()
+	defer d.Close()
+	if diff := servedDiff(c, d, 12, 20); diff != "" {
+		t.Fatalf("one model served twice diverged: %s", diff)
+	}
+	if diff := servedDiff(a, c, 12, 20); diff == "" {
+		t.Fatal("an empty engine compared bit-identical to a serving one")
+	}
+}

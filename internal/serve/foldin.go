@@ -92,22 +92,14 @@ type FoldInResult struct {
 	DocTopic     []int32 `json:"docTopic"`
 }
 
-// FoldIn infers the profile of one unseen user against the current
-// default snapshot. It is deterministic for a fixed request seed.
-func (e *Engine) FoldIn(req *FoldInRequest) (*FoldInResult, error) {
-	return e.FoldInNamed(DefaultSnapshot, req)
-}
-
-// FoldInNamed is FoldIn against a named snapshot.
+// FoldInNamed infers the profile of one unseen user against a named
+// snapshot. It is deterministic for a fixed request seed.
 func (e *Engine) FoldInNamed(name string, req *FoldInRequest) (res *FoldInResult, err error) {
-	start := time.Now()
-	defer func() { e.lat[epFoldIn].Observe(time.Since(start), err) }()
-	s, release, err := e.AcquireNamed(name)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return e.foldIn(s, req)
+	err = e.onSnapshot(epFoldIn, name, func(s *Snapshot) error {
+		res, err = e.foldIn(s, req)
+		return err
+	})
+	return res, err
 }
 
 // foldIn runs the kernel and books what its lazy draws did.
@@ -139,12 +131,6 @@ func (e *Engine) foldWorker() {
 		job.out[job.idx], job.errs[job.idx] = res, err
 		job.wg.Done()
 	}
-}
-
-// FoldInBatch folds in many users concurrently through the engine's
-// persistent worker pool, against the default snapshot.
-func (e *Engine) FoldInBatch(reqs []*FoldInRequest) ([]*FoldInResult, []error) {
-	return e.FoldInBatchNamed(DefaultSnapshot, reqs)
 }
 
 // FoldInBatchNamed folds in many users concurrently through the engine's

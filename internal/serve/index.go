@@ -6,7 +6,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// RankIndex is the inverted index behind Engine.Rank. It decomposes the
+// RankIndex is the inverted index behind Engine.RankIn. It decomposes the
 // Eq. 19 community score into per-word contributions:
 //
 //	score(c, q) = Σ_z rankTable[c][z] · p(z|q)

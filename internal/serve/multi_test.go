@@ -62,7 +62,7 @@ func TestMultiSnapshotEngine(t *testing.T) {
 	if _, err := e.MembershipIn("asia", 0, 3); !errors.As(err, &noSnap) {
 		t.Fatalf("unknown snapshot error = %v", err)
 	}
-	if _, err := e.Membership(0, 3); !errors.As(err, &noSnap) {
+	if _, err := e.MembershipIn(DefaultSnapshot, 0, 3); !errors.As(err, &noSnap) {
 		t.Fatalf("default snapshot error = %v", err)
 	}
 

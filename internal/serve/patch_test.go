@@ -280,11 +280,11 @@ func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 		m = next
 
 		for u := 0; u < next.NumUsers; u += 7 {
-			a, err := inc.Membership(u, 5)
+			a, err := inc.MembershipIn(DefaultSnapshot, u, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ref.Membership(u, 5)
+			b, err := ref.MembershipIn(DefaultSnapshot, u, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,11 +294,11 @@ func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 			}
 		}
 		for q := 0; q < V; q += 17 {
-			a, err := inc.Rank([]int32{int32(q), int32((q * 3) % V)}, 5)
+			a, err := inc.RankIn(DefaultSnapshot, []int32{int32(q), int32((q * 3) % V)}, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ref.Rank([]int32{int32(q), int32((q * 3) % V)}, 5)
+			b, err := ref.RankIn(DefaultSnapshot, []int32{int32(q), int32((q * 3) % V)}, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,8 +307,11 @@ func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 				t.Fatalf("round %d: rank(%d) diverged:\n%+v\n%+v", round, q, a, b)
 			}
 		}
-		ac := inc.Communities()
-		bc := ref.Communities()
+		ac, err1 := inc.CommunitiesIn(DefaultSnapshot)
+		bc, err2 := ref.CommunitiesIn(DefaultSnapshot)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("round %d: communities: %v / %v", round, err1, err2)
+		}
 		if !reflect.DeepEqual(ac, bc) {
 			t.Fatalf("round %d: communities diverged", round)
 		}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/quality"
-	"repro/internal/socialgraph"
 )
 
 // RecordQuality appends a structural quality report to the named slot's
@@ -96,14 +95,4 @@ func (e *Engine) QualityIn(name string) (p *QualityPayload, err error) {
 		history = []*quality.Report{r}
 	}
 	return &QualityPayload{Snapshot: name, History: history, Baseline: baseline}, nil
-}
-
-// SnapshotQuality scores a served snapshot's hard partition directly —
-// the "given a served serve.Snapshot" entry point. friends and prev are
-// passed through to quality.Compute and may be nil.
-func SnapshotQuality(s *Snapshot, friends []socialgraph.FriendLink, prev []int32) *quality.Report {
-	r := quality.FromModel(s.Model, friends, prev)
-	r.Version = s.Version
-	r.UnixMilli = time.Now().UnixMilli()
-	return r
 }

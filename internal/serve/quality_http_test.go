@@ -227,7 +227,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	e.RecordQuality(DefaultSnapshot, r)
 	// Two documents, the default 20 sweeps, 4 topic and 6 community
 	// candidates per step.
-	if _, err := e.FoldIn(&FoldInRequest{Docs: [][]int32{{1, 2}, {3}}, Friends: []int32{5}, Seed: 1}); err != nil {
+	if _, err := e.FoldInNamed(DefaultSnapshot, &FoldInRequest{Docs: [][]int32{{1, 2}, {3}}, Friends: []int32{5}, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -106,8 +106,8 @@ func requireSameAnswers(t *testing.T, got, want *serve.Engine, users int) {
 	t.Helper()
 	var owned []int32
 	for u := 0; u < users; u++ {
-		a, aerr := got.Membership(u, 4)
-		b, berr := want.Membership(u, 4)
+		a, aerr := got.MembershipIn(serve.DefaultSnapshot, u, 4)
+		b, berr := want.MembershipIn(serve.DefaultSnapshot, u, 4)
 		var notOwned *serve.ErrNotOwned
 		if (aerr != nil) != (berr != nil) || errors.As(aerr, &notOwned) != errors.As(berr, &notOwned) {
 			t.Fatalf("membership(%d) errors diverge: %v vs %v", u, aerr, berr)
@@ -126,8 +126,8 @@ func requireSameAnswers(t *testing.T, got, want *serve.Engine, users int) {
 	}
 	for w := 0; w < adoptV; w += 7 {
 		q := []int32{int32(w), int32((w * 5) % adoptV)}
-		a, aerr := got.Rank(q, 5)
-		b, berr := want.Rank(q, 5)
+		a, aerr := got.RankIn(serve.DefaultSnapshot, q, 5)
+		b, berr := want.RankIn(serve.DefaultSnapshot, q, 5)
 		if aerr != nil || berr != nil {
 			t.Fatalf("rank(%v): %v, %v", q, aerr, berr)
 		}
@@ -136,8 +136,13 @@ func requireSameAnswers(t *testing.T, got, want *serve.Engine, users int) {
 			t.Fatalf("rank(%v): adopted %+v, fresh %+v", q, a, b)
 		}
 	}
-	if a, b := got.Communities(), want.Communities(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("communities: adopted %+v, fresh %+v", a, b)
+	ca, aerr := got.CommunitiesIn(serve.DefaultSnapshot)
+	cb, berr := want.CommunitiesIn(serve.DefaultSnapshot)
+	if aerr != nil || berr != nil {
+		t.Fatalf("communities: %v, %v", aerr, berr)
+	}
+	if !reflect.DeepEqual(ca, cb) {
+		t.Fatalf("communities: adopted %+v, fresh %+v", ca, cb)
 	}
 	for i := 0; i < 6; i++ {
 		req := &serve.FoldInRequest{
@@ -145,8 +150,8 @@ func requireSameAnswers(t *testing.T, got, want *serve.Engine, users int) {
 			Friends: []int32{owned[i%len(owned)], owned[(7*i+3)%len(owned)], owned[len(owned)-1]},
 			Seed:    uint64(50 + i), Sweeps: 6,
 		}
-		a, aerr := got.FoldIn(req)
-		b, berr := want.FoldIn(req)
+		a, aerr := got.FoldInNamed(serve.DefaultSnapshot, req)
+		b, berr := want.FoldInNamed(serve.DefaultSnapshot, req)
 		if aerr != nil || berr != nil {
 			t.Fatalf("fold-in %d: %v, %v", i, aerr, berr)
 		}
@@ -206,8 +211,8 @@ func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
 	// Shard 0 of 1 is the full snapshot it holds: same error past the last
 	// user, no shard range, the one file mapped once, the same /healthz
 	// but for the process-local version.
-	_, aerr := replica.Membership(p.users, 4)
-	_, berr := fresh.Membership(p.users, 4)
+	_, aerr := replica.MembershipIn(serve.DefaultSnapshot, p.users, 4)
+	_, berr := fresh.MembershipIn(serve.DefaultSnapshot, p.users, 4)
 	if aerr == nil || berr == nil || aerr.Error() != berr.Error() {
 		t.Fatalf("membership past the last user: adopted %v, fresh %v", aerr, berr)
 	}
@@ -400,12 +405,12 @@ func requireOwnedAnswersMatch(t *testing.T, replica, full *serve.Engine, users i
 	t.Helper()
 	var owned []int32
 	for u := 0; u < users; u++ {
-		a, err := replica.Membership(u, 4)
+		a, err := replica.MembershipIn(serve.DefaultSnapshot, u, 4)
 		var notOwned *serve.ErrNotOwned
 		if errors.As(err, &notOwned) {
 			continue
 		}
-		b, berr := full.Membership(u, 4)
+		b, berr := full.MembershipIn(serve.DefaultSnapshot, u, 4)
 		if err != nil || berr != nil {
 			t.Fatalf("membership(%d): %v, %v", u, err, berr)
 		}
@@ -419,8 +424,8 @@ func requireOwnedAnswersMatch(t *testing.T, replica, full *serve.Engine, users i
 	}
 	for w := 0; w < adoptV; w += 11 {
 		q := []int32{int32(w), int32((w * 3) % adoptV)}
-		a, aerr := replica.Rank(q, adoptC)
-		b, berr := full.Rank(q, adoptC)
+		a, aerr := replica.RankIn(serve.DefaultSnapshot, q, adoptC)
+		b, berr := full.RankIn(serve.DefaultSnapshot, q, adoptC)
 		if aerr != nil || berr != nil || len(a.Entries) != len(b.Entries) {
 			t.Fatalf("rank(%v): %v, %v", q, aerr, berr)
 		}
@@ -436,8 +441,8 @@ func requireOwnedAnswersMatch(t *testing.T, replica, full *serve.Engine, users i
 			Friends: []int32{owned[i%len(owned)], owned[len(owned)-1]},
 			Seed:    uint64(70 + i), Sweeps: 6,
 		}
-		a, aerr := replica.FoldIn(req)
-		b, berr := full.FoldIn(req)
+		a, aerr := replica.FoldInNamed(serve.DefaultSnapshot, req)
+		b, berr := full.FoldInNamed(serve.DefaultSnapshot, req)
 		if aerr != nil || berr != nil {
 			t.Fatalf("fold-in %d: %v, %v", i, aerr, berr)
 		}

@@ -58,7 +58,7 @@ func TestFetcherDirSource(t *testing.T) {
 	}
 	release()
 	// Results carry the publisher generation.
-	if res, err := e.Membership(0, 3); err != nil || res.Generation != 1 {
+	if res, err := e.MembershipIn(serve.DefaultSnapshot, 0, 3); err != nil || res.Generation != 1 {
 		t.Fatalf("membership generation = %+v, %v", res, err)
 	}
 
@@ -72,7 +72,7 @@ func TestFetcherDirSource(t *testing.T) {
 	if gen, err := f.Poll(); gen != 2 || err != nil {
 		t.Fatalf("poll after publish = %d, %v; want 2", gen, err)
 	}
-	if res, err := e.Membership(0, 3); err != nil || res.Generation != 2 {
+	if res, err := e.MembershipIn(serve.DefaultSnapshot, 0, 3); err != nil || res.Generation != 2 {
 		t.Fatalf("membership after rollover = %+v, %v", res, err)
 	}
 
@@ -94,7 +94,7 @@ func TestFetcherDirSource(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("a failed verify touched the directory source: %v", err)
 	}
-	if res, err := e.Membership(0, 3); err != nil || res.Generation != 2 {
+	if res, err := e.MembershipIn(serve.DefaultSnapshot, 0, 3); err != nil || res.Generation != 2 {
 		t.Fatalf("replica left generation 2 after failed fetch: %+v, %v", res, err)
 	}
 	st := f.Status()
@@ -138,7 +138,7 @@ func TestFetcherHTTPSource(t *testing.T) {
 			t.Fatalf("http poll = %d, %v; want %d", got, err, gen)
 		}
 	}
-	if res, err := e.Membership(0, 3); err != nil || res.Generation != 4 {
+	if res, err := e.MembershipIn(serve.DefaultSnapshot, 0, 3); err != nil || res.Generation != 4 {
 		t.Fatalf("membership after http fetch = %+v, %v", res, err)
 	}
 	// Only the newest Keep generations stay in the local cache, and no

@@ -26,7 +26,7 @@
 //     old one's, from a delta the caller supplies or one it derives by
 //     comparing the blocks, so adopting a generation costs what changed;
 //     Snapshot.Build, /api/stats and /metrics say what each build did;
-//   - fold-in inference (FoldIn) gives users the model was never trained
+//   - fold-in inference (FoldInNamed) gives users the model was never trained
 //     on a community membership and profile, by a short seeded Gibbs pass
 //     against the frozen Φ/Θ/Π — batched through a persistent worker pool
 //     in the spirit of core.Engine's segment workers;
@@ -62,8 +62,9 @@ import (
 	"repro/internal/store"
 )
 
-// DefaultSnapshot is the snapshot name the unqualified query API (and the
-// HTTP surface without a ?snapshot= parameter) resolves against.
+// DefaultSnapshot is the snapshot name the HTTP surface resolves a request
+// without a ?snapshot= parameter against, and the slot a single-model
+// engine loads into.
 const DefaultSnapshot = "default"
 
 // Options tunes an Engine. The zero value is ready for use.
@@ -73,10 +74,10 @@ type Options struct {
 	// time; PostingsPerWord >= |C| makes single-word ranking exact.
 	// 0 selects the default (32).
 	PostingsPerWord int
-	// FoldInWorkers sizes the persistent fold-in worker pool FoldInBatch
-	// fans out over. Results are bit-identical for every value (each
-	// request is a pure function of the snapshot and its own seed);
-	// 0 selects the default (4).
+	// FoldInWorkers sizes the persistent fold-in worker pool
+	// FoldInBatchNamed fans out over. Results are bit-identical for every
+	// value (each request is a pure function of the snapshot and its own
+	// seed); 0 selects the default (4).
 	FoldInWorkers int
 	// Mmap makes LoadGeneration open v2 snapshot files through
 	// store.Open — the zero-copy mapped path — instead of store.LoadFile,
@@ -1191,13 +1192,7 @@ func (e *Engine) onSnapshot(ep int, name string, fn func(*Snapshot) error) error
 	return err
 }
 
-// Communities returns every community's summary from the default snapshot.
-func (e *Engine) Communities() []CommunitySummary {
-	out, _ := e.CommunitiesIn(DefaultSnapshot)
-	return out
-}
-
-// CommunitiesIn is Communities against a named snapshot.
+// CommunitiesIn returns every community's summary from a named snapshot.
 func (e *Engine) CommunitiesIn(name string) (out []CommunitySummary, err error) {
 	err = e.onSnapshot(epCommunities, name, func(s *Snapshot) error {
 		out = s.Communities()
@@ -1206,12 +1201,8 @@ func (e *Engine) CommunitiesIn(name string) (out []CommunitySummary, err error) 
 	return out, err
 }
 
-// Community returns the full profile of one community (default snapshot).
-func (e *Engine) Community(c int) (*CommunityDetail, error) {
-	return e.CommunityIn(DefaultSnapshot, c)
-}
-
-// CommunityIn is Community against a named snapshot.
+// CommunityIn returns the full profile of one community from a named
+// snapshot.
 func (e *Engine) CommunityIn(name string, c int) (detail *CommunityDetail, err error) {
 	err = e.onSnapshot(epCommunity, name, func(s *Snapshot) error {
 		detail, err = s.Community(c)
@@ -1220,13 +1211,8 @@ func (e *Engine) CommunityIn(name string, c int) (detail *CommunityDetail, err e
 	return detail, err
 }
 
-// Membership returns user u's top-k community memberships (default
-// snapshot).
-func (e *Engine) Membership(u, k int) (*MembershipResult, error) {
-	return e.MembershipIn(DefaultSnapshot, u, k)
-}
-
-// MembershipIn is Membership against a named snapshot.
+// MembershipIn returns user u's top-k community memberships from a named
+// snapshot.
 func (e *Engine) MembershipIn(name string, u, k int) (res *MembershipResult, err error) {
 	err = e.onSnapshot(epMembership, name, func(s *Snapshot) error {
 		res, err = s.Membership(u, k)
@@ -1235,25 +1221,15 @@ func (e *Engine) MembershipIn(name string, u, k int) (res *MembershipResult, err
 	return res, err
 }
 
-// Diffusion returns the probability that user u diffuses user v's content
-// on topic z in time bucket b (default snapshot; b = -1 skips the
-// popularity factor).
-func (e *Engine) Diffusion(u, v, z, b int) (*DiffusionResult, error) {
-	return e.DiffusionIn(DefaultSnapshot, u, v, z, b)
-}
-
-// DiffusionIn is Diffusion against a named snapshot.
+// DiffusionIn returns the probability that user u diffuses user v's
+// content on topic z in time bucket b, from a named snapshot (b = -1 skips
+// the popularity factor).
 func (e *Engine) DiffusionIn(name string, u, v, z, b int) (*DiffusionResult, error) {
 	return e.DiffusionRowsIn(name, &DiffusionRowsRequest{U: u, V: v, Topic: z, Bucket: b})
 }
 
-// Rank answers an Eq. 19 ranking query from the default snapshot's
-// inverted index.
-func (e *Engine) Rank(query []int32, k int) (*RankResult, error) {
-	return e.RankIn(DefaultSnapshot, query, k)
-}
-
-// RankIn is Rank against a named snapshot.
+// RankIn answers an Eq. 19 ranking query from a named snapshot's inverted
+// index.
 func (e *Engine) RankIn(name string, query []int32, k int) (res *RankResult, err error) {
 	err = e.onSnapshot(epRank, name, func(s *Snapshot) error {
 		res, err = s.Rank(query, k)
@@ -1262,13 +1238,8 @@ func (e *Engine) RankIn(name string, query []int32, k int) (res *RankResult, err
 	return res, err
 }
 
-// RankText tokenizes a free-text query and ranks communities (default
-// snapshot).
-func (e *Engine) RankText(query string, k int) (*RankResult, error) {
-	return e.RankTextIn(DefaultSnapshot, query, k)
-}
-
-// RankTextIn is RankText against a named snapshot.
+// RankTextIn tokenizes a free-text query and ranks communities in a named
+// snapshot.
 func (e *Engine) RankTextIn(name, query string, k int) (res *RankResult, err error) {
 	err = e.onSnapshot(epRank, name, func(s *Snapshot) error {
 		res, err = s.RankText(query, k)

@@ -31,7 +31,7 @@ func TestRankIndexExactSingleWord(t *testing.T) {
 	e := testEngine(t, m, nil, Options{PostingsPerWord: m.Cfg.NumCommunities})
 	for _, w := range []int32{0, 7, 123, 299} {
 		want := m.RankCommunities([]int32{w})
-		res, err := e.Rank([]int32{w}, m.Cfg.NumCommunities)
+		res, err := e.RankIn(DefaultSnapshot, []int32{w}, m.Cfg.NumCommunities)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +58,11 @@ func TestRankTruncatedPostings(t *testing.T) {
 		t.Fatalf("posting list length %d exceeds bound 4", got)
 	}
 	for _, w := range []int32{3, 77, 150} {
-		a, err := full.Rank([]int32{w}, 4)
+		a, err := full.RankIn(DefaultSnapshot, []int32{w}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := trunc.Rank([]int32{w}, 4)
+		b, err := trunc.RankIn(DefaultSnapshot, []int32{w}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +74,10 @@ func TestRankTruncatedPostings(t *testing.T) {
 		}
 	}
 	// Out-of-range and empty queries are rejected.
-	if _, err := trunc.Rank([]int32{9999}, 3); err == nil {
+	if _, err := trunc.RankIn(DefaultSnapshot, []int32{9999}, 3); err == nil {
 		t.Fatal("out-of-range word accepted")
 	}
-	if _, err := trunc.Rank(nil, 3); err == nil {
+	if _, err := trunc.RankIn(DefaultSnapshot, nil, 3); err == nil {
 		t.Fatal("empty query accepted")
 	}
 }
@@ -138,7 +138,7 @@ func TestFoldInRecoversPlantedCommunity(t *testing.T) {
 		Docs: [][]int32{{3, 4, 5}, {4, 5, 3}, {5, 3, 4}, {3, 3, 4}},
 		Seed: 7,
 	}
-	res, err := e.FoldIn(req)
+	res, err := e.FoldInNamed(DefaultSnapshot, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFoldInRecoversPlantedCommunity(t *testing.T) {
 		{Docs: [][]int32{{1}}, Friends: []int32{99}},
 		{Docs: [][]int32{{1}}, Sweeps: MaxFoldInSweeps + 1},
 	} {
-		if _, err := e.FoldIn(bad); err == nil {
+		if _, err := e.FoldInNamed(DefaultSnapshot, bad); err == nil {
 			t.Fatalf("bad request %+v accepted", bad)
 		}
 	}
@@ -194,14 +194,14 @@ func TestFoldInDeterministic(t *testing.T) {
 	var ref []*FoldInResult
 	for _, workers := range []int{1, 3, 8} {
 		e := testEngine(t, m, nil, Options{FoldInWorkers: workers})
-		out, errs := e.FoldInBatch(reqs)
+		out, errs := e.FoldInBatchNamed(DefaultSnapshot, reqs)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("request %d: %v", i, err)
 			}
 		}
 		// Single-request path must agree with the batch path.
-		single, err := e.FoldIn(reqs[0])
+		single, err := e.FoldInNamed(DefaultSnapshot, reqs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +218,8 @@ func TestFoldInDeterministic(t *testing.T) {
 	}
 	// Distinct seeds must explore distinct trajectories.
 	e := testEngine(t, m, nil, Options{})
-	a, _ := e.FoldIn(&FoldInRequest{Docs: [][]int32{{1, 2, 3}}, Seed: 1})
-	b, _ := e.FoldIn(&FoldInRequest{Docs: [][]int32{{1, 2, 3}}, Seed: 2})
+	a, _ := e.FoldInNamed(DefaultSnapshot, &FoldInRequest{Docs: [][]int32{{1, 2, 3}}, Seed: 1})
+	b, _ := e.FoldInNamed(DefaultSnapshot, &FoldInRequest{Docs: [][]int32{{1, 2, 3}}, Seed: 2})
 	if reflect.DeepEqual(a.DocCommunity, b.DocCommunity) && reflect.DeepEqual(a.DocTopic, b.DocTopic) {
 		t.Log("warning: two seeds produced identical assignments (possible but unlikely)")
 	}
@@ -228,20 +228,20 @@ func TestFoldInDeterministic(t *testing.T) {
 func TestQueryEndpoints(t *testing.T) {
 	m := SyntheticModel(30, 8, 5, 100, 4)
 	e := testEngine(t, m, nil, Options{})
-	if got := len(e.Communities()); got != 8 {
-		t.Fatalf("got %d communities", got)
+	if cs, err := e.CommunitiesIn(DefaultSnapshot); err != nil || len(cs) != 8 {
+		t.Fatalf("got %d communities, err %v", len(cs), err)
 	}
-	d, err := e.Community(3)
+	d, err := e.CommunityIn(DefaultSnapshot, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.ID != 3 || len(d.TopTopics) == 0 || len(d.OutFlows) == 0 {
 		t.Fatalf("incomplete detail: %+v", d)
 	}
-	if _, err := e.Community(99); err == nil {
+	if _, err := e.CommunityIn(DefaultSnapshot, 99); err == nil {
 		t.Fatal("bad community accepted")
 	}
-	mem, err := e.Membership(5, 3)
+	mem, err := e.MembershipIn(DefaultSnapshot, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,20 +253,20 @@ func TestQueryEndpoints(t *testing.T) {
 			t.Fatal("memberships not sorted")
 		}
 	}
-	if _, err := e.Membership(-1, 3); err == nil {
+	if _, err := e.MembershipIn(DefaultSnapshot, -1, 3); err == nil {
 		t.Fatal("bad user accepted")
 	}
-	diff, err := e.Diffusion(0, 1, 2, 3)
+	diff, err := e.DiffusionIn(DefaultSnapshot, 0, 1, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff.Prob <= 0 || diff.Prob >= 1 {
 		t.Fatalf("diffusion prob %v out of (0,1)", diff.Prob)
 	}
-	if _, err := e.Diffusion(0, 1, 99, 0); err == nil {
+	if _, err := e.DiffusionIn(DefaultSnapshot, 0, 1, 99, 0); err == nil {
 		t.Fatal("bad topic accepted")
 	}
-	if _, err := e.RankText("anything", 3); err != ErrNoVocabulary {
+	if _, err := e.RankTextIn(DefaultSnapshot, "anything", 3); err != ErrNoVocabulary {
 		t.Fatalf("want ErrNoVocabulary, got %v", err)
 	}
 
@@ -410,7 +410,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 					report("snapshot shape mismatch")
 					return
 				}
-				res, err := e.Rank([]int32{int32(i % 100)}, 3)
+				res, err := e.RankIn(DefaultSnapshot, []int32{int32(i % 100)}, 3)
 				if err != nil {
 					report("rank: " + err.Error())
 					return
@@ -422,7 +422,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 						return
 					}
 				}
-				mem, err := e.Membership(i%users, 3)
+				mem, err := e.MembershipIn(DefaultSnapshot, i%users, 3)
 				if err != nil {
 					// A swap may have shrunk the user range between shape()
 					// and the call; only accept that exact situation.
@@ -439,7 +439,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 						return
 					}
 				}
-				fr, err := e.FoldIn(&FoldInRequest{
+				fr, err := e.FoldInNamed(DefaultSnapshot, &FoldInRequest{
 					Docs: [][]int32{{int32(i % 100), int32(g)}}, Seed: uint64(i), Sweeps: 2,
 				})
 				if err != nil {

@@ -74,22 +74,6 @@ func (g *Graph) PairFeatures(dst []float64, u, v int) []float64 {
 	return dst
 }
 
-// RawPopularity returns |Followers(u)|/|Followees(u)| without the log
-// transform; Fig. 5(a)'s case study plots the raw ratio.
-func (g *Graph) RawPopularity(u int) float64 {
-	g.BuildIndexes()
-	in, out := 0, 0
-	for _, f := range g.Friends {
-		if int(f.U) == u {
-			out++
-		}
-		if int(f.V) == u {
-			in++
-		}
-	}
-	return ratio(in, out)
-}
-
 // TimeBuckets maps each document's timestamp into nb equal-width buckets
 // spanning [minTime, maxTime] and returns the per-document bucket ids plus
 // the bucket count actually used (1 if all timestamps coincide). The

@@ -128,15 +128,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// UserAttrs returns user u's attribute tokens (nil on attribute-free
-// graphs).
-func (g *Graph) UserAttrs(u int) []int32 {
-	if g.Attrs == nil {
-		return nil
-	}
-	return g.Attrs[u]
-}
-
 // BuildIndexes constructs the adjacency indexes; it is idempotent and is
 // called automatically by the accessors below.
 func (g *Graph) BuildIndexes() {

@@ -130,10 +130,6 @@ func TestFeatures(t *testing.T) {
 	if f[0] != g.Popularity(1) || f[2] != g.Popularity(2) {
 		t.Fatalf("PairFeatures order wrong: %v", f)
 	}
-	// RawPopularity of user 1 = 1/1.
-	if got := g.RawPopularity(1); got != 1 {
-		t.Fatalf("RawPopularity(1) = %v", got)
-	}
 }
 
 func TestTimeBuckets(t *testing.T) {

@@ -24,11 +24,6 @@ func TestEmptyShapes(t *testing.T) {
 	if c := m.Clone(); c.Rows != 0 || c.Cols != 0 || len(c.Data) != 0 {
 		t.Fatalf("empty clone %+v", c)
 	}
-	m.MulVec(nil, nil)
-	m.MulVecT(nil, nil)
-	if v := m.Bilinear(nil, nil); v != 0 {
-		t.Fatalf("empty bilinear = %v", v)
-	}
 
 	// Rows x 0 and 0 x Cols matrices behave too.
 	wide := NewDense(0, 5)
@@ -44,22 +39,6 @@ func TestEmptyShapes(t *testing.T) {
 	tn.Fill(3)
 	if c := tn.Clone(); len(c.Data) != 0 {
 		t.Fatalf("empty tensor clone %+v", c)
-	}
-
-	// Empty sparse vectors.
-	v := NewVectorFromDense(nil)
-	if v.NNZ() != 0 || v.Sum() != 0 {
-		t.Fatalf("empty vector %+v", v)
-	}
-	w := NewVectorFromDense([]float64{0, 0, 0})
-	if w.NNZ() != 0 {
-		t.Fatalf("all-zero vector stores %d entries", w.NNZ())
-	}
-	if d := w.Dot(&Vector{Dim: 3}); d != 0 {
-		t.Fatalf("empty dot = %v", d)
-	}
-	if d := w.DotDense([]float64{1, 2, 3}); d != 0 {
-		t.Fatalf("empty DotDense = %v", d)
 	}
 }
 
@@ -180,16 +159,5 @@ func TestBilinearAggEdgeDims(t *testing.T) {
 		if math.Abs(got-want) > 1e-12*(math.Abs(want)+1) {
 			t.Fatalf("trial %d (dim %d): agg eval %v != dense %v", trial, dim, got, want)
 		}
-	}
-}
-
-func TestVectorDotDisjointSupports(t *testing.T) {
-	a := &Vector{Dim: 6, Indices: []int32{0, 2, 4}, Values: []float64{1, 2, 3}}
-	b := &Vector{Dim: 6, Indices: []int32{1, 3, 5}, Values: []float64{4, 5, 6}}
-	if d := a.Dot(b); d != 0 {
-		t.Fatalf("disjoint supports dot = %v", d)
-	}
-	if d := a.Dot(a); d != 1+4+9 {
-		t.Fatalf("self dot = %v", d)
 	}
 }

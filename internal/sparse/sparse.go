@@ -1,16 +1,12 @@
 // Package sparse provides the linear-algebra substrate for the samplers:
 // dense matrices and rank-3 tensors (for the community diffusion profile
-// eta), sparse vectors, and the smoothed-multinomial decomposition that
-// turns the paper's O(|C|) and O(|C|^2) bilinear forms (Eqs. 3–5) into
-// O(nnz) operations. The reproduction bands flag "awkward numeric/sparse-
-// matrix support for samplers" as the main Go friction point — this package
-// is the answer.
+// eta), and the smoothed-multinomial decomposition that turns the paper's
+// O(|C|) and O(|C|^2) bilinear forms (Eqs. 3–5) into O(nnz) operations. The
+// reproduction bands flag "awkward numeric/sparse-matrix support for
+// samplers" as the main Go friction point — this package is the answer.
 package sparse
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Dense is a row-major dense matrix.
 type Dense struct {
@@ -71,62 +67,6 @@ func (m *Dense) Scale(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
-}
-
-// MulVec computes dst = M * x. dst must have length Rows, x length Cols.
-func (m *Dense) MulVec(dst, x []float64) {
-	if len(dst) != m.Rows || len(x) != m.Cols {
-		panic("sparse: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-}
-
-// MulVecT computes dst = M^T * x. dst must have length Cols, x length Rows.
-func (m *Dense) MulVecT(dst, x []float64) {
-	if len(dst) != m.Cols || len(x) != m.Rows {
-		panic("sparse: MulVecT dimension mismatch")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += xi * v
-		}
-	}
-}
-
-// Bilinear returns x^T M y.
-func (m *Dense) Bilinear(x, y []float64) float64 {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic("sparse: Bilinear dimension mismatch")
-	}
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		var t float64
-		for j, v := range row {
-			t += v * y[j]
-		}
-		s += xi * t
-	}
-	return s
 }
 
 // Sum returns the sum of all elements.
@@ -212,15 +152,6 @@ func (t *Tensor3) Clone() *Tensor3 {
 	return c
 }
 
-// SliceK returns the D1 x D2 matrix t[:, :, k] as a fresh Dense. For the
-// CPD model this is the per-topic community-to-community diffusion matrix
-// M_z = eta[:, :, z].
-func (t *Tensor3) SliceK(k int) *Dense {
-	m := NewDense(t.D1, t.D2)
-	t.SliceKInto(k, m)
-	return m
-}
-
 // SliceKInto gathers t[:, :, k] into dst (shape D1 x D2), reusing dst's
 // storage. The slice layers that keep every per-topic matrix in one flat
 // buffer (the model and sampler caches) gather through this instead of
@@ -236,102 +167,4 @@ func (t *Tensor3) SliceKInto(k int, dst *Dense) {
 			row[j] = t.Data[base+j*t.D3+k]
 		}
 	}
-}
-
-// SumK returns the D1 x D2 matrix of sums over the third index: the
-// topic-aggregated diffusion strengths of Fig. 7(a).
-func (t *Tensor3) SumK() *Dense {
-	m := NewDense(t.D1, t.D2)
-	for i := 0; i < t.D1; i++ {
-		for j := 0; j < t.D2; j++ {
-			var s float64
-			base := (i*t.D2 + j) * t.D3
-			for k := 0; k < t.D3; k++ {
-				s += t.Data[base+k]
-			}
-			m.Set(i, j, s)
-		}
-	}
-	return m
-}
-
-// Vector is a sparse vector with sorted, unique indices.
-type Vector struct {
-	Dim     int
-	Indices []int32
-	Values  []float64
-}
-
-// NewVectorFromDense builds a sparse vector from a dense slice, dropping
-// zeros.
-func NewVectorFromDense(x []float64) *Vector {
-	v := &Vector{Dim: len(x)}
-	for i, val := range x {
-		if val != 0 {
-			v.Indices = append(v.Indices, int32(i))
-			v.Values = append(v.Values, val)
-		}
-	}
-	return v
-}
-
-// NNZ returns the number of stored entries.
-func (v *Vector) NNZ() int { return len(v.Indices) }
-
-// Dense expands v to a dense slice.
-func (v *Vector) Dense() []float64 {
-	x := make([]float64, v.Dim)
-	for k, i := range v.Indices {
-		x[i] = v.Values[k]
-	}
-	return x
-}
-
-// Dot returns the sparse-sparse dot product (merge join over sorted
-// indices).
-func (v *Vector) Dot(w *Vector) float64 {
-	if v.Dim != w.Dim {
-		panic("sparse: Vector.Dot dimension mismatch")
-	}
-	var s float64
-	i, j := 0, 0
-	for i < len(v.Indices) && j < len(w.Indices) {
-		switch {
-		case v.Indices[i] < w.Indices[j]:
-			i++
-		case v.Indices[i] > w.Indices[j]:
-			j++
-		default:
-			s += v.Values[i] * w.Values[j]
-			i++
-			j++
-		}
-	}
-	return s
-}
-
-// DotDense returns the dot product with a dense vector.
-func (v *Vector) DotDense(x []float64) float64 {
-	if v.Dim != len(x) {
-		panic("sparse: Vector.DotDense dimension mismatch")
-	}
-	var s float64
-	for k, i := range v.Indices {
-		s += v.Values[k] * x[i]
-	}
-	return s
-}
-
-// Sum returns the sum of stored values.
-func (v *Vector) Sum() float64 {
-	var s float64
-	for _, x := range v.Values {
-		s += x
-	}
-	return s
-}
-
-// String implements fmt.Stringer for debugging.
-func (v *Vector) String() string {
-	return fmt.Sprintf("sparse.Vector{dim=%d nnz=%d}", v.Dim, v.NNZ())
 }

@@ -58,7 +58,7 @@ type SectionManifest struct {
 	path    string
 	entries map[string]manifestEntry
 
-	reused, encoded int
+	reused int
 }
 
 // Path returns the snapshot file the manifest describes.
@@ -67,9 +67,6 @@ func (sm *SectionManifest) Path() string { return sm.path }
 // ReusedSections reports how many sections the save that produced this
 // manifest spliced from its predecessor (0 for a full encode).
 func (sm *SectionManifest) ReusedSections() int { return sm.reused }
-
-// EncodedSections reports how many sections that save re-encoded.
-func (sm *SectionManifest) EncodedSections() int { return sm.encoded }
 
 // sameIdent reports whether two recorded backing slices are the same
 // array: equal length and equal first-element address. Only slice kinds
@@ -149,7 +146,6 @@ func manifestFor(path string, plan []*v2section, reused int) *SectionManifest {
 		path:    path,
 		entries: make(map[string]manifestEntry, len(plan)),
 		reused:  reused,
-		encoded: len(plan) - reused,
 	}
 	for _, sec := range plan {
 		sm.entries[sec.tag] = manifestEntry{

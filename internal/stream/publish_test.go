@@ -59,8 +59,8 @@ func randomEvents(g *socialgraph.Graph, m *core.Model, n int, seed uint64) []Eve
 func requireSameServed(t *testing.T, inc, full *serve.Engine, users int, queries [][]int32) {
 	t.Helper()
 	for id := 0; id < users; id++ {
-		a, aerr := inc.Membership(id, 4)
-		b, berr := full.Membership(id, 4)
+		a, aerr := inc.MembershipIn(serve.DefaultSnapshot, id, 4)
+		b, berr := full.MembershipIn(serve.DefaultSnapshot, id, 4)
 		if (aerr != nil) != (berr != nil) {
 			t.Fatalf("membership(%d) errors diverge: %v vs %v", id, aerr, berr)
 		}
@@ -73,8 +73,8 @@ func requireSameServed(t *testing.T, inc, full *serve.Engine, users int, queries
 		}
 	}
 	for qi, q := range queries {
-		a, aerr := inc.Rank(q, 5)
-		b, berr := full.Rank(q, 5)
+		a, aerr := inc.RankIn(serve.DefaultSnapshot, q, 5)
+		b, berr := full.RankIn(serve.DefaultSnapshot, q, 5)
 		if (aerr != nil) != (berr != nil) {
 			t.Fatalf("rank(query %d) errors diverge: %v vs %v", qi, aerr, berr)
 		}
@@ -86,8 +86,13 @@ func requireSameServed(t *testing.T, inc, full *serve.Engine, users int, queries
 			t.Fatalf("rank(query %d) diverges:\nincremental %+v\nfull        %+v", qi, a, b)
 		}
 	}
-	if a, b := inc.Communities(), full.Communities(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("community summaries diverge:\nincremental %+v\nfull        %+v", a, b)
+	ca, aerr := inc.CommunitiesIn(serve.DefaultSnapshot)
+	cb, berr := full.CommunitiesIn(serve.DefaultSnapshot)
+	if aerr != nil || berr != nil {
+		t.Fatalf("community summaries: %v / %v", aerr, berr)
+	}
+	if !reflect.DeepEqual(ca, cb) {
+		t.Fatalf("community summaries diverge:\nincremental %+v\nfull        %+v", ca, cb)
 	}
 }
 
@@ -722,7 +727,7 @@ func TestPromotedPiIsNeverPatched(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("the held snapshot now answers membership(%d) with %+v, before the publishes %+v", id, got, want)
 		}
-		if now, err := engine.Membership(id, 4); err != nil || !reflect.DeepEqual(now.Communities, want.Communities) {
+		if now, err := engine.MembershipIn(serve.DefaultSnapshot, id, 4); err != nil || !reflect.DeepEqual(now.Communities, want.Communities) {
 			moved = true
 		}
 	}

@@ -87,7 +87,7 @@ func TestUpdaterIngestPublishFreshness(t *testing.T) {
 		t.Fatalf("add-user ids not assigned densely: %d, %d", resolved[0].User, resolved[3].User)
 	}
 	// Before the publish the new user is invisible.
-	if _, err := engine.Membership(m.NumUsers, 3); err == nil {
+	if _, err := engine.MembershipIn(serve.DefaultSnapshot, m.NumUsers, 3); err == nil {
 		t.Fatal("new user visible before any publish")
 	}
 	info, err := u.Publish()
@@ -99,7 +99,7 @@ func TestUpdaterIngestPublishFreshness(t *testing.T) {
 	}
 	// One publish cycle later, every ingested event is query-visible.
 	for _, id := range []int{m.NumUsers, m.NumUsers + 1} {
-		res, err := engine.Membership(id, 3)
+		res, err := engine.MembershipIn(serve.DefaultSnapshot, id, 3)
 		if err != nil {
 			t.Fatalf("membership of streamed user %d: %v", id, err)
 		}
@@ -286,7 +286,7 @@ func TestRestartRepublishesRestoredState(t *testing.T) {
 	if u2.Pending() != 0 {
 		t.Fatalf("checkpointed restart has %d pending events", u2.Pending())
 	}
-	if _, err := e2.Membership(m.NumUsers, 3); err == nil {
+	if _, err := e2.MembershipIn(serve.DefaultSnapshot, m.NumUsers, 3); err == nil {
 		t.Fatal("stream user visible before the restored state was published")
 	}
 	info, err := u2.Publish()
@@ -296,7 +296,7 @@ func TestRestartRepublishesRestoredState(t *testing.T) {
 	if info == nil {
 		t.Fatal("first publish after restart was a no-op; restored stream state never reaches the engine")
 	}
-	if _, err := e2.Membership(m.NumUsers, 3); err != nil {
+	if _, err := e2.MembershipIn(serve.DefaultSnapshot, m.NumUsers, 3); err != nil {
 		t.Fatalf("restored stream user still invisible after the publish: %v", err)
 	}
 	// Subsequent empty publishes are no-ops again.
@@ -429,7 +429,7 @@ func TestIngestHTTPAndDrain(t *testing.T) {
 	if u.Pending() != 0 {
 		t.Fatalf("%d events still pending after drain", u.Pending())
 	}
-	if _, err := engine.Membership(m.NumUsers, 3); err != nil {
+	if _, err := engine.MembershipIn(serve.DefaultSnapshot, m.NumUsers, 3); err != nil {
 		t.Fatalf("drained events not visible: %v", err)
 	}
 	if err := u.Drain(); err != nil { // idempotent

@@ -46,7 +46,7 @@ func BenchmarkServeRank(b *testing.B) {
 	}
 	b.Run("inverted-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Rank(queries[i%len(queries)], 10); err != nil {
+			if _, err := e.RankIn(serve.DefaultSnapshot, queries[i%len(queries)], 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,13 +68,13 @@ func BenchmarkServeRank(b *testing.B) {
 		// measures disk/page-fault latency, not ranking — and leaked that
 		// noise into the timed iterations here before.
 		for _, q := range queries {
-			if _, err := me.Rank(q, 10); err != nil {
+			if _, err := me.RankIn(serve.DefaultSnapshot, q, 10); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := me.Rank(queries[i%len(queries)], 10); err != nil {
+			if _, err := me.RankIn(serve.DefaultSnapshot, queries[i%len(queries)], 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func BenchmarkFoldIn(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := e.FoldIn(&serve.FoldInRequest{
+		_, err := e.FoldInNamed(serve.DefaultSnapshot, &serve.FoldInRequest{
 			Docs:    docs,
 			Friends: []int32{1, 2, 3},
 			Seed:    uint64(i),

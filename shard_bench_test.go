@@ -82,7 +82,7 @@ func BenchmarkShardedMembership(b *testing.B) {
 		lo, hi := man.Ranges[1].UserLo, man.Ranges[1].UserHi
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Membership(lo+i%(hi-lo), 5); err != nil {
+			if _, err := e.MembershipIn(serve.DefaultSnapshot, lo+i%(hi-lo), 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -99,7 +99,7 @@ func BenchmarkShardedMembership(b *testing.B) {
 		lo, hi := man.Ranges[1].UserLo, man.Ranges[1].UserHi
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Membership(lo+i%(hi-lo), 5); err != nil {
+			if _, err := e.MembershipIn(serve.DefaultSnapshot, lo+i%(hi-lo), 5); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -218,11 +218,11 @@ func BenchmarkServeUnderIngest(b *testing.B) {
 		for pb.Next() {
 			switch i % 3 {
 			case 0, 1:
-				if _, err := e.Rank(queries[i%len(queries)], 10); err != nil {
+				if _, err := e.RankIn(serve.DefaultSnapshot, queries[i%len(queries)], 10); err != nil {
 					b.Fatal(err)
 				}
 			default:
-				if _, err := e.Membership(i%2000, 5); err != nil {
+				if _, err := e.MembershipIn(serve.DefaultSnapshot, i%2000, 5); err != nil {
 					b.Fatal(err)
 				}
 			}
