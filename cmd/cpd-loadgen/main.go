@@ -46,7 +46,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/router"
 	"repro/internal/scenario"
@@ -84,26 +83,12 @@ func main() {
 	if *modelPath == "" {
 		log.Fatal("-model is required (it defines the query id space)")
 	}
-	var m *core.Model
-	var mapped *store.MappedModel
-	var err error
-	if *useMmap && *url == "" {
-		if mapped, err = store.Open(*modelPath); err != nil {
-			log.Fatal(err)
-		}
-		defer mapped.Close()
-		m = mapped.Model
-	} else if m, err = store.LoadFile(*modelPath); err != nil {
-		log.Fatal(err)
-	}
-
 	mix, err := scenario.ParseMix(*mixSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts := scenario.LoadOptions{
-		Mix:   mix,
-		Space: scenario.SpaceFromModel(m),
+		Mix: mix,
 
 		Concurrency: *concurrency,
 		Requests:    *requests,
@@ -120,6 +105,11 @@ func main() {
 
 	var target scenario.Target
 	if *url != "" {
+		m, err := store.LoadFile(*modelPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		opts.Space = scenario.SpaceFromModel(m)
 		target = scenario.HTTPTarget{Base: *url, Snapshot: *snapName}
 		fmt.Fprintf(os.Stderr, "target: %s (HTTP, snapshot=%q)\n", *url, *snapName)
 	} else {
@@ -135,11 +125,18 @@ func main() {
 		}
 		engine := serve.NewMulti(serve.Options{Mmap: *useMmap})
 		defer engine.Close()
-		if mapped != nil {
-			engine.SwapMapped(name, mapped, vocab)
-		} else {
-			engine.SwapNamed(name, m, vocab)
+		if _, err := engine.LoadGeneration(name, *modelPath, vocab, 0); err != nil {
+			log.Fatal(err)
 		}
+		s, release, err := engine.AcquireNamed(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m := s.Model
+		opts.Space = scenario.SpaceFromModel(m)
+		fmt.Fprintf(os.Stderr, "target: %s (in-process engine, mapped=%v, |C|=%d |Z|=%d users=%d words=%d)\n",
+			*modelPath, s.Mapped(), m.Cfg.NumCommunities, m.Cfg.NumTopics, m.NumUsers, m.NumWords)
+		release()
 		et := scenario.EngineTarget{Engine: engine, Snapshot: name}
 		if mix[scenario.OpIngest] > 0 {
 			// A write mix needs the streaming updater behind the engine: a
@@ -167,8 +164,6 @@ func main() {
 			et.Updater = u
 		}
 		target = et
-		fmt.Fprintf(os.Stderr, "target: %s (in-process engine, mapped=%v, |C|=%d |Z|=%d users=%d words=%d)\n",
-			*modelPath, mapped != nil && mapped.Mapped(), m.Cfg.NumCommunities, m.Cfg.NumTopics, m.NumUsers, m.NumWords)
 	}
 
 	rep, err := scenario.RunLoad(target, opts)

@@ -54,14 +54,14 @@
 // then does the HTTP listener shut down.
 //
 // With -fetch, the process is a serving replica: it polls a snapshot
-// source (directory or publisher URL), CRC-verifies each new generation,
-// warms it and hot-swaps it in — the pull half of snapshot distribution
-// behind cmd/cpd-router. A publisher started with -ingest serves its
-// generations to such replicas on /api/shards (manifest list),
-// /api/shards/manifest and /api/shards/file: every generation has a shard
-// manifest, and without -ingest-shards it names the full file as shard 0
-// of 1, which a replica owns by default (-fetch-shard 0). -model is
-// optional in replica mode.
+// source (directory or publisher URL), CRC-verifies each new generation
+// (a read that also warms the page cache) and hot-swaps it in — the pull
+// half of snapshot distribution behind cmd/cpd-router. A publisher
+// started with -ingest serves its generations to such replicas on
+// /api/shards (manifest list), /api/shards/manifest and /api/shards/file:
+// every generation has a shard manifest, and without -ingest-shards it
+// names the full file as shard 0 of 1, which a replica owns by default
+// (-fetch-shard 0). -model is optional in replica mode.
 //
 // -quality-every N scores every N-th published generation with the
 // structural metrics of internal/quality (modularity, coverage,
@@ -196,7 +196,7 @@ func main() {
 	mux.Handle("/", serve.APIHandler(engine, reload))
 
 	// Replica mode: pull published generations from the snapshot source,
-	// verify, warm and hot-swap them; health rides the standard surfaces
+	// verify and hot-swap them; health rides the standard surfaces
 	// (/api/stats "replica" section, cpd_replica_* gauges on /metrics).
 	if *fetchSource != "" {
 		fetcher, err := serve.NewFetcher(engine, serve.FetchOptions{

@@ -29,10 +29,11 @@
 // N cpd-serve replicas: membership and fold-in route to the owning
 // replica by rendezvous user-hash, diffusion to the owner of u, rank
 // scatter-gathers with an exact merge, and replicas pull generation
-// snapshots from the publisher (serve.Fetcher: CRC-verified, warmed,
-// atomically swapped) with per-replica health/generation/lag on the
-// router's stats and metrics. Sharded snapshots (internal/shard) split
-// a v2 generation into a CRC-manifested group — one global file plus N
+// snapshots from the publisher (serve.Fetcher: CRC-verified over a
+// mapping that also warms the page cache, atomically swapped) with
+// per-replica health/generation/lag on the router's stats and metrics.
+// Sharded snapshots (internal/shard) split a v2 generation into a
+// CRC-manifested group — one global file plus N
 // per-user-range shard files — so each replica maps only the users it
 // owns (cpd-serve -ingest-shards / -fetch-shard); every generation is
 // fetched through its manifest, an unsharded one naming the full file as

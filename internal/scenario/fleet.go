@@ -122,7 +122,7 @@ type fleetReplica struct {
 //     stream.Updater — the full file, plus the shard group when Shards
 //     is above 1;
 //  2. start Shards × Replicas serve engines, each pulling its generation
-//     through serve.Fetcher (CRC-verified, warmed, atomically swapped):
+//     through serve.Fetcher (CRC-verified, atomically swapped):
 //     the full file, or the global file plus the replica's own shard;
 //  3. front them with internal/router and verify membership (every
 //     user), rank (Members summed across shards), diffusion (same-shard

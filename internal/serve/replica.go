@@ -9,12 +9,14 @@ package serve
 // is the owner of shard 0 of 1 and takes the same path as a shard
 // replica. Distribution is pull-by-generation: each poll discovers the
 // newest manifest, and only a strictly newer one triggers a fetch. Before
-// a fetched file goes live it is (1) fully CRC-verified against the
-// manifest — the section table AND every payload, the O(model) pass the
-// mapped opener skips by design — and (2) warmed with a sequential read,
-// so the page cache is hot before the first query touches the mapping.
-// Promotion is the engine's usual atomic swap; in-flight queries finish
-// on the snapshot they started with, exactly as for a local reload.
+// a file goes live it is fully CRC-verified against the manifest — the
+// section table AND every payload, the O(model) pass the mapped opener
+// skips by design — on every adopt: a first fetch, a restart over a
+// cache, or a re-linked global file. The check reads the file through a
+// mapping, so the same read leaves the page cache hot before the first
+// query touches the snapshot's own mapping. Promotion is the engine's
+// usual atomic swap; in-flight queries finish on the snapshot they
+// started with, exactly as for a local reload.
 
 import (
 	"context"
@@ -49,8 +51,6 @@ type FetchOptions struct {
 	Vocab *corpus.Vocabulary
 	// Interval is the poll period for Run (default 2s).
 	Interval time.Duration
-	// Client is the HTTP client for URL sources (default: 30s timeout).
-	Client *http.Client
 	// Keep bounds the local cache for HTTP sources: after a promote,
 	// downloaded files older than the newest Keep generations are
 	// removed (default 2; the file backing the live mapping stays valid
@@ -90,6 +90,9 @@ type FetchStatus struct {
 	PatchedPromotes   uint64 `json:"patchedPromotes"`
 	LastPromoteMicros int64  `json:"lastPromoteMicros,omitempty"`
 }
+
+// fetchClient fetches from URL sources.
+var fetchClient = &http.Client{Timeout: 30 * time.Second}
 
 // Fetcher keeps one engine slot tracking a publisher's newest generation.
 type Fetcher struct {
@@ -139,9 +142,6 @@ func NewFetcher(e *Engine, opts FetchOptions) (*Fetcher, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 30 * time.Second}
-	}
 	if opts.Keep <= 0 {
 		opts.Keep = 2
 	}
@@ -189,7 +189,7 @@ func (f *Fetcher) WriteMetrics(w io.Writer) {
 	gauge(w, "cpd_replica_last_promote_seconds", "Open, index build or patch, and swap of the newest fetched generation.", "", float64(st.LastPromoteMicros)/1e6)
 }
 
-// Poll runs one discover→fetch→verify→warm→promote→prune cycle. It returns
+// Poll runs one discover→fetch→verify→promote→prune cycle. It returns
 // the promoted generation (0 if the replica is already current) and
 // records failures for Status; a failed attempt leaves the serving state
 // untouched and is retried on the next poll.
@@ -225,9 +225,11 @@ func (f *Fetcher) Run(ctx context.Context) {
 	}
 }
 
-// poll is one discover→materialize→verify→warm→promote→prune cycle: the
+// poll is one discover→materialize→verify→promote→prune cycle: the
 // manifest names every file and its per-section CRCs, so the generation
 // either verifies and promotes as a unit or is retried whole next poll.
+// A downloaded file that fails the check is removed, so the next poll
+// downloads it again.
 func (f *Fetcher) poll() (uint64, error) {
 	latest, err := f.discover()
 	if err != nil {
@@ -249,17 +251,11 @@ func (f *Fetcher) poll() (uint64, error) {
 	}
 	for _, ent := range files {
 		path := filepath.Join(dir, ent.Name)
-		// Cached verification: a file this replica already walked (the
-		// .verified sidecar matches size+mtime) skips the O(model) CRC
-		// pass — the restart-fast path for big cached generations.
 		if err := shard.VerifyAgainstManifest(path, ent); err != nil {
 			if f.http {
-				store.RemoveVerified(path) // downloaded bad: fetch it again next poll
+				os.Remove(path)
 			}
 			return 0, fmt.Errorf("verifying generation %d: %w", latest, err)
-		}
-		if err := warmFile(path); err != nil {
-			return 0, fmt.Errorf("warming generation %d: %w", latest, err)
 		}
 	}
 	start := time.Now()
@@ -306,7 +302,7 @@ func (f *Fetcher) discover() (uint64, error) {
 		}
 		return gens[len(gens)-1], nil
 	}
-	resp, err := f.opts.Client.Get(f.opts.Source + "/api/shards")
+	resp, err := fetchClient.Get(f.opts.Source + "/api/shards")
 	if err != nil {
 		return 0, err
 	}
@@ -330,10 +326,9 @@ func (f *Fetcher) discover() (uint64, error) {
 // copies for an HTTP source. Already-downloaded files are reused, and so
 // is the served generation's global file when the manifest gives the new
 // one the same content — the community profiles, which fold-in publishes
-// never move: it is hard-linked under the new name with its .verified
-// receipt. The caller verifies against the manifest either way, and a
-// downloaded manifest that does not parse is removed so the next poll
-// fetches it again.
+// never move: it is hard-linked under the new name. The caller verifies
+// every file against the manifest either way, and a downloaded manifest
+// that does not parse is removed so the next poll fetches it again.
 func (f *Fetcher) materialize(gen uint64) (string, *shard.Manifest, error) {
 	dir := f.opts.Source
 	manPath := shard.ManifestPath(dir, gen)
@@ -360,7 +355,9 @@ func (f *Fetcher) materialize(gen uint64) (string, *shard.Manifest, error) {
 	have, served := f.gen, f.global
 	f.mu.Unlock()
 	if have > 0 && man.Global.SameContent(served) {
-		linkCached(filepath.Join(dir, served.Name), globalPath)
+		// A link that fails (globalPath exists already, or the link is
+		// refused) leaves globalPath to fetchOnce.
+		_ = os.Link(filepath.Join(dir, served.Name), globalPath)
 	}
 	if err := f.fetchOnce(fmt.Sprintf("%s/api/shards/file?gen=%d&global=1", f.opts.Source, gen), globalPath); err != nil {
 		return "", nil, err
@@ -372,26 +369,13 @@ func (f *Fetcher) materialize(gen uint64) (string, *shard.Manifest, error) {
 	return dir, man, nil
 }
 
-// linkCached hard-links the cached file src, and its .verified receipt
-// when there is one, to dst. Nothing is linked when dst exists; a failed
-// link leaves dst to be downloaded.
-func linkCached(src, dst string) {
-	if _, err := os.Stat(dst); err == nil {
-		return
-	}
-	if os.Link(src, dst) == nil {
-		// Without the receipt the caller's verification walks the CRCs.
-		_ = os.Link(src+store.VerifiedSidecarSuffix, dst+store.VerifiedSidecarSuffix)
-	}
-}
-
 // fetchOnce downloads url into path unless path is already there,
 // committing it through store.WriteFileAtomic.
 func (f *Fetcher) fetchOnce(url, path string) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	resp, err := f.opts.Client.Get(url)
+	resp, err := fetchClient.Get(url)
 	if err != nil {
 		return err
 	}
@@ -404,18 +388,4 @@ func (f *Fetcher) fetchOnce(url, path string) error {
 		_, err := io.Copy(tmp, resp.Body)
 		return err
 	})
-}
-
-// warmFile reads the file once, sequentially, populating the page cache
-// so the first queries against the freshly mapped snapshot don't pay
-// cold-read latency mid-request.
-func warmFile(path string) error {
-	fh, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	buf := make([]byte, 1<<20)
-	_, err = io.CopyBuffer(io.Discard, fh, buf)
-	return err
 }

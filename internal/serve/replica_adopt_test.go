@@ -326,8 +326,8 @@ func TestFetcherAdoptsShardsByPatch(t *testing.T) {
 // TestFetcherReusesUnchangedGlobalFile: fold-in generations that append
 // users leave the group's global file (the community profiles) as it was,
 // so sharded replicas fetching over HTTP download it once and hard-link
-// their copy, .verified receipt included, for every later generation — and
-// still answer what a full node does.
+// their copy for every later generation — and still answer what a full
+// node does.
 func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
 	p := newAdoptPublisher(t, adoptShards)
 	var globalFetches atomic.Int64
@@ -374,9 +374,6 @@ func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
 			if !os.SameFile(a, b) {
 				t.Fatalf("replica %d: generation %d's global file is not its predecessor's", i, gen)
 			}
-			if _, err := os.Stat(shard.GlobalPath(caches[i], gen) + store.VerifiedSidecarSuffix); err != nil {
-				t.Fatalf("replica %d: generation %d's global file has no receipt: %v", i, gen, err)
-			}
 		}
 		last = gen
 	}
@@ -395,6 +392,79 @@ func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
 			t.Fatalf("shard %d status: %+v", i, st)
 		}
 	}
+}
+
+// TestFetcherRestartRechecksCachedFile: a replica restarted over its HTTP
+// cache checks every cached file again before adopting it. One payload
+// byte of the cached shard file is flipped with size and mtime kept, so
+// only a walk of the payload CRCs can tell. The first poll must fail the
+// check and remove the file; the next downloads it again, and the
+// replica then answers what a full node does.
+func TestFetcherRestartRechecksCachedFile(t *testing.T) {
+	p := newAdoptPublisher(t, adoptShards)
+	gen := p.publish(t, 2)
+	var shardFetches atomic.Int64
+	origin := stream.SnapshotServer(p.dir)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/shards/file" && r.URL.Query().Get("shard") != "" {
+			shardFetches.Add(1)
+		}
+		origin.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	cache := t.TempDir()
+	opts := serve.FetchOptions{Source: srv.URL, Dir: cache, Shard: 1}
+
+	first := serve.NewMulti(serve.Options{Mmap: true})
+	f, err := serve.NewFetcher(first, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Poll(); got != gen || err != nil {
+		t.Fatalf("first poll = %d, %v; want %d", got, err, gen)
+	}
+	first.Close()
+
+	path := shard.ShardPath(cache, gen, 1)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-8] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+
+	replica := serve.NewMulti(serve.Options{Mmap: true})
+	defer replica.Close()
+	if f, err = serve.NewFetcher(replica, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Poll(); err == nil {
+		t.Fatalf("the restarted replica promoted generation %d from a corrupt cached file", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the corrupt cached file is still there: %v", err)
+	}
+	if got, err := f.Poll(); got != gen || err != nil {
+		t.Fatalf("the poll after the failed check = %d, %v; want %d", got, err, gen)
+	}
+	if n := shardFetches.Load(); n != 2 {
+		t.Fatalf("the shard file was downloaded %d times, want twice", n)
+	}
+	full := serve.NewMulti(serve.Options{Mmap: true})
+	defer full.Close()
+	if _, err := full.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, gen), nil, gen); err != nil {
+		t.Fatal(err)
+	}
+	requireOwnedAnswersMatch(t, replica, full, p.users)
 }
 
 // requireOwnedAnswersMatch holds a shard replica to a full node on what

@@ -117,7 +117,7 @@ func TestFetcherDirSource(t *testing.T) {
 
 // TestFetcherHTTPSource drives the fetcher against stream.SnapshotServer:
 // manifest discovery, file download into the local cache, verification,
-// promotion, and cache retention, receipts included.
+// promotion, and cache retention.
 func TestFetcherHTTPSource(t *testing.T) {
 	pub := t.TempDir()
 	srv := httptest.NewServer(stream.SnapshotServer(pub))
@@ -131,7 +131,7 @@ func TestFetcherHTTPSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One poll per generation, so every generation is downloaded,
-	// verified (leaving a receipt) and then pruned.
+	// verified and then pruned.
 	for gen := uint64(1); gen <= 4; gen++ {
 		publishGen(t, pub, gen, gen)
 		if got, err := f.Poll(); got != gen || err != nil {
@@ -141,8 +141,7 @@ func TestFetcherHTTPSource(t *testing.T) {
 	if res, err := e.MembershipIn(serve.DefaultSnapshot, 0, 3); err != nil || res.Generation != 4 {
 		t.Fatalf("membership after http fetch = %+v, %v", res, err)
 	}
-	// Only the newest Keep generations stay in the local cache, and no
-	// receipt outlives its generation.
+	// Only the newest Keep generations stay in the local cache.
 	entries, err := os.ReadDir(cache)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +150,7 @@ func TestFetcherHTTPSource(t *testing.T) {
 	for _, ent := range entries {
 		names = append(names, ent.Name())
 	}
-	want := []string{"gen-00000004.shards.json", "gen-00000004.v2.snap", "gen-00000004.v2.snap" + store.VerifiedSidecarSuffix}
+	want := []string{"gen-00000004.shards.json", "gen-00000004.v2.snap"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("local cache after retention: %v, want %v", names, want)
 	}

@@ -86,9 +86,6 @@ type Options struct {
 	// file stays mapped for as long as any query uses the snapshot
 	// (refcounted; see Snapshot).
 	Mmap bool
-	// Pipeline tokenizes free-text rank queries. A zero pipeline (with
-	// MinDocTokens forced to 1) passes tokens through unstemmed.
-	Pipeline corpus.Pipeline
 }
 
 const (
@@ -106,9 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FoldInWorkers == 0 {
 		o.FoldInWorkers = 4
-	}
-	if o.Pipeline.MinDocTokens == 0 {
-		o.Pipeline.MinDocTokens = 1
 	}
 	return o
 }
@@ -1156,14 +1150,18 @@ func (s *Snapshot) Rank(query []int32, k int) (*RankResult, error) {
 // vocabulary.
 var ErrNoVocabulary = fmt.Errorf("serve: snapshot has no vocabulary; free-text queries disabled")
 
-// RankText tokenizes a free-text query through the engine's pipeline and
-// the snapshot's vocabulary (unknown words dropped) and ranks communities.
+// queryPipeline tokenizes free-text rank queries: tokens pass through
+// unstemmed and unfiltered, and a one-word query is kept.
+var queryPipeline = corpus.Pipeline{MinDocTokens: 1}
+
+// RankText tokenizes a free-text query through queryPipeline and the
+// snapshot's vocabulary (unknown words dropped) and ranks communities.
 func (s *Snapshot) RankText(query string, k int) (*RankResult, error) {
 	if s.Vocab == nil {
 		return nil, ErrNoVocabulary
 	}
 	var ids []int32
-	for _, tok := range s.opts.Pipeline.Process(query) {
+	for _, tok := range queryPipeline.Process(query) {
 		if id, ok := s.Vocab.ID(tok); ok {
 			ids = append(ids, int32(id))
 		}

@@ -286,9 +286,8 @@ func PublishWhole(dir string, gen uint64, m *core.Model) (*Manifest, error) {
 // Prune removes the groups of generations at or below cut from dir, in
 // commit order: each manifest goes before the files it names (for a
 // one-shard generation, the full snapshot), so no reader finds a manifest
-// whose files are gone. Files go with their .verified receipts. A
-// manifest that no longer parses takes its generation's group file names
-// with it.
+// whose files are gone. A manifest that no longer parses takes its
+// generation's group file names with it.
 func Prune(dir string, cut uint64) {
 	gens, err := ScanManifests(dir)
 	if err != nil {
@@ -312,7 +311,7 @@ func Prune(dir string, cut uint64) {
 			paths = append(paths, GlobalPath(dir, gen))
 		}
 		for _, path := range paths {
-			store.RemoveVerified(path)
+			os.Remove(path)
 		}
 	}
 }

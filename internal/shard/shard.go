@@ -300,8 +300,8 @@ func fileEntry(path string) (FileEntry, error) {
 
 // VerifyAgainstManifest checks a local file against its manifest entry:
 // size, section tags/sizes/CRCs as recorded, plus the full payload CRC
-// walk (cached via the .verified sidecar). This is the fetcher's
-// end-to-end check on every downloaded group file.
+// walk of store.VerifyV2File. This is the fetcher's end-to-end check on
+// every group file it adopts.
 func VerifyAgainstManifest(path string, want FileEntry) error {
 	sums, size, err := store.FileSections(path)
 	if err != nil {
@@ -320,5 +320,5 @@ func VerifyAgainstManifest(path string, want FileEntry) error {
 				path, i, s.Tag, s.Size, s.CRC, w.Tag, w.Size, w.CRC)
 		}
 	}
-	return store.VerifyV2FileCached(path)
+	return store.VerifyV2File(path)
 }

@@ -91,10 +91,18 @@ func ScanGenerations(dir string) ([]GenFile, error) {
 // so a torn download or bit-rotted byte is caught once at distribution
 // time rather than surfacing as a wrong answer in some query later. It
 // does not require a whole model: a shard file holds only some sections.
+// The checks run over a read-only mapping of the file, so the heap cost
+// does not grow with the file, and the read that checks every byte also
+// leaves them in the page cache for the mapping the caller opens next.
 func VerifyV2File(path string) error {
-	data, err := readAligned(path)
+	data, mapped, err := mapFile(path)
 	if err == nil {
 		_, err = readV2Sections(data, true)
+		if mapped {
+			if uerr := unmapFile(data); err == nil {
+				err = uerr
+			}
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("store: verifying %s: %w", path, err)

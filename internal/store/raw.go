@@ -15,7 +15,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -77,7 +76,7 @@ func OpenRawFile(path string) (*RawFile, error) {
 }
 
 func (rf *RawFile) parse() error {
-	entries, _, err := readV2Table(bytes.NewReader(rf.data), uint64(len(rf.data)))
+	entries, err := readV2Table(bytes.NewReader(rf.data), uint64(len(rf.data)))
 	if err != nil {
 		return err
 	}
@@ -203,98 +202,24 @@ type SectionSum struct {
 // path and returns each section's identity plus the total file size —
 // O(1) in the model size.
 func FileSections(path string) ([]SectionSum, int64, error) {
-	entries, size, _, err := readFileTable(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	entries, err := readV2Table(f, uint64(fi.Size()))
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: reading %s: %w", path, err)
 	}
 	sums := make([]SectionSum, len(entries))
 	for i, ent := range entries {
 		sums[i] = SectionSum{Tag: ent.tag, Size: ent.size, CRC: ent.crc}
 	}
-	return sums, size, nil
-}
-
-// readFileTable runs readV2Table over the file at path, reading only its
-// header and table.
-func readFileTable(path string) (entries []v2Entry, size int64, tableCRC uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	entries, tableCRC, err = readV2Table(f, uint64(fi.Size()))
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("store: reading %s: %w", path, err)
-	}
-	return entries, fi.Size(), tableCRC, nil
-}
-
-// verifiedSidecar is the cached verification receipt VerifyV2FileCached
-// writes next to a snapshot: if the file's size, mtime and table CRC
-// still match, the O(model) payload-CRC walk is skipped on the next
-// startup.
-type verifiedSidecar struct {
-	Size          int64  `json:"size"`
-	MtimeUnixNano int64  `json:"mtime_unix_nano"`
-	TableCRC      uint64 `json:"table_crc"`
-}
-
-// VerifiedSidecarSuffix is appended to a snapshot path to name its
-// verification receipt.
-const VerifiedSidecarSuffix = ".verified"
-
-// RemoveVerified removes a snapshot file and its verification receipt,
-// so retention never leaves a receipt behind its file. Errors are
-// ignored: a file already gone is what the caller wants.
-func RemoveVerified(path string) {
-	os.Remove(path)
-	os.Remove(path + VerifiedSidecarSuffix)
-}
-
-// VerifyV2FileCached is VerifyV2File with a persistent receipt: a
-// successful full verification writes a ".verified" sidecar recording
-// the file's size, mtime and table CRC, and a later call whose stat and
-// header still match returns without re-walking the payloads. Any
-// mismatch (or unreadable sidecar) falls back to the full walk and
-// refreshes the receipt. Sidecar write failures are ignored — the
-// receipt is an optimization, never a correctness dependency — which is
-// why it is not committed through WriteFileAtomic: a torn receipt only
-// costs a re-verify.
-func VerifyV2FileCached(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	side := path + VerifiedSidecarSuffix
-	_, _, crc, crcErr := readFileTable(path)
-	if crcErr == nil {
-		if raw, err := os.ReadFile(side); err == nil {
-			var sc verifiedSidecar
-			if json.Unmarshal(raw, &sc) == nil &&
-				sc.Size == fi.Size() && sc.MtimeUnixNano == fi.ModTime().UnixNano() && sc.TableCRC == crc {
-				return nil
-			}
-		}
-	}
-	if err := VerifyV2File(path); err != nil {
-		os.Remove(side)
-		return err
-	}
-	if crcErr != nil {
-		return nil // verified, but no receipt to record
-	}
-	if raw, err := json.Marshal(verifiedSidecar{
-		Size:          fi.Size(),
-		MtimeUnixNano: fi.ModTime().UnixNano(),
-		TableCRC:      crc,
-	}); err == nil {
-		_ = os.WriteFile(side, raw, 0o644)
-	}
-	return nil
+	return sums, fi.Size(), nil
 }
 
 // tagSet builds the subset-plan filter from a tag list.

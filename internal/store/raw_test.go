@@ -107,47 +107,3 @@ func TestSaveV2SubsetReusingMatchesSubset(t *testing.T) {
 		t.Fatal("the section-reusing subset save differs from the plain one")
 	}
 }
-
-func TestVerifyV2FileCached(t *testing.T) {
-	m := testModel(20, 4, 3, 40, 11)
-	path := filepath.Join(t.TempDir(), "gen.snap")
-	if err := SaveV2(path, m); err != nil {
-		t.Fatal(err)
-	}
-	sidecar := path + VerifiedSidecarSuffix
-	if err := VerifyV2FileCached(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(sidecar); err != nil {
-		t.Fatalf("first verify must write the sidecar: %v", err)
-	}
-	// A matching sidecar short-circuits the payload walk — corrupting a
-	// payload byte while keeping size+mtime is NOT caught (that is the
-	// point of the cache)...
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyV2FileCached(path); err != nil {
-		t.Fatalf("matching sidecar should skip the walk: %v", err)
-	}
-	// ...but any size or mtime change forces a real walk, which fails and
-	// removes the sidecar.
-	if err := os.Chtimes(path, fi.ModTime().Add(1), fi.ModTime().Add(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyV2FileCached(path); err == nil {
-		t.Fatal("stale sidecar must force a walk that catches the corruption")
-	}
-	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
-		t.Fatal("failed verify must remove the sidecar")
-	}
-}

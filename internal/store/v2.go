@@ -473,29 +473,29 @@ func isV2(data []byte) bool { return bytes.HasPrefix(data, []byte(magicV2)) }
 // snapshot of size bytes behind r — the one parser every v2 reader
 // shares. It checks the magic, the section count, the table CRC, and that
 // every entry is 64-byte aligned, ascending, non-overlapping and inside
-// the snapshot; it reads no payload. It also returns the stored table CRC.
-func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, uint64, error) {
+// the snapshot; it reads no payload.
+func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, error) {
 	hdr := make([]byte, v2HeaderLen)
 	if _, err := r.ReadAt(hdr, 0); err != nil {
-		return nil, 0, fmt.Errorf("store: reading the v2 header: %w", err)
+		return nil, fmt.Errorf("store: reading the v2 header: %w", err)
 	}
 	if !isV2(hdr) {
 		if bytes.HasPrefix(hdr, []byte(magicV2[:6])) {
-			return nil, 0, fmt.Errorf("store: snapshot is format version %d, not v2 (LoadFile reads it)", hdr[6])
+			return nil, fmt.Errorf("store: snapshot is format version %d, not v2 (LoadFile reads it)", hdr[6])
 		}
-		return nil, 0, fmt.Errorf("store: not a v2 CPD snapshot")
+		return nil, fmt.Errorf("store: not a v2 CPD snapshot")
 	}
 	count := binary.LittleEndian.Uint64(hdr[8:])
 	tableCRC := binary.LittleEndian.Uint64(hdr[16:])
 	if count == 0 || count > maxV2Entries {
-		return nil, 0, fmt.Errorf("store: v2 snapshot claims %d sections", count)
+		return nil, fmt.Errorf("store: v2 snapshot claims %d sections", count)
 	}
 	table := make([]byte, count*v2EntryLen)
 	if _, err := r.ReadAt(table, v2HeaderLen); err != nil {
-		return nil, 0, fmt.Errorf("store: reading the v2 section table: %w", err)
+		return nil, fmt.Errorf("store: reading the v2 section table: %w", err)
 	}
 	if got := uint64(crc32.ChecksumIEEE(table)); got != tableCRC {
-		return nil, 0, fmt.Errorf("store: v2 section table checksum mismatch (%08x, stored %08x)", got, tableCRC)
+		return nil, fmt.Errorf("store: v2 section table checksum mismatch (%08x, stored %08x)", got, tableCRC)
 	}
 	entries := make([]v2Entry, count)
 	end := alignUp(uint64(v2HeaderLen) + count*v2EntryLen)
@@ -509,18 +509,18 @@ func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, uint64, error) {
 		}
 		switch {
 		case ent.size > maxSectionBytes || ent.size > size:
-			return nil, 0, fmt.Errorf("store: section %q claims %d payload bytes", ent.tag, ent.size)
+			return nil, fmt.Errorf("store: section %q claims %d payload bytes", ent.tag, ent.size)
 		case ent.off%v2Align != 0:
-			return nil, 0, fmt.Errorf("store: section %q offset %d is not %d-byte aligned", ent.tag, ent.off, v2Align)
+			return nil, fmt.Errorf("store: section %q offset %d is not %d-byte aligned", ent.tag, ent.off, v2Align)
 		case ent.off < end:
-			return nil, 0, fmt.Errorf("store: section %q overlaps the preceding section", ent.tag)
+			return nil, fmt.Errorf("store: section %q overlaps the preceding section", ent.tag)
 		case ent.off > size || ent.size > size-ent.off:
-			return nil, 0, fmt.Errorf("store: section %q extends past the snapshot end", ent.tag)
+			return nil, fmt.Errorf("store: section %q extends past the snapshot end", ent.tag)
 		}
 		end = alignUp(ent.off + ent.size)
 		entries[i] = ent
 	}
-	return entries, tableCRC, nil
+	return entries, nil
 }
 
 // readV2Sections parses the v2 snapshot held in data (8-byte aligned, a
@@ -528,7 +528,7 @@ func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, uint64, error) {
 // section decoder. With verify, each payload's CRC is checked first — the
 // O(model) pass the mapped readers skip by design.
 func readV2Sections(data []byte, verify bool) (*assembly, error) {
-	entries, _, err := readV2Table(bytes.NewReader(data), uint64(len(data)))
+	entries, err := readV2Table(bytes.NewReader(data), uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func TestWorkersNotPersisted(t *testing.T) {
 // in ascending offset order.
 func TestV2Alignment(t *testing.T) {
 	raw := encodeV2ToBytes(t, testModel(17, 5, 4, 70, 24))
-	entries, _, err := readV2Table(bytes.NewReader(raw), uint64(len(raw)))
+	entries, err := readV2Table(bytes.NewReader(raw), uint64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func verdictCases(t *testing.T) []verdictCase {
 	m := testModel(10, 3, 3, 20, 41)
 	m.DocCommunity, m.DocTopic, m.DocBucket = nil, nil, nil
 	valid := encodeV2ToBytes(t, m)
-	entries, _, err := readV2Table(bytes.NewReader(valid), uint64(len(valid)))
+	entries, err := readV2Table(bytes.NewReader(valid), uint64(len(valid)))
 	if err != nil {
 		t.Fatal(err)
 	}

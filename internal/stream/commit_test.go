@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/store"
 )
 
 // TestRestartNeverReusesAGeneration: a publisher restarted without a
@@ -89,8 +88,7 @@ func TestRestartNeverReusesAGeneration(t *testing.T) {
 // paths commit — manifests, snapshot, global and shard files, the
 // journal's .mark and .state sidecars, the compacted journal, and a
 // replica's downloads — is committed with mode 0644, and no temporary
-// file is left beside them. The best-effort .verified receipts are
-// written by os.WriteFile and only checked for leftovers.
+// file is left beside them.
 func TestCommittedFilesAreWorldReadable(t *testing.T) {
 	g, m := testBase(t)
 	dir := t.TempDir()
@@ -141,9 +139,6 @@ func TestCommittedFilesAreWorldReadable(t *testing.T) {
 			name := ent.Name()
 			if strings.HasPrefix(name, ".") || strings.Contains(name, ".tmp") {
 				t.Errorf("%s: temporary file %s survived", d, name)
-				continue
-			}
-			if strings.HasSuffix(name, store.VerifiedSidecarSuffix) {
 				continue
 			}
 			fi, err := ent.Info()

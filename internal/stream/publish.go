@@ -522,10 +522,9 @@ func mergeIDs(a, b []int32) []int32 {
 }
 
 // pruneSnapshotsLocked deletes published generations older than the
-// last KeepSnapshots, with the .verified receipts a directory-source
-// replica writes beside their files. Manifests go first, each before the
-// files it names (shard.Prune), so a replica never reads a manifest whose
-// file is already gone; the full files no manifest names — a sharded
+// last KeepSnapshots. Manifests go first, each before the files it names
+// (shard.Prune), so a replica never reads a manifest whose file is
+// already gone; the full files no manifest names — a sharded
 // publisher's — go after. Retention works off directory listings rather
 // than counting generations down from the cut: a gap in the gen-%08d
 // sequence (a failed publish rolled the generation back, or a file was
@@ -544,7 +543,7 @@ func (u *Updater) pruneSnapshotsLocked() {
 	}
 	for _, f := range files {
 		if f.Generation <= cut {
-			store.RemoveVerified(filepath.Join(u.opts.Dir, f.Name))
+			os.Remove(filepath.Join(u.opts.Dir, f.Name))
 		}
 	}
 }

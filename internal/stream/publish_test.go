@@ -321,12 +321,12 @@ func TestPruneSurvivesGenerationGap(t *testing.T) {
 	}
 }
 
-// TestPruneRemovesReplicaReceipts: a directory-source replica verifies
-// each generation in the publisher's own directory and leaves a .verified
-// receipt beside it; the publisher's retention must remove that receipt
-// with its generation, so the directory holds exactly the newest
-// KeepSnapshots generations and their receipts.
-func TestPruneRemovesReplicaReceipts(t *testing.T) {
+// TestDirectoryReplicaLeavesPublisherDirAlone: a directory-source
+// replica verifies and maps each generation in the publisher's own
+// directory and writes nothing there, so after every publish and poll the
+// directory holds exactly the newest KeepSnapshots generations the
+// publisher wrote: each one's full file and its manifest.
+func TestDirectoryReplicaLeavesPublisherDirAlone(t *testing.T) {
 	g, m := testBase(t)
 	dir := t.TempDir()
 	_, _, u := newTestUpdater(t, g, m, func(o *Options) {
@@ -350,19 +350,19 @@ func TestPruneRemovesReplicaReceipts(t *testing.T) {
 		if got, err := f.Poll(); got != info.Generation || err != nil {
 			t.Fatalf("round %d: replica polled generation %d, %v; want %d", round, got, err, info.Generation)
 		}
-		var receipts, want []string
+		var names, want []string
 		for gen := max(info.Generation, 2) - 1; gen <= info.Generation; gen++ {
-			want = append(want, filepath.Base(store.GenPath(dir, gen))+store.VerifiedSidecarSuffix)
+			want = append(want, filepath.Base(shard.ManifestPath(dir, gen)), filepath.Base(store.GenPath(dir, gen)))
 		}
-		matches, err := filepath.Glob(filepath.Join(dir, "*"+store.VerifiedSidecarSuffix))
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, path := range matches {
-			receipts = append(receipts, filepath.Base(path))
+		for _, ent := range entries {
+			names = append(names, ent.Name())
 		}
-		if !reflect.DeepEqual(receipts, want) {
-			t.Fatalf("generation %d: receipts in the publisher's directory %v, want %v", info.Generation, receipts, want)
+		if !reflect.DeepEqual(names, want) {
+			t.Fatalf("generation %d: the publisher's directory holds %v, want %v", info.Generation, names, want)
 		}
 	}
 }
