@@ -40,8 +40,9 @@ type Model struct {
 	NumTopics, NumWords int
 	Alpha, Beta         float64
 
-	// topicWord[z][w] counts, topicTotal[z] marginals.
-	topicWord  *sparse.Dense
+	// wordTopic[w][z] counts — word-major, so a token's K counts are one
+	// contiguous run — and topicTotal[z] marginals.
+	wordTopic  *sparse.Dense
 	topicTotal []float64
 	// docTopic[d][z] counts, docLen[d] totals, assign[d][k] per-word topics.
 	docTopic *sparse.Dense
@@ -61,7 +62,7 @@ func Train(docs [][]int32, numWords int, cfg Config) *Model {
 		NumWords:   numWords,
 		Alpha:      cfg.Alpha,
 		Beta:       cfg.Beta,
-		topicWord:  sparse.NewDense(cfg.NumTopics, numWords),
+		wordTopic:  sparse.NewDense(numWords, cfg.NumTopics),
 		topicTotal: make([]float64, cfg.NumTopics),
 		docTopic:   sparse.NewDense(len(docs), cfg.NumTopics),
 		docLen:     make([]int, len(docs)),
@@ -75,7 +76,7 @@ func Train(docs [][]int32, numWords int, cfg Config) *Model {
 		for k, w := range words {
 			z := r.Intn(cfg.NumTopics)
 			m.assign[d][k] = int32(z)
-			m.topicWord.Add(z, int(w), 1)
+			m.wordTopic.Add(int(w), z, 1)
 			m.topicTotal[z]++
 			m.docTopic.Add(d, z, 1)
 		}
@@ -86,18 +87,19 @@ func Train(docs [][]int32, numWords int, cfg Config) *Model {
 		for d, words := range docs {
 			dt := m.docTopic.Row(d)
 			for k, w := range words {
+				wt := m.wordTopic.Row(int(w))
 				old := int(m.assign[d][k])
-				m.topicWord.Add(old, int(w), -1)
+				wt[old]--
 				m.topicTotal[old]--
 				dt[old]--
 				for z := 0; z < cfg.NumTopics; z++ {
 					weights[z] = (dt[z] + cfg.Alpha) *
-						(m.topicWord.At(z, int(w)) + cfg.Beta) /
+						(wt[z] + cfg.Beta) /
 						(m.topicTotal[z] + wBeta)
 				}
 				z := r.Categorical(weights)
 				m.assign[d][k] = int32(z)
-				m.topicWord.Add(z, int(w), 1)
+				wt[z]++
 				m.topicTotal[z]++
 				dt[z]++
 			}
@@ -112,7 +114,7 @@ func (m *Model) Phi(z int) []float64 {
 	row := make([]float64, m.NumWords)
 	denom := m.topicTotal[z] + float64(m.NumWords)*m.Beta
 	for w := 0; w < m.NumWords; w++ {
-		row[w] = (m.topicWord.At(z, w) + m.Beta) / denom
+		row[w] = (m.wordTopic.At(w, z) + m.Beta) / denom
 	}
 	return row
 }
@@ -120,7 +122,7 @@ func (m *Model) Phi(z int) []float64 {
 // PhiAt returns the smoothed probability of word w under topic z without
 // materialising the row.
 func (m *Model) PhiAt(z, w int) float64 {
-	return (m.topicWord.At(z, w) + m.Beta) / (m.topicTotal[z] + float64(m.NumWords)*m.Beta)
+	return (m.wordTopic.At(w, z) + m.Beta) / (m.topicTotal[z] + float64(m.NumWords)*m.Beta)
 }
 
 // DocTopics returns the smoothed topic distribution of training document d.

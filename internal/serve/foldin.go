@@ -290,7 +290,7 @@ func foldIn(s *Snapshot, req *FoldInRequest, lazy *rng.LazyStats) (*FoldInResult
 	docZ := make([]int32, n)
 	// Every float64 working array of the request, carved from one
 	// allocation.
-	buf := make([]float64, n*Z+(n+1)+max(C, Z)+2*C+3*F)
+	buf := make([]float64, n*Z+(n+1)+max(C, Z)+2*C+4*F)
 	carve := func(k int) []float64 {
 		part := buf[:k:k]
 		buf = buf[k:]
@@ -338,10 +338,14 @@ func foldIn(s *Snapshot, req *FoldInRequest, lazy *rng.LazyStats) (*FoldInResult
 	// the two ends of that range (both: fs may be negative) bounds it for
 	// every candidate at two calls per friend, and CategoricalLogBounded
 	// asks for the exact logit — summed in the order the full computation
-	// uses — of the few candidates those bounds cannot rule out.
+	// uses — of the few candidates those bounds cannot rule out. A Π row is
+	// one base value, its minimum, plus a few count-driven cells, so the
+	// term at min π_v, already taken for the bound, is reused for every
+	// cell with those same bits: within a draw the term depends on nothing
+	// else, so every sum is unchanged.
 	logw, base := carve(max(C, Z)), carve(C)
 	topicW, upper := logw[:Z], logw[:C] // never live together
-	piMin, piMax, s0 := carve(F), carve(F), carve(F)
+	piMin, piMax, s0, atMin := carve(F), carve(F), carve(F), carve(F)
 	for k, piV := range friendPi {
 		piMin[k], piMax[k] = piV[0], piV[0]
 		for _, p := range piV {
@@ -355,7 +359,11 @@ func foldIn(s *Snapshot, req *FoldInRequest, lazy *rng.LazyStats) (*FoldInResult
 	exact := func(cc int) float64 {
 		lw := base[cc]
 		for k, piV := range friendPi {
-			lw += friendTerm(k, piV[cc])
+			if p := piV[cc]; math.Float64bits(p) == math.Float64bits(piMin[k]) {
+				lw += atMin[k]
+			} else {
+				lw += friendTerm(k, p)
+			}
 		}
 		return lw
 	}
@@ -394,6 +402,7 @@ func foldIn(s *Snapshot, req *FoldInRequest, lazy *rng.LazyStats) (*FoldInResult
 				}
 				s0[k] = dot / den
 				a, b := friendTerm(k, piMin[k]), friendTerm(k, piMax[k])
+				atMin[k] = a
 				hi += max(a, b)
 				lo += min(a, b)
 			}

@@ -135,7 +135,10 @@ func foldInLogReference(m *core.Model, version uint64, docs [][]int32, friendPi 
 // and a negative FriendScale (which swaps the end of a friend's row that
 // bounds its term), a tiny ρ (logits hundreds apart) and ρ = 0 (−Inf
 // logits for empty communities), and peaked friend rows, whose wide range
-// is what makes the bounds loose.
+// is what makes the bounds loose. The friend term at a row's minimum is
+// taken once per draw and reused for every entry with the same bits, so
+// rows with no repeated value, a minimum that occurs once and rows
+// holding both +0 and −0 are covered as well.
 func TestFoldInTablesMatchLogKernel(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -143,14 +146,48 @@ func TestFoldInTablesMatchLogKernel(t *testing.T) {
 		rho         float64
 		minDocs     int
 		trials      int
+		// row, when set, rewrites the rows of users 1, 4, 7, …; users
+		// 0, 3, 6, … always hold peaked rows.
+		row func(u int, row []float64)
 	}{
-		{"default", 0, -1, 1, 300},
-		{"negative-friend-scale", -6, -1, 1, 150},
-		{"tiny-rho", 9, 1e-200, 1, 150},
+		{"default", 0, -1, 1, 300, nil},
+		{"negative-friend-scale", -6, -1, 1, 150, nil},
+		{"tiny-rho", 9, 1e-200, 1, 150, nil},
 		// With ρ = 0 a lone document leaves every community empty while it
 		// is resampled: every logit is −Inf and the draw panics, before and
 		// after. Two documents always leave one community.
-		{"zero-rho", 3, 0, 2, 150},
+		{"zero-rho", 3, 0, 2, 150, nil},
+		// Every entry distinct: the term kept at the row's minimum is
+		// reused at one candidate only.
+		{"distinct-rows", 0, -1, 1, 150, func(u int, row []float64) {
+			for c := range row {
+				row[c] = float64(1+(c*37+u)%len(row)) / 1000
+			}
+		}},
+		// The minimum occurs once, at a peak below the base, next to a peak
+		// above it.
+		{"lone-minimum", -6, -1, 1, 150, func(u int, row []float64) {
+			for c := range row {
+				row[c] = 1e-2
+			}
+			row[u%len(row)] = 1e-6
+			row[(u+3)%len(row)] = 0.5
+		}},
+		// +0 and −0 are equal under == but not in their bits, and the term
+		// is reused on equal bits only: which zero is the minimum depends
+		// on the row.
+		{"signed-zeros", 3, 0, 2, 150, func(u int, row []float64) {
+			zero, other := 0.0, math.Copysign(0, -1)
+			if u%2 == 0 {
+				zero, other = other, zero
+			}
+			for c := range row {
+				row[c] = zero
+			}
+			row[u%len(row)] = other
+			row[(u+2)%len(row)] = other
+			row[(u+1)%len(row)] = 0.75
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := SyntheticModel(90, 7, 5, 120, 11)
@@ -169,6 +206,9 @@ func TestFoldInTablesMatchLogKernel(t *testing.T) {
 					row[c] = 1e-4
 				}
 				row[u%len(row)] = 1 - 1e-4*float64(len(row)-1)
+			}
+			for u := 1; tc.row != nil && u < m.NumUsers; u += 3 {
+				tc.row(u, m.Pi.Row(u))
 			}
 			testFoldInAgainstReference(t, m, tc.minDocs, tc.trials)
 		})

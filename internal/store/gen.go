@@ -97,7 +97,7 @@ func ScanGenerations(dir string) ([]GenFile, error) {
 func VerifyV2File(path string) error {
 	data, mapped, err := mapFile(path)
 	if err == nil {
-		_, err = readV2Sections(data, true)
+		err = readV2Sections(data, true, &assembly{checkOnly: true})
 		if mapped {
 			if uerr := unmapFile(data); err == nil {
 				err = uerr

@@ -61,7 +61,8 @@ func Open(path string) (*MappedModel, error) {
 		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
 	}
 	mm := &MappedModel{path: path, data: data, mapped: mapped}
-	a, err := readV2Sections(data, false)
+	a := &assembly{}
+	err = readV2Sections(data, false, a)
 	if err == nil {
 		mm.Model, err = a.model()
 	}
@@ -114,6 +115,9 @@ type assembly struct {
 	// not v2's 64-byte header) and numeric data never aliased — v1
 	// payloads have no alignment guarantee.
 	v1 bool
+	// checkOnly runs every section check for a caller that discards the
+	// model (VerifyV2File), so DOCB's int64 → int copy is skipped.
+	checkOnly bool
 }
 
 // section decodes one payload into its block of the model; a later
@@ -227,7 +231,7 @@ func (a *assembly) section(tag string, payload []byte) error {
 		if !holds(data, dims[0], 8) {
 			return fail("slice header %d disagrees with %d payload bytes", dims[0], len(payload))
 		}
-		if n := dims[0]; n > 0 {
+		if n := dims[0]; n > 0 && !a.checkOnly {
 			m.DocBucket = make([]int, n)
 			for i := range m.DocBucket {
 				m.DocBucket[i] = int(int64(binary.LittleEndian.Uint64(data[8*i:])))

@@ -144,8 +144,8 @@ func LoadFile(path string) (*core.Model, error) {
 func load(data []byte) (*core.Model, error) {
 	switch {
 	case isV2(data):
-		a, err := readV2Sections(data, true)
-		if err != nil {
+		a := &assembly{}
+		if err := readV2Sections(data, true, a); err != nil {
 			return nil, err
 		}
 		return a.model()

@@ -524,27 +524,26 @@ func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, error) {
 }
 
 // readV2Sections parses the v2 snapshot held in data (8-byte aligned, a
-// mapping or readAligned's memory) and hands every section to the
+// mapping or readAligned's memory) and hands every section to a's
 // section decoder. With verify, each payload's CRC is checked first — the
 // O(model) pass the mapped readers skip by design.
-func readV2Sections(data []byte, verify bool) (*assembly, error) {
+func readV2Sections(data []byte, verify bool, a *assembly) error {
 	entries, err := readV2Table(bytes.NewReader(data), uint64(len(data)))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	a := &assembly{}
 	for _, ent := range entries {
 		payload := data[ent.off : ent.off+ent.size : ent.off+ent.size]
 		if verify {
 			if got := crc32.ChecksumIEEE(payload); got != ent.crc {
-				return nil, fmt.Errorf("store: section %q: checksum mismatch (payload %08x, stored %08x)", ent.tag, got, ent.crc)
+				return fmt.Errorf("store: section %q: checksum mismatch (payload %08x, stored %08x)", ent.tag, got, ent.crc)
 			}
 		}
 		if err := a.section(ent.tag, payload); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return a, nil
+	return nil
 }
 
 // SaveV2 writes m to path as a v2 (mmap-ready) snapshot, atomically and

@@ -93,17 +93,29 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 }
 
 // AppendFloats appends fs as a JSON array; a nil slice is null, as
-// encoding/json writes it.
+// encoding/json writes it. An element with the same bits as the one
+// before it copies that one's spelling instead of formatting it again:
+// membership rows are mostly one repeated base value, and distinct
+// values pay one comparison each.
 func AppendFloats(dst []byte, fs []float64) ([]byte, error) {
 	if fs == nil {
 		return append(dst, "null"...), nil
 	}
 	dst = append(dst, '[')
 	var err error
+	// dst[prev:] spells fs[i-1] from the second element on.
+	prev := 0
 	for i, f := range fs {
 		if i > 0 {
 			dst = append(dst, ',')
+			if math.Float64bits(f) == math.Float64bits(fs[i-1]) {
+				end := len(dst) - 1
+				dst = append(dst, dst[prev:end]...)
+				prev = end + 1
+				continue
+			}
 		}
+		prev = len(dst)
 		if dst, err = AppendFloat(dst, f); err != nil {
 			return dst, err
 		}
