@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/socialgraph"
 )
@@ -131,22 +130,7 @@ func (e *Engine) RunEM(iters int) (*Model, *Diagnostics, error) {
 	if iters < 0 {
 		return nil, nil, fmt.Errorf("core: RunEM needs a non-negative iteration count, got %d", iters)
 	}
-	st, cfg := e.st, e.cfg
-	sc := newScratch(cfg, st.root.Split(0xE11))
-	var mstepSecs float64
-	for iter := 0; iter < iters; iter++ {
-		e.sweep(true)
-		t1 := time.Now()
-		st.mStepEta()
-		if !cfg.NoIndividual && !cfg.NoHeterogeneity {
-			st.mStepNu(sc)
-		}
-		mstepSecs += time.Since(t1).Seconds()
-	}
-	st.refreshCaches()
-	diag := e.Diagnostics()
-	diag.MStepSeconds = mstepSecs
-	return st.buildModel(), diag, nil
+	return e.result(e.emIterations(iters, newScratch(e.cfg, e.st.root.Split(0xE11))))
 }
 
 // TrainResumed continues training from a saved model for iters EM

@@ -44,27 +44,28 @@ func (e *Engine) train() (*Model, *Diagnostics, error) {
 	// then profile learning with communities frozen. Detection-only block
 	// Gibbs needs its own full budget to mix (it lacks the content signal
 	// that accelerates the joint sampler), with a floor for small EMIters.
-	phase1 := 0
-	totalIters := cfg.EMIters
-	if cfg.NoJointModeling {
-		phase1 = cfg.EMIters
-		if phase1 < 30 {
-			phase1 = 30
-		}
-		totalIters = phase1 + cfg.EMIters
-		st.contentOn = false
-	}
-
 	var mstepSecs float64
-	for iter := 0; iter < totalIters; iter++ {
-		if cfg.NoJointModeling && iter == phase1 {
-			// Phase 2 of "no joint modeling": freeze the detected
-			// communities and learn profiles on top.
-			st.contentOn = true
-			st.cFrozen = true
-		}
-		e.sweep(true)
+	if cfg.NoJointModeling {
+		st.contentOn = false
+		mstepSecs = e.emIterations(max(cfg.EMIters, 30), sc)
+		// Phase 2: freeze the detected communities and learn profiles on
+		// top.
+		st.contentOn = true
+		st.cFrozen = true
+	}
+	mstepSecs += e.emIterations(cfg.EMIters, sc)
+	return e.result(mstepSecs)
+}
 
+// emIterations runs iters EM iterations of Alg. 1 with the caller's
+// scratch: an E-step sweep, then, while content is on, the η M-step and —
+// with the individual and heterogeneity terms on — the ν M-step. It
+// returns the seconds the M-steps took.
+func (e *Engine) emIterations(iters int, sc *scratch) float64 {
+	st, cfg := e.st, e.cfg
+	var mstepSecs float64
+	for iter := 0; iter < iters; iter++ {
+		e.sweep(true)
 		t1 := time.Now()
 		if st.contentOn {
 			st.mStepEta()
@@ -74,10 +75,16 @@ func (e *Engine) train() (*Model, *Diagnostics, error) {
 		}
 		mstepSecs += time.Since(t1).Seconds()
 	}
-	st.refreshCaches()
+	return mstepSecs
+}
+
+// result refreshes the caches and returns the model the chain holds, with
+// the diagnostics so far and mstepSecs of M-step time.
+func (e *Engine) result(mstepSecs float64) (*Model, *Diagnostics, error) {
+	e.st.refreshCaches()
 	diag := e.Diagnostics()
 	diag.MStepSeconds = mstepSecs
-	return st.buildModel(), diag, nil
+	return e.st.buildModel(), diag, nil
 }
 
 // sampleUser is Alg. 1's E-step for one user, the body Engine.runSegment

@@ -640,7 +640,7 @@ func TestHydrationRelaysBadUserVerdict(t *testing.T) {
 	for _, tc := range []struct{ method, target, body string }{
 		{http.MethodGet, fmt.Sprintf("/api/diffusion?u=0&v=%d&topic=0", f.users), ""},
 		{http.MethodGet, "/api/diffusion?u=0&v=-1&topic=0", ""},
-		{http.MethodGet, fmt.Sprintf("/api/diffusion?u=0&v=%d&topic=0", 1<<32+5), ""}, // not user 5
+		{http.MethodGet, fmt.Sprintf("/api/diffusion?u=0&v=%d&topic=0", int64(1<<32+5)), ""}, // not user 5
 		{http.MethodPost, "/api/foldin", fmt.Sprintf(`{"docs":[[1]],"friends":[0,%d],"seed":1}`, f.users+5)},
 	} {
 		rec := httptest.NewRecorder()

@@ -7,7 +7,9 @@ package serve
 // slot. Every published generation is announced by a shard manifest; an
 // unsharded one names its full file as its only shard, so a full replica
 // is the owner of shard 0 of 1 and takes the same path as a shard
-// replica. Distribution is pull-by-generation: each poll discovers the
+// replica. A replica fetches only the global file and its own shard: the
+// generation's state file (the document arrays, training state no query
+// reads) stays with the publisher. Distribution is pull-by-generation: each poll discovers the
 // newest manifest, and only a strictly newer one triggers a fetch. Before
 // a file goes live it is fully CRC-verified against the manifest — the
 // section table AND every payload, the O(model) pass the mapped opener
@@ -59,8 +61,8 @@ type FetchOptions struct {
 	// Shard is the shard index this replica owns (default 0). It fetches
 	// the manifest plus the global file and this shard's file, verifies
 	// each against the manifest's per-section CRCs and promotes them as a
-	// unit (Engine.PromoteShardGroup), mapping ~(1/N of the user state +
-	// the global sections). A one-shard generation's only shard is 0: its
+	// unit (Engine.PromoteShardGroup), mapping ~(1/N of Π + the global
+	// sections). A one-shard generation's only shard is 0: its
 	// full file.
 	Shard int
 }

@@ -17,6 +17,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -458,6 +460,67 @@ func TestFetcherRestartRechecksCachedFile(t *testing.T) {
 	}
 	if n := shardFetches.Load(); n != 2 {
 		t.Fatalf("the shard file was downloaded %d times, want twice", n)
+	}
+	full := serve.NewMulti(serve.Options{Mmap: true})
+	defer full.Close()
+	if _, err := full.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, gen), nil, gen); err != nil {
+		t.Fatal(err)
+	}
+	requireOwnedAnswersMatch(t, replica, full, p.users)
+}
+
+// TestReplicaFetchesNoTrainingState: a shard replica polling a 3-shard
+// generation of a model with documents over HTTP keeps no document array
+// in its cache — its shard file and the global file hold none, and the
+// generation's state file is never downloaded — and answers what a full
+// node does.
+func TestReplicaFetchesNoTrainingState(t *testing.T) {
+	p := newAdoptPublisher(t, adoptShards)
+	gen := p.publish(t, 2)
+	docTags := []string{store.TagDocC, store.TagDocZ, store.TagDocB}
+	sums, _, err := store.FileSections(store.GenPath(p.dir, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sums {
+		if s.Tag == store.TagDocC && s.Size <= 64 {
+			t.Fatalf("the published model has no documents (DOCC holds %d bytes)", s.Size)
+		}
+	}
+	srv := httptest.NewServer(stream.SnapshotServer(p.dir))
+	defer srv.Close()
+	replica := serve.NewMulti(serve.Options{Mmap: true})
+	defer replica.Close()
+	cache := t.TempDir()
+	f, err := serve.NewFetcher(replica, serve.FetchOptions{Source: srv.URL, Dir: cache, Shard: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Poll(); got != gen || err != nil {
+		t.Fatalf("poll = %d, %v; want %d", got, err, gen)
+	}
+	entries, err := os.ReadDir(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []string
+	for _, ent := range entries {
+		if !strings.HasSuffix(ent.Name(), ".v2.snap") {
+			continue
+		}
+		snaps = append(snaps, ent.Name())
+		sums, _, err := store.FileSections(filepath.Join(cache, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sums {
+			if slices.Contains(docTags, s.Tag) {
+				t.Errorf("the replica's %s holds the document array %s", ent.Name(), s.Tag)
+			}
+		}
+	}
+	if want := []string{filepath.Base(shard.GlobalPath("", gen)), filepath.Base(shard.ShardPath("", gen, 1))}; !reflect.DeepEqual(snaps, want) {
+		t.Fatalf("the replica cached %v, want %v", snaps, want)
 	}
 	full := serve.NewMulti(serve.Options{Mmap: true})
 	defer full.Close()

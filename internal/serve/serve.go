@@ -654,7 +654,7 @@ func (e *Engine) SwapMapped(name string, mm *store.MappedModel, vocab *corpus.Vo
 func (e *Engine) Promote(s *Snapshot) uint64 { return e.publish(s) }
 
 // PromoteShardGroup publishes an opened shard group (internal/shard) as
-// the named snapshot: local Π rows and doc windows, full global sections,
+// the named snapshot: local Π rows, full global sections,
 // with the shard identity attached so user-scoped queries translate
 // global ids and answer ErrNotOwned outside the owned range. The one
 // shard of a one-shard group holds every user, so it carries no identity

@@ -2,14 +2,18 @@ package shard
 
 // OpenGroup: the serving-side open path. A replica that owns shard k of
 // a sharded generation maps exactly two files — the global sections and
-// its own shard (one full file for a one-shard generation) — and assembles a partial model over them: local Π rows
-// and doc windows, full Θ/Φ/η/ν/POPF/XI. Membership and fold-in work for
-// owned users; rank and diffusion scoring are exact because they only
-// read the global sections (plus membership rows the caller supplies).
+// its own shard (one full file for a one-shard generation) — and
+// assembles a partial model over them: local Π rows, full
+// Θ/Φ/η/ν/POPF/XI, and — unless the one file is a full snapshot — no
+// document arrays, which no query reads.
+// Membership and fold-in work for owned users; rank and diffusion scoring
+// are exact because they only read the global sections (plus membership
+// rows the caller supplies).
 
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -69,20 +73,17 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 		g.MappedBytes += f.SizeBytes()
 		g.Mapped = g.Mapped && f.Mapped()
 	}
-	// Merge: user-indexed sections (and the patched DIM + CFG) from the
-	// shard file, everything else from the global file.
-	shardTags := map[string]bool{
-		store.TagConfig: true, store.TagDims: true,
-		store.TagPi: true, store.TagDocC: true, store.TagDocZ: true, store.TagDocB: true,
-	}
+	// Merge: CFG, the patched DIM and Π from the shard file, everything
+	// else from the global file. A shard file written while it still
+	// carried a document-array window keeps that window to itself.
 	var secs []store.RawSection
 	for _, s := range sf.Sections() {
-		if shardTags[s.Tag] {
+		if slices.Contains(shardTagsList, s.Tag) {
 			secs = append(secs, s)
 		}
 	}
 	for _, s := range global.Sections() {
-		if !shardTags[s.Tag] {
+		if !slices.Contains(shardTagsList, s.Tag) {
 			secs = append(secs, s)
 		}
 	}

@@ -5,22 +5,20 @@ package shard
 // A user's shard weight is the Π row they pin in their shard file (8·cols
 // bytes). Boundaries come from a prefix-sum walk over the weights:
 // boundary k is the first user at which the cumulative weight reaches k/N
-// of the total. Every row weighs the same, so the user ranges come out
-// equal-width, and each shard's document window is apportioned pro rata
-// to its user range.
+// of the total. Every row weighs the same today, so the user ranges come
+// out equal-width; the walk stays for rows of unequal byte weight.
 
 import "fmt"
 
-// PlanRanges partitions users [0,users) and docs [0,docs) into shards
-// contiguous ranges, weighting each user by one Π row of cols columns.
-// Shards may be empty when users < shards; every user and doc lands in
-// exactly one range.
-func PlanRanges(users, docs, shards, cols int) ([]Range, error) {
+// PlanRanges partitions users [0,users) into shards contiguous ranges,
+// weighting each user by one Π row of cols columns. Shards may be empty
+// when users < shards; every user lands in exactly one range.
+func PlanRanges(users, shards, cols int) ([]Range, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count %d must be positive", shards)
 	}
-	if users < 0 || docs < 0 {
-		return nil, fmt.Errorf("shard: negative dimensions (%d users, %d docs)", users, docs)
+	if users < 0 {
+		return nil, fmt.Errorf("shard: negative user count %d", users)
 	}
 	w := uint64(8 * cols)
 	if w == 0 {
@@ -43,23 +41,9 @@ func PlanRanges(users, docs, shards, cols int) ([]Range, error) {
 	for ; k < shards; k++ {
 		userBound[k] = users
 	}
-	// Doc boundaries follow the user split pro rata.
-	docBound := make([]int, shards+1)
-	docBound[shards] = docs
-	for k := 1; k < shards; k++ {
-		if users > 0 {
-			docBound[k] = int(uint64(docs) * uint64(userBound[k]) / uint64(users))
-		}
-	}
 	ranges := make([]Range, shards)
 	for i := range ranges {
-		ranges[i] = Range{
-			Index:  i,
-			UserLo: userBound[i],
-			UserHi: userBound[i+1],
-			DocLo:  docBound[i],
-			DocHi:  docBound[i+1],
-		}
+		ranges[i] = Range{Index: i, UserLo: userBound[i], UserHi: userBound[i+1]}
 	}
 	return ranges, nil
 }

@@ -5,22 +5,24 @@ package shard
 // publisher keeps the work O(changed) at the file level:
 //
 //   - boundaries are planned once and then pinned, with only the LAST
-//     shard's user/doc upper bound growing as the stream appends users
-//     and documents — so shards 0..N−2 keep byte-stable ranges across
-//     generations and routing stays valid through a rollout;
+//     shard's upper bound growing as the stream appends users — so shards
+//     0..N−2 keep byte-stable ranges across generations and routing stays
+//     valid through a rollout;
 //   - the global file holds only the community profiles (no DIM, so no
 //     user count), which fold-in never moves: every publish that is not
 //     Full HARD-LINKS the previous generation's global file, appended
 //     users or not;
-//   - a shard whose range holds no re-folded user (and whose doc window
-//     is unchanged) is hard-linked to the previous generation's file —
-//     zero encode, zero extra disk;
-//   - dirty shards, and the global file of a Full publish, are written
-//     through store.SaveV2SubsetReusing, so sections whose backing arrays
-//     did not move (doc windows on friends-only publishes) splice
-//     byte-for-byte — except the Π of a shard the delta names, which is
-//     always encoded: the updater may have patched those rows inside the
-//     array a manifest remembers.
+//   - a shard whose range holds no re-folded user is hard-linked to the
+//     previous generation's file — zero encode, zero extra disk — whatever
+//     happened to the documents;
+//   - the state file (the document arrays) is hard-linked while those
+//     arrays are the previous model's very own (a friends-only publish);
+//   - dirty shards, the state file of a publish that moved documents and
+//     the global file of a Full one are written through
+//     store.SaveV2SubsetReusing, so sections whose backing arrays did not
+//     move splice byte-for-byte — except the Π of a shard the delta
+//     names, which is always encoded: the updater may have patched those
+//     rows inside the array a manifest remembers.
 //
 // The emitted group is exactly what Split would produce from the full
 // snapshot of the same model with the same pinned ranges — Join on a
@@ -38,7 +40,8 @@ import (
 )
 
 var (
-	shardTagsList  = []string{store.TagConfig, store.TagDims, store.TagPi, store.TagDocC, store.TagDocZ, store.TagDocB}
+	shardTagsList  = []string{store.TagConfig, store.TagDims, store.TagPi}
+	stateTagsList  = []string{store.TagDocC, store.TagDocZ, store.TagDocB}
 	globalTagsList = []string{store.TagConfig, store.TagTheta, store.TagPhi, store.TagEta, store.TagNu, store.TagPop, store.TagXi}
 )
 
@@ -68,10 +71,9 @@ type Publisher struct {
 	shards int
 
 	ranges  []Range // pinned boundaries (File entries unused)
-	prevGen uint64
 	prevMan *Manifest
 
-	// Identity of the previous published model's arrays, for doc-window
+	// Identity of the previous published model's arrays, for state-file
 	// and boundary-stability reasoning.
 	prevUsers int
 	prevDocC  []int32
@@ -81,6 +83,7 @@ type Publisher struct {
 	// Per-file section manifests for SaveV2SubsetReusing.
 	shardMans []*store.SectionManifest
 	globalMan *store.SectionManifest
+	stateMan  *store.SectionManifest
 
 	// LinkedFiles / WrittenFiles count group files hard-linked vs
 	// re-encoded across the publisher's lifetime (observability).
@@ -97,44 +100,33 @@ func NewPublisher(dir string, shards int) (*Publisher, error) {
 	return &Publisher{dir: dir, shards: shards, shardMans: make([]*store.SectionManifest, shards)}, nil
 }
 
-// sameInt32s / sameInts report slice identity (same backing array, same
-// length) — the doc-window reuse precondition.
-func sameInt32s(a, b []int32) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-func sameInts(a, b []int) bool {
+// sameArray reports slice identity (same backing array, same length) —
+// the state-file reuse precondition.
+func sameArray[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Publish emits generation gen of model m as a shard group and returns
 // its manifest.
 func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, error) {
-	users, docs := m.NumUsers, len(m.DocCommunity)
+	users := m.NumUsers
 	C := m.Cfg.NumCommunities
 
 	full := d.Full
-	if p.ranges == nil || users < p.prevUsers || users < p.ranges[p.shards-1].UserLo || docs < p.ranges[p.shards-1].DocLo {
+	if p.ranges == nil || users < p.prevUsers || users < p.ranges[p.shards-1].UserLo {
 		// First publish, or the model shrank out from under the pinned
 		// boundaries (an external reset): replan and rebuild everything.
-		ranges, err := PlanRanges(users, docs, p.shards, C)
+		ranges, err := PlanRanges(users, p.shards, C)
 		if err != nil {
 			return nil, err
 		}
 		p.ranges = ranges
 		full = true
 	} else {
-		// Pinned boundaries: only the last shard absorbs appended users
-		// and documents, so every other shard's byte range is stable.
+		// Pinned boundaries: only the last shard absorbs appended users,
+		// so every other shard's byte range is stable.
 		p.ranges[p.shards-1].UserHi = users
-		p.ranges[p.shards-1].DocHi = docs
 	}
-
-	// Doc windows are reusable only when the doc arrays are the previous
-	// model's very own backing arrays (the friends-only publish regime).
-	docsSame := !full &&
-		sameInt32s(m.DocCommunity, p.prevDocC) &&
-		sameInt32s(m.DocTopic, p.prevDocZ) &&
-		sameInts(m.DocBucket, p.prevDocB)
 
 	changed := make(map[int]bool, p.shards) // shard index -> Π rows moved
 	if !full {
@@ -159,56 +151,45 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 		Generation:   gen,
 		Shards:       p.shards,
 		Users:        users,
-		Docs:         docs,
 		SectionOrder: canonicalOrder(m),
 		Ranges:       make([]Range, p.shards),
+	}
+	// link is the previous generation's manifest when its files may be
+	// re-linked at all: nothing survives a full rebuild.
+	var link *Manifest
+	if !full {
+		link = p.prevMan
 	}
 
 	var st PublishStats
 	// Global file. Outside full rebuilds the global blocks alias the
 	// previous model's arrays and CFG is value-stable, so the previous file
 	// is re-linked.
-	globalPath := GlobalPath(p.dir, gen)
-	if !full && p.prevMan != nil && linkOrCopy(GlobalPath(p.dir, p.prevGen), globalPath) == nil {
-		man.Global = p.prevMan.Global
-		man.Global.Name = fmt.Sprintf(globalFormat, gen)
-		st.FilesLinked++
-	} else {
-		gm, err := store.SaveV2SubsetReusing(globalPath, m, globalTagsList, p.globalMan)
-		if err != nil {
-			return nil, fmt.Errorf("shard: writing global file: %w", err)
-		}
-		p.globalMan = gm
-		if man.Global, err = fileEntry(globalPath); err != nil {
-			return nil, err
-		}
-		st.FilesWritten++
-		st.BytesWritten += man.Global.Size
+	var prev *FileEntry
+	if link != nil {
+		prev = &link.Global
+	}
+	var err error
+	if man.Global, err = commit(&st, GlobalPath(p.dir, gen), prev, m, globalTagsList, &p.globalMan); err != nil {
+		return nil, fmt.Errorf("shard: writing global file: %w", err)
 	}
 
-	for i := range p.ranges {
-		r := p.ranges[i]
-		path := ShardPath(p.dir, gen, i)
-		clean := !full && !changed[i] && docsSame && p.prevMan != nil && i < len(p.prevMan.Ranges) &&
-			p.prevMan.Ranges[i].UserLo == r.UserLo && p.prevMan.Ranges[i].UserHi == r.UserHi &&
-			p.prevMan.Ranges[i].DocLo == r.DocLo && p.prevMan.Ranges[i].DocHi == r.DocHi
-		if clean && linkOrCopy(ShardPath(p.dir, p.prevGen, i), path) == nil {
-			ent := p.prevMan.Ranges[i].File
-			ent.Name = fmt.Sprintf(shardFormat, gen, i)
-			man.Ranges[i] = Range{Index: i, UserLo: r.UserLo, UserHi: r.UserHi, DocLo: r.DocLo, DocHi: r.DocHi, File: ent}
-			st.FilesLinked++
-			continue
-		}
-		sub := &core.Model{
-			Cfg:          m.Cfg,
-			NumUsers:     r.UserHi - r.UserLo,
-			NumWords:     m.NumWords,
-			NumBuckets:   m.NumBuckets,
-			NumAttrs:     m.NumAttrs,
-			Pi:           sparse.NewDenseView(r.UserHi-r.UserLo, C, m.Pi.Data[r.UserLo*C:r.UserHi*C]),
-			DocCommunity: m.DocCommunity[r.DocLo:r.DocHi],
-			DocTopic:     m.DocTopic[r.DocLo:r.DocHi],
-			DocBucket:    m.DocBucket[r.DocLo:r.DocHi],
+	// State file: reusable only when the document arrays are the previous
+	// model's very own backing arrays (the friends-only publish regime).
+	prev = nil
+	if link != nil && sameArray(m.DocCommunity, p.prevDocC) && sameArray(m.DocTopic, p.prevDocZ) && sameArray(m.DocBucket, p.prevDocB) {
+		prev = link.State
+	}
+	state, err := commit(&st, StatePath(p.dir, gen), prev, m, stateTagsList, &p.stateMan)
+	if err != nil {
+		return nil, fmt.Errorf("shard: writing state file: %w", err)
+	}
+	man.State = &state
+
+	for i, r := range p.ranges {
+		prev = nil
+		if link != nil && !changed[i] && i < len(link.Ranges) && link.Ranges[i].UserLo == r.UserLo && link.Ranges[i].UserHi == r.UserHi {
+			prev = &link.Ranges[i].File
 		}
 		if changed[i] {
 			// The delta says rows of this range moved. The Π on record may
@@ -217,18 +198,19 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 			// in place since, so its identity proves nothing: encode it.
 			p.shardMans[i].Forget(store.TagPi)
 		}
-		sman, err := store.SaveV2SubsetReusing(path, sub, shardTagsList, p.shardMans[i])
+		sub := &core.Model{
+			Cfg:        m.Cfg,
+			NumUsers:   r.UserHi - r.UserLo,
+			NumWords:   m.NumWords,
+			NumBuckets: m.NumBuckets,
+			NumAttrs:   m.NumAttrs,
+			Pi:         sparse.NewDenseView(r.UserHi-r.UserLo, C, m.Pi.Data[r.UserLo*C:r.UserHi*C]),
+		}
+		ent, err := commit(&st, ShardPath(p.dir, gen, i), prev, sub, shardTagsList, &p.shardMans[i])
 		if err != nil {
 			return nil, fmt.Errorf("shard: writing shard %d: %w", i, err)
 		}
-		p.shardMans[i] = sman
-		ent, err := fileEntry(path)
-		if err != nil {
-			return nil, err
-		}
-		man.Ranges[i] = Range{Index: i, UserLo: r.UserLo, UserHi: r.UserHi, DocLo: r.DocLo, DocHi: r.DocHi, File: ent}
-		st.FilesWritten++
-		st.BytesWritten += ent.Size
+		man.Ranges[i] = Range{Index: i, UserLo: r.UserLo, UserHi: r.UserHi, File: ent}
 	}
 
 	manPath := ManifestPath(p.dir, gen)
@@ -243,7 +225,6 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 	p.Last = st
 	p.LinkedFiles += uint64(st.FilesLinked)
 	p.WrittenFiles += uint64(st.FilesWritten)
-	p.prevGen = gen
 	p.prevMan = man
 	p.prevUsers = users
 	p.prevDocC = m.DocCommunity
@@ -252,11 +233,38 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 	return man, nil
 }
 
+// commit puts one group file at path: a hard link of the previous
+// generation's file prev names (in path's directory), reusing its manifest
+// entry, when prev is non-nil and the link succeeds; otherwise the tags of
+// m written through store.SaveV2SubsetReusing over the section manifest
+// *sman, which it updates. It counts the file in st and returns the file's
+// manifest entry.
+func commit(st *PublishStats, path string, prev *FileEntry, m *core.Model, tags []string, sman **store.SectionManifest) (FileEntry, error) {
+	if prev != nil && linkOrCopy(filepath.Join(filepath.Dir(path), prev.Name), path) == nil {
+		ent := *prev
+		ent.Name = filepath.Base(path)
+		st.FilesLinked++
+		return ent, nil
+	}
+	next, err := store.SaveV2SubsetReusing(path, m, tags, *sman)
+	if err != nil {
+		return FileEntry{}, err
+	}
+	*sman = next
+	ent, err := fileEntry(path)
+	if err != nil {
+		return FileEntry{}, err
+	}
+	st.FilesWritten++
+	st.BytesWritten += ent.Size
+	return ent, nil
+}
+
 // PublishWhole commits generation gen's full snapshot, already written
 // from m at store.GenPath(dir, gen), as a one-shard group: a manifest
-// whose global entry and only range both name that file, in its own
-// section order. Replicas fetch it exactly as they fetch shard 0 of a
-// sharded generation, and Join reproduces the file.
+// whose global entry, state entry and only range all name that file, in
+// its own section order. Replicas fetch it exactly as they fetch shard 0
+// of a sharded generation, and Join reproduces the file.
 func PublishWhole(dir string, gen uint64, m *core.Model) (*Manifest, error) {
 	ent, err := fileEntry(store.GenPath(dir, gen))
 	if err != nil {
@@ -266,16 +274,15 @@ func PublishWhole(dir string, gen uint64, m *core.Model) (*Manifest, error) {
 	for i, sec := range ent.Sections {
 		order[i] = sec.Tag
 	}
-	users, docs := m.NumUsers, len(m.DocCommunity)
 	man := &Manifest{
 		Version:      1,
 		Generation:   gen,
 		Shards:       1,
-		Users:        users,
-		Docs:         docs,
+		Users:        m.NumUsers,
 		SectionOrder: order,
 		Global:       ent,
-		Ranges:       []Range{{Index: 0, UserHi: users, DocHi: docs, File: ent}},
+		State:        &ent,
+		Ranges:       []Range{{Index: 0, UserHi: m.NumUsers, File: ent}},
 	}
 	if err := WriteManifest(ManifestPath(dir, gen), man); err != nil {
 		return nil, err
@@ -303,12 +310,15 @@ func Prune(dir string, cut uint64) {
 		var paths []string
 		if err == nil {
 			paths = append(paths, filepath.Join(dir, man.Global.Name))
+			if man.State != nil {
+				paths = append(paths, filepath.Join(dir, man.State.Name))
+			}
 			for _, r := range man.Ranges {
 				paths = append(paths, filepath.Join(dir, r.File.Name))
 			}
 		} else {
 			paths, _ = filepath.Glob(filepath.Join(dir, fmt.Sprintf("gen-%08d.shard-*.v2.snap", gen)))
-			paths = append(paths, GlobalPath(dir, gen))
+			paths = append(paths, GlobalPath(dir, gen), StatePath(dir, gen))
 		}
 		for _, path := range paths {
 			os.Remove(path)

@@ -1,10 +1,10 @@
 // Package shard splits v2 model snapshots into per-user-range shard
 // groups so a serving replica maps only the users it owns.
 //
-// A sharded generation is three kinds of files in one directory,
+// A sharded generation is four kinds of files in one directory,
 // described by a CRC'd manifest:
 //
-//	gen-%08d.shards.json        manifest: shard count, user/doc range
+//	gen-%08d.shards.json        manifest: shard count, user range
 //	                            boundaries, per-file names and section
 //	                            checksums
 //	gen-%08d.global.v2.snap     one v2 file with the community profiles:
@@ -13,32 +13,36 @@
 //	                            holds no DIM (its first word is the user
 //	                            count), so it changes only when the
 //	                            profiles do
-//	gen-%08d.shard-%03d.v2.snap N v2 files, each holding the user-indexed
-//	                            sections for one contiguous user range:
-//	                            the Π row slice (+ a DIM patched to the
-//	                            local user count) and the shard's window
-//	                            of the DocC/DocZ/DocB arrays
+//	gen-%08d.shard-%03d.v2.snap N v2 files, each holding one contiguous
+//	                            user range's Π row slice, with CFG and a
+//	                            DIM patched to the local user count
+//	gen-%08d.state.v2.snap      one v2 file with the document arrays
+//	                            DOCC/DOCZ/DOCB — Alg. 1's per-document
+//	                            Gibbs state, which no query reads: only
+//	                            Join needs it, and no replica fetches it
 //
 // Every file is an ordinary v2 container (store.VerifyV2File applies
 // unchanged). The manifest is how every published generation is
 // announced and fetched: an unsharded publish writes a one-shard manifest
-// whose global entry and only range both name the generation's full file
-// (store.GenPath), so a fully replicated fleet is shard 0 of 1 on the
-// same fetch path. Readers resolve files from the entries' names, which
-// DecodeManifest accepts only as the generation's own group names (or,
-// with one shard, its full-file name) — a manifest is outside input.
+// whose global entry, state entry and only range all name the
+// generation's full file (store.GenPath), so a fully replicated fleet is
+// shard 0 of 1 on the same fetch path. Readers resolve files from the
+// entries' names, which DecodeManifest accepts only as the generation's
+// own group names (or, with one shard, its full-file name) — a manifest
+// is outside input.
 //
 // Split turns any v2 snapshot written by this repo's encoder into a
-// sharded generation; Join reassembles one back byte-identically, taking
-// the full DIM from shard 0's with the manifest's user count.
-// Boundaries come from a weight-balancing pass over per-user Π row bytes
-// (PlanRanges). OpenGroup mmaps a global+shard pair into a servable
-// partial model whose mapped-byte cost is ~(1/N of Π + the global
-// sections). Publisher is
-// the streaming integration: it emits a sharded generation next to each
-// full one, hard-linking the global file on every fold-in publish and
-// the shard files whose user range did not change — the O(changed)
-// property at the file level.
+// sharded generation, copying the document arrays verbatim into the state
+// file; Join reassembles one back byte-identically, taking the full DIM
+// from shard 0's with the manifest's user count and the document arrays
+// from the state file. Boundaries come from a weight-balancing pass over
+// per-user Π row bytes (PlanRanges). OpenGroup mmaps a global+shard pair
+// into a servable partial model whose mapped-byte cost is ~(1/N of Π +
+// the global sections). Publisher is the streaming integration: it emits
+// a sharded generation next to each full one, hard-linking the global
+// file on every fold-in publish, the shard files whose Π rows did not
+// change and the state file while the document arrays stay the previous
+// model's — the O(changed) property at the file level.
 package shard
 
 import (
@@ -61,6 +65,7 @@ const (
 	manifestFormat = "gen-%08d.shards.json"
 	globalFormat   = "gen-%08d.global.v2.snap"
 	shardFormat    = "gen-%08d.shard-%03d.v2.snap"
+	stateFormat    = "gen-%08d.state.v2.snap"
 )
 
 // ManifestPath names generation gen's shard manifest under dir.
@@ -76,6 +81,11 @@ func GlobalPath(dir string, gen uint64) string {
 // ShardPath names shard k of generation gen under dir.
 func ShardPath(dir string, gen uint64, k int) string {
 	return filepath.Join(dir, fmt.Sprintf(shardFormat, gen, k))
+}
+
+// StatePath names generation gen's document-array file under dir.
+func StatePath(dir string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf(stateFormat, gen))
 }
 
 // ParseManifestName extracts the generation from a shard-manifest file
@@ -131,31 +141,32 @@ func (e FileEntry) SameContent(o FileEntry) bool {
 }
 
 // Range is one shard's slice of the model: users [UserLo,UserHi) own the
-// Π rows, docs [DocLo,DocHi) the assignment-array window, File the v2
-// container holding both.
+// Π rows File holds.
 type Range struct {
 	Index  int       `json:"index"`
 	UserLo int       `json:"user_lo"`
 	UserHi int       `json:"user_hi"`
-	DocLo  int       `json:"doc_lo"`
-	DocHi  int       `json:"doc_hi"`
 	File   FileEntry `json:"file"`
 }
 
 // Manifest describes one sharded generation. It is the commit point of a
-// sharded publish: the global and shard files are written first, the
-// manifest last, so a manifest that parses always names complete files.
+// sharded publish: the global, state and shard files are written first,
+// the manifest last, so a manifest that parses always names complete
+// files.
 type Manifest struct {
 	Version    int    `json:"version"`
 	Generation uint64 `json:"generation"`
 	Shards     int    `json:"shards"`
 	Users      int    `json:"users"`
-	Docs       int    `json:"docs"`
 	// SectionOrder is the source file's section order, which Join
 	// reproduces for byte-identity.
 	SectionOrder []string  `json:"section_order"`
 	Global       FileEntry `json:"global"`
-	Ranges       []Range   `json:"ranges"`
+	// State names the file holding the document arrays. Manifests
+	// written while the arrays still rode in the shard files have none:
+	// they open, but do not join.
+	State  *FileEntry `json:"state,omitempty"`
+	Ranges []Range    `json:"ranges"`
 }
 
 // Owner returns the shard index owning user u, or -1 when u is outside
@@ -229,28 +240,15 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 	return &man, nil
 }
 
-// validate rejects manifests whose ranges do not tile [0,Users) and
-// [0,Docs) contiguously, or whose entries name any file but their own —
-// the invariants every consumer leans on.
+// validate rejects manifests whose ranges do not tile [0,Users)
+// contiguously, or whose entries name any file but their own — the
+// invariants every consumer leans on.
 func (man *Manifest) validate() error {
 	if man.Shards <= 0 || len(man.Ranges) != man.Shards {
 		return fmt.Errorf("shard: manifest claims %d shards with %d ranges", man.Shards, len(man.Ranges))
 	}
-	if man.Users < 0 || man.Docs < 0 {
-		return fmt.Errorf("shard: manifest has negative dimensions")
-	}
-	wantU, wantD := 0, 0
-	for i, r := range man.Ranges {
-		if r.Index != i {
-			return fmt.Errorf("shard: range %d carries index %d", i, r.Index)
-		}
-		if r.UserLo != wantU || r.UserHi < r.UserLo || r.DocLo != wantD || r.DocHi < r.DocLo {
-			return fmt.Errorf("shard: range %d [%d,%d)/[%d,%d) does not tile the model", i, r.UserLo, r.UserHi, r.DocLo, r.DocHi)
-		}
-		wantU, wantD = r.UserHi, r.DocHi
-	}
-	if wantU != man.Users || wantD != man.Docs {
-		return fmt.Errorf("shard: ranges cover %d users / %d docs of %d / %d", wantU, wantD, man.Users, man.Docs)
+	if err := tileUsers(man.Ranges, man.Users); err != nil {
+		return err
 	}
 	// Readers join the names to a directory, so each must be this
 	// generation's own file for its role: no path, no other generation.
@@ -260,10 +258,32 @@ func (man *Manifest) validate() error {
 	if !own(man.Global.Name, fmt.Sprintf(globalFormat, man.Generation)) {
 		return fmt.Errorf("shard: global entry names %q", man.Global.Name)
 	}
+	if man.State != nil && !own(man.State.Name, fmt.Sprintf(stateFormat, man.Generation)) {
+		return fmt.Errorf("shard: state entry names %q", man.State.Name)
+	}
 	for i, r := range man.Ranges {
+		if r.Index != i {
+			return fmt.Errorf("shard: range %d carries index %d", i, r.Index)
+		}
 		if !own(r.File.Name, fmt.Sprintf(shardFormat, man.Generation, i)) {
 			return fmt.Errorf("shard: range %d names %q", i, r.File.Name)
 		}
+	}
+	return nil
+}
+
+// tileUsers checks that ranges cover users [0,users) contiguously in
+// order.
+func tileUsers(ranges []Range, users int) error {
+	want := 0
+	for i, r := range ranges {
+		if r.UserLo != want || r.UserHi < r.UserLo {
+			return fmt.Errorf("shard: range %d [%d,%d) does not tile the users", i, r.UserLo, r.UserHi)
+		}
+		want = r.UserHi
+	}
+	if want != users {
+		return fmt.Errorf("shard: ranges cover %d users of %d", want, users)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -78,6 +79,7 @@ func splitJoinIdentical(t *testing.T, src string, shards int) *Manifest {
 	if man.Shards != shards {
 		t.Fatalf("manifest has %d shards, want %d", man.Shards, shards)
 	}
+	assertStateLayout(t, dir, man)
 	joined := filepath.Join(dir, "joined.v2.snap")
 	if err := Join(dir, 7, joined); err != nil {
 		t.Fatalf("Join: %v", err)
@@ -136,36 +138,36 @@ func TestSplitJoinGeneratedModels(t *testing.T) {
 }
 
 func TestPlanRangesProperties(t *testing.T) {
-	check := func(t *testing.T, users, docs, shards, cols int) []Range {
+	check := func(t *testing.T, users, shards, cols int) []Range {
 		t.Helper()
-		ranges, err := PlanRanges(users, docs, shards, cols)
+		ranges, err := PlanRanges(users, shards, cols)
 		if err != nil {
-			t.Fatalf("PlanRanges(%d,%d,%d): %v", users, docs, shards, err)
+			t.Fatalf("PlanRanges(%d,%d): %v", users, shards, err)
 		}
 		if len(ranges) != shards {
 			t.Fatalf("got %d ranges, want %d", len(ranges), shards)
 		}
-		wantU, wantD := 0, 0
+		wantU := 0
 		for i, r := range ranges {
-			if r.Index != i || r.UserLo != wantU || r.DocLo != wantD || r.UserHi < r.UserLo || r.DocHi < r.DocLo {
+			if r.Index != i || r.UserLo != wantU || r.UserHi < r.UserLo {
 				t.Fatalf("range %d does not tile: %+v", i, r)
 			}
-			wantU, wantD = r.UserHi, r.DocHi
+			wantU = r.UserHi
 		}
-		if wantU != users || wantD != docs {
-			t.Fatalf("ranges cover %d/%d users, %d/%d docs", wantU, users, wantD, docs)
+		if wantU != users {
+			t.Fatalf("ranges cover %d/%d users", wantU, users)
 		}
 		return ranges
 	}
 
 	t.Run("one-user", func(t *testing.T) {
-		ranges := check(t, 1, 3, 4, 8)
+		ranges := check(t, 1, 4, 8)
 		if ranges[0].UserHi != 1 {
 			t.Fatalf("single user should land in shard 0: %+v", ranges)
 		}
 	})
 	t.Run("users-eq-shards", func(t *testing.T) {
-		ranges := check(t, 5, 15, 5, 8)
+		ranges := check(t, 5, 5, 8)
 		for i, r := range ranges {
 			if r.UserHi-r.UserLo != 1 {
 				t.Fatalf("shard %d holds %d users, want exactly 1", i, r.UserHi-r.UserLo)
@@ -173,8 +175,8 @@ func TestPlanRangesProperties(t *testing.T) {
 		}
 	})
 	t.Run("boundary-ownership", func(t *testing.T) {
-		ranges := check(t, 97, 3*97, 7, 16)
-		man := &Manifest{Shards: 7, Users: 97, Docs: 3 * 97, Ranges: ranges}
+		ranges := check(t, 97, 7, 16)
+		man := &Manifest{Shards: 7, Users: 97, Ranges: ranges}
 		for u := 0; u < 97; u++ {
 			owners := 0
 			for _, r := range ranges {
@@ -194,7 +196,7 @@ func TestPlanRangesProperties(t *testing.T) {
 		}
 	})
 	t.Run("zero-shards", func(t *testing.T) {
-		if _, err := PlanRanges(10, 30, 0, 0); err == nil {
+		if _, err := PlanRanges(10, 0, 0); err == nil {
 			t.Fatal("want error for zero shards")
 		}
 	})
@@ -346,13 +348,14 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 	}
 	assertSameFile(t, ShardPath(dir, 1, 1), ShardPath(dir, 2, 1))
 	assertSameFile(t, GlobalPath(dir, 1), GlobalPath(dir, 2))
+	assertSameFile(t, StatePath(dir, 1), StatePath(dir, 2))
 	if man2.Ranges[1].File.Sections[0].CRC != man1.Ranges[1].File.Sections[0].CRC {
 		t.Fatalf("linked shard must reuse the previous file entry")
 	}
 
 	// Growth publish: appended users and documents (fresh doc arrays). The
-	// global file holds no user count, so it is still a link; only shard
-	// files are written.
+	// global file holds no user count, so it is still a link; the state
+	// file and the shard files of changed users are written.
 	m3 := growModel(m2, 8, 20, 77)
 	written := pub.WrittenFiles
 	man3, err := pub.Publish(3, m3, Delta{ChangedUsers: []int32{10}})
@@ -361,17 +364,20 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 	}
 	assertJoinMatches(t, dir, 3, m3)
 	assertSameFile(t, GlobalPath(dir, 2), GlobalPath(dir, 3))
-	shardsWritten, bytes3 := 0, statSize(t, ManifestPath(dir, 3))
+	if sameFile(t, StatePath(dir, 2), StatePath(dir, 3)) {
+		t.Fatal("fresh document arrays must rewrite the state file")
+	}
+	shardsWritten, bytes3 := 0, statSize(t, ManifestPath(dir, 3))+statSize(t, StatePath(dir, 3))
 	for i := range man3.Ranges {
 		if !sameFile(t, ShardPath(dir, 2, i), ShardPath(dir, 3, i)) {
 			shardsWritten++
 			bytes3 += statSize(t, ShardPath(dir, 3, i))
 		}
 	}
-	if shardsWritten == 0 || pub.WrittenFiles-written != uint64(shardsWritten) {
+	if shardsWritten == 0 || pub.WrittenFiles-written != uint64(1+shardsWritten) {
 		t.Fatalf("gen 3 wrote %d files, %d of them shard files", pub.WrittenFiles-written, shardsWritten)
 	}
-	if want := (PublishStats{FilesWritten: shardsWritten, FilesLinked: 1 + man3.Shards - shardsWritten, BytesWritten: bytes3}); pub.Last != want {
+	if want := (PublishStats{FilesWritten: 1 + shardsWritten, FilesLinked: 1 + man3.Shards - shardsWritten, BytesWritten: bytes3}); pub.Last != want {
 		t.Fatalf("gen 3 stats %+v, want %+v", pub.Last, want)
 	}
 
@@ -393,6 +399,9 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 		if err := VerifyAgainstManifest(GlobalPath(dir, gen), man.Global); err != nil {
 			t.Fatalf("gen %d global: %v", gen, err)
 		}
+		if err := VerifyAgainstManifest(StatePath(dir, gen), *man.State); err != nil {
+			t.Fatalf("gen %d state: %v", gen, err)
+		}
 		for i := range man.Ranges {
 			if err := VerifyAgainstManifest(ShardPath(dir, gen, i), man.Ranges[i].File); err != nil {
 				t.Fatalf("gen %d shard %d: %v", gen, i, err)
@@ -405,8 +414,10 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 	if _, err := ReadManifest(ManifestPath(dir, 1)); err == nil {
 		t.Fatal("generation 1 should be pruned")
 	}
-	if _, err := os.Stat(GlobalPath(dir, 2)); !os.IsNotExist(err) {
-		t.Fatal("generation 2 files should be pruned")
+	for _, path := range []string{GlobalPath(dir, 2), StatePath(dir, 2)} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("generation 2 file %s should be pruned", path)
+		}
 	}
 	if _, err := ReadManifest(ManifestPath(dir, 3)); err != nil {
 		t.Fatalf("generation 3 should survive the prune: %v", err)
@@ -470,9 +481,160 @@ func TestPublisherEncodesPatchedInPlacePi(t *testing.T) {
 		}
 	}
 	same(GlobalPath(splitDir, 3), GlobalPath(dir, 3))
+	same(StatePath(splitDir, 3), StatePath(dir, 3))
 	for i := range man3.Ranges {
 		same(ShardPath(splitDir, 3, i), ShardPath(dir, 3, i))
 	}
+}
+
+// TestPublisherRelinksShardsOnDocumentChange: shard files hold only Π, so
+// a publish with fresh document assignments whose changed users all fall in
+// shard 0 hard-links every other shard file and rewrites only shard 0 and
+// the state file — and the group still joins to the full snapshot.
+func TestPublisherRelinksShardsOnDocumentChange(t *testing.T) {
+	dir := t.TempDir()
+	pub, err := NewPublisher(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := testModel(60, 6, 4, 70, 47)
+	if _, err := pub.Publish(1, m1, Delta{Full: true}); err != nil {
+		t.Fatalf("publish gen 1: %v", err)
+	}
+
+	m2 := clonePi(m1)
+	m2.Pi.Row(2)[0] += 0.5
+	r := rng.New(48)
+	m2.DocCommunity = make([]int32, len(m1.DocCommunity))
+	m2.DocTopic = make([]int32, len(m1.DocTopic))
+	for i := range m2.DocCommunity {
+		m2.DocCommunity[i] = int32(r.Intn(m2.Cfg.NumCommunities))
+		m2.DocTopic[i] = int32(r.Intn(m2.Cfg.NumTopics))
+	}
+	man2, err := pub.Publish(2, m2, Delta{ChangedUsers: []int32{2}})
+	if err != nil {
+		t.Fatalf("publish gen 2: %v", err)
+	}
+	if owner := man2.Owner(2); owner != 0 {
+		t.Fatalf("user 2 owned by shard %d, want 0", owner)
+	}
+	for i := 1; i < man2.Shards; i++ {
+		assertSameFile(t, ShardPath(dir, 1, i), ShardPath(dir, 2, i))
+	}
+	for _, pair := range [][2]string{{ShardPath(dir, 1, 0), ShardPath(dir, 2, 0)}, {StatePath(dir, 1), StatePath(dir, 2)}} {
+		if sameFile(t, pair[0], pair[1]) {
+			t.Fatalf("%s should be rewritten", filepath.Base(pair[1]))
+		}
+	}
+	if want := (PublishStats{FilesWritten: 2, FilesLinked: man2.Shards, BytesWritten: statSize(t, ShardPath(dir, 2, 0)) +
+		statSize(t, StatePath(dir, 2)) + statSize(t, ManifestPath(dir, 2))}); pub.Last != want {
+		t.Fatalf("gen 2 stats %+v, want %+v", pub.Last, want)
+	}
+	assertJoinMatches(t, dir, 2, m2)
+}
+
+// TestDocWindowGroupOpens: a group written while the shard files still
+// carried a window of the document arrays — a manifest with doc ranges and
+// no state entry — still decodes and opens to the model today's layout
+// opens to, but does not join.
+func TestDocWindowGroupOpens(t *testing.T) {
+	m := testModel(40, 6, 4, 60, 31)
+	src := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(src, m); err != nil {
+		t.Fatal(err)
+	}
+	dir, oldDir := t.TempDir(), t.TempDir()
+	man, err := Split(src, dir, 5, SplitOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Split(src, oldDir, 5, SplitOptions{Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	docs := len(m.DocCommunity)
+	doc := map[string]any{}
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "state")
+	doc["docs"] = docs
+	for i, r := range man.Ranges {
+		lo, hi := docs*r.UserLo/m.NumUsers, docs*r.UserHi/m.NumUsers
+		path := ShardPath(oldDir, 5, i)
+		rewriteSections(t, path, func(secs []store.RawSection) []store.RawSection {
+			window := func(tag string, body []byte, width int) store.RawSection {
+				return store.RawSection{Tag: tag, Payload: shapedSlice([]uint64{uint64(hi - lo)}, body[width*lo:width*hi])}
+			}
+			return append(secs,
+				window(store.TagDocC, int32Bytes(m.DocCommunity), 4),
+				window(store.TagDocZ, int32Bytes(m.DocTopic), 4),
+				window(store.TagDocB, intBytes(m.DocBucket), 8))
+		})
+		ent, err := fileEntry(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := doc["ranges"].([]any)[i].(map[string]any)
+		rd["doc_lo"], rd["doc_hi"], rd["file"] = lo, hi, ent
+	}
+	payload, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := append([]byte(fmt.Sprintf("%s %08x\n", manifestMagic, crc32.ChecksumIEEE(payload))), payload...)
+	if err := os.WriteFile(ManifestPath(oldDir, 5), sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	oldMan, err := ReadManifest(ManifestPath(oldDir, 5))
+	if err != nil {
+		t.Fatalf("a manifest with doc windows must still decode: %v", err)
+	}
+	if oldMan.State != nil {
+		t.Fatalf("decoded a state entry %+v from a manifest without one", oldMan.State)
+	}
+	for k := 0; k < man.Shards; k++ {
+		if err := VerifyAgainstManifest(ShardPath(oldDir, 5, k), oldMan.Ranges[k].File); err != nil {
+			t.Fatal(err)
+		}
+		g, err := OpenGroup(dir, man, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := OpenGroup(oldDir, oldMan, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.Model, old.Model) || g.Info != old.Info {
+			t.Fatalf("shard %d opens to a different model from the doc-window layout", k)
+		}
+		g.Close()
+		old.Close()
+	}
+	err = Join(oldDir, 5, filepath.Join(t.TempDir(), "joined.v2.snap"))
+	if err == nil || !strings.Contains(err.Error(), "names no state file") {
+		t.Fatalf("Join of a group without a state file = %v, want it refused", err)
+	}
+}
+
+func int32Bytes(xs []int32) []byte {
+	buf := make([]byte, 4*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+	}
+	return buf
+}
+
+func intBytes(xs []int) []byte {
+	buf := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(x)))
+	}
+	return buf
 }
 
 // clonePi mirrors the stream updater's incremental publish: a brand-new Π
@@ -512,10 +674,15 @@ func growModel(m *core.Model, moreUsers, moreDocs int, seed uint64) *core.Model 
 	return &out
 }
 
-// assertJoinMatches joins the published generation and compares it against
-// a fresh full SaveV2 of the model.
+// assertJoinMatches checks the published generation's layout, then joins
+// it and compares it against a fresh full SaveV2 of the model.
 func assertJoinMatches(t *testing.T, dir string, gen uint64, m *core.Model) {
 	t.Helper()
+	man, err := ReadManifest(ManifestPath(dir, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStateLayout(t, dir, man)
 	joined := filepath.Join(t.TempDir(), "joined.v2.snap")
 	if err := Join(dir, gen, joined); err != nil {
 		t.Fatalf("join gen %d: %v", gen, err)
@@ -534,6 +701,43 @@ func assertJoinMatches(t *testing.T, dir string, gen uint64, m *core.Model) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("generation %d join differs from the full snapshot (%d vs %d bytes)", gen, len(got), len(want))
+	}
+}
+
+// assertStateLayout holds a group to its layout: the state file the
+// manifest names holds exactly the document arrays, and no global or
+// shard file holds any of them.
+func assertStateLayout(t *testing.T, dir string, man *Manifest) {
+	t.Helper()
+	docTags := []string{store.TagDocC, store.TagDocZ, store.TagDocB}
+	tags := func(name string) []string {
+		t.Helper()
+		sums, _, err := store.FileSections(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, s := range sums {
+			out = append(out, s.Tag)
+		}
+		return out
+	}
+	if man.State == nil {
+		t.Fatalf("generation %d's manifest names no state file", man.Generation)
+	}
+	if got := tags(man.State.Name); !slices.Equal(got, docTags) {
+		t.Fatalf("state file %s holds %v, want %v", man.State.Name, got, docTags)
+	}
+	names := []string{man.Global.Name}
+	for _, r := range man.Ranges {
+		names = append(names, r.File.Name)
+	}
+	for _, name := range names {
+		for _, tag := range tags(name) {
+			if slices.Contains(docTags, tag) {
+				t.Fatalf("%s holds the document array %s", name, tag)
+			}
+		}
 	}
 }
 
@@ -625,7 +829,13 @@ func TestJoinRejectsInconsistentGroups(t *testing.T) {
 			if err := WriteManifest(ManifestPath(dir, 3), man); err != nil {
 				t.Fatal(err)
 			}
-		}, "ranges cover 30 users / 90 docs of 31 / 90"},
+		}, "ranges cover 30 users of 31"},
+		{"no-state", func(t *testing.T, dir string, man *Manifest) {
+			man.State = nil
+			if err := WriteManifest(ManifestPath(dir, 3), man); err != nil {
+				t.Fatal(err)
+			}
+		}, "generation 3's manifest names no state file"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -754,7 +964,8 @@ func TestPublishWhole(t *testing.T) {
 		t.Fatalf("manifest on disk %+v (%v), published %+v", read, err, man)
 	}
 	if man.Shards != 1 || man.Global.Name != filepath.Base(full) || !reflect.DeepEqual(man.Ranges[0].File, man.Global) ||
-		man.Ranges[0].UserHi != 30 || man.Ranges[0].DocHi != 90 || len(man.SectionOrder) != len(man.Global.Sections) {
+		man.State == nil || !reflect.DeepEqual(*man.State, man.Global) ||
+		man.Ranges[0].UserHi != 30 || len(man.SectionOrder) != len(man.Global.Sections) {
 		t.Fatalf("one-shard manifest %+v", man)
 	}
 
@@ -802,7 +1013,8 @@ func TestPublishWhole(t *testing.T) {
 // TestManifestRejectsForeignNames: entry names come from outside (a
 // downloaded manifest), and readers join them to a directory, so
 // DecodeManifest accepts only the generation's own file for each role:
-// its global file or shard i's, or — with one shard — its full file.
+// its global file, state file or shard i's, or — with one shard — its full
+// file. A manifest without a state entry is still accepted.
 func TestManifestRejectsForeignNames(t *testing.T) {
 	m := testModel(20, 4, 3, 30, 7)
 	src := filepath.Join(t.TempDir(), "full.v2.snap")
@@ -842,6 +1054,12 @@ func TestManifestRejectsForeignNames(t *testing.T) {
 		{"full-global-in-group", split, func(man *Manifest) { man.Global.Name = fullName }, false},
 		{"full-shard-in-group", split, func(man *Manifest) { man.Ranges[0].File.Name = fullName }, false},
 		{"empty", split, func(man *Manifest) { man.Global.Name = "" }, false},
+		{"no-state", split, func(man *Manifest) { man.State = nil }, true},
+		{"whole-group-state", whole, func(man *Manifest) { man.State = &FileEntry{Name: fmt.Sprintf(stateFormat, 3)} }, true},
+		{"state-escapes", split, func(man *Manifest) { man.State = &FileEntry{Name: "../" + fmt.Sprintf(stateFormat, 3)} }, false},
+		{"other-generation-state", split, func(man *Manifest) { man.State = &FileEntry{Name: fmt.Sprintf(stateFormat, 2)} }, false},
+		{"shard-as-state", split, func(man *Manifest) { man.State = &FileEntry{Name: fmt.Sprintf(shardFormat, 3, 0)} }, false},
+		{"full-state-in-group", split, func(man *Manifest) { man.State = &FileEntry{Name: fullName} }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -884,25 +1102,30 @@ func FuzzSplitJoin(f *testing.F) {
 // sealed under a correct CRC header so the JSON and the range validation
 // behind it are reached. It must never panic, and a manifest it accepts
 // keeps the promises every consumer leans on: the ranges tile [0,Users)
-// and [0,Docs) in index order, Owner agrees with them, and the manifest
-// survives a write/read round trip unchanged.
+// in index order, Owner agrees with them, every entry names a file of the
+// manifest's own generation, and the manifest survives a write/read round
+// trip unchanged.
 func FuzzReadManifest(f *testing.F) {
 	valid := &Manifest{
-		Version: 1, Generation: 7, Shards: 2, Users: 10, Docs: 30,
+		Version: 1, Generation: 7, Shards: 2, Users: 10,
 		SectionOrder: []string{"CONF", "PI"},
 		Global:       FileEntry{Name: "gen-00000007.global.v2.snap", Size: 64, Sections: []store.SectionSum{{Tag: "CONF", Size: 12, CRC: 5}}},
 		Ranges: []Range{
-			{Index: 0, UserLo: 0, UserHi: 4, DocLo: 0, DocHi: 12, File: FileEntry{Name: "gen-00000007.shard-000.v2.snap", Size: 80}},
-			{Index: 1, UserLo: 4, UserHi: 10, DocLo: 12, DocHi: 30, File: FileEntry{Name: "gen-00000007.shard-001.v2.snap", Size: 96}},
+			{Index: 0, UserLo: 0, UserHi: 4, File: FileEntry{Name: "gen-00000007.shard-000.v2.snap", Size: 80}},
+			{Index: 1, UserLo: 4, UserHi: 10, File: FileEntry{Name: "gen-00000007.shard-001.v2.snap", Size: 96}},
 		},
 	}
-	var doc bytes.Buffer
-	if err := EncodeManifest(&doc, valid); err != nil {
-		f.Fatal(err)
+	seal := func(man *Manifest) []byte {
+		var doc bytes.Buffer
+		if err := EncodeManifest(&doc, man); err != nil {
+			f.Fatal(err)
+		}
+		return doc.Bytes()
 	}
-	payload := doc.Bytes()[bytes.IndexByte(doc.Bytes(), '\n')+1:]
-	f.Add(doc.Bytes(), false)
-	f.Add(doc.Bytes()[:doc.Len()/2], false)
+	doc := seal(valid)
+	payload := doc[bytes.IndexByte(doc, '\n')+1:]
+	f.Add(doc, false)
+	f.Add(doc[:len(doc)/2], false)
 	f.Add(payload, true)
 	f.Add([]byte(`{"shards":1,"users":3,"docs":0,"ranges":[{"index":0,"user_lo":0,"user_hi":3}]}`), true)
 	f.Add([]byte(`{"shards":2,"users":3,"ranges":[{"index":0,"user_hi":3},{"index":1,"user_lo":2,"user_hi":3}]}`), true)
@@ -910,6 +1133,13 @@ func FuzzReadManifest(f *testing.F) {
 	f.Add([]byte(`{"shards":1,"users":9223372036854775807,"ranges":[{"user_hi":9223372036854775807}]}`), true)
 	f.Add([]byte(manifestMagic+" zzzzzzzz\n{}"), false)
 	f.Add([]byte{}, true)
+	// A state entry: the generation's own state file is accepted; a path,
+	// another generation's state file or a shard file's name is not.
+	for _, name := range []string{"gen-00000007.state.v2.snap", "../x", "gen-00000006.state.v2.snap", "gen-00000007.shard-000.v2.snap"} {
+		man := *valid
+		man.State = &FileEntry{Name: name, Size: 72, Sections: []store.SectionSum{{Tag: store.TagDocC, Size: 64, CRC: 9}}}
+		f.Add(seal(&man), false)
+	}
 
 	path := filepath.Join(f.TempDir(), "shards.json") // one per fuzz worker process
 	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
@@ -926,20 +1156,27 @@ func FuzzReadManifest(f *testing.F) {
 		if man.Shards < 1 || len(man.Ranges) != man.Shards {
 			t.Fatalf("accepted %d shards with %d ranges", man.Shards, len(man.Ranges))
 		}
-		users, docs := 0, 0
+		users := 0
 		for i, r := range man.Ranges {
-			if r.Index != i || r.UserLo != users || r.UserHi < r.UserLo || r.DocLo != docs || r.DocHi < r.DocLo {
-				t.Fatalf("accepted range %d = %+v after %d users / %d docs", i, r, users, docs)
+			if r.Index != i || r.UserLo != users || r.UserHi < r.UserLo {
+				t.Fatalf("accepted range %d = %+v after %d users", i, r, users)
 			}
-			users, docs = r.UserHi, r.DocHi
+			users = r.UserHi
 			if r.UserHi > r.UserLo && (man.Owner(r.UserLo) != i || man.Owner(r.UserHi-1) != i) {
 				t.Fatalf("range %d [%d,%d) is owned by %d / %d", i, r.UserLo, r.UserHi, man.Owner(r.UserLo), man.Owner(r.UserHi-1))
 			}
 		}
-		if users != man.Users || docs != man.Docs || man.Owner(-1) != -1 || man.Owner(man.Users) != -1 {
-			t.Fatalf("accepted ranges covering %d users / %d docs of %d / %d", users, docs, man.Users, man.Docs)
+		if users != man.Users || man.Owner(-1) != -1 || man.Owner(man.Users) != -1 {
+			t.Fatalf("accepted ranges covering %d users of %d", users, man.Users)
 		}
-		for _, name := range []string{man.Global.Name, man.Ranges[man.Shards-1].File.Name} {
+		names := []string{man.Global.Name, man.Ranges[man.Shards-1].File.Name}
+		if man.State != nil {
+			names = append(names, man.State.Name)
+			if man.Shards > 1 && man.State.Name != fmt.Sprintf(stateFormat, man.Generation) {
+				t.Fatalf("accepted state entry %q in a %d-shard manifest of generation %d", man.State.Name, man.Shards, man.Generation)
+			}
+		}
+		for _, name := range names {
 			if !strings.HasPrefix(name, fmt.Sprintf("gen-%08d.", man.Generation)) || filepath.Base(name) != name {
 				t.Fatalf("accepted entry name %q in a manifest of generation %d", name, man.Generation)
 			}

@@ -11,11 +11,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/store"
 )
 
-// userTags are the user-indexed sections that move to shard files.
+// userTags are the sections indexed by user or by document, which leave
+// the global file: Π for the shard files, the document arrays
+// (stateTagsList) for the state file.
 var userTags = map[string]bool{
 	store.TagPi:   true,
 	store.TagDocC: true,
@@ -24,23 +27,11 @@ var userTags = map[string]bool{
 }
 
 // inGlobal reports whether a section belongs in the global file: all but
-// the user-indexed sections and DIM, whose first word is the user count
-// (each shard file carries its own, patched to its range).
+// userTags and DIM, whose first word is the user count (each shard file
+// carries its own, patched to its range).
 func inGlobal(tag string) bool { return !userTags[tag] && tag != store.TagDims }
 
 const shapeLen = 64 // the v2 numeric payload shape header
-
-// sectionDims reads the leading shape words of a numeric payload.
-func sectionDims(payload []byte, n int) ([]uint64, error) {
-	if len(payload) < shapeLen {
-		return nil, fmt.Errorf("shard: payload shorter than the shape header")
-	}
-	dims := make([]uint64, n)
-	for i := range dims {
-		dims[i] = binary.LittleEndian.Uint64(payload[8*i:])
-	}
-	return dims, nil
-}
 
 // shapedSlice builds a numeric payload: a fresh 64-byte shape header over
 // a copied body window.
@@ -58,14 +49,14 @@ type SplitOptions struct {
 	// Shards is the shard count (required, ≥ 1).
 	Shards int
 	// Ranges pins the boundaries instead of planning them (the
-	// publisher's stable-boundary path). UserLo/UserHi/DocLo/DocHi are
-	// honored; File entries are ignored.
+	// publisher's stable-boundary path). UserLo/UserHi are honored; File
+	// entries are ignored.
 	Ranges []Range
 }
 
 // Split writes the v2 snapshot at srcPath into dir as sharded generation
-// gen — the global file, Shards shard files, then the manifest as the
-// commit point — and returns the manifest.
+// gen — the global file, the state file, Shards shard files, then the
+// manifest as the commit point — and returns the manifest.
 func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error) {
 	if opts.Ranges == nil && opts.Shards <= 0 {
 		return nil, fmt.Errorf("shard: Split needs a shard count or pinned ranges")
@@ -82,30 +73,20 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 		order[i] = s.Tag
 	}
 	piPayload, ok := rf.Section(store.TagPi)
-	if !ok {
-		return nil, fmt.Errorf("shard: %s has no Π section", srcPath)
+	if !ok || len(piPayload) < shapeLen {
+		return nil, fmt.Errorf("shard: %s has no Π section with a shape header", srcPath)
 	}
-	piDims, err := sectionDims(piPayload, 2)
-	if err != nil {
-		return nil, err
+	users, cols := int(binary.LittleEndian.Uint64(piPayload)), int(binary.LittleEndian.Uint64(piPayload[8:]))
+	var globalSecs, stateSecs []store.RawSection
+	for _, s := range secs {
+		if slices.Contains(stateTagsList, s.Tag) {
+			stateSecs = append(stateSecs, s)
+		} else if inGlobal(s.Tag) {
+			globalSecs = append(globalSecs, s)
+		}
 	}
-	users, cols := int(piDims[0]), int(piDims[1])
-	docPayloads := map[string][]byte{}
-	docs := -1
-	for _, tag := range []string{store.TagDocC, store.TagDocZ, store.TagDocB} {
-		p, ok := rf.Section(tag)
-		if !ok {
-			return nil, fmt.Errorf("shard: %s has no %q section", srcPath, tag)
-		}
-		dims, err := sectionDims(p, 1)
-		if err != nil {
-			return nil, err
-		}
-		if docs >= 0 && int(dims[0]) != docs {
-			return nil, fmt.Errorf("shard: document arrays disagree on length (%d vs %d)", dims[0], docs)
-		}
-		docs = int(dims[0])
-		docPayloads[tag] = p
+	if len(stateSecs) != len(stateTagsList) {
+		return nil, fmt.Errorf("shard: %s holds %d of the document arrays %v", srcPath, len(stateSecs), stateTagsList)
 	}
 	dimPayload, ok := rf.Section(store.TagDims)
 	if !ok {
@@ -120,11 +101,11 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 
 	ranges := opts.Ranges
 	if ranges == nil {
-		ranges, err = PlanRanges(users, docs, opts.Shards, cols)
+		ranges, err = PlanRanges(users, opts.Shards, cols)
 		if err != nil {
 			return nil, err
 		}
-	} else if err := checkRanges(ranges, users, docs); err != nil {
+	} else if err := tileUsers(ranges, users); err != nil {
 		return nil, err
 	}
 
@@ -136,34 +117,34 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 		Generation:   gen,
 		Shards:       len(ranges),
 		Users:        users,
-		Docs:         docs,
 		SectionOrder: order,
 		Ranges:       make([]Range, len(ranges)),
 	}
 
-	// Global file: every global section verbatim, in source order.
-	var globalSecs []store.RawSection
-	for _, s := range secs {
-		if inGlobal(s.Tag) {
-			globalSecs = append(globalSecs, s)
+	// Global and state files: their sections verbatim, in source order.
+	write := func(path string, secs []store.RawSection) (FileEntry, error) {
+		if err := store.WriteRawFile(path, secs); err != nil {
+			return FileEntry{}, err
 		}
+		return fileEntry(path)
 	}
-	globalPath := GlobalPath(dir, gen)
-	if err := store.WriteRawFile(globalPath, globalSecs); err != nil {
+	if man.Global, err = write(GlobalPath(dir, gen), globalSecs); err != nil {
 		return nil, err
 	}
-	if man.Global, err = fileEntry(globalPath); err != nil {
+	state, err := write(StatePath(dir, gen), stateSecs)
+	if err != nil {
 		return nil, err
 	}
+	man.State = &state
 
 	cfgPayload, _ := rf.Section(store.TagConfig)
 	piBody := piPayload[shapeLen:]
 	for i, r := range ranges {
-		lo, hi, dlo, dhi := r.UserLo, r.UserHi, r.DocLo, r.DocHi
+		lo, hi := r.UserLo, r.UserHi
 		localDim := make([]byte, 32)
 		copy(localDim, dimPayload)
 		binary.LittleEndian.PutUint64(localDim, uint64(hi-lo))
-		shardSecs := make([]store.RawSection, 0, 6)
+		shardSecs := make([]store.RawSection, 0, 3)
 		if cfgPayload != nil {
 			shardSecs = append(shardSecs, store.RawSection{Tag: store.TagConfig, Payload: cfgPayload})
 		}
@@ -171,22 +152,12 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 			store.RawSection{Tag: store.TagDims, Payload: localDim},
 			store.RawSection{Tag: store.TagPi, Payload: shapedSlice(
 				[]uint64{uint64(hi - lo), uint64(cols)}, piBody[8*lo*cols:8*hi*cols])},
-			store.RawSection{Tag: store.TagDocC, Payload: shapedSlice(
-				[]uint64{uint64(dhi - dlo)}, docPayloads[store.TagDocC][shapeLen:][4*dlo:4*dhi])},
-			store.RawSection{Tag: store.TagDocZ, Payload: shapedSlice(
-				[]uint64{uint64(dhi - dlo)}, docPayloads[store.TagDocZ][shapeLen:][4*dlo:4*dhi])},
-			store.RawSection{Tag: store.TagDocB, Payload: shapedSlice(
-				[]uint64{uint64(dhi - dlo)}, docPayloads[store.TagDocB][shapeLen:][8*dlo:8*dhi])},
 		)
-		path := ShardPath(dir, gen, i)
-		if err := store.WriteRawFile(path, shardSecs); err != nil {
-			return nil, err
-		}
-		ent, err := fileEntry(path)
+		ent, err := write(ShardPath(dir, gen, i), shardSecs)
 		if err != nil {
 			return nil, err
 		}
-		man.Ranges[i] = Range{Index: i, UserLo: lo, UserHi: hi, DocLo: dlo, DocHi: dhi, File: ent}
+		man.Ranges[i] = Range{Index: i, UserLo: lo, UserHi: hi, File: ent}
 	}
 	if err := WriteManifest(ManifestPath(dir, gen), man); err != nil {
 		return nil, err
@@ -194,131 +165,110 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 	return man, nil
 }
 
-// checkRanges validates pinned ranges against the model's dimensions.
-func checkRanges(ranges []Range, users, docs int) error {
-	wantU, wantD := 0, 0
-	for i, r := range ranges {
-		if r.UserLo != wantU || r.UserHi < r.UserLo || r.DocLo != wantD || r.DocHi < r.DocLo {
-			return fmt.Errorf("shard: pinned range %d [%d,%d)/[%d,%d) does not tile the model", i, r.UserLo, r.UserHi, r.DocLo, r.DocHi)
-		}
-		wantU, wantD = r.UserHi, r.DocHi
-	}
-	if wantU != users || wantD != docs {
-		return fmt.Errorf("shard: pinned ranges cover %d users / %d docs of %d / %d", wantU, wantD, users, docs)
-	}
-	return nil
-}
-
 // Join reassembles sharded generation gen from dir into a single v2
 // snapshot at dstPath, byte-identical to the file the group was split
 // from (or, for a published group, to the full snapshot published
-// alongside it — which a one-shard manifest names as its only file). The full DIM is derived from the shard files' (see
-// joinDims); a global file that still carries one, as groups written
-// before DIM left it do, is read the same way.
+// alongside it — which a one-shard manifest names as its only file). The
+// full DIM is derived from the shard files' (see joinDims), Π from their
+// rows, and the document arrays come verbatim from the state file; a
+// global file that still carries a DIM, as groups written before DIM left
+// it do, is read the same way. A manifest that names no state file cannot
+// be joined.
 func Join(dir string, gen uint64, dstPath string) error {
 	man, err := ReadManifest(ManifestPath(dir, gen))
 	if err != nil {
 		return err
 	}
-	global, err := store.OpenRawFile(filepath.Join(dir, man.Global.Name))
+	if man.State == nil {
+		return fmt.Errorf("shard: generation %d's manifest names no state file (written while the document arrays rode in the shard files); it cannot be joined", gen)
+	}
+	files := make([]*store.RawFile, 0, 2+man.Shards)
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
+	open := func(name string) (*store.RawFile, error) {
+		f, err := store.OpenRawFile(filepath.Join(dir, name))
+		if err == nil {
+			files = append(files, f)
+		}
+		return f, err
+	}
+	global, err := open(man.Global.Name)
 	if err != nil {
 		return err
 	}
-	defer global.Close()
+	state, err := open(man.State.Name)
+	if err != nil {
+		return err
+	}
 	shards := make([]*store.RawFile, man.Shards)
-	defer func() {
-		for _, sf := range shards {
-			if sf != nil {
-				sf.Close()
-			}
-		}
-	}()
 	for i, r := range man.Ranges {
-		if shards[i], err = store.OpenRawFile(filepath.Join(dir, r.File.Name)); err != nil {
+		if shards[i], err = open(r.File.Name); err != nil {
 			return err
 		}
 	}
-
-	// concat rebuilds one user-indexed payload: total-length shape header
-	// plus every shard's body window in range order.
-	concat := func(tag string, dims []uint64, elem int) (store.RawSection, error) {
-		var total int
-		bodies := make([][]byte, man.Shards)
-		for i, sf := range shards {
-			p, ok := sf.Section(tag)
-			if !ok {
-				return store.RawSection{}, fmt.Errorf("shard: shard %d of generation %d has no %q section", i, gen, tag)
-			}
-			if len(p) < shapeLen {
-				return store.RawSection{}, fmt.Errorf("shard: shard %d section %q shorter than the shape header", i, tag)
-			}
-			bodies[i] = p[shapeLen:]
-			total += len(bodies[i])
-		}
-		out := make([]byte, shapeLen+total)
-		for i, d := range dims {
-			binary.LittleEndian.PutUint64(out[8*i:], d)
-		}
-		off := shapeLen
-		for _, b := range bodies {
-			off += copy(out[off:], b)
-		}
-		want := shapeLen + elem*elemCount(dims)
-		if len(out) != want {
-			return store.RawSection{}, fmt.Errorf("shard: section %q reassembles to %d bytes, want %d", tag, len(out), want)
-		}
-		return store.RawSection{Tag: tag, Payload: out}, nil
-	}
-
 	dim, err := joinDims(man, shards)
 	if err != nil {
 		return err
 	}
-	var cols uint64
-	if p, ok := shards[0].Section(store.TagPi); ok && len(p) >= shapeLen {
-		d, err := sectionDims(p, 2)
-		if err != nil {
-			return err
-		}
-		cols = d[1]
-	} else {
-		return fmt.Errorf("shard: shard 0 of generation %d has no Π section", gen)
+	pi, err := joinPi(man, shards)
+	if err != nil {
+		return err
 	}
 
 	out := make([]store.RawSection, 0, len(man.SectionOrder))
 	for _, tag := range man.SectionOrder {
-		var sec store.RawSection
-		switch tag {
-		case store.TagDims:
-			sec = store.RawSection{Tag: tag, Payload: dim}
-		case store.TagPi:
-			s, err := concat(tag, []uint64{uint64(man.Users), cols}, 8)
-			if err != nil {
-				return err
-			}
-			sec = s
-		case store.TagDocC, store.TagDocZ:
-			s, err := concat(tag, []uint64{uint64(man.Docs)}, 4)
-			if err != nil {
-				return err
-			}
-			sec = s
-		case store.TagDocB:
-			s, err := concat(tag, []uint64{uint64(man.Docs)}, 8)
-			if err != nil {
-				return err
-			}
-			sec = s
+		var p []byte
+		switch {
+		case tag == store.TagDims:
+			p = dim
+		case tag == store.TagPi:
+			p = pi
 		default:
-			p, ok := global.Section(tag)
-			if !ok {
-				return fmt.Errorf("shard: global file of generation %d has no %q section", gen, tag)
+			from, what := global, "global"
+			if slices.Contains(stateTagsList, tag) {
+				from, what = state, "state"
 			}
-			sec = store.RawSection{Tag: tag, Payload: p}
+			var ok bool
+			if p, ok = from.Section(tag); !ok {
+				return fmt.Errorf("shard: %s file of generation %d has no %q section", what, gen, tag)
+			}
 		}
-		out = append(out, sec)
+		out = append(out, store.RawSection{Tag: tag, Payload: p})
 	}
 	return store.WriteRawFile(dstPath, out)
+}
+
+// joinPi rebuilds the full Π payload: a shape header of the manifest's
+// user count by shard 0's column count, over every shard's rows in range
+// order.
+func joinPi(man *Manifest, shards []*store.RawFile) ([]byte, error) {
+	var cols uint64
+	bodies := make([][]byte, len(shards))
+	total := 0
+	for i, sf := range shards {
+		p, ok := sf.Section(store.TagPi)
+		if !ok || len(p) < shapeLen {
+			return nil, fmt.Errorf("shard: shard %d of generation %d has no Π section", i, man.Generation)
+		}
+		if i == 0 {
+			cols = binary.LittleEndian.Uint64(p[8:])
+		}
+		bodies[i] = p[shapeLen:]
+		total += len(bodies[i])
+	}
+	if want := uint64(man.Users) * cols * 8; uint64(total) != want {
+		return nil, fmt.Errorf("shard: section %q reassembles to %d bytes, want %d", store.TagPi, shapeLen+total, shapeLen+want)
+	}
+	out := make([]byte, shapeLen, shapeLen+total)
+	binary.LittleEndian.PutUint64(out, uint64(man.Users))
+	binary.LittleEndian.PutUint64(out[8:], cols)
+	for _, b := range bodies {
+		out = append(out, b...)
+	}
+	return out, nil
 }
 
 // joinDims rebuilds the full DIM payload from the shard files': word 0 is
@@ -352,13 +302,4 @@ func joinDims(man *Manifest, shards []*store.RawFile) ([]byte, error) {
 // dimWords lists a DIM payload's words 1–3 for error messages.
 func dimWords(p []byte) [3]uint64 {
 	return [3]uint64{binary.LittleEndian.Uint64(p[8:]), binary.LittleEndian.Uint64(p[16:]), binary.LittleEndian.Uint64(p[24:])}
-}
-
-// elemCount multiplies shape words into an element count.
-func elemCount(dims []uint64) int {
-	n := 1
-	for _, d := range dims {
-		n *= int(d)
-	}
-	return n
 }

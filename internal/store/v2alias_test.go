@@ -131,7 +131,7 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 	}
 	full.DocCommunity[0], full.DocCommunity[1] = math.MinInt32, math.MaxInt32
 	full.DocTopic[2] = -1
-	full.DocBucket[0], full.DocBucket[1], full.DocBucket[2] = math.MinInt64, math.MaxInt64, -1
+	full.DocBucket[0], full.DocBucket[1], full.DocBucket[2] = math.MinInt, math.MaxInt, -1
 	got := requireBothEncodersAgree(t, "every section kind", modelPlan(t, full))
 	// And the bytes mean what they should: the section decoder, converting
 	// element by element as on a big-endian host, reads the awkward values
@@ -147,7 +147,7 @@ func TestAliasedEncoderMatchesPortable(t *testing.T) {
 			t.Fatalf("Π[%d] decoded to %x, encoded from %x", i, math.Float64bits(back.Pi.Data[i]), math.Float64bits(full.Pi.Data[i]))
 		}
 	}
-	if back.DocBucket[0] != math.MinInt64 || back.DocBucket[1] != math.MaxInt64 || back.DocCommunity[0] != math.MinInt32 {
+	if back.DocBucket[0] != math.MinInt || back.DocBucket[1] != math.MaxInt || back.DocCommunity[0] != math.MinInt32 {
 		t.Fatalf("integer extremes decoded to %d %d %d", back.DocBucket[0], back.DocBucket[1], back.DocCommunity[0])
 	}
 

@@ -151,9 +151,9 @@ func TestCommittedFilesAreWorldReadable(t *testing.T) {
 			committed++
 		}
 	}
-	// Publisher: full file, manifest, global and 2 shards; journal with
-	// .mark and .state; replica: manifest, global and shard 1.
-	if committed != 11 {
-		t.Fatalf("checked %d committed files, want 11", committed)
+	// Publisher: full file, manifest, global, state file and 2 shards;
+	// journal with .mark and .state; replica: manifest, global and shard 1.
+	if committed != 12 {
+		t.Fatalf("checked %d committed files, want 12", committed)
 	}
 }

@@ -26,8 +26,9 @@ package stream
 //     one just patched);
 //   - shard: shard.Publisher hard-links the group's global file (the
 //     community profiles, with no user count in it) on every incremental
-//     publish, appended users or not, and the shard files no changed user
-//     falls in, and rewrites the rest the same way;
+//     publish, appended users or not, the shard files (Π rows only) no
+//     changed user falls in, and the state file (the document arrays)
+//     when no document moved, and rewrites the rest the same way;
 //   - open: store.Open maps the written file in O(1) in the user count —
 //     a model has no per-user cache to rebuild;
 //   - serve: serve.Engine.BuildSnapshot, handed the publisher's explicit

@@ -855,7 +855,8 @@ func TestFailedPublishRetriesToSameBytes(t *testing.T) {
 // user to a 3-shard updater hard-links the group's global file (it holds no
 // user count) and reports as BytesWritten exactly the on-disk sizes of the
 // files it did write: the full snapshot, the group manifest and the group
-// files that are not links of the previous generation's.
+// files (global, state and shard files) that are not links of the previous
+// generation's.
 func TestPublishPhasesCountBytesWritten(t *testing.T) {
 	u := costUpdater(t, serve.SyntheticModel(300, 8, 4, 50, 3))
 	dir := u.opts.Dir
@@ -883,8 +884,8 @@ func TestPublishPhasesCountBytesWritten(t *testing.T) {
 		gen := info.Generation
 		want := stat(store.GenPath(dir, gen)).Size() + stat(shard.ManifestPath(dir, gen)).Size()
 		linked := 0
-		group := []string{shard.GlobalPath(dir, gen)}
-		prevGroup := []string{shard.GlobalPath(dir, prev)}
+		group := []string{shard.GlobalPath(dir, gen), shard.StatePath(dir, gen)}
+		prevGroup := []string{shard.GlobalPath(dir, prev), shard.StatePath(dir, prev)}
 		for i := 0; i < 3; i++ {
 			group = append(group, shard.ShardPath(dir, gen, i))
 			prevGroup = append(prevGroup, shard.ShardPath(dir, prev, i))

@@ -46,12 +46,14 @@ type Options struct {
 	// in Dir (default 3; older generations are pruned).
 	KeepSnapshots int
 	// Shards, when > 1 (and Dir is set), additionally publishes each
-	// generation as a sharded group (internal/shard): a global file and
-	// Shards per-user-range shard files under the manifest, which
-	// shard-owning replicas fetch instead of the full snapshot. Shard
-	// files whose users did not change between generations are hard-linked
-	// rather than re-encoded, keeping the extra publish work O(changed).
-	// At 0 or 1 the manifest names the full snapshot as the only shard.
+	// generation as a sharded group (internal/shard): a global file,
+	// Shards per-user-range shard files of Π rows and one state file of
+	// the document arrays under the manifest. Shard-owning replicas fetch
+	// the global file and their shard instead of the full snapshot, and
+	// never the state file. Group files whose contents did not change
+	// between generations are hard-linked rather than re-encoded, keeping
+	// the extra publish work O(changed). At 0 or 1 the manifest names the
+	// full snapshot as the only shard.
 	Shards int
 
 	// WindowEvents is the delta window: MaybePublish (and Run) publish
