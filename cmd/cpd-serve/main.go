@@ -157,6 +157,11 @@ func main() {
 	if len(models) == 0 && *fetchSource == "" {
 		log.Fatal("-model is required (or -fetch for replica mode)")
 	}
+	if *fetchSource != "" && *ingestPath != "" && *fetchSlot == *ingestSlot {
+		// A fetched generation holds no document arrays, which the updater
+		// needs of its base model.
+		log.Fatalf("-fetch and -ingest cannot share snapshot slot %q: a fetched model carries no document arrays for the updater to extend (set -fetch-snapshot or -ingest-snapshot apart)", *ingestSlot)
+	}
 	engine := serve.NewMulti(serve.Options{
 		PostingsPerWord: *postings,
 		FoldInWorkers:   *workers,

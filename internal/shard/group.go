@@ -4,8 +4,8 @@ package shard
 // a sharded generation maps exactly two files — the global sections and
 // its own shard (one full file for a one-shard generation) — and
 // assembles a partial model over them: local Π rows, full
-// Θ/Φ/η/ν/POPF/XI, and — unless the one file is a full snapshot — no
-// document arrays, which no query reads.
+// Θ/Φ/η/ν/POPF/XI, and no document arrays, which no query reads — not
+// even when the one file is a full snapshot that holds them.
 // Membership and fold-in work for owned users; rank and diffusion scoring
 // are exact because they only read the global sections (plus membership
 // rows the caller supplies).
@@ -74,8 +74,10 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 		g.Mapped = g.Mapped && f.Mapped()
 	}
 	// Merge: CFG, the patched DIM and Π from the shard file, everything
-	// else from the global file. A shard file written while it still
-	// carried a document-array window keeps that window to itself.
+	// else from the global file but the document arrays. A shard file
+	// written while it still carried a document-array window keeps that
+	// window to itself, and the full file of a one-shard generation its
+	// arrays.
 	var secs []store.RawSection
 	for _, s := range sf.Sections() {
 		if slices.Contains(shardTagsList, s.Tag) {
@@ -83,7 +85,7 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 		}
 	}
 	for _, s := range global.Sections() {
-		if !slices.Contains(shardTagsList, s.Tag) {
+		if !slices.Contains(shardTagsList, s.Tag) && !slices.Contains(stateTagsList, s.Tag) {
 			secs = append(secs, s)
 		}
 	}

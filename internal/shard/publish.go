@@ -18,15 +18,15 @@ package shard
 //   - the state file (the document arrays) is hard-linked while those
 //     arrays are the previous model's very own (a friends-only publish);
 //   - dirty shards, the state file of a publish that moved documents and
-//     the global file of a Full one are written through
-//     store.SaveV2SubsetReusing, so sections whose backing arrays did not
-//     move splice byte-for-byte — except the Π of a shard the delta
-//     names, which is always encoded: the updater may have patched those
-//     rows inside the array a manifest remembers.
+//     the global file of a Full one are encoded from the model in memory
+//     (store.SaveV2Subset). Whole-file links are the only reuse between
+//     generations: a file is either the previous one or freshly encoded,
+//     so Π rows the updater patched in place always reach a written file.
 //
-// The emitted group is exactly what Split would produce from the full
-// snapshot of the same model with the same pinned ranges — Join on a
-// published group reproduces the full file bit-for-bit.
+// While the user count is the one the boundaries were planned for, the
+// emitted group is exactly what Split produces from the full snapshot of
+// the same model; Join on a published group reproduces the full file
+// bit-for-bit whatever the count.
 
 import (
 	"fmt"
@@ -80,11 +80,6 @@ type Publisher struct {
 	prevDocZ  []int32
 	prevDocB  []int
 
-	// Per-file section manifests for SaveV2SubsetReusing.
-	shardMans []*store.SectionManifest
-	globalMan *store.SectionManifest
-	stateMan  *store.SectionManifest
-
 	// LinkedFiles / WrittenFiles count group files hard-linked vs
 	// re-encoded across the publisher's lifetime (observability).
 	LinkedFiles, WrittenFiles uint64
@@ -97,7 +92,7 @@ func NewPublisher(dir string, shards int) (*Publisher, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count %d must be positive", shards)
 	}
-	return &Publisher{dir: dir, shards: shards, shardMans: make([]*store.SectionManifest, shards)}, nil
+	return &Publisher{dir: dir, shards: shards}, nil
 }
 
 // sameArray reports slice identity (same backing array, same length) —
@@ -170,7 +165,7 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 		prev = &link.Global
 	}
 	var err error
-	if man.Global, err = commit(&st, GlobalPath(p.dir, gen), prev, m, globalTagsList, &p.globalMan); err != nil {
+	if man.Global, err = commit(&st, GlobalPath(p.dir, gen), prev, m, globalTagsList); err != nil {
 		return nil, fmt.Errorf("shard: writing global file: %w", err)
 	}
 
@@ -180,7 +175,7 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 	if link != nil && sameArray(m.DocCommunity, p.prevDocC) && sameArray(m.DocTopic, p.prevDocZ) && sameArray(m.DocBucket, p.prevDocB) {
 		prev = link.State
 	}
-	state, err := commit(&st, StatePath(p.dir, gen), prev, m, stateTagsList, &p.stateMan)
+	state, err := commit(&st, StatePath(p.dir, gen), prev, m, stateTagsList)
 	if err != nil {
 		return nil, fmt.Errorf("shard: writing state file: %w", err)
 	}
@@ -191,13 +186,6 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 		if link != nil && !changed[i] && i < len(link.Ranges) && link.Ranges[i].UserLo == r.UserLo && link.Ranges[i].UserHi == r.UserHi {
 			prev = &link.Ranges[i].File
 		}
-		if changed[i] {
-			// The delta says rows of this range moved. The Π on record may
-			// be several generations old (linking a clean shard does not
-			// refresh it) and the caller may have patched that very array
-			// in place since, so its identity proves nothing: encode it.
-			p.shardMans[i].Forget(store.TagPi)
-		}
 		sub := &core.Model{
 			Cfg:        m.Cfg,
 			NumUsers:   r.UserHi - r.UserLo,
@@ -206,7 +194,7 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 			NumAttrs:   m.NumAttrs,
 			Pi:         sparse.NewDenseView(r.UserHi-r.UserLo, C, m.Pi.Data[r.UserLo*C:r.UserHi*C]),
 		}
-		ent, err := commit(&st, ShardPath(p.dir, gen, i), prev, sub, shardTagsList, &p.shardMans[i])
+		ent, err := commit(&st, ShardPath(p.dir, gen, i), prev, sub, shardTagsList)
 		if err != nil {
 			return nil, fmt.Errorf("shard: writing shard %d: %w", i, err)
 		}
@@ -236,21 +224,18 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 // commit puts one group file at path: a hard link of the previous
 // generation's file prev names (in path's directory), reusing its manifest
 // entry, when prev is non-nil and the link succeeds; otherwise the tags of
-// m written through store.SaveV2SubsetReusing over the section manifest
-// *sman, which it updates. It counts the file in st and returns the file's
-// manifest entry.
-func commit(st *PublishStats, path string, prev *FileEntry, m *core.Model, tags []string, sman **store.SectionManifest) (FileEntry, error) {
+// m encoded through store.SaveV2Subset. It counts the file in st and
+// returns the file's manifest entry.
+func commit(st *PublishStats, path string, prev *FileEntry, m *core.Model, tags []string) (FileEntry, error) {
 	if prev != nil && linkOrCopy(filepath.Join(filepath.Dir(path), prev.Name), path) == nil {
 		ent := *prev
 		ent.Name = filepath.Base(path)
 		st.FilesLinked++
 		return ent, nil
 	}
-	next, err := store.SaveV2SubsetReusing(path, m, tags, *sman)
-	if err != nil {
+	if err := store.SaveV2Subset(path, m, tags); err != nil {
 		return FileEntry{}, err
 	}
-	*sman = next
 	ent, err := fileEntry(path)
 	if err != nil {
 		return FileEntry{}, err

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -426,11 +427,10 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 
 // TestPublisherEncodesPatchedInPlacePi: the updater patches Π inside the
 // array it published last time whenever the engine serves the file mapping
-// instead, so a shard's manifest may remember the very array it is handed,
+// instead, so the publisher is handed the very array it encoded before,
 // with other bytes in it. Shard 1 is written at generation 1, linked at 2
-// (its manifest is not refreshed) and dirty at 3 over the same-length Π:
-// every file of generation 3 must be what Split makes of the full snapshot
-// of that model, byte for byte.
+// and dirty at 3 over the same-length Π: every file of generation 3 must
+// be what Split makes of the full snapshot of that model, byte for byte.
 func TestPublisherEncodesPatchedInPlacePi(t *testing.T) {
 	dir := t.TempDir()
 	pub, err := NewPublisher(dir, 3)
@@ -463,8 +463,13 @@ func TestPublisherEncodesPatchedInPlacePi(t *testing.T) {
 		t.Fatal(err)
 	}
 	splitDir := t.TempDir()
-	if _, err := Split(full, splitDir, 3, SplitOptions{Ranges: man3.Ranges}); err != nil {
+	// The user count never grew, so Split plans the publisher's boundaries.
+	split, err := Split(full, splitDir, 3, SplitOptions{Shards: 3})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(split.Ranges, man3.Ranges) {
+		t.Fatalf("Split's ranges %+v, the publisher's %+v", split.Ranges, man3.Ranges)
 	}
 	same := func(a, b string) {
 		t.Helper()
@@ -945,10 +950,64 @@ func TestScanManifests(t *testing.T) {
 	}
 }
 
+// wholeGroupHeap is the least heap OpenGroup allocates, over five opens,
+// for a PublishWhole group of 100 users and docs documents; ok is false
+// where the file is not a kernel mapping (the fallback reads it onto the
+// heap).
+func wholeGroupHeap(t *testing.T, docs int) (least uint64, ok bool) {
+	t.Helper()
+	dir := t.TempDir()
+	m := testModel(100, 5, 3, 40, 23)
+	m.DocCommunity = make([]int32, docs)
+	m.DocTopic = make([]int32, docs)
+	m.DocBucket = make([]int, docs)
+	if err := store.SaveV2(store.GenPath(dir, 1), m); err != nil {
+		t.Fatal(err)
+	}
+	man, err := PublishWhole(dir, 1, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := OpenGroup(dir, man, 0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok = g.Mapped
+		if g.Model.DocCommunity != nil || g.Model.DocTopic != nil || g.Model.DocBucket != nil {
+			t.Fatal("the one-shard group carries document arrays")
+		}
+		g.Close()
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	return least, ok
+}
+
+// TestWholeGroupHeapIndependentOfDocuments: a full replica's group over a
+// one-shard generation maps the full file, document arrays included, but
+// assembles no document array, so opening it costs the same heap at 300
+// and at 30 000 documents (240 KB of DOCB apart).
+func TestWholeGroupHeapIndependentOfDocuments(t *testing.T) {
+	small, ok := wholeGroupHeap(t, 300)
+	if !ok {
+		t.Skip("no kernel mapping on this platform")
+	}
+	large, _ := wholeGroupHeap(t, 30000)
+	t.Logf("OpenGroup heap: %d B at 300 documents, %d B at 30 000", small, large)
+	if large > small+1024 {
+		t.Fatalf("OpenGroup allocates %d B at 30 000 documents, %d B at 300: it grows with the document arrays", large, small)
+	}
+}
+
 // TestPublishWhole: an unsharded generation's one-shard manifest names
 // the full file as global file and only shard, so Join reproduces it,
-// OpenGroup maps it once into the model store.Open reads, and Prune takes
-// the manifest and the file.
+// OpenGroup maps it once into the model store.Open reads less the document
+// arrays, and Prune takes the manifest and the file.
 func TestPublishWhole(t *testing.T) {
 	dir := t.TempDir()
 	m := testModel(30, 5, 3, 40, 19)
@@ -991,8 +1050,10 @@ func TestPublishWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	if !reflect.DeepEqual(g.Model, mm.Model) {
-		t.Fatal("the one-shard group opens to a different model from store.Open")
+	served := *mm.Model
+	served.DocCommunity, served.DocTopic, served.DocBucket = nil, nil, nil
+	if !reflect.DeepEqual(g.Model, &served) {
+		t.Fatal("the one-shard group opens to a different model from store.Open's without document arrays")
 	}
 	if g.MappedBytes != int64(len(want)) || len(g.files) != 1 {
 		t.Fatalf("the group maps %d bytes over %d files, want the %d-byte file once", g.MappedBytes, len(g.files), len(want))

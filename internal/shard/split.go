@@ -48,18 +48,14 @@ func shapedSlice(dims []uint64, body []byte) []byte {
 type SplitOptions struct {
 	// Shards is the shard count (required, ≥ 1).
 	Shards int
-	// Ranges pins the boundaries instead of planning them (the
-	// publisher's stable-boundary path). UserLo/UserHi are honored; File
-	// entries are ignored.
-	Ranges []Range
 }
 
 // Split writes the v2 snapshot at srcPath into dir as sharded generation
 // gen — the global file, the state file, Shards shard files, then the
 // manifest as the commit point — and returns the manifest.
 func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error) {
-	if opts.Ranges == nil && opts.Shards <= 0 {
-		return nil, fmt.Errorf("shard: Split needs a shard count or pinned ranges")
+	if opts.Shards <= 0 {
+		return nil, fmt.Errorf("shard: Split needs a positive shard count, not %d", opts.Shards)
 	}
 	rf, err := store.OpenRawFile(srcPath)
 	if err != nil {
@@ -99,13 +95,8 @@ func Split(srcPath, dir string, gen uint64, opts SplitOptions) (*Manifest, error
 		return nil, fmt.Errorf("shard: DIM claims %d users but Π has %d rows", dimUsers, users)
 	}
 
-	ranges := opts.Ranges
-	if ranges == nil {
-		ranges, err = PlanRanges(users, opts.Shards, cols)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := tileUsers(ranges, users); err != nil {
+	ranges, err := PlanRanges(users, opts.Shards, cols)
+	if err != nil {
 		return nil, err
 	}
 

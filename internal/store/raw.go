@@ -24,7 +24,7 @@ import (
 )
 
 // Exported v2 section tags, for callers (internal/shard, tooling) that
-// select, save or splice section subsets. Values match the on-disk tags.
+// select, save or join section subsets. Values match the on-disk tags.
 const (
 	TagConfig = tagConfig
 	TagDims   = tagDims
@@ -170,7 +170,7 @@ func WriteRawFile(path string, secs []RawSection) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, nil, nil) })
+	return savePlan(path, plan)
 }
 
 // AssembleRawModel builds a model from an arbitrary section set (e.g.
@@ -231,19 +231,14 @@ func tagSet(tags []string) map[string]bool {
 	return want
 }
 
-// SaveV2SubsetReusing writes only the named sections of m to path as a
-// v2 snapshot (canonical section order, independent of the order of
-// tags). Requested matrix blocks must be non-nil, except POPF/XI which
-// are skipped when absent, matching SaveV2. With a non-nil prev it applies
-// SaveV2Reusing's section-splice optimization: sections whose backing
-// arrays are identical to the previous save described by prev are
-// byte-copied from that file instead of re-encoded, and the output is
-// byte-identical to a save with a nil prev. It returns the manifest for
-// the new file.
-func SaveV2SubsetReusing(path string, m *core.Model, tags []string, prev *SectionManifest) (*SectionManifest, error) {
+// SaveV2Subset writes only the named sections of m to path as a v2
+// snapshot (canonical section order, independent of the order of tags),
+// with SaveV2's atomic rename discipline. Requested matrix blocks must be
+// non-nil, except POPF/XI which are skipped when absent, matching SaveV2.
+func SaveV2Subset(path string, m *core.Model, tags []string) error {
 	plan, err := v2PlanSubset(m, tagSet(tags))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return savePlan(path, plan, prev)
+	return savePlan(path, plan)
 }

@@ -47,7 +47,7 @@ func TestSaveV2SubsetAndFileSections(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "subset.v2.snap")
 	tags := []string{TagConfig, TagDims, TagTheta, TagPhi, TagEta, TagNu, TagPop, TagXi}
-	if _, err := SaveV2SubsetReusing(path, m, tags, nil); err != nil {
+	if err := SaveV2Subset(path, m, tags); err != nil {
 		t.Fatal(err)
 	}
 	rf, err := OpenRawFile(path)
@@ -84,26 +84,7 @@ func TestSaveV2SubsetAndFileSections(t *testing.T) {
 		}
 	}
 	// Requesting a section whose block is nil is an error.
-	if _, err := SaveV2SubsetReusing(filepath.Join(dir, "bad.snap"), m, []string{TagXi}, nil); err == nil {
+	if err := SaveV2Subset(filepath.Join(dir, "bad.snap"), m, []string{TagXi}); err == nil {
 		t.Fatal("requesting a nil block must fail")
-	}
-}
-
-func TestSaveV2SubsetReusingMatchesSubset(t *testing.T) {
-	m := testModel(30, 5, 3, 60, 7)
-	dir := t.TempDir()
-	tags := []string{TagConfig, TagDims, TagTheta, TagPhi, TagEta, TagNu, TagPop}
-	plain := filepath.Join(dir, "plain.snap")
-	man, err := SaveV2SubsetReusing(plain, m, tags, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused := filepath.Join(dir, "reused.snap")
-	if _, err := SaveV2SubsetReusing(reused, m, tags, man); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := os.ReadFile(plain)
-	if got, _ := os.ReadFile(reused); !bytes.Equal(got, want) {
-		t.Fatal("the section-reusing subset save differs from the plain one")
 	}
 }

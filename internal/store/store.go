@@ -4,9 +4,9 @@
 // model zero-copy from a read-only mapping, through a MappedModel. A
 // mapped open is O(1) in model size (BenchmarkSnapshotLoad), which is what
 // makes zero-downtime hot-swapping of big models practical in
-// serve.Engine. SaveV2Reusing (v2reuse.go) writes a snapshot while
-// splicing unchanged sections byte-for-byte out of a previous one — the
-// store half of the streaming publisher's O(changed) publish path.
+// serve.Engine. Every save (SaveV2, SaveV2Subset, WriteRawFile) encodes
+// its sections from memory in one pass; what a streaming publish does not
+// rewrite it hard-links whole files of, never splices sections from.
 //
 // WriteFileAtomic is the one routine in the tree that commits a file:
 // snapshots, shard manifests, journal files and replica downloads alike.

@@ -54,6 +54,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"unsafe"
 
 	"repro/internal/core"
@@ -83,15 +84,6 @@ type v2section struct {
 	emit func(*v2sink)
 	off  uint64
 	crc  uint32
-
-	// ident is the backing slice the payload is encoded from ([]float64,
-	// []int32 or []int; nil for synthesized payloads like CFG/DIM) and
-	// dims its shape words. Together they let SaveV2Reusing recognize
-	// sections whose bytes are guaranteed identical to the previous save
-	// (same backing array, same length, same shape) and splice them from
-	// the previous file instead of re-encoding. See SectionManifest.
-	ident any
-	dims  []uint64
 }
 
 // v2sink is the payload byte sink: every byte feeds the CRC and goes to w.
@@ -226,14 +218,14 @@ func fullModelPlan(m *core.Model) ([]*v2section, error) {
 func v2PlanSubset(m *core.Model, want map[string]bool) ([]*v2section, error) {
 	take := func(tag string) bool { return want == nil || want[tag] }
 	var plan []*v2section
-	add := func(tag string, size uint64, ident any, dims []uint64, emit func(*v2sink)) {
-		plan = append(plan, &v2section{tag: tag, size: size, emit: emit, ident: ident, dims: dims})
+	add := func(tag string, size uint64, emit func(*v2sink)) {
+		plan = append(plan, &v2section{tag: tag, size: size, emit: emit})
 	}
 	dense := func(tag string, d *sparse.Dense) error {
 		if d == nil {
 			return fmt.Errorf("store: section %q requested but the model block is nil", tag)
 		}
-		add(tag, v2ShapeLen+8*uint64(len(d.Data)), d.Data, []uint64{uint64(d.Rows), uint64(d.Cols)}, func(s *v2sink) {
+		add(tag, v2ShapeLen+8*uint64(len(d.Data)), func(s *v2sink) {
 			s.shape(uint64(d.Rows), uint64(d.Cols))
 			s.floats(d.Data)
 		})
@@ -244,10 +236,10 @@ func v2PlanSubset(m *core.Model, want map[string]bool) ([]*v2section, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: encoding config: %w", err)
 		}
-		add(tagConfig, uint64(len(cfgJSON)), nil, nil, func(s *v2sink) { s.raw(cfgJSON) })
+		add(tagConfig, uint64(len(cfgJSON)), func(s *v2sink) { s.raw(cfgJSON) })
 	}
 	if take(tagDims) {
-		add(tagDims, 4*8, nil, nil, func(s *v2sink) {
+		add(tagDims, 4*8, func(s *v2sink) {
 			s.u64(uint64(m.NumUsers))
 			s.u64(uint64(m.NumWords))
 			s.u64(uint64(m.NumBuckets))
@@ -273,15 +265,14 @@ func v2PlanSubset(m *core.Model, want map[string]bool) ([]*v2section, error) {
 		if m.Eta == nil {
 			return nil, fmt.Errorf("store: section %q requested but the model block is nil", tagEta)
 		}
-		add(tagEta, v2ShapeLen+8*uint64(len(m.Eta.Data)), m.Eta.Data,
-			[]uint64{uint64(m.Eta.D1), uint64(m.Eta.D2), uint64(m.Eta.D3)}, func(s *v2sink) {
-				s.shape(uint64(m.Eta.D1), uint64(m.Eta.D2), uint64(m.Eta.D3))
-				s.floats(m.Eta.Data)
-			})
+		add(tagEta, v2ShapeLen+8*uint64(len(m.Eta.Data)), func(s *v2sink) {
+			s.shape(uint64(m.Eta.D1), uint64(m.Eta.D2), uint64(m.Eta.D3))
+			s.floats(m.Eta.Data)
+		})
 	}
 	if take(tagNu) {
 		nu := m.Nu
-		add(tagNu, v2ShapeLen+8*uint64(len(nu)), nu, []uint64{uint64(len(nu))}, func(s *v2sink) {
+		add(tagNu, v2ShapeLen+8*uint64(len(nu)), func(s *v2sink) {
 			s.shape(uint64(len(nu)))
 			s.floats(nu)
 		})
@@ -297,7 +288,7 @@ func v2PlanSubset(m *core.Model, want map[string]bool) ([]*v2section, error) {
 		}
 	}
 	ints32 := func(tag string, xs []int32) {
-		add(tag, v2ShapeLen+4*uint64(len(xs)), xs, []uint64{uint64(len(xs))}, func(s *v2sink) {
+		add(tag, v2ShapeLen+4*uint64(len(xs)), func(s *v2sink) {
 			s.shape(uint64(len(xs)))
 			s.int32s(xs)
 		})
@@ -309,11 +300,10 @@ func v2PlanSubset(m *core.Model, want map[string]bool) ([]*v2section, error) {
 		ints32(tagDocZ, m.DocTopic)
 	}
 	if take(tagDocB) {
-		add(tagDocB, v2ShapeLen+8*uint64(len(m.DocBucket)), m.DocBucket,
-			[]uint64{uint64(len(m.DocBucket))}, func(s *v2sink) {
-				s.shape(uint64(len(m.DocBucket)))
-				s.int64s(m.DocBucket)
-			})
+		add(tagDocB, v2ShapeLen+8*uint64(len(m.DocBucket)), func(s *v2sink) {
+			s.shape(uint64(len(m.DocBucket)))
+			s.int64s(m.DocBucket)
+		})
 	}
 	if len(plan) == 0 {
 		return nil, fmt.Errorf("store: no sections selected")
@@ -369,7 +359,7 @@ func (d *memDest) WriteAt(p []byte, off int64) (int, error) {
 // one write.
 func encodeTo(w io.Writer, plan []*v2section) error {
 	var d memDest
-	if err := encodeV2Plan(&d, plan, nil, nil); err != nil {
+	if err := encodeV2Plan(&d, plan); err != nil {
 		return err
 	}
 	if _, err := w.Write(d.buf); err != nil {
@@ -382,8 +372,7 @@ func encodeTo(w io.Writer, plan []*v2section) error {
 // aligned payloads. Each payload is produced and checksummed in one
 // streaming pass, so the snapshot is assembled in memory (the table in
 // front can only be filled in once the payloads behind it are known) and
-// reaches w whole; SaveV2 streams to its file instead. (SaveV2Reusing
-// skips even that pass for sections unchanged since a previous save.)
+// reaches w whole; SaveV2 streams to its file instead.
 func EncodeV2(w io.Writer, m *core.Model) error {
 	plan, err := fullModelPlan(m)
 	if err != nil {
@@ -399,22 +388,17 @@ func EncodeV2(w io.Writer, m *core.Model) error {
 // write the output does not begin with the format's magic, so a file cut
 // short anywhere before it is rejected by every reader — and WriteFileAtomic
 // only ever gives a complete one the final name.
-//
-// Sections with an entry in reuse are not emitted: their CRC is taken from
-// the previous save's table and their payload bytes are spliced verbatim
-// from prevFile (re-verified against that CRC while copying). reuse may
-// be nil for a plain full encode.
-func encodeV2Plan(dst v2dest, plan []*v2section, reuse map[string]manifestEntry, prevFile io.ReaderAt) error {
+func encodeV2Plan(dst v2dest, plan []*v2section) error {
 	head := make([]byte, v2HeaderLen+v2EntryLen*len(plan))
 	off := alignUp(uint64(len(head)))
 	for _, sec := range plan {
 		sec.off = off
 		off = alignUp(off + sec.size)
 	}
-	// One chunk buffer for the portable element loops and for splicing.
-	// It is larger than the bufio buffer below on purpose: a chunk that
-	// size goes to the file in one write instead of being copied into the
-	// buffer and flushed 64 KiB at a time.
+	// One chunk buffer for the portable element loops. It is larger than
+	// the bufio buffer below on purpose: a chunk that size goes to the file
+	// in one write instead of being copied into the buffer and flushed
+	// 64 KiB at a time.
 	scratch := make([]byte, 1<<18)
 	bw := bufio.NewWriterSize(dst, 1<<16)
 	if _, err := bw.Write(head); err != nil {
@@ -430,13 +414,6 @@ func encodeV2Plan(dst v2dest, plan []*v2section, reuse map[string]manifestEntry,
 			return fmt.Errorf("store: padding before %q: %w", sec.tag, err)
 		}
 		pos = sec.off + sec.size
-		if ent, ok := reuse[sec.tag]; ok {
-			if err := spliceSection(bw, prevFile, ent, scratch); err != nil {
-				return fmt.Errorf("store: splicing section %q from previous snapshot: %w", sec.tag, err)
-			}
-			sec.crc = ent.crc
-			continue
-		}
 		sink := &v2sink{w: bw, crc: crc32.NewIEEE(), scratch: scratch}
 		sec.emit(sink)
 		if sink.err != nil {
@@ -547,8 +524,17 @@ func readV2Sections(data []byte, verify bool, a *assembly) error {
 }
 
 // SaveV2 writes m to path as a v2 (mmap-ready) snapshot, atomically and
-// crash-safely (see WriteFileAtomic).
+// crash-safely (see WriteFileAtomic): every section is encoded from m and
+// checksummed on its way to the file.
 func SaveV2(path string, m *core.Model) error {
-	_, err := SaveV2Reusing(path, m, nil)
-	return err
+	plan, err := fullModelPlan(m)
+	if err != nil {
+		return err
+	}
+	return savePlan(path, plan)
+}
+
+// savePlan encodes plan into path through WriteFileAtomic.
+func savePlan(path string, plan []*v2section) error {
+	return WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan) })
 }

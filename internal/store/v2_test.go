@@ -340,12 +340,29 @@ func TestSaveV2IsAtomic(t *testing.T) {
 	}
 }
 
+// TestSaveV2WritesEncodeV2Bytes: the file SaveV2 commits holds exactly
+// the bytes EncodeV2 produces for the same model.
+func TestSaveV2WritesEncodeV2Bytes(t *testing.T) {
+	m := testModel(40, 6, 4, 120, 17)
+	path := filepath.Join(t.TempDir(), "model.v2.snap")
+	if err := SaveV2(path, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, encodeV2ToBytes(t, m)) {
+		t.Fatal("SaveV2 differs from EncodeV2")
+	}
+}
+
 // encodePlanForTest encodes an explicit plan (the production encoder has
 // no injection seam for one; the two-pass oracle takes any).
 func encodePlanForTest(t *testing.T, plan []*v2section) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := encodeV2PlanTwoPass(&buf, plan, nil, nil); err != nil {
+	if err := encodeV2PlanTwoPass(&buf, plan); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

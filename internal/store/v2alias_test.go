@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,15 +14,13 @@ import (
 )
 
 // planSource builds one encoding job: a fresh plan (encoding fills in its
-// offsets and CRCs, so no encoder sees what another left there) and,
-// for a reusing encode, the sections to splice and the file to splice
-// them from.
-type planSource func() (plan []*v2section, reuse map[string]manifestEntry, prevFile io.ReaderAt)
+// offsets and CRCs, so no encoder sees what another left there).
+type planSource func() []*v2section
 
 // modelPlan is the planSource of a plain encode of m: of the sections
 // tags names, or of every section when there are none.
 func modelPlan(t *testing.T, m *core.Model, tags ...string) planSource {
-	return func() ([]*v2section, map[string]manifestEntry, io.ReaderAt) {
+	return func() []*v2section {
 		t.Helper()
 		var want map[string]bool
 		if len(tags) > 0 {
@@ -33,7 +30,7 @@ func modelPlan(t *testing.T, m *core.Model, tags ...string) planSource {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return plan, nil, nil
+		return plan
 	}
 }
 
@@ -51,25 +48,23 @@ func requireBothEncodersAgree(t *testing.T, what string, src planSource) []byte 
 		t.Fatal("a little-endian host did not select the aliased encoder")
 	}
 	singlePass := func() []byte {
-		plan, reuse, prev := src()
 		var d memDest
-		if err := encodeV2Plan(&d, plan, reuse, prev); err != nil {
+		if err := encodeV2Plan(&d, src()); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		return d.buf
 	}
 	twoPass := func() []byte {
-		plan, reuse, prev := src()
 		var buf bytes.Buffer
-		if err := encodeV2PlanTwoPass(&buf, plan, reuse, prev); err != nil {
+		if err := encodeV2PlanTwoPass(&buf, src()); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		return buf.Bytes()
 	}
 	toFile := func() []byte {
-		plan, reuse, prev := src()
+		plan := src()
 		path := filepath.Join(t.TempDir(), "single-pass.snap")
-		if err := WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan, reuse, prev) }); err != nil {
+		if err := WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(f, plan) }); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		raw, err := os.ReadFile(path)
@@ -202,39 +197,6 @@ func TestEncodersAgreeOnGoldenFixtures(t *testing.T) {
 	}
 }
 
-// TestEncodersAgreeOnReusedSections: a plan that splices some sections from
-// a previous file and re-encodes the rest — the publisher's every save.
-func TestEncodersAgreeOnReusedSections(t *testing.T) {
-	m := reuseModel()
-	p0 := filepath.Join(t.TempDir(), "gen0.v2.snap")
-	man, err := SaveV2Reusing(p0, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := reuseSuccessor(t, m)
-	prev, err := os.Open(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prev.Close()
-	spliced := 0
-	got := requireBothEncodersAgree(t, "reused and re-encoded sections", func() ([]*v2section, map[string]manifestEntry, io.ReaderAt) {
-		plan, err := v2Plan(next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reuse := matchReusable(plan, man)
-		spliced = len(reuse)
-		return plan, reuse, prev
-	})
-	if spliced == 0 || spliced == len(man.entries) {
-		t.Fatalf("%d of %d sections spliced; the case needs a mix", spliced, len(man.entries))
-	}
-	if !bytes.Equal(got, encodeV2ToBytes(t, next)) {
-		t.Fatal("a reusing encode differs from a plain one of the same model")
-	}
-}
-
 // failingDest is a file whose WriteAt fails: the header back-patch of the
 // single-pass encoder has nowhere to land.
 type failingDest struct{ *os.File }
@@ -249,11 +211,11 @@ func (failingDest) WriteAt([]byte, int64) (int, error) { return 0, errNoWriteAt 
 func TestSinglePassEncoderBackPatchFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.v2.snap")
-	plan, err := v2Plan(reuseModel())
+	plan, err := v2Plan(testModel(40, 6, 4, 120, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(failingDest{f}, plan, nil, nil) })
+	err = WriteFileAtomic(path, func(f *os.File) error { return encodeV2Plan(failingDest{f}, plan) })
 	if !errors.Is(err, errNoWriteAt) {
 		t.Fatalf("save over an unpatchable destination returned %v", err)
 	}
@@ -277,7 +239,7 @@ func unpatchedV2(t testing.TB, m *core.Model) []byte {
 		t.Fatal(err)
 	}
 	var d unpatchedDest
-	if err := encodeV2Plan(&d, plan, nil, nil); err != nil {
+	if err := encodeV2Plan(&d, plan); err != nil {
 		t.Fatal(err)
 	}
 	return d.buf

@@ -12,7 +12,7 @@ import (
 // one, kept as its oracle: every emitted section runs twice — once into a
 // discarding sink to learn the CRC the table needs, once into the writer —
 // so header and table can be written first, to a plain io.Writer.
-func encodeV2PlanTwoPass(w io.Writer, plan []*v2section, reuse map[string]manifestEntry, prevFile io.ReaderAt) error {
+func encodeV2PlanTwoPass(w io.Writer, plan []*v2section) error {
 	off := alignUp(uint64(v2HeaderLen + v2EntryLen*len(plan)))
 	for _, sec := range plan {
 		sec.off = off
@@ -20,10 +20,6 @@ func encodeV2PlanTwoPass(w io.Writer, plan []*v2section, reuse map[string]manife
 	}
 	scratch := make([]byte, 1<<18)
 	for _, sec := range plan {
-		if ent, ok := reuse[sec.tag]; ok {
-			sec.crc = ent.crc
-			continue
-		}
 		sink := &v2sink{w: io.Discard, crc: crc32.NewIEEE(), scratch: scratch}
 		sec.emit(sink)
 		if sink.err != nil {
@@ -52,13 +48,6 @@ func encodeV2PlanTwoPass(w io.Writer, plan []*v2section, reuse map[string]manife
 		}
 		if _, err := bw.Write(pad[:sec.off-pos]); err != nil {
 			return fmt.Errorf("store: padding before %q: %w", sec.tag, err)
-		}
-		if ent, ok := reuse[sec.tag]; ok {
-			if err := spliceSection(bw, prevFile, ent, scratch); err != nil {
-				return fmt.Errorf("store: splicing section %q from previous snapshot: %w", sec.tag, err)
-			}
-			pos = sec.off + sec.size
-			continue
 		}
 		sink := &v2sink{w: bw, crc: crc32.NewIEEE(), scratch: scratch}
 		sec.emit(sink)

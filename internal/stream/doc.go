@@ -47,15 +47,14 @@
 // serve.Engine.BuildSnapshot, given the re-folded rows as an explicit
 // delta (the shared rank index is reused — Φ unchanged means word scores
 // unchanged — and only the dirty users' user-index rows are recomputed);
-// and the on-disk generation is written with store.SaveV2Reusing, which
-// splices byte-identical base-model sections out of the previous
-// generation's file instead of re-encoding them and checksums what it
-// does encode on its way to the file. What stays O(model) in such a
-// publish is the write of the bytes that go to disk (plus, without
-// Options.Mmap, one memcpy of Π): no step walks the users (a model has no per-user cache, the
-// dirty-user gauge is a maintained count), and Ingest costs the same
-// however many stream users exist. Every layer is
-// bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*
+// and the on-disk generation is written with store.SaveV2, which encodes
+// every section from memory and checksums it on its way to the file (the
+// shard group, when there is one, hard-links the files nothing changed).
+// What stays O(model) in such a publish is the write of the bytes that go
+// to disk (plus, without Options.Mmap, one memcpy of Π): no step walks the
+// users (a model has no per-user cache, the dirty-user gauge is a
+// maintained count), and Ingest costs the same however many stream users
+// exist. Every layer is bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*
 // pins this differentially, down to byte-equal snapshot files). A publish
 // falls back to the full model and save path exactly when the base model
 // itself moved or is unknown to this process: a delta-Gibbs pass ran, the

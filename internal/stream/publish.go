@@ -19,11 +19,10 @@ package stream
 //     keeps the predecessor's global blocks and prediction caches
 //     (core.Model.WithPi) instead of reassembling every row and
 //     rehydrating (buildExtendedLocked);
-//   - save: store.SaveV2Reusing splices unchanged sections byte-for-byte
-//     from the previous snapshot file instead of re-encoding them, and
-//     encodes Π from its own memory, checksumming it on the way to the
-//     file (Π is dropped from the manifest first: its array may be the
-//     one just patched);
+//   - save: store.SaveV2 encodes every section from memory in one pass,
+//     checksumming each on its way to the file — for the unchanged global
+//     blocks that costs what re-reading them from the previous file would,
+//     and no array patched in place can leave a stale byte behind;
 //   - shard: shard.Publisher hard-links the group's global file (the
 //     community profiles, with no user count in it) on every incremental
 //     publish, appended users or not, the shard files (Π rows only) no
@@ -107,7 +106,8 @@ type PublishPhases struct {
 	// restart reads "full model, patched index"), so a large IndexMicros
 	// with this false is a from-scratch index, not a regression.
 	IndexPatched bool `json:"indexPatched"`
-	// SectionsReused counts v2 sections spliced from the previous file.
+	// SectionsReused is always 0: every save encodes every section. It
+	// stays only for readers of the field that predate that.
 	SectionsReused int `json:"sectionsReused"`
 	// BytesWritten sums the sizes of the files this publish wrote: the
 	// full snapshot, the shard-group files it did not hard-link and the
@@ -284,24 +284,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	}
 	if u.opts.Dir != "" {
 		path := store.GenPath(u.opts.Dir, u.generation)
-		if u.opts.FullRebuild {
-			err = store.SaveV2(path, model)
-			u.manifest = nil
-		} else {
-			// Section reuse self-limits: after a Gibbs pass (or on the
-			// first save) no section matches the manifest and every one is
-			// re-encoded — same bytes either way. Π is never a candidate:
-			// every publish moves rows, possibly inside the very array the
-			// manifest remembers (buildExtendedPatchedLocked).
-			u.manifest.Forget(store.TagPi)
-			var man *store.SectionManifest
-			man, err = store.SaveV2Reusing(path, model, u.manifest)
-			if err == nil {
-				u.manifest = man
-				ph.SectionsReused = man.ReusedSections()
-				info.SectionsReused = man.ReusedSections()
-			}
-		}
+		err = store.SaveV2(path, model)
 		var fi os.FileInfo
 		if err == nil {
 			fi, err = os.Stat(path)
@@ -359,9 +342,9 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 			ph.IndexMicros = lap()
 		} else {
 			// The mapped model's numeric blocks are byte-identical to the
-			// heap model just saved (section reuse splices, never
-			// re-derives), so patching the previous generation's indexes
-			// against it preserves bit-identity.
+			// heap model just saved (the file was encoded from it), so
+			// patching the previous generation's indexes against it
+			// preserves bit-identity.
 			snap := u.buildServeSnapshotLocked(mm.Model, full)
 			ph.IndexMicros = lap()
 			ph.IndexPatched = snap.Build().Kind == serve.BuildPatched

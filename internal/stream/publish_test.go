@@ -98,10 +98,10 @@ func requireSameServed(t *testing.T, inc, full *serve.Engine, users int, queries
 
 // TestIncrementalPublishMatchesFullRebuild is the end-to-end differential
 // contract of the O(changed) publish path: an updater publishing
-// incrementally (patched model, patched indexes, section-reusing saves)
-// must serve bit-identical results AND write byte-identical snapshot
-// files to an updater forced to rebuild everything from scratch, across
-// a randomized churny event sequence published window by window.
+// incrementally (patched model, patched indexes) must serve bit-identical
+// results AND write byte-identical snapshot files to an updater forced to
+// rebuild everything from scratch, across a randomized churny event
+// sequence published window by window.
 func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
 	g, m := testBase(t)
 	incDir, fullDir := t.TempDir(), t.TempDir()
@@ -165,9 +165,6 @@ func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
 	}
 	if st.LastPublishPhases == nil || st.LastPublishPhases.Full {
 		t.Fatalf("last publish phases missing or full: %+v", st.LastPublishPhases)
-	}
-	if st.LastPublishPhases.SectionsReused == 0 {
-		t.Fatal("incremental publishes never reused a snapshot section")
 	}
 	if st.PublishLatency == nil || st.PublishLatency.Count == 0 {
 		t.Fatal("publish latency histogram empty")
@@ -457,17 +454,55 @@ func TestPruneCommitsInOrder(t *testing.T) {
 
 // TestFriendsOnlyPublishReusesDocSections pins the doc-array publish
 // headroom: a delta window containing only edge events among users with
-// no stream documents must splice DOCC/DOCZ/DOCB from the previous
-// snapshot (the extended model aliases the last published model's doc
-// arrays), while staying byte-identical to a from-scratch rebuild.
+// no stream documents hands out the last published model's doc arrays,
+// so the shard publisher hard-links the previous generation's state file
+// (DOCC/DOCZ/DOCB) instead of rewriting it, while every full file stays
+// byte-identical to a from-scratch rebuild's.
 func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 	g, m := testBase(t)
 	incDir, fullDir := t.TempDir(), t.TempDir()
-	_, _, inc := newTestUpdater(t, g, m, func(o *Options) { o.Dir = incDir })
+	_, _, inc := newTestUpdater(t, g, m, func(o *Options) {
+		o.Dir = incDir
+		o.Shards = 3
+	})
 	_, _, full := newTestUpdater(t, g, m, func(o *Options) {
 		o.Dir = fullDir
+		o.Shards = 3
 		o.FullRebuild = true
 	})
+	// linked reports whether generation gen's state file is generation
+	// gen-1's, and how many of gen's group files are links of gen-1's.
+	linked := func(gen uint64) (state bool, files int) {
+		t.Helper()
+		read := func(gen uint64) *shard.Manifest {
+			man, err := shard.ReadManifest(shard.ManifestPath(incDir, gen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return man
+		}
+		prev, cur := read(gen-1), read(gen)
+		same := func(a, b shard.FileEntry) bool {
+			ai, err := os.Stat(filepath.Join(incDir, a.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bi, err := os.Stat(filepath.Join(incDir, b.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if os.SameFile(ai, bi) {
+				files++
+				return true
+			}
+			return false
+		}
+		same(prev.Global, cur.Global)
+		for i := range cur.Ranges {
+			same(prev.Ranges[i].File, cur.Ranges[i].File)
+		}
+		return same(*prev.State, *cur.State), files
+	}
 
 	publishBoth := func(evs []Event) *PublishInfo {
 		t.Helper()
@@ -508,12 +543,12 @@ func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 		{Type: EvAddDoc, User: 1, Time: 110, Words: g.Docs[1].Words},
 		{Type: EvAddEdge, User: 0, Target: 1},
 	})
-	publishBoth([]Event{
+	withDocs := publishBoth([]Event{
 		{Type: EvAddDoc, User: 2, Time: 200, Words: g.Docs[2].Words},
 	})
-	withDocs := inc.Status().LastPublishPhases.SectionsReused
-	if withDocs == 0 {
-		t.Fatal("doc-bearing incremental publish reused no sections")
+	if state, files := linked(withDocs.Generation); state || files != inc.Status().LastPublishPhases.FilesLinked {
+		t.Fatalf("doc-bearing publish: state file linked %v, %d group files linked, FilesLinked %d",
+			state, files, inc.Status().LastPublishPhases.FilesLinked)
 	}
 	inc.mu.Lock()
 	prev := inc.lastModel
@@ -524,15 +559,14 @@ func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 
 	// Friends-only window: edges among base users that own no stream
 	// documents. The fold refolds their membership rows but every doc
-	// assignment stays put, so the doc sections ride along unchanged.
-	publishBoth([]Event{
+	// assignment stays put, so the state file rides along unchanged.
+	friendsOnly := publishBoth([]Event{
 		{Type: EvAddEdge, User: 5, Target: 6},
 		{Type: EvAddEdge, User: 7, Target: 8},
 	})
-	friendsOnly := inc.Status().LastPublishPhases.SectionsReused
-	if friendsOnly < withDocs+3 {
-		t.Fatalf("friends-only publish reused %d sections, want >= %d (doc windows reused %d; DOCC/DOCZ/DOCB should splice)",
-			friendsOnly, withDocs+3, withDocs)
+	if state, files := linked(friendsOnly.Generation); !state || files != inc.Status().LastPublishPhases.FilesLinked {
+		t.Fatalf("friends-only publish: state file linked %v, %d group files linked, FilesLinked %d",
+			state, files, inc.Status().LastPublishPhases.FilesLinked)
 	}
 	inc.mu.Lock()
 	cur := inc.lastModel

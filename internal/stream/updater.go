@@ -19,7 +19,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/socialgraph"
 	"repro/internal/sparse"
-	"repro/internal/store"
 )
 
 // Options configures an Updater. Engine is required; Base defaults to the
@@ -198,11 +197,8 @@ type PublishInfo struct {
 	Gibbs      bool   `json:"gibbs"`
 	Path       string `json:"path,omitempty"`
 	// Incremental marks a publish that took the O(changed) path: patched
-	// extended model, patched serving indexes, section-reusing save.
+	// extended model and patched serving indexes.
 	Incremental bool `json:"incremental,omitempty"`
-	// SectionsReused counts v2 sections spliced byte-for-byte from the
-	// previous snapshot file instead of re-encoded (0 without Dir).
-	SectionsReused int `json:"sectionsReused,omitempty"`
 }
 
 // ErrDraining reports an ingest attempted after StopIngest.
@@ -260,15 +256,14 @@ type Updater struct {
 	// the last successful promote and whether the engine was handed that
 	// model itself (false: it serves the file mapping, and the model's Π is
 	// the updater's to patch in place), the refined reference it was built
-	// from, the engine version it produced, the section manifest of its
-	// snapshot file, and the user rows re-folded since that promote
+	// from, the engine version it produced, and the user rows re-folded
+	// since that promote
 	// (carried across failed attempts so a retried publish cannot lose a
 	// row that was folded before the failure).
 	lastModel   *core.Model
 	lastServed  bool
 	lastRef     *core.Model
 	lastVersion uint64
-	manifest    *store.SectionManifest
 	pendingRows []int32
 	// sharder, when Options.Shards > 1, re-publishes each generation as a
 	// sharded group next to the full snapshot file (hard-linking clean
@@ -277,10 +272,11 @@ type Updater struct {
 	// docsChanged marks that the stream documents' assignment arrays
 	// (docC/docZ) or their length changed since lastModel was built. While
 	// false, extendedDocArraysLocked hands out lastModel's own doc arrays
-	// instead of fresh copies, so SaveV2Reusing's slice-identity check can
-	// splice the DOCC/DOCZ/DOCB sections byte-for-byte — the publish
-	// headroom for friends-only delta windows, whose folds move membership
-	// rows but leave every document assignment where it was.
+	// instead of fresh copies, so shard.Publisher, finding the very arrays
+	// it last wrote, hard-links the previous generation's state file
+	// instead of rewriting it — the publish headroom for friends-only delta
+	// windows, whose folds move membership rows but leave every document
+	// assignment where it was.
 	docsChanged bool
 
 	fullRebuilds         uint64
@@ -896,11 +892,11 @@ func (u *Updater) buildExtendedLocked() *core.Model {
 func (u *Updater) extendedDocArraysLocked(m, ref *core.Model) {
 	// Friends-only fast path: when no stream document was added or
 	// reassigned since the last published model was built against this
-	// same refined reference, hand out that model's arrays verbatim.
-	// SaveV2Reusing recognizes them by identity and splices the
-	// DOCC/DOCZ/DOCB sections from the previous file — and nothing ever
+	// same refined reference, hand out that model's arrays verbatim: no
+	// O(documents) copy, and shard.Publisher recognizes them by identity
+	// and hard-links the previous generation's state file — nothing ever
 	// mutates a published model's arrays in place (publishes that would
-	// change them build fresh slices here), so the bytes are still good.
+	// change them build fresh slices here), so that file is still good.
 	if !u.docsChanged && u.lastModel != nil && ref == u.lastRef &&
 		len(u.lastModel.DocCommunity) == u.baseDocs+len(u.docs) {
 		m.DocCommunity = u.lastModel.DocCommunity

@@ -125,7 +125,7 @@ func BenchmarkIngestApply(b *testing.B) {
 // O(changed) path (patched Π, patched per-shard user index, shared rank
 // index), in memory; incremental-mmap is the same path through snapshot
 // files the engine maps, where Π is patched in place and the save is the
-// single-pass, section-reusing one; full-rebuild pins Options.FullRebuild
+// single-pass encode from memory; full-rebuild pins Options.FullRebuild
 // and reassembles everything — the pre-incremental publish cost. The two serve
 // bit-identical results (TestIncrementalPublishMatchesFullRebuild); the
 // ratio here is what the O(changed) claim buys.
