@@ -12,8 +12,9 @@
 //	cpd-lens -demo               # train on a synthetic network and serve it
 //	cpd-lens -demo -quality      # print the structural quality table and exit
 //
-// -model accepts both the binary snapshot format (internal/store) and the
-// legacy JSON format. The server shuts down gracefully on SIGINT/SIGTERM,
+// -model loads through the same loader as cpd-serve: a v2 snapshot is
+// served from its checksum-verified mapping, a legacy v1 or JSON model is
+// copied onto the heap. The server shuts down gracefully on SIGINT/SIGTERM,
 // draining in-flight requests.
 //
 // -quality prints the model's structural quality report as a metric-rows ×
@@ -40,7 +41,6 @@ import (
 	"repro/internal/quality"
 	"repro/internal/serve"
 	"repro/internal/socialgraph"
-	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -48,7 +48,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cpd-lens: ")
 	var (
-		modelPath  = flag.String("model", "", "trained model file (binary snapshot or JSON)")
+		modelPath  = flag.String("model", "", "trained model file (v2 snapshot, or legacy v1/JSON)")
 		vocabPath  = flag.String("vocab", "", "vocabulary file")
 		graphPath  = flag.String("graph", "", "training graph; gives -quality friendship edges to score")
 		addr       = flag.String("addr", ":8080", "listen address")
@@ -65,8 +65,8 @@ func main() {
 		return
 	}
 
-	var model *core.Model
-	var vocab *corpus.Vocabulary
+	engine := serve.NewMulti(serve.Options{})
+	defer engine.Close()
 	var graph *socialgraph.Graph
 	switch {
 	case *demo:
@@ -83,21 +83,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		model = m
-		vocab = synth.BuildVocabulary(cfg)
+		engine.SwapNamed(serve.DefaultSnapshot, m, synth.BuildVocabulary(cfg))
 		graph = g
 	case *modelPath != "":
-		var err error
-		model, err = store.LoadFile(*modelPath)
-		if err != nil {
-			log.Fatal(err)
-		}
+		var vocab *corpus.Vocabulary
 		if *vocabPath != "" {
 			vf, err := corpus.ReadVocabularyFile(*vocabPath)
 			if err != nil {
 				log.Fatal(err)
 			}
 			vocab = vf
+		}
+		if _, err := engine.LoadGeneration(serve.DefaultSnapshot, *modelPath, vocab, 0); err != nil {
+			log.Fatal(err)
 		}
 		if *graphPath != "" {
 			f, err := os.Open(*graphPath)
@@ -115,12 +113,15 @@ func main() {
 	}
 
 	if *qualityTab {
-		printLocalQuality(model, graph)
+		s, release, err := engine.AcquireNamed(serve.DefaultSnapshot)
+		if err != nil {
+			log.Fatal(err)
+		}
+		printLocalQuality(s.Model, graph)
+		release()
 		return
 	}
 
-	engine := serve.New(model, vocab, serve.Options{})
-	defer engine.Close()
 	fmt.Printf("SocialLens listening on %s\n", *addr)
 	if err := serve.RunHTTP(*addr, serve.APIHandler(engine, nil)); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)

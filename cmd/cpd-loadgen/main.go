@@ -62,7 +62,6 @@ func main() {
 		vocabPath = flag.String("vocab", "", "optional vocabulary (in-process target only; enables labelled responses)")
 		url       = flag.String("url", "", "drive a live endpoint at this base URL instead of the in-process engine")
 		snapName  = flag.String("snapshot", "", "route queries to this named snapshot (default snapshot when empty)")
-		useMmap   = flag.Bool("mmap", false, "serve the in-process engine from a memory-mapped v2 snapshot (zero-copy)")
 
 		mixSpec     = flag.String("mix", "rank=4,membership=3,diffusion=2,foldin=1", "relative op weights; add ingest=N for a write mix, quality=N / metrics=N for observability-endpoint traffic")
 		concurrency = flag.Int("concurrency", 8, "workers (closed loop) / max in-flight (open loop)")
@@ -123,7 +122,7 @@ func main() {
 		if name == "" {
 			name = serve.DefaultSnapshot
 		}
-		engine := serve.NewMulti(serve.Options{Mmap: *useMmap})
+		engine := serve.NewMulti(serve.Options{})
 		defer engine.Close()
 		if _, err := engine.LoadGeneration(name, *modelPath, vocab, 0); err != nil {
 			log.Fatal(err)

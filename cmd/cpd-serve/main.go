@@ -10,22 +10,22 @@
 //
 // Usage:
 //
-//	# Single model, heap-loaded.
-//	cpd-serve -model model.snap -vocab data.vocab -addr :8080
+//	# Single model, served zero-copy from its mapping.
+//	cpd-serve -model model.v2.snap -vocab data.vocab -addr :8080
 //
-//	# v2 snapshot served zero-copy from a memory mapping, pprof on.
-//	cpd-serve -model model.v2.snap -mmap -pprof
+//	# The same with pprof on.
+//	cpd-serve -model model.v2.snap -pprof
 //
 //	# Multiple named snapshots (e.g. per-region models).
-//	cpd-serve -model eu=models/eu.v2.snap -model us=models/us.v2.snap -mmap
+//	cpd-serve -model eu=models/eu.v2.snap -model us=models/us.v2.snap
 //
 //	# Live ingest: journal to events.wal, publish every 256 events or 2s.
 //	cpd-serve -model model.v2.snap -ingest events.wal -ingest-dir snapshots/
 //
 //	# Replica mode: no local model, pull generations from a publisher —
 //	# a shared snapshot directory or a publisher's URL (/api/shards*).
-//	cpd-serve -fetch /shared/snapshots -mmap
-//	cpd-serve -fetch http://publisher:8080 -fetch-dir /var/cache/cpd -mmap
+//	cpd-serve -fetch /shared/snapshots
+//	cpd-serve -fetch http://publisher:8080 -fetch-dir /var/cache/cpd
 //
 //	curl localhost:8080/api/communities
 //	curl 'localhost:8080/api/rank?q=deep+learning&k=5&snapshot=eu'
@@ -40,10 +40,12 @@
 //	curl localhost:8080/metrics                # Prometheus text exposition
 //
 // -model may repeat; "name=path" serves the snapshot under that name
-// (query it with ?snapshot=name), a bare "path" serves as "default". With
-// -mmap, v2 snapshots are memory-mapped and served zero-copy. POST
-// /api/reload re-reads the paths the server was started with. -pprof
-// exposes net/http/pprof under /debug/pprof/.
+// (query it with ?snapshot=name), a bare "path" serves as "default". A v2
+// snapshot is checksum-verified and served zero-copy from its mapping, as
+// is every generation -ingest publishes; a v1 or JSON model is copied onto
+// the heap. POST /api/reload re-reads the paths the server was started
+// with (replace a served file by renaming a new one over it, never in
+// place). -pprof exposes net/http/pprof under /debug/pprof/.
 //
 // With -ingest, POST /api/ingest accepts typed event batches (add-user /
 // add-edge / add-doc / diffusion) that are appended to the CRC'd journal
@@ -131,7 +133,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		postings  = flag.Int("postings", 0, "rank-index posting-list length per word (0 = default)")
 		workers   = flag.Int("foldin-workers", 0, "fold-in worker pool size (0 = default)")
-		useMmap   = flag.Bool("mmap", false, "serve v2 snapshots zero-copy from a memory mapping")
 		usePprof  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 		ingestPath   = flag.String("ingest", "", "event journal path; enables POST /api/ingest and the streaming updater")
@@ -165,7 +166,6 @@ func main() {
 	engine := serve.NewMulti(serve.Options{
 		PostingsPerWord: *postings,
 		FoldInWorkers:   *workers,
-		Mmap:            *useMmap,
 	})
 	defer engine.Close()
 	var vocab *corpus.Vocabulary
@@ -269,7 +269,6 @@ func main() {
 			GibbsEvery:   *gibbsEvery,
 			GibbsSweeps:  *gibbsSweeps,
 			BaseGraph:    baseGraph,
-			Mmap:         *useMmap,
 			Quality:      *qualityEvery,
 			QualityPLP:   *qualityPLP,
 			Shards:       *ingestShards,

@@ -88,7 +88,7 @@ func newShardFleet(t *testing.T, wrap func(i int, h http.Handler) http.Handler) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := serve.NewMulti(serve.Options{Mmap: true})
+		e := serve.NewMulti(serve.Options{})
 		t.Cleanup(e.Close)
 		e.PromoteShardGroup(serve.DefaultSnapshot, g, nil, 1)
 		hits := &pathHits{n: map[string]int{}}
@@ -115,7 +115,7 @@ func newShardFleet(t *testing.T, wrap func(i int, h http.Handler) http.Handler) 
 	}
 	f.front = httptest.NewServer(f.rt.Handler())
 	t.Cleanup(f.front.Close)
-	f.ref = serve.NewMulti(serve.Options{Mmap: true})
+	f.ref = serve.NewMulti(serve.Options{})
 	t.Cleanup(f.ref.Close)
 	if _, err := f.ref.LoadGeneration(serve.DefaultSnapshot, path, nil, 1); err != nil {
 		t.Fatal(err)

@@ -211,7 +211,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 		}
 	}()
 	for i := 0; i < p.Shards*p.Replicas; i++ {
-		e := serve.NewMulti(serve.Options{Mmap: true})
+		e := serve.NewMulti(serve.Options{})
 		f, err := serve.NewFetcher(e, serve.FetchOptions{
 			Source: snapDir, Vocab: b.Vocab, Interval: 2 * time.Millisecond,
 			Shard: i % p.Shards,
@@ -259,7 +259,7 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 	// Single-FULL-node reference for a generation: a fresh engine loading
 	// the full file the same publish wrote.
 	reference := func(gen uint64) (*serve.Engine, error) {
-		ref := serve.NewMulti(serve.Options{Mmap: true})
+		ref := serve.NewMulti(serve.Options{})
 		if _, err := ref.LoadGeneration(serve.DefaultSnapshot, store.GenPath(snapDir, gen), b.Vocab, gen); err != nil {
 			ref.Close()
 			return nil, err

@@ -330,7 +330,6 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 
 	engine := serve.NewMulti(serve.Options{
 		PostingsPerWord: model.Cfg.NumCommunities,
-		Mmap:            true,
 	})
 	defer engine.Close()
 	engine.SwapMapped("mapped", mm, b.Vocab)

@@ -217,7 +217,7 @@ func TestMappedEngineConcurrentSwap(t *testing.T) {
 		"eu": saveV2Model(t, dir, "eu.v2.snap", 40, 6, 5, 400, 11),
 		"us": saveV2Model(t, dir, "us.v2.snap", 30, 5, 4, 300, 12),
 	}
-	e := NewMulti(Options{Mmap: true, FoldInWorkers: 2})
+	e := NewMulti(Options{FoldInWorkers: 2})
 	defer e.Close()
 	for name, p := range paths {
 		if _, err := e.LoadGeneration(name, p, nil, 0); err != nil {

@@ -46,7 +46,7 @@ type adoptPublisher struct {
 func newAdoptPublisher(t *testing.T, shards int) *adoptPublisher {
 	t.Helper()
 	base := serve.SyntheticModel(adoptUsers, adoptC, adoptZ, adoptV, 41)
-	engine := serve.New(base, nil, serve.Options{Mmap: true})
+	engine := serve.New(base, nil, serve.Options{})
 	t.Cleanup(engine.Close)
 	j, err := stream.OpenJournal(filepath.Join(t.TempDir(), "events.wal"), stream.JournalOptions{})
 	if err != nil {
@@ -56,7 +56,7 @@ func newAdoptPublisher(t *testing.T, shards int) *adoptPublisher {
 	p := &adoptPublisher{dir: t.TempDir(), r: rand.New(rand.NewSource(6)), users: adoptUsers}
 	p.u, err = stream.NewUpdater(j, stream.Options{
 		Engine: engine, Base: base, FoldSweeps: 4, FoldSeed: 9,
-		Dir: p.dir, Shards: shards, Mmap: true, KeepSnapshots: 8,
+		Dir: p.dir, Shards: shards, KeepSnapshots: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func requireSameAnswers(t *testing.T, got, want *serve.Engine, users int) {
 // fresh answers the same.
 func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
 	p := newAdoptPublisher(t, 1)
-	replica := serve.NewMulti(serve.Options{Mmap: true})
+	replica := serve.NewMulti(serve.Options{})
 	defer replica.Close()
 	f, err := serve.NewFetcher(replica, serve.FetchOptions{Source: p.dir})
 	if err != nil {
@@ -204,7 +204,7 @@ func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
 		t.Fatalf("status after the second adoption: %+v", st)
 	}
 
-	fresh := serve.NewMulti(serve.Options{Mmap: true})
+	fresh := serve.NewMulti(serve.Options{})
 	defer fresh.Close()
 	if _, err := fresh.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, g2), nil, g2); err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestFetcherAdoptsShardsByPatch(t *testing.T) {
 	replicas := make([]*serve.Engine, adoptShards)
 	fetchers := make([]*serve.Fetcher, adoptShards)
 	for i := range replicas {
-		replicas[i] = serve.NewMulti(serve.Options{Mmap: true})
+		replicas[i] = serve.NewMulti(serve.Options{})
 		defer replicas[i].Close()
 		var err error
 		fetchers[i], err = serve.NewFetcher(replicas[i], serve.FetchOptions{Source: p.dir, Shard: i})
@@ -274,7 +274,7 @@ func TestFetcherAdoptsShardsByPatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := serve.NewMulti(serve.Options{Mmap: true})
+		e := serve.NewMulti(serve.Options{})
 		t.Cleanup(e.Close)
 		e.PromoteShardGroup(serve.DefaultSnapshot, g, nil, gen)
 		return e
@@ -346,7 +346,7 @@ func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
 	fetchers := make([]*serve.Fetcher, adoptShards)
 	caches := make([]string, adoptShards)
 	for i := range replicas {
-		replicas[i] = serve.NewMulti(serve.Options{Mmap: true})
+		replicas[i] = serve.NewMulti(serve.Options{})
 		defer replicas[i].Close()
 		caches[i] = t.TempDir()
 		var err error
@@ -383,7 +383,7 @@ func TestFetcherReusesUnchangedGlobalFile(t *testing.T) {
 		t.Fatalf("the global file was downloaded %d times by %d replicas, want once each", n, adoptShards)
 	}
 
-	full := serve.NewMulti(serve.Options{Mmap: true})
+	full := serve.NewMulti(serve.Options{})
 	defer full.Close()
 	if _, err := full.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, last), nil, last); err != nil {
 		t.Fatal(err)
@@ -417,7 +417,7 @@ func TestFetcherRestartRechecksCachedFile(t *testing.T) {
 	cache := t.TempDir()
 	opts := serve.FetchOptions{Source: srv.URL, Dir: cache, Shard: 1}
 
-	first := serve.NewMulti(serve.Options{Mmap: true})
+	first := serve.NewMulti(serve.Options{})
 	f, err := serve.NewFetcher(first, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestFetcherRestartRechecksCachedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replica := serve.NewMulti(serve.Options{Mmap: true})
+	replica := serve.NewMulti(serve.Options{})
 	defer replica.Close()
 	if f, err = serve.NewFetcher(replica, opts); err != nil {
 		t.Fatal(err)
@@ -461,7 +461,7 @@ func TestFetcherRestartRechecksCachedFile(t *testing.T) {
 	if n := shardFetches.Load(); n != 2 {
 		t.Fatalf("the shard file was downloaded %d times, want twice", n)
 	}
-	full := serve.NewMulti(serve.Options{Mmap: true})
+	full := serve.NewMulti(serve.Options{})
 	defer full.Close()
 	if _, err := full.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, gen), nil, gen); err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestReplicaFetchesNoTrainingState(t *testing.T) {
 	}
 	srv := httptest.NewServer(stream.SnapshotServer(p.dir))
 	defer srv.Close()
-	replica := serve.NewMulti(serve.Options{Mmap: true})
+	replica := serve.NewMulti(serve.Options{})
 	defer replica.Close()
 	cache := t.TempDir()
 	f, err := serve.NewFetcher(replica, serve.FetchOptions{Source: srv.URL, Dir: cache, Shard: 1})
@@ -522,7 +522,7 @@ func TestReplicaFetchesNoTrainingState(t *testing.T) {
 	if want := []string{filepath.Base(shard.GlobalPath("", gen)), filepath.Base(shard.ShardPath("", gen, 1))}; !reflect.DeepEqual(snaps, want) {
 		t.Fatalf("the replica cached %v, want %v", snaps, want)
 	}
-	full := serve.NewMulti(serve.Options{Mmap: true})
+	full := serve.NewMulti(serve.Options{})
 	defer full.Close()
 	if _, err := full.LoadGeneration(serve.DefaultSnapshot, store.GenPath(p.dir, gen), nil, gen); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func publishGen(t *testing.T, dir string, gen, seed uint64) string {
 
 func TestFetcherDirSource(t *testing.T) {
 	pub := t.TempDir()
-	e := serve.NewMulti(serve.Options{Mmap: true})
+	e := serve.NewMulti(serve.Options{})
 	defer e.Close()
 	f, err := serve.NewFetcher(e, serve.FetchOptions{Source: pub, Interval: time.Millisecond})
 	if err != nil {
@@ -124,7 +124,7 @@ func TestFetcherHTTPSource(t *testing.T) {
 	defer srv.Close()
 
 	cache := t.TempDir()
-	e := serve.NewMulti(serve.Options{Mmap: true})
+	e := serve.NewMulti(serve.Options{})
 	defer e.Close()
 	f, err := serve.NewFetcher(e, serve.FetchOptions{Source: srv.URL, Dir: cache, Keep: 1})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestFetcherRefetchesCorruptDownload(t *testing.T) {
 			}))
 			defer srv.Close()
 
-			e := serve.NewMulti(serve.Options{Mmap: true})
+			e := serve.NewMulti(serve.Options{})
 			defer e.Close()
 			f, err := serve.NewFetcher(e, serve.FetchOptions{Source: srv.URL, Dir: t.TempDir()})
 			if err != nil {

@@ -8,11 +8,11 @@
 //     LoadGeneration (the one loader of a model file) hot-swaps a model
 //     with zero downtime — in-flight queries keep the snapshot they
 //     started on, and no query ever observes a torn mix of two models;
-//   - snapshots hold matrix *views*, not owned copies: a model opened
-//     from a v2 snapshot (store.Open) aliases a read-only file mapping,
-//     and the mapping's lifetime is tied to the snapshot's reference
-//     count — the file is unmapped only when the last in-flight query
-//     releases it, never under one;
+//   - snapshots hold matrix *views*, not owned copies: a v2 file is
+//     served from its read-only mapping (only legacy v1 and JSON models
+//     are copied), and the mapping's lifetime is tied to the snapshot's
+//     reference count — the file is unmapped only when the last in-flight
+//     query releases it, never under one;
 //   - every user's top-K memberships live in one flat per-snapshot table
 //     (plus a member count per community), from which memberships, member
 //     counts and member lists are answered;
@@ -43,6 +43,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -79,12 +80,8 @@ type Options struct {
 	// value (each request is a pure function of the snapshot and its own
 	// seed); 0 selects the default (4).
 	FoldInWorkers int
-	// Mmap makes LoadGeneration open v2 snapshot files through
-	// store.Open — the zero-copy mapped path — instead of store.LoadFile,
-	// which reads the file onto the heap and verifies every payload CRC.
-	// Legacy v1 and JSON files always load through LoadFile. The mapped
-	// file stays mapped for as long as any query uses the snapshot
-	// (refcounted; see Snapshot).
+	// Mmap is ignored: LoadGeneration serves every v2 file from its
+	// mapping. The field stays for callers that still set it.
 	Mmap bool
 }
 
@@ -700,32 +697,32 @@ func (e *Engine) DropSnapshot(name string) bool {
 	return true
 }
 
-// LoadGeneration loads the model file at modelPath — v2, or legacy v1
-// or JSON, sniffed; with Options.Mmap, v2 files load through the
-// zero-copy mapped path — and hot-swaps it into the named slot (created
-// if absent) with an already-parsed vocabulary (nil disables free-text
-// queries). The promoted snapshot, and every result it answers, carries
-// gen, so freshness compares across replicas serving the same publisher;
-// gen 0 marks a snapshot that is not generation-tracked. On error the
-// serving state is left untouched.
+// LoadGeneration loads the model file at modelPath and hot-swaps it into
+// the named slot (created if absent) with an already-parsed vocabulary
+// (nil disables free-text queries). A v2 file is served zero-copy from
+// its mapping, once every payload CRC has been checked over that same
+// mapping (store.OpenVerified); a legacy v1 or JSON file is copied onto
+// the heap (store.LoadFile). The promoted snapshot, and every result it
+// answers, carries gen, so freshness compares across replicas serving the
+// same publisher; gen 0 marks a snapshot that is not generation-tracked.
+// On error the serving state is left untouched.
 func (e *Engine) LoadGeneration(name, modelPath string, vocab *corpus.Vocabulary, gen uint64) (version uint64, err error) {
 	start := time.Now()
 	defer func() { e.lat[epReload].Observe(time.Since(start), err) }()
-	if e.opts.Mmap {
-		if mm, err := store.Open(modelPath); err == nil {
-			s := e.BuildSnapshot(name, mm.Model, vocab, nil)
-			s.Generation = gen
-			s.AttachMapped(mm)
-			return e.publish(s), nil
-		}
-		// Not a v2 snapshot (or not mappable): fall through to the
-		// copying loader, which sniffs every format.
+	var m *core.Model
+	mm, err := store.OpenVerified(modelPath)
+	if err == nil {
+		m = mm.Model
+	} else if errors.Is(err, store.ErrNotV2) {
+		m, err = store.LoadFile(modelPath)
 	}
-	m, err := store.LoadFile(modelPath)
 	if err != nil {
 		return 0, err
 	}
 	s := e.BuildSnapshot(name, m, vocab, nil)
+	if mm != nil {
+		s.AttachMapped(mm)
+	}
 	s.Generation = gen
 	return e.publish(s), nil
 }

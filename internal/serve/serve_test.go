@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -337,7 +341,7 @@ func TestLoadGenerationCopiesWhatItCannotMap(t *testing.T) {
 		mm.Close()
 		t.Fatal("store.Open mapped a JSON model")
 	}
-	e := NewMulti(Options{Mmap: true})
+	e := NewMulti(Options{})
 	defer e.Close()
 	const gen = 7
 	if _, err := e.LoadGeneration(DefaultSnapshot, path, nil, gen); err != nil {
@@ -349,6 +353,62 @@ func TestLoadGenerationCopiesWhatItCannotMap(t *testing.T) {
 	}
 	if st := e.Stats()["reload"]; st.Count != 1 || st.Errors != 0 {
 		t.Fatalf("reload stats %+v, want one load and no error", st)
+	}
+}
+
+// TestLoadGenerationRefusesCorruptPayload: LoadGeneration checks every
+// payload CRC over the mapping it then serves, so a v2 file whose section
+// table is intact but one of whose Φ bytes is flipped is refused with an
+// error naming the section, and the slot keeps answering from the
+// generation it already had.
+func TestLoadGenerationRefusesCorruptPayload(t *testing.T) {
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "good.v2.snap"), filepath.Join(dir, "bad.v2.snap")
+	m := SyntheticModel(40, 6, 4, 120, 9)
+	if err := store.SaveV2(good, m); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row [32]byte
+	for i, x := range m.Phi.Row(1)[:4] {
+		binary.LittleEndian.PutUint64(row[8*i:], math.Float64bits(x))
+	}
+	at := bytes.Index(raw, row[:])
+	if at < 0 {
+		t.Fatal("a Φ row is not in the saved file")
+	}
+	raw[at+3] ^= 0x10
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewMulti(Options{})
+	defer e.Close()
+	if _, err := e.LoadGeneration(DefaultSnapshot, good, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.MembershipIn(DefaultSnapshot, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.LoadGeneration(DefaultSnapshot, bad, nil, 2)
+	if err == nil {
+		t.Fatal("LoadGeneration served a file with a corrupt Φ payload")
+	}
+	if tag := fmt.Sprintf("%q", store.TagPhi); !strings.Contains(err.Error(), tag) {
+		t.Fatalf("the refusal %q does not name section %s", err, tag)
+	}
+	if s := acquireView(t, e); s.Generation != 1 {
+		t.Fatalf("the slot serves generation %d after the refused load, want 1", s.Generation)
+	}
+	if got, err := e.MembershipIn(DefaultSnapshot, 3, 4); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the refused load membership(3) = %+v (%v), before %+v", got, err, want)
+	}
+	if st := e.Stats()["reload"]; st.Count != 2 || st.Errors != 1 {
+		t.Fatalf("reload stats %+v, want two loads and one error", st)
 	}
 }
 

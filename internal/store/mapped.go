@@ -16,10 +16,10 @@ import (
 
 // MappedModel is a core.Model whose big numeric blocks alias a read-only
 // memory mapping of a v2 snapshot file. Opening one is O(1) in the number
-// of users and words — no float of Π or Φ is copied or even read; the
-// work is the section table, the doc-bucket array (int64 on disk, int in
-// memory) and the O(|Z|·|C|²) prediction caches — and the resident cost of
-// the parameter matrices is whatever pages queries actually touch.
+// of users, words and documents — no element of Π, Φ or the document
+// arrays is copied or even read; the work is the section table and the
+// O(|Z|·|C|²) prediction caches — and the resident cost of the parameter
+// matrices is whatever pages queries actually touch.
 //
 // Lifetime: the model's matrices are views into the mapping, so the model
 // MUST NOT be used after Close — a dereference into an unmapped page is a
@@ -49,20 +49,28 @@ type MappedModel struct {
 // every section gets the same structural checks LoadFile applies. On
 // hosts without a usable mmap the file is read into aligned memory
 // instead (Mapped reports false); on big-endian hosts the numeric blocks
-// are converted onto the heap. v1 or JSON files are rejected: callers
-// that want format-agnostic loading use LoadFile.
+// are converted onto the heap, and where int is not 64 bits wide so is
+// DOCB. v1 or JSON files are rejected with ErrNotV2: callers that want
+// format-agnostic loading use LoadFile.
 //
-// Cost: the section table, one pass over DOCB (copied into []int), and
-// core.Model.Rehydrate's O(|Z|·|C|²) caches — nothing per user or per
-// word, in time or in allocations (TestOpenAllocationsIndependentOfUsers).
-func Open(path string) (*MappedModel, error) {
+// Cost: the section table and core.Model.Rehydrate's O(|Z|·|C|²) caches —
+// nothing per user, word or document, in time or in allocations
+// (TestOpenAllocationsIndependentOfUsers, TestOpenHeapIndependentOfDocuments).
+func Open(path string) (*MappedModel, error) { return openMapped(path, false) }
+
+// OpenVerified is Open plus a check of every payload CRC over the very
+// mapping the model aliases: O(model), and no file renamed into place
+// after the check can be the one served.
+func OpenVerified(path string) (*MappedModel, error) { return openMapped(path, true) }
+
+func openMapped(path string, verify bool) (*MappedModel, error) {
 	data, mapped, err := mapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
 	}
 	mm := &MappedModel{path: path, data: data, mapped: mapped}
 	a := &assembly{}
-	err = readV2Sections(data, false, a)
+	err = readV2Sections(data, verify, a)
 	if err == nil {
 		mm.Model, err = a.model()
 	}
@@ -116,7 +124,7 @@ type assembly struct {
 	// payloads have no alignment guarantee.
 	v1 bool
 	// checkOnly runs every section check for a caller that discards the
-	// model (VerifyV2File), so DOCB's int64 → int copy is skipped.
+	// model (VerifyV2File), so a DOCB that cannot alias is not converted.
 	checkOnly bool
 }
 
@@ -221,9 +229,6 @@ func (a *assembly) section(tag string, payload []byte) error {
 			m.DocTopic = numeric[int32](data, !a.v1)
 		}
 	case tagDocB:
-		// DocBucket is []int in the model and int64 on disk: always copied
-		// (it is metadata-sized next to the matrices, and aliasing would
-		// tie the format to the platform's int width).
 		data, err := shape(1)
 		if err != nil {
 			return err
@@ -231,11 +236,8 @@ func (a *assembly) section(tag string, payload []byte) error {
 		if !holds(data, dims[0], 8) {
 			return fail("slice header %d disagrees with %d payload bytes", dims[0], len(payload))
 		}
-		if n := dims[0]; n > 0 && !a.checkOnly {
-			m.DocBucket = make([]int, n)
-			for i := range m.DocBucket {
-				m.DocBucket[i] = int(int64(binary.LittleEndian.Uint64(data[8*i:])))
-			}
+		if !a.checkOnly {
+			m.DocBucket = numeric[int](data, !a.v1)
 		}
 	}
 	return nil
@@ -266,23 +268,34 @@ func nativeLittleEndian() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
-// numeric returns the little-endian elements of data as a []T. With
-// alias set, on a host where aliasNumeric holds, and with data aligned for
-// T (the v2 layout guarantees it), the slice is data's memory itself, with
-// cap == len: an append to the block reallocates, never writing into the
-// next section. Otherwise the elements are converted into a new slice.
-// Empty data gives nil either way.
-func numeric[T float64 | int32](data []byte, alias bool) []T {
+// numeric returns the little-endian elements of data as a []T; an int is
+// an int64 word on disk (DOCB), whatever the platform's int width. With
+// alias set, on a host where aliasNumeric holds and T is as wide in memory
+// as on disk, and with data aligned for T (the v2 layout guarantees it),
+// the slice is data's memory itself, with cap == len: an append to the
+// block reallocates, never writing into the next section. Otherwise the
+// elements are converted into a new slice. Empty data gives nil either way.
+func numeric[T float64 | int32 | int](data []byte, alias bool) []T {
 	var zero T
-	width := int(unsafe.Sizeof(zero))
+	size := unsafe.Sizeof(zero)
+	width := int(size)
+	if _, isInt := any(zero).(int); isInt {
+		width = 8
+	}
 	n := len(data) / width
 	if n == 0 {
 		return nil
 	}
-	if alias && aliasNumeric && uintptr(unsafe.Pointer(&data[0]))%uintptr(width) == 0 {
+	if alias && aliasNumeric && int(size) == width && uintptr(unsafe.Pointer(&data[0]))%size == 0 {
 		return unsafe.Slice((*T)(unsafe.Pointer(&data[0])), n)
 	}
 	xs := make([]T, n)
+	if ints, ok := any(xs).([]int); ok {
+		for i := range ints {
+			ints[i] = int(int64(binary.LittleEndian.Uint64(data[8*i:])))
+		}
+		return xs
+	}
 	// Decode fails only on a buffer shorter than xs, and this one is not.
 	binary.Decode(data[:n*width], binary.LittleEndian, xs)
 	return xs

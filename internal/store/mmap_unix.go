@@ -9,8 +9,9 @@ import (
 )
 
 // mapFile maps path read-only and reports mapped=true. Empty files cannot
-// be mapped (and could not hold a v2 header anyway); they fall back to the
-// aligned read so the caller produces a proper format error.
+// be mapped (and could not hold a v2 header anyway), and some file systems
+// refuse to map; both fall back to the aligned read, so the caller
+// produces a proper format error or serves the copy.
 func mapFile(path string) ([]byte, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -31,7 +32,8 @@ func mapFile(path string) ([]byte, bool, error) {
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, false, fmt.Errorf("mmap: %w", err)
+		data, err := readAligned(path)
+		return data, false, err
 	}
 	return data, true, nil
 }

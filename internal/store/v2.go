@@ -37,10 +37,11 @@ package store
 // Reading: readV2Table is the one header+table parser, and the section
 // decoder in mapped.go turns each payload into a model block. The table
 // CRC is always verified (a torn or corrupt table can never be walked).
-// LoadFile, LoadBytes and VerifyV2File also verify every payload CRC;
-// Open and AssembleRawModel skip that by design — an O(model) checksum
-// pass would defeat the O(1) map — so a mapped open trusts the payload
-// bytes the way any mmap-consuming system does. Every reader applies the
+// LoadFile, LoadBytes, VerifyV2File and OpenVerified also verify every
+// payload CRC; Open and AssembleRawModel skip that by design — an O(model)
+// checksum pass would defeat the O(1) map — so they trust the payload
+// bytes the way any mmap-consuming system does, and are for files the
+// caller wrote or checked itself. Every reader applies the
 // same structural checks, so apart from payload bit-flips they accept and
 // reject the same files. Unknown tags are skipped (forward compatibility).
 
@@ -49,6 +50,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -446,6 +448,10 @@ type v2Entry struct {
 // isV2 reports whether data starts with the v2 magic.
 func isV2(data []byte) bool { return bytes.HasPrefix(data, []byte(magicV2)) }
 
+// ErrNotV2 is the v2 readers' verdict on a file without the v2 magic: a
+// legacy v1 or JSON model, which LoadFile reads, or no model at all.
+var ErrNotV2 = errors.New("store: not a v2 CPD snapshot")
+
 // readV2Table parses the header and section table at the front of the v2
 // snapshot of size bytes behind r — the one parser every v2 reader
 // shares. It checks the magic, the section count, the table CRC, and that
@@ -453,14 +459,15 @@ func isV2(data []byte) bool { return bytes.HasPrefix(data, []byte(magicV2)) }
 // the snapshot; it reads no payload.
 func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, error) {
 	hdr := make([]byte, v2HeaderLen)
-	if _, err := r.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("store: reading the v2 header: %w", err)
-	}
-	if !isV2(hdr) {
-		if bytes.HasPrefix(hdr, []byte(magicV2[:6])) {
-			return nil, fmt.Errorf("store: snapshot is format version %d, not v2 (LoadFile reads it)", hdr[6])
+	n, err := r.ReadAt(hdr, 0)
+	if !isV2(hdr[:n]) {
+		if n > 6 && bytes.HasPrefix(hdr, []byte(magicV2[:6])) {
+			return nil, fmt.Errorf("%w: format version %d (LoadFile reads it)", ErrNotV2, hdr[6])
 		}
-		return nil, fmt.Errorf("store: not a v2 CPD snapshot")
+		return nil, ErrNotV2
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: reading the v2 header: %w", err)
 	}
 	count := binary.LittleEndian.Uint64(hdr[8:])
 	tableCRC := binary.LittleEndian.Uint64(hdr[16:])

@@ -24,7 +24,7 @@ import (
 // files, a 3-shard group, mapped promotes) over a synthetic base.
 func costUpdater(t *testing.T, base *core.Model) *Updater {
 	t.Helper()
-	engine := serve.New(base, nil, serve.Options{Mmap: true})
+	engine := serve.New(base, nil, serve.Options{})
 	t.Cleanup(engine.Close)
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "events.wal"), JournalOptions{})
 	if err != nil {
@@ -33,7 +33,7 @@ func costUpdater(t *testing.T, base *core.Model) *Updater {
 	t.Cleanup(func() { j.Close() })
 	u, err := NewUpdater(j, Options{
 		Engine: engine, Base: base, FoldSweeps: 4, FoldSeed: 5,
-		Dir: t.TempDir(), Shards: 3, Mmap: true,
+		Dir: t.TempDir(), Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,10 +40,10 @@
 // compose the incremental path (see publish.go's header for the flow):
 // the extended model is patched from the previous publish's (only
 // re-folded Π rows overwritten, new-user rows appended — inside the
-// previous Π's own array whenever the engine serves the file mapping and
-// never saw that array, in a copy of it when the array was promoted); the
-// serving
-// snapshot is patched copy-on-write from the live one by
+// previous Π's own array when Options.Dir is set, since the engine then
+// serves the file mapping and never saw that array, in a copy of it
+// without Dir, when the array was promoted); the serving snapshot is
+// patched copy-on-write from the live one by
 // serve.Engine.BuildSnapshot, given the re-folded rows as an explicit
 // delta (the shared rank index is reused — Φ unchanged means word scores
 // unchanged — and only the dirty users' user-index rows are recomputed);
@@ -51,7 +51,7 @@
 // every section from memory and checksums it on its way to the file (the
 // shard group, when there is one, hard-links the files nothing changed).
 // What stays O(model) in such a publish is the write of the bytes that go
-// to disk (plus, without Options.Mmap, one memcpy of Π): no step walks the
+// to disk (plus, without Options.Dir, one memcpy of Π): no step walks the
 // users (a model has no per-user cache, the dirty-user gauge is a
 // maintained count), and Ingest costs the same however many stream users
 // exist. Every layer is bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*

@@ -14,10 +14,10 @@ package stream
 //   - model: buildExtendedPatchedLocked overwrites the changed rows of the
 //     previously published Π and appends the new users' — inside that very
 //     array when the engine serves the file mapping and never saw it
-//     (Options.Mmap: O(changed), one Π on the heap), in a copy of it when
-//     the array was promoted and a snapshot may still be reading it — and
-//     keeps the predecessor's global blocks and prediction caches
-//     (core.Model.WithPi) instead of reassembling every row and
+//     (Options.Dir: O(changed), one Π on the heap), in a copy of it when
+//     the array was promoted and a snapshot may still be reading it (no
+//     Dir) — and keeps the predecessor's global blocks and prediction
+//     caches (core.Model.WithPi) instead of reassembling every row and
 //     rehydrating (buildExtendedLocked);
 //   - save: store.SaveV2 encodes every section from memory in one pass,
 //     checksumming each on its way to the file — for the unchanged global
@@ -28,8 +28,9 @@ package stream
 //     publish, appended users or not, the shard files (Π rows only) no
 //     changed user falls in, and the state file (the document arrays)
 //     when no document moved, and rewrites the rest the same way;
-//   - open: store.Open maps the written file in O(1) in the user count —
-//     a model has no per-user cache to rebuild;
+//   - open: store.Open maps the written file in O(1) in the user and
+//     document count — a model has no per-user cache to rebuild — and the
+//     engine serves that mapping;
 //   - serve: serve.Engine.BuildSnapshot, handed the publisher's explicit
 //     delta (the re-folded rows, relative to its own last promote),
 //     recomputes only those rows of the previous snapshot's user index
@@ -85,7 +86,7 @@ type PublishPhases struct {
 	ModelMicros   int64 `json:"modelMicros"`             // extended-model assembly
 	SaveMicros    int64 `json:"saveMicros"`              // v2 snapshot write (0 without Dir)
 	ShardMicros   int64 `json:"shardMicros,omitempty"`   // shard-group emit, or the one-shard manifest without Shards
-	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file (0 without Mmap)
+	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file (0 without Dir)
 	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build (Engine.BuildSnapshot: patch or full, see IndexPatched)
 	PromoteMicros int64 `json:"promoteMicros"`           // engine swap
 	QualityMicros int64 `json:"qualityMicros,omitempty"` // structural quality scoring (0 when skipped)
@@ -282,6 +283,9 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 		Gibbs:       gibbsDue,
 		Incremental: !full,
 	}
+	// Without Dir the engine is handed model itself.
+	served := model
+	var mm *store.MappedModel
 	if u.opts.Dir != "" {
 		path := store.GenPath(u.opts.Dir, u.generation)
 		err = store.SaveV2(path, model)
@@ -321,47 +325,28 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 			ph.BytesWritten += fi.Size()
 		}
 		ph.ShardMicros = lap()
-	}
-	// served: the engine is handed model itself, so from the promote on its
-	// arrays belong to a snapshot. Only a mapped promote leaves them the
-	// updater's own.
-	served := true
-	if u.opts.Mmap && info.Path != "" {
-		mm, merr := store.Open(info.Path)
-		ph.OpenMicros = lap()
-		if merr != nil {
-			// Unmappable output: the engine's loader still knows how to
-			// copy-load the file (full index build, no patching).
-			info.Version, err = u.opts.Engine.LoadGeneration(u.opts.Snapshot, info.Path, u.opts.Vocab, u.generation)
-			if err != nil {
-				// Keep the generation counter aligned with what the engine
-				// actually serves; the retry rewrites the same file.
-				u.generation--
-				return nil, fmt.Errorf("stream: promoting snapshot: %w", err)
-			}
-			ph.IndexMicros = lap()
-		} else {
-			// The mapped model's numeric blocks are byte-identical to the
-			// heap model just saved (the file was encoded from it), so
-			// patching the previous generation's indexes against it
-			// preserves bit-identity.
-			snap := u.buildServeSnapshotLocked(mm.Model, full)
-			ph.IndexMicros = lap()
-			ph.IndexPatched = snap.Build().Kind == serve.BuildPatched
-			snap.AttachMapped(mm)
-			snap.Generation = u.generation
-			info.Version = u.opts.Engine.Promote(snap)
-			ph.PromoteMicros = lap()
-			served = false
+		// The engine serves the file just written from its mapping: its
+		// blocks are byte-identical to model (the file was encoded from
+		// it), so patching the previous generation's indexes against it
+		// preserves bit-identity, and model stays the updater's own.
+		if mm, err = store.Open(path); err != nil {
+			// Keep the generation counter aligned with what the engine
+			// actually serves; the retry rewrites the same file.
+			u.generation--
+			return nil, fmt.Errorf("stream: promoting snapshot: %w", err)
 		}
-	} else {
-		snap := u.buildServeSnapshotLocked(model, full)
-		ph.IndexMicros = lap()
-		ph.IndexPatched = snap.Build().Kind == serve.BuildPatched
-		snap.Generation = u.generation
-		info.Version = u.opts.Engine.Promote(snap)
-		ph.PromoteMicros = lap()
+		served = mm.Model
+		ph.OpenMicros = lap()
 	}
+	snap := u.buildServeSnapshotLocked(served, full)
+	ph.IndexMicros = lap()
+	ph.IndexPatched = snap.Build().Kind == serve.BuildPatched
+	if mm != nil {
+		snap.AttachMapped(mm)
+	}
+	snap.Generation = u.generation
+	info.Version = u.opts.Engine.Promote(snap)
+	ph.PromoteMicros = lap()
 	now := time.Now()
 	ph.TotalMicros = now.Sub(start).Microseconds()
 	u.lastPhases = ph
@@ -369,7 +354,6 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	u.drainLagLocked(now, u.pendingTo)
 	u.published = true
 	u.lastModel = model
-	u.lastServed = served
 	u.lastRef = u.refined
 	u.lastVersion = info.Version
 	u.pendingRows = nil
@@ -432,15 +416,14 @@ func (u *Updater) buildServeSnapshotLocked(m *core.Model, full bool) *serve.Snap
 // changed rows copy the same foldPi entries — so the result is
 // bit-identical, without the O(users) walk.
 //
-// Whose array the rows land in follows from who can see it. When the last
-// promote handed the engine the file mapping, lastModel's Π was never
-// anybody's but the updater's: it is patched where it stands and grown by
-// append (amortised), and lastModel is spent. A publish that fails after
-// this leaves the patched rows in place; rows — pendingRows — still names
-// every one of them, so the retry writes them again and arrives at the
-// same bytes. When lastModel itself was promoted (no Mmap, or a file that
-// would not map) a snapshot may be reading that Π, and the rows land in a
-// copy.
+// Whose array the rows land in follows from who can see it. With Dir the
+// engine serves the file mapping, so lastModel's Π was never anybody's but
+// the updater's: it is patched where it stands and grown by append
+// (amortised), and lastModel is spent. A publish that fails after this
+// leaves the patched rows in place; rows — pendingRows — still names every
+// one of them, so the retry writes them again and arrives at the same
+// bytes. Without Dir lastModel itself was promoted, a snapshot may be
+// reading that Π, and the rows land in a copy.
 func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
 	ref := u.refined
 	last := u.lastModel
@@ -463,7 +446,7 @@ func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
 		}
 	}
 	pi := last.Pi.Data
-	if u.lastServed {
+	if u.opts.Dir == "" {
 		// Appending to a clipped slice allocates by copying: last's Π lands
 		// in fresh memory nobody cleared first, with the new rows behind it.
 		pi = append(slices.Clip(pi), appended...)

@@ -99,78 +99,100 @@ func requireSameServed(t *testing.T, inc, full *serve.Engine, users int, queries
 // TestIncrementalPublishMatchesFullRebuild is the end-to-end differential
 // contract of the O(changed) publish path: an updater publishing
 // incrementally (patched model, patched indexes) must serve bit-identical
-// results AND write byte-identical snapshot files to an updater forced to
-// rebuild everything from scratch, across a randomized churny event
-// sequence published window by window.
+// results to an updater forced to rebuild everything from scratch, across
+// a randomized churny event sequence published window by window. The
+// memory case promotes the updater's own models, so the patched Π lands in
+// a copy; the dir case serves every generation from the file it wrote,
+// patches Π in place, and must also write byte-identical snapshot files.
 func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
-	g, m := testBase(t)
-	incDir, fullDir := t.TempDir(), t.TempDir()
-	_, _, inc := newTestUpdater(t, g, m, func(o *Options) { o.Dir = incDir })
-	_, _, full := newTestUpdater(t, g, m, func(o *Options) {
-		o.Dir = fullDir
-		o.FullRebuild = true
-	})
+	for _, withDir := range []bool{false, true} {
+		name := "memory"
+		if withDir {
+			name = "dir"
+		}
+		t.Run(name, func(t *testing.T) {
+			g, m := testBase(t)
+			incDir, fullDir := "", ""
+			if withDir {
+				incDir, fullDir = t.TempDir(), t.TempDir()
+			}
+			_, _, inc := newTestUpdater(t, g, m, func(o *Options) { o.Dir = incDir })
+			_, _, full := newTestUpdater(t, g, m, func(o *Options) {
+				o.Dir = fullDir
+				o.FullRebuild = true
+			})
 
-	evs := randomEvents(g, m, 120, 42)
-	queries := [][]int32{
-		g.Docs[0].Words[:2],
-		g.Docs[1].Words[:3],
-		{g.Docs[2].Words[0]},
-	}
-	const window = 8
-	gens := 0
-	for lo := 0; lo < len(evs); lo += window {
-		hi := min(lo+window, len(evs))
-		if _, err := inc.Ingest(evs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := full.Ingest(evs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		ii, err := inc.Publish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fi, err := full.Publish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Incremental {
-			t.Fatal("FullRebuild updater reported an incremental publish")
-		}
-		gens++
-		if gens > 1 && !ii.Incremental {
-			t.Fatalf("publish %d did not take the incremental path", gens)
-		}
-		requireSameServed(t, inc.opts.Engine, full.opts.Engine, ii.Users, queries)
+			evs := randomEvents(g, m, 120, 42)
+			queries := [][]int32{
+				g.Docs[0].Words[:2],
+				g.Docs[1].Words[:3],
+				{g.Docs[2].Words[0]},
+			}
+			const window = 8
+			gens := 0
+			for lo := 0; lo < len(evs); lo += window {
+				hi := min(lo+window, len(evs))
+				if _, err := inc.Ingest(evs[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := full.Ingest(evs[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				ii, err := inc.Publish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fi, err := full.Publish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fi.Incremental {
+					t.Fatal("FullRebuild updater reported an incremental publish")
+				}
+				gens++
+				if gens > 1 && !ii.Incremental {
+					t.Fatalf("publish %d did not take the incremental path", gens)
+				}
+				requireSameServed(t, inc.opts.Engine, full.opts.Engine, ii.Users, queries)
+				s, release, err := inc.opts.Engine.AcquireNamed(serve.DefaultSnapshot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				own := s.Model == inc.lastModel
+				release()
+				if own == withDir {
+					t.Fatalf("generation %d: the engine serves the updater's own model: %v, want %v", ii.Generation, own, !withDir)
+				}
+				if !withDir {
+					continue
+				}
+				ab, err := os.ReadFile(store.GenPath(incDir, ii.Generation))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bb, err := os.ReadFile(store.GenPath(fullDir, fi.Generation))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ab, bb) {
+					t.Fatalf("generation %d snapshot files differ (%d vs %d bytes)", ii.Generation, len(ab), len(bb))
+				}
+			}
 
-		af := filepath.Join(incDir, fmt.Sprintf("gen-%08d.v2.snap", ii.Generation))
-		bf := filepath.Join(fullDir, fmt.Sprintf("gen-%08d.v2.snap", fi.Generation))
-		ab, err := os.ReadFile(af)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := os.ReadFile(bf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ab, bb) {
-			t.Fatalf("generation %d snapshot files differ (%d vs %d bytes)", ii.Generation, len(ab), len(bb))
-		}
-	}
-
-	st := inc.Status()
-	if st.IncrementalPublishes == 0 {
-		t.Fatal("no publish took the incremental path")
-	}
-	if st.LastPublishPhases == nil || st.LastPublishPhases.Full {
-		t.Fatalf("last publish phases missing or full: %+v", st.LastPublishPhases)
-	}
-	if st.PublishLatency == nil || st.PublishLatency.Count == 0 {
-		t.Fatal("publish latency histogram empty")
-	}
-	if st.PublishLag == nil || st.PublishLag.Count == 0 {
-		t.Fatal("publish lag histogram empty")
+			st := inc.Status()
+			if st.IncrementalPublishes == 0 {
+				t.Fatal("no publish took the incremental path")
+			}
+			if st.LastPublishPhases == nil || st.LastPublishPhases.Full {
+				t.Fatalf("last publish phases missing or full: %+v", st.LastPublishPhases)
+			}
+			if st.PublishLatency == nil || st.PublishLatency.Count == 0 {
+				t.Fatal("publish latency histogram empty")
+			}
+			if st.PublishLag == nil || st.PublishLag.Count == 0 {
+				t.Fatal("publish lag histogram empty")
+			}
+		})
 	}
 }
 
@@ -219,60 +241,61 @@ func TestIncrementalPublishWithGibbsMatches(t *testing.T) {
 	}
 }
 
-// TestIncrementalPublishMmapMatches covers the mapped promote path: the
-// incremental updater serves from mmapped snapshot files whose indexes
-// are patched from the previous mapped generation.
-func TestIncrementalPublishMmapMatches(t *testing.T) {
+// TestPublishOverMappedBaseMatchesHeapBase covers cpd-serve -model …
+// -ingest …: the updater's base is the slot LoadGeneration served from the
+// mapping of the model file, and it publishes into Dir. Incremental
+// publishes and a delta-Gibbs pass over that base must serve what the same
+// updater serves over the heap model the file was saved from. The mapping
+// is read-only, so a publish that wrote into a base block would fault
+// here instead of answering.
+func TestPublishOverMappedBaseMatchesHeapBase(t *testing.T) {
 	g, m := testBase(t)
-	incDir := t.TempDir()
-	mkEngine := func() *serve.Engine {
-		e := serve.New(m, nil, serve.Options{Mmap: true})
-		t.Cleanup(e.Close)
-		return e
+	basePath := filepath.Join(t.TempDir(), "base.v2.snap")
+	if err := store.SaveV2(basePath, m); err != nil {
+		t.Fatal(err)
 	}
-	incEngine, fullEngine := mkEngine(), mkEngine()
-	mkUpdater := func(e *serve.Engine, dir string, fullRebuild bool) *Updater {
-		j, err := OpenJournal(filepath.Join(t.TempDir(), "events.wal"), JournalOptions{SyncEvery: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { j.Close() })
-		u, err := NewUpdater(j, Options{
-			Engine: e, Base: m, WindowEvents: 4, FoldSweeps: 8, FoldSeed: 99,
-			Dir: dir, Mmap: true, FullRebuild: fullRebuild,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(u.Close)
-		return u
+	mappedEngine := serve.NewMulti(serve.Options{})
+	t.Cleanup(mappedEngine.Close)
+	if _, err := mappedEngine.LoadGeneration(serve.DefaultSnapshot, basePath, nil, 0); err != nil {
+		t.Fatal(err)
 	}
-	inc := mkUpdater(incEngine, incDir, false)
-	full := mkUpdater(fullEngine, t.TempDir(), true)
+	gibbs := func(o *Options) {
+		o.Dir = t.TempDir()
+		o.BaseGraph = g
+		o.GibbsEvery = 2
+		o.GibbsSweeps = 1
+		o.Workers = 2
+	}
+	_, _, overMapped := newTestUpdater(t, g, m, func(o *Options) {
+		gibbs(o)
+		o.Engine, o.Base = mappedEngine, nil
+	})
+	_, _, overHeap := newTestUpdater(t, g, m, gibbs)
 
-	evs := randomEvents(g, m, 80, 11)
-	const window = 8
-	var lastInfo *PublishInfo
+	evs := randomEvents(g, m, 40, 19)
+	const window = 10
+	var incremental, gibbsPasses int
 	for lo := 0; lo < len(evs); lo += window {
-		hi := min(lo+window, len(evs))
-		if _, err := inc.Ingest(evs[lo:hi]); err != nil {
-			t.Fatal(err)
+		var info *PublishInfo
+		for _, u := range []*Updater{overMapped, overHeap} {
+			if _, err := u.Ingest(evs[lo : lo+window]); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if info, err = u.Publish(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := full.Ingest(evs[lo:hi]); err != nil {
-			t.Fatal(err)
+		if info.Incremental {
+			incremental++
 		}
-		ii, err := inc.Publish()
-		if err != nil {
-			t.Fatal(err)
+		if info.Gibbs {
+			gibbsPasses++
 		}
-		if _, err := full.Publish(); err != nil {
-			t.Fatal(err)
-		}
-		lastInfo = ii
-		requireSameServed(t, incEngine, fullEngine, ii.Users, [][]int32{g.Docs[0].Words[:2]})
+		requireSameServed(t, mappedEngine, overHeap.opts.Engine, info.Users, [][]int32{g.Docs[0].Words[:2], {g.Docs[2].Words[0]}})
 	}
-	if lastInfo == nil || !lastInfo.Incremental {
-		t.Fatalf("mapped publishes never went incremental: %+v", lastInfo)
+	if incremental == 0 || gibbsPasses == 0 {
+		t.Fatalf("%d incremental publishes and %d delta-Gibbs passes, want both", incremental, gibbsPasses)
 	}
 }
 
@@ -590,14 +613,13 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 	g, m := testBase(t)
 	mod := func(o *Options) {
 		o.Dir = t.TempDir()
-		o.Mmap = true
 		o.BaseGraph = g
 		o.GibbsEvery = 3
 		o.GibbsSweeps = 1
 		o.Workers = 2
 	}
 	mkEngine := func() *serve.Engine {
-		e := serve.New(m, nil, serve.Options{Mmap: true})
+		e := serve.New(m, nil, serve.Options{})
 		t.Cleanup(e.Close)
 		return e
 	}
@@ -678,7 +700,7 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 }
 
 // TestPromotedPiIsNeverPatched is the copy side of the in-place rule:
-// without Mmap the engine is handed the heap model itself, so the Π of
+// without Dir the engine is handed the heap model itself, so the Π of
 // generation N belongs to snapshot N for as long as anybody holds it.
 // Snapshot N is held, and read from another goroutine, across incremental
 // publishes N+1 and N+2 that re-fold its users: its rows and its answers
@@ -711,7 +733,7 @@ func TestPromotedPiIsNeverPatched(t *testing.T) {
 	}
 	defer release()
 	if held.Model != u.lastModel {
-		t.Fatal("without Mmap the engine should serve the updater's own model")
+		t.Fatal("without Dir the engine should serve the updater's own model")
 	}
 	rows := append([]float64(nil), held.Model.Pi.Data...)
 	answers := make([]*serve.MembershipResult, held.Model.NumUsers)
@@ -792,7 +814,7 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestFailedPublishRetriesToSameBytes is the patch side of the rule: with
-// Mmap the engine serves the file mapping and the updater patches Π inside
+// Dir the engine serves the file mapping and the updater patches Π inside
 // the array it published from last time — so a publish that fails after
 // the patch (here: its snapshot directory is gone when the save comes)
 // leaves that array ahead of what is served. The retry, with more events
@@ -802,14 +824,14 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 func TestFailedPublishRetriesToSameBytes(t *testing.T) {
 	g, m := testBase(t)
 	mk := func(fullRebuild bool) (*Updater, string) {
-		e := serve.New(m, nil, serve.Options{Mmap: true})
+		e := serve.New(m, nil, serve.Options{})
 		t.Cleanup(e.Close)
 		dir := filepath.Join(t.TempDir(), "snapshots") // a directory the test may rename
 		if err := os.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		_, _, u := newTestUpdater(t, g, m, func(o *Options) {
-			o.Engine, o.Dir, o.Mmap, o.Shards, o.FullRebuild = e, dir, true, 3, fullRebuild
+			o.Engine, o.Dir, o.Shards, o.FullRebuild = e, dir, 3, fullRebuild
 		})
 		return u, dir
 	}
@@ -836,9 +858,6 @@ func TestFailedPublishRetriesToSameBytes(t *testing.T) {
 		ingest(steady, k)
 		publish(disturbed)
 		publish(steady)
-	}
-	if disturbed.lastServed {
-		t.Fatal("a mapped promote should leave the heap model the updater's own")
 	}
 	ingest(disturbed, 2)
 	if err := os.Rename(dDir, dDir+".away"); err != nil {

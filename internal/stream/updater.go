@@ -84,8 +84,8 @@ type Options struct {
 	// Workers sizes the delta-Gibbs engine pool (0 = NumCPU).
 	Workers int
 
-	// Mmap promotes published snapshot files through the engine's mapped
-	// loader (requires Dir and an engine built with Options.Mmap).
+	// Mmap is ignored: with Dir every publish promotes the file it wrote
+	// from its mapping. The field stays for callers that still set it.
 	Mmap bool
 	// FullRebuild disables incremental publish maintenance: every publish
 	// reassembles the extended model from scratch, rebuilds the serving
@@ -253,15 +253,13 @@ type Updater struct {
 	published bool
 
 	// Incremental-publish state (publish.go): the extended model behind
-	// the last successful promote and whether the engine was handed that
-	// model itself (false: it serves the file mapping, and the model's Π is
-	// the updater's to patch in place), the refined reference it was built
-	// from, the engine version it produced, and the user rows re-folded
-	// since that promote
+	// the last successful promote (the engine's own without Dir; with Dir
+	// it serves the file mapping, and the model's Π is the updater's to
+	// patch in place), the refined reference it was built from, the engine
+	// version it produced, and the user rows re-folded since that promote
 	// (carried across failed attempts so a retried publish cannot lose a
 	// row that was folded before the failure).
 	lastModel   *core.Model
-	lastServed  bool
 	lastRef     *core.Model
 	lastVersion uint64
 	pendingRows []int32

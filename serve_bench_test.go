@@ -60,7 +60,7 @@ func BenchmarkServeRank(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		me := serve.NewMulti(serve.Options{Mmap: true})
+		me := serve.NewMulti(serve.Options{})
 		defer me.Close()
 		me.SwapMapped(serve.DefaultSnapshot, mm, nil)
 		// Pre-warm: fault every page the queries touch into the page cache

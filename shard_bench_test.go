@@ -76,7 +76,7 @@ func BenchmarkShardedMembership(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e := serve.NewMulti(serve.Options{Mmap: true})
+		e := serve.NewMulti(serve.Options{})
 		defer e.Close()
 		e.SwapMapped(serve.DefaultSnapshot, mm, nil)
 		lo, hi := man.Ranges[1].UserLo, man.Ranges[1].UserHi
@@ -93,7 +93,7 @@ func BenchmarkShardedMembership(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e := serve.NewMulti(serve.Options{Mmap: true})
+		e := serve.NewMulti(serve.Options{})
 		defer e.Close()
 		e.PromoteShardGroup(serve.DefaultSnapshot, g, nil, 1)
 		lo, hi := man.Ranges[1].UserLo, man.Ranges[1].UserHi

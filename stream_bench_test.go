@@ -24,16 +24,17 @@ func streamBenchSetup(b *testing.B, windowEvents int) (*serve.Engine, *stream.Up
 
 // streamBenchSetupMode is streamBenchSetup with the publish path pinned:
 // fullRebuild forces every publish to rebuild model, indexes and encoding
-// from scratch (the pre-incremental behavior); mapped publishes through
-// snapshot files the engine maps (Dir + Mmap, a production publisher's
-// configuration), which is what lets the updater patch Π in place.
-func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild, mapped bool) (*serve.Engine, *stream.Updater) {
+// from scratch (the pre-incremental behavior); withDir publishes snapshot
+// files into a directory and serves each from its mapping (a production
+// publisher's configuration), which is what lets the updater patch Π in
+// place.
+func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild, withDir bool) (*serve.Engine, *stream.Updater) {
 	b.Helper()
 	m := serve.SyntheticModel(2000, 100, 50, 50000, 2018)
-	e := serve.New(m, nil, serve.Options{Mmap: mapped})
+	e := serve.New(m, nil, serve.Options{})
 	b.Cleanup(e.Close)
 	dir := ""
-	if mapped {
+	if withDir {
 		dir = b.TempDir()
 	}
 	j, err := stream.OpenJournal(filepath.Join(b.TempDir(), "bench.wal"), stream.JournalOptions{})
@@ -49,7 +50,6 @@ func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild, mapped bo
 		FoldSeed:     7,
 		FullRebuild:  fullRebuild,
 		Dir:          dir,
-		Mmap:         mapped,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -123,7 +123,7 @@ func BenchmarkIngestApply(b *testing.B) {
 // scale (2000 users, |C|=100, |W|=50k): ingest one 64-event window of
 // documents, publish, repeat. The incremental sub-benchmark takes the
 // O(changed) path (patched Π, patched per-shard user index, shared rank
-// index), in memory; incremental-mmap is the same path through snapshot
+// index), in memory; incremental-dir is the same path through snapshot
 // files the engine maps, where Π is patched in place and the save is the
 // single-pass encode from memory; full-rebuild pins Options.FullRebuild
 // and reassembles everything — the pre-incremental publish cost. The two serve
@@ -147,15 +147,15 @@ func BenchmarkIncrementalPublish(b *testing.B) {
 		return evs
 	}
 	for _, mode := range []struct {
-		name         string
-		full, mapped bool
+		name          string
+		full, withDir bool
 	}{
 		{"incremental", false, false},
-		{"incremental-mmap", false, true},
+		{"incremental-dir", false, true},
 		{"full-rebuild", true, false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			_, u := streamBenchSetupMode(b, window, mode.full, mode.mapped)
+			_, u := streamBenchSetupMode(b, window, mode.full, mode.withDir)
 			// Prime generation 1 outside the clock: the first publish is
 			// always a full rebuild, so the incremental mode measures
 			// steady-state patching only.
