@@ -152,7 +152,7 @@ func main() {
 				log.Fatal(err)
 			}
 			defer j.Close()
-			u, err := stream.NewUpdater(j, stream.Options{Engine: engine, Snapshot: name})
+			u, err := stream.NewUpdater(j, stream.Options{Engine: engine, Snapshot: name, Dir: dir})
 			if err != nil {
 				log.Fatal(err)
 			}

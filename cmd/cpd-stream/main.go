@@ -6,7 +6,7 @@
 // Usage:
 //
 //	# Backfill: apply every journaled event to the base model, publish
-//	# per 512-event window, write the final model as a v2 snapshot.
+//	# once (one batch window), write the final model as a v2 snapshot.
 //	cpd-stream -journal events.wal -model base.v2.snap -out final.v2.snap
 //
 //	# With a delta-Gibbs refinement over the affected users (needs the
@@ -26,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -40,10 +41,18 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cpd-stream: ")
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main's body: it returns instead of exiting, so every deferred
+// cleanup — the publish directory above all — runs on every exit path.
+func run() error {
 	var (
 		journalPath = flag.String("journal", "", "event journal path (required)")
 		modelPath   = flag.String("model", "", "base model snapshot (required unless -stats)")
-		graphPath   = flag.String("graph", "", "base training graph (enables -gibbs-every)")
+		graphPath   = flag.String("graph", "", "base training graph (enables -gibbs)")
 		outPath     = flag.String("out", "", "output snapshot path (v2; required unless -stats)")
 		foldSweeps  = flag.Int("fold-sweeps", 0, "Gibbs sweeps per fold-in (0 = default)")
 		seed        = flag.Uint64("seed", 0, "fold/delta seed base")
@@ -55,11 +64,11 @@ func main() {
 	)
 	flag.Parse()
 	if *journalPath == "" {
-		log.Fatal("-journal is required")
+		return errors.New("-journal is required")
 	}
 	j, err := stream.OpenJournal(*journalPath, stream.JournalOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer j.Close()
 
@@ -69,42 +78,49 @@ func main() {
 			counts[ev.Type]++
 			return nil
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("journal %s: %d events, %d bytes, base %d, watermark %d, tail %d\n",
 			*journalPath, j.Events(), j.SizeBytes(), j.Base(), j.Watermark(), j.Tail())
 		for _, t := range []stream.EventType{stream.EvAddUser, stream.EvAddEdge, stream.EvAddDoc, stream.EvDiffusion} {
 			fmt.Printf("  %-10s %d\n", t, counts[t])
 		}
-		return
+		return nil
 	}
 	if *modelPath == "" || *outPath == "" {
-		log.Fatal("-model and -out are required (or pass -stats)")
+		return errors.New("-model and -out are required (or pass -stats)")
 	}
 	base, err := store.LoadFile(*modelPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var baseGraph *socialgraph.Graph
 	if *graphPath != "" {
 		f, err := os.Open(*graphPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		baseGraph, err = socialgraph.Read(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *gibbs && baseGraph == nil {
-		log.Fatal("-gibbs needs -graph")
+		return errors.New("-gibbs needs -graph")
 	}
 
 	// An in-process engine hosts the base snapshot; the updater folds the
 	// whole journal into it as one batch window — deterministic and, in
 	// fold-in mode, bit-identical to what incremental live ingest of the
-	// same events would have served (replay-equals-batch).
+	// same events would have served (replay-equals-batch). The publish
+	// goes through a throwaway directory like every publish; -out is the
+	// model itself.
+	dir, err := os.MkdirTemp("", "cpd-stream-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
 	engine := serve.New(base, nil, serve.Options{})
 	defer engine.Close()
 	gibbsEvery := 0
@@ -114,6 +130,7 @@ func main() {
 	u, err := stream.NewUpdater(j, stream.Options{
 		Engine:      engine,
 		Base:        base,
+		Dir:         dir,
 		FoldSweeps:  *foldSweeps,
 		FoldSeed:    *seed,
 		GibbsEvery:  gibbsEvery,
@@ -122,16 +139,16 @@ func main() {
 		Workers:     *workers,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer u.Close()
 
 	if _, err := u.Publish(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	final := u.Model()
 	if err := store.SaveV2(*outPath, final); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := u.Status()
 	fmt.Printf("backfilled %d events (%d delta-Gibbs passes): %d -> %d users, %d stream docs\n",
@@ -139,8 +156,9 @@ func main() {
 	fmt.Printf("final model written to %s (generation %d)\n", *outPath, st.Generation)
 	if *doCompact {
 		if err := u.Checkpoint(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("journal checkpointed and compacted to %d bytes\n", j.SizeBytes())
 	}
+	return nil
 }

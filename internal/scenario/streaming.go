@@ -326,6 +326,7 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 			Engine:       engine,
 			Base:         baseModel,
 			Vocab:        b.Vocab,
+			Dir:          tmp,
 			WindowEvents: p.WindowEvents,
 			FoldSweeps:   10,
 			FoldSeed:     p.Base.Synth.Seed,

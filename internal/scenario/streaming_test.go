@@ -20,12 +20,13 @@ func trainBundle(b *Bundle, cfg core.Config) (*core.Model, *core.Diagnostics, er
 func newStreamTarget(t *testing.T, model *core.Model) (*serve.Engine, *stream.Journal, *stream.Updater) {
 	t.Helper()
 	engine := serve.New(model, nil, serve.Options{})
-	j, err := stream.OpenJournal(filepath.Join(t.TempDir(), "events.wal"), stream.JournalOptions{})
+	dir := t.TempDir()
+	j, err := stream.OpenJournal(filepath.Join(dir, "events.wal"), stream.JournalOptions{})
 	if err != nil {
 		engine.Close()
 		t.Fatal(err)
 	}
-	u, err := stream.NewUpdater(j, stream.Options{Engine: engine, Base: model, FoldSweeps: 5})
+	u, err := stream.NewUpdater(j, stream.Options{Engine: engine, Base: model, Dir: dir, FoldSweeps: 5})
 	if err != nil {
 		j.Close()
 		engine.Close()

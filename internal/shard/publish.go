@@ -1,8 +1,10 @@
 package shard
 
-// Publisher: the streaming write path's sharded emitter. Each publish of
-// the stream updater can additionally emit a sharded generation; the
-// publisher keeps the work O(changed) at the file level:
+// Publisher: the streaming write path's manifest writer. Every publish of
+// the stream updater commits its generation through it: at one shard the
+// manifest names the full snapshot the updater wrote (PublishWhole); at
+// more, the generation is also emitted as a sharded group, and the
+// publisher keeps that work O(changed) at the file level:
 //
 //   - boundaries are planned once and then pinned, with only the LAST
 //     shard's upper bound growing as the stream appends users — so shards
@@ -63,9 +65,9 @@ type Delta struct {
 	ChangedUsers []int32
 }
 
-// Publisher emits sharded generations for a stream of published models.
-// Not safe for concurrent use; the stream updater calls it under its
-// publish lock.
+// Publisher commits the generations of a stream of published models. Not
+// safe for concurrent use; the stream updater calls it under its publish
+// lock.
 type Publisher struct {
 	dir    string
 	shards int
@@ -87,7 +89,8 @@ type Publisher struct {
 	Last PublishStats
 }
 
-// NewPublisher builds a sharded-generation emitter writing into dir.
+// NewPublisher builds a generation publisher writing into dir; shards 1
+// publishes each generation as its full snapshot file alone.
 func NewPublisher(dir string, shards int) (*Publisher, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count %d must be positive", shards)
@@ -102,8 +105,22 @@ func sameArray[T any](a, b []T) bool {
 }
 
 // Publish emits generation gen of model m as a shard group and returns
-// its manifest.
+// its manifest. At one shard the group is the full snapshot the caller
+// already wrote from m at store.GenPath(dir, gen): Publish commits
+// PublishWhole's manifest over it, and Last counts only that manifest.
 func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, error) {
+	if p.shards == 1 {
+		man, err := PublishWhole(p.dir, gen, m)
+		if err != nil {
+			return nil, err
+		}
+		fi, err := os.Stat(ManifestPath(p.dir, gen))
+		if err != nil {
+			return nil, err
+		}
+		p.Last = PublishStats{BytesWritten: fi.Size()}
+		return man, nil
+	}
 	users := m.NumUsers
 	C := m.Cfg.NumCommunities
 

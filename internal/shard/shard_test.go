@@ -1007,7 +1007,8 @@ func TestWholeGroupHeapIndependentOfDocuments(t *testing.T) {
 // TestPublishWhole: an unsharded generation's one-shard manifest names
 // the full file as global file and only shard, so Join reproduces it,
 // OpenGroup maps it once into the model store.Open reads less the document
-// arrays, and Prune takes the manifest and the file.
+// arrays, and Prune takes the manifest and the file. A one-shard Publisher
+// commits the same manifest bytes and writes or links nothing else.
 func TestPublishWhole(t *testing.T) {
 	dir := t.TempDir()
 	m := testModel(30, 5, 3, 40, 19)
@@ -1026,6 +1027,31 @@ func TestPublishWhole(t *testing.T) {
 		man.State == nil || !reflect.DeepEqual(*man.State, man.Global) ||
 		man.Ranges[0].UserHi != 30 || len(man.SectionOrder) != len(man.Global.Sections) {
 		t.Fatalf("one-shard manifest %+v", man)
+	}
+
+	pubDir := t.TempDir()
+	if err := store.SaveV2(store.GenPath(pubDir, 4), m); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPublisher(pubDir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Publish(4, m, Delta{Full: true}); err != nil {
+		t.Fatal(err)
+	}
+	wantMan, err := os.ReadFile(ManifestPath(dir, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(ManifestPath(pubDir, 4)); err != nil || !bytes.Equal(got, wantMan) {
+		t.Fatalf("the one-shard Publisher's manifest differs from PublishWhole's (%v)", err)
+	}
+	if want := (PublishStats{BytesWritten: int64(len(wantMan))}); p.Last != want || p.LinkedFiles != 0 || p.WrittenFiles != 0 {
+		t.Fatalf("one-shard publish stats %+v (lifetime %d linked, %d written), want %+v", p.Last, p.LinkedFiles, p.WrittenFiles, want)
+	}
+	if entries, _ := os.ReadDir(pubDir); len(entries) != 2 {
+		t.Fatalf("the one-shard Publisher left %v, want the full file and its manifest", entries)
 	}
 
 	joined := filepath.Join(t.TempDir(), "joined.v2.snap")

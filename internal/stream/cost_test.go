@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -115,14 +114,14 @@ func TestIngestAllocationsIndependentOfStreamUsers(t *testing.T) {
 	}
 }
 
-// TestPublishPhasesSeparateShardAndOpen: with a shard group and mapped
-// promotes configured, the shard emit and the map of the written file are
-// their own phases (they used to be booked on indexMicros); the phases
-// still sum to no more than the publish's wall time, and an updater with
-// neither configured omits both from its JSON. What runs between the
-// promote and Publish's return — the watermark write, and from the fourth
-// generation on the unlinking of the files KeepSnapshots no longer covers —
-// is reported too, outside the total.
+// TestPublishPhasesSeparateShardAndOpen: the shard emit and the map of the
+// written file are their own phases (they used to be booked on
+// indexMicros), with a shard group and without one (the one-shard
+// manifest); the phases still sum to no more than the publish's wall
+// time. What runs between the promote and Publish's return — the
+// watermark write, and from the fourth generation on the unlinking of the
+// files KeepSnapshots no longer covers — is reported too, outside the
+// total.
 func TestPublishPhasesSeparateShardAndOpen(t *testing.T) {
 	u := costUpdater(t, serve.SyntheticModel(300, 8, 4, 50, 3))
 	for round := 0; round < 5; round++ {
@@ -154,13 +153,8 @@ func TestPublishPhasesSeparateShardAndOpen(t *testing.T) {
 	if _, err := plain.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(plain.Status().LastPublishPhases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, []byte("shardMicros")) || bytes.Contains(raw, []byte("openMicros")) || !bytes.Contains(raw, []byte(`"indexMicros"`)) ||
-		!bytes.Contains(raw, []byte(`"watermarkMicros"`)) || !bytes.Contains(raw, []byte(`"pruneMicros"`)) {
-		t.Fatalf("in-memory publish phases: %s", raw)
+	if ph := plain.Status().LastPublishPhases; ph == nil || ph.ShardMicros <= 0 || ph.OpenMicros <= 0 {
+		t.Fatalf("unsharded publish: shard/open phases not reported: %+v", ph)
 	}
 }
 
@@ -207,7 +201,8 @@ func requireDirtyCount(t *testing.T, when string, u *Updater) int {
 func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	g, m := testBase(t)
 	evs := streamFixture(g, m)
-	path := filepath.Join(t.TempDir(), "events.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "events.wal")
 	engine := serve.New(m, nil, serve.Options{})
 	defer engine.Close()
 	open := func() (*Journal, *Updater) {
@@ -215,7 +210,7 @@ func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := NewUpdater(j, Options{Engine: engine, Base: m, FoldSweeps: 4, FoldSeed: 99})
+		u, err := NewUpdater(j, Options{Engine: engine, Base: m, FoldSweeps: 4, FoldSeed: 99, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,11 +20,12 @@
 //     the affected rows — and the global Θ/Φ/η — by actual sampling.
 //
 //   - Publisher (publish.go): builds the extended model (base rows +
-//     folded/re-estimated rows), writes it as a v2 snapshot with a
-//     monotonic generation number, atomically promotes it into the target
-//     serve.Engine slot (hot-swap; in-flight queries finish on their old
-//     snapshot), advances the journal watermark, and prunes old snapshot
-//     files. Each written generation is committed by a shard manifest
+//     folded/re-estimated rows), writes it into Options.Dir as a v2
+//     snapshot with a monotonic generation number, atomically promotes
+//     that file's mapping into the target serve.Engine slot (hot-swap;
+//     in-flight queries finish on their old snapshot), advances the
+//     journal watermark, and prunes old snapshot files. Every generation
+//     is a committed file: each is committed by a shard manifest
 //     (internal/shard) — a group's with Options.Shards > 1, otherwise a
 //     one-shard manifest naming the full file — which replicas fetch it
 //     through: the snapshot directory itself, or SnapshotServer's
@@ -40,9 +41,8 @@
 // compose the incremental path (see publish.go's header for the flow):
 // the extended model is patched from the previous publish's (only
 // re-folded Π rows overwritten, new-user rows appended — inside the
-// previous Π's own array when Options.Dir is set, since the engine then
-// serves the file mapping and never saw that array, in a copy of it
-// without Dir, when the array was promoted); the serving snapshot is
+// previous Π's own array, since the engine serves the file mapping and
+// never sees that array); the serving snapshot is
 // patched copy-on-write from the live one by
 // serve.Engine.BuildSnapshot, given the re-folded rows as an explicit
 // delta (the shared rank index is reused — Φ unchanged means word scores
@@ -51,7 +51,7 @@
 // every section from memory and checksums it on its way to the file (the
 // shard group, when there is one, hard-links the files nothing changed).
 // What stays O(model) in such a publish is the write of the bytes that go
-// to disk (plus, without Options.Dir, one memcpy of Π): no step walks the
+// to disk: no step walks the
 // users (a model has no per-user cache, the dirty-user gauge is a
 // maintained count), and Ingest costs the same however many stream users
 // exist. Every layer is bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*

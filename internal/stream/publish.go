@@ -11,23 +11,23 @@ package stream
 //     successor) and a fold-in tabulates log(k+ρ) once, so the Gibbs
 //     kernel reads its conditionals instead of recomputing logarithms of
 //     per-snapshot constants per document and sweep;
-//   - model: buildExtendedPatchedLocked overwrites the changed rows of the
-//     previously published Π and appends the new users' — inside that very
-//     array when the engine serves the file mapping and never saw it
-//     (Options.Dir: O(changed), one Π on the heap), in a copy of it when
-//     the array was promoted and a snapshot may still be reading it (no
-//     Dir) — and keeps the predecessor's global blocks and prediction
-//     caches (core.Model.WithPi) instead of reassembling every row and
-//     rehydrating (buildExtendedLocked);
+//   - model: buildExtendedLocked, handed the previously published model,
+//     overwrites its changed rows and appends the new users' inside that
+//     very Π — the engine serves the file mapping and never sees the
+//     array: O(changed), one Π on the heap — and keeps the predecessor's
+//     global blocks and prediction caches (core.Model.WithPi) instead of
+//     writing every row;
 //   - save: store.SaveV2 encodes every section from memory in one pass,
 //     checksumming each on its way to the file — for the unchanged global
 //     blocks that costs what re-reading them from the previous file would,
 //     and no array patched in place can leave a stale byte behind;
-//   - shard: shard.Publisher hard-links the group's global file (the
-//     community profiles, with no user count in it) on every incremental
-//     publish, appended users or not, the shard files (Π rows only) no
-//     changed user falls in, and the state file (the document arrays)
-//     when no document moved, and rewrites the rest the same way;
+//   - shard: shard.Publisher commits the generation's manifest — at one
+//     shard over the full file alone; with Options.Shards it hard-links the
+//     group's global file (the community profiles, with no user count in
+//     it) on every incremental publish, appended users or not, the shard
+//     files (Π rows only) no changed user falls in, and the state file
+//     (the document arrays) when no document moved, and rewrites the rest
+//     the same way;
 //   - open: store.Open maps the written file in O(1) in the user and
 //     document count — a model has no per-user cache to rebuild — and the
 //     engine serves that mapping;
@@ -72,7 +72,6 @@ import (
 	"repro/internal/hist"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/sparse"
 	"repro/internal/store"
 )
 
@@ -84,9 +83,9 @@ type PublishPhases struct {
 	FoldMicros    int64 `json:"foldMicros"`              // dirty-user fold-in
 	GibbsMicros   int64 `json:"gibbsMicros"`             // delta-Gibbs pass (0 when none ran)
 	ModelMicros   int64 `json:"modelMicros"`             // extended-model assembly
-	SaveMicros    int64 `json:"saveMicros"`              // v2 snapshot write (0 without Dir)
+	SaveMicros    int64 `json:"saveMicros"`              // v2 snapshot write
 	ShardMicros   int64 `json:"shardMicros,omitempty"`   // shard-group emit, or the one-shard manifest without Shards
-	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file (0 without Dir)
+	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file
 	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build (Engine.BuildSnapshot: patch or full, see IndexPatched)
 	PromoteMicros int64 `json:"promoteMicros"`           // engine swap
 	QualityMicros int64 `json:"qualityMicros,omitempty"` // structural quality scoring (0 when skipped)
@@ -204,10 +203,11 @@ func (u *Updater) MaybePublish() (*PublishInfo, bool, error) {
 
 // Publish folds every dirty user in against the frozen reference, runs
 // the delta-Gibbs pass when one is due, builds the extended model, writes
-// it as a v2 snapshot (when Dir is set) and atomically promotes it into
-// the engine slot. In-flight queries finish on the snapshot they started
-// with; the journal watermark advances past everything the new generation
-// covers. A publish with nothing pending and nothing dirty is a no-op.
+// it as a v2 snapshot into Dir, commits its manifest and atomically
+// promotes the file's mapping into the engine slot. In-flight queries
+// finish on the snapshot they started with; the journal watermark
+// advances past everything the new generation covers. A publish with
+// nothing pending and nothing dirty is a no-op.
 //
 // When the incremental preconditions hold (see the package comment above)
 // the model assembly, snapshot save and index build all run in
@@ -267,12 +267,11 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	// the reference and with it every global block.
 	full := u.opts.FullRebuild || !u.published || gibbsDue ||
 		u.lastModel == nil || u.lastRef != u.refined
-	var model *core.Model
+	last := u.lastModel
 	if full {
-		model = u.buildExtendedLocked()
-	} else {
-		model = u.buildExtendedPatchedLocked(u.pendingRows)
+		last = nil
 	}
+	model := u.buildExtendedLocked(last, u.pendingRows)
 	ph.ModelMicros = lap()
 	ph.Full = full
 	u.generation++
@@ -283,67 +282,48 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 		Gibbs:       gibbsDue,
 		Incremental: !full,
 	}
-	// Without Dir the engine is handed model itself.
-	served := model
-	var mm *store.MappedModel
-	if u.opts.Dir != "" {
-		path := store.GenPath(u.opts.Dir, u.generation)
-		err = store.SaveV2(path, model)
-		var fi os.FileInfo
-		if err == nil {
-			fi, err = os.Stat(path)
-		}
-		if err != nil {
-			u.generation--
-			return nil, err
-		}
-		info.Path = path
-		ph.BytesWritten = fi.Size()
-		ph.SaveMicros = lap()
-		if u.sharder != nil {
-			// The sharded group is published next to the full file from the
-			// same model, so joining it reproduces the full file's sections
-			// byte-for-byte. pendingRows still holds every user touched since
-			// the last publish here (it is cleared only after the promote),
-			// which is exactly the sharder's O(changed) delta.
-			if _, serr := u.sharder.Publish(u.generation, model, shard.Delta{Full: full, ChangedUsers: u.pendingRows}); serr != nil {
-				u.generation--
-				return nil, fmt.Errorf("stream: sharded publish: %w", serr)
-			}
-			ph.BytesWritten += u.sharder.Last.BytesWritten
-			ph.FilesLinked = u.sharder.Last.FilesLinked
-		} else {
-			// Unsharded: the manifest names the full file as the only shard.
-			var fi os.FileInfo
-			if _, err = shard.PublishWhole(u.opts.Dir, u.generation, model); err == nil {
-				fi, err = os.Stat(shard.ManifestPath(u.opts.Dir, u.generation))
-			}
-			if err != nil {
-				u.generation--
-				return nil, fmt.Errorf("stream: writing the generation manifest: %w", err)
-			}
-			ph.BytesWritten += fi.Size()
-		}
-		ph.ShardMicros = lap()
-		// The engine serves the file just written from its mapping: its
-		// blocks are byte-identical to model (the file was encoded from
-		// it), so patching the previous generation's indexes against it
-		// preserves bit-identity, and model stays the updater's own.
-		if mm, err = store.Open(path); err != nil {
-			// Keep the generation counter aligned with what the engine
-			// actually serves; the retry rewrites the same file.
-			u.generation--
-			return nil, fmt.Errorf("stream: promoting snapshot: %w", err)
-		}
-		served = mm.Model
-		ph.OpenMicros = lap()
+	path := store.GenPath(u.opts.Dir, u.generation)
+	err = store.SaveV2(path, model)
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = os.Stat(path)
 	}
-	snap := u.buildServeSnapshotLocked(served, full)
+	if err != nil {
+		u.generation--
+		return nil, err
+	}
+	info.Path = path
+	ph.BytesWritten = fi.Size()
+	ph.SaveMicros = lap()
+	// The manifest commits the generation. At one shard it names the full
+	// file just written; otherwise it names a group published next to that
+	// file from the same model, so joining it reproduces the full file's
+	// sections byte-for-byte. pendingRows still holds every user touched
+	// since the last publish here (it is cleared only after the promote),
+	// which is exactly the group's O(changed) delta.
+	if _, err := u.publisher.Publish(u.generation, model, shard.Delta{Full: full, ChangedUsers: u.pendingRows}); err != nil {
+		u.generation--
+		return nil, fmt.Errorf("stream: committing the generation manifest: %w", err)
+	}
+	ph.BytesWritten += u.publisher.Last.BytesWritten
+	ph.FilesLinked = u.publisher.Last.FilesLinked
+	ph.ShardMicros = lap()
+	// The engine serves the file just written from its mapping: its blocks
+	// are byte-identical to model (the file was encoded from it), so
+	// patching the previous generation's indexes against it preserves
+	// bit-identity, and model stays the updater's own.
+	mm, err := store.Open(path)
+	if err != nil {
+		// Keep the generation counter aligned with what the engine
+		// actually serves; the retry rewrites the same file.
+		u.generation--
+		return nil, fmt.Errorf("stream: promoting snapshot: %w", err)
+	}
+	ph.OpenMicros = lap()
+	snap := u.buildServeSnapshotLocked(mm.Model, full)
 	ph.IndexMicros = lap()
 	ph.IndexPatched = snap.Build().Kind == serve.BuildPatched
-	if mm != nil {
-		snap.AttachMapped(mm)
-	}
+	snap.AttachMapped(mm)
 	snap.Generation = u.generation
 	info.Version = u.opts.Engine.Promote(snap)
 	ph.PromoteMicros = lap()
@@ -405,75 +385,6 @@ func (u *Updater) buildServeSnapshotLocked(m *core.Model, full bool) *serve.Snap
 	return u.opts.Engine.BuildSnapshot(u.opts.Snapshot, m, u.opts.Vocab, delta)
 }
 
-// buildExtendedPatchedLocked is buildExtendedLocked's O(changed) twin for
-// the fold-in regime. Instead of reassembling every membership row it
-// starts from the last published Π, overwrites the rows in rows (re-folded
-// since that publish) from their fold results, and appends rows for users
-// added since. Callers guarantee u.lastModel is the promoted predecessor
-// and u.refined == u.lastRef; under that contract every row lands with
-// exactly the bytes buildExtendedLocked would assign it — unchanged rows
-// were built from the same foldPi/ref sources when lastModel was built,
-// changed rows copy the same foldPi entries — so the result is
-// bit-identical, without the O(users) walk.
-//
-// Whose array the rows land in follows from who can see it. With Dir the
-// engine serves the file mapping, so lastModel's Π was never anybody's but
-// the updater's: it is patched where it stands and grown by append
-// (amortised), and lastModel is spent. A publish that fails after this
-// leaves the patched rows in place; rows — pendingRows — still names every
-// one of them, so the retry writes them again and arrives at the same
-// bytes. Without Dir lastModel itself was promoted, a snapshot may be
-// reading that Π, and the rows land in a copy.
-func (u *Updater) buildExtendedPatchedLocked(rows []int32) *core.Model {
-	ref := u.refined
-	last := u.lastModel
-	C := ref.Cfg.NumCommunities
-	total := u.baseUsers + u.newUsers
-	// Rows of the users added since last, in id order.
-	appended := make([]float64, (total-last.NumUsers)*C)
-	uniform := 1 / float64(C)
-	for id := last.NumUsers; id < total; id++ {
-		dst := appended[(id-last.NumUsers)*C:][:C]
-		if row, ok := u.foldPi[int32(id)]; ok {
-			copy(dst, row)
-		} else if id < ref.NumUsers {
-			copy(dst, ref.Pi.Row(id))
-		} else {
-			// A declared user with no documents yet: the smoothed prior.
-			for c := range dst {
-				dst[c] = uniform
-			}
-		}
-	}
-	pi := last.Pi.Data
-	if u.opts.Dir == "" {
-		// Appending to a clipped slice allocates by copying: last's Π lands
-		// in fresh memory nobody cleared first, with the new rows behind it.
-		pi = append(slices.Clip(pi), appended...)
-		if len(appended) == 0 {
-			pi = slices.Clone(pi) // nothing was appended, so nothing was copied
-		}
-	} else {
-		pi = append(pi, appended...)
-	}
-	// last was built from this same reference (the caller's contract), so
-	// its global blocks are ref's and its prediction caches are already the
-	// ones this model needs.
-	m := last.WithPi(sparse.NewDenseView(total, C, pi))
-	for _, id := range rows {
-		if int(id) >= last.NumUsers {
-			continue // appended above
-		}
-		if row, ok := u.foldPi[id]; ok {
-			copy(m.Pi.Row(int(id)), row)
-		}
-		// A dirty user without documents has no fold row and keeps their
-		// previous row — which last.Pi already holds.
-	}
-	u.extendedDocArraysLocked(m, ref)
-	return m
-}
-
 // mergeIDs merges two ascending id lists into one ascending deduplicated
 // list (reusing a's backing array when possible).
 func mergeIDs(a, b []int32) []int32 {
@@ -499,7 +410,7 @@ func mergeIDs(a, b []int32) []int32 {
 // counting down and stopping at the first missing file did exactly that,
 // leaving stale snapshots on disk forever.
 func (u *Updater) pruneSnapshotsLocked() {
-	if u.opts.Dir == "" || u.generation <= uint64(u.opts.KeepSnapshots) {
+	if u.generation <= uint64(u.opts.KeepSnapshots) {
 		return
 	}
 	cut := u.generation - uint64(u.opts.KeepSnapshots)

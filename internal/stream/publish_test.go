@@ -100,100 +100,84 @@ func requireSameServed(t *testing.T, inc, full *serve.Engine, users int, queries
 // contract of the O(changed) publish path: an updater publishing
 // incrementally (patched model, patched indexes) must serve bit-identical
 // results to an updater forced to rebuild everything from scratch, across
-// a randomized churny event sequence published window by window. The
-// memory case promotes the updater's own models, so the patched Π lands in
-// a copy; the dir case serves every generation from the file it wrote,
-// patches Π in place, and must also write byte-identical snapshot files.
+// a randomized churny event sequence published window by window. Every
+// generation is served from the file it wrote while Π is patched in
+// place, and the two updaters must write byte-identical snapshot files.
 func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
-	for _, withDir := range []bool{false, true} {
-		name := "memory"
-		if withDir {
-			name = "dir"
+	// A single case: every updater publishes to a directory.
+	t.Run("dir", func(t *testing.T) {
+		g, m := testBase(t)
+		_, _, inc := newTestUpdater(t, g, m, nil)
+		_, _, full := newTestUpdater(t, g, m, func(o *Options) { o.FullRebuild = true })
+
+		evs := randomEvents(g, m, 120, 42)
+		queries := [][]int32{
+			g.Docs[0].Words[:2],
+			g.Docs[1].Words[:3],
+			{g.Docs[2].Words[0]},
 		}
-		t.Run(name, func(t *testing.T) {
-			g, m := testBase(t)
-			incDir, fullDir := "", ""
-			if withDir {
-				incDir, fullDir = t.TempDir(), t.TempDir()
+		const window = 8
+		gens := 0
+		for lo := 0; lo < len(evs); lo += window {
+			hi := min(lo+window, len(evs))
+			if _, err := inc.Ingest(evs[lo:hi]); err != nil {
+				t.Fatal(err)
 			}
-			_, _, inc := newTestUpdater(t, g, m, func(o *Options) { o.Dir = incDir })
-			_, _, full := newTestUpdater(t, g, m, func(o *Options) {
-				o.Dir = fullDir
-				o.FullRebuild = true
-			})
+			if _, err := full.Ingest(evs[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			ii, err := inc.Publish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fi, err := full.Publish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Incremental {
+				t.Fatal("FullRebuild updater reported an incremental publish")
+			}
+			gens++
+			if gens > 1 && !ii.Incremental {
+				t.Fatalf("publish %d did not take the incremental path", gens)
+			}
+			requireSameServed(t, inc.opts.Engine, full.opts.Engine, ii.Users, queries)
+			s, release, err := inc.opts.Engine.AcquireNamed(serve.DefaultSnapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := s.Model == inc.lastModel
+			release()
+			if own {
+				t.Fatalf("generation %d: the engine serves the updater's own model, not the file's mapping", ii.Generation)
+			}
+			ab, err := os.ReadFile(store.GenPath(inc.opts.Dir, ii.Generation))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb, err := os.ReadFile(store.GenPath(full.opts.Dir, fi.Generation))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ab, bb) {
+				t.Fatalf("generation %d snapshot files differ (%d vs %d bytes)", ii.Generation, len(ab), len(bb))
+			}
+		}
 
-			evs := randomEvents(g, m, 120, 42)
-			queries := [][]int32{
-				g.Docs[0].Words[:2],
-				g.Docs[1].Words[:3],
-				{g.Docs[2].Words[0]},
-			}
-			const window = 8
-			gens := 0
-			for lo := 0; lo < len(evs); lo += window {
-				hi := min(lo+window, len(evs))
-				if _, err := inc.Ingest(evs[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := full.Ingest(evs[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-				ii, err := inc.Publish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				fi, err := full.Publish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fi.Incremental {
-					t.Fatal("FullRebuild updater reported an incremental publish")
-				}
-				gens++
-				if gens > 1 && !ii.Incremental {
-					t.Fatalf("publish %d did not take the incremental path", gens)
-				}
-				requireSameServed(t, inc.opts.Engine, full.opts.Engine, ii.Users, queries)
-				s, release, err := inc.opts.Engine.AcquireNamed(serve.DefaultSnapshot)
-				if err != nil {
-					t.Fatal(err)
-				}
-				own := s.Model == inc.lastModel
-				release()
-				if own == withDir {
-					t.Fatalf("generation %d: the engine serves the updater's own model: %v, want %v", ii.Generation, own, !withDir)
-				}
-				if !withDir {
-					continue
-				}
-				ab, err := os.ReadFile(store.GenPath(incDir, ii.Generation))
-				if err != nil {
-					t.Fatal(err)
-				}
-				bb, err := os.ReadFile(store.GenPath(fullDir, fi.Generation))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ab, bb) {
-					t.Fatalf("generation %d snapshot files differ (%d vs %d bytes)", ii.Generation, len(ab), len(bb))
-				}
-			}
-
-			st := inc.Status()
-			if st.IncrementalPublishes == 0 {
-				t.Fatal("no publish took the incremental path")
-			}
-			if st.LastPublishPhases == nil || st.LastPublishPhases.Full {
-				t.Fatalf("last publish phases missing or full: %+v", st.LastPublishPhases)
-			}
-			if st.PublishLatency == nil || st.PublishLatency.Count == 0 {
-				t.Fatal("publish latency histogram empty")
-			}
-			if st.PublishLag == nil || st.PublishLag.Count == 0 {
-				t.Fatal("publish lag histogram empty")
-			}
-		})
-	}
+		st := inc.Status()
+		if st.IncrementalPublishes == 0 {
+			t.Fatal("no publish took the incremental path")
+		}
+		if st.LastPublishPhases == nil || st.LastPublishPhases.Full {
+			t.Fatalf("last publish phases missing or full: %+v", st.LastPublishPhases)
+		}
+		if st.PublishLatency == nil || st.PublishLatency.Count == 0 {
+			t.Fatal("publish latency histogram empty")
+		}
+		if st.PublishLag == nil || st.PublishLag.Count == 0 {
+			t.Fatal("publish lag histogram empty")
+		}
+	})
 }
 
 // TestIncrementalPublishWithGibbsMatches runs the same differential with
@@ -260,7 +244,6 @@ func TestPublishOverMappedBaseMatchesHeapBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	gibbs := func(o *Options) {
-		o.Dir = t.TempDir()
 		o.BaseGraph = g
 		o.GibbsEvery = 2
 		o.GibbsSweeps = 1
@@ -699,13 +682,13 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 	}
 }
 
-// TestPromotedPiIsNeverPatched is the copy side of the in-place rule:
-// without Dir the engine is handed the heap model itself, so the Π of
-// generation N belongs to snapshot N for as long as anybody holds it.
-// Snapshot N is held, and read from another goroutine, across incremental
-// publishes N+1 and N+2 that re-fold its users: its rows and its answers
-// must not move, and under -race a publish that wrote into its array is a
-// reported race.
+// TestPromotedPiIsNeverPatched is the other side of the in-place rule:
+// the updater patches the Π it built generation N from, but the engine
+// serves generation N from its file's mapping, never that array. Snapshot
+// N is held, and read from another goroutine, across incremental publishes
+// N+1 and N+2 that re-fold its users and patch Π where it stands: its rows
+// and its answers must not move, and under -race a publish that wrote into
+// the array it reads is a reported race.
 func TestPromotedPiIsNeverPatched(t *testing.T) {
 	g, m := testBase(t)
 	engine, _, u := newTestUpdater(t, g, m, nil)
@@ -732,9 +715,10 @@ func TestPromotedPiIsNeverPatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	if held.Model != u.lastModel {
-		t.Fatal("without Dir the engine should serve the updater's own model")
+	if held.Model == u.lastModel {
+		t.Fatal("the engine serves the updater's own model, not the file's mapping")
 	}
+	patched := &u.lastModel.Pi.Data[0]
 	rows := append([]float64(nil), held.Model.Pi.Data...)
 	answers := make([]*serve.MembershipResult, held.Model.NumUsers)
 	for id := range answers {
@@ -765,8 +749,8 @@ func TestPromotedPiIsNeverPatched(t *testing.T) {
 		if !info.Incremental {
 			t.Fatalf("publish %d took the full path; the test needs the patched one", k+1)
 		}
-		if &u.lastModel.Pi.Data[0] == &held.Model.Pi.Data[0] {
-			t.Fatalf("publish %d built its Π inside the array a held snapshot reads", k+1)
+		if &u.lastModel.Pi.Data[0] != patched {
+			t.Fatalf("publish %d built a new Π; the test needs the one it patches in place", k+1)
 		}
 	}
 	close(stop)

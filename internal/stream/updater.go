@@ -36,15 +36,15 @@ type Options struct {
 	Base *core.Model
 	// Vocab labels published snapshots (nil keeps free-text queries off).
 	Vocab *corpus.Vocabulary
-	// Dir, when non-empty, is where published v2 snapshot files land
+	// Dir is required: it is where published v2 snapshot files land
 	// (gen-%08d.v2.snap), each committed by a shard manifest
-	// (gen-%08d.shards.json) that replicas fetch it through; empty
-	// publishes in-memory only.
+	// (gen-%08d.shards.json) that replicas fetch it through. The engine
+	// serves every generation from the mapping of the file written here.
 	Dir string
 	// KeepSnapshots bounds how many published snapshot files are retained
 	// in Dir (default 3; older generations are pruned).
 	KeepSnapshots int
-	// Shards, when > 1 (and Dir is set), additionally publishes each
+	// Shards, when > 1, additionally publishes each
 	// generation as a sharded group (internal/shard): a global file,
 	// Shards per-user-range shard files of Π rows and one state file of
 	// the document arrays under the manifest. Shard-owning replicas fetch
@@ -253,20 +253,20 @@ type Updater struct {
 	published bool
 
 	// Incremental-publish state (publish.go): the extended model behind
-	// the last successful promote (the engine's own without Dir; with Dir
-	// it serves the file mapping, and the model's Π is the updater's to
-	// patch in place), the refined reference it was built from, the engine
-	// version it produced, and the user rows re-folded since that promote
-	// (carried across failed attempts so a retried publish cannot lose a
-	// row that was folded before the failure).
+	// the last successful promote (the engine serves that generation's file
+	// mapping, so the model's Π is the updater's to patch in place), the
+	// refined reference it was built from, the engine version it produced,
+	// and the user rows re-folded since that promote (carried across failed
+	// attempts so a retried publish cannot lose a row that was folded
+	// before the failure).
 	lastModel   *core.Model
 	lastRef     *core.Model
 	lastVersion uint64
 	pendingRows []int32
-	// sharder, when Options.Shards > 1, re-publishes each generation as a
-	// sharded group next to the full snapshot file (hard-linking clean
-	// shard files across generations).
-	sharder *shard.Publisher
+	// publisher commits each generation's manifest: over the full snapshot
+	// file at one shard, over a shard group written next to it (clean
+	// shard files hard-linked across generations) at Options.Shards > 1.
+	publisher *shard.Publisher
 	// docsChanged marks that the stream documents' assignment arrays
 	// (docC/docZ) or their length changed since lastModel was built. While
 	// false, extendedDocArraysLocked hands out lastModel's own doc arrays
@@ -312,25 +312,23 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 	if opts.Engine == nil {
 		return nil, fmt.Errorf("stream: Options.Engine is required")
 	}
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("stream: Options.Dir is required")
+	}
 	if opts.GibbsEvery > 0 && opts.BaseGraph == nil {
 		return nil, fmt.Errorf("stream: GibbsEvery needs Options.BaseGraph")
 	}
-	u := &Updater{
-		opts:   opts,
-		j:      j,
-		users:  make(map[int32]*userState),
-		foldPi: make(map[int32][]float64),
-		notify: make(chan struct{}, 1),
+	publisher, err := shard.NewPublisher(opts.Dir, max(1, opts.Shards))
+	if err != nil {
+		return nil, err
 	}
-	if opts.Shards > 1 {
-		if opts.Dir == "" {
-			return nil, fmt.Errorf("stream: Options.Shards needs Options.Dir")
-		}
-		sharder, err := shard.NewPublisher(opts.Dir, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		u.sharder = sharder
+	u := &Updater{
+		opts:      opts,
+		j:         j,
+		users:     make(map[int32]*userState),
+		foldPi:    make(map[int32][]float64),
+		notify:    make(chan struct{}, 1),
+		publisher: publisher,
 	}
 	u.base = opts.Base
 	if u.base == nil {
@@ -356,17 +354,15 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 		u.close()
 		return nil, err
 	}
-	if opts.Dir != "" {
-		// The checkpoint may be older than the newest manifest, or gone:
-		// resume above both, so no generation number is ever reused.
-		gens, err := shard.ScanManifests(opts.Dir)
-		if err != nil {
-			u.close()
-			return nil, err
-		}
-		if n := len(gens); n > 0 {
-			u.generation = max(u.generation, gens[n-1])
-		}
+	// The checkpoint may be older than the newest manifest, or gone:
+	// resume above both, so no generation number is ever reused.
+	gens, err := shard.ScanManifests(opts.Dir)
+	if err != nil {
+		u.close()
+		return nil, err
+	}
+	if n := len(gens); n > 0 {
+		u.generation = max(u.generation, gens[n-1])
 	}
 	u.pendingTo = from
 	if err := j.Replay(from, func(off uint64, ev Event) error {
@@ -604,7 +600,7 @@ func containsInt32(xs []int32, v int32) bool {
 func (u *Updater) Model() *core.Model {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.buildExtendedLocked()
+	return u.buildExtendedLocked(nil, nil)
 }
 
 // Pending returns the number of applied-but-unpublished events.
@@ -784,7 +780,7 @@ func (u *Updater) gibbsPassLocked() error {
 	if err != nil {
 		return err
 	}
-	m0 := u.buildExtendedLocked()
+	m0 := u.buildExtendedLocked(nil, nil)
 	eng, err := core.NewEngineFromModel(g, m0, core.ResumeOptions{
 		Workers: u.opts.Workers,
 		Seed:    u.opts.FoldSeed + 0xD1B5 + u.generation,
@@ -841,42 +837,59 @@ func (u *Updater) mergedGraphLocked() (*socialgraph.Graph, error) {
 }
 
 // buildExtendedLocked assembles the next published model: the refined
-// reference's rows and global blocks, overridden by the latest fold
-// results, extended over the full stream population.
-func (u *Updater) buildExtendedLocked() *core.Model {
+// reference's global blocks, and for each user of the stream population
+// the latest fold row, else the reference's row, else (a declared user
+// with no documents yet) the smoothed uniform prior.
+//
+// With last nil every row is written into a fresh Π, and the model shares
+// the reference's blocks and prediction caches (core.Model.WithPi). Given
+// last — the model behind the last publish, built from this same
+// reference — only rows (re-folded since then) and the users appended
+// since are written, inside last's Π grown in place, and last's blocks and
+// caches are kept: the engine serves each generation from its file's
+// mapping and never sees that array, and last is spent. A publish that
+// fails after the patch leaves the rows in place; rows (pendingRows)
+// still names each, so the retry arrives at the same bytes.
+//
+// Both paths give the same bytes: fold rows are only added or replaced,
+// each time for a user rows then names, and cleared only by a delta-Gibbs
+// pass, which replaces the reference and so forces last nil — a row of
+// last that rows does not name already holds what this rule assigns.
+func (u *Updater) buildExtendedLocked(last *core.Model, rows []int32) *core.Model {
 	ref := u.refined
 	C := ref.Cfg.NumCommunities
 	total := u.baseUsers + u.newUsers
-	m := &core.Model{
-		Cfg:        ref.Cfg,
-		NumUsers:   total,
-		NumWords:   ref.NumWords,
-		NumBuckets: ref.NumBuckets,
-		NumAttrs:   ref.NumAttrs,
-		Pi:         sparse.NewDense(total, C),
-		Theta:      ref.Theta,
-		Phi:        ref.Phi,
-		Eta:        ref.Eta,
-		Nu:         ref.Nu,
-		PopFreq:    ref.PopFreq,
-		Xi:         ref.Xi,
+	var m *core.Model
+	from := 0 // users from here on are written whatever rows names
+	if last == nil {
+		m = ref.WithPi(sparse.NewDense(total, C))
+	} else {
+		from = last.NumUsers
+		pi := slices.Grow(last.Pi.Data, (total-from)*C)[:total*C]
+		m = last.WithPi(sparse.NewDenseView(total, C, pi))
 	}
 	uniform := 1 / float64(C)
-	for id := 0; id < total; id++ {
+	write := func(id int) {
 		dst := m.Pi.Row(id)
 		if row, ok := u.foldPi[int32(id)]; ok {
 			copy(dst, row)
 		} else if id < ref.NumUsers {
 			copy(dst, ref.Pi.Row(id))
 		} else {
-			// A declared user with no documents yet: the smoothed prior.
 			for c := range dst {
 				dst[c] = uniform
 			}
 		}
 	}
+	for _, id := range rows {
+		if int(id) < from {
+			write(int(id))
+		}
+	}
+	for id := from; id < total; id++ {
+		write(id)
+	}
 	u.extendedDocArraysLocked(m, ref)
-	m.Rehydrate()
 	return m
 }
 
@@ -885,8 +898,8 @@ func (u *Updater) buildExtendedLocked() *core.Model {
 // documents' latest fold/Gibbs assignments. Stream documents' buckets
 // default to 0: the popularity factor is re-estimated only by delta-Gibbs
 // passes, which recompute buckets from the merged graph's real time
-// range. Shared by the full and patched extended-model builders — the doc
-// arrays are O(stream) memcpys either way.
+// range. The doc arrays are O(stream) memcpys on either path of
+// buildExtendedLocked.
 func (u *Updater) extendedDocArraysLocked(m, ref *core.Model) {
 	// Friends-only fast path: when no stream document was added or
 	// reassigned since the last published model was built against this

@@ -42,6 +42,7 @@ func newTestUpdater(t testing.TB, g *socialgraph.Graph, m *core.Model, mod func(
 	opts := Options{
 		Engine:       engine,
 		Base:         m,
+		Dir:          t.TempDir(),
 		WindowEvents: 4,
 		FoldSweeps:   8,
 		FoldSeed:     99,
@@ -166,7 +167,7 @@ func TestUpdaterRestartAndCheckpoint(t *testing.T) {
 
 	engine := serve.New(m, nil, serve.Options{})
 	defer engine.Close()
-	opts := Options{Engine: engine, Base: m, WindowEvents: 4, FoldSweeps: 8, FoldSeed: 99}
+	opts := Options{Engine: engine, Base: m, Dir: dir, WindowEvents: 4, FoldSweeps: 8, FoldSeed: 99}
 
 	j, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
@@ -241,8 +242,9 @@ func TestUpdaterRestartAndCheckpoint(t *testing.T) {
 // on-disk base model, not the restored stream state.
 func TestRestartRepublishesRestoredState(t *testing.T) {
 	g, m := testBase(t)
-	path := filepath.Join(t.TempDir(), "events.wal")
-	opts := Options{Engine: nil, Base: m, FoldSweeps: 8, FoldSeed: 99}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "events.wal")
+	opts := Options{Engine: nil, Base: m, Dir: dir, FoldSweeps: 8, FoldSeed: 99}
 
 	e1 := serve.New(m, nil, serve.Options{})
 	defer e1.Close()
@@ -378,6 +380,11 @@ func TestUpdaterValidation(t *testing.T) {
 	}
 	if j.Events() != 0 || u.Pending() != 0 {
 		t.Fatal("failed batch left partial state behind")
+	}
+	// Every publish is a committed file: an updater without a directory is
+	// refused before it touches anything.
+	if _, err := NewUpdater(j, Options{Engine: u.opts.Engine, Base: m}); err == nil || !strings.Contains(err.Error(), "Options.Dir") {
+		t.Fatalf("an updater without Dir: %v, want an error naming Options.Dir", err)
 	}
 }
 

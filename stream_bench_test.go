@@ -17,27 +17,22 @@ import (
 )
 
 // streamBenchSetup stands up a serving-scale model, engine, journal and
-// updater (publish window 256, in-memory promotion).
+// updater. Like every publisher it writes each generation's snapshot file
+// into a directory and the engine serves that file's mapping.
 func streamBenchSetup(b *testing.B, windowEvents int) (*serve.Engine, *stream.Updater) {
-	return streamBenchSetupMode(b, windowEvents, false, false)
+	return streamBenchSetupMode(b, windowEvents, false)
 }
 
 // streamBenchSetupMode is streamBenchSetup with the publish path pinned:
 // fullRebuild forces every publish to rebuild model, indexes and encoding
-// from scratch (the pre-incremental behavior); withDir publishes snapshot
-// files into a directory and serves each from its mapping (a production
-// publisher's configuration), which is what lets the updater patch Π in
-// place.
-func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild, withDir bool) (*serve.Engine, *stream.Updater) {
+// from scratch (the pre-incremental behavior).
+func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild bool) (*serve.Engine, *stream.Updater) {
 	b.Helper()
 	m := serve.SyntheticModel(2000, 100, 50, 50000, 2018)
 	e := serve.New(m, nil, serve.Options{})
 	b.Cleanup(e.Close)
-	dir := ""
-	if withDir {
-		dir = b.TempDir()
-	}
-	j, err := stream.OpenJournal(filepath.Join(b.TempDir(), "bench.wal"), stream.JournalOptions{})
+	dir := b.TempDir()
+	j, err := stream.OpenJournal(filepath.Join(dir, "bench.wal"), stream.JournalOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,14 +116,13 @@ func BenchmarkIngestApply(b *testing.B) {
 
 // BenchmarkIncrementalPublish isolates one publish cycle at the serving
 // scale (2000 users, |C|=100, |W|=50k): ingest one 64-event window of
-// documents, publish, repeat. The incremental sub-benchmark takes the
-// O(changed) path (patched Π, patched per-shard user index, shared rank
-// index), in memory; incremental-dir is the same path through snapshot
-// files the engine maps, where Π is patched in place and the save is the
+// documents, publish, repeat. The incremental-dir sub-benchmark takes the
+// O(changed) path (Π patched in place, patched per-shard user index,
+// shared rank index) through snapshot files the engine maps, the save the
 // single-pass encode from memory; full-rebuild pins Options.FullRebuild
-// and reassembles everything — the pre-incremental publish cost. The two serve
-// bit-identical results (TestIncrementalPublishMatchesFullRebuild); the
-// ratio here is what the O(changed) claim buys.
+// and reassembles everything — the pre-incremental publish cost. The two
+// serve bit-identical results (TestIncrementalPublishMatchesFullRebuild);
+// the ratio here is what the O(changed) claim buys.
 func BenchmarkIncrementalPublish(b *testing.B) {
 	const window = 64
 	mkBatch := func(k int) []stream.Event {
@@ -147,15 +141,14 @@ func BenchmarkIncrementalPublish(b *testing.B) {
 		return evs
 	}
 	for _, mode := range []struct {
-		name          string
-		full, withDir bool
+		name string
+		full bool
 	}{
-		{"incremental", false, false},
-		{"incremental-dir", false, true},
-		{"full-rebuild", true, false},
+		{"incremental-dir", false},
+		{"full-rebuild", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			_, u := streamBenchSetupMode(b, window, mode.full, mode.withDir)
+			_, u := streamBenchSetupMode(b, window, mode.full)
 			// Prime generation 1 outside the clock: the first publish is
 			// always a full rebuild, so the incremental mode measures
 			// steady-state patching only.
