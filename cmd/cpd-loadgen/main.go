@@ -2,7 +2,7 @@
 // CPD model and reports throughput plus latency percentiles — the repo's
 // traffic baseline tool. It drives either a model snapshot in-process
 // (the serving engine's ceiling, no network or JSON cost) or a live
-// HTTP endpoint — a single cpd-serve or cpd-lens process (both serve
+// HTTP endpoint — a single cpd-serve process (it serves
 // serve.APIHandler), or a cpd-router front, which speaks the identical
 // API over a whole replica fleet.
 //

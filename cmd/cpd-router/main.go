@@ -6,8 +6,8 @@
 // one answer per shard into the answer a single node gives from the same
 // generation, bit for bit; community browsing proxies to the freshest
 // replica. The query surface is cpd-serve's own JSON API, so every
-// client — curl, cpd-loadgen -url, cpd-lens -quality-url — points at
-// the router unchanged.
+// client — curl, cpd-loadgen -url, a script reading
+// /api/quality?format=table — points at the router unchanged.
 //
 // Usage:
 //
@@ -121,7 +121,7 @@ func main() {
 	defer cancel()
 	go rt.Run(ctx)
 	fmt.Printf("cpd-router listening on %s (%d replicas)\n", *addr, len(replicas))
-	if err := serve.RunHTTP(*addr, rt.Handler()); err != nil && err != http.ErrServerClosed {
+	if err := serve.RunHTTP(*addr, rt.Handler(), nil); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
 }

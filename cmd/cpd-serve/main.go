@@ -1,9 +1,11 @@
-// Command cpd-serve is the headless profile-serving API: it loads one or
-// more trained model snapshots (v2, or legacy v1/JSON) into a serve.Engine
-// and exposes the typed query surface as JSON over HTTP — community
-// profiles, user memberships, Eq. 19 ranking via the inverted index,
-// per-topic diffusion probabilities, fold-in inference for unseen users,
-// per-endpoint latency counters, and zero-downtime hot-swap. With -ingest
+// Command cpd-serve is the profile-serving API: it loads one or more
+// trained model snapshots (v2, or legacy v1/JSON) into a serve.Engine and
+// exposes the typed query surface as JSON over HTTP — community profiles,
+// user memberships, Eq. 19 ranking via the inverted index, per-topic
+// diffusion probabilities, fold-in inference for unseen users,
+// per-endpoint latency counters, and zero-downtime hot-swap — plus the
+// SocialLens browser page at / (the paper's footnote 1) and the Fig. 7
+// diffusion graphs at /api/graph?topic=-1&format=dot. With -ingest
 // it also runs the streaming write path: live events are journaled,
 // folded in over delta windows, and republished as fresh snapshot
 // generations without a restart.
@@ -12,6 +14,13 @@
 //
 //	# Single model, served zero-copy from its mapping.
 //	cpd-serve -model model.v2.snap -vocab data.vocab -addr :8080
+//
+//	# Train a demo model on a synthetic network (in the default slot)
+//	# and serve it; with -quality, print the slot's structural quality
+//	# table instead (a PLP column when a graph is at hand) and exit.
+//	cpd-serve -demo
+//	cpd-serve -demo -quality
+//	cpd-serve -model model.v2.snap -ingest-graph data.graph -quality
 //
 //	# The same with pprof on.
 //	cpd-serve -model model.v2.snap -pprof
@@ -37,6 +46,7 @@
 //	curl localhost:8080/api/snapshots
 //	curl localhost:8080/api/stats              # latency + RSS + ingest gauge
 //	curl localhost:8080/api/quality            # per-generation structural quality
+//	curl 'localhost:8080/api/quality?format=table'  # the same as a terminal table
 //	curl localhost:8080/metrics                # Prometheus text exposition
 //
 // -model may repeat; "name=path" serves the snapshot under that name
@@ -86,10 +96,14 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/quality"
 	"repro/internal/serve"
 	"repro/internal/socialgraph"
 	"repro/internal/stream"
+	"repro/internal/synth"
 )
 
 // modelSpec is one -model flag value: a snapshot name and its path.
@@ -127,13 +141,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cpd-serve: ")
 	var models modelFlags
-	flag.Var(&models, "model", "model snapshot, [name=]path; repeat for multiple named snapshots (required)")
+	flag.Var(&models, "model", "model snapshot, [name=]path; repeat for multiple named snapshots (required unless -demo or -fetch)")
 	var (
 		vocabPath = flag.String("vocab", "", "vocabulary file, shared by all snapshots (enables free-text rank queries)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		postings  = flag.Int("postings", 0, "rank-index posting-list length per word (0 = default)")
 		workers   = flag.Int("foldin-workers", 0, "fold-in worker pool size (0 = default)")
 		usePprof  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		demo      = flag.Bool("demo", false, "train a demo model on a synthetic Twitter-like network and serve it in the default slot")
+		qualityTb = flag.Bool("quality", false, "print the default slot's structural quality table and exit instead of serving (PLP column with -demo or -ingest-graph)")
 
 		ingestPath   = flag.String("ingest", "", "event journal path; enables POST /api/ingest and the streaming updater")
 		ingestSlot   = flag.String("ingest-snapshot", serve.DefaultSnapshot, "snapshot slot live ingest updates")
@@ -142,7 +158,7 @@ func main() {
 		ingestEvery  = flag.Duration("ingest-interval", 2*time.Second, "publish pending events at latest this often")
 		gibbsEvery   = flag.Int("ingest-gibbs-every", 0, "run a delta-Gibbs pass every N publishes (needs -ingest-graph; 0 = fold-in only)")
 		gibbsSweeps  = flag.Int("ingest-gibbs-sweeps", 2, "EM iterations per delta-Gibbs pass")
-		ingestGraph  = flag.String("ingest-graph", "", "base training graph, enables the delta-Gibbs refinement")
+		ingestGraph  = flag.String("ingest-graph", "", "base training graph, enables the delta-Gibbs refinement and gives -quality friendship edges to score")
 		qualityEvery = flag.Int("quality-every", 0, "score every N-th published generation with structural quality metrics (0 = off)")
 		qualityPLP   = flag.Bool("quality-plp", false, "also score the parallel label-propagation baseline as the /api/quality comparison row")
 		ingestShards = flag.Int("ingest-shards", 0, "also publish each generation as an N-shard group (global + per-user-range shard files under the manifest; 0 or 1 = the manifest names the full file as the only shard)")
@@ -155,13 +171,8 @@ func main() {
 		fetchShard    = flag.Int("fetch-shard", 0, "shard this replica owns: it fetches the global file plus this shard (an unsharded generation's only shard, 0, is its full file)")
 	)
 	flag.Parse()
-	if len(models) == 0 && *fetchSource == "" {
-		log.Fatal("-model is required (or -fetch for replica mode)")
-	}
-	if *fetchSource != "" && *ingestPath != "" && *fetchSlot == *ingestSlot {
-		// A fetched generation holds no document arrays, which the updater
-		// needs of its base model.
-		log.Fatalf("-fetch and -ingest cannot share snapshot slot %q: a fetched model carries no document arrays for the updater to extend (set -fetch-snapshot or -ingest-snapshot apart)", *ingestSlot)
+	if err := checkFlags(models, *demo, *qualityTb, *fetchSource, *ingestPath, *fetchSlot, *ingestSlot); err != nil {
+		log.Fatal(err)
 	}
 	engine := serve.NewMulti(serve.Options{
 		PostingsPerWord: *postings,
@@ -188,6 +199,39 @@ func main() {
 	}
 	if err := load(); err != nil {
 		log.Fatal(err)
+	}
+	var baseGraph *socialgraph.Graph
+	if *ingestGraph != "" {
+		var err error
+		if baseGraph, err = socialgraph.ReadFile(*ingestGraph); err != nil {
+			log.Fatal(err)
+		}
+	}
+	qualityGraph := baseGraph
+	if *demo {
+		cfg := synth.TwitterLike(500, 42)
+		g, _ := synth.Generate(cfg)
+		fmt.Println("training demo model on a synthetic Twitter-like network...")
+		m, _, err := core.Train(g, core.Config{
+			NumCommunities: 20, NumTopics: 25, EMIters: 20, Workers: 0,
+			Rho: 0.05, Seed: 7,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		engine.SwapNamed(serve.DefaultSnapshot, m, synth.BuildVocabulary(cfg))
+		if qualityGraph == nil {
+			qualityGraph = g
+		}
+	}
+	if *qualityTb {
+		s, release, err := engine.AcquireNamed(serve.DefaultSnapshot)
+		if err != nil {
+			log.Fatal(err)
+		}
+		printLocalQuality(s.Model, qualityGraph)
+		release()
+		return
 	}
 	reload := func() error {
 		if err := load(); err != nil {
@@ -234,18 +278,6 @@ func main() {
 	var updater *stream.Updater
 	var journal *stream.Journal
 	if *ingestPath != "" {
-		var baseGraph *socialgraph.Graph
-		if *ingestGraph != "" {
-			f, err := os.Open(*ingestGraph)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if baseGraph, err = socialgraph.Read(f); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			f.Close()
-		}
 		dir := *ingestDir
 		if dir == "" {
 			dir = filepath.Dir(*ingestPath)
@@ -326,7 +358,7 @@ func main() {
 		fmt.Printf("cpd-serve snapshot %s: %d users, %d words, mapped=%v (%d mapped / %d heap bytes)\n",
 			info.Name, info.Users, info.Words, info.Mapped, info.MappedBytes, info.HeapBytes)
 	}
-	fmt.Printf("cpd-serve listening on %s (%d snapshots)\n", *addr, len(models))
+	fmt.Printf("cpd-serve listening on %s (%d snapshots)\n", *addr, len(engine.Names()))
 	// Graceful drain: on SIGINT/SIGTERM, before the listener closes, stop
 	// accepting ingest, flush the journal and publish a final generation —
 	// nothing accepted is ever lost to a shutdown.
@@ -340,8 +372,48 @@ func main() {
 		}
 		fmt.Printf("drained: final generation %d published\n", updater.Generation())
 	}
-	if err := serve.RunHTTPWithShutdown(*addr, handler, drain); err != nil && err != http.ErrServerClosed {
+	if err := serve.RunHTTP(*addr, handler, drain); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
 	fmt.Println("shut down cleanly")
+}
+
+// checkFlags refuses contradictory flag combinations before anything is
+// loaded or trained.
+func checkFlags(models modelFlags, demo, qualityTable bool, fetchSource, ingestPath, fetchSlot, ingestSlot string) error {
+	defaultModel := false
+	for _, spec := range models {
+		defaultModel = defaultModel || spec.name == serve.DefaultSnapshot
+	}
+	switch {
+	case len(models) == 0 && !demo && fetchSource == "":
+		return fmt.Errorf("-model is required (or -demo, or -fetch for replica mode)")
+	case demo && defaultModel:
+		return fmt.Errorf("-demo serves the %q slot: name the -model snapshots apart (name=path)", serve.DefaultSnapshot)
+	case qualityTable && !demo && !defaultModel:
+		return fmt.Errorf("-quality needs a %q slot to score: pass -model path or -demo", serve.DefaultSnapshot)
+	case fetchSource != "" && ingestPath != "" && fetchSlot == ingestSlot:
+		// A fetched generation holds no document arrays, which the updater
+		// needs of its base model.
+		return fmt.Errorf("-fetch and -ingest cannot share snapshot slot %q: a fetched model carries no document arrays for the updater to extend (set -fetch-snapshot or -ingest-snapshot apart)", ingestSlot)
+	}
+	return nil
+}
+
+// printLocalQuality scores the loaded model (with the graph's friendship
+// edges when one was given) and prints the metric-rows × generations
+// table. With edges, the PLP baseline renders as a comparison column.
+func printLocalQuality(model *core.Model, graph *socialgraph.Graph) {
+	var friends []socialgraph.FriendLink
+	if graph != nil {
+		friends = graph.Friends
+	}
+	reports := []*quality.Report{quality.FromModel(model, friends, nil)}
+	if len(friends) > 0 {
+		res := baselines.PLP(model.NumUsers, friends, baselines.PLPOptions{Seed: 1})
+		plp := quality.Compute(res.Labels, res.Communities, friends, nil)
+		plp.Algo = "plp"
+		reports = append(reports, plp)
+	}
+	fmt.Print(quality.Table(reports))
 }

@@ -96,13 +96,7 @@ func run() error {
 	}
 	var baseGraph *socialgraph.Graph
 	if *graphPath != "" {
-		f, err := os.Open(*graphPath)
-		if err != nil {
-			return err
-		}
-		baseGraph, err = socialgraph.Read(f)
-		f.Close()
-		if err != nil {
+		if baseGraph, err = socialgraph.ReadFile(*graphPath); err != nil {
 			return err
 		}
 	}

@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -70,70 +69,48 @@ func main() {
 	if err := checkInit(*initMode, *resume); err != nil {
 		log.Fatal(err)
 	}
-	f, err := os.Open(*graphPath)
+	g, err := socialgraph.ReadFile(*graphPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := socialgraph.Read(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
+	cfg := core.Config{
+		NumCommunities: *communities,
+		NumTopics:      *topics,
+		EMIters:        *iters,
+		Workers:        *workers,
+		Seed:           *seed,
+		Rho:            *rho,
+		Sampler:        *sampler,
 	}
-	var m *core.Model
-	var diag *core.Diagnostics
-	if *resume != "" {
-		base, err := store.LoadFile(*resume)
-		if err != nil {
+	// A resumed or warm-started run continues from a start model; a fresh
+	// one samples its initial assignments.
+	var start *core.Model
+	switch {
+	case *resume != "":
+		if start, err = store.LoadFile(*resume); err != nil {
 			log.Fatal(err)
 		}
-		m, diag, err = core.TrainResumed(g, base, *iters, core.ResumeOptions{
-			Workers: *workers,
-			Seed:    *seed,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		*communities, *topics = m.Cfg.NumCommunities, m.Cfg.NumTopics
-	} else if *initMode == "plp" {
-		cfg := core.Config{
-			NumCommunities: *communities,
-			NumTopics:      *topics,
-			EMIters:        *iters,
-			Workers:        *workers,
-			Seed:           *seed,
-			Rho:            *rho,
-			Sampler:        *sampler,
-		}
+	case *initMode == "plp":
 		res := baselines.PLPGraph(g, baselines.PLPOptions{Seed: *seed})
 		fmt.Printf("plp warm start: %d communities in %d sweeps (converged=%v)\n",
 			res.Communities, res.Sweeps, res.Converged)
-		m0 := baselines.WarmStartModel(g, cfg, res.Labels)
-		m, diag, err = core.TrainResumed(g, m0, *iters, core.ResumeOptions{
-			Workers: *workers,
-			Seed:    *seed,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		start = baselines.WarmStartModel(g, cfg, res.Labels)
+	}
+	var m *core.Model
+	var diag *core.Diagnostics
+	if start == nil {
+		m, diag, err = core.Train(g, cfg)
 	} else {
-		m, diag, err = core.Train(g, core.Config{
-			NumCommunities: *communities,
-			NumTopics:      *topics,
-			EMIters:        *iters,
-			Workers:        *workers,
-			Seed:           *seed,
-			Rho:            *rho,
-			Sampler:        *sampler,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		m, diag, err = core.TrainResumed(g, start, *iters, core.ResumeOptions{Workers: *workers, Seed: *seed})
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := store.SaveV2(*out, m); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained |C|=%d |Z|=%d in %.1fs E-step + %.1fs M-step; model written to %s\n",
-		*communities, *topics, diag.EStepSeconds, diag.MStepSeconds, *out)
+		m.Cfg.NumCommunities, m.Cfg.NumTopics, diag.EStepSeconds, diag.MStepSeconds, *out)
 	if lazy := diag.Lazy; lazy.Total().Considered > 0 {
 		pct := func(s rng.LazyStats) string {
 			if s.Considered == 0 {

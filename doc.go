@@ -16,7 +16,8 @@
 // inverted rank index and fold-in inference for unseen users
 // (internal/serve), and one HTTP surface over it — the JSON API, the
 // Fig. 7 diffusion graph and the SocialLens browser page — that the
-// cpd-serve and cpd-lens servers both serve. A streaming
+// cpd-serve binary serves (cpd-serve -demo trains and serves a synthetic
+// model, -quality prints the quality table). A streaming
 // write path (internal/stream) keeps served models fresh without full
 // retrains: a CRC'd append-only event journal with crash-safe replay,
 // watermark and compaction; an incremental updater that folds affected

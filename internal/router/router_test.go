@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/quality"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -558,6 +559,91 @@ func TestRoutedVersionRule(t *testing.T) {
 	} {
 		if got := get(sharded.URL + "/api/diffusion?" + tc.query); got != tc.want {
 			t.Errorf("sharded diffusion %s = %q, want the scoring replica's own reply %q", tc.query, got, tc.want)
+		}
+	}
+}
+
+// The browsing endpoints relay the freshest healthy replica's reply as it
+// wrote it — status, Content-Type and body, the quality table's text
+// included — and fail over down the freshness order when it is down.
+func TestProxyFreshestRelaysAndFailsOver(t *testing.T) {
+	newReplica := func(seed, gen uint64) *httptest.Server {
+		m := serve.SyntheticModel(30, 5, 4, 60, seed)
+		e := serve.NewMulti(serve.Options{})
+		t.Cleanup(e.Close)
+		s := e.BuildSnapshot(serve.DefaultSnapshot, m, nil, nil)
+		s.Generation = gen
+		e.Promote(s)
+		r := quality.FromModel(m, nil, nil)
+		r.Generation = gen
+		e.RecordQuality(serve.DefaultSnapshot, r)
+		base := quality.FromModel(m, nil, nil)
+		base.Algo = "plp"
+		e.RecordQualityBaseline(serve.DefaultSnapshot, base)
+		srv := httptest.NewServer(serve.APIHandler(e, nil))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	stale, fresh := newReplica(3, 2), newReplica(9, 5)
+	// Named so that name order puts the stale replica first.
+	rt, err := New([]Replica{{Name: "a-stale", Base: stale.URL}, {Name: "b-fresh", Base: fresh.URL}},
+		Options{Client: &http.Client{Timeout: 2 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollReplicas()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	type reply struct {
+		status int
+		ct     string
+		body   string
+	}
+	get := func(url string) reply {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply{resp.StatusCode, resp.Header.Get("Content-Type"), string(body)}
+	}
+	paths := []string{
+		"/api/communities",
+		"/api/community?id=1",
+		"/api/community?id=x", // the replica's 400 is relayed, not the router's
+		"/api/quality",
+		"/api/quality?format=table",
+	}
+	if a, b := get(stale.URL+"/api/quality?format=table"), get(fresh.URL+"/api/quality?format=table"); a.body == b.body {
+		t.Fatal("replicas answer the same table: the test cannot tell them apart")
+	}
+	for _, path := range paths {
+		want, got := get(fresh.URL+path), get(front.URL+path)
+		if got != want {
+			t.Fatalf("%s through the router: %+v, want the freshest replica's %+v", path, got, want)
+		}
+	}
+	if table := get(front.URL + "/api/quality?format=table"); !strings.HasPrefix(table.ct, "text/plain") || !strings.Contains(table.body, "gen 5/cpd") {
+		t.Fatalf("routed quality table: %+v", table)
+	}
+
+	// The freshest replica goes down: the next in freshness order answers.
+	fresh.Close()
+	for _, path := range paths {
+		want, got := get(stale.URL+path), get(front.URL+path)
+		if got != want {
+			t.Fatalf("%s after failover: %+v, want the remaining replica's %+v", path, got, want)
+		}
+	}
+	for _, r := range rt.Stats().Replicas {
+		if r.Name == "b-fresh" && r.Healthy {
+			t.Fatalf("dead replica still healthy: %+v", r)
 		}
 	}
 }

@@ -181,9 +181,9 @@ func (t EngineTarget) IngestStatus() (*stream.Status, error) {
 	return &st, nil
 }
 
-// HTTPTarget drives a live serving endpoint — cpd-serve or cpd-lens,
-// which both serve serve.APIHandler, or a cpd-router front — through the
-// same JSON API real clients use.
+// HTTPTarget drives a live serving endpoint — cpd-serve, which serves
+// serve.APIHandler, or a cpd-router front — through the same JSON API
+// real clients use.
 type HTTPTarget struct {
 	// Base is the endpoint root, e.g. "http://localhost:8080".
 	Base string

@@ -22,7 +22,7 @@ import (
 
 // APIHandler exposes the engine's typed query API as a JSON HTTP surface,
 // plus the SocialLens browser page (the paper's footnote 1) over it. It is
-// the one HTTP surface of cmd/cpd-serve and cmd/cpd-lens:
+// the one HTTP surface of cmd/cpd-serve:
 //
 //	GET  /                                      SocialLens page
 //	GET  /api/communities                       community summaries
@@ -41,7 +41,8 @@ import (
 //	GET  /api/snapshots                         per-snapshot accounting
 //	GET  /api/generation                        publisher generation served (replica freshness)
 //	GET  /api/stats                             latency histograms + RSS + quality summary
-//	GET  /api/quality                           per-generation quality history + PLP baseline
+//	GET  /api/quality?format=table              per-generation quality history + PLP baseline
+//	                                            (JSON, or the quality.Table text)
 //	GET  /metrics                               Prometheus text exposition
 //	GET  /healthz                               liveness + model version
 //
@@ -280,12 +281,18 @@ func APIHandler(e *Engine, reload func() error) http.Handler {
 		e.lat[epStats].Observe(time.Since(start), nil)
 	})
 	mux.HandleFunc("/api/quality", func(w http.ResponseWriter, r *http.Request) {
-		p, err := e.QualityIn(snapName(r.URL.Query()))
+		q := r.URL.Query()
+		p, err := e.QualityIn(snapName(q))
 		if err != nil {
 			writeQueryErr(w, err)
 			return
 		}
-		writeJSON(w, p)
+		if q.Get("format") != "table" {
+			writeJSON(w, p)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		io.WriteString(w, p.Table())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -414,19 +421,13 @@ func writeQueryErr(w http.ResponseWriter, err error) {
 
 // RunHTTP serves h on addr until the process receives SIGINT or SIGTERM,
 // then shuts down gracefully: the listener closes immediately, in-flight
-// requests get up to ten seconds to drain. It returns nil on a clean
-// signal-triggered shutdown. Both cmd/cpd-serve and cmd/cpd-lens serve
-// APIHandler through it instead of bare http.ListenAndServe.
-func RunHTTP(addr string, h http.Handler) error {
-	return RunHTTPWithShutdown(addr, h, nil)
-}
-
-// RunHTTPWithShutdown is RunHTTP with a drain hook: onSignal runs after
-// the shutdown signal arrives but BEFORE the HTTP server stops serving,
-// so a streaming server can stop accepting ingest, flush its journal and
+// requests get up to ten seconds to drain. onSignal, when non-nil, runs
+// after the signal arrives but BEFORE the server stops serving, so a
+// streaming server can stop accepting ingest, flush its journal and
 // publish a final snapshot while reads keep flowing — the graceful-drain
-// sequence of cmd/cpd-serve.
-func RunHTTPWithShutdown(addr string, h http.Handler, onSignal func()) error {
+// sequence of cmd/cpd-serve; cmd/cpd-router passes nil. It returns nil on
+// a clean signal-triggered shutdown.
+func RunHTTP(addr string, h http.Handler, onSignal func()) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv := &http.Server{Addr: addr, Handler: h}

@@ -74,6 +74,17 @@ type QualityPayload struct {
 	Baseline *quality.Report   `json:"baseline,omitempty"`
 }
 
+// Table renders the payload as the metric-rows × generations terminal
+// table — the history, then the baseline as a comparison column — that
+// /api/quality?format=table answers.
+func (p *QualityPayload) Table() string {
+	reports := p.History[:len(p.History):len(p.History)]
+	if p.Baseline != nil {
+		reports = append(reports, p.Baseline)
+	}
+	return quality.Table(reports)
+}
+
 // QualityIn answers /api/quality for the named slot, latency-counted like
 // every other endpoint. A slot with no recorded history (a static load
 // with no streaming publisher, or quality computation disabled) gets a

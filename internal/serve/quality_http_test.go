@@ -63,6 +63,34 @@ func TestQualityEndpoint(t *testing.T) {
 		t.Fatalf("baseline row missing: %+v", p.Baseline)
 	}
 
+	// ?format=table answers the terminal table of the same history and
+	// baseline as text; any other format keeps the JSON.
+	history, baseline := e.QualityHistory(DefaultSnapshot)
+	want := quality.Table(append(history, baseline))
+	rec = apiGet(t, h, "/api/quality?format=table")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("quality table: %d: %s", rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("quality table content type %q", ct)
+	}
+	if got := rec.Body.String(); got != want {
+		t.Fatalf("quality table:\n%s\nwant\n%s", got, want)
+	}
+	if !strings.Contains(want, "gen 3/cpd") || !strings.Contains(want, "plp") {
+		t.Fatalf("table lacks the history or the baseline column:\n%s", want)
+	}
+	rec = apiGet(t, h, "/api/quality?format=json")
+	if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || !strings.HasPrefix(ct, "application/json") {
+		t.Fatalf("format=json: %d %q", rec.Code, ct)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &QualityPayload{}); err != nil {
+		t.Fatalf("format=json is not the JSON payload: %v", err)
+	}
+	if rec := apiGet(t, h, "/api/quality?format=table&snapshot=nope"); rec.Code != http.StatusNotFound {
+		t.Fatalf("table of an unknown snapshot: %d", rec.Code)
+	}
+
 	// The ?snapshot= route addresses slots by name; unknown slots error.
 	if rec := apiGet(t, h, "/api/quality?snapshot="+DefaultSnapshot); rec.Code != http.StatusOK {
 		t.Fatalf("named quality: %d", rec.Code)

@@ -39,7 +39,7 @@
 //
 // APIHandler exposes the engine over HTTP — the JSON API, the Fig. 7
 // diffusion graph and the SocialLens page — as the one surface of
-// cmd/cpd-serve and cmd/cpd-lens.
+// cmd/cpd-serve.
 package serve
 
 import (

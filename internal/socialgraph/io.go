@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -77,6 +78,20 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, bw.Flush()
+}
+
+// ReadFile reads a graph file in the WriteTo format.
+func ReadFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("socialgraph: %w", err)
+	}
+	defer f.Close()
+	g, err := Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
 }
 
 // Read parses the WriteTo format and validates the result.

@@ -3,6 +3,8 @@ package socialgraph
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -184,6 +186,31 @@ func TestWriteReadRoundTrip(t *testing.T) {
 				t.Fatalf("doc %d words mismatch", i)
 			}
 		}
+	}
+
+	// The same graph through a file: ReadFile reads back what WriteTo
+	// wrote, and a missing path is an error, not an empty graph.
+	path := filepath.Join(t.TempDir(), "g.graph")
+	var want bytes.Buffer
+	if _, err := g.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g3, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := g3.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("ReadFile round trip:\n%s\nwant\n%s", got.String(), want.String())
+	}
+	if _, err := ReadFile(path + ".missing"); err == nil {
+		t.Fatal("ReadFile of a missing file succeeded")
 	}
 }
 
