@@ -192,6 +192,59 @@ func TestScatterMixedGenerations(t *testing.T) {
 	}
 }
 
+// TestMetricsDeclareEveryFamily: the router's /metrics exposition declares
+// every sample's family — the latency histograms' _bucket, _sum and _count
+// series included — with exactly one # TYPE line before its first sample.
+func TestMetricsDeclareEveryFamily(t *testing.T) {
+	entries := []serve.RankEntry{{Community: 1, Score: 0.5}}
+	a := newFakeReplica(t, "a", 3, entries)
+	b := newFakeReplica(t, "b", 3, entries)
+	rt := newTestRouter(t, a, b)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	if _, status := getRank(t, front.URL, "?w=1&k=5"); status != http.StatusOK {
+		t.Fatalf("rank status %d", status)
+	}
+	var buf strings.Builder
+	rt.WriteMetrics(&buf)
+
+	types := map[string]string{}
+	family := func(name string) string {
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
+				return base
+			}
+		}
+		return name
+	}
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fields := strings.Fields(rest)
+			if len(fields) != 2 {
+				t.Fatalf("malformed TYPE line %q", line)
+			}
+			if _, dup := types[fields[0]]; dup {
+				t.Fatalf("family %s declared twice", fields[0])
+			}
+			types[fields[0]] = fields[1]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		if _, ok := types[family(name)]; !ok {
+			t.Errorf("sample %q precedes any # TYPE line of its family", line)
+		}
+		samples++
+	}
+	if types["cpd_router_latency_seconds"] != "histogram" || samples == 0 {
+		t.Fatalf("no latency histogram declared in %d samples:\n%s", samples, buf.String())
+	}
+}
+
 // The rank merge sums Members over one answer per shard index — a full
 // replica being shard 0 of 1 — at the newest generation every shard of
 // the largest advertised Count answered at, and reports partial when no

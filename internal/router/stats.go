@@ -171,6 +171,7 @@ func (rt *Router) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP cpd_router_shards Advertised shard count (0 unsharded).\n# TYPE cpd_router_shards gauge\ncpd_router_shards %d\n", st.Shards)
 	fmt.Fprintf(w, "# HELP cpd_router_shared_scatters_total Scatter requests that joined an identical in-flight fan-out.\n# TYPE cpd_router_shared_scatters_total counter\ncpd_router_shared_scatters_total %d\n", st.SharedScatters)
 	fmt.Fprintf(w, "# HELP cpd_router_partial_ranks_total Rank answers summed over fewer shards than the fleet has.\n# TYPE cpd_router_partial_ranks_total counter\ncpd_router_partial_ranks_total %d\n", st.PartialRanks)
+	fmt.Fprint(w, "# HELP cpd_router_latency_seconds Routed request latency per class (route, scatter, proxy).\n# TYPE cpd_router_latency_seconds histogram\n")
 	for i := 0; i < opCount; i++ {
 		h := rt.lat[i].Snapshot()
 		h.WriteProm(w, "cpd_router_latency_seconds", "class="+strconv.Quote(opNames[i]))

@@ -11,20 +11,22 @@ package serve
 // generation's state file (the document arrays, training state no query
 // reads) stays with the publisher. Distribution is pull-by-generation: each poll discovers the
 // newest manifest, and only a strictly newer one triggers a fetch. Before
-// a file goes live it is fully CRC-verified against the manifest — the
-// section table AND every payload, the O(model) pass the mapped opener
-// skips by design — on every adopt: a first fetch, a restart over a
-// cache, or a re-linked global file. The check reads the file through a
-// mapping, so the same read leaves the page cache hot before the first
-// query touches the snapshot's own mapping. Promotion is the engine's
-// usual atomic swap; in-flight queries finish on the snapshot they
-// started with, exactly as for a local reload.
+// a file goes live shard.OpenGroup checks it in full against the manifest
+// — the section table AND every payload, the O(model) pass the mapped
+// opener skips by design — on every adopt: a first fetch, a restart over
+// a cache, or a re-linked global file. The check reads the very mapping
+// the snapshot then serves, so it also leaves the page cache hot for the
+// first query. Promotion is the engine's usual atomic swap; in-flight
+// queries finish on the snapshot they started with, exactly as for a
+// local reload.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -44,7 +46,7 @@ type FetchOptions struct {
 	Source string
 	// Dir is the local cache directory for downloaded files. Required
 	// for an HTTP source; ignored for a directory source (files are
-	// verified and mapped in place).
+	// mapped and checked in place).
 	Dir string
 	// Snapshot is the engine slot promoted into (default "default").
 	Snapshot string
@@ -59,7 +61,7 @@ type FetchOptions struct {
 	// even once unlinked).
 	Keep int
 	// Shard is the shard index this replica owns (default 0). It fetches
-	// the manifest plus the global file and this shard's file, verifies
+	// the manifest plus the global file and this shard's file, checks
 	// each against the manifest's per-section CRCs and promotes them as a
 	// unit (Engine.PromoteShardGroup), mapping ~(1/N of Π + the global
 	// sections). A one-shard generation's only shard is 0: its
@@ -88,7 +90,7 @@ type FetchStatus struct {
 	// the previous one's indexes (the rest were built in full — /api/stats
 	// snapshots[].build.reason says why the live one was);
 	// LastPromoteMicros is what adopting the newest cost once its files
-	// were verified: open, build or patch, swap.
+	// were in place: open and check, build or patch, swap.
 	PatchedPromotes   uint64 `json:"patchedPromotes"`
 	LastPromoteMicros int64  `json:"lastPromoteMicros,omitempty"`
 }
@@ -188,7 +190,7 @@ func (f *Fetcher) WriteMetrics(w io.Writer) {
 	gauge(w, "cpd_replica_fetches_total", "Generations fetched, verified and promoted.", "", float64(st.Fetches))
 	gauge(w, "cpd_replica_fetch_failures_total", "Failed fetch or verify attempts.", "", float64(st.Failures))
 	gauge(w, "cpd_replica_patched_promotes_total", "Fetched generations adopted by patching the previous one's indexes.", "", float64(st.PatchedPromotes))
-	gauge(w, "cpd_replica_last_promote_seconds", "Open, index build or patch, and swap of the newest fetched generation.", "", float64(st.LastPromoteMicros)/1e6)
+	gauge(w, "cpd_replica_last_promote_seconds", "Open and check, index build or patch, and swap of the newest fetched generation.", "", float64(st.LastPromoteMicros)/1e6)
 }
 
 // Poll runs one discover→fetch→verify→promote→prune cycle. It returns
@@ -227,11 +229,12 @@ func (f *Fetcher) Run(ctx context.Context) {
 	}
 }
 
-// poll is one discover→materialize→verify→promote→prune cycle: the
-// manifest names every file and its per-section CRCs, so the generation
-// either verifies and promotes as a unit or is retried whole next poll.
-// A downloaded file that fails the check is removed, so the next poll
-// downloads it again.
+// poll is one discover→materialize→open→promote→prune cycle: the
+// manifest names every file and its per-section CRCs, and OpenGroup
+// checks each file against them over the mapping it serves, so the
+// generation either checks and promotes as a unit or is retried whole
+// next poll. A downloaded file that fails the check is removed by the
+// name the error carries, so the next poll downloads it again.
 func (f *Fetcher) poll() (uint64, error) {
 	latest, err := f.discover()
 	if err != nil {
@@ -247,22 +250,13 @@ func (f *Fetcher) poll() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	files := []shard.FileEntry{man.Global}
-	if own := man.Ranges[f.opts.Shard].File; own.Name != man.Global.Name {
-		files = append(files, own)
-	}
-	for _, ent := range files {
-		path := filepath.Join(dir, ent.Name)
-		if err := shard.VerifyAgainstManifest(path, ent); err != nil {
-			if f.http {
-				os.Remove(path)
-			}
-			return 0, fmt.Errorf("verifying generation %d: %w", latest, err)
-		}
-	}
 	start := time.Now()
 	g, err := shard.OpenGroup(dir, man, f.opts.Shard)
 	if err != nil {
+		var bad *fs.PathError
+		if f.http && errors.As(err, &bad) {
+			os.Remove(bad.Path)
+		}
 		return 0, fmt.Errorf("opening generation %d shard %d: %w", latest, f.opts.Shard, err)
 	}
 	f.e.PromoteShardGroup(f.opts.Snapshot, g, f.opts.Vocab, latest)
@@ -328,7 +322,7 @@ func (f *Fetcher) discover() (uint64, error) {
 // copies for an HTTP source. Already-downloaded files are reused, and so
 // is the served generation's global file when the manifest gives the new
 // one the same content — the community profiles, which fold-in publishes
-// never move: it is hard-linked under the new name. The caller verifies
+// never move: it is hard-linked under the new name. OpenGroup checks
 // every file against the manifest either way, and a downloaded manifest
 // that does not parse is removed so the next poll fetches it again.
 func (f *Fetcher) materialize(gen uint64) (string, *shard.Manifest, error) {

@@ -469,6 +469,57 @@ func TestFetcherRestartRechecksCachedFile(t *testing.T) {
 	requireOwnedAnswersMatch(t, replica, full, p.users)
 }
 
+// TestFetcherRefusesTruncatedShardFile: a directory source whose newest
+// generation holds a truncated shard file fails the poll with an error
+// naming the file; the replica keeps serving the generation it has, and
+// the publisher's file is left as it is.
+func TestFetcherRefusesTruncatedShardFile(t *testing.T) {
+	p := newAdoptPublisher(t, adoptShards)
+	first := p.publish(t, 2)
+	replica := serve.NewMulti(serve.Options{})
+	defer replica.Close()
+	f, err := serve.NewFetcher(replica, serve.FetchOptions{Source: p.dir, Shard: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Poll(); got != first || err != nil {
+		t.Fatalf("first poll = %d, %v; want %d", got, err, first)
+	}
+
+	gen := p.publish(t, 2)
+	path := shard.ShardPath(p.dir, gen, 1)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A new file under the name: the old one may be hard-linked to the
+	// shard file the replica serves.
+	cut := raw[:len(raw)/2]
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Poll(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("poll over a truncated shard file = %d, %v; want an error naming %s", got, err, path)
+	}
+	if left, err := os.ReadFile(path); err != nil || len(left) != len(cut) {
+		t.Fatalf("the publisher's file was touched: %d bytes left of %d (%v)", len(left), len(cut), err)
+	}
+	if st := f.Status(); st.Generation != first || st.Failures != 1 || st.LastError == "" {
+		t.Fatalf("fetcher status = %+v", st)
+	}
+	s, release, err := replica.AcquireNamed(serve.DefaultSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if s.Generation != first {
+		t.Fatalf("the replica serves generation %d, want %d", s.Generation, first)
+	}
+}
+
 // TestReplicaFetchesNoTrainingState: a shard replica polling a 3-shard
 // generation of a model with documents over HTTP keeps no document array
 // in its cache — its shard file and the global file hold none, and the

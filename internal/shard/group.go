@@ -2,7 +2,8 @@ package shard
 
 // OpenGroup: the serving-side open path. A replica that owns shard k of
 // a sharded generation maps exactly two files — the global sections and
-// its own shard (one full file for a one-shard generation) — and
+// its own shard (one full file for a one-shard generation) —, checks
+// every byte of each against the manifest over that mapping, and
 // assembles a partial model over them: local Π rows, full
 // Θ/Φ/η/ν/POPF/XI, and no document arrays, which no query reads — not
 // even when the one file is a full snapshot that holds them.
@@ -12,6 +13,7 @@ package shard
 
 import (
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"slices"
 
@@ -37,16 +39,18 @@ type Group struct {
 }
 
 // OpenGroup maps generation files for shard index of the manifest under
-// dir, resolved from the manifest's entry names, and assembles the
+// dir, resolved from the manifest's entry names, checks each against its
+// entry over the mapping it then serves (see openFile), and assembles the
 // partial model. A file named twice (the full file of a one-shard
-// generation) is mapped once. The caller owns the group and must Close
-// it when the last query drains.
+// generation) is mapped and checked once. A file that cannot be opened or
+// fails its check is named by an *fs.PathError in the error's chain. The
+// caller owns the group and must Close it when the last query drains.
 func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 	if index < 0 || index >= man.Shards {
 		return nil, fmt.Errorf("shard: index %d out of range (manifest has %d shards)", index, man.Shards)
 	}
 	r := man.Ranges[index]
-	global, err := store.OpenRawFile(filepath.Join(dir, man.Global.Name))
+	global, err := openFile(dir, man.Global)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +66,7 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 	}
 	sf := global
 	if r.File.Name != man.Global.Name {
-		if sf, err = store.OpenRawFile(filepath.Join(dir, r.File.Name)); err != nil {
+		if sf, err = openFile(dir, r.File); err != nil {
 			global.Close()
 			return nil, err
 		}
@@ -100,6 +104,40 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 	}
 	g.Model = m
 	return g, nil
+}
+
+// openFile maps the group file ent names under dir and checks it against
+// ent over that mapping: its size, its section tags, sizes and CRCs as the
+// manifest records them, and every payload's CRC — sections the served
+// model leaves out included. Its errors are *fs.PathError values naming
+// the file.
+func openFile(dir string, ent FileEntry) (*store.RawFile, error) {
+	rf, err := store.OpenRawFile(filepath.Join(dir, ent.Name))
+	if err != nil {
+		return nil, err
+	}
+	if err := matches(rf, ent); err != nil {
+		rf.Close()
+		return nil, &fs.PathError{Op: "shard: checking", Path: rf.Path(), Err: err}
+	}
+	return rf, nil
+}
+
+// matches checks an opened file against its manifest entry.
+func matches(rf *store.RawFile, want FileEntry) error {
+	if size := rf.SizeBytes(); size != want.Size {
+		return fmt.Errorf("%d bytes, manifest says %d", size, want.Size)
+	}
+	sums := rf.Sums()
+	if len(sums) != len(want.Sections) {
+		return fmt.Errorf("%d sections, manifest says %d", len(sums), len(want.Sections))
+	}
+	for i, s := range sums {
+		if w := want.Sections[i]; s != w {
+			return fmt.Errorf("section %d is %q/%d/%08x, manifest says %q/%d/%08x", i, s.Tag, s.Size, s.CRC, w.Tag, w.Size, w.CRC)
+		}
+	}
+	return rf.Check()
 }
 
 // Close releases every mapping. Idempotent.

@@ -21,7 +21,7 @@
 //	                            Gibbs state, which no query reads: only
 //	                            Join needs it, and no replica fetches it
 //
-// Every file is an ordinary v2 container (store.VerifyV2File applies
+// Every file is an ordinary v2 container (store.OpenRawFile opens it
 // unchanged). The manifest is how every published generation is
 // announced and fetched: an unsharded publish writes a one-shard manifest
 // whose global entry, state entry and only range all name the
@@ -36,9 +36,10 @@
 // file; Join reassembles one back byte-identically, taking the full DIM
 // from shard 0's with the manifest's user count and the document arrays
 // from the state file. Boundaries come from a weight-balancing pass over
-// per-user Π row bytes (PlanRanges). OpenGroup mmaps a global+shard pair
-// into a servable partial model whose mapped-byte cost is ~(1/N of Π +
-// the global sections). Publisher is the streaming integration: it emits
+// per-user Π row bytes (PlanRanges). OpenGroup mmaps a global+shard pair,
+// checks each file against its manifest entry over that mapping, and
+// assembles a servable partial model whose mapped-byte cost is ~(1/N of
+// Π + the global sections). Publisher is the streaming integration: it emits
 // a sharded generation next to each full one, hard-linking the global
 // file on every fold-in publish, the shard files whose Π rows did not
 // change and the state file while the document arrays stay the previous
@@ -125,7 +126,7 @@ func ScanManifests(dir string) ([]uint64, error) {
 }
 
 // FileEntry identifies one file of a shard group: its base name, size,
-// and every section's tag/size/CRC — enough for a fetcher to verify a
+// and every section's tag/size/CRC — enough for OpenGroup to check a
 // downloaded copy end-to-end against the manifest alone.
 type FileEntry struct {
 	Name     string             `json:"name"`
@@ -316,29 +317,4 @@ func fileEntry(path string) (FileEntry, error) {
 		return FileEntry{}, err
 	}
 	return FileEntry{Name: filepath.Base(path), Size: size, Sections: sums}, nil
-}
-
-// VerifyAgainstManifest checks a local file against its manifest entry:
-// size, section tags/sizes/CRCs as recorded, plus the full payload CRC
-// walk of store.VerifyV2File. This is the fetcher's end-to-end check on
-// every group file it adopts.
-func VerifyAgainstManifest(path string, want FileEntry) error {
-	sums, size, err := store.FileSections(path)
-	if err != nil {
-		return err
-	}
-	if size != want.Size {
-		return fmt.Errorf("shard: %s is %d bytes, manifest says %d", path, size, want.Size)
-	}
-	if len(sums) != len(want.Sections) {
-		return fmt.Errorf("shard: %s has %d sections, manifest says %d", path, len(sums), len(want.Sections))
-	}
-	for i, s := range sums {
-		w := want.Sections[i]
-		if s.Tag != w.Tag || s.Size != w.Size || s.CRC != w.CRC {
-			return fmt.Errorf("shard: %s section %d is %q/%d/%08x, manifest says %q/%d/%08x",
-				path, i, s.Tag, s.Size, s.CRC, w.Tag, w.Size, w.CRC)
-		}
-	}
-	return store.VerifyV2File(path)
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -242,8 +244,64 @@ func TestManifestCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(shardPath, sraw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstManifest(shardPath, man.Ranges[1].File); err == nil {
-		t.Fatal("corrupted shard file must fail verification")
+	if err := checkFile(dir, man.Ranges[1].File); err == nil {
+		t.Fatal("corrupted shard file must fail its check")
+	}
+}
+
+// checkFile runs OpenGroup's per-file check on the group file ent names
+// under dir.
+func checkFile(dir string, ent FileEntry) error {
+	rf, err := openFile(dir, ent)
+	if err == nil {
+		rf.Close()
+	}
+	return err
+}
+
+// TestOpenGroupRefusesFlippedPayloadByte: a shard file with one payload
+// byte flipped, its size and section table intact, is refused by
+// OpenGroup itself — the open that would serve it — with an error that
+// names the file and the section; the other shards still open.
+func TestOpenGroupRefusesFlippedPayloadByte(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(src, testModel(40, 5, 3, 60, 17)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	man, err := Split(src, dir, 6, SplitOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := ShardPath(dir, 6, 1)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A file ends where its last payload does.
+	raw[len(raw)-1] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if sums, size, err := store.FileSections(path); err != nil || size != man.Ranges[1].File.Size || !slices.Equal(sums, man.Ranges[1].File.Sections) {
+		t.Fatalf("the flipped file no longer matches its entry's size and table (%v)", err)
+	}
+	g, err := OpenGroup(dir, man, 1)
+	if err == nil {
+		g.Close()
+		t.Fatal("OpenGroup served a shard file with a flipped payload byte")
+	}
+	secs := man.Ranges[1].File.Sections
+	var bad *fs.PathError
+	if !errors.As(err, &bad) || bad.Path != path || !strings.Contains(err.Error(), fmt.Sprintf("section %q", secs[len(secs)-1].Tag)) {
+		t.Fatalf("OpenGroup's error %q does not name %s and its last section", err, path)
+	}
+	for _, k := range []int{0, 2} {
+		g, err := OpenGroup(dir, man, k)
+		if err != nil {
+			t.Fatalf("shard %d: %v", k, err)
+		}
+		g.Close()
 	}
 }
 
@@ -397,14 +455,14 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyAgainstManifest(GlobalPath(dir, gen), man.Global); err != nil {
+		if err := checkFile(dir, man.Global); err != nil {
 			t.Fatalf("gen %d global: %v", gen, err)
 		}
-		if err := VerifyAgainstManifest(StatePath(dir, gen), *man.State); err != nil {
+		if err := checkFile(dir, *man.State); err != nil {
 			t.Fatalf("gen %d state: %v", gen, err)
 		}
 		for i := range man.Ranges {
-			if err := VerifyAgainstManifest(ShardPath(dir, gen, i), man.Ranges[i].File); err != nil {
+			if err := checkFile(dir, man.Ranges[i].File); err != nil {
 				t.Fatalf("gen %d shard %d: %v", gen, i, err)
 			}
 		}
@@ -603,7 +661,7 @@ func TestDocWindowGroupOpens(t *testing.T) {
 		t.Fatalf("decoded a state entry %+v from a manifest without one", oldMan.State)
 	}
 	for k := 0; k < man.Shards; k++ {
-		if err := VerifyAgainstManifest(ShardPath(oldDir, 5, k), oldMan.Ranges[k].File); err != nil {
+		if err := checkFile(oldDir, oldMan.Ranges[k].File); err != nil {
 			t.Fatal(err)
 		}
 		g, err := OpenGroup(dir, man, k)
@@ -1088,7 +1146,7 @@ func TestPublishWhole(t *testing.T) {
 		t.Fatalf("group info %+v, want %+v", g.Info, want)
 	}
 
-	if err := VerifyAgainstManifest(full, man.Global); err != nil {
+	if err := checkFile(dir, man.Global); err != nil {
 		t.Fatal(err)
 	}
 	Prune(dir, 4)

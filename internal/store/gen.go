@@ -82,30 +82,3 @@ func ScanGenerations(dir string) ([]GenFile, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].Generation < out[j].Generation })
 	return out, nil
 }
-
-// VerifyV2File checks the full integrity of a v2 snapshot: the section
-// table CRC (as every reader does), then every payload CRC — the O(model)
-// pass Open deliberately skips — and every section's structure, through
-// the section decoder LoadFile and Open use. This is the check a replica
-// runs after fetching a generation or shard file and before mapping it,
-// so a torn download or bit-rotted byte is caught once at distribution
-// time rather than surfacing as a wrong answer in some query later. It
-// does not require a whole model: a shard file holds only some sections.
-// The checks run over a read-only mapping of the file, so the heap cost
-// does not grow with the file, and the read that checks every byte also
-// leaves them in the page cache for the mapping the caller opens next.
-func VerifyV2File(path string) error {
-	data, mapped, err := mapFile(path)
-	if err == nil {
-		err = readV2Sections(data, true, &assembly{checkOnly: true})
-		if mapped {
-			if uerr := unmapFile(data); err == nil {
-				err = uerr
-			}
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("store: verifying %s: %w", path, err)
-	}
-	return nil
-}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/core"
@@ -15,11 +13,12 @@ import (
 )
 
 // MappedModel is a core.Model whose big numeric blocks alias a read-only
-// memory mapping of a v2 snapshot file. Opening one is O(1) in the number
-// of users, words and documents — no element of Π, Φ or the document
-// arrays is copied or even read; the work is the section table and the
-// O(|Z|·|C|²) prediction caches — and the resident cost of the parameter
-// matrices is whatever pages queries actually touch.
+// memory mapping of a v2 snapshot file, owned by the RawFile it wraps.
+// Opening one is O(1) in the number of users, words and documents — no
+// element of Π, Φ or the document arrays is copied or even read; the
+// work is the section table and the O(|Z|·|C|²) prediction caches — and
+// the resident cost of the parameter matrices is whatever pages queries
+// actually touch.
 //
 // Lifetime: the model's matrices are views into the mapping, so the model
 // MUST NOT be used after Close — a dereference into an unmapped page is a
@@ -35,12 +34,7 @@ import (
 type MappedModel struct {
 	Model *core.Model
 
-	path      string
-	data      []byte
-	mapped    bool // true: data is a real mapping; false: aligned heap copy
-	closeOnce sync.Once
-	closed    atomic.Bool
-	closeErr  error
+	raw *RawFile
 }
 
 // Open maps the v2 snapshot at path and returns a model whose matrices
@@ -58,55 +52,46 @@ type MappedModel struct {
 // (TestOpenAllocationsIndependentOfUsers, TestOpenHeapIndependentOfDocuments).
 func Open(path string) (*MappedModel, error) { return openMapped(path, false) }
 
-// OpenVerified is Open plus a check of every payload CRC over the very
-// mapping the model aliases: O(model), and no file renamed into place
-// after the check can be the one served.
+// OpenVerified is Open plus RawFile.Check over the very mapping the model
+// aliases: O(model), and no file renamed into place after the check can
+// be the one served.
 func OpenVerified(path string) (*MappedModel, error) { return openMapped(path, true) }
 
 func openMapped(path string, verify bool) (*MappedModel, error) {
-	data, mapped, err := mapFile(path)
+	rf, err := OpenRawFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
+		return nil, err
 	}
-	mm := &MappedModel{path: path, data: data, mapped: mapped}
-	a := &assembly{}
-	err = readV2Sections(data, verify, a)
+	if verify {
+		err = rf.Check()
+	}
+	var m *core.Model
 	if err == nil {
-		mm.Model, err = a.model()
+		m, err = AssembleRawModel(rf.Sections())
 	}
 	if err != nil {
-		mm.Close()
+		rf.Close()
 		return nil, fmt.Errorf("store: opening %s: %w", path, err)
 	}
-	return mm, nil
+	return &MappedModel{Model: m, raw: rf}, nil
 }
 
 // Close releases the mapping. The model (and every view derived from it)
 // must not be touched afterwards. Close is idempotent.
-func (mm *MappedModel) Close() error {
-	mm.closeOnce.Do(func() {
-		data := mm.data
-		mm.data = nil
-		if mm.mapped && data != nil {
-			mm.closeErr = unmapFile(data)
-		}
-		mm.closed.Store(true)
-	})
-	return mm.closeErr
-}
+func (mm *MappedModel) Close() error { return mm.raw.Close() }
 
 // Closed reports whether Close has completed (the refcount tests' probe).
-func (mm *MappedModel) Closed() bool { return mm.closed.Load() }
+func (mm *MappedModel) Closed() bool { return mm.raw.closed.Load() }
 
 // Path returns the snapshot file the model was opened from.
-func (mm *MappedModel) Path() string { return mm.path }
+func (mm *MappedModel) Path() string { return mm.raw.Path() }
 
 // Mapped reports whether the model really aliases a kernel mapping
 // (false on the aligned-copy fallback platforms).
-func (mm *MappedModel) Mapped() bool { return mm.mapped }
+func (mm *MappedModel) Mapped() bool { return mm.raw.Mapped() }
 
 // MappedBytes returns the size of the mapping backing the matrices.
-func (mm *MappedModel) MappedBytes() int64 { return int64(len(mm.data)) }
+func (mm *MappedModel) MappedBytes() int64 { return mm.raw.SizeBytes() }
 
 // HeapBytes returns the approximate heap footprint of the model's rebuilt
 // prediction caches — the part of a mapped model that is NOT backed by
@@ -123,9 +108,6 @@ type assembly struct {
 	// not v2's 64-byte header) and numeric data never aliased — v1
 	// payloads have no alignment guarantee.
 	v1 bool
-	// checkOnly runs every section check for a caller that discards the
-	// model (VerifyV2File), so a DOCB that cannot alias is not converted.
-	checkOnly bool
 }
 
 // section decodes one payload into its block of the model; a later
@@ -236,9 +218,7 @@ func (a *assembly) section(tag string, payload []byte) error {
 		if !holds(data, dims[0], 8) {
 			return fail("slice header %d disagrees with %d payload bytes", dims[0], len(payload))
 		}
-		if !a.checkOnly {
-			m.DocBucket = numeric[int](data, !a.v1)
-		}
+		m.DocBucket = numeric[int](data, !a.v1)
 	}
 	return nil
 }

@@ -16,9 +16,12 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -48,44 +51,74 @@ type RawSection struct {
 	Payload []byte
 }
 
-// RawFile is a v2 snapshot opened at the section level: the table is
-// checksum-verified and each payload is exposed as a byte slice aliasing
-// the read-only mapping (payload CRCs are NOT verified here, matching
-// Open; run VerifyV2File first when integrity matters).
+// RawFile is a v2 snapshot opened at the section level, and the one type
+// in the tree that owns a v2 mapping: a MappedModel wraps one, and a
+// shard.Group holds one per file. Opening checks the table's CRC; each
+// payload is exposed as a byte slice aliasing the read-only mapping, and
+// Check walks the payload CRCs over that same mapping — the only place
+// they are checked — so a caller that serves the RawFile it checked
+// serves exactly the bytes that passed.
 type RawFile struct {
 	path      string
 	data      []byte
 	mapped    bool
+	sums      []SectionSum
 	sections  []RawSection
 	closeOnce sync.Once
+	closed    atomic.Bool
 	closeErr  error
 }
 
 // OpenRawFile maps the v2 snapshot at path and parses its section table.
+// Its errors are *fs.PathError values naming path.
 func OpenRawFile(path string) (*RawFile, error) {
 	data, mapped, err := mapFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
+		return nil, &fs.PathError{Op: "store: mapping", Path: path, Err: err}
 	}
-	rf := &RawFile{path: path, data: data, mapped: mapped}
-	if err := rf.parse(); err != nil {
-		rf.Close()
-		return nil, fmt.Errorf("store: opening %s: %w", path, err)
+	rf, err := parseRaw(data)
+	if err != nil {
+		if mapped {
+			unmapFile(data)
+		}
+		return nil, &fs.PathError{Op: "store: opening", Path: path, Err: err}
+	}
+	rf.path, rf.mapped = path, mapped
+	return rf, nil
+}
+
+// parseRaw is the table-to-sections step every v2 reader shares: it
+// parses the header and table at the front of data (8-byte aligned: a
+// mapping, or readAligned's memory) and slices each payload out of data.
+// It reads no payload.
+func parseRaw(data []byte) (*RawFile, error) {
+	entries, err := readV2Table(bytes.NewReader(data), uint64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	rf := &RawFile{data: data, sums: sectionSums(entries), sections: make([]RawSection, len(entries))}
+	for i, ent := range entries {
+		rf.sections[i] = RawSection{Tag: ent.tag, Payload: data[ent.off : ent.off+ent.size : ent.off+ent.size]}
 	}
 	return rf, nil
 }
 
-func (rf *RawFile) parse() error {
-	entries, err := readV2Table(bytes.NewReader(rf.data), uint64(len(rf.data)))
-	if err != nil {
-		return err
-	}
-	rf.sections = make([]RawSection, len(entries))
-	for i, ent := range entries {
-		rf.sections[i] = RawSection{Tag: ent.tag, Payload: rf.data[ent.off : ent.off+ent.size : ent.off+ent.size]}
+// Check verifies every payload against the CRC its table entry records —
+// the O(file) pass opening skips — over the bytes the sections alias.
+// Unknown sections and sections a caller leaves out of its model are
+// checked like the rest.
+func (rf *RawFile) Check() error {
+	for i, s := range rf.sections {
+		if got, want := crc32.ChecksumIEEE(s.Payload), rf.sums[i].CRC; got != want {
+			return fmt.Errorf("store: section %q: checksum mismatch (payload %08x, stored %08x)", s.Tag, got, want)
+		}
 	}
 	return nil
 }
+
+// Sums returns each section's tag, payload size and payload CRC as the
+// table records them, in table order.
+func (rf *RawFile) Sums() []SectionSum { return rf.sums }
 
 // Sections returns the file's sections in table order. The payloads alias
 // the mapping.
@@ -119,6 +152,7 @@ func (rf *RawFile) Close() error {
 		if rf.mapped && data != nil {
 			rf.closeErr = unmapFile(data)
 		}
+		rf.closed.Store(true)
 	})
 	return rf.closeErr
 }
@@ -175,9 +209,9 @@ func WriteRawFile(path string, secs []RawSection) error {
 
 // AssembleRawModel builds a model from an arbitrary section set (e.g.
 // the merged sections of a shard group's global and user-shard files)
-// through the same section decoder and checks as Open: numeric payloads
-// are aliased in place where the host allows, so the payload slices must
-// stay valid for the model's lifetime, and payload CRCs are not checked.
+// through the one section decoder: numeric payloads are aliased in place
+// where the host allows, so the payload slices must stay valid for the
+// model's lifetime. Payload CRCs are RawFile.Check's business.
 func AssembleRawModel(secs []RawSection) (*core.Model, error) {
 	a := &assembly{}
 	for _, sec := range secs {
@@ -215,11 +249,15 @@ func FileSections(path string) ([]SectionSum, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: reading %s: %w", path, err)
 	}
+	return sectionSums(entries), fi.Size(), nil
+}
+
+func sectionSums(entries []v2Entry) []SectionSum {
 	sums := make([]SectionSum, len(entries))
 	for i, ent := range entries {
 		sums[i] = SectionSum{Tag: ent.tag, Size: ent.size, CRC: ent.crc}
 	}
-	return sums, fi.Size(), nil
+	return sums
 }
 
 // tagSet builds the subset-plan filter from a tag list.

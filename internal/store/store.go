@@ -144,11 +144,14 @@ func LoadFile(path string) (*core.Model, error) {
 func load(data []byte) (*core.Model, error) {
 	switch {
 	case isV2(data):
-		a := &assembly{}
-		if err := readV2Sections(data, true, a); err != nil {
+		rf, err := parseRaw(data)
+		if err == nil {
+			err = rf.Check()
+		}
+		if err != nil {
 			return nil, err
 		}
-		return a.model()
+		return AssembleRawModel(rf.Sections())
 	case bytes.HasPrefix(data, []byte(magic[:6])):
 		return decodeV1(data)
 	}

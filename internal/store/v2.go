@@ -34,16 +34,20 @@ package store
 //	DOCC/DOCZ    64-byte header {n u64}, then n int32
 //	DOCB         64-byte header {n u64}, then n int64
 //
-// Reading: readV2Table is the one header+table parser, and the section
-// decoder in mapped.go turns each payload into a model block. The table
-// CRC is always verified (a torn or corrupt table can never be walked).
-// LoadFile, LoadBytes, VerifyV2File and OpenVerified also verify every
-// payload CRC; Open and AssembleRawModel skip that by design — an O(model)
-// checksum pass would defeat the O(1) map — so they trust the payload
-// bytes the way any mmap-consuming system does, and are for files the
-// caller wrote or checked itself. Every reader applies the
-// same structural checks, so apart from payload bit-flips they accept and
-// reject the same files. Unknown tags are skipped (forward compatibility).
+// Reading: readV2Table is the one header+table parser, and RawFile (raw.go)
+// the one reader over it: it owns the mapping (or, for LoadFile and
+// LoadBytes, the aligned heap copy), slices the payloads out of it, and
+// its Check is the one payload-CRC walk. The section decoder in mapped.go
+// turns each payload into a model block. The table CRC is always verified
+// (a torn or corrupt table can never be walked). LoadFile, LoadBytes and
+// OpenVerified also run Check, and so does shard.OpenGroup, against the
+// manifest's sums; Open and AssembleRawModel skip it by design — an
+// O(model) checksum pass would defeat the O(1) map — so they trust the
+// payload bytes the way any mmap-consuming system does, and are for files
+// the caller wrote or checked itself. Every reader applies the same
+// structural checks to the sections it assembles, so apart from payload
+// bit-flips they accept and reject the same files. Unknown tags are
+// skipped (forward compatibility), though Check covers them.
 
 import (
 	"bufio"
@@ -505,29 +509,6 @@ func readV2Table(r io.ReaderAt, size uint64) ([]v2Entry, error) {
 		entries[i] = ent
 	}
 	return entries, nil
-}
-
-// readV2Sections parses the v2 snapshot held in data (8-byte aligned, a
-// mapping or readAligned's memory) and hands every section to a's
-// section decoder. With verify, each payload's CRC is checked first — the
-// O(model) pass the mapped readers skip by design.
-func readV2Sections(data []byte, verify bool, a *assembly) error {
-	entries, err := readV2Table(bytes.NewReader(data), uint64(len(data)))
-	if err != nil {
-		return err
-	}
-	for _, ent := range entries {
-		payload := data[ent.off : ent.off+ent.size : ent.off+ent.size]
-		if verify {
-			if got := crc32.ChecksumIEEE(payload); got != ent.crc {
-				return fmt.Errorf("store: section %q: checksum mismatch (payload %08x, stored %08x)", ent.tag, got, ent.crc)
-			}
-		}
-		if err := a.section(ent.tag, payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SaveV2 writes m to path as a v2 (mmap-ready) snapshot, atomically and

@@ -271,8 +271,12 @@ func TestUnpatchedV2Rejected(t *testing.T) {
 			rf.Close()
 			t.Errorf("%d unpatched bytes accepted by OpenRawFile", n)
 		}
-		if err := VerifyV2File(path); err == nil {
-			t.Errorf("%d unpatched bytes accepted by VerifyV2File", n)
+		if rf, err := OpenRawFile(path); err == nil {
+			err = rf.Check()
+			rf.Close()
+			if err == nil {
+				t.Errorf("%d unpatched bytes accepted by OpenRawFile+Check", n)
+			}
 		}
 		if _, err := LoadFile(path); err == nil {
 			t.Errorf("%d unpatched bytes accepted by LoadFile", n)

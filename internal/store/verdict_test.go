@@ -11,7 +11,7 @@ import (
 )
 
 // verdictReader is one way into a v2 snapshot. verifies marks the readers
-// that check every payload CRC; the mapped ones skip that by design.
+// that run RawFile.Check; Open and an unchecked RawFile skip it by design.
 type verdictReader struct {
 	name     string
 	verifies bool
@@ -27,7 +27,7 @@ var verdictReaders = []verdictReader{
 		_, err := LoadFile(path)
 		return err
 	}},
-	{"VerifyV2File", true, func(_ []byte, path string) error { return VerifyV2File(path) }},
+	{"OpenVerified", true, func(_ []byte, path string) error { return openVerified(path) }},
 	{"Open", false, func(_ []byte, path string) error {
 		mm, err := Open(path)
 		if err == nil {
@@ -35,15 +35,29 @@ var verdictReaders = []verdictReader{
 		}
 		return err
 	}},
+	{"OpenRawFile+Check+AssembleRawModel", true, func(_ []byte, path string) error {
+		return assembleRaw(path, true)
+	}},
 	{"OpenRawFile+AssembleRawModel", false, func(_ []byte, path string) error {
-		rf, err := OpenRawFile(path)
-		if err != nil {
+		return assembleRaw(path, false)
+	}},
+}
+
+// assembleRaw opens path at the section level, runs RawFile.Check when
+// check is set, and assembles every section into a model.
+func assembleRaw(path string, check bool) error {
+	rf, err := OpenRawFile(path)
+	if err != nil {
+		return err
+	}
+	defer rf.Close()
+	if check {
+		if err := rf.Check(); err != nil {
 			return err
 		}
-		defer rf.Close()
-		_, err = AssembleRawModel(rf.Sections())
-		return err
-	}},
+	}
+	_, err = AssembleRawModel(rf.Sections())
+	return err
 }
 
 // verdictCase is one input of the table: whether a reader must accept it,
@@ -163,7 +177,7 @@ func verdictCases(t *testing.T) []verdictCase {
 // disagrees with its payload, a broken table, a truncation — is rejected
 // by all of them and a valid file with an unknown section accepted by
 // all. A payload bit flip is rejected by the readers that verify payload
-// CRCs; the mapped readers are exempt by design. The table runs twice:
+// CRCs; Open and an unchecked RawFile are exempt by design. The table runs twice:
 // with numeric blocks aliased where the host allows, and converted as on
 // a big-endian host.
 func TestReadersAgreeOnEveryFault(t *testing.T) {
@@ -218,8 +232,9 @@ func TestAliasedBlocksHaveNoSpareCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	start := uintptr(unsafe.Pointer(&mm.data[0]))
-	if p := uintptr(unsafe.Pointer(&mm.Model.Pi.Data[0])); aliasNumeric && (p < start || p >= start+uintptr(len(mm.data))) {
+	data := mm.raw.data
+	start := uintptr(unsafe.Pointer(&data[0]))
+	if p := uintptr(unsafe.Pointer(&mm.Model.Pi.Data[0])); aliasNumeric && (p < start || p >= start+uintptr(len(data))) {
 		t.Fatal("Open's Π does not alias the snapshot bytes on an aliasing host")
 	}
 	loaded, err := LoadFile(path)
