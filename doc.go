@@ -9,8 +9,8 @@
 // visualization), a benchmark harness that regenerates every table and
 // figure of the paper's evaluation section on synthetic Twitter-like and
 // DBLP-like workloads, and an online serving layer: versioned binary
-// model snapshots (internal/store) — the 64-byte-aligned v2 layout that
-// store.Open serves zero-copy from a memory mapping — and a concurrent
+// model snapshots (internal/store) — the 64-byte-aligned v2 layout,
+// served zero-copy from a checked memory mapping — and a concurrent
 // query engine hosting named,
 // refcount-hot-swappable snapshots with a flat top-K user index, an
 // inverted rank index and fold-in inference for unseen users

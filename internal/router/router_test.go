@@ -15,6 +15,7 @@ import (
 	"repro/internal/quality"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 // fakeReplica is a scripted backend: it answers /api/generation with its
@@ -624,9 +625,13 @@ func TestProxyFreshestRelaysAndFailsOver(t *testing.T) {
 		m := serve.SyntheticModel(30, 5, 4, 60, seed)
 		e := serve.NewMulti(serve.Options{})
 		t.Cleanup(e.Close)
-		s := e.BuildSnapshot(serve.DefaultSnapshot, m, nil, nil)
-		s.Generation = gen
-		e.Promote(s)
+		path := store.GenPath(t.TempDir(), gen)
+		if err := store.SaveV2(path, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.LoadGeneration(serve.DefaultSnapshot, path, nil, gen); err != nil {
+			t.Fatal(err)
+		}
 		r := quality.FromModel(m, nil, nil)
 		r.Generation = gen
 		e.RecordQuality(serve.DefaultSnapshot, r)

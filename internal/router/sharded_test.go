@@ -90,7 +90,7 @@ func newShardFleet(t *testing.T, wrap func(i int, h http.Handler) http.Handler) 
 		}
 		e := serve.NewMulti(serve.Options{})
 		t.Cleanup(e.Close)
-		e.PromoteShardGroup(serve.DefaultSnapshot, g, nil, 1)
+		e.PromoteGroup(serve.DefaultSnapshot, g, nil, 1, nil)
 		hits := &pathHits{n: map[string]int{}}
 		f.hits = append(f.hits, hits)
 		api := serve.APIHandler(e, nil)

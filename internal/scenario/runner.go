@@ -316,14 +316,16 @@ func checkFoldInDeterminism(e *serve.Engine, b *Bundle) error {
 
 // checkMappedPath verifies the zero-copy serving path end to end: the
 // model round-trips bit-identically through the v2 snapshot at v2Path
-// opened via store.Open, a multi-snapshot engine serving the mapped model
-// answers rank/membership/fold-in queries identically to the heap engine,
-// and a mapped hot-reload mid-flight leaves answers unchanged.
+// opened via store.Open, a multi-snapshot engine serving the file through
+// LoadGeneration answers rank/membership/fold-in queries identically to
+// the heap engine, and a mapped hot-reload mid-flight leaves answers
+// unchanged.
 func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bundle) error {
 	mm, err := store.Open(v2Path)
 	if err != nil {
 		return fmt.Errorf("v2 snapshot open failed: %w", err)
 	}
+	defer mm.Close()
 	if err := equalModels(model, mm.Model); err != nil {
 		return fmt.Errorf("mapped model: %v", err)
 	}
@@ -332,7 +334,9 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 		PostingsPerWord: model.Cfg.NumCommunities,
 	})
 	defer engine.Close()
-	engine.SwapMapped("mapped", mm, b.Vocab)
+	if _, err := engine.LoadGeneration("mapped", v2Path, b.Vocab, 0); err != nil {
+		return fmt.Errorf("mapped load failed: %w", err)
+	}
 
 	// Probe queries must answer identically through heap and mapped
 	// engines (same model bits, same index construction).

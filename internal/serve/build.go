@@ -13,10 +13,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// Snapshot construction. Engine.BuildSnapshot is the one way a snapshot
-// comes to be: every loader (LoadGeneration, PromoteShardGroup, SwapMapped,
-// SwapNamed, the stream publisher) hands it a model, and it decides what
-// the slot's current snapshot lets it keep. A caller that knows what
+// Snapshot construction. buildSnapshot is the one way a snapshot comes to
+// be: both installs (SwapNamed for a heap model, PromoteGroup for a checked
+// file group — LoadGeneration, the replicas, the stream publisher) hand it
+// a model, and it decides what the slot's current snapshot lets it keep.
+// A caller that knows what
 // changed passes a Delta — O(changed), nothing is compared. A caller that
 // does not passes nil and the delta is derived from the bytes (deriveDelta):
 // one memcmp pass over the blocks plus the rows that differ, against
@@ -56,26 +57,23 @@ type BuildInfo struct {
 	Words int `json:"words"`
 }
 
-// BuildSnapshot constructs — without publishing — a snapshot of m for the
-// named slot. With a snapshot already in the slot its derived state is
-// patched (PatchFrom): by *delta when the caller supplies one, by a delta
-// derived from the bytes when delta is nil or was computed against another
-// snapshot than the one now in the slot (Delta.Base). With an empty slot,
-// or when the derivation finds a difference patching cannot express, the
-// snapshot is built from scratch; Snapshot.Build says which happened and
-// why. Either way the result is bit-identical to a from-scratch build.
-//
-// The caller publishes the snapshot with Promote or must Release it if
-// abandoned. Splitting construction from promotion lets callers time the
-// two phases separately and attach a mapped backing
-// (Snapshot.AttachMapped) before the snapshot goes live.
+// BuildSnapshot is buildSnapshot for the benchmark harness, which times
+// index builds through it; the caller must Release the result.
 func (e *Engine) BuildSnapshot(name string, m *core.Model, vocab *corpus.Vocabulary, delta *Delta) *Snapshot {
 	return e.buildSnapshot(name, m, vocab, delta, nil)
 }
 
-// buildSnapshot is BuildSnapshot for a model that may be one shard of a
-// sharded generation (sh non-nil): the shard identity takes part in the
-// derivation and is attached to the result.
+// buildSnapshot constructs — without publishing — a snapshot of m for the
+// named slot; sh, when non-nil, is the shard of a sharded generation m
+// holds, which takes part in the derivation and is attached to the result.
+// With a snapshot already in the slot its derived state is patched
+// (PatchFrom): by *delta when the caller supplies one, by a delta derived
+// from the bytes when delta is nil or was computed against another
+// snapshot than the one now in the slot (Delta.Base). With an empty slot,
+// or when the derivation finds a difference patching cannot express, the
+// snapshot is built from scratch; Snapshot.Build says which happened and
+// why. Either way the result is bit-identical to a from-scratch build.
+// The caller publishes the snapshot or must Release it if abandoned.
 func (e *Engine) buildSnapshot(name string, m *core.Model, vocab *corpus.Vocabulary, delta *Delta, sh *shard.Info) *Snapshot {
 	start := time.Now()
 	var s *Snapshot

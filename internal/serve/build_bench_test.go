@@ -18,7 +18,7 @@ import (
 //   - adopt-globals: a successor whose Θ moved (a delta-Gibbs publish):
 //     the compare pass finds it and everything is rebuilt.
 //
-// The adopt cases pass no delta: BuildSnapshot derives it from the bytes.
+// The adopt cases pass no delta: buildSnapshot derives it from the bytes.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	const users, C, Z, V = 20000, 64, 32, 20000
 	base := SyntheticModel(users, C, Z, V, 2017)
@@ -53,7 +53,7 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := e.BuildSnapshot(slot, next, nil, nil)
+				s := e.buildSnapshot(slot, next, nil, nil, nil)
 				if s.build.Kind != bc.kind {
 					b.Fatalf("built %q (%s), want %q", s.build.Kind, s.build.Reason, bc.kind)
 				}

@@ -259,7 +259,7 @@ func testFoldInAgainstReference(t *testing.T, m *core.Model, minDocs, trials int
 		refined.Phi.Data[i] *= 1 + float64(i%7)/8
 	}
 	refined.Rehydrate()
-	refinedSnap := e.BuildSnapshot(DefaultSnapshot, &refined, nil, nil)
+	refinedSnap := e.buildSnapshot(DefaultSnapshot, &refined, nil, nil, nil)
 	if b := refinedSnap.Build(); b.Kind != BuildFull || b.Reason != reasonGlobals {
 		t.Fatalf("the re-estimated model was adopted as %+v, want a full build", b)
 	}

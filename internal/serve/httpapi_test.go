@@ -201,9 +201,9 @@ func TestAPIHandlerErrorPaths(t *testing.T) {
 	m := SyntheticModel(20, 6, 4, 80, 11)
 	e := NewMulti(Options{})
 	t.Cleanup(e.Close)
-	s := e.BuildSnapshot(DefaultSnapshot, m, nil, nil)
+	s := e.buildSnapshot(DefaultSnapshot, m, nil, nil, nil)
 	s.Generation = 5 // so that rows can match it, and miss it, without being zero
-	e.Promote(s)
+	e.publish(s)
 	reloadErr := error(nil)
 	h := APIHandler(e, func() error { return reloadErr })
 

@@ -33,7 +33,7 @@ import (
 // touches d words cost O(d·|C|·|Z|) plus one O(|W|) header copy instead
 // of a full O(|W|·|C|·(|Z|+perWord)) rebuild. Which words to list is the
 // caller's knowledge or, failing that, one byte comparison of Φ
-// (Engine.BuildSnapshot); when Θ or η moved, every column of S did and
+// (buildSnapshot); when Θ or η moved, every column of S did and
 // the index is rebuilt.
 type RankIndex struct {
 	numWords int

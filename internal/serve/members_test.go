@@ -47,11 +47,11 @@ func TestCommunityMembers(t *testing.T) {
 		{"patched", grown, func(t *testing.T) []view {
 			e := New(base, nil, Options{})
 			t.Cleanup(e.Close)
-			s := e.BuildSnapshot(DefaultSnapshot, grown, nil, &Delta{Users: dirty})
+			s := e.buildSnapshot(DefaultSnapshot, grown, nil, &Delta{Users: dirty}, nil)
 			if b := s.Build(); b.Kind != BuildPatched {
 				t.Fatalf("successor built %+v, want a patch", b)
 			}
-			e.Promote(s)
+			e.publish(s)
 			return []view{{"patched", acquireView(t, e), 0, grown.NumUsers}}
 		}},
 		{"sharded", base, func(t *testing.T) []view {
@@ -72,7 +72,7 @@ func TestCommunityMembers(t *testing.T) {
 				}
 				e := NewMulti(Options{})
 				t.Cleanup(e.Close)
-				e.PromoteShardGroup(DefaultSnapshot, g, nil, 1)
+				e.PromoteGroup(DefaultSnapshot, g, nil, 1, nil)
 				out = append(out, view{fmt.Sprintf("shard %d", i), acquireView(t, e), rg.UserLo, rg.UserHi})
 			}
 			return out

@@ -254,7 +254,7 @@ func TestPatchFromFallbacks(t *testing.T) {
 }
 
 // TestSwapPatchedMatchesSwapNamed drives the engine-level API: a chain
-// of delta-carrying BuildSnapshot+Promote publishes must serve results
+// of delta-carrying buildSnapshot+publish installs must serve results
 // deep-equal to an engine fully rebuilt at each step (modulo the version
 // counter).
 func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
@@ -275,7 +275,7 @@ func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 			dirty = append(dirty, int32(u))
 		}
 		next.Rehydrate()
-		inc.Promote(inc.BuildSnapshot(DefaultSnapshot, next, nil, &Delta{Users: dirty}))
+		inc.publish(inc.buildSnapshot(DefaultSnapshot, next, nil, &Delta{Users: dirty}, nil))
 		ref.SwapNamed(DefaultSnapshot, next, nil)
 		m = next
 
@@ -481,16 +481,16 @@ func TestBuildSnapshotDerivedDelta(t *testing.T) {
 			}
 			e := NewMulti(opts)
 			defer e.Close()
-			first := e.BuildSnapshot(DefaultSnapshot, prev, vocab, nil)
+			first := e.buildSnapshot(DefaultSnapshot, prev, vocab, nil, nil)
 			if b := first.Build(); b.Kind != BuildFull || b.Reason != reasonNoPredecessor || b.Users != users || b.Words != V {
 				t.Fatalf("first build into an empty slot reports %+v", b)
 			}
-			e.Promote(first)
+			e.publish(first)
 			next, nextVocab := tc.next(prev, r)
 			if nextVocab == nil {
 				nextVocab = vocab
 			}
-			got := e.BuildSnapshot(DefaultSnapshot, next, nextVocab, nil)
+			got := e.buildSnapshot(DefaultSnapshot, next, nextVocab, nil, nil)
 			defer got.Release()
 			scratch := newSnapshot(next, nextVocab, DefaultSnapshot, 0, e.opts)
 			defer scratch.Release()
@@ -532,14 +532,14 @@ func TestBuildSnapshotDerivedChain(t *testing.T) {
 			next.Phi.Row(r.Intn(Z))[w] *= 1.5
 			wantWords++
 		}
-		got := e.BuildSnapshot(DefaultSnapshot, next, nil, nil)
+		got := e.buildSnapshot(DefaultSnapshot, next, nil, nil, nil)
 		scratch := newSnapshot(next, nil, DefaultSnapshot, 0, e.opts)
 		requireSameSnapshot(t, got, scratch)
 		scratch.Release()
 		if b := got.Build(); b.Kind != BuildPatched || b.Users != wantUsers || b.Words != wantWords {
 			t.Fatalf("round %d: build %+v, want %d users and %d words patched", round, b, wantUsers, wantWords)
 		}
-		e.Promote(got)
+		e.publish(got)
 		m = next
 	}
 }
@@ -556,7 +556,7 @@ func TestBuildSnapshotExplicitDelta(t *testing.T) {
 
 	next := clonePatchModel(m)
 	randomizePiRow(next.Pi.Row(9), r)
-	s := e.BuildSnapshot(DefaultSnapshot, next, nil, &Delta{Users: []int32{9}, Base: base})
+	s := e.buildSnapshot(DefaultSnapshot, next, nil, &Delta{Users: []int32{9}, Base: base}, nil)
 	if b := s.Build(); b.Kind != BuildPatched || b.Derived || b.Users != 1 {
 		t.Fatalf("explicit delta against the live snapshot: %+v", b)
 	}
@@ -567,7 +567,7 @@ func TestBuildSnapshotExplicitDelta(t *testing.T) {
 	other := clonePatchModel(m)
 	randomizePiRow(other.Pi.Row(3), r)
 	e.SwapNamed(DefaultSnapshot, other, nil)
-	s = e.BuildSnapshot(DefaultSnapshot, next, nil, &Delta{Users: []int32{9}, Base: base})
+	s = e.buildSnapshot(DefaultSnapshot, next, nil, &Delta{Users: []int32{9}, Base: base}, nil)
 	scratch := newSnapshot(next, nil, DefaultSnapshot, 0, e.opts)
 	requireSameSnapshot(t, s, scratch)
 	if b := s.Build(); b.Kind != BuildPatched || !b.Derived || b.Users != 2 {
@@ -575,7 +575,7 @@ func TestBuildSnapshotExplicitDelta(t *testing.T) {
 	}
 	s.Release()
 
-	s = e.BuildSnapshot(DefaultSnapshot, next, nil, &Delta{Globals: true})
+	s = e.buildSnapshot(DefaultSnapshot, next, nil, &Delta{Globals: true}, nil)
 	requireSameSnapshot(t, s, scratch)
 	if b := s.Build(); b.Kind != BuildFull || b.Reason != reasonGlobals || b.Derived {
 		t.Fatalf("Globals delta: %+v", b)
@@ -611,7 +611,7 @@ func TestBuildSnapshotShardIdentity(t *testing.T) {
 	e := NewMulti(Options{})
 	defer e.Close()
 	info := shard.Info{Index: 1, Count: 3, UserLo: 40, UserHi: 80, TotalUsers: 120}
-	e.Promote(e.buildSnapshot(DefaultSnapshot, m, nil, nil, &info))
+	e.publish(e.buildSnapshot(DefaultSnapshot, m, nil, nil, &info))
 	for _, tc := range []struct {
 		name   string
 		next   *shard.Info

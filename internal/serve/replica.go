@@ -63,7 +63,7 @@ type FetchOptions struct {
 	// Shard is the shard index this replica owns (default 0). It fetches
 	// the manifest plus the global file and this shard's file, checks
 	// each against the manifest's per-section CRCs and promotes them as a
-	// unit (Engine.PromoteShardGroup), mapping ~(1/N of Π + the global
+	// unit (Engine.PromoteGroup), mapping ~(1/N of Π + the global
 	// sections). A one-shard generation's only shard is 0: its
 	// full file.
 	Shard int
@@ -259,34 +259,20 @@ func (f *Fetcher) poll() (uint64, error) {
 		}
 		return 0, fmt.Errorf("opening generation %d shard %d: %w", latest, f.opts.Shard, err)
 	}
-	f.e.PromoteShardGroup(f.opts.Snapshot, g, f.opts.Vocab, latest)
+	_, build := f.e.PromoteGroup(f.opts.Snapshot, g, f.opts.Vocab, latest, nil)
+	micros := time.Since(start).Microseconds()
 	f.mu.Lock()
 	f.global = man.Global
 	f.shards = man.Shards
+	f.lastPromoteMicros = micros
+	if build.Kind == BuildPatched {
+		f.patched++
+	}
 	f.mu.Unlock()
-	f.promoted(start)
 	if f.http && latest > uint64(f.opts.Keep) {
 		shard.Prune(f.opts.Dir, latest-uint64(f.opts.Keep))
 	}
 	return latest, nil
-}
-
-// promoted books the promote that began at start: its wall time, and
-// whether the snapshot now live was patched from its predecessor.
-func (f *Fetcher) promoted(start time.Time) {
-	micros := time.Since(start).Microseconds()
-	s, release, err := f.e.AcquireNamed(f.opts.Snapshot)
-	if err != nil {
-		return
-	}
-	patched := s.build.Kind == BuildPatched
-	release()
-	f.mu.Lock()
-	f.lastPromoteMicros = micros
-	if patched {
-		f.patched++
-	}
-	f.mu.Unlock()
 }
 
 // discover finds the newest generation the source offers.

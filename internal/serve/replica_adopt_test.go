@@ -276,7 +276,7 @@ func TestFetcherAdoptsShardsByPatch(t *testing.T) {
 		}
 		e := serve.NewMulti(serve.Options{})
 		t.Cleanup(e.Close)
-		e.PromoteShardGroup(serve.DefaultSnapshot, g, nil, gen)
+		e.PromoteGroup(serve.DefaultSnapshot, g, nil, gen, nil)
 		return e
 	}
 

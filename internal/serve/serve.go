@@ -4,9 +4,10 @@
 // is the engine such a service needs to hold up under load:
 //
 //   - one Engine hosts any number of named snapshots (e.g. per-region
-//     models); each lives behind an atomic pointer, so SwapNamed or
-//     LoadGeneration (the one loader of a model file) hot-swaps a model
-//     with zero downtime — in-flight queries keep the snapshot they
+//     models); each lives behind an atomic pointer, so SwapNamed (a heap
+//     model) or PromoteGroup (a checked file group; LoadGeneration picks
+//     between the two) hot-swaps a model with zero downtime — in-flight
+//     queries keep the snapshot they
 //     started on, and no query ever observes a torn mix of two models;
 //   - snapshots hold matrix *views*, not owned copies: a v2 file is
 //     served from its read-only mapping (only legacy v1 and JSON models
@@ -19,9 +20,8 @@
 //   - Eq. 19 community ranking runs over a precomputed inverted index
 //     (word → community posting lists, see RankIndex) instead of scoring
 //     every community against every topic per query;
-//   - that derived state has one builder, Engine.BuildSnapshot (build.go),
-//     behind every way a model reaches a slot — SwapNamed, SwapMapped,
-//     LoadGeneration, PromoteShardGroup, the stream publisher. It patches
+//   - that derived state has one builder, buildSnapshot (build.go),
+//     behind every way a model reaches a slot. It patches
 //     the slot's current snapshot wherever the new model's bytes equal the
 //     old one's, from a delta the caller supplies or one it derives by
 //     comparing the blocks, so adopting a generation costs what changed;
@@ -129,7 +129,7 @@ type Snapshot struct {
 	// built from (0 = not generation-tracked). Unlike Version — which is
 	// process-local — generations are assigned by the publisher and so
 	// compare across replicas; the distribution tier (serve.Fetcher,
-	// internal/router) keys freshness on it. Set it before Promote.
+	// internal/router) keys freshness on it.
 	Generation uint64
 	// Shard identifies the user range this snapshot owns when its model is
 	// a shard of a sharded generation (nil for full snapshots). User-scoped
@@ -163,8 +163,8 @@ type Snapshot struct {
 }
 
 // newSnapshot builds every derived structure from the model. Production
-// code reaches it through Engine.BuildSnapshot (and PatchFrom's fallback)
-// only; it is the reference the patch paths are held bit-identical to.
+// code reaches it through buildSnapshot (and PatchFrom's fallback) only;
+// it is the reference the patch paths are held bit-identical to.
 func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version uint64, opts Options) *Snapshot {
 	s := &Snapshot{
 		Model:    m,
@@ -190,7 +190,7 @@ func (s *Snapshot) Build() BuildInfo { return s.build }
 
 // derivedBytes is the heap accounting of a freshly built snapshot. Derived
 // state is always heap; the matrices count as heap until a mapped backing
-// is attached (AttachFiles subtracts them).
+// is attached (attach subtracts them).
 func (s *Snapshot) derivedBytes() int64 {
 	return s.Model.CacheBytes() + s.index.Bytes() + s.users.bytes() + 8*int64(len(s.logTheta)+len(s.logPhi)) + s.Model.MatrixBytes()
 }
@@ -202,7 +202,7 @@ func (s *Snapshot) derivedBytes() int64 {
 //
 // A delta must be complete: PatchFrom recomputes what it lists and
 // nothing else, so a changed row or column left out keeps its stale
-// entries. A caller that cannot vouch for that passes Engine.BuildSnapshot
+// entries. A caller that cannot vouch for that passes PromoteGroup
 // no delta and gets one derived from the bytes (deriveDelta), complete by
 // construction: every block derived state reads is compared exactly, and
 // whatever a Delta cannot name forces the full build.
@@ -219,7 +219,7 @@ type Delta struct {
 	// changed — forces a full rebuild of every derived structure.
 	Globals bool
 	// Base, when non-zero, is the Version of the snapshot the delta was
-	// computed against. Engine.BuildSnapshot honours the delta only while
+	// computed against. PromoteGroup honours the delta only while
 	// the slot still holds that snapshot; after an external swap (operator
 	// reload, another writer) it derives one from the bytes instead.
 	Base uint64
@@ -240,7 +240,7 @@ type Delta struct {
 // — delta.Globals, a changed community/topic/word count, or a shrunken
 // user set — PatchFrom falls back to a full build (Build().Reason says
 // which). It does not look at delta.Base or at shard identities: those
-// are Engine.BuildSnapshot's to check before it calls here.
+// are buildSnapshot's to check before it calls here.
 //
 // The returned snapshot is not yet published and carries one reference
 // (for the slot that will own it); callers that abandon it must Release
@@ -314,20 +314,13 @@ func normalizeDirty(users []int32, prevUsers int) []int32 {
 	return slices.Compact(out)
 }
 
-// AttachMapped records the mapped backing of the snapshot's model and
-// hands the snapshot ownership of mm (unmapped when the last reference
-// goes). Must run before the snapshot is published. On the aligned-copy
-// fallback (no real kernel mapping) the matrices stay accounted as heap
-// — which they are.
-func (s *Snapshot) AttachMapped(mm *store.MappedModel) {
-	s.AttachFiles(mm, mm.Mapped(), mm.MappedBytes())
-}
-
-// AttachFiles is AttachMapped generalized to any closer-backed matrix
-// storage — e.g. a shard group spanning two file mappings. closer is
-// closed when the last reference goes; mapped/mappedBytes describe
-// whether (and how much of) the backing is a real kernel mapping.
-func (s *Snapshot) AttachFiles(closer io.Closer, mapped bool, mappedBytes int64) {
+// attach hands the snapshot ownership of the file storage its matrices
+// alias: closer is closed when the last reference goes, and mapped and
+// mappedBytes say whether (and how much of) the backing is a real kernel
+// mapping. Must run before the snapshot is published. On the aligned-copy
+// fallback (no real kernel mapping) the matrices stay accounted as heap —
+// which they are.
+func (s *Snapshot) attach(closer io.Closer, mapped bool, mappedBytes int64) {
 	s.closer = closer
 	s.mapped = mapped
 	if mapped {
@@ -426,7 +419,7 @@ type slot struct {
 // Engine is the concurrent query engine: a set of named snapshot slots
 // plus the shared fold-in worker pool and latency counters. All methods
 // are safe for concurrent use, including concurrently with SwapNamed,
-// LoadGeneration, Promote or DropSnapshot on any slot.
+// PromoteGroup, LoadGeneration or DropSnapshot on any slot.
 type Engine struct {
 	opts Options
 
@@ -447,7 +440,7 @@ type Engine struct {
 
 	lat [epCount]hist.Atomic
 
-	// Snapshot-construction accounting (BuildSnapshot): builds by kind and
+	// Snapshot-construction accounting (buildSnapshot): builds by kind and
 	// their latency, whether or not the snapshot was then promoted.
 	patchedBuilds, fullBuilds atomic.Uint64
 	buildLat                  hist.Atomic
@@ -477,7 +470,7 @@ type Engine struct {
 }
 
 // NewMulti builds an engine with no snapshots; load them with SwapNamed,
-// SwapMapped or LoadGeneration under chosen names.
+// PromoteGroup or LoadGeneration under chosen names.
 func NewMulti(opts Options) *Engine {
 	e := &Engine{
 		opts:            opts.withDefaults(),
@@ -632,41 +625,42 @@ func (e *Engine) publish(s *Snapshot) uint64 {
 // in-process model and returns the new version. In-flight queries finish
 // on the snapshot they started with.
 func (e *Engine) SwapNamed(name string, m *core.Model, vocab *corpus.Vocabulary) uint64 {
-	return e.publish(e.BuildSnapshot(name, m, vocab, nil))
+	return e.publish(e.buildSnapshot(name, m, vocab, nil, nil))
 }
 
-// SwapMapped atomically replaces (or creates) the named snapshot with a
-// model opened from a mapped v2 snapshot file. The engine takes ownership
-// of mm: its mapping is closed when the snapshot is retired and the last
-// in-flight query releases it.
+// SwapMapped installs a model opened by store.Open, taking ownership of
+// mm. It stays for the benchmark harness, which predates PromoteGroup.
 func (e *Engine) SwapMapped(name string, mm *store.MappedModel, vocab *corpus.Vocabulary) uint64 {
-	s := e.BuildSnapshot(name, mm.Model, vocab, nil)
-	s.AttachMapped(mm)
+	s := e.buildSnapshot(name, mm.Model, vocab, nil, nil)
+	s.attach(mm, mm.Mapped(), mm.MappedBytes())
 	return e.publish(s)
 }
 
-// Promote atomically installs a snapshot from BuildSnapshot into its
-// named slot and returns the new version. In-flight queries finish on
-// the snapshot they started with.
-func (e *Engine) Promote(s *Snapshot) uint64 { return e.publish(s) }
-
-// PromoteShardGroup publishes an opened shard group (internal/shard) as
-// the named snapshot: local Π rows, full global sections,
-// with the shard identity attached so user-scoped queries translate
-// global ids and answer ErrNotOwned outside the owned range. The one
-// shard of a one-shard group holds every user, so it carries no identity
-// and serves as the full snapshot it is. The engine takes ownership of g
-// — its mappings close when the snapshot retires and the last in-flight
-// query drains.
-func (e *Engine) PromoteShardGroup(name string, g *shard.Group, vocab *corpus.Vocabulary, gen uint64) uint64 {
+// PromoteGroup, the one install for mapped files, installs a checked file
+// group (shard.OpenGroup, shard.OpenWhole) carrying gen as the named
+// snapshot and returns its version and how its derived state was built. A
+// shard of a several-shard group serves local Π rows with its identity
+// attached, so user-scoped queries translate global ids and answer
+// ErrNotOwned outside the owned range; a one-shard group serves as the
+// full snapshot it is. delta is what changed since the slot's snapshot,
+// or nil to derive it from the bytes. The engine takes ownership of g: its
+// mappings close when the snapshot retires and the last query drains.
+func (e *Engine) PromoteGroup(name string, g *shard.Group, vocab *corpus.Vocabulary, gen uint64, delta *Delta) (version uint64, build BuildInfo) {
 	sh := &g.Info
 	if g.Info.Count == 1 {
 		sh = nil
 	}
-	s := e.buildSnapshot(name, g.Model, vocab, nil, sh)
+	s := e.buildSnapshot(name, g.Model, vocab, delta, sh)
 	s.Generation = gen
-	s.AttachFiles(g, g.Mapped, g.MappedBytes)
-	return e.publish(s)
+	s.attach(g, g.Mapped, g.MappedBytes)
+	return e.publish(s), s.build
+}
+
+// PromoteShardGroup is PromoteGroup without a delta, for the benchmark
+// harness, which predates it.
+func (e *Engine) PromoteShardGroup(name string, g *shard.Group, vocab *corpus.Vocabulary, gen uint64) uint64 {
+	v, _ := e.PromoteGroup(name, g, vocab, gen, nil)
+	return v
 }
 
 // Drain flips the engine into draining mode: /healthz advertises it so
@@ -701,28 +695,27 @@ func (e *Engine) DropSnapshot(name string) bool {
 // the named slot (created if absent) with an already-parsed vocabulary
 // (nil disables free-text queries). A v2 file is served zero-copy from
 // its mapping, once every payload CRC has been checked over that same
-// mapping (store.OpenVerified); a legacy v1 or JSON file is copied onto
-// the heap (store.LoadFile). The promoted snapshot, and every result it
+// mapping (shard.OpenWhole); a legacy v1 or JSON file is copied onto the
+// heap (store.LoadFile). The promoted snapshot, and every result it
 // answers, carries gen, so freshness compares across replicas serving the
 // same publisher; gen 0 marks a snapshot that is not generation-tracked.
 // On error the serving state is left untouched.
 func (e *Engine) LoadGeneration(name, modelPath string, vocab *corpus.Vocabulary, gen uint64) (version uint64, err error) {
 	start := time.Now()
 	defer func() { e.lat[epReload].Observe(time.Since(start), err) }()
-	var m *core.Model
-	mm, err := store.OpenVerified(modelPath)
+	g, err := shard.OpenWhole(modelPath)
 	if err == nil {
-		m = mm.Model
-	} else if errors.Is(err, store.ErrNotV2) {
-		m, err = store.LoadFile(modelPath)
+		version, _ = e.PromoteGroup(name, g, vocab, gen, nil)
+		return version, nil
 	}
+	if !errors.Is(err, store.ErrNotV2) {
+		return 0, err
+	}
+	m, err := store.LoadFile(modelPath)
 	if err != nil {
 		return 0, err
 	}
-	s := e.BuildSnapshot(name, m, vocab, nil)
-	if mm != nil {
-		s.AttachMapped(mm)
-	}
+	s := e.buildSnapshot(name, m, vocab, nil, nil)
 	s.Generation = gen
 	return e.publish(s), nil
 }

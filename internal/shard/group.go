@@ -9,7 +9,7 @@ package shard
 // even when the one file is a full snapshot that holds them.
 // Membership and fold-in work for owned users; rank and diffusion scoring
 // are exact because they only read the global sections (plus membership
-// rows the caller supplies).
+// rows the caller supplies). OpenWhole opens a bare v2 file the same way.
 
 import (
 	"fmt"
@@ -50,32 +50,18 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 		return nil, fmt.Errorf("shard: index %d out of range (manifest has %d shards)", index, man.Shards)
 	}
 	r := man.Ranges[index]
-	global, err := openFile(dir, man.Global)
+	global, err := openFile(filepath.Join(dir, man.Global.Name), &man.Global)
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{
-		Info: Info{
-			Index:      index,
-			Count:      man.Shards,
-			UserLo:     r.UserLo,
-			UserHi:     r.UserHi,
-			TotalUsers: man.Users,
-		},
-		files: []*store.RawFile{global},
-	}
+	files := []*store.RawFile{global}
 	sf := global
 	if r.File.Name != man.Global.Name {
-		if sf, err = openFile(dir, r.File); err != nil {
+		if sf, err = openFile(filepath.Join(dir, r.File.Name), &r.File); err != nil {
 			global.Close()
 			return nil, err
 		}
-		g.files = append(g.files, sf)
-	}
-	g.Mapped = true
-	for _, f := range g.files {
-		g.MappedBytes += f.SizeBytes()
-		g.Mapped = g.Mapped && f.Mapped()
+		files = append(files, sf)
 	}
 	// Merge: CFG, the patched DIM and Π from the shard file, everything
 	// else from the global file but the document arrays. A shard file
@@ -93,37 +79,78 @@ func OpenGroup(dir string, man *Manifest, index int) (*Group, error) {
 			secs = append(secs, s)
 		}
 	}
+	g, err := assemble(files, secs)
+	if err != nil {
+		return nil, fmt.Errorf("shard: assembling shard %d of generation %d: %w", index, man.Generation, err)
+	}
+	g.Info = Info{Index: index, Count: man.Shards, UserLo: r.UserLo, UserHi: r.UserHi, TotalUsers: man.Users}
+	if g.Model.NumUsers != r.UserHi-r.UserLo {
+		g.Close()
+		return nil, fmt.Errorf("shard: shard %d holds %d users, manifest says %d", index, g.Model.NumUsers, r.UserHi-r.UserLo)
+	}
+	return g, nil
+}
+
+// OpenWhole maps the bare v2 file at path, checks every payload CRC over
+// that mapping and opens it as a one-shard group. A bare file is a whole
+// model, so its document arrays are kept: a stream updater takes its base
+// from the slot. Its errors are *fs.PathError values naming the file, with
+// store.ErrNotV2 in the chain for a v1 or JSON file.
+func OpenWhole(path string) (*Group, error) {
+	rf, err := openFile(path, nil)
+	if err != nil {
+		return nil, err
+	}
+	g, err := assemble([]*store.RawFile{rf}, rf.Sections())
+	if err != nil {
+		return nil, &fs.PathError{Op: "shard: assembling", Path: path, Err: err}
+	}
+	g.Info = Info{Count: 1, UserHi: g.Model.NumUsers, TotalUsers: g.Model.NumUsers}
+	return g, nil
+}
+
+// assemble builds a group's model from secs, which alias files. The group
+// owns files: they are closed when assembly fails.
+func assemble(files []*store.RawFile, secs []store.RawSection) (*Group, error) {
+	g := &Group{files: files, Mapped: true}
+	for _, f := range files {
+		g.MappedBytes += f.SizeBytes()
+		g.Mapped = g.Mapped && f.Mapped()
+	}
 	m, err := store.AssembleRawModel(secs)
 	if err != nil {
 		g.Close()
-		return nil, fmt.Errorf("shard: assembling shard %d of generation %d: %w", index, man.Generation, err)
-	}
-	if m.NumUsers != r.UserHi-r.UserLo {
-		g.Close()
-		return nil, fmt.Errorf("shard: shard %d holds %d users, manifest says %d", index, m.NumUsers, r.UserHi-r.UserLo)
+		return nil, err
 	}
 	g.Model = m
 	return g, nil
 }
 
-// openFile maps the group file ent names under dir and checks it against
-// ent over that mapping: its size, its section tags, sizes and CRCs as the
-// manifest records them, and every payload's CRC — sections the served
+// openFile maps the file at path and checks it over that mapping: against
+// ent, when non-nil, its size and its section tags, sizes and CRCs as the
+// manifest records them; and every payload's CRC, sections the served
 // model leaves out included. Its errors are *fs.PathError values naming
 // the file.
-func openFile(dir string, ent FileEntry) (*store.RawFile, error) {
-	rf, err := store.OpenRawFile(filepath.Join(dir, ent.Name))
+func openFile(path string, ent *FileEntry) (*store.RawFile, error) {
+	rf, err := store.OpenRawFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := matches(rf, ent); err != nil {
+	if ent != nil {
+		err = matches(rf, *ent)
+	}
+	if err == nil {
+		err = rf.Check()
+	}
+	if err != nil {
 		rf.Close()
-		return nil, &fs.PathError{Op: "shard: checking", Path: rf.Path(), Err: err}
+		return nil, &fs.PathError{Op: "shard: checking", Path: path, Err: err}
 	}
 	return rf, nil
 }
 
-// matches checks an opened file against its manifest entry.
+// matches checks an opened file's size and section table against its
+// manifest entry.
 func matches(rf *store.RawFile, want FileEntry) error {
 	if size := rf.SizeBytes(); size != want.Size {
 		return fmt.Errorf("%d bytes, manifest says %d", size, want.Size)
@@ -137,7 +164,7 @@ func matches(rf *store.RawFile, want FileEntry) error {
 			return fmt.Errorf("section %d is %q/%d/%08x, manifest says %q/%d/%08x", i, s.Tag, s.Size, s.CRC, w.Tag, w.Size, w.CRC)
 		}
 	}
-	return rf.Check()
+	return nil
 }
 
 // Close releases every mapping. Idempotent.

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -252,7 +253,7 @@ func TestManifestCorruptionDetected(t *testing.T) {
 // checkFile runs OpenGroup's per-file check on the group file ent names
 // under dir.
 func checkFile(dir string, ent FileEntry) error {
-	rf, err := openFile(dir, ent)
+	rf, err := openFile(filepath.Join(dir, ent.Name), &ent)
 	if err == nil {
 		rf.Close()
 	}
@@ -261,8 +262,10 @@ func checkFile(dir string, ent FileEntry) error {
 
 // TestOpenGroupRefusesFlippedPayloadByte: a shard file with one payload
 // byte flipped, its size and section table intact, is refused by
-// OpenGroup itself — the open that would serve it — with an error that
-// names the file and the section; the other shards still open.
+// OpenGroup itself — the open that would serve it — and by OpenWhole,
+// with an error that names the file and the section; the other shards
+// still open. Cut short, the same file is refused by both, and the error
+// names it too.
 func TestOpenGroupRefusesFlippedPayloadByte(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "full.v2.snap")
 	if err := store.SaveV2(src, testModel(40, 5, 3, 60, 17)); err != nil {
@@ -286,22 +289,169 @@ func TestOpenGroupRefusesFlippedPayloadByte(t *testing.T) {
 	if sums, size, err := store.FileSections(path); err != nil || size != man.Ranges[1].File.Size || !slices.Equal(sums, man.Ranges[1].File.Sections) {
 		t.Fatalf("the flipped file no longer matches its entry's size and table (%v)", err)
 	}
-	g, err := OpenGroup(dir, man, 1)
-	if err == nil {
-		g.Close()
-		t.Fatal("OpenGroup served a shard file with a flipped payload byte")
+	openers := map[string]func() (*Group, error){
+		"OpenGroup": func() (*Group, error) { return OpenGroup(dir, man, 1) },
+		"OpenWhole": func() (*Group, error) { return OpenWhole(path) },
+	}
+	// refused asserts that every opener refuses the file with an
+	// *fs.PathError for it whose message holds want.
+	refused := func(fault, want string) {
+		t.Helper()
+		for name, open := range openers {
+			g, err := open()
+			if err == nil {
+				g.Close()
+				t.Fatalf("%s served a shard file with a %s", name, fault)
+			}
+			var bad *fs.PathError
+			if !errors.As(err, &bad) || bad.Path != path || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s's error %q for a %s is no *fs.PathError for %s holding %q", name, err, fault, path, want)
+			}
+		}
 	}
 	secs := man.Ranges[1].File.Sections
-	var bad *fs.PathError
-	if !errors.As(err, &bad) || bad.Path != path || !strings.Contains(err.Error(), fmt.Sprintf("section %q", secs[len(secs)-1].Tag)) {
-		t.Fatalf("OpenGroup's error %q does not name %s and its last section", err, path)
-	}
+	refused("flipped payload byte", fmt.Sprintf("section %q", secs[len(secs)-1].Tag))
 	for _, k := range []int{0, 2} {
 		g, err := OpenGroup(dir, man, k)
 		if err != nil {
 			t.Fatalf("shard %d: %v", k, err)
 		}
 		g.Close()
+	}
+	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("truncated file", path)
+}
+
+// TestOpenWhole pins the integrity check every served v2 file passes: a
+// valid snapshot opens as the one shard of a one-shard group, to the model
+// store.Open reads, document arrays included, and a single flipped payload
+// byte — which store.Open accepts by design — is caught, as is a truncated
+// file. A v1 or JSON file is refused with store.ErrNotV2, LoadGeneration's
+// cue for the heap loader.
+func TestOpenWhole(t *testing.T) {
+	m := testModel(12, 4, 3, 30, 99)
+	path := filepath.Join(t.TempDir(), "m.v2.snap")
+	if err := store.SaveV2(path, m); err != nil {
+		t.Fatal(err)
+	}
+	g, err := OpenWhole(path)
+	if err != nil {
+		t.Fatalf("freshly saved snapshot fails verification: %v", err)
+	}
+	mm, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Model, mm.Model) {
+		t.Fatal("OpenWhole's model differs from store.Open's")
+	}
+	if want := (Info{Count: 1, UserHi: 12, TotalUsers: 12}); g.Info != want || g.MappedBytes != mm.MappedBytes() {
+		t.Fatalf("OpenWhole's group is %+v over %d bytes, want %+v over %d", g.Info, g.MappedBytes, want, mm.MappedBytes())
+	}
+	g.Close()
+	mm.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip one byte in the last payload region (well past the table).
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)-8] ^= 0xFF
+	bad := filepath.Join(t.TempDir(), "bad.v2.snap")
+	if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := OpenWhole(bad); err == nil {
+		g.Close()
+		t.Fatal("corrupted payload passed full verification")
+	}
+	// The unchecked opener accepts the same bytes (payload CRCs skipped by
+	// design) — the contrast OpenWhole exists for.
+	if mm, err := store.Open(bad); err == nil {
+		mm.Close()
+	}
+
+	// Truncated file: rejected, not panicking.
+	if err := os.WriteFile(bad, data[:10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := OpenWhole(bad); err == nil {
+		g.Close()
+		t.Fatal("truncated snapshot passed verification")
+	}
+
+	for _, name := range []string{"golden-v1.snap", "golden.json"} {
+		if _, err := OpenWhole(filepath.Join("..", "store", "testdata", name)); !errors.Is(err, store.ErrNotV2) {
+			t.Fatalf("OpenWhole(%s) = %v, want store.ErrNotV2", name, err)
+		}
+	}
+}
+
+// openWholeHeap saves a model of users users and docs documents and
+// returns the least heap OpenWhole allocates on it, over five runs. It
+// skips the test where the file is not read over a kernel mapping with
+// aliased blocks.
+func openWholeHeap(t *testing.T, users, docs int) uint64 {
+	t.Helper()
+	m := testModel(users, 4, 3, 30, 5)
+	m.DocCommunity, m.DocTopic, m.DocBucket = m.DocCommunity[:docs], m.DocTopic[:docs], m.DocBucket[:docs]
+	path := filepath.Join(t.TempDir(), "m.v2.snap")
+	if err := store.SaveV2(path, m); err != nil {
+		t.Fatal(err)
+	}
+	var least uint64
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := OpenWhole(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, _ := g.files[0].Section(store.TagPi)
+		at := uintptr(unsafe.Pointer(&g.Model.Pi.Data[0]))
+		aliased := at >= uintptr(unsafe.Pointer(&pi[0])) && at < uintptr(unsafe.Pointer(&pi[0]))+uintptr(len(pi))
+		mapped := g.Mapped
+		g.Close()
+		if !mapped || !aliased {
+			t.Skip("no kernel mapping with aliased numeric blocks on this platform")
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	return least
+}
+
+// TestOpenWholeHeapIndependentOfUsers: OpenWhole checks a file over the
+// mapping its model aliases, so the heap it allocates does not grow with
+// the Π rows — the bulk of a generation file. Two files with the same
+// documents and 1 000 vs 50 000 users must cost the same heap to within
+// 16 KiB, while their Π blocks differ by 1.6 MB.
+func TestOpenWholeHeapIndependentOfUsers(t *testing.T) {
+	small, large := openWholeHeap(t, 1000, 3000), openWholeHeap(t, 50000, 3000)
+	t.Logf("OpenWhole heap: %d B at 1 000 users, %d B at 50 000", small, large)
+	if large > small+16<<10 {
+		t.Fatalf("OpenWhole allocated %d B for 50 000 users and %d B for 1 000: the heap grows with Π", large, small)
+	}
+}
+
+// TestOpenWholeHeapIndependentOfDocuments: OpenWhole assembles a bare
+// file's document sections, and aliases them in the mapping, DOCB (int64
+// on disk, []int in a model) included. 3 000 vs 30 000 documents at the
+// same users must cost the same heap to within 16 KiB, while a DOCB copied
+// into a []int would differ by 216 KB.
+func TestOpenWholeHeapIndependentOfDocuments(t *testing.T) {
+	if unsafe.Sizeof(int(0)) != 8 {
+		t.Skip("DOCB's int64 words are converted where int is narrower")
+	}
+	small, large := openWholeHeap(t, 10000, 3000), openWholeHeap(t, 10000, 30000)
+	t.Logf("OpenWhole heap: %d B at 3 000 documents, %d B at 30 000", small, large)
+	if large > small+16<<10 {
+		t.Fatalf("OpenWhole allocated %d B for 30 000 documents and %d B for 3 000: the heap grows with the documents", large, small)
 	}
 }
 

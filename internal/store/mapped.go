@@ -50,25 +50,12 @@ type MappedModel struct {
 // Cost: the section table and core.Model.Rehydrate's O(|Z|·|C|²) caches —
 // nothing per user, word or document, in time or in allocations
 // (TestOpenAllocationsIndependentOfUsers, TestOpenHeapIndependentOfDocuments).
-func Open(path string) (*MappedModel, error) { return openMapped(path, false) }
-
-// OpenVerified is Open plus RawFile.Check over the very mapping the model
-// aliases: O(model), and no file renamed into place after the check can
-// be the one served.
-func OpenVerified(path string) (*MappedModel, error) { return openMapped(path, true) }
-
-func openMapped(path string, verify bool) (*MappedModel, error) {
+func Open(path string) (*MappedModel, error) {
 	rf, err := OpenRawFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if verify {
-		err = rf.Check()
-	}
-	var m *core.Model
-	if err == nil {
-		m, err = AssembleRawModel(rf.Sections())
-	}
+	m, err := AssembleRawModel(rf.Sections())
 	if err != nil {
 		rf.Close()
 		return nil, fmt.Errorf("store: opening %s: %w", path, err)
@@ -82,9 +69,6 @@ func (mm *MappedModel) Close() error { return mm.raw.Close() }
 
 // Closed reports whether Close has completed (the refcount tests' probe).
 func (mm *MappedModel) Closed() bool { return mm.raw.closed.Load() }
-
-// Path returns the snapshot file the model was opened from.
-func (mm *MappedModel) Path() string { return mm.raw.Path() }
 
 // Mapped reports whether the model really aliases a kernel mapping
 // (false on the aligned-copy fallback platforms).

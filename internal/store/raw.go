@@ -59,7 +59,6 @@ type RawSection struct {
 // they are checked — so a caller that serves the RawFile it checked
 // serves exactly the bytes that passed.
 type RawFile struct {
-	path      string
 	data      []byte
 	mapped    bool
 	sums      []SectionSum
@@ -83,7 +82,7 @@ func OpenRawFile(path string) (*RawFile, error) {
 		}
 		return nil, &fs.PathError{Op: "store: opening", Path: path, Err: err}
 	}
-	rf.path, rf.mapped = path, mapped
+	rf.mapped = mapped
 	return rf, nil
 }
 
@@ -133,9 +132,6 @@ func (rf *RawFile) Section(tag string) ([]byte, bool) {
 	}
 	return nil, false
 }
-
-// Path returns the file the sections were opened from.
-func (rf *RawFile) Path() string { return rf.path }
 
 // SizeBytes returns the size of the mapping backing the sections.
 func (rf *RawFile) SizeBytes() int64 { return int64(len(rf.data)) }

@@ -40,11 +40,11 @@ package store
 // its Check is the one payload-CRC walk. The section decoder in mapped.go
 // turns each payload into a model block. The table CRC is always verified
 // (a torn or corrupt table can never be walked). LoadFile, LoadBytes and
-// OpenVerified also run Check, and so does shard.OpenGroup, against the
-// manifest's sums; Open and AssembleRawModel skip it by design — an
-// O(model) checksum pass would defeat the O(1) map — so they trust the
-// payload bytes the way any mmap-consuming system does, and are for files
-// the caller wrote or checked itself. Every reader applies the same
+// every served file's open (shard.OpenWhole, shard.OpenGroup) also run
+// Check; Open and AssembleRawModel skip it by design — an O(model)
+// checksum pass would defeat the O(1) map — so they trust the payload
+// bytes the way any mmap-consuming system does, and are for files the
+// caller wrote or checked itself. Every reader applies the same
 // structural checks to the sections it assembles, so apart from payload
 // bit-flips they accept and reject the same files. Unknown tags are
 // skipped (forward compatibility), though Check covers them.

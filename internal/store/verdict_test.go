@@ -27,7 +27,6 @@ var verdictReaders = []verdictReader{
 		_, err := LoadFile(path)
 		return err
 	}},
-	{"OpenVerified", true, func(_ []byte, path string) error { return openVerified(path) }},
 	{"Open", false, func(_ []byte, path string) error {
 		mm, err := Open(path)
 		if err == nil {

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"errors"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -81,6 +83,81 @@ func TestRestartNeverReusesAGeneration(t *testing.T) {
 		if !os.SameFile(old, fi) {
 			t.Fatalf("the restart rewrote generation %d's manifest", i+1)
 		}
+	}
+}
+
+// TestFailedOpenNeverCommitsTheGeneration: the publisher maps and checks
+// the file it wrote before the manifest commits the generation. When that
+// open fails, no manifest names the rolled-back generation, so no replica
+// can have adopted it; the retry, with one more event ingested in between,
+// commits that generation exactly once, over files that check against its
+// manifest, and the engine serves it.
+func TestFailedOpenNeverCommitsTheGeneration(t *testing.T) {
+	g, m := testBase(t)
+	dir := t.TempDir()
+	engine, _, u := newTestUpdater(t, g, m, func(o *Options) { o.Dir, o.Shards = dir, 3 })
+	evs := streamFixture(g, m)
+	ingest := func(evs []Event) {
+		t.Helper()
+		if _, err := u.Ingest(evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest(evs[:5])
+	if info, err := u.Publish(); err != nil || info.Generation != 1 {
+		t.Fatalf("first publish: %+v, %v", info, err)
+	}
+
+	ingest(evs[5:8])
+	failed := false
+	openWhole = func(path string) (*shard.Group, error) {
+		if !failed {
+			failed = true
+			return nil, errors.New("injected open failure")
+		}
+		return shard.OpenWhole(path)
+	}
+	t.Cleanup(func() { openWhole = shard.OpenWhole })
+	if info, err := u.Publish(); err == nil {
+		t.Fatalf("publish with a failing open succeeded: %+v", info)
+	}
+	if _, err := os.Stat(shard.ManifestPath(dir, 2)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the failed publish left a manifest for generation 2 (%v)", err)
+	}
+	if gen := u.Status().Generation; gen != 1 {
+		t.Fatalf("the failed publish left generation %d, want 1", gen)
+	}
+
+	ingest(evs[8:9])
+	info, err := u.Publish()
+	if err != nil || info.Generation != 2 {
+		t.Fatalf("the retry published %+v (%v), want generation 2", info, err)
+	}
+	committed, err := os.Stat(shard.ManifestPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := shard.ReadManifest(shard.ManifestPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < man.Shards; k++ {
+		grp, err := shard.OpenGroup(dir, man, k)
+		if err != nil {
+			t.Fatalf("generation 2's shard %d does not check against its manifest: %v", k, err)
+		}
+		grp.Close()
+	}
+	if res, err := engine.MembershipIn(serve.DefaultSnapshot, 0, 1); err != nil || res.Generation != 2 {
+		t.Fatalf("the engine serves %+v (%v), want generation 2", res, err)
+	}
+
+	ingest(evs[9:])
+	if info, err := u.Publish(); err != nil || info.Generation != 3 {
+		t.Fatalf("the next publish: %+v, %v", info, err)
+	}
+	if fi, err := os.Stat(shard.ManifestPath(dir, 2)); err != nil || !os.SameFile(fi, committed) {
+		t.Fatalf("generation 2's manifest was committed again (%v)", err)
 	}
 }
 

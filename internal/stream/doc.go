@@ -21,9 +21,11 @@
 //
 //   - Publisher (publish.go): builds the extended model (base rows +
 //     folded/re-estimated rows), writes it into Options.Dir as a v2
-//     snapshot with a monotonic generation number, atomically promotes
-//     that file's mapping into the target serve.Engine slot (hot-swap;
-//     in-flight queries finish on their old snapshot), advances the
+//     snapshot with a monotonic generation number, maps and checks it
+//     (shard.OpenWhole), commits it, atomically promotes that mapping into
+//     the target serve.Engine slot the way a replica does
+//     (Engine.PromoteGroup; hot-swap, in-flight queries finish on their
+//     old snapshot), advances the
 //     journal watermark, and prunes old snapshot files. Every generation
 //     is a committed file: each is committed by a shard manifest
 //     (internal/shard) — a group's with Options.Shards > 1, otherwise a
@@ -44,7 +46,7 @@
 // previous Π's own array, since the engine serves the file mapping and
 // never sees that array); the serving snapshot is
 // patched copy-on-write from the live one by
-// serve.Engine.BuildSnapshot, given the re-folded rows as an explicit
+// serve.Engine.PromoteGroup, given the re-folded rows as an explicit
 // delta (the shared rank index is reused — Φ unchanged means word scores
 // unchanged — and only the dirty users' user-index rows are recomputed);
 // and the on-disk generation is written with store.SaveV2, which encodes

@@ -28,10 +28,10 @@ package stream
 //     files (Π rows only) no changed user falls in, and the state file
 //     (the document arrays) when no document moved, and rewrites the rest
 //     the same way;
-//   - open: store.Open maps the written file in O(1) in the user and
-//     document count — a model has no per-user cache to rebuild — and the
-//     engine serves that mapping;
-//   - serve: serve.Engine.BuildSnapshot, handed the publisher's explicit
+//   - open: shard.OpenWhole maps the written file and checks its payload
+//     CRCs over that mapping before the manifest commits it — a model has
+//     no per-user cache to rebuild — and the engine serves that mapping;
+//   - serve: serve.Engine.PromoteGroup, handed the publisher's explicit
 //     delta (the re-folded rows, relative to its own last promote),
 //     recomputes only those rows of the previous snapshot's user index
 //     and shares the rest of its derived state, posting lists included.
@@ -49,7 +49,7 @@ package stream
 // Options.FullRebuild.
 //
 // The serving index is a separate question, and the engine answers it from
-// the bytes: a full publish hands BuildSnapshot no delta, the engine
+// the bytes: a full publish hands PromoteGroup no delta, the engine
 // compares the new model's blocks with the ones it serves and still
 // patches when only Π rows moved or grew. So the first publish of a
 // process — after every (re)start — no longer rebuilds the index
@@ -68,7 +68,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/hist"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -85,9 +84,9 @@ type PublishPhases struct {
 	ModelMicros   int64 `json:"modelMicros"`             // extended-model assembly
 	SaveMicros    int64 `json:"saveMicros"`              // v2 snapshot write
 	ShardMicros   int64 `json:"shardMicros,omitempty"`   // shard-group emit, or the one-shard manifest without Shards
-	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping the written file
-	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build (Engine.BuildSnapshot: patch or full, see IndexPatched)
-	PromoteMicros int64 `json:"promoteMicros"`           // engine swap
+	OpenMicros    int64 `json:"openMicros,omitempty"`    // mapping and checking the written file
+	IndexMicros   int64 `json:"indexMicros"`             // serving-snapshot build inside Engine.PromoteGroup: patch or full, see IndexPatched
+	PromoteMicros int64 `json:"promoteMicros"`           // the rest of Engine.PromoteGroup: the engine swap
 	QualityMicros int64 `json:"qualityMicros,omitempty"` // structural quality scoring (0 when skipped)
 	TotalMicros   int64 `json:"totalMicros"`
 	// WatermarkMicros (advancing the journal watermark) and PruneMicros
@@ -203,9 +202,9 @@ func (u *Updater) MaybePublish() (*PublishInfo, bool, error) {
 
 // Publish folds every dirty user in against the frozen reference, runs
 // the delta-Gibbs pass when one is due, builds the extended model, writes
-// it as a v2 snapshot into Dir, commits its manifest and atomically
-// promotes the file's mapping into the engine slot. In-flight queries
-// finish on the snapshot they started with; the journal watermark
+// it as a v2 snapshot into Dir, maps and checks it, commits its manifest
+// and atomically promotes the mapping into the engine slot. In-flight
+// queries finish on the snapshot they started with; the journal watermark
 // advances past everything the new generation covers. A publish with
 // nothing pending and nothing dirty is a no-op.
 //
@@ -295,6 +294,18 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	info.Path = path
 	ph.BytesWritten = fi.Size()
 	ph.SaveMicros = lap()
+	// The engine serves the file just written from its mapping: its blocks
+	// are byte-identical to model (the file was encoded from it), so
+	// patching the previous generation's indexes against it preserves
+	// bit-identity, and model stays the updater's own. It is opened before
+	// the manifest commits the generation, whose number is then announced
+	// and never reused: nothing after the commit can fail.
+	g, err := openWhole(path)
+	if err != nil {
+		u.generation-- // no manifest names it: the retry rewrites the file
+		return nil, fmt.Errorf("stream: opening the written snapshot: %w", err)
+	}
+	ph.OpenMicros = lap()
 	// The manifest commits the generation. At one shard it names the full
 	// file just written; otherwise it names a group published next to that
 	// file from the same model, so joining it reproduces the full file's
@@ -302,31 +313,18 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	// since the last publish here (it is cleared only after the promote),
 	// which is exactly the group's O(changed) delta.
 	if _, err := u.publisher.Publish(u.generation, model, shard.Delta{Full: full, ChangedUsers: u.pendingRows}); err != nil {
+		g.Close()
 		u.generation--
 		return nil, fmt.Errorf("stream: committing the generation manifest: %w", err)
 	}
 	ph.BytesWritten += u.publisher.Last.BytesWritten
 	ph.FilesLinked = u.publisher.Last.FilesLinked
 	ph.ShardMicros = lap()
-	// The engine serves the file just written from its mapping: its blocks
-	// are byte-identical to model (the file was encoded from it), so
-	// patching the previous generation's indexes against it preserves
-	// bit-identity, and model stays the updater's own.
-	mm, err := store.Open(path)
-	if err != nil {
-		// Keep the generation counter aligned with what the engine
-		// actually serves; the retry rewrites the same file.
-		u.generation--
-		return nil, fmt.Errorf("stream: promoting snapshot: %w", err)
-	}
-	ph.OpenMicros = lap()
-	snap := u.buildServeSnapshotLocked(mm.Model, full)
-	ph.IndexMicros = lap()
-	ph.IndexPatched = snap.Build().Kind == serve.BuildPatched
-	snap.AttachMapped(mm)
-	snap.Generation = u.generation
-	info.Version = u.opts.Engine.Promote(snap)
-	ph.PromoteMicros = lap()
+	var build serve.BuildInfo
+	info.Version, build = u.opts.Engine.PromoteGroup(u.opts.Snapshot, g, u.opts.Vocab, u.generation, u.serveDeltaLocked(full))
+	ph.IndexMicros = build.Micros
+	ph.IndexPatched = build.Kind == serve.BuildPatched
+	ph.PromoteMicros = lap() - build.Micros
 	now := time.Now()
 	ph.TotalMicros = now.Sub(start).Microseconds()
 	u.lastPhases = ph
@@ -365,25 +363,28 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	return info, nil
 }
 
-// buildServeSnapshotLocked builds the serving snapshot for m. An
-// incremental publish hands the engine its explicit O(changed) delta —
-// only user rows differ: the vocabulary is fixed for the updater's
+// serveDeltaLocked is the delta a publish hands the engine. An
+// incremental publish has its explicit O(changed) delta — only user rows
+// differ: the vocabulary is fixed for the updater's
 // lifetime and without a Gibbs pass the global blocks are unchanged — and
 // names the promote it is relative to (u.lastVersion), so that after an
 // external swap (operator reload, another writer) the engine drops it. A
 // full publish has no delta to give; the engine then derives one from the
 // bytes and still patches when only rows moved (the first publish of a
 // process). Options.FullRebuild stays the from-scratch baseline.
-func (u *Updater) buildServeSnapshotLocked(m *core.Model, full bool) *serve.Snapshot {
-	var delta *serve.Delta
+func (u *Updater) serveDeltaLocked(full bool) *serve.Delta {
 	switch {
 	case u.opts.FullRebuild:
-		delta = &serve.Delta{Globals: true}
+		return &serve.Delta{Globals: true}
 	case !full:
-		delta = &serve.Delta{Users: u.pendingRows, Base: u.lastVersion}
+		return &serve.Delta{Users: u.pendingRows, Base: u.lastVersion}
 	}
-	return u.opts.Engine.BuildSnapshot(u.opts.Snapshot, m, u.opts.Vocab, delta)
+	return nil
 }
+
+// openWhole opens and checks a written generation file for the engine to
+// serve. It is a variable so a test can fail it.
+var openWhole = shard.OpenWhole
 
 // mergeIDs merges two ascending id lists into one ascending deduplicated
 // list (reusing a's backing array when possible).

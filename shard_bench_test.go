@@ -95,7 +95,7 @@ func BenchmarkShardedMembership(b *testing.B) {
 		}
 		e := serve.NewMulti(serve.Options{})
 		defer e.Close()
-		e.PromoteShardGroup(serve.DefaultSnapshot, g, nil, 1)
+		e.PromoteGroup(serve.DefaultSnapshot, g, nil, 1, nil)
 		lo, hi := man.Ranges[1].UserLo, man.Ranges[1].UserHi
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
