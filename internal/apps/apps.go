@@ -6,8 +6,11 @@
 package apps
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -189,24 +192,27 @@ func Openness(m *core.Model) []int {
 	return open
 }
 
-// TopDiffusionTopics lists the topics community a most strongly diffuses
-// community b on, descending — Fig. 5(c)'s case-study table.
+// EtaBase is community c's η base: the smallest cell of its row over
+// (c', z). The M-step gives every cell no diffusion link supports exactly
+// this value (the smoothing over den_c, core/mstep.go), so a cell
+// bit-equal to it records no observed diffusion.
+func EtaBase(m *core.Model, c int) float64 {
+	n := m.Eta.D2 * m.Eta.D3
+	return slices.Min(m.Eta.Data[c*n : (c+1)*n])
+}
+
+// TopDiffusionTopics lists the topics community a diffuses community b on,
+// strongest first (ties by topic id), at most k — Fig. 5(c)'s case-study
+// table. Cells at a's η base are not listed: a pair no diffusion link
+// supports returns nothing.
 func TopDiffusionTopics(m *core.Model, a, b, k int) []RankedCommunity {
-	type ts struct {
-		z int
-		s float64
-	}
-	var all []ts
+	base := math.Float64bits(EtaBase(m, a))
+	var out []RankedCommunity
 	for z := 0; z < m.Cfg.NumTopics; z++ {
-		all = append(all, ts{z, m.Eta.At(a, b, z)})
+		if v := m.Eta.At(a, b, z); math.Float64bits(v) != base {
+			out = append(out, RankedCommunity{Community: z, Score: v})
+		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].s > all[j].s })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]RankedCommunity, k)
-	for i := 0; i < k; i++ {
-		out[i] = RankedCommunity{Community: all[i].z, Score: all[i].s}
-	}
-	return out
+	slices.SortStableFunc(out, func(x, y RankedCommunity) int { return cmp.Compare(y.Score, x.Score) })
+	return out[:min(k, len(out))]
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/socialgraph"
+	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -156,16 +158,78 @@ func TestOpenness(t *testing.T) {
 
 func TestTopDiffusionTopics(t *testing.T) {
 	m, _, _ := sharedModel(t)
-	tops := TopDiffusionTopics(m, 0, 1, 5)
-	if len(tops) != 5 {
-		t.Fatalf("got %d topics", len(tops))
-	}
-	for i := 1; i < len(tops); i++ {
-		if tops[i-1].Score < tops[i].Score {
-			t.Fatal("topics not sorted")
+	for a := 0; a < m.Cfg.NumCommunities; a++ {
+		base := EtaBase(m, a)
+		for b := 0; b < m.Cfg.NumCommunities; b++ {
+			all := TopDiffusionTopics(m, a, b, 99)
+			supported := 0
+			for z := 0; z < m.Cfg.NumTopics; z++ {
+				if v := m.Eta.At(a, b, z); v < base {
+					t.Fatalf("η cell (%d, %d, %d) = %g lies below the row's base %g", a, b, z, v, base)
+				} else if v != base {
+					supported++
+				}
+			}
+			if len(all) != supported {
+				t.Fatalf("c%d -> c%d: %d topics listed, %d cells above the base", a, b, len(all), supported)
+			}
+			for i := 1; i < len(all); i++ {
+				if all[i-1].Score < all[i].Score || all[i-1].Score == all[i].Score && all[i-1].Community > all[i].Community {
+					t.Fatalf("c%d -> c%d: topics not ordered by strength, then id: %+v", a, b, all)
+				}
+			}
+			if top := TopDiffusionTopics(m, a, b, 2); len(top) != min(2, supported) {
+				t.Fatalf("c%d -> c%d: k = 2 listed %d of %d", a, b, len(top), supported)
+			}
 		}
 	}
-	if got := TopDiffusionTopics(m, 0, 1, 99); len(got) != m.Cfg.NumTopics {
-		t.Fatalf("clamp failed: %d", len(got))
+}
+
+// etaFromLinks builds η the way the M-step does (core/mstep.go): link
+// counts per (c, c', z), smoothed by 0.05 per cell and normalized per
+// source community c.
+func etaFromLinks(C, Z int, links map[[3]int]float64) *sparse.Tensor3 {
+	eta := sparse.NewTensor3(C, C, Z)
+	for cell, n := range links {
+		eta.Set(cell[0], cell[1], cell[2], n)
+	}
+	for c := 0; c < C; c++ {
+		row := eta.Data[c*C*Z : (c+1)*C*Z]
+		total := 0.0
+		for _, n := range row {
+			total += n
+		}
+		den := total + 0.05*float64(C*Z)
+		for i := range row {
+			row[i] = (row[i] + 0.05) / den
+		}
+	}
+	return eta
+}
+
+// TestTopDiffusionTopicsSkipsBase: a pair no diffusion link supports
+// lists nothing — not its base-valued ties — and a supported pair lists
+// exactly its supported topics, ties by topic id.
+func TestTopDiffusionTopicsSkipsBase(t *testing.T) {
+	const C, Z = 3, 5
+	m := &core.Model{
+		Cfg: core.Config{NumCommunities: C, NumTopics: Z},
+		Eta: etaFromLinks(C, Z, map[[3]int]float64{{0, 1, 3}: 2, {0, 1, 1}: 2, {0, 1, 4}: 5, {0, 2, 0}: 1}),
+	}
+	if got := TopDiffusionTopics(m, 0, 0, 5); len(got) != 0 {
+		t.Fatalf("c0 -> c0 has no links, listed %+v", got)
+	}
+	if got := TopDiffusionTopics(m, 1, 2, 5); len(got) != 0 {
+		t.Fatalf("c1 diffuses nothing, c1 -> c2 listed %+v", got)
+	}
+	var ids []int
+	for _, ts := range TopDiffusionTopics(m, 0, 1, 5) {
+		ids = append(ids, ts.Community)
+	}
+	if want := []int{4, 1, 3}; !slices.Equal(ids, want) {
+		t.Fatalf("c0 -> c1 listed topics %v, want %v", ids, want)
+	}
+	if got := TopDiffusionTopics(m, 0, 2, 5); len(got) != 1 || got[0].Community != 0 {
+		t.Fatalf("c0 -> c2 listed %+v, want topic 0 alone", got)
 	}
 }

@@ -372,11 +372,15 @@ func RunFigure5(o Options) []*Table {
 				Title:  fmt.Sprintf("Fig 5(c) community factor — top topics c%02d and c%02d cite each other on", a, b),
 				Header: []string{"direction", "topic", "diffusion strength"},
 			}
-			for _, ts := range apps.TopDiffusionTopics(m, a, b, 5) {
-				tc.AddRow(fmt.Sprintf("c%02d -> c%02d", a, b), fmt.Sprintf("T%d", ts.Community), fmt.Sprintf("%.5f", ts.Score))
-			}
-			for _, ts := range apps.TopDiffusionTopics(m, b, a, 5) {
-				tc.AddRow(fmt.Sprintf("c%02d -> c%02d", b, a), fmt.Sprintf("T%d", ts.Community), fmt.Sprintf("%.5f", ts.Score))
+			for _, dir := range [][2]int{{a, b}, {b, a}} {
+				label := fmt.Sprintf("c%02d -> c%02d", dir[0], dir[1])
+				tops := apps.TopDiffusionTopics(m, dir[0], dir[1], 5)
+				for _, ts := range tops {
+					tc.AddRow(label, fmt.Sprintf("T%d", ts.Community), fmt.Sprintf("%.5f", ts.Score))
+				}
+				if len(tops) == 0 {
+					tc.AddRow(label, "(no diffusion observed)", "-")
+				}
 			}
 			tables = append(tables, tc)
 		}

@@ -195,7 +195,8 @@ func TestScatterMixedGenerations(t *testing.T) {
 
 // TestMetricsDeclareEveryFamily: the router's /metrics exposition declares
 // every sample's family — the latency histograms' _bucket, _sum and _count
-// series included — with exactly one # TYPE line before its first sample.
+// series included — with exactly one # TYPE line before its first sample,
+// and a family is a counter exactly when its name ends in _total.
 func TestMetricsDeclareEveryFamily(t *testing.T) {
 	entries := []serve.RankEntry{{Community: 1, Score: 0.5}}
 	a := newFakeReplica(t, "a", 3, entries)
@@ -229,6 +230,9 @@ func TestMetricsDeclareEveryFamily(t *testing.T) {
 				t.Fatalf("family %s declared twice", fields[0])
 			}
 			types[fields[0]] = fields[1]
+			if strings.HasSuffix(fields[0], "_total") != (fields[1] == "counter") {
+				t.Errorf("family %s is declared %s", fields[0], fields[1])
+			}
 			continue
 		}
 		if strings.HasPrefix(line, "#") {

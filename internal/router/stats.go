@@ -116,53 +116,53 @@ func (rt *Router) Stats() Stats {
 }
 
 // WriteMetrics emits the router's Prometheus exposition: per-replica
-// up/generation/lag/request/error gauges plus per-class latency
-// histograms in the shared internal/hist geometry.
+// up/generation/lag gauges and request/error/misroute counters plus
+// per-class latency histograms in the shared internal/hist geometry.
 func (rt *Router) WriteMetrics(w io.Writer) {
 	st := rt.Stats()
-	gauges := []struct {
-		name, help string
-		get        func(ReplicaStatus) float64
+	families := []struct {
+		name, typ, help string
+		get             func(ReplicaStatus) float64
 	}{
-		{"cpd_router_replica_up", "Replica health as the router sees it (1 healthy).", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_up", "gauge", "Replica health as the router sees it (1 healthy).", func(r ReplicaStatus) float64 {
 			if r.Healthy {
 				return 1
 			}
 			return 0
 		}},
-		{"cpd_router_replica_generation", "Publisher generation the replica serves.", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_generation", "gauge", "Publisher generation the replica serves.", func(r ReplicaStatus) float64 {
 			return float64(r.Generation)
 		}},
-		{"cpd_router_replica_lag", "Generations the replica trails the fleet maximum.", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_lag", "gauge", "Generations the replica trails the fleet maximum.", func(r ReplicaStatus) float64 {
 			return float64(r.Lag)
 		}},
-		{"cpd_router_replica_requests_total", "Backend requests the router sent this replica.", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_requests_total", "counter", "Backend requests the router sent this replica.", func(r ReplicaStatus) float64 {
 			return float64(r.Requests)
 		}},
-		{"cpd_router_replica_errors_total", "Backend transport failures for this replica.", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_errors_total", "counter", "Backend transport failures for this replica.", func(r ReplicaStatus) float64 {
 			return float64(r.Errors)
 		}},
-		{"cpd_router_replica_misroutes_total", "421 answers: the replica disowned a routed user.", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_misroutes_total", "counter", "421 answers: the replica disowned a routed user.", func(r ReplicaStatus) float64 {
 			return float64(r.Misroutes)
 		}},
-		{"cpd_router_replica_draining", "Replica advertised draining (1 draining).", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_draining", "gauge", "Replica advertised draining (1 draining).", func(r ReplicaStatus) float64 {
 			if r.Draining {
 				return 1
 			}
 			return 0
 		}},
-		{"cpd_router_replica_weight", "Static rendezvous weight.", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_weight", "gauge", "Static rendezvous weight.", func(r ReplicaStatus) float64 {
 			return r.Weight
 		}},
-		{"cpd_router_replica_shard_index", "Owned shard index (-1 on full-snapshot replicas).", func(r ReplicaStatus) float64 {
+		{"cpd_router_replica_shard_index", "gauge", "Owned shard index (-1 on full-snapshot replicas).", func(r ReplicaStatus) float64 {
 			if r.Shard == nil {
 				return -1
 			}
 			return float64(r.Shard.Index)
 		}},
 	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
+	for _, g := range families {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", g.name, g.help, g.name, g.typ)
 		for _, r := range st.Replicas {
 			fmt.Fprintf(w, "%s{replica=%q} %s\n", g.name, r.Name, strconv.FormatFloat(g.get(r), 'g', -1, 64))
 		}

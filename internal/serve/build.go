@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"math"
 	"slices"
 	"time"
 	"unsafe"
@@ -20,8 +19,10 @@ import (
 // A caller that knows what
 // changed passes a Delta — O(changed), nothing is compared. A caller that
 // does not passes nil and the delta is derived from the bytes (deriveDelta):
-// one memcmp pass over the blocks plus the rows that differ, against
-// O(|W|·|C|·(|Z|+perWord)) for a from-scratch index.
+// one memcmp pass over the blocks plus the membership rows that differ,
+// against O(|W|·|C|·(|Z|+perWord)) for a from-scratch index. A patch
+// changes membership rows only; a difference anywhere else — Φ included —
+// is a full build.
 
 // Build kinds and the reasons a full build ran (BuildInfo).
 const (
@@ -42,8 +43,8 @@ type BuildInfo struct {
 	// and BuildFull when everything was built from the model.
 	Kind string `json:"kind"`
 	// Reason says why a full build ran: "no predecessor", "globals changed"
-	// (Θ, η, ν, POPF, XI or a Cfg field other than a dimension differ, or
-	// the caller said so), "shape changed" (|C|, |Z|, |W| differ or users
+	// (Θ, Φ, η, ν, POPF, XI or a Cfg field other than a dimension differ,
+	// or the caller said so), "shape changed" (|C|, |Z|, |W| differ or users
 	// shrank), "shard moved" (another shard index, count or first user) or
 	// "vocabulary changed". Empty for a patched build.
 	Reason string `json:"reason,omitempty"`
@@ -51,10 +52,9 @@ type BuildInfo struct {
 	// by the caller.
 	Derived bool  `json:"derived,omitempty"`
 	Micros  int64 `json:"micros"`
-	// Users and Words count the membership rows and posting lists that
-	// were (re-)indexed: everything for a full build.
+	// Users counts the membership rows that were (re-)indexed: every row
+	// for a full build.
 	Users int `json:"users"`
-	Words int `json:"words"`
 }
 
 // BuildSnapshot is buildSnapshot for the benchmark harness, which times
@@ -67,7 +67,7 @@ func (e *Engine) BuildSnapshot(name string, m *core.Model, vocab *corpus.Vocabul
 // named slot; sh, when non-nil, is the shard of a sharded generation m
 // holds, which takes part in the derivation and is attached to the result.
 // With a snapshot already in the slot its derived state is patched
-// (PatchFrom): by *delta when the caller supplies one, by a delta derived
+// (patchFrom): by *delta when the caller supplies one, by a delta derived
 // from the bytes when delta is nil or was computed against another
 // snapshot than the one now in the slot (Delta.Base). With an empty slot,
 // or when the derivation finds a difference patching cannot express, the
@@ -93,7 +93,7 @@ func (e *Engine) buildSnapshot(name string, m *core.Model, vocab *corpus.Vocabul
 			reason = ""
 		}
 		if reason == "" {
-			s = PatchFrom(prev, m, vocab, *delta)
+			s = patchFrom(prev, m, vocab, *delta)
 		}
 		release()
 	}
@@ -130,17 +130,17 @@ func sameShard(a, b *shard.Info) bool {
 }
 
 // deriveDelta compares everything a snapshot's derived state reads in m
-// against the model behind prev and returns the Delta that PatchFrom needs
+// against the model behind prev and returns the Delta that patchFrom needs
 // to turn prev's state into m's, or the reason there is none.
 //
-// Completeness is PatchFrom's whole contract, so the comparison is exact
+// Completeness is patchFrom's whole contract, so the comparison is exact
 // and can only err towards more work: blocks are compared as bytes (the
 // same memory is equal without being read; a checksum is never trusted),
 // so a row that differs in the sign of a zero or a NaN payload counts as
-// changed, and any difference in a block no delta can name — Cfg, Θ, η, ν,
-// POPF, XI — means a full build. Φ differences become Delta.Words, Π
-// differences Delta.Users; appended users are implicit. The caller has
-// established that prev and m index the same users (sameShard).
+// changed, and any difference in a block no delta can name — Cfg, Θ, Φ, η,
+// ν, POPF, XI — means a full build. Π differences become Delta.Users;
+// appended users are implicit. The caller has established that prev and m
+// index the same users (sameShard).
 func deriveDelta(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary) (Delta, string) {
 	pm := prev.Model
 	if m.Cfg.NumCommunities != pm.Cfg.NumCommunities || m.Cfg.NumTopics != pm.Cfg.NumTopics ||
@@ -152,17 +152,15 @@ func deriveDelta(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary) (Delta
 	// (file loaders zero it); no query reads it.
 	cfg, pcfg := m.Cfg, pm.Cfg
 	cfg.Workers, pcfg.Workers = 0, 0
-	if cfg != pcfg || !sameDense(m.Theta, pm.Theta) || !sameFloats(m.Eta.Data, pm.Eta.Data) ||
-		!sameFloats(m.Nu, pm.Nu) || !sameDense(m.PopFreq, pm.PopFreq) || !sameDense(m.Xi, pm.Xi) {
+	if cfg != pcfg || !sameDense(m.Theta, pm.Theta) || !sameFloats(m.Phi.Data, pm.Phi.Data) ||
+		!sameFloats(m.Eta.Data, pm.Eta.Data) || !sameFloats(m.Nu, pm.Nu) ||
+		!sameDense(m.PopFreq, pm.PopFreq) || !sameDense(m.Xi, pm.Xi) {
 		return Delta{}, reasonGlobals
 	}
 	if !sameVocabulary(vocab, prev.Vocab) {
 		return Delta{}, reasonVocabulary
 	}
 	var d Delta
-	if !sameFloats(m.Phi.Data, pm.Phi.Data) {
-		d.Words = changedColumns(m.Phi, pm.Phi)
-	}
 	if C := pm.Pi.Cols; !sameFloats(m.Pi.Data[:len(pm.Pi.Data)], pm.Pi.Data) {
 		for u := 0; u < pm.NumUsers; u++ {
 			if !sameFloats(m.Pi.Data[u*C:(u+1)*C], pm.Pi.Data[u*C:(u+1)*C]) {
@@ -203,28 +201,4 @@ func sameVocabulary(a, b *corpus.Vocabulary) bool {
 		return a == b
 	}
 	return a == b || slices.Equal(a.Words(), b.Words())
-}
-
-// changedColumns lists, ascending, the columns in which two equally
-// shaped matrices differ in at least one row.
-func changedColumns(a, b *sparse.Dense) []int32 {
-	changed := make([]bool, a.Cols)
-	for r := 0; r < a.Rows; r++ {
-		ra, rb := a.Row(r), b.Row(r)
-		if sameFloats(ra, rb) {
-			continue
-		}
-		for c := range ra {
-			if math.Float64bits(ra[c]) != math.Float64bits(rb[c]) {
-				changed[c] = true
-			}
-		}
-	}
-	var cols []int32
-	for c, yes := range changed {
-		if yes {
-			cols = append(cols, int32(c))
-		}
-	}
-	return cols
 }

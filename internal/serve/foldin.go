@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -176,24 +175,6 @@ func logPhiTable(m *core.Model) []float64 {
 	for z := 0; z < Z; z++ {
 		for w, v := range m.Phi.Row(z) {
 			t[w*Z+z] = math.Log(v + 1e-300)
-		}
-	}
-	return t
-}
-
-// patchLogPhiTable is logPhiTable for a model whose Φ differs from the one
-// behind prev in the columns words only: a copy of prev with those words'
-// runs recomputed (prev is shared with other snapshots). Ids outside the
-// vocabulary are ignored, as patchRankIndex ignores them.
-func patchLogPhiTable(prev []float64, m *core.Model, words []int32) []float64 {
-	Z := m.Phi.Rows
-	t := slices.Clone(prev)
-	for _, w := range words {
-		if w < 0 || int(w) >= m.Phi.Cols {
-			continue
-		}
-		for z := 0; z < Z; z++ {
-			t[int(w)*Z+z] = math.Log(m.Phi.At(z, int(w)) + 1e-300)
 		}
 	}
 	return t

@@ -26,26 +26,15 @@ import (
 //
 // Posting lists keep only each word's perWord highest-scoring communities
 // (perWord >= |C| keeps them all and makes single-word ranking exact);
-// entries are stored descending by score. Lists are immutable once built
-// and held per word, so a derived index can share unchanged words' lists
-// with its predecessor (copy-on-write): patchRankIndex recomputes only
-// the listed words and aliases everything else, making a publish that
-// touches d words cost O(d·|C|·|Z|) plus one O(|W|) header copy instead
-// of a full O(|W|·|C|·(|Z|+perWord)) rebuild. Which words to list is the
-// caller's knowledge or, failing that, one byte comparison of Φ
-// (buildSnapshot); when Θ or η moved, every column of S did and
-// the index is rebuilt.
+// entries are stored descending by score. The lists of all words sit in
+// one flat table: word w's list is comms[offsets[w]:offsets[w+1]] with
+// the matching scores. The index depends on Θ, η and Φ only, so a snapshot
+// patch — which changes membership rows and nothing else — shares its
+// predecessor's index whole, and any other change rebuilds it.
 type RankIndex struct {
-	numWords int
-	lists    []postingList // len numWords
-}
-
-// postingList is one word's posting list: communities descending by
-// score. A list is never mutated after construction — patched indexes
-// alias their predecessor's lists.
-type postingList struct {
-	comms  []int32
-	scores []float64
+	offsets []int32 // len |W|+1
+	comms   []int32
+	scores  []float64
 }
 
 // rankBlockLen is the word-block width of the index builder: transient
@@ -53,8 +42,8 @@ type postingList struct {
 // rows are walked contiguously.
 const rankBlockLen = 256
 
-// rankScratch holds the block scorer's transient buffers so patching many
-// words reuses one allocation.
+// rankScratch holds the block scorer's transient buffers, reused across
+// word blocks.
 type rankScratch struct {
 	pz     []float64 // pz[z*block+j] = p(z | w0+j)
 	colSum []float64 // Σ_z φ_z,w per block column
@@ -75,10 +64,7 @@ func newRankScratch(C, Z int) *rankScratch {
 
 // scoreWordBlock computes S[·][w] for words [w0, w0+n) and hands each
 // word's dense score vector to emit (empty=true for words that never
-// occur under any topic). Both the full builder and the single-word patch
-// path run THIS function, so per-word float operation sequences — and
-// therefore result bits — are identical regardless of which path produced
-// a list.
+// occur under any topic).
 func scoreWordBlock(m *core.Model, rt *sparse.Dense, w0, n int, sc *rankScratch, emit func(j int, sel []float64, empty bool)) {
 	Z, C := len(sc.pz)/rankBlockLen, len(sc.sel)
 	for j := 0; j < n; j++ {
@@ -148,8 +134,7 @@ func scoreWordBlock(m *core.Model, rt *sparse.Dense, w0, n int, sc *rankScratch,
 }
 
 // buildRankIndex precomputes every word's posting list from the model's
-// rank table and topic-word distributions. Lists are carved out of two
-// shared arenas (one allocation each for the whole vocabulary).
+// rank table and topic-word distributions, into one flat table.
 func buildRankIndex(m *core.Model, perWord int) *RankIndex {
 	C, Z, V := m.Cfg.NumCommunities, m.Cfg.NumTopics, m.NumWords
 	if perWord <= 0 || perWord > C {
@@ -175,58 +160,14 @@ func buildRankIndex(m *core.Model, perWord int) *RankIndex {
 			offsets[w0+j+1] = int32(len(comms))
 		})
 	}
-	ix := &RankIndex{numWords: V, lists: make([]postingList, V)}
-	for w := 0; w < V; w++ {
-		lo, hi := offsets[w], offsets[w+1]
-		ix.lists[w] = postingList{comms: comms[lo:hi:hi], scores: scores[lo:hi:hi]}
-	}
-	return ix
-}
-
-// patchRankIndex derives model m's rank index from prev by recomputing
-// only the listed words' posting lists and sharing every other list.
-// Correctness contract: every word whose score column S[·][w] changed
-// between prev's model and m must be listed (Delta.Words); wholesale
-// rank-table changes must rebuild instead. Out-of-range ids are ignored.
-// The recompute runs the shared block scorer one word at a time, so a
-// patched index is bit-identical to a from-scratch build of m.
-func patchRankIndex(prev *RankIndex, m *core.Model, perWord int, words []int32) *RankIndex {
-	C, Z := m.Cfg.NumCommunities, m.Cfg.NumTopics
-	if perWord <= 0 || perWord > C {
-		perWord = C
-	}
-	ix := &RankIndex{numWords: prev.numWords, lists: append([]postingList(nil), prev.lists...)}
-	if len(words) == 0 {
-		return ix
-	}
-	rt := m.RankTable()
-	sc := newRankScratch(C, Z)
-	for _, w := range words {
-		if w < 0 || int(w) >= ix.numWords {
-			continue
-		}
-		var pl postingList
-		scoreWordBlock(m, rt, int(w), 1, sc, func(_ int, sel []float64, empty bool) {
-			if empty {
-				return
-			}
-			idx := mathx.TopKIndices(sel, perWord)
-			pl = postingList{comms: make([]int32, len(idx)), scores: make([]float64, len(idx))}
-			for i, c := range idx {
-				pl.comms[i] = int32(c)
-				pl.scores[i] = sel[c]
-			}
-		})
-		ix.lists[w] = pl
-	}
-	return ix
+	return &RankIndex{offsets: offsets, comms: comms, scores: scores}
 }
 
 // Postings returns word w's posting list views (communities and scores,
 // descending by score). The slices are owned by the index.
 func (ix *RankIndex) Postings(w int32) ([]int32, []float64) {
-	pl := ix.lists[w]
-	return pl.comms, pl.scores
+	lo, hi := ix.offsets[w], ix.offsets[w+1]
+	return ix.comms[lo:hi:hi], ix.scores[lo:hi:hi]
 }
 
 // Accumulate adds each query word's posting list into the dense score
@@ -234,32 +175,27 @@ func (ix *RankIndex) Postings(w int32) ([]int32, []float64) {
 // invariant to the 1/|q| normalization, which is therefore skipped.
 func (ix *RankIndex) Accumulate(scores []float64, query []int32) {
 	for _, w := range query {
-		pl := ix.lists[w]
-		for i, c := range pl.comms {
-			scores[c] += pl.scores[i]
+		lo, hi := ix.offsets[w], ix.offsets[w+1]
+		ws := ix.scores[lo:hi]
+		for i, c := range ix.comms[lo:hi] {
+			scores[c] += ws[i]
 		}
 	}
 }
 
-// Bytes estimates the index's heap footprint. Lists shared with other
-// snapshots are counted here too — it is a per-snapshot working-set
+// Bytes is the index's heap footprint. An index shared with other
+// snapshots is counted here too — it is a per-snapshot working-set
 // estimate, not exclusive ownership.
 func (ix *RankIndex) Bytes() int64 {
-	n := int64(len(ix.lists)) * 48 // two slice headers per word
-	for i := range ix.lists {
-		n += 4*int64(len(ix.lists[i].comms)) + 8*int64(len(ix.lists[i].scores))
-	}
-	return n
+	return 4*int64(len(ix.offsets)+len(ix.comms)) + 8*int64(len(ix.scores))
 }
 
 // PostingsPerWord reports the index's effective posting-list bound (the
 // longest stored list).
 func (ix *RankIndex) PostingsPerWord() int {
 	maxLen := 0
-	for i := range ix.lists {
-		if n := len(ix.lists[i].comms); n > maxLen {
-			maxLen = n
-		}
+	for w := 1; w < len(ix.offsets); w++ {
+		maxLen = max(maxLen, int(ix.offsets[w]-ix.offsets[w-1]))
 	}
 	return maxLen
 }

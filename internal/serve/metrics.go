@@ -52,7 +52,7 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	fmt.Fprint(w, "# HELP cpd_snapshot_build_seconds Snapshot construction time (delta derivation and index build or patch).\n# TYPE cpd_snapshot_build_seconds histogram\n")
 	e.buildLat.Snapshot().WriteProm(w, "cpd_snapshot_build_seconds", "")
 
-	gauge(w, "cpd_process_rss_bytes", "Process resident set size.", "", float64(ProcessRSS()))
+	gauge(w, "cpd_process_rss_bytes", "Process resident set size.", float64(ProcessRSS()))
 
 	infos := e.SnapshotsInfo()
 	snapGauge := func(name, help string, get func(SnapshotStats) float64) {
@@ -131,12 +131,17 @@ func (e *Engine) writeQualityMetrics(w io.Writer) {
 	}
 }
 
-func gauge(w io.Writer, name, help, labels string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	if labels != "" {
-		labels = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, promFloat(v))
+func gauge(w io.Writer, name, help string, v float64) {
+	scalar(w, "gauge", name, help, promFloat(v))
+}
+
+func counter(w io.Writer, name, help string, v uint64) {
+	scalar(w, "counter", name, help, strconv.FormatUint(v, 10))
+}
+
+// scalar writes one unlabeled family of the given type.
+func scalar(w io.Writer, typ, name, help, value string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, value)
 }
 
 func promFloat(v float64) string {

@@ -77,10 +77,11 @@ func randomizePiRow(row []float64, r *rand.Rand) {
 
 func requireSameRankIndex(t *testing.T, got, want *RankIndex) {
 	t.Helper()
-	if got.numWords != want.numWords {
-		t.Fatalf("numWords %d != %d", got.numWords, want.numWords)
+	words := len(want.offsets) - 1
+	if got := len(got.offsets) - 1; got != words {
+		t.Fatalf("%d words indexed, want %d", got, words)
 	}
-	for w := 0; w < want.numWords; w++ {
+	for w := 0; w < words; w++ {
 		gc, gs := got.Postings(int32(w))
 		wc, ws := want.Postings(int32(w))
 		if len(gc) != len(wc) {
@@ -112,11 +113,11 @@ func requireSameUserIndex(t *testing.T, got, want *userIndex) {
 }
 
 // TestPatchFromDifferential drives a chain of randomized deltas — user
-// churn, user growth, vocabulary-touching φ-column changes, and mixes —
-// through PatchFrom, asserting after every step that the patched
-// snapshot's rank index and user index are bit-identical to from-scratch
-// builds of the same model. The patched chain never rebuilds, so sharing
-// bugs accumulate and surface.
+// churn, user growth, and both at once — through patchFrom, asserting
+// after every step that the patched snapshot's rank index and user index
+// are bit-identical to from-scratch builds of the same model, and that the
+// rank index is the predecessor's own. The patched chain never rebuilds,
+// so sharing bugs accumulate and surface.
 func TestPatchFromDifferential(t *testing.T) {
 	const (
 		users, C, Z, V = 120, 12, 6, 400
@@ -140,38 +141,29 @@ func TestPatchFromDifferential(t *testing.T) {
 			next.Rehydrate()
 		case 1: // user growth only (implicit delta)
 			next = growPatchModel(m, 1+r.Intn(10), r)
-		case 2: // vocabulary-touching delta: rescale φ columns
-			next = clonePatchModel(m)
-			for i := 0; i < 1+r.Intn(6); i++ {
-				w := r.Intn(V)
-				for z := 0; z < Z; z++ {
-					next.Phi.Row(z)[w] *= 0.25 + r.Float64()
-				}
-				delta.Words = append(delta.Words, int32(w))
+		case 2: // churn + growth at once
+			next = growPatchModel(m, 1+r.Intn(5), r)
+			for i := 0; i < 1+r.Intn(8); i++ {
+				u := r.Intn(m.NumUsers)
+				randomizePiRow(next.Pi.Row(u), r)
+				delta.Users = append(delta.Users, int32(u))
 			}
 			next.Rehydrate()
-		default: // churn + growth + words at once, with duplicate ids
+		default: // churn + growth, with duplicate and appended ids listed
 			next = growPatchModel(m, 1+r.Intn(5), r)
 			for i := 0; i < 1+r.Intn(5); i++ {
 				u := r.Intn(m.NumUsers)
 				randomizePiRow(next.Pi.Row(u), r)
 				delta.Users = append(delta.Users, int32(u), int32(u))
 			}
-			for i := 0; i < 1+r.Intn(3); i++ {
-				w := r.Intn(V)
-				for z := 0; z < Z; z++ {
-					next.Phi.Row(z)[w] *= 0.25 + r.Float64()
-				}
-				delta.Words = append(delta.Words, int32(w))
-			}
+			delta.Users = append(delta.Users, int32(m.NumUsers))
 			next.Rehydrate()
 		}
-		patched := PatchFrom(snap, next, nil, delta)
+		patched := patchFrom(snap, next, nil, delta)
 		scratch := newSnapshot(next, nil, DefaultSnapshot, 0, opts)
-		requireSameRankIndex(t, patched.index, scratch.index)
-		requireSameUserIndex(t, patched.users, scratch.users)
-		if !reflect.DeepEqual(patched.labels, scratch.labels) && len(delta.Words) > 0 {
-			t.Fatalf("round %d: labels diverged after vocabulary delta", round)
+		requireSameSnapshot(t, patched, scratch)
+		if patched.index != snap.index {
+			t.Fatalf("round %d: a membership patch rebuilt the rank index", round)
 		}
 		snap.Release()
 		scratch.Release()
@@ -180,45 +172,18 @@ func TestPatchFromDifferential(t *testing.T) {
 	snap.Release()
 }
 
-// TestPatchFromSharing asserts the point of the rank-index patch path:
-// with an empty delta every posting list is shared (aliased) with the
-// predecessor, and a small delta shares all untouched words.
+// TestPatchFromSharing asserts the point of the patch path: with an empty
+// delta the whole rank index is shared by pointer with the predecessor.
 func TestPatchFromSharing(t *testing.T) {
 	m := SyntheticModel(64, 8, 4, 200, 7)
 	opts := Options{}.withDefaults()
 	snap := newSnapshot(m, nil, DefaultSnapshot, 0, opts)
 	defer snap.Release()
 
-	same := func(a, b []int32) bool {
-		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-	}
-
-	empty := PatchFrom(snap, m, nil, Delta{})
+	empty := patchFrom(snap, m, nil, Delta{})
 	defer empty.Release()
-	for w := range snap.index.lists {
-		if !same(empty.index.lists[w].comms, snap.index.lists[w].comms) {
-			t.Fatalf("word %d list not shared under empty delta", w)
-		}
-	}
-
-	// One dirty user (id 5) and one dirty word (id 9).
-	next := clonePatchModel(m)
-	r := rand.New(rand.NewSource(3))
-	randomizePiRow(next.Pi.Row(5), r)
-	for z := 0; z < m.Cfg.NumTopics; z++ {
-		next.Phi.Row(z)[9] *= 2
-	}
-	next.Rehydrate()
-	patched := PatchFrom(snap, next, nil, Delta{Users: []int32{5}, Words: []int32{9}})
-	defer patched.Release()
-	for w := range snap.index.lists {
-		shared := same(patched.index.lists[w].comms, snap.index.lists[w].comms)
-		if w == 9 && shared && len(snap.index.lists[w].comms) > 0 {
-			t.Fatalf("dirty word 9 still shares its predecessor's list")
-		}
-		if w != 9 && !shared {
-			t.Fatalf("clean word %d was copied", w)
-		}
+	if empty.index != snap.index {
+		t.Fatal("rank index not shared under an empty delta")
 	}
 }
 
@@ -236,8 +201,8 @@ func TestPatchFromFallbacks(t *testing.T) {
 	randomizePiRow(next.Pi.Row(3), r)
 	next.Rehydrate()
 
-	// Globals forces a full rebuild even with no listed users/words.
-	full := PatchFrom(snap, next, nil, Delta{Globals: true})
+	// Globals forces a full rebuild even with no listed users.
+	full := patchFrom(snap, next, nil, Delta{Globals: true})
 	scratch := newSnapshot(next, nil, DefaultSnapshot, 0, opts)
 	requireSameRankIndex(t, full.index, scratch.index)
 	requireSameUserIndex(t, full.users, scratch.users)
@@ -245,7 +210,7 @@ func TestPatchFromFallbacks(t *testing.T) {
 	scratch.Release()
 
 	// Out-of-range ids in the delta are ignored, not fatal.
-	ok := PatchFrom(snap, next, nil, Delta{Users: []int32{-1, 3, 9999}, Words: []int32{-2, 100000}})
+	ok := patchFrom(snap, next, nil, Delta{Users: []int32{-1, 3, 9999}})
 	scratch = newSnapshot(next, nil, DefaultSnapshot, 0, opts)
 	requireSameRankIndex(t, ok.index, scratch.index)
 	requireSameUserIndex(t, ok.users, scratch.users)
@@ -355,8 +320,9 @@ func testVocabulary(words int, prefix string) *corpus.Vocabulary {
 // TestBuildSnapshotDerivedDelta is the differential test of the derived
 // delta: for each kind of (previous, next) pair BuildSnapshot — handed no
 // delta — must produce a snapshot equal field for field to a from-scratch
-// build of next, and report the expected kind, reason and re-indexed
-// counts. Every next model is a deep copy, so nothing is equal by aliasing.
+// build of next, and report the expected kind, reason and re-indexed row
+// count. A Φ difference of any size is a full build. Every next model is a
+// deep copy, so nothing is equal by aliasing.
 func TestBuildSnapshotDerivedDelta(t *testing.T) {
 	const users, C, Z, V = 90, 10, 5, 240
 	opts := Options{PostingsPerWord: 6}
@@ -364,7 +330,7 @@ func TestBuildSnapshotDerivedDelta(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	type want struct {
 		kind, reason string
-		users, words int // re-indexed; checked for patched builds
+		users        int // re-indexed; checked for patched builds
 	}
 	cases := []struct {
 		name string
@@ -374,53 +340,53 @@ func TestBuildSnapshotDerivedDelta(t *testing.T) {
 	}{
 		{"nothing changed", nil, func(prev *core.Model, _ *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 			return clonePatchModel(prev), nil
-		}, want{BuildPatched, "", 0, 0}},
+		}, want{BuildPatched, "", 0}},
 		{"rows changed", nil, func(prev *core.Model, r *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 			next := clonePatchModel(prev)
 			for _, u := range []int{0, 7, 8, users - 1} {
 				randomizePiRow(next.Pi.Row(u), r)
 			}
 			return next, nil
-		}, want{BuildPatched, "", 4, 0}},
+		}, want{BuildPatched, "", 4}},
 		{"users appended", nil, func(prev *core.Model, r *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 			return growPatchModel(prev, 9, r), nil
-		}, want{BuildPatched, "", 9, 0}},
+		}, want{BuildPatched, "", 9}},
 		{"rows changed and users appended", nil, func(prev *core.Model, r *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 			next := growPatchModel(prev, 3, r)
 			randomizePiRow(next.Pi.Row(11), r)
 			return next, nil
-		}, want{BuildPatched, "", 4, 0}},
+		}, want{BuildPatched, "", 4}},
 		{"one phi column changed", nil, func(prev *core.Model, r *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 			next := clonePatchModel(prev)
 			for z := 0; z < Z; z++ {
 				next.Phi.Row(z)[17] *= 0.25 + r.Float64()
 			}
 			return next, nil
-		}, want{BuildPatched, "", 0, 1}},
+		}, want{kind: BuildFull, reason: reasonGlobals}},
 		{"one phi entry and one row", nil, func(prev *core.Model, r *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 			next := clonePatchModel(prev)
 			next.Phi.Row(2)[V-1] *= 3
 			randomizePiRow(next.Pi.Row(40), r)
 			return next, nil
-		}, want{BuildPatched, "", 1, 1}},
+		}, want{kind: BuildFull, reason: reasonGlobals}},
 		{"zero changes sign", func(prev *core.Model) { prev.Pi.Row(5)[2] = 0 },
 			func(prev *core.Model, _ *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 				next := clonePatchModel(prev)
 				next.Pi.Row(5)[2] = negZero
 				return next, nil
-			}, want{BuildPatched, "", 1, 0}},
+			}, want{BuildPatched, "", 1}},
 		{"NaN changes payload", func(prev *core.Model) { prev.Pi.Row(6)[1] = math.Float64frombits(0x7ff8000000000001) },
 			func(prev *core.Model, _ *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 				next := clonePatchModel(prev)
 				next.Pi.Row(6)[1] = math.Float64frombits(0x7ff8000000000002)
 				return next, nil
-			}, want{BuildPatched, "", 1, 0}},
+			}, want{BuildPatched, "", 1}},
 		{"phi zero changes sign", func(prev *core.Model) { prev.Phi.Row(1)[30] = 0 },
 			func(prev *core.Model, _ *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 				next := clonePatchModel(prev)
 				next.Phi.Row(1)[30] = negZero
 				return next, nil
-			}, want{BuildPatched, "", 0, 1}},
+			}, want{kind: BuildFull, reason: reasonGlobals}},
 		{"eta changed", nil, func(prev *core.Model, _ *rand.Rand) (*core.Model, *corpus.Vocabulary) {
 			next := clonePatchModel(prev)
 			next.Eta.Data[3] *= 2
@@ -470,7 +436,7 @@ func TestBuildSnapshotDerivedDelta(t *testing.T) {
 			next := clonePatchModel(prev)
 			randomizePiRow(next.Pi.Row(1), r)
 			return next, testVocabulary(V, "w")
-		}, want{BuildPatched, "", 1, 0}},
+		}, want{BuildPatched, "", 1}},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -482,7 +448,7 @@ func TestBuildSnapshotDerivedDelta(t *testing.T) {
 			e := NewMulti(opts)
 			defer e.Close()
 			first := e.buildSnapshot(DefaultSnapshot, prev, vocab, nil, nil)
-			if b := first.Build(); b.Kind != BuildFull || b.Reason != reasonNoPredecessor || b.Users != users || b.Words != V {
+			if b := first.Build(); b.Kind != BuildFull || b.Reason != reasonNoPredecessor || b.Users != users {
 				t.Fatalf("first build into an empty slot reports %+v", b)
 			}
 			e.publish(first)
@@ -499,19 +465,19 @@ func TestBuildSnapshotDerivedDelta(t *testing.T) {
 			if b.Kind != tc.want.kind || b.Reason != tc.want.reason || !b.Derived {
 				t.Fatalf("build %+v, want kind %q reason %q derived", b, tc.want.kind, tc.want.reason)
 			}
-			if b.Kind == BuildPatched && (b.Users != tc.want.users || b.Words != tc.want.words) {
-				t.Fatalf("re-indexed %d users and %d words, want %d and %d", b.Users, b.Words, tc.want.users, tc.want.words)
+			if b.Kind == BuildPatched && b.Users != tc.want.users {
+				t.Fatalf("re-indexed %d users, want %d", b.Users, tc.want.users)
 			}
-			if b.Kind == BuildFull && (b.Users != next.NumUsers || b.Words != next.NumWords) {
-				t.Fatalf("full build reports %d users and %d words re-indexed, model has %d and %d", b.Users, b.Words, next.NumUsers, next.NumWords)
+			if b.Kind == BuildFull && b.Users != next.NumUsers {
+				t.Fatalf("full build reports %d users re-indexed, model has %d", b.Users, next.NumUsers)
 			}
 		})
 	}
 }
 
 // TestBuildSnapshotDerivedChain adopts a random chain of successors with
-// no delta and never rebuilds in between, so a row or column the
-// derivation missed would stay wrong and surface in a later comparison.
+// no delta, so a row the derivation missed would stay wrong and surface in
+// a later comparison. A successor whose Φ moved is built in full.
 func TestBuildSnapshotDerivedChain(t *testing.T) {
 	const users, C, Z, V = 100, 9, 4, 180
 	r := rand.New(rand.NewSource(8))
@@ -523,21 +489,25 @@ func TestBuildSnapshotDerivedChain(t *testing.T) {
 		if r.Intn(3) == 0 {
 			next = growPatchModel(m, 1+r.Intn(6), r)
 		}
-		wantUsers, wantWords := next.NumUsers-m.NumUsers, 0
+		wantUsers, phiMoved := next.NumUsers-m.NumUsers, false
 		for _, u := range r.Perm(m.NumUsers)[:r.Intn(7)] {
 			randomizePiRow(next.Pi.Row(u), r)
 			wantUsers++
 		}
 		for _, w := range r.Perm(V)[:r.Intn(4)] {
 			next.Phi.Row(r.Intn(Z))[w] *= 1.5
-			wantWords++
+			phiMoved = true
 		}
 		got := e.buildSnapshot(DefaultSnapshot, next, nil, nil, nil)
 		scratch := newSnapshot(next, nil, DefaultSnapshot, 0, e.opts)
 		requireSameSnapshot(t, got, scratch)
 		scratch.Release()
-		if b := got.Build(); b.Kind != BuildPatched || b.Users != wantUsers || b.Words != wantWords {
-			t.Fatalf("round %d: build %+v, want %d users and %d words patched", round, b, wantUsers, wantWords)
+		b := got.Build()
+		if phiMoved && (b.Kind != BuildFull || b.Reason != reasonGlobals) {
+			t.Fatalf("round %d: Φ moved, build %+v, want a full build for %q", round, b, reasonGlobals)
+		}
+		if !phiMoved && (b.Kind != BuildPatched || b.Users != wantUsers) {
+			t.Fatalf("round %d: build %+v, want %d users patched", round, b, wantUsers)
 		}
 		e.publish(got)
 		m = next

@@ -182,15 +182,15 @@ func (f *Fetcher) Status() FetchStatus {
 	return st
 }
 
-// WriteMetrics emits the fetcher's gauges in Prometheus text exposition
-// format — registered on the engine via AddMetricsCollector.
+// WriteMetrics emits the fetcher's gauges and counters in Prometheus text
+// exposition format — registered on the engine via AddMetricsCollector.
 func (f *Fetcher) WriteMetrics(w io.Writer) {
 	st := f.Status()
-	gauge(w, "cpd_replica_generation", "Publisher generation this replica serves.", "", float64(st.Generation))
-	gauge(w, "cpd_replica_fetches_total", "Generations fetched, verified and promoted.", "", float64(st.Fetches))
-	gauge(w, "cpd_replica_fetch_failures_total", "Failed fetch or verify attempts.", "", float64(st.Failures))
-	gauge(w, "cpd_replica_patched_promotes_total", "Fetched generations adopted by patching the previous one's indexes.", "", float64(st.PatchedPromotes))
-	gauge(w, "cpd_replica_last_promote_seconds", "Open and check, index build or patch, and swap of the newest fetched generation.", "", float64(st.LastPromoteMicros)/1e6)
+	gauge(w, "cpd_replica_generation", "Publisher generation this replica serves.", float64(st.Generation))
+	counter(w, "cpd_replica_fetches_total", "Generations fetched, verified and promoted.", st.Fetches)
+	counter(w, "cpd_replica_fetch_failures_total", "Failed fetch or verify attempts.", st.Failures)
+	counter(w, "cpd_replica_patched_promotes_total", "Fetched generations adopted by patching the previous one's indexes.", st.PatchedPromotes)
+	gauge(w, "cpd_replica_last_promote_seconds", "Open and check, index build or patch, and swap of the newest fetched generation.", float64(st.LastPromoteMicros)/1e6)
 }
 
 // Poll runs one discover→fetch→verify→promote→prune cycle. It returns

@@ -193,7 +193,7 @@ func TestFetcherAdoptsFullFileByPatch(t *testing.T) {
 		t.Fatalf("second poll = %d, %v; want %d", gen, err, g2)
 	}
 	b := liveBuild(t, replica)
-	if b.Kind != serve.BuildPatched || !b.Derived || b.Words != 0 {
+	if b.Kind != serve.BuildPatched || !b.Derived {
 		t.Fatalf("second adoption built %+v, want a derived patch", b)
 	}
 	// 12 documents moved at most 12 rows; 3 users were appended.

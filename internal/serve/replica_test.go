@@ -115,6 +115,50 @@ func TestFetcherDirSource(t *testing.T) {
 	}
 }
 
+// TestFetcherMetricsTypes: a fetching engine's /metrics — the engine's own
+// families plus the fetcher's collector — declares every family once, and
+// a family is a counter exactly when its name ends in _total.
+func TestFetcherMetricsTypes(t *testing.T) {
+	pub := t.TempDir()
+	e := serve.NewMulti(serve.Options{})
+	defer e.Close()
+	f, err := serve.NewFetcher(e, serve.FetchOptions{Source: pub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddMetricsCollector(f.WriteMetrics)
+	publishGen(t, pub, 1, 1)
+	if gen, err := f.Poll(); gen != 1 || err != nil {
+		t.Fatalf("poll = %d, %v; want 1", gen, err)
+	}
+	rec := httptest.NewRecorder()
+	serve.APIHandler(e, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	types := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		name, typ, _ := strings.Cut(rest, " ")
+		if _, dup := types[name]; dup {
+			t.Errorf("family %s declared twice", name)
+		}
+		types[name] = typ
+		if strings.HasSuffix(name, "_total") != (typ == "counter") {
+			t.Errorf("family %s is declared %s", name, typ)
+		}
+	}
+	for _, name := range []string{"cpd_replica_fetches_total", "cpd_replica_fetch_failures_total", "cpd_replica_patched_promotes_total"} {
+		if types[name] != "counter" {
+			t.Errorf("%s declared %q, want counter", name, types[name])
+		}
+	}
+	if !strings.Contains(body, "\ncpd_replica_fetches_total 1\n") {
+		t.Errorf("/metrics lacks the fetch count:\n%s", body)
+	}
+}
+
 // TestFetcherHTTPSource drives the fetcher against stream.SnapshotServer:
 // manifest discovery, file download into the local cache, verification,
 // promotion, and cache retention.

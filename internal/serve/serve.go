@@ -21,10 +21,11 @@
 //     (word → community posting lists, see RankIndex) instead of scoring
 //     every community against every topic per query;
 //   - that derived state has one builder, buildSnapshot (build.go),
-//     behind every way a model reaches a slot. It patches
-//     the slot's current snapshot wherever the new model's bytes equal the
-//     old one's, from a delta the caller supplies or one it derives by
-//     comparing the blocks, so adopting a generation costs what changed;
+//     behind every way a model reaches a slot. When only membership rows
+//     changed or were appended — what a fold-in publish does — it patches
+//     those rows into the slot's current snapshot and shares the rest, from
+//     a delta the caller supplies or one it derives by comparing the
+//     blocks; any other difference is a full build;
 //     Snapshot.Build, /api/stats and /metrics say what each build did;
 //   - fold-in inference (FoldInNamed) gives users the model was never trained
 //     on a community membership and profile, by a short seeded Gibbs pass
@@ -43,9 +44,11 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -163,8 +166,8 @@ type Snapshot struct {
 }
 
 // newSnapshot builds every derived structure from the model. Production
-// code reaches it through buildSnapshot (and PatchFrom's fallback) only;
-// it is the reference the patch paths are held bit-identical to.
+// code reaches it through buildSnapshot (and patchFrom's fallback) only;
+// it is the reference the patch path is held bit-identical to.
 func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version uint64, opts Options) *Snapshot {
 	s := &Snapshot{
 		Model:    m,
@@ -178,7 +181,7 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		users:    buildUserIndex(m),
 		logTheta: logThetaTable(m),
 		logPhi:   logPhiTable(m),
-		build:    BuildInfo{Kind: BuildFull, Users: m.NumUsers, Words: m.NumWords},
+		build:    BuildInfo{Kind: BuildFull, Users: m.NumUsers},
 	}
 	s.refs.Store(1)
 	s.heapBytes = s.derivedBytes()
@@ -197,24 +200,24 @@ func (s *Snapshot) derivedBytes() int64 {
 
 // Delta describes how a model differs from the one behind an existing
 // snapshot, letting snapshot construction reuse unchanged derived state
-// (PatchFrom). The zero Delta means "nothing changed beyond appended
+// (patchFrom). The zero Delta means "nothing changed beyond appended
 // users".
 //
-// A delta must be complete: PatchFrom recomputes what it lists and
-// nothing else, so a changed row or column left out keeps its stale
-// entries. A caller that cannot vouch for that passes PromoteGroup
+// A patch changes membership rows and nothing else: Θ and Φ are
+// estimated from the same document assignments (Sect. 4.2), so a model
+// whose Φ moved moved Θ too, and every other block feeds the shared
+// derived state wholesale. A delta must be complete: patchFrom recomputes
+// the rows it lists and nothing else, so a changed row left out keeps its
+// stale entries. A caller that cannot vouch for that passes PromoteGroup
 // no delta and gets one derived from the bytes (deriveDelta), complete by
 // construction: every block derived state reads is compared exactly, and
 // whatever a Delta cannot name forces the full build.
 type Delta struct {
 	// Users lists the users whose membership row (π_u) changed, in any
-	// order (PatchFrom normalizes). Users with ids at or past the
+	// order (patchFrom normalizes). Users with ids at or past the
 	// previous snapshot's user count are implicitly new and need not be
 	// listed.
 	Users []int32
-	// Words lists vocabulary ids whose topic-word column (φ_·,w) changed
-	// while the global rank table (Θ, η) stayed fixed.
-	Words []int32
 	// Globals marks the shared profile blocks (Θ, Φ, η, ν wholesale) as
 	// changed — forces a full rebuild of every derived structure.
 	Globals bool
@@ -225,27 +228,26 @@ type Delta struct {
 	Base uint64
 }
 
-// PatchFrom builds a snapshot of m by patching prev's derived state:
-// rank-index posting lists are recomputed only for delta.Words, user-index
-// rows and member counts only for delta.Users (plus appended users), and
-// everything else — openness, labels, unchanged posting lists — is
-// shared with prev. Sharing is safe because derived state is immutable
-// and heap-allocated (never a view into prev's possibly-mapped
-// matrices), so it outlives prev's retirement.
+// patchFrom builds a snapshot of m by patching prev's derived state:
+// user-index rows and member counts are recomputed for delta.Users (plus
+// appended users), and everything else — rank index, openness, labels,
+// log Θ and log Φ tables — is shared with prev. Sharing is safe because
+// derived state is immutable and heap-allocated (never a view into prev's
+// possibly-mapped matrices), so it outlives prev's retirement.
 //
 // A patched snapshot is bit-identical to a from-scratch newSnapshot of m
 // provided the delta covers every change between prev.Model and m: the
-// per-word rank scorer and per-user top-K selection run the exact float
-// operation sequences of the full builders. When patching does not apply
-// — delta.Globals, a changed community/topic/word count, or a shrunken
-// user set — PatchFrom falls back to a full build (Build().Reason says
-// which). It does not look at delta.Base or at shard identities: those
-// are buildSnapshot's to check before it calls here.
+// per-user top-K selection runs the exact float operation sequence of the
+// full builder. When patching does not apply — delta.Globals, a changed
+// community/topic/word count, or a shrunken user set — patchFrom falls
+// back to a full build (Build().Reason says which). It does not look at
+// delta.Base or at shard identities: those are buildSnapshot's to check
+// before it calls here.
 //
 // The returned snapshot is not yet published and carries one reference
 // (for the slot that will own it); callers that abandon it must Release
 // it.
-func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta Delta) *Snapshot {
+func patchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta Delta) *Snapshot {
 	pm := prev.Model
 	reason := ""
 	if delta.Globals {
@@ -261,30 +263,23 @@ func PatchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		s.build.Reason = reason
 		return s
 	}
-	opts := prev.opts
 	dirty := normalizeDirty(delta.Users, pm.NumUsers)
 	s := &Snapshot{
-		Model:    m,
-		Vocab:    vocab,
-		Name:     prev.Name,
-		opts:     opts,
-		openness: prev.openness, // depends on η only, unchanged by definition here
-		logTheta: prev.logTheta, // depends on Θ only, likewise
-		logPhi:   prev.logPhi,   // depends on Φ only: stands unless delta.Words
+		Model: m,
+		Vocab: vocab,
+		Name:  prev.Name,
+		opts:  prev.opts,
+		// Openness, the rank index and the log tables read Θ, η and Φ
+		// only, which a patch leaves as they were.
+		openness: prev.openness,
+		index:    prev.index,
+		logTheta: prev.logTheta,
+		logPhi:   prev.logPhi,
 		labels:   prev.labels,
 		users:    patchUserIndex(prev.users, m, dirty),
-		build:    BuildInfo{Kind: BuildPatched, Users: len(dirty) + m.NumUsers - pm.NumUsers, Words: len(delta.Words)},
+		build:    BuildInfo{Kind: BuildPatched, Users: len(dirty) + m.NumUsers - pm.NumUsers},
 	}
-	if len(delta.Words) == 0 {
-		s.index = prev.index
-	} else {
-		s.index = patchRankIndex(prev.index, m, opts.PostingsPerWord, delta.Words)
-		s.logPhi = patchLogPhiTable(prev.logPhi, m, delta.Words)
-		// Labels read Φ's top words; a vocabulary-touching delta may move
-		// them.
-		s.labels = communityLabels(m, vocab)
-	}
-	if vocab != prev.Vocab && len(delta.Words) == 0 {
+	if vocab != prev.Vocab {
 		s.labels = communityLabels(m, vocab)
 	}
 	s.refs.Store(1)
@@ -988,27 +983,30 @@ func (s *Snapshot) Community(c int) (*CommunityDetail, error) {
 	return d, nil
 }
 
-// topFlows lists the k strongest topic-specific flows out of and into c.
+// topFlows lists the k strongest topic-specific flows out of and into c,
+// strongest first (ties by community, then topic). A cell at its source
+// community's η base (apps.EtaBase) records no observed diffusion and is
+// not listed; a community with none answers empty lists, not null.
 func topFlows(m *core.Model, c, k int) (outs, ins []FlowSummary) {
-	var outAll, inAll []FlowSummary
-	for c2 := 0; c2 < m.Cfg.NumCommunities; c2++ {
-		for z := 0; z < m.Cfg.NumTopics; z++ {
-			if v := m.Eta.At(c, c2, z); v > 0 {
-				outAll = append(outAll, FlowSummary{c2, z, v})
+	C, Z := m.Cfg.NumCommunities, m.Cfg.NumTopics
+	outs, ins = []FlowSummary{}, []FlowSummary{}
+	ownBase := math.Float64bits(apps.EtaBase(m, c))
+	for c2 := 0; c2 < C; c2++ {
+		base := math.Float64bits(apps.EtaBase(m, c2))
+		for z := 0; z < Z; z++ {
+			if v := m.Eta.At(c, c2, z); math.Float64bits(v) != ownBase {
+				outs = append(outs, FlowSummary{c2, z, v})
 			}
-			if v := m.Eta.At(c2, c, z); v > 0 {
-				inAll = append(inAll, FlowSummary{c2, z, v})
+			if v := m.Eta.At(c2, c, z); math.Float64bits(v) != base {
+				ins = append(ins, FlowSummary{c2, z, v})
 			}
 		}
 	}
 	top := func(fs []FlowSummary) []FlowSummary {
-		sort.Slice(fs, func(i, j int) bool { return fs[i].Strength > fs[j].Strength })
-		if len(fs) > k {
-			fs = fs[:k]
-		}
-		return fs
+		slices.SortStableFunc(fs, func(x, y FlowSummary) int { return cmp.Compare(y.Strength, x.Strength) })
+		return fs[:min(k, len(fs))]
 	}
-	return top(outAll), top(inAll)
+	return top(outs), top(ins)
 }
 
 // Membership returns user u's top-k community memberships, served from

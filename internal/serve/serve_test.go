@@ -229,6 +229,62 @@ func TestFoldInDeterministic(t *testing.T) {
 	}
 }
 
+// TestCommunityFlowsSkipBase: /api/community lists a flow only where a
+// diffusion link supports it. η is built the way the M-step builds it
+// (per-source smoothing, so every unsupported cell sits at its row's
+// base): a community that diffuses nothing has no out-flows, one nobody
+// diffuses has no in-flows — not a page of base-valued ties — and a
+// supported pair lists exactly its supported topics, ties by community
+// and then topic.
+func TestCommunityFlowsSkipBase(t *testing.T) {
+	const C, Z = 4, 3
+	m := SyntheticModel(30, C, Z, 60, 8)
+	links := map[[3]int]float64{{0, 1, 2}: 3, {0, 2, 1}: 3, {0, 1, 0}: 1, {2, 0, 1}: 2}
+	for c := 0; c < C; c++ {
+		row := m.Eta.Data[c*C*Z : (c+1)*C*Z]
+		total := 0.0
+		for i := range row {
+			row[i] = links[[3]int{c, i / Z, i % Z}]
+			total += row[i]
+		}
+		den := total + 0.05*float64(C*Z)
+		for i := range row {
+			row[i] = (row[i] + 0.05) / den
+		}
+	}
+	m.Rehydrate()
+	e := testEngine(t, m, nil, Options{})
+	flows := func(fs []FlowSummary) [][2]int {
+		out := [][2]int{}
+		for _, f := range fs {
+			out = append(out, [2]int{f.Community, f.Topic})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		c         int
+		outs, ins [][2]int
+	}{
+		{0, [][2]int{{1, 2}, {2, 1}, {1, 0}}, [][2]int{{2, 1}}},
+		{1, [][2]int{}, [][2]int{{0, 2}, {0, 0}}},
+		{3, [][2]int{}, [][2]int{}},
+	} {
+		d, err := e.CommunityIn(DefaultSnapshot, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := flows(d.OutFlows); !reflect.DeepEqual(got, tc.outs) {
+			t.Errorf("c%d out-flows %v, want %v", tc.c, got, tc.outs)
+		}
+		if got := flows(d.InFlows); !reflect.DeepEqual(got, tc.ins) {
+			t.Errorf("c%d in-flows %v, want %v", tc.c, got, tc.ins)
+		}
+		if body, _ := json.Marshal(d); !bytes.Contains(body, []byte(`"outFlows":[`)) || !bytes.Contains(body, []byte(`"inFlows":[`)) {
+			t.Errorf("c%d: flows not encoded as lists: %s", tc.c, body)
+		}
+	}
+}
+
 func TestQueryEndpoints(t *testing.T) {
 	m := SyntheticModel(30, 8, 5, 100, 4)
 	e := testEngine(t, m, nil, Options{})

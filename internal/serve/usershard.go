@@ -52,7 +52,7 @@ func buildUserIndex(m *core.Model) *userIndex {
 // are recomputed, and each rewritten row moves the counts by its old and
 // new entries.
 //
-// dirty must be ascending, duplicate-free, and < prev.users (PatchFrom
+// dirty must be ascending, duplicate-free, and < prev.users (patchFrom
 // normalizes it). prev must have the same topK and community count and at
 // most m.NumUsers users — callers fall back to buildUserIndex otherwise.
 // The result is bit-identical to buildUserIndex(m) provided dirty
