@@ -25,9 +25,10 @@ package shard
 //     generations: a file is either the previous one or freshly encoded,
 //     so Π rows the updater patched in place always reach a written file.
 //
-// While the user count is the one the boundaries were planned for, the
-// emitted group is exactly what Split produces from the full snapshot of
-// the same model; Join on a published group reproduces the full file
+// The group path is the one writer of group files: Split writes through
+// it too, so while the user count is the one the boundaries were planned
+// for, a published group and Split of the full snapshot of the same model
+// are the same files. Join on a published group reproduces the full file
 // bit-for-bit whatever the count.
 
 import (
@@ -121,6 +122,14 @@ func (p *Publisher) Publish(gen uint64, m *core.Model, d Delta) (*Manifest, erro
 		p.Last = PublishStats{BytesWritten: fi.Size()}
 		return man, nil
 	}
+	return p.group(gen, m, d)
+}
+
+// group writes generation gen of m as a shard group — global file, state
+// file, one file per range, then the manifest as the commit point —
+// linking what d says did not move, whatever the shard count: Split writes
+// a one-shard group through it too.
+func (p *Publisher) group(gen uint64, m *core.Model, d Delta) (*Manifest, error) {
 	users := m.NumUsers
 	C := m.Cfg.NumCommunities
 

@@ -31,19 +31,19 @@
 // own group names (or, with one shard, its full-file name) — a manifest
 // is outside input.
 //
-// Split turns any v2 snapshot written by this repo's encoder into a
-// sharded generation, copying the document arrays verbatim into the state
-// file; Join reassembles one back byte-identically, taking the full DIM
-// from shard 0's with the manifest's user count and the document arrays
-// from the state file. Boundaries come from a weight-balancing pass over
-// per-user Π row bytes (PlanRanges). OpenGroup mmaps a global+shard pair,
-// checks each file against its manifest entry over that mapping, and
-// assembles a servable partial model whose mapped-byte cost is ~(1/N of
-// Π + the global sections). Publisher is the streaming integration: it emits
-// a sharded generation next to each full one, hard-linking the global
-// file on every fold-in publish, the shard files whose Π rows did not
-// change and the state file while the document arrays stay the previous
-// model's — the O(changed) property at the file level.
+// Publisher writes every group file. Streaming, it emits a sharded
+// generation next to each full one, hard-linking the global file on every
+// fold-in publish, the shard files whose Π rows did not change and the
+// state file while the document arrays stay the previous model's — the
+// O(changed) property at the file level. Split writes a checked v2
+// snapshot's model through the same path; Join checks every file it reads
+// and reassembles the current encoder's full file byte-identically,
+// taking the full DIM from shard 0's with the manifest's user count and
+// the document arrays from the state file. Boundaries come from a
+// weight-balancing pass over per-user Π row bytes (PlanRanges). OpenGroup
+// mmaps a global+shard pair, checks each file against its manifest entry
+// over that mapping, and assembles a servable partial model whose
+// mapped-byte cost is ~(1/N of Π + the global sections).
 package shard
 
 import (

@@ -75,6 +75,15 @@ func testModel(users, C, Z, V int, seed uint64) *core.Model {
 // back reproduces the source file byte-for-byte.
 func splitJoinIdentical(t *testing.T, src string, shards int) *Manifest {
 	t.Helper()
+	_, man := splitJoin(t, src, src, shards)
+	return man
+}
+
+// splitJoin splits src into shards under a fresh directory, asserts that
+// the group has its layout and joins back to the file at want
+// byte-for-byte, and returns the directory and the manifest.
+func splitJoin(t *testing.T, src, want string, shards int) (string, *Manifest) {
+	t.Helper()
 	dir := t.TempDir()
 	man, err := Split(src, dir, 7, SplitOptions{Shards: shards})
 	if err != nil {
@@ -88,7 +97,7 @@ func splitJoinIdentical(t *testing.T, src string, shards int) *Manifest {
 	if err := Join(dir, 7, joined); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	want, err := os.ReadFile(src)
+	wantBytes, err := os.ReadFile(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +105,44 @@ func splitJoinIdentical(t *testing.T, src string, shards int) *Manifest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("join of %d-shard split is not byte-identical (%d vs %d bytes)", shards, len(got), len(want))
+	if !bytes.Equal(wantBytes, got) {
+		t.Fatalf("join of %d-shard split is not byte-identical to %s (%d vs %d bytes)", shards, filepath.Base(want), len(got), len(wantBytes))
 	}
-	return man
+	return dir, man
 }
 
+// TestSplitJoinGoldenFixture: the fixture's CFG was written by an older
+// Config, and Split re-encodes the model it opens, so Join(Split(golden))
+// is the current encoder's file of the fixture's model — and every shard
+// of the group serves that model's rows and profiles.
 func TestSplitJoinGoldenFixture(t *testing.T) {
-	src := filepath.Join("..", "store", "testdata", "golden-v2.snap")
+	golden := filepath.Join("..", "store", "testdata", "golden-v2.snap")
+	whole, err := OpenWhole(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	encoded := filepath.Join(t.TempDir(), "golden.v2.snap")
+	if err := store.SaveV2(encoded, whole.Model); err != nil {
+		t.Fatal(err)
+	}
+	C := whole.Model.Cfg.NumCommunities
 	for _, shards := range []int{1, 2, 3, 5} {
-		splitJoinIdentical(t, src, shards)
+		dir, man := splitJoin(t, golden, encoded, shards)
+		for k, r := range man.Ranges {
+			g, err := OpenGroup(dir, man, k)
+			if err != nil {
+				t.Fatalf("OpenGroup(%d of %d): %v", k, shards, err)
+			}
+			part := *whole.Model
+			part.NumUsers = r.UserHi - r.UserLo
+			part.Pi = sparse.NewDenseView(part.NumUsers, C, whole.Model.Pi.Data[r.UserLo*C:r.UserHi*C])
+			part.DocCommunity, part.DocTopic, part.DocBucket = nil, nil, nil
+			if !reflect.DeepEqual(g.Model, &part) {
+				t.Fatalf("shard %d of %d serves a different model from OpenWhole of the fixture", k, shards)
+			}
+			g.Close()
+		}
 	}
 }
 
@@ -834,6 +871,27 @@ func TestDocWindowGroupOpens(t *testing.T) {
 	}
 }
 
+// userTags are the sections indexed by user or by document, which a
+// group keeps out of its global file: Π for the shard files, the document
+// arrays for the state file.
+var userTags = map[string]bool{
+	store.TagPi:   true,
+	store.TagDocC: true,
+	store.TagDocZ: true,
+	store.TagDocB: true,
+}
+
+// shapedSlice builds a numeric payload: a fresh 64-byte shape header over
+// a copied body window.
+func shapedSlice(dims []uint64, body []byte) []byte {
+	out := make([]byte, shapeLen+len(body))
+	for i, d := range dims {
+		binary.LittleEndian.PutUint64(out[8*i:], d)
+	}
+	copy(out[shapeLen:], body)
+	return out
+}
+
 func int32Bytes(xs []int32) []byte {
 	buf := make([]byte, 4*len(xs))
 	for i, x := range xs {
@@ -1063,6 +1121,81 @@ func TestJoinRejectsInconsistentGroups(t *testing.T) {
 				t.Fatalf("Join = %v, want an error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// flipPayloadByte flips the last payload byte of the section tagged tag in
+// the v2 file at path, leaving its size and section table intact.
+func flipPayloadByte(t *testing.T, path, tag string) {
+	t.Helper()
+	rf, err := store.OpenRawFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, ok := rf.Section(tag)
+	if !ok {
+		t.Fatalf("%s has no %q section", path, tag)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, payload)
+	rf.Close()
+	if at < 0 {
+		t.Fatalf("%q payload not found in %s", tag, path)
+	}
+	raw[at+len(payload)-1] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refusedPath asserts that err is an *fs.PathError naming path.
+func refusedPath(t *testing.T, what string, err error, path string) {
+	t.Helper()
+	var bad *fs.PathError
+	if err == nil || !errors.As(err, &bad) || bad.Path != path {
+		t.Fatalf("%s = %v, want an *fs.PathError naming %s", what, err, path)
+	}
+}
+
+// TestJoinRefusesFlippedPayloadByte: Join checks every payload CRC of the
+// files it reads, so a shard file with one Π byte flipped is refused by
+// name instead of being re-checksummed into a valid full file, and nothing
+// lands at the destination.
+func TestJoinRefusesFlippedPayloadByte(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(src, testModel(30, 5, 3, 40, 19)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Split(src, dir, 3, SplitOptions{Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	path := ShardPath(dir, 3, 1)
+	flipPayloadByte(t, path, store.TagPi)
+	dst := filepath.Join(t.TempDir(), "joined.v2.snap")
+	refusedPath(t, "Join", Join(dir, 3, dst), path)
+	if entries, err := os.ReadDir(filepath.Dir(dst)); err != nil || len(entries) != 0 {
+		t.Fatalf("Join of a corrupt group left %v at the destination (%v)", entries, err)
+	}
+}
+
+// TestSplitRefusesFlippedPayloadByte: Split opens its source with the
+// check every served file passes, so a snapshot with one Φ byte flipped is
+// refused by name before any group file or manifest is written.
+func TestSplitRefusesFlippedPayloadByte(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "full.v2.snap")
+	if err := store.SaveV2(src, testModel(30, 5, 3, 40, 21)); err != nil {
+		t.Fatal(err)
+	}
+	flipPayloadByte(t, src, store.TagPhi)
+	dir := t.TempDir()
+	_, err := Split(src, dir, 3, SplitOptions{Shards: 3})
+	refusedPath(t, "Split", err, src)
+	if _, err := os.Stat(ManifestPath(dir, 3)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Split of a corrupt source wrote a manifest (%v)", err)
 	}
 }
 

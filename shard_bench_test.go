@@ -17,8 +17,9 @@ import (
 )
 
 // BenchmarkShardSplitJoin measures turning a full v2 snapshot into a
-// 3-shard group (global + shard files + manifest) and reassembling it —
-// both pure byte-window operations over the mapped source.
+// 3-shard group (global + shard files + manifest) and reassembling it:
+// Split checks the mapped source and encodes its model through the group
+// publisher; Join checks every file and concatenates its byte windows.
 func BenchmarkShardSplitJoin(b *testing.B) {
 	m := serveBenchModel(b)
 	dir := b.TempDir()
