@@ -156,7 +156,7 @@ func main() {
 		ingestDir    = flag.String("ingest-dir", "", "directory for published snapshot generations (default: alongside the journal)")
 		ingestWindow = flag.Int("ingest-window", 256, "delta window: publish after this many pending events")
 		ingestEvery  = flag.Duration("ingest-interval", 2*time.Second, "publish pending events at latest this often")
-		gibbsEvery   = flag.Int("ingest-gibbs-every", 0, "run a delta-Gibbs pass every N publishes (needs -ingest-graph; 0 = fold-in only)")
+		gibbsEvery   = flag.Int("ingest-gibbs-every", 0, "run a delta-Gibbs pass in every N-th published generation (needs -ingest-graph; 0 = fold-in only)")
 		gibbsSweeps  = flag.Int("ingest-gibbs-sweeps", 2, "EM iterations per delta-Gibbs pass")
 		ingestGraph  = flag.String("ingest-graph", "", "base training graph, enables the delta-Gibbs refinement and gives -quality friendship edges to score")
 		qualityEvery = flag.Int("quality-every", 0, "score every N-th published generation with structural quality metrics (0 = off)")
@@ -313,16 +313,6 @@ func main() {
 		// /metrics covers the write path too: ingest counters and
 		// publish-latency/lag histograms ride behind the engine's families.
 		engine.AddMetricsCollector(updater.WriteMetrics)
-		// A restored journal/checkpoint may carry stream state the slot's
-		// on-disk model predates; publish it up front so previously
-		// ingested users are query-visible from the first request.
-		if st := updater.Status(); st.PendingEvents > 0 || st.Users > st.BaseUsers || st.StreamDocs > 0 {
-			if info, err := updater.Publish(); err != nil {
-				log.Fatalf("publishing restored stream state: %v", err)
-			} else if info != nil {
-				log.Printf("published restored stream state as generation %d (%d users)", info.Generation, info.Users)
-			}
-		}
 		mux.Handle("/api/ingest", updater.Handler())
 		mux.Handle("/api/ingest/status", updater.Handler())
 		// Any publisher is a snapshot origin: replicas started with

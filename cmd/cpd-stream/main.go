@@ -17,8 +17,8 @@
 //	# Inspect a journal without touching any model.
 //	cpd-stream -journal events.wal -stats
 //
-//	# Checkpoint + compact a journal after a successful backfill.
-//	cpd-stream -journal events.wal -model base.v2.snap -out final.v2.snap -compact
+// The journal is never shortened: it is the corpus every restart of a
+// live updater replays.
 //
 // Replay is deterministic: the same journal, base snapshot and flags
 // produce a bit-identical output snapshot (see internal/stream's
@@ -59,7 +59,6 @@ func run() error {
 		gibbs       = flag.Bool("gibbs", false, "run a delta-Gibbs refinement in the backfill publish (needs -graph)")
 		gibbsSweeps = flag.Int("gibbs-sweeps", 2, "EM iterations of the delta-Gibbs refinement")
 		workers     = flag.Int("workers", 0, "delta-Gibbs workers (0 = all cores)")
-		doCompact   = flag.Bool("compact", false, "checkpoint and compact the journal after a successful backfill")
 		statsOnly   = flag.Bool("stats", false, "print journal statistics and exit")
 	)
 	flag.Parse()
@@ -74,14 +73,14 @@ func run() error {
 
 	if *statsOnly {
 		counts := map[stream.EventType]int{}
-		if err := j.Replay(j.Base(), func(off uint64, ev stream.Event) error {
+		if err := j.Replay(0, func(off uint64, ev stream.Event) error {
 			counts[ev.Type]++
 			return nil
 		}); err != nil {
 			return err
 		}
-		fmt.Printf("journal %s: %d events, %d bytes, base %d, watermark %d, tail %d\n",
-			*journalPath, j.Events(), j.SizeBytes(), j.Base(), j.Watermark(), j.Tail())
+		fmt.Printf("journal %s: %d events, %d bytes, watermark %d, tail %d\n",
+			*journalPath, j.Events(), j.SizeBytes(), j.Watermark(), j.Tail())
 		for _, t := range []stream.EventType{stream.EvAddUser, stream.EvAddEdge, stream.EvAddDoc, stream.EvDiffusion} {
 			fmt.Printf("  %-10s %d\n", t, counts[t])
 		}
@@ -148,11 +147,5 @@ func run() error {
 	fmt.Printf("backfilled %d events (%d delta-Gibbs passes): %d -> %d users, %d stream docs\n",
 		st.AppliedEvents, st.GibbsPasses, st.BaseUsers, st.Users, st.StreamDocs)
 	fmt.Printf("final model written to %s (generation %d)\n", *outPath, st.Generation)
-	if *doCompact {
-		if err := u.Checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("journal checkpointed and compacted to %d bytes\n", j.SizeBytes())
-	}
 	return nil
 }

@@ -19,8 +19,8 @@
 // cpd-serve binary serves (cpd-serve -demo trains and serves a synthetic
 // model, -quality prints the quality table). A streaming
 // write path (internal/stream) keeps served models fresh without full
-// retrains: a CRC'd append-only event journal with crash-safe replay,
-// watermark and compaction; an incremental updater that folds affected
+// retrains: a CRC'd append-only event journal with crash-safe replay and
+// a published-offset watermark; an incremental updater that folds affected
 // users in per delta window and periodically re-estimates them with a
 // resumable delta-Gibbs pass (core.NewEngineFromModel + dirty-set
 // sweeps); and a publisher that promotes v2 snapshot generations into

@@ -195,9 +195,9 @@ func requireDirtyCount(t *testing.T, when string, u *Updater) int {
 
 // TestDirtyUsersCountOnEveryPath walks the maintained dirty-user count
 // through every place a dirty flag flips — apply, fold, a fold that fails
-// after clearing the doc-less users, a replay from the journal base, and
-// restarts on a checkpoint with and without dirty flags in it — recounting
-// from the user states each time.
+// after clearing the doc-less users, a restart with no generation to
+// adopt, and a restart that adopts one — recounting from the user states
+// each time.
 func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	g, m := testBase(t)
 	evs := streamFixture(g, m)
@@ -230,11 +230,11 @@ func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	u.Close()
 	j.Close()
 
-	// No checkpoint yet: the restart replays from the journal base and
-	// marks every replayed user dirty.
+	// No generation yet: the restart replays the journal and marks every
+	// replayed user dirty.
 	j, u = open()
-	if n := requireDirtyCount(t, "after a replay from base", u); n != 3 {
-		t.Fatalf("%d dirty users after replaying the journal from its base, want 3", n)
+	if n := requireDirtyCount(t, "after a replay with nothing to adopt", u); n != 3 {
+		t.Fatalf("%d dirty users after replaying the journal with no generation, want 3", n)
 	}
 	if _, err := u.Publish(); err != nil {
 		t.Fatal(err)
@@ -258,27 +258,24 @@ func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 		t.Fatalf("%d dirty users before the failed fold, %d after; want some cleared and some left", before, after)
 	}
 	engine.SwapNamed(serve.DefaultSnapshot, m, nil)
-	if err := u.Checkpoint(); err != nil { // publishes the rest, compacts
+	if _, err := u.Publish(); err != nil { // publishes the rest
 		t.Fatal(err)
 	}
-	requireDirtyCount(t, "after checkpoint", u)
+	requireDirtyCount(t, "after the retried publish", u)
 
-	// A restart on a checkpoint adopts its state — a checkpoint compacts the
-	// journal down to its watermark, so nothing replays — and nobody is
-	// dirty: the first publish after it re-folds nobody.
+	// A restart adopts the newest generation, which covers the whole
+	// journal: nobody is dirty, and the first publish after it re-folds
+	// nobody.
 	u.Close()
 	j.Close()
 	j, u = open()
-	if j.Base() != j.Watermark() {
-		t.Fatal("the checkpoint left the journal uncompacted")
-	}
-	if n := requireDirtyCount(t, "after a restart on a checkpoint", u); n != 0 {
-		t.Fatalf("%d dirty users after restoring a checkpoint taken after a publish", n)
+	defer j.Close()
+	defer u.Close()
+	if n := requireDirtyCount(t, "after a restart that adopts a generation", u); n != 0 {
+		t.Fatalf("%d dirty users after a restart on a generation that covers the journal", n)
 	}
 
-	// One more window dirties its own users only, and a checkpoint that
-	// carries a dirty flag is restored as such. A checkpoint follows a
-	// publish, so the flag has to be planted.
+	// One more window dirties its own users only.
 	if _, err := u.Ingest([]Event{{Type: EvAddEdge, User: 5, Target: 6}}); err != nil {
 		t.Fatal(err)
 	}
@@ -288,27 +285,16 @@ func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	if _, err := u.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	u.mu.Lock()
-	u.setDirtyLocked(u.users[2], true)
-	u.refreshStatusLocked()
-	u.mu.Unlock()
-	if err := u.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	u.Close()
-	j.Close()
-	j, u = open()
-	defer j.Close()
-	defer u.Close()
-	if n := requireDirtyCount(t, "after restoring the checkpoint", u); n != 1 {
-		t.Fatalf("%d dirty users restored from a checkpoint holding 1", n)
+	if n := requireDirtyCount(t, "after the publish that follows the restart", u); n != 0 {
+		t.Fatalf("%d dirty users after a successful publish", n)
 	}
 }
 
-// TestRestartAfterCheckpointRefoldsOnlyTheNewWindow: ingest, publish,
-// checkpoint, restart, one more window, publish. The restart must cost
-// nothing — the publish after it folds the users of that window only, the
-// same number as without the restart, and writes the same bytes.
+// TestRestartAfterCheckpointRefoldsOnlyTheNewWindow: ingest, publish
+// (the generation and the watermark are the checkpoint), close and
+// reopen, one more window, publish. The restart must cost nothing — the
+// publish after it folds the users of that window only, the same number
+// as without the restart, and writes the same bytes.
 func TestRestartAfterCheckpointRefoldsOnlyTheNewWindow(t *testing.T) {
 	g, m := testBase(t)
 	evs := streamFixture(g, m)
@@ -336,15 +322,12 @@ func TestRestartAfterCheckpointRefoldsOnlyTheNewWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := u.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
 		if restart {
 			u.Close()
 			j.Close()
 			j, u = open()
 			if n := requireDirtyCount(t, "after the restart", u); n != 0 {
-				t.Fatalf("%d dirty users after a restart on a checkpoint", n)
+				t.Fatalf("%d dirty users after a restart on a published generation", n)
 			}
 		}
 		defer j.Close()

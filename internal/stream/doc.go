@@ -5,8 +5,9 @@
 //
 //   - Journal (journal.go): an append-only, CRC-framed event log with
 //     batched fsync, crash-safe replay (a torn or corrupt tail is detected
-//     and truncated at the last valid record), a published-offset
-//     watermark, and watermark-based compaction. Record framing reuses the
+//     and truncated at the last valid record) and a published-offset
+//     watermark. It is never shortened: it is the corpus a restart
+//     replays. Record framing reuses the
 //     length+CRC32 section discipline of the internal/store snapshot
 //     formats.
 //
@@ -14,7 +15,7 @@
 //     accumulated stream corpus, and every delta window re-infers the
 //     affected users by folding their cumulative documents and friendships
 //     in against the frozen model parameters through serve.Engine's
-//     fold-in worker pool. Every GibbsEvery-th publish may additionally run
+//     fold-in worker pool. Every GibbsEvery-th generation may additionally run
 //     a resumable delta-Gibbs pass (core.NewEngineFromModel +
 //     Engine.SetDirty) over the merged base+stream graph, re-estimating
 //     the affected rows — and the global Θ/Φ/η — by actual sampling.
@@ -72,21 +73,34 @@
 // # Crash recovery
 //
 // Every file this package writes — snapshot, global and shard files, a
-// generation's manifest, the watermark (.mark) and checkpoint (.state)
-// sidecars, the compacted journal — is committed through
-// store.WriteFileAtomic, so after a crash each is either absent or whole.
-// A publish commits in a fixed order: the journal is fsynced, the
-// generation's files are written, and its manifest is committed last. The
-// directory fsync that ends the manifest commit makes every file and
-// hard link of the generation durable with it, and it happens before the
-// watermark advances, so the watermark never runs ahead of a durable
-// manifest. A crash before the manifest leaves files no manifest names,
-// which the next publish of that number overwrites; a crash after it
-// leaves a committed generation whose events replay into the next one.
-// The checkpoint is durable before a compaction drops the records it
-// summarizes. A restarted updater resumes numbering above both its
-// checkpoint's generation and the newest manifest in Options.Dir, so a
-// generation number replicas may have fetched is never reused.
+// generation's manifest, the watermark sidecar (.mark) — is committed
+// through store.WriteFileAtomic, so after a crash each is either absent
+// or whole. A publish commits in a fixed order: the journal is fsynced,
+// the generation's files are written, and its manifest is committed
+// last. The directory fsync that ends the manifest commit makes every
+// file and hard link of the generation durable with it, and it happens
+// before the watermark advances, so the watermark never runs ahead of a
+// durable manifest. A crash before the manifest leaves files no manifest
+// names, which the next publish of that number overwrites; a crash after
+// it leaves a committed generation whose events replay into the next one.
+//
+// There is one restart path, and each piece of state has one home: the
+// journal is the corpus, the newest committed generation is the model.
+// NewUpdater replays the whole journal — events up to the watermark are
+// applied but neither pending nor dirty, later ones are pending — and
+// loads that generation's full file (store.LoadFile checks every payload
+// CRC). When the file has the base's shape and its user and
+// stream-document counts lie between what the watermark covers and what
+// the journal holds, it becomes the refined reference (Gibbs refinements
+// included), its document assignments continue the stream documents',
+// and the engine serves it at once (Engine.LoadGeneration), before any
+// publish. Otherwise the restart extends the base as a first start would:
+// every stream user is dirty and every event pending. Numbering resumes
+// above the newest manifest, so a generation number replicas may have
+// fetched is never reused, and the delta-Gibbs and quality cadences key
+// on that number, so they fall on the same generations across a restart:
+// a restart between publishes leaves every generation file byte-identical
+// to a run without it.
 //
 // # Freshness and determinism guarantees
 //
@@ -103,15 +117,14 @@
 //
 // # Journal format
 //
-//	header (16 bytes): magic "CPDJNL1\n" + baseOffset uint64 LE
+//	header (16 bytes): magic "CPDJNL1\n" + base offset uint64 LE (always 0)
 //	records:           length uint32 LE | payload | crc32 uint32 LE (IEEE, over payload)
 //	payload:           type u8 | user i32 | target i32 | time i64 | nWords u32 | words []i32 (all LE)
 //
-// Offsets are logical: baseOffset is the logical offset of the first
-// record in the file, so compaction (rewriting the file without records
-// below the watermark) preserves every previously returned offset. The
-// watermark lives in a sidecar file (path + ".mark", offset + CRC,
-// written atomically); an optional updater checkpoint (path + ".state")
-// snapshots the accumulated corpus at the watermark so a restart replays
-// only the unpublished suffix.
+// An offset is a record boundary's distance from the end of the header.
+// Older builds compacted the journal, dropping the records below the
+// watermark into a checkpoint file and recording the first kept record's
+// offset as the base; OpenJournal refuses a nonzero base, since those
+// records are in no file this package reads. The watermark lives in a
+// sidecar file (path + ".mark", offset + CRC, written atomically).
 package stream

@@ -95,7 +95,7 @@ const MaxEventWords = 1 << 16
 
 const (
 	journalMagic   = "CPDJNL1\n"
-	journalHdrLen  = 16 // magic + baseOffset
+	journalHdrLen  = 16 // magic + base offset, always 0
 	recordFixedLen = 1 + 4 + 4 + 8 + 4
 	maxRecordBytes = recordFixedLen + 4*MaxEventWords
 )
@@ -163,10 +163,9 @@ type Journal struct {
 	f    *os.File
 	w    *bufio.Writer
 
-	base   uint64 // logical offset of the file's first record
-	tail   uint64 // logical offset past the last valid record
+	tail   uint64 // offset past the last valid record
 	events uint64 // records currently in the file
-	mark   uint64 // watermark (logical offset; <= tail)
+	mark   uint64 // watermark (offset; <= tail)
 
 	syncEvery int
 	unsynced  int
@@ -178,7 +177,7 @@ type Journal struct {
 // to find the valid tail, and truncates any torn or corrupt suffix — the
 // crash-recovery contract: every record before the corruption survives,
 // nothing after it is visible. The watermark is loaded from the sidecar
-// and clamped into [base, tail].
+// and clamped to the tail.
 func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	if opts.SyncEvery == 0 {
 		opts.SyncEvery = 64
@@ -225,8 +224,13 @@ func (j *Journal) recover() error {
 	if string(hdr[:len(journalMagic)]) != journalMagic {
 		return fmt.Errorf("stream: %s is not a CPD event journal", j.path)
 	}
-	j.base = binary.LittleEndian.Uint64(hdr[8:])
-	j.tail = j.base
+	// Older builds compacted a journal by dropping the records below the
+	// watermark into a checkpoint file, recording the offset of the first
+	// kept record here. That prefix is not in the file, and the checkpoint
+	// is no longer read, so such a journal cannot be replayed.
+	if base := binary.LittleEndian.Uint64(hdr[8:]); base != 0 {
+		return fmt.Errorf("stream: %s was compacted by an older build (its first record is at offset %d); its earlier events are not in the file", j.path, base)
+	}
 	br := bufio.NewReaderSize(io.NewSectionReader(j.f, journalHdrLen, fi.Size()-journalHdrLen), 1<<16)
 	pos := int64(journalHdrLen) // physical offset of the next record
 	for {
@@ -347,7 +351,7 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// Replay streams every record at logical offset >= from, in order, to fn;
+// Replay streams every record at offset >= from, in order, to fn;
 // fn receives the offset just past each record (pass it back as the next
 // from). Replay flushes buffered appends first and reads through an
 // independent handle, so it is safe concurrently with Append.
@@ -361,11 +365,8 @@ func (j *Journal) Replay(from uint64, fn func(off uint64, ev Event) error) error
 		j.mu.Unlock()
 		return fmt.Errorf("stream: flushing journal: %w", err)
 	}
-	base, tail := j.base, j.tail
+	tail := j.tail
 	j.mu.Unlock()
-	if from < base {
-		return fmt.Errorf("stream: replay offset %d predates the journal's compaction base %d", from, base)
-	}
 	if from > tail {
 		return fmt.Errorf("stream: replay offset %d is past the journal tail %d", from, tail)
 	}
@@ -378,7 +379,7 @@ func (j *Journal) Replay(from uint64, fn func(off uint64, ev Event) error) error
 	if err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
-	phys := int64(journalHdrLen) + int64(from-base)
+	phys := int64(journalHdrLen) + int64(from)
 	br := bufio.NewReaderSize(io.NewSectionReader(f, phys, fi.Size()-phys), 1<<16)
 	off := from
 	scratch := make([]byte, 0, 1<<12)
@@ -399,19 +400,11 @@ func (j *Journal) Replay(from uint64, fn func(off uint64, ev Event) error) error
 	return nil
 }
 
-// Tail returns the logical offset past the last record.
+// Tail returns the offset past the last record.
 func (j *Journal) Tail() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.tail
-}
-
-// Base returns the logical offset of the first retained record (advanced
-// by compaction).
-func (j *Journal) Base() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.base
 }
 
 // Events returns the number of records currently in the file.
@@ -425,7 +418,7 @@ func (j *Journal) Events() uint64 {
 func (j *Journal) SizeBytes() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return int64(journalHdrLen) + int64(j.tail-j.base)
+	return int64(journalHdrLen) + int64(j.tail)
 }
 
 // Watermark returns the published-offset watermark.
@@ -437,13 +430,12 @@ func (j *Journal) Watermark() uint64 {
 
 // SetWatermark records that every record below off has been applied and
 // published. The mark is persisted to the sidecar file atomically (temp
-// file, fsync, rename, directory fsync — the store.SaveV2 discipline);
-// compaction may later drop records below it.
+// file, fsync, rename, directory fsync — the store.SaveV2 discipline).
 func (j *Journal) SetWatermark(off uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if off < j.base || off > j.tail {
-		return fmt.Errorf("stream: watermark %d outside the journal range [%d, %d]", off, j.base, j.tail)
+	if off > j.tail {
+		return fmt.Errorf("stream: watermark %d is past the journal tail %d", off, j.tail)
 	}
 	j.mark = off
 	return j.storeMarkLocked()
@@ -454,95 +446,22 @@ func (j *Journal) markPath() string { return j.path + ".mark" }
 func (j *Journal) loadMark() uint64 {
 	p, err := os.ReadFile(j.markPath())
 	if err != nil || len(p) != 12 {
-		return j.base
+		return 0
 	}
-	off := binary.LittleEndian.Uint64(p[:8])
 	if crc32.ChecksumIEEE(p[:8]) != binary.LittleEndian.Uint32(p[8:]) {
-		return j.base
+		return 0
 	}
-	if off < j.base {
-		off = j.base
-	}
-	if off > j.tail {
-		off = j.tail
-	}
-	return off
+	return min(binary.LittleEndian.Uint64(p[:8]), j.tail)
 }
 
 func (j *Journal) storeMarkLocked() error {
 	var p [12]byte
 	binary.LittleEndian.PutUint64(p[:8], j.mark)
 	binary.LittleEndian.PutUint32(p[8:], crc32.ChecksumIEEE(p[:8]))
-	return writeFile(j.markPath(), p[:])
-}
-
-// writeFile commits data to path. Without store.WriteFileAtomic's syncs a
-// crash could persist a later compaction but not the sidecar behind it.
-func writeFile(path string, data []byte) error {
-	return store.WriteFileAtomic(path, func(f *os.File) error {
-		_, err := f.Write(data)
+	return store.WriteFileAtomic(j.markPath(), func(f *os.File) error {
+		_, err := f.Write(p[:])
 		return err
 	})
-}
-
-// Compact rewrites the journal keeping only records at offsets >= the
-// watermark, making the watermark the new base. Logical offsets are
-// preserved (the header records the base), so previously returned offsets
-// and the watermark remain valid. The rewrite is committed through
-// store.WriteFileAtomic.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("stream: journal is closed")
-	}
-	if j.mark <= j.base {
-		return nil // nothing to drop
-	}
-	if err := j.syncLocked(); err != nil {
-		return err
-	}
-	if err := store.WriteFileAtomic(j.path, func(f *os.File) error {
-		var hdr [journalHdrLen]byte
-		copy(hdr[:], journalMagic)
-		binary.LittleEndian.PutUint64(hdr[8:], j.mark)
-		if _, err := f.Write(hdr[:]); err != nil {
-			return err
-		}
-		// Copy the retained suffix byte-for-byte (records are contiguous
-		// and the watermark is always a record boundary).
-		src := io.NewSectionReader(j.f, int64(journalHdrLen)+int64(j.mark-j.base), int64(j.tail-j.mark))
-		_, err := io.Copy(f, src)
-		return err
-	}); err != nil {
-		return fmt.Errorf("stream: compacting journal: %w", err)
-	}
-	// Re-open the renamed file for further appends and recount events.
-	nf, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("stream: reopening compacted journal: %w", err)
-	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		nf.Close()
-		return fmt.Errorf("stream: %w", err)
-	}
-	j.f.Close()
-	j.f = nf
-	j.w = bufio.NewWriterSize(nf, 1<<16)
-	j.base = j.mark
-	// Recount retained events by scanning the new file.
-	j.events = 0
-	fi, err := nf.Stat()
-	if err == nil {
-		br := bufio.NewReaderSize(io.NewSectionReader(nf, journalHdrLen, fi.Size()-journalHdrLen), 1<<16)
-		for {
-			if _, _, err := readRecord(br, &j.scratch); err != nil {
-				break
-			}
-			j.events++
-		}
-	}
-	return nil
 }
 
 // Close flushes, fsyncs and closes the journal.

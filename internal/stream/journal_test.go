@@ -1,10 +1,14 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -140,10 +144,9 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 }
 
-func TestJournalWatermarkAndCompaction(t *testing.T) {
+func TestJournalWatermark(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir)
-	defer j.Close()
 	want := testEvents(20)
 	var offsets []uint64
 	for i := range want {
@@ -159,44 +162,50 @@ func TestJournalWatermarkAndCompaction(t *testing.T) {
 	if err := j.SetWatermark(offsets[len(offsets)-1] + 999); err == nil {
 		t.Fatal("SetWatermark accepted an offset past the tail")
 	}
-	preTail := j.Tail()
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Base() != offsets[11] {
-		t.Fatalf("compaction base = %d, want the watermark %d", j.Base(), offsets[11])
-	}
-	if j.Tail() != preTail {
-		t.Fatalf("compaction moved the tail: %d -> %d", preTail, j.Tail())
-	}
-	if j.Events() != 8 {
-		t.Fatalf("compacted journal holds %d events, want 8", j.Events())
-	}
-	// Logical offsets survive compaction: replay from the watermark sees
-	// exactly the retained suffix.
+	// Replay from the watermark sees exactly the unpublished suffix.
 	if got := replayAll(t, j, j.Watermark()); !reflect.DeepEqual(got, want[12:]) {
-		t.Fatal("post-compaction replay from the watermark disagrees with the retained suffix")
-	}
-	// Replays below the base are rejected, not silently empty.
-	if err := j.Replay(0, func(uint64, Event) error { return nil }); err == nil {
-		t.Fatal("replay from a compacted-away offset succeeded")
-	}
-	// Appends continue after compaction, and a reopen sees the same state.
-	extra := Event{Type: EvAddUser, User: -1}
-	if _, err := j.Append(&extra); err != nil {
-		t.Fatal(err)
+		t.Fatal("replay from the watermark disagrees with the events past it")
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A reopen keeps the watermark and every record.
 	j2 := openTestJournal(t, dir)
 	defer j2.Close()
-	if j2.Base() != offsets[11] || j2.Watermark() != offsets[11] {
-		t.Fatalf("reopened journal lost base/watermark: base=%d mark=%d", j2.Base(), j2.Watermark())
+	if j2.Watermark() != offsets[11] || j2.Events() != 20 {
+		t.Fatalf("reopened journal: watermark %d (want %d), %d events (want 20)", j2.Watermark(), offsets[11], j2.Events())
 	}
-	got := replayAll(t, j2, j2.Base())
-	if len(got) != 9 || !reflect.DeepEqual(got[8], extra) {
-		t.Fatalf("reopened compacted journal replays %d events, want 9", len(got))
+	if got := replayAll(t, j2, 0); !reflect.DeepEqual(got, want) {
+		t.Fatal("reopened journal does not replay every record")
+	}
+}
+
+// TestJournalRefusesCompactedHeader: a journal compacted by an older
+// build records a nonzero base offset in its header; the records below it
+// lived only in a checkpoint this package no longer reads, so OpenJournal
+// refuses the file, naming it, and leaves it as it was.
+func TestJournalRefusesCompactedHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.wal")
+	data := make([]byte, journalHdrLen)
+	copy(data, journalMagic)
+	binary.LittleEndian.PutUint64(data[len(journalMagic):], 4096)
+	ev := encodeEvent(nil, &Event{Type: EvAddEdge, User: 1, Target: 2})
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(ev)))
+	data = append(data, ev...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(ev))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, JournalOptions{})
+	if err == nil {
+		j.Close()
+		t.Fatal("a journal with a nonzero base offset was opened")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("the refusal does not name the file: %v", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+		t.Fatal("the refused journal was modified")
 	}
 }
 

@@ -220,10 +220,9 @@ func (u *Updater) Publish() (*PublishInfo, error) {
 
 func (u *Updater) publishLocked() (*PublishInfo, error) {
 	defer u.refreshStatusLocked()
-	// The no-op guard is process-local (u.published, not u.generation):
-	// after a restart the restored generation may be > 0 while the engine
-	// slot still serves whatever the process loaded from disk, so the
-	// first publish must rebuild even with nothing pending.
+	// The no-op guard needs the slot to serve this updater's state: a
+	// first start, or a restart that could not adopt its newest generation,
+	// must publish even with nothing pending.
 	if u.pending == 0 && u.dirty == 0 && u.published {
 		return nil, nil
 	}
@@ -252,8 +251,10 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	// successful publish — including rows folded by earlier attempts that
 	// failed after their fold (pendingRows carries those across retries).
 	u.pendingRows = mergeIDs(u.pendingRows, dirty)
+	// The cadences key on the committed generation number, which a restart
+	// resumes, so they run on the same generations across restarts.
 	gibbsDue := u.opts.GibbsEvery > 0 && u.opts.BaseGraph != nil &&
-		(u.publishes+1)%uint64(u.opts.GibbsEvery) == 0
+		(u.generation+1)%uint64(u.opts.GibbsEvery) == 0
 	if gibbsDue {
 		if err := u.gibbsPassLocked(); err != nil {
 			return nil, fmt.Errorf("stream: delta-Gibbs pass: %w", err)
@@ -357,7 +358,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	// NEXT publish, never this one's visibility. TotalMicros above
 	// excludes it for the same reason; the cost shows up separately as
 	// QualityMicros and cpd_quality_cost_seconds.
-	if u.opts.Quality > 0 && u.publishes%uint64(u.opts.Quality) == 0 {
+	if u.opts.Quality > 0 && u.generation%uint64(u.opts.Quality) == 0 {
 		u.qualityLocked(model, info)
 	}
 	return info, nil

@@ -2,11 +2,7 @@ package stream
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"slices"
 	"sync"
 	"time"
@@ -19,6 +15,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/socialgraph"
 	"repro/internal/sparse"
+	"repro/internal/store"
 )
 
 // Options configures an Updater. Engine is required; Base defaults to the
@@ -70,7 +67,8 @@ type Options struct {
 	FoldSeed uint64
 
 	// GibbsEvery, when > 0 (and BaseGraph is set), runs a resumable
-	// delta-Gibbs pass on every GibbsEvery-th publish: the merged
+	// delta-Gibbs pass in every generation whose number is a multiple of
+	// GibbsEvery (a restart keeps the cadence): the merged
 	// base+stream graph is re-sampled with only the users touched since
 	// the last pass marked dirty, re-estimating their rows and the global
 	// profiles. 0 disables (pure fold-in mode — the replay-equals-batch
@@ -94,12 +92,12 @@ type Options struct {
 	// field is the differential-test baseline, not a correctness knob.
 	FullRebuild bool
 
-	// Quality, when > 0, scores every Quality-th publish with the
-	// structural metrics of internal/quality (modularity, coverage,
-	// conductance, size distribution, drift vs the previous scored
-	// generation) and records the report into the engine's bounded
-	// history (/api/quality, /metrics). 0 disables — the knob exists
-	// because scoring is O(users + edges) on the publish path.
+	// Quality, when > 0, scores every generation whose number is a
+	// multiple of Quality with the structural metrics of internal/quality
+	// (modularity, coverage, conductance, size distribution, drift vs the
+	// previous scored generation) and records the report into the
+	// engine's bounded history (/api/quality, /metrics). 0 disables — the
+	// knob exists because scoring is O(users + edges) on the publish path.
 	Quality int
 	// QualityPLP additionally runs the parallel label-propagation
 	// baseline on the merged base+stream friendship edges each time
@@ -130,10 +128,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// compactBytes triggers checkpoint+compaction from Run once the journal
-// file exceeds this size.
-const compactBytes = 4 << 20
-
 // userState is one stream-touched user's accumulated corpus.
 type userState struct {
 	docs    []int32 // indices into Updater.docs
@@ -162,6 +156,9 @@ type Status struct {
 	Watermark     uint64 `json:"watermark"`
 	JournalBytes  int64  `json:"journalBytes"`
 
+	// AppliedEvents counts the events applied by this process, replayed
+	// ones included; Publishes and GibbsPasses count this process's
+	// publishes and delta-Gibbs passes (Generation is the committed count).
 	AppliedEvents   uint64 `json:"appliedEvents"`
 	Publishes       uint64 `json:"publishes"`
 	GibbsPasses     uint64 `json:"gibbsPasses"`
@@ -182,8 +179,8 @@ type Status struct {
 	// (Options.Quality); LastQuality is the most recent report.
 	QualityRuns uint64          `json:"qualityRuns,omitempty"`
 	LastQuality *quality.Report `json:"lastQuality,omitempty"`
-	// LastError is the most recent publish/checkpoint failure the Run
-	// loop retried past ("" when healthy).
+	// LastError is the most recent publish failure the Run loop retried
+	// past ("" when healthy).
 	LastError string `json:"lastError,omitempty"`
 	Draining  bool   `json:"draining"`
 }
@@ -246,10 +243,10 @@ type Updater struct {
 	lastPublishMs int64
 	lastError     string
 	draining      bool
-	// published marks that THIS process has promoted a snapshot into the
-	// engine. A restored checkpoint carries generation > 0, but the engine
-	// slot still holds whatever the server loaded from disk — the first
-	// Publish after a restart must rebuild even with nothing pending.
+	// published marks that the engine slot serves this updater's state: a
+	// generation this updater promoted, or the newest generation a restart
+	// adopted (Engine.LoadGeneration). Until then a Publish rebuilds even
+	// with nothing pending.
 	published bool
 
 	// Incremental-publish state (publish.go): the extended model behind
@@ -303,10 +300,8 @@ type Updater struct {
 }
 
 // NewUpdater builds an updater over an opened journal and restores its
-// state: from the checkpoint sidecar when one matches the journal's
-// watermark, else by replaying the journal from its base (marking every
-// replayed doc-owning user dirty, so the first publish rebuilds their
-// rows). Events past the watermark are applied and left pending.
+// state from what is on disk: the journal is the corpus, and the newest
+// committed generation in Options.Dir is the model (see restartLocked).
 func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 	opts = opts.withDefaults()
 	if opts.Engine == nil {
@@ -349,46 +344,102 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 				g.NumUsers, len(g.Docs), g.NumWords, u.baseUsers, u.baseDocs, u.base.NumWords)
 		}
 	}
-	from, restored, err := u.restoreCheckpoint()
-	if err != nil {
+	if err := u.restartLocked(); err != nil {
 		u.close()
 		return nil, err
 	}
-	// The checkpoint may be older than the newest manifest, or gone:
-	// resume above both, so no generation number is ever reused.
-	gens, err := shard.ScanManifests(opts.Dir)
+	u.refreshStatusLocked()
+	return u, nil
+}
+
+// restartLocked replays the whole journal and adopts the newest committed
+// generation as the model it extends. Events up to the watermark are
+// covered by a committed generation: they are applied but neither pending
+// nor dirty. Events past it are pending and dirty their users, as an
+// Ingest would. The generation file is adopted when it fits the replayed
+// corpus (adoptLocked); otherwise the restart extends the base model as a
+// first start would: every stream user is dirty and every replayed event
+// pending, so the first publish re-folds them all. Numbering resumes above
+// the newest manifest either way, so a generation number replicas may have
+// fetched is never reused.
+func (u *Updater) restartLocked() error {
+	gens, err := shard.ScanManifests(u.opts.Dir)
 	if err != nil {
-		u.close()
-		return nil, err
+		return err
 	}
-	if n := len(gens); n > 0 {
-		u.generation = max(u.generation, gens[n-1])
+	mark := u.j.Watermark()
+	pastMark := false
+	var markUsers, markDocs int // the corpus the watermark covers
+	reachMark := func() {
+		pastMark = true
+		markUsers, markDocs = u.baseUsers+u.newUsers, len(u.docs)
+		for _, us := range u.users {
+			u.setDirtyLocked(us, false)
+		}
 	}
-	u.pendingTo = from
-	if err := j.Replay(from, func(off uint64, ev Event) error {
+	if err := u.j.Replay(0, func(off uint64, ev Event) error {
+		if off > mark && !pastMark {
+			reachMark()
+		}
 		if aerr := u.applyLocked(&ev); aerr != nil {
 			return fmt.Errorf("stream: journal replay at offset %d: %w", off, aerr)
 		}
 		u.pendingTo = off
-		u.pending++
 		u.applied++
+		if pastMark {
+			u.pending++
+		}
 		return nil
 	}); err != nil {
-		u.close()
-		return nil, err
+		return err
 	}
-	if !restored {
-		// No checkpoint: everything replayed is unpublished as far as this
-		// process knows — every doc-owning stream user re-folds on the
-		// first publish, rebuilding the rows a previous process had. The
-		// replay offset cannot tell: a checkpoint compacts the journal down
-		// to its watermark, so an adopted one replays from the base too.
-		for _, us := range u.users {
-			u.setDirtyLocked(us, true)
+	if !pastMark {
+		reachMark()
+	}
+	if n := len(gens); n > 0 {
+		u.generation = gens[n-1]
+		if u.adoptLocked(markUsers, markDocs) {
+			return nil
 		}
 	}
-	u.refreshStatusLocked()
-	return u, nil
+	for _, us := range u.users {
+		u.setDirtyLocked(us, true)
+	}
+	u.pending = int(u.applied)
+	return nil
+}
+
+// adoptLocked makes the full file of generation u.generation the refined
+// reference and serves it, if the file checks and fits the corpus: the
+// base's shape, and user and stream-document counts between what the
+// watermark covers (markUsers, markDocs) and what the journal holds. A
+// count past the watermark is a crash between a manifest commit and the
+// watermark write; the events in between stay pending and re-fold into
+// the next generation. The file holds every row and document assignment
+// that generation published, Gibbs refinements included, so the fold rows
+// start empty and the stream documents' assignments continue from the
+// file's.
+func (u *Updater) adoptLocked(markUsers, markDocs int) bool {
+	path := store.GenPath(u.opts.Dir, u.generation)
+	m, err := store.LoadFile(path)
+	if err != nil {
+		return false
+	}
+	docs := len(m.DocCommunity) - u.baseDocs
+	if m.Cfg.NumCommunities != u.base.Cfg.NumCommunities || m.Cfg.NumTopics != u.base.Cfg.NumTopics ||
+		m.NumWords != u.base.NumWords ||
+		m.NumUsers < markUsers || m.NumUsers > u.baseUsers+u.newUsers ||
+		docs < markDocs || docs > len(u.docs) {
+		return false
+	}
+	if _, err := u.opts.Engine.LoadGeneration(u.opts.Snapshot, path, u.opts.Vocab, u.generation); err != nil {
+		return false
+	}
+	u.refined = m
+	copy(u.docC, m.DocCommunity[u.baseDocs:])
+	copy(u.docZ, m.DocTopic[u.baseDocs:])
+	u.published = true
+	return true
 }
 
 // close releases held resources (not the journal, which the caller owns).
@@ -926,25 +977,13 @@ func (u *Updater) extendedDocArraysLocked(m, ref *core.Model) {
 }
 
 // Run is the background publish loop: it publishes whenever a delta
-// window fills (promptly, via Ingest's notification), at latest every
-// Interval while events are pending, and checkpoints+compacts the journal
-// when it outgrows compactBytes. A failed publish or checkpoint is
-// recorded in Status().LastError and retried on the next tick — the loop
-// only returns when ctx is cancelled. The caller typically follows with
-// Drain.
+// window fills (promptly, via Ingest's notification) and at latest every
+// Interval while events are pending. A failed publish is recorded in
+// Status().LastError and retried on the next tick — the loop only returns
+// when ctx is cancelled. The caller typically follows with Drain.
 func (u *Updater) Run(ctx context.Context) error {
 	t := time.NewTicker(u.opts.Interval)
 	defer t.Stop()
-	setErr := func(err error) {
-		u.mu.Lock()
-		if err != nil {
-			u.lastError = err.Error()
-		} else {
-			u.lastError = ""
-		}
-		u.refreshStatusLocked()
-		u.mu.Unlock()
-	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -952,146 +991,16 @@ func (u *Updater) Run(ctx context.Context) error {
 		case <-u.notify:
 		case <-t.C:
 		}
-		if u.Pending() > 0 {
-			_, err := u.Publish()
-			setErr(err)
-			if err != nil {
-				continue
-			}
+		if u.Pending() == 0 {
+			continue
 		}
-		if u.j.SizeBytes() > compactBytes {
-			setErr(u.Checkpoint())
+		_, err := u.Publish()
+		u.mu.Lock()
+		u.lastError = ""
+		if err != nil {
+			u.lastError = err.Error()
 		}
+		u.refreshStatusLocked()
+		u.mu.Unlock()
 	}
-}
-
-// --- checkpoint ----------------------------------------------------------
-
-// checkpointState is the serialized corpus state at a watermark.
-type checkpointState struct {
-	Offset     uint64                   `json:"offset"`
-	Generation uint64                   `json:"generation"`
-	Applied    uint64                   `json:"applied"`
-	Publishes  uint64                   `json:"publishes"`
-	NewUsers   int                      `json:"newUsers"`
-	Users      map[int32]*ckptUser      `json:"users"`
-	Docs       []socialgraph.Doc        `json:"docs"`
-	DocC       []int32                  `json:"docC"`
-	DocZ       []int32                  `json:"docZ"`
-	Edges      []socialgraph.FriendLink `json:"edges"`
-	Diffs      []socialgraph.DiffLink   `json:"diffs"`
-	FoldPi     map[int32][]float64      `json:"foldPi"`
-}
-
-type ckptUser struct {
-	Docs    []int32 `json:"docs"`
-	Friends []int32 `json:"friends"`
-	Dirty   bool    `json:"dirty"`
-}
-
-const checkpointMagic = "CPDSTAT1"
-
-func (u *Updater) statePath() string { return u.j.path + ".state" }
-
-// Checkpoint publishes anything pending, snapshots the accumulated corpus
-// to the sidecar state file, and compacts the journal down to the
-// watermark — the bound on journal growth for long-running ingest.
-func (u *Updater) Checkpoint() error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.pending > 0 {
-		if _, err := u.publishLocked(); err != nil {
-			return err
-		}
-	}
-	st := checkpointState{
-		Offset:     u.j.Watermark(),
-		Generation: u.generation,
-		Applied:    u.applied,
-		Publishes:  u.publishes,
-		NewUsers:   u.newUsers,
-		Users:      make(map[int32]*ckptUser, len(u.users)),
-		Docs:       u.docs,
-		DocC:       u.docC,
-		DocZ:       u.docZ,
-		Edges:      u.edges,
-		Diffs:      u.diffs,
-		FoldPi:     u.foldPi,
-	}
-	for id, us := range u.users {
-		st.Users[id] = &ckptUser{Docs: us.docs, Friends: us.friends, Dirty: us.dirty}
-	}
-	payload, err := json.Marshal(&st)
-	if err != nil {
-		return fmt.Errorf("stream: encoding checkpoint: %w", err)
-	}
-	buf := make([]byte, 0, len(checkpointMagic)+12+len(payload))
-	buf = append(buf, checkpointMagic...)
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(payload)))
-	buf = append(buf, n[:]...)
-	buf = append(buf, payload...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, crc[:]...)
-	// The checkpoint must be durable BEFORE compaction drops the records
-	// it summarizes — otherwise a crash between the two loses the
-	// pre-watermark corpus from both the journal and the checkpoint.
-	if err := writeFile(u.statePath(), buf); err != nil {
-		return err
-	}
-	return u.j.Compact()
-}
-
-// restoreCheckpoint loads the sidecar state if it matches the journal's
-// watermark, returning the offset to replay from and whether a state was
-// adopted. A missing, corrupt or stale checkpoint falls back to the journal
-// base with zero state.
-func (u *Updater) restoreCheckpoint() (from uint64, restored bool, err error) {
-	buf, err := os.ReadFile(u.statePath())
-	if err != nil {
-		return u.j.Base(), false, nil
-	}
-	hdr := len(checkpointMagic)
-	if len(buf) < hdr+12 || string(buf[:hdr]) != checkpointMagic {
-		return u.j.Base(), false, nil
-	}
-	n := binary.LittleEndian.Uint64(buf[hdr:])
-	if uint64(len(buf)) != uint64(hdr)+8+n+4 {
-		return u.j.Base(), false, nil
-	}
-	payload := buf[hdr+8 : hdr+8+int(n)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[hdr+8+int(n):]) {
-		return u.j.Base(), false, nil
-	}
-	var st checkpointState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return u.j.Base(), false, nil
-	}
-	if st.Offset < u.j.Base() || st.Offset > u.j.Tail() {
-		return u.j.Base(), false, nil
-	}
-	// Defensive shape check before adopting the state.
-	if len(st.DocC) != len(st.Docs) || len(st.DocZ) != len(st.Docs) {
-		return u.j.Base(), false, nil
-	}
-	u.newUsers = st.NewUsers
-	u.docs = st.Docs
-	u.docC = st.DocC
-	u.docZ = st.DocZ
-	u.docsChanged = true
-	u.edges = st.Edges
-	u.diffs = st.Diffs
-	if st.FoldPi != nil {
-		u.foldPi = st.FoldPi
-	}
-	u.generation = st.Generation
-	u.applied = st.Applied
-	u.publishes = st.Publishes
-	for id, cu := range st.Users {
-		us := &userState{docs: cu.Docs, friends: cu.Friends}
-		u.users[id] = us
-		u.setDirtyLocked(us, cu.Dirty)
-	}
-	return st.Offset, true, nil
 }

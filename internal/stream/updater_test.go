@@ -159,154 +159,6 @@ func TestReplayEqualsBatch(t *testing.T) {
 	}
 }
 
-func TestUpdaterRestartAndCheckpoint(t *testing.T) {
-	g, m := testBase(t)
-	evs := streamFixture(g, m)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.wal")
-
-	engine := serve.New(m, nil, serve.Options{})
-	defer engine.Close()
-	opts := Options{Engine: engine, Base: m, Dir: dir, WindowEvents: 4, FoldSweeps: 8, FoldSeed: 99}
-
-	j, err := OpenJournal(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := NewUpdater(j, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u.Ingest(evs[:6]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	want := u.Model()
-	if err := u.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if j.Base() != j.Watermark() || j.Events() != 0 {
-		t.Fatalf("checkpoint did not compact: base=%d mark=%d events=%d", j.Base(), j.Watermark(), j.Events())
-	}
-	u.Close()
-	j.Close()
-
-	// Restart from checkpoint: state identical, ingest continues.
-	j2, err := OpenJournal(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	u2, err := NewUpdater(j2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u2.Close()
-	if got := u2.Model(); !reflect.DeepEqual(got.Pi.Data, want.Pi.Data) {
-		t.Fatal("checkpoint restore lost membership state")
-	}
-	if u2.Generation() != 1 || u2.Pending() != 0 {
-		t.Fatalf("restored generation=%d pending=%d", u2.Generation(), u2.Pending())
-	}
-	if _, err := u2.Ingest(evs[6:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u2.Publish(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second restart WITHOUT the checkpoint (fresh journal replay) must
-	// converge to the same memberships: replay re-folds everything.
-	full := u2.Model()
-	u3, err := NewUpdater(j2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u3.Close()
-	if u3.Pending() == 0 {
-		t.Fatal("post-checkpoint suffix should be pending after restart")
-	}
-	if _, err := u3.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if got := u3.Model(); !reflect.DeepEqual(got.Pi.Data, full.Pi.Data) {
-		t.Fatal("replay after restart disagrees with the pre-restart state")
-	}
-}
-
-// TestRestartRepublishesRestoredState: after a restart with a fully
-// checkpointed (nothing-pending) journal, the first Publish must still
-// rebuild and promote — the engine slot of a fresh process holds the
-// on-disk base model, not the restored stream state.
-func TestRestartRepublishesRestoredState(t *testing.T) {
-	g, m := testBase(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.wal")
-	opts := Options{Engine: nil, Base: m, Dir: dir, FoldSweeps: 8, FoldSeed: 99}
-
-	e1 := serve.New(m, nil, serve.Options{})
-	defer e1.Close()
-	j1, err := OpenJournal(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opts
-	o.Engine = e1
-	u1, err := NewUpdater(j1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u1.Ingest(streamFixture(g, m)[:5]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u1.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := u1.Checkpoint(); err != nil { // watermark == tail, nothing pending
-		t.Fatal(err)
-	}
-	u1.Close()
-	j1.Close()
-
-	// Fresh process: a NEW engine still serving the bare base model.
-	e2 := serve.New(m, nil, serve.Options{})
-	defer e2.Close()
-	j2, err := OpenJournal(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	o = opts
-	o.Engine = e2
-	u2, err := NewUpdater(j2, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u2.Close()
-	if u2.Pending() != 0 {
-		t.Fatalf("checkpointed restart has %d pending events", u2.Pending())
-	}
-	if _, err := e2.MembershipIn(serve.DefaultSnapshot, m.NumUsers, 3); err == nil {
-		t.Fatal("stream user visible before the restored state was published")
-	}
-	info, err := u2.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info == nil {
-		t.Fatal("first publish after restart was a no-op; restored stream state never reaches the engine")
-	}
-	if _, err := e2.MembershipIn(serve.DefaultSnapshot, m.NumUsers, 3); err != nil {
-		t.Fatalf("restored stream user still invisible after the publish: %v", err)
-	}
-	// Subsequent empty publishes are no-ops again.
-	if info2, err := u2.Publish(); err != nil || info2 != nil {
-		t.Fatalf("second publish: info=%v err=%v", info2, err)
-	}
-}
-
 func TestUpdaterGibbsPass(t *testing.T) {
 	g, m := testBase(t)
 	run := func() *core.Model {
