@@ -1,6 +1,9 @@
 // Command cpd-rank answers profile-driven community ranking queries
 // (Eq. 19) against a trained model: which communities are most likely to
-// diffuse content about the query?
+// diffuse content about the query? It ranks a model file offline, with no
+// server, and stems the query by default, which cpd-serve's /api/rank
+// (tokens passed through as they are) does not; both score through
+// core.Model.RankFromLogPosterior.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Command cpd-serve is the profile-serving API: it loads one or more
 // trained model snapshots (v2, or legacy v1/JSON) into a serve.Engine and
 // exposes the typed query surface as JSON over HTTP — community profiles,
-// user memberships, Eq. 19 ranking via the inverted index, per-topic
+// user memberships, Eq. 19 community ranking, per-topic
 // diffusion probabilities, fold-in inference for unseen users,
 // per-endpoint latency counters, and zero-downtime hot-swap — plus the
 // SocialLens browser page at / (the paper's footnote 1) and the Fig. 7
@@ -145,7 +145,6 @@ func main() {
 	var (
 		vocabPath = flag.String("vocab", "", "vocabulary file, shared by all snapshots (enables free-text rank queries)")
 		addr      = flag.String("addr", ":8080", "listen address")
-		postings  = flag.Int("postings", 0, "rank-index posting-list length per word (0 = default)")
 		workers   = flag.Int("foldin-workers", 0, "fold-in worker pool size (0 = default)")
 		usePprof  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		demo      = flag.Bool("demo", false, "train a demo model on a synthetic Twitter-like network and serve it in the default slot")
@@ -174,10 +173,7 @@ func main() {
 	if err := checkFlags(models, *demo, *qualityTb, *fetchSource, *ingestPath, *fetchSlot, *ingestSlot); err != nil {
 		log.Fatal(err)
 	}
-	engine := serve.NewMulti(serve.Options{
-		PostingsPerWord: *postings,
-		FoldInWorkers:   *workers,
-	})
+	engine := serve.NewMulti(serve.Options{FoldInWorkers: *workers})
 	defer engine.Close()
 	var vocab *corpus.Vocabulary
 	load := func() error {

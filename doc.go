@@ -12,8 +12,8 @@
 // model snapshots (internal/store) — the 64-byte-aligned v2 layout,
 // served zero-copy from a checked memory mapping — and a concurrent
 // query engine hosting named,
-// refcount-hot-swappable snapshots with a flat top-K user index, an
-// inverted rank index and fold-in inference for unseen users
+// refcount-hot-swappable snapshots with a flat top-K user index, exact
+// Eq. 19 ranking and fold-in inference for unseen users
 // (internal/serve), and one HTTP surface over it — the JSON API, the
 // Fig. 7 diffusion graph and the SocialLens browser page — that the
 // cpd-serve binary serves (cpd-serve -demo trains and serves a synthetic

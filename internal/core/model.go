@@ -170,12 +170,6 @@ func (m *Model) WithPi(pi *sparse.Dense) *Model {
 	return &out
 }
 
-// RankTable exposes the cached Eq. 19 inner sums
-// rankTable[c][z] = Σ_c' η_{c,c',z} θ_{c',z}; the serving layer's inverted
-// rank index is built from it. The returned matrix is owned by the model
-// and must not be mutated.
-func (m *Model) RankTable() *sparse.Dense { return m.rankTable }
-
 // initCaches builds the per-topic diffusion matrices, bilinear aggregates
 // and rank table used by the prediction paths. Must be called after Load.
 func (m *Model) initCaches() {
@@ -372,7 +366,6 @@ func (m *Model) DiffusionProb(g *socialgraph.Graph, u int, j int, b int) float64
 // returns the scores (unnormalised; higher is better).
 func (m *Model) RankCommunities(query []int32) []float64 {
 	Z := m.Cfg.NumTopics
-	C := m.Cfg.NumCommunities
 	// p(z|q) ∝ Π_w φ_z,w (uniform community prior absorbed, per the
 	// paper's step-2 simplification).
 	logq := make([]float64, Z)
@@ -383,16 +376,27 @@ func (m *Model) RankCommunities(query []int32) []float64 {
 		}
 		logq[z] = lw
 	}
+	scores := make([]float64, m.Cfg.NumCommunities)
+	m.RankFromLogPosterior(scores, logq)
+	return scores
+}
+
+// RankFromLogPosterior is the second half of Eq. 19, shared by
+// RankCommunities and the serving layer's Snapshot.Rank. logq (len |Z|)
+// holds the query's unnormalised log topic posterior
+// Σ_{w∈q} log(φ_z,w + 1e-300), summed over the query words in order; it is
+// overwritten with p(z|q), and scores (len |C|) receives
+// Σ_z rankTable[c][z]·p(z|q) with rankTable[c][z] = Σ_c' η_{c,c',z} θ_{c',z}.
+func (m *Model) RankFromLogPosterior(scores, logq []float64) {
 	mathx.Softmax(logq, logq)
-	scores := make([]float64, C)
-	for c := 0; c < C; c++ {
+	for c := range scores {
+		row := m.rankTable.Row(c)
 		var s float64
-		for z := 0; z < Z; z++ {
-			s += m.rankTable.At(c, z) * logq[z]
+		for z, p := range logq {
+			s += row[z] * p
 		}
 		scores[c] = s
 	}
-	return scores
 }
 
 // TopCommunities returns user u's k highest-membership communities

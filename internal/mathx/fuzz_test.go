@@ -147,9 +147,10 @@ func TestTopKIndicesNegativeK(t *testing.T) {
 
 var topKSink []int
 
-// BenchmarkTopKIndices prices the two shapes the serving indexes ask for
-// on a 64-community model — a user's top 5 and a word's 32 postings —
-// beside the selection sort on the same tie-free rows.
+// BenchmarkTopKIndices prices two selection shapes on a 64-community
+// model — a user's top 5 (the serving user index) and a wide top 32, as a
+// rank query over every community may ask for — beside the selection
+// sort on the same tie-free rows.
 func BenchmarkTopKIndices(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	rows := make([][]float64, 256)

@@ -36,10 +36,11 @@ type Metrics struct {
 	// DiffusionAUC scores the trained model on observed diffusion links
 	// vs. sampled non-links.
 	DiffusionAUC float64 `json:"diffusionAUC"`
-	// RankAgreement is the fraction of probe single-word queries whose
-	// full ranking through the serving engine's inverted index matches
-	// the model's exact K×|Z| scan. With full posting lists this must
-	// be 1.0 — any deficit is an index regression.
+	// RankAgreement is the fraction of probe queries (single words and
+	// 2-, 3- and 5-word queries from the preset's documents) whose full
+	// ranking through the serving engine matches core.Model's Eq. 19
+	// scores bit for bit. Both run the same Eq. 19 code, so this must be
+	// 1.0 — any deficit is a serving regression.
 	RankAgreement float64 `json:"rankAgreement"`
 
 	// Structural quality of the trained partition over the friendship
@@ -112,12 +113,7 @@ func Run(p Preset, opts RunOptions) (*Metrics, error) {
 		fail("snapshot round-trip: %v", err)
 	}
 
-	// Serve from the loaded snapshot with full posting lists, so
-	// single-word ranking is exact by construction and any disagreement
-	// with the full scan is a real index bug.
-	engine := serve.New(loaded, b.Vocab, serve.Options{
-		PostingsPerWord: loaded.Cfg.NumCommunities,
-	})
+	engine := serve.New(loaded, b.Vocab, serve.Options{})
 	defer engine.Close()
 
 	st := b.Graph.Stats()
@@ -136,9 +132,9 @@ func Run(p Preset, opts RunOptions) (*Metrics, error) {
 	if p.MinDiffusionAUC > 0 && m.DiffusionAUC < p.MinDiffusionAUC {
 		fail("diffusion AUC %.4f below the scenario floor %.2f", m.DiffusionAUC, p.MinDiffusionAUC)
 	}
-	m.RankAgreement = rankAgreement(engine, loaded)
+	m.RankAgreement = rankAgreement(engine, loaded, b)
 	if m.RankAgreement < 1 {
-		fail("rank index agrees with the full scan on only %.0f%% of probe queries", 100*m.RankAgreement)
+		fail("served ranking agrees with the model's Eq. 19 scores on only %.0f%% of probe queries", 100*m.RankAgreement)
 	}
 
 	// Structural quality over the friendship graph, recorded on the engine
@@ -241,31 +237,39 @@ func diffusionAUC(b *Bundle, m *core.Model) float64 {
 	return eval.AUC(pos, neg)
 }
 
-// rankAgreement probes single-word queries across the vocabulary and
-// reports the fraction whose full engine ranking matches the model's
-// exact Eq. 19 scan (scores within 1e-9 relative, same ordering of
-// distinct scores).
-func rankAgreement(e *serve.Engine, m *core.Model) float64 {
+// rankAgreement probes the serving engine's Eq. 19 ranking against the
+// model's own core.Model.RankCommunities and reports the fraction of
+// probes whose every community score matches bit for bit. The probes are
+// single words across the vocabulary plus 2-, 3- and 5-word queries
+// taken from the preset's documents: for those the posterior of the
+// whole query differs from any mix of per-word posteriors.
+func rankAgreement(e *serve.Engine, m *core.Model, b *Bundle) float64 {
 	V, C := m.NumWords, m.Cfg.NumCommunities
-	stride := V / 12
-	if stride < 1 {
-		stride = 1
+	var queries [][]int32
+	for w := 0; w < V; w += max(V/12, 1) {
+		queries = append(queries, []int32{int32(w)})
 	}
-	probes, agree := 0, 0
-	for w := 0; w < V; w += stride {
-		probes++
-		want := m.RankCommunities([]int32{int32(w)})
-		res, err := e.RankIn(serve.DefaultSnapshot, []int32{int32(w)}, C)
-		if err != nil {
+	docs := b.Graph.Docs
+	for _, n := range []int{2, 3, 5} {
+		for i := 0; i < len(docs); i += max(len(docs)/12, 1) {
+			if words := docs[i].Words; len(words) >= n {
+				queries = append(queries, words[:n])
+			}
+		}
+	}
+	if len(queries) == 0 {
+		return math.NaN()
+	}
+	agree := 0
+	for _, q := range queries {
+		want := m.RankCommunities(q)
+		res, err := e.RankIn(serve.DefaultSnapshot, q, C)
+		if err != nil || len(res.Entries) != C {
 			continue
 		}
-		got := make([]float64, C)
-		for _, entry := range res.Entries {
-			got[entry.Community] = entry.Score
-		}
 		ok := true
-		for c := range want {
-			if diff := math.Abs(want[c] - got[c]); diff > 1e-9*(math.Abs(want[c])+1e-12) {
+		for _, entry := range res.Entries {
+			if math.Float64bits(entry.Score) != math.Float64bits(want[entry.Community]) {
 				ok = false
 				break
 			}
@@ -274,10 +278,7 @@ func rankAgreement(e *serve.Engine, m *core.Model) float64 {
 			agree++
 		}
 	}
-	if probes == 0 {
-		return math.NaN()
-	}
-	return float64(agree) / float64(probes)
+	return float64(agree) / float64(len(queries))
 }
 
 // checkFoldInDeterminism folds the same unseen user in twice directly and
@@ -330,16 +331,14 @@ func checkMappedPath(v2Path string, model *core.Model, heap *serve.Engine, b *Bu
 		return fmt.Errorf("mapped model: %v", err)
 	}
 
-	engine := serve.NewMulti(serve.Options{
-		PostingsPerWord: model.Cfg.NumCommunities,
-	})
+	engine := serve.NewMulti(serve.Options{})
 	defer engine.Close()
 	if _, err := engine.LoadGeneration("mapped", v2Path, b.Vocab, 0); err != nil {
 		return fmt.Errorf("mapped load failed: %w", err)
 	}
 
 	// Probe queries must answer identically through heap and mapped
-	// engines (same model bits, same index construction).
+	// engines (same model bits, same log Φ table).
 	V := model.NumWords
 	for _, w := range []int{0, V / 3, V - 1} {
 		want, err1 := heap.RankIn(serve.DefaultSnapshot, []int32{int32(w)}, 5)

@@ -20,7 +20,8 @@ import (
 // changed passes a Delta — O(changed), nothing is compared. A caller that
 // does not passes nil and the delta is derived from the bytes (deriveDelta):
 // one memcmp pass over the blocks plus the membership rows that differ,
-// against O(|W|·|C|·(|Z|+perWord)) for a from-scratch index. A patch
+// against O(U·|C| + |Z|·(|W| + |C|²)) for a from-scratch build (the user
+// index, the log tables and openness). A patch
 // changes membership rows only; a difference anywhere else — Φ included —
 // is a full build.
 

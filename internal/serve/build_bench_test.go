@@ -10,7 +10,7 @@ import (
 // BenchmarkSnapshotBuild prices the ways a model reaches an engine, on the
 // cpd-bench model shape (20 000 users, |C| = 64, |Z| = 32, 20 000 words):
 //
-//   - scratch: an empty slot — every index built from the model;
+//   - scratch: an empty slot — all derived state built from the model;
 //   - adopt-rows: a successor with 200 changed Π rows and the same global
 //     blocks in other memory (what a replica maps when it fetches the next
 //     fold-in generation): one compare pass, 200 rows re-indexed;

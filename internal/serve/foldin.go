@@ -168,7 +168,8 @@ func logThetaTable(m *core.Model) []float64 {
 }
 
 // logPhiTable builds Snapshot.logPhi, by the expression the fold-in kernel
-// would otherwise evaluate per request, document word and topic.
+// and core.Model.RankCommunities would otherwise evaluate per request,
+// word and topic.
 func logPhiTable(m *core.Model) []float64 {
 	Z := m.Phi.Rows
 	t := make([]float64, len(m.Phi.Data))

@@ -170,9 +170,9 @@ func TestMappedSnapshotRefcount(t *testing.T) {
 		t.Fatal("snapshot lost the mapped flag")
 	}
 	// What a mapped snapshot keeps on the heap, as /api/stats reports it:
-	// caches, indexes and the two logarithm tables fold-in reads.
+	// caches, the user index and the two logarithm tables.
 	tables := 8 * int64(len(s.Model.Theta.Data)+len(s.Model.Phi.Data))
-	if want := s.Model.CacheBytes() + s.index.Bytes() + s.users.bytes() + tables; s.Mapped() && e.SnapshotsInfo()[0].HeapBytes != want {
+	if want := s.Model.CacheBytes() + s.users.bytes() + tables; s.Mapped() && e.SnapshotsInfo()[0].HeapBytes != want {
 		t.Fatalf("mapped snapshot reports %d heap bytes, want %d (log Θ and log Φ are %d of them)", e.SnapshotsInfo()[0].HeapBytes, want, tables)
 	}
 

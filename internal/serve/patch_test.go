@@ -75,30 +75,6 @@ func randomizePiRow(row []float64, r *rand.Rand) {
 	}
 }
 
-func requireSameRankIndex(t *testing.T, got, want *RankIndex) {
-	t.Helper()
-	words := len(want.offsets) - 1
-	if got := len(got.offsets) - 1; got != words {
-		t.Fatalf("%d words indexed, want %d", got, words)
-	}
-	for w := 0; w < words; w++ {
-		gc, gs := got.Postings(int32(w))
-		wc, ws := want.Postings(int32(w))
-		if len(gc) != len(wc) {
-			t.Fatalf("word %d: %d postings, want %d", w, len(gc), len(wc))
-		}
-		for i := range wc {
-			if gc[i] != wc[i] {
-				t.Fatalf("word %d entry %d: community %d, want %d", w, i, gc[i], wc[i])
-			}
-			if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
-				t.Fatalf("word %d entry %d: score bits %x, want %x", w, i,
-					math.Float64bits(gs[i]), math.Float64bits(ws[i]))
-			}
-		}
-	}
-}
-
 func requireSameUserIndex(t *testing.T, got, want *userIndex) {
 	t.Helper()
 	if got.topK != want.topK || got.users != want.users {
@@ -114,10 +90,10 @@ func requireSameUserIndex(t *testing.T, got, want *userIndex) {
 
 // TestPatchFromDifferential drives a chain of randomized deltas — user
 // churn, user growth, and both at once — through patchFrom, asserting
-// after every step that the patched snapshot's rank index and user index
-// are bit-identical to from-scratch builds of the same model, and that the
-// rank index is the predecessor's own. The patched chain never rebuilds,
-// so sharing bugs accumulate and surface.
+// after every step that the patched snapshot's derived state is
+// bit-identical to a from-scratch build of the same model, and that the
+// log Φ table rank and fold-in read is the predecessor's own. The patched
+// chain never rebuilds, so sharing bugs accumulate and surface.
 func TestPatchFromDifferential(t *testing.T) {
 	const (
 		users, C, Z, V = 120, 12, 6, 400
@@ -125,7 +101,7 @@ func TestPatchFromDifferential(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(42))
 	m := SyntheticModel(users, C, Z, V, 99)
-	opts := Options{PostingsPerWord: 8}.withDefaults()
+	opts := Options{}.withDefaults()
 	snap := newSnapshot(m, nil, DefaultSnapshot, 0, opts)
 	for round := 0; round < rounds; round++ {
 		var next *core.Model
@@ -162,8 +138,8 @@ func TestPatchFromDifferential(t *testing.T) {
 		patched := patchFrom(snap, next, nil, delta)
 		scratch := newSnapshot(next, nil, DefaultSnapshot, 0, opts)
 		requireSameSnapshot(t, patched, scratch)
-		if patched.index != snap.index {
-			t.Fatalf("round %d: a membership patch rebuilt the rank index", round)
+		if &patched.logPhi[0] != &snap.logPhi[0] {
+			t.Fatalf("round %d: a membership patch rebuilt the log Φ table", round)
 		}
 		snap.Release()
 		scratch.Release()
@@ -173,7 +149,7 @@ func TestPatchFromDifferential(t *testing.T) {
 }
 
 // TestPatchFromSharing asserts the point of the patch path: with an empty
-// delta the whole rank index is shared by pointer with the predecessor.
+// delta the log tables are shared by pointer with the predecessor.
 func TestPatchFromSharing(t *testing.T) {
 	m := SyntheticModel(64, 8, 4, 200, 7)
 	opts := Options{}.withDefaults()
@@ -182,8 +158,8 @@ func TestPatchFromSharing(t *testing.T) {
 
 	empty := patchFrom(snap, m, nil, Delta{})
 	defer empty.Release()
-	if empty.index != snap.index {
-		t.Fatal("rank index not shared under an empty delta")
+	if &empty.logPhi[0] != &snap.logPhi[0] || &empty.logTheta[0] != &snap.logTheta[0] {
+		t.Fatal("log tables not shared under an empty delta")
 	}
 }
 
@@ -204,16 +180,14 @@ func TestPatchFromFallbacks(t *testing.T) {
 	// Globals forces a full rebuild even with no listed users.
 	full := patchFrom(snap, next, nil, Delta{Globals: true})
 	scratch := newSnapshot(next, nil, DefaultSnapshot, 0, opts)
-	requireSameRankIndex(t, full.index, scratch.index)
-	requireSameUserIndex(t, full.users, scratch.users)
+	requireSameSnapshot(t, full, scratch)
 	full.Release()
 	scratch.Release()
 
 	// Out-of-range ids in the delta are ignored, not fatal.
 	ok := patchFrom(snap, next, nil, Delta{Users: []int32{-1, 3, 9999}})
 	scratch = newSnapshot(next, nil, DefaultSnapshot, 0, opts)
-	requireSameRankIndex(t, ok.index, scratch.index)
-	requireSameUserIndex(t, ok.users, scratch.users)
+	requireSameSnapshot(t, ok, scratch)
 	ok.Release()
 	scratch.Release()
 }
@@ -284,11 +258,10 @@ func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 }
 
 // requireSameSnapshot compares every derived field of two snapshots of
-// the same model: rank index and user index bit for bit, labels, openness
-// and the log Θ table.
+// the same model: the user index, labels, openness, and the log Θ and
+// log Φ tables bit for bit.
 func requireSameSnapshot(t *testing.T, got, want *Snapshot) {
 	t.Helper()
-	requireSameRankIndex(t, got.index, want.index)
 	requireSameUserIndex(t, got.users, want.users)
 	if !reflect.DeepEqual(got.labels, want.labels) {
 		t.Fatalf("labels %v, want %v", got.labels, want.labels)
@@ -296,12 +269,17 @@ func requireSameSnapshot(t *testing.T, got, want *Snapshot) {
 	if !reflect.DeepEqual(got.openness, want.openness) {
 		t.Fatalf("openness %v, want %v", got.openness, want.openness)
 	}
-	if len(got.logTheta) != len(want.logTheta) {
-		t.Fatalf("log Θ has %d entries, want %d", len(got.logTheta), len(want.logTheta))
-	}
-	for i := range want.logTheta {
-		if math.Float64bits(got.logTheta[i]) != math.Float64bits(want.logTheta[i]) {
-			t.Fatalf("log Θ entry %d: bits %x, want %x", i, math.Float64bits(got.logTheta[i]), math.Float64bits(want.logTheta[i]))
+	for _, tb := range []struct {
+		name      string
+		got, want []float64
+	}{{"log Θ", got.logTheta, want.logTheta}, {"log Φ", got.logPhi, want.logPhi}} {
+		if len(tb.got) != len(tb.want) {
+			t.Fatalf("%s has %d entries, want %d", tb.name, len(tb.got), len(tb.want))
+		}
+		for i := range tb.want {
+			if math.Float64bits(tb.got[i]) != math.Float64bits(tb.want[i]) {
+				t.Fatalf("%s entry %d: bits %x, want %x", tb.name, i, math.Float64bits(tb.got[i]), math.Float64bits(tb.want[i]))
+			}
 		}
 	}
 	if got.heapBytes != want.heapBytes {
@@ -325,7 +303,7 @@ func testVocabulary(words int, prefix string) *corpus.Vocabulary {
 // deep copy, so nothing is equal by aliasing.
 func TestBuildSnapshotDerivedDelta(t *testing.T) {
 	const users, C, Z, V = 90, 10, 5, 240
-	opts := Options{PostingsPerWord: 6}
+	opts := Options{}
 	vocab := testVocabulary(V, "w")
 	negZero := math.Copysign(0, -1)
 	type want struct {
@@ -482,7 +460,7 @@ func TestBuildSnapshotDerivedChain(t *testing.T) {
 	const users, C, Z, V = 100, 9, 4, 180
 	r := rand.New(rand.NewSource(8))
 	m := SyntheticModel(users, C, Z, V, 12)
-	e := New(m, nil, Options{PostingsPerWord: 5})
+	e := New(m, nil, Options{})
 	defer e.Close()
 	for round := 0; round < 30; round++ {
 		next := clonePatchModel(m)
@@ -607,102 +585,5 @@ func TestBuildSnapshotShardIdentity(t *testing.T) {
 		}
 		s.Release()
 		d.Release()
-	}
-}
-
-// scoreWordBlockOracle is the block scorer's accumulation as it stood
-// before it was register-blocked: one topic at a time, each product added
-// straight into the destination.
-func scoreWordBlockOracle(m *core.Model, rt *sparse.Dense, w0, n int, emit func(j int, sel []float64, empty bool)) {
-	Z, C := m.Cfg.NumTopics, m.Cfg.NumCommunities
-	pz := make([]float64, Z*n)
-	colSum := make([]float64, n)
-	for z := 0; z < Z; z++ {
-		for j, v := range m.Phi.Row(z)[w0 : w0+n] {
-			pz[z*n+j] = v
-			colSum[j] += v
-		}
-	}
-	for z := 0; z < Z; z++ {
-		for j := 0; j < n; j++ {
-			if colSum[j] > 0 {
-				pz[z*n+j] /= colSum[j]
-			}
-		}
-	}
-	wordSc := make([]float64, C*n)
-	for c := 0; c < C; c++ {
-		dst := wordSc[c*n : (c+1)*n]
-		row := rt.Row(c)
-		for z := 0; z < Z; z++ {
-			rv := row[z]
-			if rv == 0 {
-				continue
-			}
-			for j, v := range pz[z*n : (z+1)*n] {
-				dst[j] += rv * v
-			}
-		}
-	}
-	sel := make([]float64, C)
-	for j := 0; j < n; j++ {
-		if colSum[j] <= 0 {
-			emit(j, nil, true)
-			continue
-		}
-		for c := 0; c < C; c++ {
-			sel[c] = wordSc[c*n+j]
-		}
-		emit(j, sel, false)
-	}
-}
-
-// TestScoreWordBlockMatchesOracle holds the register-blocked scorer to the
-// one-topic-at-a-time accumulation bit for bit, over topic counts on both
-// sides of the block width and rank tables with zero, negative and
-// negative-zero entries (the skipped topics and the sign of a zero sum).
-func TestScoreWordBlockMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for _, Z := range []int{1, 3, 4, 5, 8, 11, 32} {
-		const C, V = 7, 300 // more than one word block
-		m := SyntheticModel(10, C, Z, V, uint64(Z))
-		for i := range m.Eta.Data {
-			switch r.Intn(5) {
-			case 0:
-				m.Eta.Data[i] = 0
-			case 1:
-				m.Eta.Data[i] = -m.Eta.Data[i]
-			}
-		}
-		for z := 0; z < Z; z++ { // community 2 scores nothing, word 9 never occurs
-			for c2 := 0; c2 < C; c2++ {
-				m.Eta.Set(2, c2, z, 0)
-			}
-			m.Phi.Row(z)[9] = 0
-		}
-		m.Rehydrate()
-		rt := m.RankTable()
-		rt.Row(4)[0] = math.Copysign(0, -1)
-		sc := newRankScratch(C, Z)
-		for w0 := 0; w0 < V; w0 += rankBlockLen {
-			n := min(rankBlockLen, V-w0)
-			var want [][]float64
-			scoreWordBlockOracle(m, rt, w0, n, func(_ int, sel []float64, empty bool) {
-				if empty {
-					sel = nil
-				}
-				want = append(want, append([]float64(nil), sel...))
-			})
-			scoreWordBlock(m, rt, w0, n, sc, func(j int, sel []float64, empty bool) {
-				if empty != (want[j] == nil) {
-					t.Fatalf("Z=%d word %d: empty=%v, oracle %v", Z, w0+j, empty, want[j] == nil)
-				}
-				for c := range sel {
-					if !empty && math.Float64bits(sel[c]) != math.Float64bits(want[j][c]) {
-						t.Fatalf("Z=%d word %d community %d: bits %x, oracle %x", Z, w0+j, c, math.Float64bits(sel[c]), math.Float64bits(want[j][c]))
-					}
-				}
-			})
-		}
 	}
 }

@@ -17,9 +17,10 @@
 //   - every user's top-K memberships live in one flat per-snapshot table
 //     (plus a member count per community), from which memberships, member
 //     counts and member lists are answered;
-//   - Eq. 19 community ranking runs over a precomputed inverted index
-//     (word → community posting lists, see RankIndex) instead of scoring
-//     every community against every topic per query;
+//   - Eq. 19 community ranking is exact per query: the query's topic
+//     posterior is summed from the snapshot's word-major log Φ table and
+//     finished by core.Model.RankFromLogPosterior, the same code the
+//     offline ranking runs;
 //   - that derived state has one builder, buildSnapshot (build.go),
 //     behind every way a model reaches a slot. When only membership rows
 //     changed or were appended — what a fold-in publish does — it patches
@@ -73,11 +74,6 @@ const DefaultSnapshot = "default"
 
 // Options tunes an Engine. The zero value is ready for use.
 type Options struct {
-	// PostingsPerWord bounds each word's posting list in the inverted rank
-	// index. Longer lists rank more exactly but cost more memory and query
-	// time; PostingsPerWord >= |C| makes single-word ranking exact.
-	// 0 selects the default (32).
-	PostingsPerWord int
 	// FoldInWorkers sizes the persistent fold-in worker pool
 	// FoldInBatchNamed fans out over. Results are bit-identical for every
 	// value (each request is a pure function of the snapshot and its own
@@ -98,9 +94,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.PostingsPerWord == 0 {
-		o.PostingsPerWord = 32
-	}
 	if o.FoldInWorkers == 0 {
 		o.FoldInWorkers = 4
 	}
@@ -145,14 +138,14 @@ type Snapshot struct {
 	opts     Options
 	openness []int
 	labels   []string
-	index    *RankIndex
 	users    *userIndex
 	// logTheta[c*|Z|+z] = log(θ_{c,z} + 1e-300): the per-snapshot constant
 	// fold-in's conditionals read per document and sweep.
 	logTheta []float64
 	// logPhi[w*|Z|+z] = log(φ_{z,w} + 1e-300), word-major: a fold-in adds
-	// one contiguous |Z|-run per document word where Φ's own layout would
-	// have it gather |Z| values |W| apart and take their logarithms.
+	// one contiguous |Z|-run per document word, and Rank one per query
+	// word, where Φ's own layout would have them gather |Z| values |W|
+	// apart and take their logarithms.
 	logPhi []float64
 
 	// build records how the derived state above came to be (Build).
@@ -177,7 +170,6 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		opts:     opts,
 		openness: apps.Openness(m),
 		labels:   communityLabels(m, vocab),
-		index:    buildRankIndex(m, opts.PostingsPerWord),
 		users:    buildUserIndex(m),
 		logTheta: logThetaTable(m),
 		logPhi:   logPhiTable(m),
@@ -195,7 +187,7 @@ func (s *Snapshot) Build() BuildInfo { return s.build }
 // state is always heap; the matrices count as heap until a mapped backing
 // is attached (attach subtracts them).
 func (s *Snapshot) derivedBytes() int64 {
-	return s.Model.CacheBytes() + s.index.Bytes() + s.users.bytes() + 8*int64(len(s.logTheta)+len(s.logPhi)) + s.Model.MatrixBytes()
+	return s.Model.CacheBytes() + s.users.bytes() + 8*int64(len(s.logTheta)+len(s.logPhi)) + s.Model.MatrixBytes()
 }
 
 // Delta describes how a model differs from the one behind an existing
@@ -230,8 +222,8 @@ type Delta struct {
 
 // patchFrom builds a snapshot of m by patching prev's derived state:
 // user-index rows and member counts are recomputed for delta.Users (plus
-// appended users), and everything else — rank index, openness, labels,
-// log Θ and log Φ tables — is shared with prev. Sharing is safe because
+// appended users), and everything else — openness, labels, log Θ and
+// log Φ tables — is shared with prev. Sharing is safe because
 // derived state is immutable and heap-allocated (never a view into prev's
 // possibly-mapped matrices), so it outlives prev's retirement.
 //
@@ -269,10 +261,9 @@ func patchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		Vocab: vocab,
 		Name:  prev.Name,
 		opts:  prev.opts,
-		// Openness, the rank index and the log tables read Θ, η and Φ
-		// only, which a patch leaves as they were.
+		// Openness and the log tables read Θ, η and Φ only, which a patch
+		// leaves as they were.
 		openness: prev.openness,
-		index:    prev.index,
 		logTheta: prev.logTheta,
 		logPhi:   prev.logPhi,
 		labels:   prev.labels,
@@ -1100,8 +1091,12 @@ func (s *Snapshot) DiffusionRows(req *DiffusionRowsRequest) (*DiffusionResult, e
 	return &DiffusionResult{Version: s.Version, Generation: s.Generation, Logit: logit, Prob: mathx.Sigmoid(logit)}, nil
 }
 
-// Rank answers an Eq. 19 profile-driven ranking query (a bag of word ids)
-// from the inverted index, returning the top-k communities.
+// Rank answers an Eq. 19 profile-driven ranking query (a bag of word ids),
+// returning the top-k communities. The scores are bit-identical to
+// core.Model.RankCommunities: the query's log topic posterior is the sum
+// of its words' |Z|-runs of logPhi — the expression core evaluates, added
+// in the same order — and RankFromLogPosterior does the rest, so a query
+// costs |q|·|Z| additions, one softmax and |C|·|Z| multiply-adds.
 func (s *Snapshot) Rank(query []int32, k int) (*RankResult, error) {
 	m := s.Model
 	if len(query) == 0 {
@@ -1112,12 +1107,18 @@ func (s *Snapshot) Rank(query []int32, k int) (*RankResult, error) {
 			return nil, fmt.Errorf("serve: query word %d out of range [0, %d)", w, m.NumWords)
 		}
 	}
-	C := m.Cfg.NumCommunities
+	C, Z := m.Cfg.NumCommunities, m.Cfg.NumTopics
 	if k <= 0 || k > C {
 		k = C
 	}
-	scores := make([]float64, C)
-	s.index.Accumulate(scores, query)
+	buf := make([]float64, C+Z)
+	scores, logq := buf[:C], buf[C:]
+	for _, w := range query {
+		for z, v := range s.logPhi[int(w)*Z:][:Z] {
+			logq[z] += v
+		}
+	}
+	m.RankFromLogPosterior(scores, logq)
 	res := &RankResult{Version: s.Version, Generation: s.Generation}
 	top := mathx.TopKIndices(scores, k)
 	if len(top) > 0 {
@@ -1214,8 +1215,8 @@ func (e *Engine) DiffusionIn(name string, u, v, z, b int) (*DiffusionResult, err
 	return e.DiffusionRowsIn(name, &DiffusionRowsRequest{U: u, V: v, Topic: z, Bucket: b})
 }
 
-// RankIn answers an Eq. 19 ranking query from a named snapshot's inverted
-// index.
+// RankIn answers an Eq. 19 ranking query from a named snapshot
+// (Snapshot.Rank: the scores of core.Model.RankCommunities, bit for bit).
 func (e *Engine) RankIn(name string, query []int32, k int) (res *RankResult, err error) {
 	err = e.onSnapshot(epRank, name, func(s *Snapshot) error {
 		res, err = s.Rank(query, k)

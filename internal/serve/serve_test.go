@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/shard"
 	"repro/internal/sparse"
 	"repro/internal/store"
 )
@@ -26,63 +28,116 @@ func testEngine(t *testing.T, m *core.Model, vocab *corpus.Vocabulary, opts Opti
 	return e
 }
 
-// TestRankIndexExactSingleWord: with full posting lists, a single-word
-// query through the inverted index must reproduce Eq. 19's scores — for
-// one word the softmax topic posterior IS the per-word posterior the index
-// decomposes over.
-func TestRankIndexExactSingleWord(t *testing.T) {
-	m := SyntheticModel(50, 12, 8, 300, 1)
-	e := testEngine(t, m, nil, Options{PostingsPerWord: m.Cfg.NumCommunities})
-	for _, w := range []int32{0, 7, 123, 299} {
-		want := m.RankCommunities([]int32{w})
-		res, err := e.RankIn(DefaultSnapshot, []int32{w}, m.Cfg.NumCommunities)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, len(want))
-		for _, entry := range res.Entries {
-			got[entry.Community] = entry.Score
-		}
-		for c := range want {
-			if math.Abs(want[c]-got[c]) > 1e-9*(math.Abs(want[c])+1e-12) {
-				t.Fatalf("word %d community %d: index %g vs full scan %g", w, c, got[c], want[c])
-			}
-		}
+// TestRankIsEq19 holds every served ranking to core.Model.RankCommunities
+// bit for bit, over 1-, 2-, 3- and 5-word queries (a duplicate word and a
+// word with no Φ mass among them), on each kind of snapshot a slot can
+// hold: heap, mapped, one shard of a 3-shard group, and a patched
+// successor.
+func TestRankIsEq19(t *testing.T) {
+	const users, C, Z, V = 60, 9, 6, 150
+	const zeroWord = 41
+	base := SyntheticModel(users, C, Z, V, 19)
+	for z := 0; z < Z; z++ {
+		base.Phi.Row(z)[zeroWord] = 0
 	}
-}
+	r := rand.New(rand.NewSource(6))
+	grown := growPatchModel(base, 5, r)
+	randomizePiRow(grown.Pi.Row(3), r)
+	grown.Rehydrate()
 
-// TestRankTruncatedPostings: a truncated index must (a) bound posting
-// lists and (b) agree with the full index on single-word top-k whenever
-// k <= PostingsPerWord (truncation keeps exactly the per-word top scores).
-func TestRankTruncatedPostings(t *testing.T) {
-	m := SyntheticModel(50, 16, 8, 200, 2)
-	full := testEngine(t, m, nil, Options{PostingsPerWord: 16})
-	trunc := testEngine(t, m, nil, Options{PostingsPerWord: 4})
-	if got := acquireView(t, trunc).index.PostingsPerWord(); got > 4 {
-		t.Fatalf("posting list length %d exceeds bound 4", got)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.v2.snap")
+	if err := store.SaveV2(path, base); err != nil {
+		t.Fatal(err)
 	}
-	for _, w := range []int32{3, 77, 150} {
-		a, err := full.RankIn(DefaultSnapshot, []int32{w}, 4)
-		if err != nil {
-			t.Fatal(err)
+	man, err := shard.Split(path, dir, 1, shard.SplitOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	queries := [][]int32{{0}, {zeroWord}, {V - 1}, {7, 7}, {zeroWord, 12}, {3, 88, 140}, {5, 17, 5, 60, 99}, {zeroWord, 1, 2, 3, 4}}
+	for i := 0; i < 12; i++ {
+		q := make([]int32, []int{1, 2, 3, 5}[i%4])
+		for j := range q {
+			q[j] = int32(r.Intn(V))
 		}
-		b, err := trunc.RankIn(DefaultSnapshot, []int32{w}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Entries {
-			if a.Entries[i].Community != b.Entries[i].Community {
-				t.Fatalf("word %d rank %d: full %d vs truncated %d",
-					w, i, a.Entries[i].Community, b.Entries[i].Community)
+		queries = append(queries, q)
+	}
+
+	cases := []struct {
+		name  string
+		model *core.Model // the model the snapshot answers for
+		snap  func(t *testing.T) *Snapshot
+	}{
+		{"heap", base, func(t *testing.T) *Snapshot {
+			return acquireView(t, testEngine(t, base, nil, Options{}))
+		}},
+		{"mapped", base, func(t *testing.T) *Snapshot {
+			e := NewMulti(Options{})
+			t.Cleanup(e.Close)
+			if _, err := e.LoadGeneration(DefaultSnapshot, path, nil, 0); err != nil {
+				t.Fatal(err)
 			}
-		}
+			s := acquireView(t, e)
+			if !s.Mapped() {
+				t.Fatal("LoadGeneration served a heap snapshot")
+			}
+			return s
+		}},
+		{"shard replica", base, func(t *testing.T) *Snapshot {
+			g, err := shard.OpenGroup(dir, man, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewMulti(Options{})
+			t.Cleanup(e.Close)
+			e.PromoteGroup(DefaultSnapshot, g, nil, 1, nil)
+			s := acquireView(t, e)
+			if s.Shard == nil || s.Model.NumUsers >= users {
+				t.Fatalf("replica serves %d users as shard %+v, want a proper shard", s.Model.NumUsers, s.Shard)
+			}
+			return s
+		}},
+		{"patched", grown, func(t *testing.T) *Snapshot {
+			e := testEngine(t, base, nil, Options{})
+			s := e.buildSnapshot(DefaultSnapshot, grown, nil, &Delta{Users: []int32{3}}, nil)
+			if b := s.Build(); b.Kind != BuildPatched {
+				t.Fatalf("successor built %+v, want a patch", b)
+			}
+			e.publish(s)
+			return acquireView(t, e)
+		}},
 	}
-	// Out-of-range and empty queries are rejected.
-	if _, err := trunc.RankIn(DefaultSnapshot, []int32{9999}, 3); err == nil {
-		t.Fatal("out-of-range word accepted")
-	}
-	if _, err := trunc.RankIn(DefaultSnapshot, nil, 3); err == nil {
-		t.Fatal("empty query accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.snap(t)
+			for _, q := range queries {
+				want := tc.model.RankCommunities(q)
+				res, err := s.Rank(q, C)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Entries) != C {
+					t.Fatalf("query %v: %d entries, want %d", q, len(res.Entries), C)
+				}
+				for _, entry := range res.Entries {
+					if got := entry.Score; math.Float64bits(got) != math.Float64bits(want[entry.Community]) {
+						t.Fatalf("query %v community %d: score %v (bits %x), Eq. 19 gives %v (bits %x)",
+							q, entry.Community, got, math.Float64bits(got), want[entry.Community], math.Float64bits(want[entry.Community]))
+					}
+				}
+			}
+			// Out-of-range and empty queries are rejected.
+			if _, err := s.Rank([]int32{V}, 3); err == nil {
+				t.Fatal("out-of-range word accepted")
+			}
+			if _, err := s.Rank([]int32{-1}, 3); err == nil {
+				t.Fatal("negative word accepted")
+			}
+			if _, err := s.Rank(nil, 3); err == nil {
+				t.Fatal("empty query accepted")
+			}
+		})
 	}
 }
 

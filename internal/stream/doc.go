@@ -48,8 +48,8 @@
 // never sees that array); the serving snapshot is
 // patched copy-on-write from the live one by
 // serve.Engine.PromoteGroup, given the re-folded rows as an explicit
-// delta (the shared rank index is reused — Φ unchanged means word scores
-// unchanged — and only the dirty users' user-index rows are recomputed);
+// delta (the log Θ and log Φ tables are shared — Θ and Φ are unchanged —
+// and only the dirty users' user-index rows are recomputed);
 // and the on-disk generation is written with store.SaveV2, which encodes
 // every section from memory and checksums it on its way to the file (the
 // shard group, when there is one, hard-links the files nothing changed).

@@ -34,7 +34,8 @@ package stream
 //   - serve: serve.Engine.PromoteGroup, handed the publisher's explicit
 //     delta (the re-folded rows, relative to its own last promote),
 //     recomputes only those rows of the previous snapshot's user index
-//     and shares the rest of its derived state, the rank index included.
+//     and shares the rest of its derived state, the log Φ table rank
+//     reads included.
 //
 // Ingest is O(1) per event besides the journal append: Status is
 // assembled from counters (the dirty-user gauge included), never by

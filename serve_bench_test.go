@@ -1,8 +1,8 @@
 package repro
 
 // Benchmarks for the online serving subsystem (internal/store +
-// internal/serve): snapshot loading, inverted-index ranking against the
-// full-scan baseline, and fold-in inference. The model shape (|C|=100,
+// internal/serve): snapshot loading, engine ranking against the full-scan
+// baseline, and fold-in inference. The model shape (|C|=100,
 // |W|=50k) is the serving-scale configuration the subsystem is sized for —
 // far larger than the training benchmarks' models, and assembled directly
 // (serve.SyntheticModel) so the benchmarks measure serving, not training.
@@ -31,11 +31,14 @@ func serveBenchModel(b *testing.B) *core.Model {
 	return serve.SyntheticModel(500, 100, 50, 50000, 2017)
 }
 
-// BenchmarkServeRank compares Eq. 19 ranking through serve.Engine's
-// inverted index against the full K×|Z| scan of
-// core.Model.RankCommunities, on the same model and queries — and the
-// heap-backed engine against one serving the same model zero-copy from a
-// memory-mapped v2 snapshot (the mapped-vs-heap serving comparison).
+// BenchmarkServeRank compares Eq. 19 ranking through serve.Engine —
+// which sums the query's runs of the snapshot's log Φ table and then
+// does core's softmax and K×|Z| multiply-adds — against
+// core.Model.RankCommunities, which takes |q|×|Z| logarithms per query
+// as well, on the same model and queries; and the heap-backed engine
+// against one serving the same model zero-copy from a memory-mapped v2
+// snapshot (the mapped-vs-heap serving comparison). All three return
+// the same scores bit for bit.
 func BenchmarkServeRank(b *testing.B) {
 	m := serveBenchModel(b)
 	e := serve.New(m, nil, serve.Options{})
@@ -44,14 +47,14 @@ func BenchmarkServeRank(b *testing.B) {
 	for i := range queries {
 		queries[i] = []int32{int32(i * 701 % 50000), int32(i * 337 % 50000), int32(i * 97 % 50000)}
 	}
-	b.Run("inverted-index", func(b *testing.B) {
+	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := e.RankIn(serve.DefaultSnapshot, queries[i%len(queries)], 10); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("inverted-index-mapped", func(b *testing.B) {
+	b.Run("engine-mapped", func(b *testing.B) {
 		path := filepath.Join(b.TempDir(), "bench.v2.snap")
 		if err := store.SaveV2(path, m); err != nil {
 			b.Fatal(err)

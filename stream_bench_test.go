@@ -118,7 +118,7 @@ func BenchmarkIngestApply(b *testing.B) {
 // scale (2000 users, |C|=100, |W|=50k): ingest one 64-event window of
 // documents, publish, repeat. The incremental-dir sub-benchmark takes the
 // O(changed) path (Π patched in place, patched per-shard user index,
-// shared rank index) through snapshot files the engine maps, the save the
+// shared log tables) through snapshot files the engine maps, the save the
 // single-pass encode from memory; full-rebuild pins Options.FullRebuild
 // and reassembles everything — the pre-incremental publish cost. The two
 // serve bit-identical results (TestIncrementalPublishMatchesFullRebuild);
