@@ -49,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -975,22 +974,17 @@ func (s *Snapshot) Community(c int) (*CommunityDetail, error) {
 }
 
 // topFlows lists the k strongest topic-specific flows out of and into c,
-// strongest first (ties by community, then topic). A cell at its source
-// community's η base (apps.EtaBase) records no observed diffusion and is
-// not listed; a community with none answers empty lists, not null.
+// strongest first (ties by community, then topic): the merged top k of
+// apps.TopDiffusionTopics over c's pairs, so a cell at its source's η base
+// is not listed and a community with none answers empty lists, not null.
 func topFlows(m *core.Model, c, k int) (outs, ins []FlowSummary) {
-	C, Z := m.Cfg.NumCommunities, m.Cfg.NumTopics
 	outs, ins = []FlowSummary{}, []FlowSummary{}
-	ownBase := math.Float64bits(apps.EtaBase(m, c))
-	for c2 := 0; c2 < C; c2++ {
-		base := math.Float64bits(apps.EtaBase(m, c2))
-		for z := 0; z < Z; z++ {
-			if v := m.Eta.At(c, c2, z); math.Float64bits(v) != ownBase {
-				outs = append(outs, FlowSummary{c2, z, v})
-			}
-			if v := m.Eta.At(c2, c, z); math.Float64bits(v) != base {
-				ins = append(ins, FlowSummary{c2, z, v})
-			}
+	for c2 := range m.Cfg.NumCommunities {
+		for _, f := range apps.TopDiffusionTopics(m, c, c2, k) {
+			outs = append(outs, FlowSummary{c2, f.Community, f.Score})
+		}
+		for _, f := range apps.TopDiffusionTopics(m, c2, c, k) {
+			ins = append(ins, FlowSummary{c2, f.Community, f.Score})
 		}
 	}
 	top := func(fs []FlowSummary) []FlowSummary {

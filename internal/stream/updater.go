@@ -69,10 +69,11 @@ type Options struct {
 	// GibbsEvery, when > 0 (and BaseGraph is set), runs a resumable
 	// delta-Gibbs pass in every generation whose number is a multiple of
 	// GibbsEvery (a restart keeps the cadence): the merged
-	// base+stream graph is re-sampled with only the users touched since
-	// the last pass marked dirty, re-estimating their rows and the global
-	// profiles. 0 disables (pure fold-in mode — the replay-equals-batch
-	// regime).
+	// base+stream graph is re-sampled with every user the stream has ever
+	// touched marked dirty — a set that only grows, not just the users
+	// touched since the last pass (ROADMAP item 20(b)) — re-estimating
+	// their rows and the global profiles. 0 disables (pure fold-in mode —
+	// the replay-equals-batch regime).
 	GibbsEvery int
 	// GibbsSweeps is the EM iteration count per delta pass (default 2).
 	GibbsSweeps int
@@ -823,9 +824,11 @@ func (u *Updater) foldDirtyLocked(ids []int32) (int, error) {
 
 // gibbsPassLocked runs the resumable delta-Gibbs refinement: resume a
 // sampler from the current extended model on the merged base+stream
-// graph, sweep only the users touched since the last pass, and adopt the
-// re-estimated model as the new reference for base rows and global
-// profiles. Deterministic per (options, generation).
+// graph, sweep every user the stream has ever touched (u.users, which only
+// grows; every user when it is empty), and adopt the re-estimated model as
+// the new reference for base rows and global profiles. Sweeping only the
+// users touched since the last pass is ROADMAP item 20(b). Deterministic
+// per (options, generation).
 func (u *Updater) gibbsPassLocked() error {
 	g, err := u.mergedGraphLocked()
 	if err != nil {
