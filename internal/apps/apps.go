@@ -201,12 +201,29 @@ func EtaBase(m *core.Model, c int) float64 {
 	return slices.Min(m.Eta.Data[c*n : (c+1)*n])
 }
 
+// EtaBases is every community's EtaBase, indexed by community: what a
+// caller listing many pairs computes once and hands TopDiffusionTopicsAbove.
+func EtaBases(m *core.Model) []float64 {
+	bases := make([]float64, m.Eta.D1)
+	for c := range bases {
+		bases[c] = EtaBase(m, c)
+	}
+	return bases
+}
+
 // TopDiffusionTopics lists the topics community a diffuses community b on,
 // strongest first (ties by topic id), at most k — Fig. 5(c)'s case-study
 // table. Cells at a's η base are not listed: a pair no diffusion link
 // supports returns nothing.
 func TopDiffusionTopics(m *core.Model, a, b, k int) []RankedCommunity {
-	base := math.Float64bits(EtaBase(m, a))
+	return TopDiffusionTopicsAbove(m, EtaBase(m, a), a, b, k)
+}
+
+// TopDiffusionTopicsAbove is TopDiffusionTopics with a's η base supplied
+// (EtaBase(m, a), e.g. from EtaBases), so listing every pair of a
+// community does not rescan a's |C|·|Z| row for each.
+func TopDiffusionTopicsAbove(m *core.Model, aBase float64, a, b, k int) []RankedCommunity {
+	base := math.Float64bits(aBase)
 	var out []RankedCommunity
 	for z := 0; z < m.Cfg.NumTopics; z++ {
 		if v := m.Eta.At(a, b, z); math.Float64bits(v) != base {

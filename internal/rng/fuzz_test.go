@@ -71,6 +71,29 @@ func FuzzCategoricalLogBounded(f *testing.F) {
 	})
 }
 
+// FuzzCategoricalPrepared decodes the input as float64 weights (eight
+// bytes each: negatives, NaN, +Inf, subnormals and sums that overflow all
+// occur) and holds Table.Draw to Categorical: NewTable panics exactly when
+// Categorical does, and otherwise every draw picks Categorical's index and
+// leaves the generator in Categorical's state.
+func FuzzCategoricalPrepared(f *testing.F) {
+	f.Add(seedVec(1, 0, 3), uint64(1))
+	f.Add(seedVec(0, 0, 2, 0, 0), uint64(2))
+	f.Add(seedVec(5e-324, 5e-324, 0), uint64(3))
+	f.Add(seedVec(1e300, 1e-300, 1e300), uint64(4))
+	f.Add(seedVec(1e308, 1e308), uint64(5))
+	f.Add(seedVec(math.Inf(1), 1), uint64(6))
+	f.Add(seedVec(1, -1, math.NaN()), uint64(7))
+	f.Add(seedVec(0, 0), uint64(8))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		weights := make([]float64, len(data)/8)
+		for i := range weights {
+			weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		sameCategorical(t, seed, weights, 8)
+	})
+}
+
 // seedVec encodes float64s as a fuzz seed, eight little-endian bytes each.
 func seedVec(v ...float64) []byte {
 	b := make([]byte, 8*len(v))

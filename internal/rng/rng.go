@@ -42,6 +42,19 @@
 //
 // LazyStats counts candidates considered and evaluated, so the saving is
 // observable without a profiler.
+//
+// # The prepared categorical table
+//
+// Categorical scans its weights twice per draw: once for the total, once
+// for the running sum that first exceeds u = Float64()·total. A Table
+// holds those running sums for a weight vector that stays fixed across
+// many draws, validated once with Categorical's panics, and a draw
+// binary-searches them for the first sum above u. The sums are the very
+// floats the scan accumulates, in the same order, and they never decrease
+// (every weight is non-negative), so for the same uniform the search stops
+// where the scan stops — the last index too, when rounding puts u at the
+// total. Table.Draw consumes exactly the one Uint64 Categorical does:
+// index and generator state are Categorical's, at O(log n) per draw.
 package rng
 
 import (
@@ -233,19 +246,17 @@ func (r *RNG) Dirichlet(dst, alpha []float64) {
 }
 
 // Categorical draws an index proportional to the non-negative weights. The
-// weights need not be normalized. It panics if all weights are zero or any
-// is negative/NaN.
+// weights need not be normalized. It panics if all weights are zero, any
+// is negative/NaN, or their sum is not finite (+Inf, or an overflow of
+// finite weights): u = Float64()·total would then be +Inf or NaN, below no
+// running sum, and every draw would land on the last index.
 func (r *RNG) Categorical(weights []float64) int {
 	var total float64
 	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: Categorical with negative or NaN weight")
-		}
+		checkWeight(w)
 		total += w
 	}
-	if total <= 0 {
-		panic("rng: Categorical with all-zero weights")
-	}
+	checkTotal(total)
 	u := r.Float64() * total
 	var acc float64
 	for i, w := range weights {
@@ -255,6 +266,63 @@ func (r *RNG) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
+}
+
+// checkWeight panics on a weight Categorical refuses.
+func checkWeight(w float64) {
+	if w < 0 || math.IsNaN(w) {
+		panic("rng: Categorical with negative or NaN weight")
+	}
+}
+
+// checkTotal panics on a weight sum Categorical refuses.
+func checkTotal(total float64) {
+	if total <= 0 {
+		panic("rng: Categorical with all-zero weights")
+	}
+	if math.IsInf(total, 1) {
+		panic("rng: Categorical with non-finite total weight")
+	}
+}
+
+// Table is a categorical distribution prepared for repeated draws: the
+// running sums of a fixed weight vector (see the package comment). It is
+// immutable once built and may be shared by goroutines, each drawing with
+// its own RNG.
+type Table struct {
+	cum []float64
+}
+
+// NewTable prepares weights for Draw. It panics exactly where Categorical
+// would panic on the same weights. The weights are not retained.
+func NewTable(weights []float64) *Table {
+	cum := make([]float64, len(weights))
+	var total float64
+	for i, w := range weights {
+		checkWeight(w)
+		total += w
+		cum[i] = total
+	}
+	checkTotal(total)
+	return &Table{cum: cum}
+}
+
+// Draw returns r.Categorical(weights) for the weights t was built from,
+// leaving r in the same state, in O(log n): the first index whose running
+// sum exceeds u = Float64()·total, or the last index if none does.
+func (t *Table) Draw(r *RNG) int {
+	cum := t.cum
+	u := r.Float64() * cum[len(cum)-1]
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // CategoricalLog draws an index proportional to exp(logits[i]) by the

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
@@ -539,3 +540,91 @@ func BenchmarkCategoricalLog(b *testing.B) {
 }
 
 var sink int
+
+// sameCategorical holds Table.Draw to Categorical over the same weights:
+// both panic, or both return the same index and leave generators that
+// started equal in the same state (the next Uint64 is equal).
+func sameCategorical(t testing.TB, seed uint64, weights []float64, draws int) {
+	t.Helper()
+	tab, built := func() (tab *Table, ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		return NewTable(weights), true
+	}()
+	_, scanOK := draw(func() int { return New(seed).Categorical(weights) })
+	if built != scanOK {
+		t.Fatalf("NewTable built=%v, Categorical returned=%v, weights %v", built, scanOK, weights)
+	}
+	if !built {
+		return
+	}
+	a, b := New(seed), New(seed)
+	for k := 0; k < draws; k++ {
+		if got, want := tab.Draw(a), b.Categorical(weights); got != want {
+			t.Fatalf("draw %d: table picked %d, Categorical %d, seed %d weights %v", k, got, want, seed, weights)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("draw %d: generator states differ, seed %d n=%d", k, seed, len(weights))
+		}
+	}
+}
+
+// randomWeights draws one test vector: n in 1…300, a scale from
+// subnormal to 1e300, zero runs at either end and scattered zeros inside,
+// sometimes a single positive weight.
+func randomWeights(r *RNG) []float64 {
+	n := 1 + r.Intn(12)
+	if r.Intn(3) == 0 {
+		n = 1 + r.Intn(300)
+	}
+	scale := []float64{1, 1e-310, 5e-324, 1e300, 1e-3, 1e12}[r.Intn(6)]
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = scale * r.Exp()
+	}
+	switch r.Intn(5) {
+	case 0: // zeros at both ends
+		for i := 0; i < n/3; i++ {
+			w[i], w[n-1-i] = 0, 0
+		}
+	case 1: // scattered zeros
+		for i := range w {
+			if r.Float64() < 0.5 {
+				w[i] = 0
+			}
+		}
+	case 2: // one positive weight
+		k := r.Intn(n)
+		for i := range w {
+			if i != k {
+				w[i] = 0
+			}
+		}
+	}
+	return w
+}
+
+func TestTableMatchesCategorical(t *testing.T) {
+	r := New(21)
+	for trial := 0; trial < 4000; trial++ {
+		sameCategorical(t, uint64(trial), randomWeights(r), 25)
+	}
+	// The running sum reaches the total before the last entry, so u can
+	// only land on the trailing zeros through the scan's fallback.
+	sameCategorical(t, 3, []float64{0, 0, 1, 0, 0}, 200)
+	sameCategorical(t, 4, []float64{1e300, 1e300, 0}, 200)
+	sameCategorical(t, 5, []float64{5e-324, 0, 5e-324}, 200)
+}
+
+// TestTablePanics: NewTable refuses what Categorical refuses, and both
+// refuse a weight sum that is not finite.
+func TestTablePanics(t *testing.T) {
+	inf := math.Inf(1)
+	for _, w := range [][]float64{nil, {0, 0}, {-1, 2}, {math.NaN()}, {1, math.NaN()}, {inf, 1}, {1, inf}, {1e308, 1e308}, {math.MaxFloat64, math.MaxFloat64, 0}} {
+		mustPanic(t, fmt.Sprintf("Categorical(%v)", w), func() { New(1).Categorical(w) })
+		mustPanic(t, fmt.Sprintf("NewTable(%v)", w), func() { NewTable(w) })
+	}
+}

@@ -62,3 +62,18 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCommunityIn prices one /api/community answer at |C| = 64,
+// |Z| = 32, |W| = 20 000: top topics and words, attributes, the member
+// sample and the strongest out- and in-flows over every pair of c.
+func BenchmarkCommunityIn(b *testing.B) {
+	e := New(SyntheticModel(2000, 64, 32, 20000, 2017), nil, Options{})
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.CommunityIn(DefaultSnapshot, i%64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

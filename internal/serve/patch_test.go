@@ -258,8 +258,8 @@ func TestSwapPatchedMatchesSwapNamed(t *testing.T) {
 }
 
 // requireSameSnapshot compares every derived field of two snapshots of
-// the same model: the user index, labels, openness, and the log Θ and
-// log Φ tables bit for bit.
+// the same model: the user index, labels, openness, and the η bases and
+// the log Θ and log Φ tables bit for bit.
 func requireSameSnapshot(t *testing.T, got, want *Snapshot) {
 	t.Helper()
 	requireSameUserIndex(t, got.users, want.users)
@@ -272,7 +272,7 @@ func requireSameSnapshot(t *testing.T, got, want *Snapshot) {
 	for _, tb := range []struct {
 		name      string
 		got, want []float64
-	}{{"log Θ", got.logTheta, want.logTheta}, {"log Φ", got.logPhi, want.logPhi}} {
+	}{{"η base", got.etaBase, want.etaBase}, {"log Θ", got.logTheta, want.logTheta}, {"log Φ", got.logPhi, want.logPhi}} {
 		if len(tb.got) != len(tb.want) {
 			t.Fatalf("%s has %d entries, want %d", tb.name, len(tb.got), len(tb.want))
 		}

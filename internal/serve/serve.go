@@ -136,8 +136,12 @@ type Snapshot struct {
 
 	opts     Options
 	openness []int
-	labels   []string
-	users    *userIndex
+	// etaBase[c] is community c's η base (apps.EtaBases): Community lists
+	// the flows of 2|C| pairs, and a base per pair would rescan η's
+	// |C|·|Z| row each time.
+	etaBase []float64
+	labels  []string
+	users   *userIndex
 	// logTheta[c*|Z|+z] = log(θ_{c,z} + 1e-300): the per-snapshot constant
 	// fold-in's conditionals read per document and sweep.
 	logTheta []float64
@@ -168,6 +172,7 @@ func newSnapshot(m *core.Model, vocab *corpus.Vocabulary, name string, version u
 		Version:  version,
 		opts:     opts,
 		openness: apps.Openness(m),
+		etaBase:  apps.EtaBases(m),
 		labels:   communityLabels(m, vocab),
 		users:    buildUserIndex(m),
 		logTheta: logThetaTable(m),
@@ -260,9 +265,10 @@ func patchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta De
 		Vocab: vocab,
 		Name:  prev.Name,
 		opts:  prev.opts,
-		// Openness and the log tables read Θ, η and Φ only, which a patch
-		// leaves as they were.
+		// Openness, the η bases and the log tables read Θ, η and Φ only,
+		// which a patch leaves as they were.
 		openness: prev.openness,
+		etaBase:  prev.etaBase,
 		logTheta: prev.logTheta,
 		logPhi:   prev.logPhi,
 		labels:   prev.labels,
@@ -968,7 +974,7 @@ func (s *Snapshot) Community(c int) (*CommunityDetail, error) {
 		d.TopTopics = append(d.TopTopics, ts)
 	}
 	d.TopAttributes = m.TopAttributes(c, 5)
-	d.OutFlows, d.InFlows = topFlows(m, c, 5)
+	d.OutFlows, d.InFlows = topFlows(m, s.etaBase, c, 5)
 	d.MemberSample = s.members(c, 10)
 	return d, nil
 }
@@ -976,14 +982,15 @@ func (s *Snapshot) Community(c int) (*CommunityDetail, error) {
 // topFlows lists the k strongest topic-specific flows out of and into c,
 // strongest first (ties by community, then topic): the merged top k of
 // apps.TopDiffusionTopics over c's pairs, so a cell at its source's η base
-// is not listed and a community with none answers empty lists, not null.
-func topFlows(m *core.Model, c, k int) (outs, ins []FlowSummary) {
+// (bases[source]) is not listed and a community with none answers empty
+// lists, not null.
+func topFlows(m *core.Model, bases []float64, c, k int) (outs, ins []FlowSummary) {
 	outs, ins = []FlowSummary{}, []FlowSummary{}
 	for c2 := range m.Cfg.NumCommunities {
-		for _, f := range apps.TopDiffusionTopics(m, c, c2, k) {
+		for _, f := range apps.TopDiffusionTopicsAbove(m, bases[c], c, c2, k) {
 			outs = append(outs, FlowSummary{c2, f.Community, f.Score})
 		}
-		for _, f := range apps.TopDiffusionTopics(m, c2, c, k) {
+		for _, f := range apps.TopDiffusionTopicsAbove(m, bases[c2], c2, c, k) {
 			ins = append(ins, FlowSummary{c2, f.Community, f.Score})
 		}
 	}

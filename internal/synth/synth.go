@@ -6,6 +6,24 @@
 // topic-popularity bursts and individual-preference effects — is planted
 // explicitly, with the ground-truth parameters returned for
 // parameter-recovery tests.
+//
+// # Cost
+//
+// Every distribution that stays fixed for one Generate call — each topic's
+// word row Φ_z, each community's topic row Θ_c and attribute row Ξ_c, the
+// community-size prior, each community's member weights and the
+// source-document weights of diffusion — is prepared once as an
+// rng.Table and drawn from in O(log n). Generate therefore costs
+// O(|Z|·|W| + |C|·|A| + draws·log n): linear in the users and links up to
+// the logarithm, where drawing every token by rng.Categorical scanned a
+// |W|-wide row and every diffusion link scanned every document.
+//
+// The tables are an optimisation only: Table.Draw returns the index
+// rng.Categorical returns over the same weights and leaves the generator
+// in the same state, so a seed yields the graph and ground truth it
+// yielded before (TestGeneratePinned). Rows drawn only a few times stay
+// rng.Categorical: a user's |C|-wide Π row (one draw per document of that
+// user) and the η column of a diffusion source's (community, topic).
 package synth
 
 import (
@@ -183,19 +201,29 @@ func Generate(cfg Config) (*socialgraph.Graph, *GroundTruth) {
 	gt := &GroundTruth{}
 
 	plantTopics(cfg, r, gt)
+	phi := rowTables(gt.Phi)
 	plantCommunities(cfg, r, gt)
 	plantUsers(cfg, r, gt)
 	g := &socialgraph.Graph{NumUsers: cfg.Users, NumWords: cfg.VocabSize}
-	generateDocs(cfg, r, gt, g)
+	generateDocs(cfg, r, gt, phi, g)
 	generateAttributes(cfg, r, gt, g)
 	generateFriendships(cfg, r, gt, g)
 	plantEta(cfg, r, gt)
-	generateDiffusion(cfg, r, gt, g)
+	generateDiffusion(cfg, r, gt, phi, g)
 	g.DropUsersWithoutDocs() // mirrors the paper's preprocessing; remaps ids
 	// Ground-truth per-user slices may now be misaligned if users were
 	// dropped; regenerate alignment by construction: every user gets at
 	// least one doc below, so drops are rare — but handle them anyway.
 	return g, gt
+}
+
+// rowTables prepares one rng.Table per row of m.
+func rowTables(m *sparse.Dense) []*rng.Table {
+	ts := make([]*rng.Table, m.Rows)
+	for i := range ts {
+		ts[i] = rng.NewTable(m.Row(i))
+	}
+	return ts
 }
 
 // plantTopics draws phi_z concentrated on a per-topic block of anchor words
@@ -303,8 +331,9 @@ func plantUsers(cfg Config, r *rng.RNG, gt *GroundTruth) {
 	if secondW < 0 {
 		secondW = 0
 	}
+	sizeTable := rng.NewTable(sizes)
 	for u := 0; u < cfg.Users; u++ {
-		home := r.Categorical(sizes)
+		home := sizeTable.Draw(r)
 		gt.HomeCommunity[u] = int32(home)
 		second := r.Intn(cfg.Communities)
 		row := gt.Pi.Row(u)
@@ -329,7 +358,8 @@ func plantUsers(cfg Config, r *rng.RNG, gt *GroundTruth) {
 // c ~ pi_u, z ~ theta_c, words ~ phi_z, time biased to the topic's peak
 // bucket when bursts are on. Every user gets at least one document so the
 // graph keeps its planned size.
-func generateDocs(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.Graph) {
+func generateDocs(cfg Config, r *rng.RNG, gt *GroundTruth, phi []*rng.Table, g *socialgraph.Graph) {
+	theta := rowTables(gt.Theta)
 	for u := 0; u < cfg.Users; u++ {
 		nd := r.Poisson(cfg.DocsPerUserMean)
 		if nd < 1 {
@@ -337,11 +367,11 @@ func generateDocs(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.Graph)
 		}
 		for d := 0; d < nd; d++ {
 			c := r.Categorical(gt.Pi.Row(u))
-			z := r.Categorical(gt.Theta.Row(c))
+			z := theta[c].Draw(r)
 			doc := socialgraph.Doc{
 				User:  int32(u),
 				Time:  int64(drawTime(cfg, r, gt, z)),
-				Words: drawWords(cfg, r, gt, z),
+				Words: drawWords(cfg, r, phi[z]),
 			}
 			g.Docs = append(g.Docs, doc)
 			gt.DocCommunity = append(gt.DocCommunity, int32(c))
@@ -350,16 +380,16 @@ func generateDocs(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.Graph)
 	}
 }
 
-func drawWords(cfg Config, r *rng.RNG, gt *GroundTruth, z int) []int32 {
+// drawWords draws one document's words from its topic's word table.
+func drawWords(cfg Config, r *rng.RNG, phi *rng.Table) []int32 {
 	floor := cfg.MinWordsPerDoc
 	if floor <= 0 {
 		floor = 2
 	}
 	n := floor + r.Poisson(math.Max(cfg.WordsPerDocMean-float64(floor), 0))
 	words := make([]int32, n)
-	row := gt.Phi.Row(z)
 	for k := range words {
-		words[k] = int32(r.Categorical(row))
+		words[k] = int32(phi.Draw(r))
 	}
 	return words
 }
@@ -413,11 +443,12 @@ func generateAttributes(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.
 	if mean <= 0 {
 		mean = 2
 	}
+	xi := rowTables(gt.Xi)
 	for u := 0; u < cfg.Users; u++ {
 		n := 1 + r.Poisson(mean-1)
-		row := gt.Xi.Row(int(gt.HomeCommunity[u]))
+		row := xi[gt.HomeCommunity[u]]
 		for k := 0; k < n; k++ {
-			g.Attrs[u] = append(g.Attrs[u], int32(r.Categorical(row)))
+			g.Attrs[u] = append(g.Attrs[u], int32(row.Draw(r)))
 		}
 	}
 }
@@ -430,13 +461,19 @@ func generateFriendships(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph
 	for u := 0; u < cfg.Users; u++ {
 		members[gt.HomeCommunity[u]] = append(members[gt.HomeCommunity[u]], u)
 	}
-	memberWeights := make([][]float64, cfg.Communities)
+	// A home community with one member draws no intra link, so it needs
+	// no table (an empty one would panic).
+	memberTables := make([]*rng.Table, cfg.Communities)
+	w := make([]float64, 0, cfg.Users)
 	for c, ms := range members {
-		w := make([]float64, len(ms))
-		for i, u := range ms {
-			w[i] = gt.UserProminence[u]
+		if len(ms) < 2 {
+			continue
 		}
-		memberWeights[c] = w
+		w = w[:0]
+		for _, u := range ms {
+			w = append(w, gt.UserProminence[u])
+		}
+		memberTables[c] = rng.NewTable(w)
 	}
 	// Regime knobs: per-user power-law degree multipliers and users cut
 	// off from the friendship graph entirely. Both draw RNG only when
@@ -487,7 +524,7 @@ func generateFriendships(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph
 		nIntra := r.Poisson(cfg.FriendIntraDeg * mult)
 		if len(members[home]) > 1 {
 			for k := 0; k < nIntra; k++ {
-				v := members[home][r.Categorical(memberWeights[home])]
+				v := members[home][memberTables[home].Draw(r)]
 				addLink(u, v)
 			}
 		}
@@ -545,7 +582,7 @@ func plantEta(cfg Config, r *rng.RNG, gt *GroundTruth) {
 // eta column for the source's (community, topic), picks a diffusing user
 // from that community (biased by activeness-in-waiting: prominence again),
 // creates the diffusing document and records the link.
-func generateDiffusion(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.Graph) {
+func generateDiffusion(cfg Config, r *rng.RNG, gt *GroundTruth, phi []*rng.Table, g *socialgraph.Graph) {
 	if len(g.Docs) == 0 || cfg.DiffLinks <= 0 {
 		return
 	}
@@ -557,7 +594,7 @@ func generateDiffusion(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.G
 	// Source-document weights: prominence of author × burst factor.
 	srcW := make([]float64, nOriginal)
 	for i := 0; i < nOriginal; i++ {
-		w := gt.UserProminence[originalUser(gt, g, i)]
+		w := gt.UserProminence[g.Docs[i].User]
 		if cfg.PopularityBurst && gt.TopicPeak != nil {
 			z := int(gt.DocTopic[i])
 			dist := absInt(int(g.Docs[i].Time) - gt.TopicPeak[z])
@@ -565,9 +602,10 @@ func generateDiffusion(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.G
 		}
 		srcW[i] = w
 	}
+	src := rng.NewTable(srcW)
 	colWeights := make([]float64, cfg.Communities)
 	for made := 0; made < cfg.DiffLinks; made++ {
-		j := r.Categorical(srcW)
+		j := src.Draw(r)
 		cj := int(gt.DocCommunity[j])
 		zj := int(gt.DocTopic[j])
 		var u int
@@ -602,7 +640,7 @@ func generateDiffusion(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.G
 				words = words[:len(words)-1] // truncation noise
 			}
 		} else {
-			words = drawWords(cfg, r, gt, zj)
+			words = drawWords(cfg, r, phi[zj])
 		}
 		i := len(g.Docs)
 		g.Docs = append(g.Docs, socialgraph.Doc{User: int32(u), Time: t, Words: words})
@@ -615,7 +653,7 @@ func generateDiffusion(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.G
 		// later than the citing document.
 		cited := map[int]bool{j: true}
 		for extra := 1; extra < cfg.CitesPerDoc; extra++ {
-			j2 := r.Categorical(srcW)
+			j2 := src.Draw(r)
 			if g.Docs[j2].User == int32(u) || cited[j2] || g.Docs[j2].Time > t {
 				continue
 			}
@@ -623,10 +661,6 @@ func generateDiffusion(cfg Config, r *rng.RNG, gt *GroundTruth, g *socialgraph.G
 			g.Diffs = append(g.Diffs, socialgraph.DiffLink{I: int32(i), J: int32(j2), T: t})
 		}
 	}
-}
-
-func originalUser(gt *GroundTruth, g *socialgraph.Graph, doc int) int {
-	return int(g.Docs[doc].User)
 }
 
 func absInt(x int) int {

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/socialgraph"
@@ -177,9 +178,16 @@ func TestGeneratePanicsOnBadConfig(t *testing.T) {
 
 var sinkGraph *socialgraph.Graph
 
-func BenchmarkGenerateTwitter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, _ := Generate(TwitterLike(500, uint64(i)))
-		sinkGraph = g
+// BenchmarkGenerate times one TwitterLike graph at ×1, ×4 and ×16 of 150
+// users: with every fixed distribution drawn from a prepared cumulative
+// table, time per graph grows close to linearly with the users.
+func BenchmarkGenerate(b *testing.B) {
+	for _, users := range []int{150, 600, 2400} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g, _ := Generate(TwitterLike(users, 99))
+				sinkGraph = g
+			}
+		})
 	}
 }
