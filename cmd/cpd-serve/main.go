@@ -59,8 +59,11 @@
 //
 // With -ingest, POST /api/ingest accepts typed event batches (add-user /
 // add-edge / add-doc / diffusion) that are appended to the CRC'd journal
-// and become query-visible within one publish cycle; /api/ingest/status
-// and the "ingest" section of /api/stats report generation and lag. On
+// and become query-visible within one publish cycle; each generation
+// extends the model the -ingest-snapshot slot serves at startup and keeps
+// that slot's vocabulary (the -vocab file's, or -demo's own);
+// /api/ingest/status and the "ingest" section of /api/stats report
+// generation and lag. On
 // SIGINT/SIGTERM the server drains gracefully: ingest closes (503), the
 // journal is flushed, a final snapshot generation is published, and only
 // then does the HTTP listener shut down.
@@ -290,7 +293,6 @@ func main() {
 		updater, err = stream.NewUpdater(journal, stream.Options{
 			Engine:       engine,
 			Snapshot:     *ingestSlot,
-			Vocab:        vocab,
 			Dir:          dir,
 			WindowEvents: *ingestWindow,
 			Interval:     *ingestEvery,

@@ -122,7 +122,6 @@ func run() error {
 	}
 	u, err := stream.NewUpdater(j, stream.Options{
 		Engine:      engine,
-		Base:        base,
 		Dir:         dir,
 		FoldSweeps:  *foldSweeps,
 		FoldSeed:    *seed,

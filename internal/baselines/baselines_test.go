@@ -198,7 +198,7 @@ func TestAggregated(t *testing.T) {
 
 func TestSampleNegDocPairsHelpers(t *testing.T) {
 	g, _ := testGraph(t)
-	pairs := sampleNegDocPairs(g, 50, 9)
+	pairs := eval.SampleNegativeDocPairs(g, 50, 9)
 	if len(pairs) != 50 {
 		t.Fatalf("sampled %d pairs", len(pairs))
 	}

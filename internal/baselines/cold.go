@@ -39,7 +39,7 @@ func TrainCOLD(g *socialgraph.Graph, cfg COLDConfig) (*COLD, error) {
 		NumCommunities:    cfg.NumCommunities,
 		NumTopics:         cfg.NumTopics,
 		EMIters:           cfg.EMIters,
-		Workers:           maxInt(cfg.Workers, 1),
+		Workers:           max(cfg.Workers, 1),
 		Rho:               rho,
 		Seed:              cfg.Seed,
 		NoFriendship:      true,
@@ -72,11 +72,4 @@ func (m *COLD) DiffusionScore(g *socialgraph.Graph, i, j int) float64 {
 // diffusion strengths (Fig. 6 compares COLD on ranking).
 func (m *COLD) RankScores(query []int32) []float64 {
 	return m.Model.RankCommunities(query)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

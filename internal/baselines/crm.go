@@ -234,28 +234,6 @@ func (m *CRM) DiffusionScore(g *socialgraph.Graph, i, j int) float64 {
 	return s * m.role[u]
 }
 
-// sampleNegDocPairs draws document pairs that are not diffusion links
-// (distinct users), shared by the WTM and ν-style trainers in this
-// package.
-func sampleNegDocPairs(g *socialgraph.Graph, n int, seed uint64) [][2]int {
-	r := rng.New(seed)
-	nd := len(g.Docs)
-	existing := make(map[int64]bool, len(g.Diffs))
-	for _, e := range g.Diffs {
-		existing[int64(e.I)*int64(nd)+int64(e.J)] = true
-	}
-	out := make([][2]int, 0, n)
-	for tries := 0; len(out) < n && tries < 50*n+100; tries++ {
-		i := r.Intn(nd)
-		j := r.Intn(nd)
-		if i == j || g.Docs[i].User == g.Docs[j].User || existing[int64(i)*int64(nd)+int64(j)] {
-			continue
-		}
-		out = append(out, [2]int{i, j})
-	}
-	return out
-}
-
 // trainLogistic is a thin wrapper over logreg for baselines that learn
 // pairwise weights.
 func trainLogistic(x [][]float64, y []int, iters int) []float64 {

@@ -22,6 +22,7 @@ package baselines
 import (
 	"math"
 
+	"repro/internal/eval"
 	"repro/internal/lda"
 	"repro/internal/mathx"
 	"repro/internal/socialgraph"
@@ -188,7 +189,7 @@ func TrainWTM(g *socialgraph.Graph, cfg WTMConfig) *WTM {
 	for _, e := range g.Diffs {
 		pos = append(pos, [2]int{int(e.I), int(e.J)})
 	}
-	neg := sampleNegDocPairs(g, len(pos)*cfg.NegPerPos, cfg.Seed^0xA17)
+	neg := eval.SampleNegativeDocPairs(g, len(pos)*cfg.NegPerPos, cfg.Seed^0xA17)
 	x := make([][]float64, 0, len(pos)+len(neg))
 	y := make([]int, 0, len(pos)+len(neg))
 	for _, p := range pos {

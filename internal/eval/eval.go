@@ -217,8 +217,14 @@ func Perplexity(wordProb func(u int, w int32) float64, docs []socialgraph.Doc) f
 	return math.Exp(-logLik / float64(n))
 }
 
-// SampleNegativePairs draws n (u, v) user pairs that do not appear in the
-// friendship link set (for friendship AUC) using rejection sampling.
+// negativeDraws bounds the rejection sampling of n negative pairs: a graph
+// with too few non-links (two users linked both ways, documents of one
+// user only) yields fewer than n pairs instead of a loop that never ends.
+func negativeDraws(n int) int { return 50*n + 100 }
+
+// SampleNegativePairs draws up to n (u, v) user pairs that do not appear in
+// the friendship link set (for friendship AUC) using rejection sampling; it
+// gives up after negativeDraws(n) draws.
 func SampleNegativePairs(g *socialgraph.Graph, n int, seed uint64) [][2]int {
 	r := rng.New(seed)
 	existing := make(map[int64]bool, len(g.Friends))
@@ -226,7 +232,7 @@ func SampleNegativePairs(g *socialgraph.Graph, n int, seed uint64) [][2]int {
 		existing[int64(f.U)*int64(g.NumUsers)+int64(f.V)] = true
 	}
 	out := make([][2]int, 0, n)
-	for len(out) < n {
+	for tries := 0; len(out) < n && tries < negativeDraws(n); tries++ {
 		u := r.Intn(g.NumUsers)
 		v := r.Intn(g.NumUsers)
 		if u == v || existing[int64(u)*int64(g.NumUsers)+int64(v)] {
@@ -237,8 +243,9 @@ func SampleNegativePairs(g *socialgraph.Graph, n int, seed uint64) [][2]int {
 	return out
 }
 
-// SampleNegativeDocPairs draws n (i, j) document pairs with distinct users
-// that are not observed diffusion links (for diffusion AUC).
+// SampleNegativeDocPairs draws up to n (i, j) document pairs with distinct
+// users that are not observed diffusion links (for diffusion AUC); it gives
+// up after negativeDraws(n) draws.
 func SampleNegativeDocPairs(g *socialgraph.Graph, n int, seed uint64) [][2]int {
 	r := rng.New(seed)
 	nd := len(g.Docs)
@@ -247,7 +254,7 @@ func SampleNegativeDocPairs(g *socialgraph.Graph, n int, seed uint64) [][2]int {
 		existing[int64(e.I)*int64(nd)+int64(e.J)] = true
 	}
 	out := make([][2]int, 0, n)
-	for len(out) < n {
+	for tries := 0; len(out) < n && tries < negativeDraws(n); tries++ {
 		i := r.Intn(nd)
 		j := r.Intn(nd)
 		if i == j || g.Docs[i].User == g.Docs[j].User || existing[int64(i)*int64(nd)+int64(j)] {

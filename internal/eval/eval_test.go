@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/socialgraph"
 )
@@ -217,6 +218,36 @@ func TestSampleNegativeDocPairs(t *testing.T) {
 		}
 		if p[0] == 0 && p[1] == 4 {
 			t.Fatal("observed diffusion link sampled")
+		}
+	}
+}
+
+// TestSampleNegativeTerminates: a graph with no negative pair to draw —
+// two users linked both ways, documents of one user only — makes each
+// sampler give up with what it found (nothing) instead of looping forever.
+// Each runs in a goroutine under a deadline, so a sampler that never
+// returns fails the test rather than hanging it.
+func TestSampleNegativeTerminates(t *testing.T) {
+	linked := &socialgraph.Graph{NumUsers: 2, Friends: []socialgraph.FriendLink{{U: 0, V: 1}, {U: 1, V: 0}}}
+	oneUser := &socialgraph.Graph{NumUsers: 2, NumWords: 2, Docs: []socialgraph.Doc{
+		{User: 0, Words: []int32{0}}, {User: 0, Words: []int32{1}}, {User: 0, Words: []int32{0, 1}},
+	}}
+	for _, c := range []struct {
+		name   string
+		sample func() [][2]int
+	}{
+		{"friend pairs", func() [][2]int { return SampleNegativePairs(linked, 10, 1) }},
+		{"document pairs", func() [][2]int { return SampleNegativeDocPairs(oneUser, 10, 1) }},
+	} {
+		done := make(chan [][2]int, 1)
+		go func() { done <- c.sample() }()
+		select {
+		case got := <-done:
+			if len(got) != 0 {
+				t.Fatalf("%s: sampled %v from a graph with no negative pair", c.name, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the sampler did not return within 10 s", c.name)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/lda"
+	"repro/internal/mathx"
 	"repro/internal/socialgraph"
 	"repro/internal/synth"
 )
@@ -192,7 +193,7 @@ func (o Options) rankingCurve(g *socialgraph.Graph, rr rankingRunner, queries []
 			continue
 		}
 		scores := rr.scores([]int32{q})
-		order := topK(scores, len(scores))
+		order := mathx.TopKIndices(scores, len(scores))
 		ranked := make([][]int, len(order))
 		for i, c := range order {
 			ranked[i] = rr.members[c]
@@ -228,7 +229,7 @@ func RunTable6(o Options) *Table {
 		return t
 	}
 	scores := m.RankCommunities([]int32{q})
-	order := topK(scores, len(scores))
+	order := mathx.TopKIndices(scores, len(scores))
 	members := m.CommunityMembers(5)
 	ranked := make([][]int, len(order))
 	for i, cc := range order {
@@ -249,7 +250,7 @@ func RunTable6(o Options) *Table {
 		}
 		cc := order[k-1]
 		theta := m.Theta.Row(cc)
-		tops := topK(theta, 3)
+		tops := mathx.TopKIndices(theta, 3)
 		var parts []string
 		for _, z := range tops {
 			parts = append(parts, fmt.Sprintf("T%d:%.3f", z, theta[z]))
@@ -281,7 +282,7 @@ func RunTable5(o Options) *Table {
 	for _, z := range m.DocTopic {
 		usage[z]++
 	}
-	for _, z := range topK(usage, minInt(8, o.Topics)) {
+	for _, z := range mathx.TopKIndices(usage, min(8, o.Topics)) {
 		var parts []string
 		for _, w := range m.TopWords(z, 4) {
 			parts = append(parts, fmt.Sprintf("%s:%.3f", vocab.Word(w), m.Phi.At(z, w)))
@@ -334,7 +335,7 @@ func RunFigure5(o Options) []*Table {
 	for _, z := range m.DocTopic {
 		usage[z]++
 	}
-	zTop := topK(usage, 1)[0]
+	zTop := mathx.TopKIndices(usage, 1)[0]
 	nb := m.NumBuckets
 	docsPerT := make([]int, nb)
 	diffPerT := make([]int, nb)
@@ -365,7 +366,7 @@ func RunFigure5(o Options) []*Table {
 	queries := querySet(g, 8, 25, 40)
 	if len(queries) > 0 {
 		scores := m.RankCommunities(queries[:1])
-		order := topK(scores, 2)
+		order := mathx.TopKIndices(scores, 2)
 		if len(order) == 2 {
 			a, b := order[0], order[1]
 			tc := &Table{
@@ -413,7 +414,7 @@ func RunFigure7(o Options, dotDir string, writeFile func(name string, render fun
 			}
 		}
 	}
-	zGeneral := topK(breadth, 1)[0]
+	zGeneral := mathx.TopKIndices(breadth, 1)[0]
 	zSpecial := zGeneral
 	for z := range breadth {
 		if breadth[z] > 0 && breadth[z] < breadth[zSpecial] {
@@ -459,7 +460,7 @@ func RunFigure7(o Options, dotDir string, writeFile func(name string, render fun
 	for i, v := range open {
 		openF[i] = float64(v)
 	}
-	for _, cc := range topK(openF, 3) {
+	for _, cc := range mathx.TopKIndices(openF, 3) {
 		to.AddRow(fmt.Sprintf("c%02d (open)", cc), fmt.Sprintf("%d", open[cc]), apps.CommunityLabel(m, vocab, cc, 3))
 	}
 	closed := 0
@@ -516,11 +517,4 @@ func pearson(a, b []int) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(va*vb)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,9 +6,6 @@ import (
 	"repro/internal/eval"
 )
 
-// pairedT is the paired one-tailed t-test over fold scores.
-func pairedT(a, b []float64) (float64, error) { return eval.PairedTTest(a, b) }
-
 // RunTable3 regenerates Table 3 (dataset statistics) for the synthetic
 // datasets, printing the paper's original numbers alongside for scale
 // context.
@@ -251,7 +248,7 @@ func significance(res gridResult, sweep []int, ours string, models []string, pic
 		if len(vals) != len(oursVals) || len(vals) < 2 {
 			continue
 		}
-		p, err := pairedT(oursVals, vals)
+		p, err := eval.PairedTTest(oursVals, vals)
 		if err == nil && p > worst {
 			worst = p
 		}

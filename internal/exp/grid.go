@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/lda"
+	"repro/internal/mathx"
 	"repro/internal/socialgraph"
 	"repro/internal/sparse"
 )
@@ -296,32 +297,12 @@ func topKMembers(membership func(u int) []float64, numUsers, k int) [][]int {
 		if members == nil {
 			members = make([][]int, len(row))
 		}
-		idx := topK(row, k)
+		idx := mathx.TopKIndices(row, k)
 		for _, c := range idx {
 			members[c] = append(members[c], u)
 		}
 	}
 	return members
-}
-
-func topK(xs []float64, k int) []int {
-	if k > len(xs) {
-		k = len(xs)
-	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if xs[idx[j]] > xs[idx[best]] {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:k]
 }
 
 func hashName(s string) uint64 {

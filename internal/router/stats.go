@@ -101,16 +101,7 @@ func (rt *Router) Stats() Stats {
 		st.Replicas = append(st.Replicas, rs)
 	}
 	for i := 0; i < opCount; i++ {
-		h := rt.lat[i].Snapshot()
-		st.Endpoints[opNames[i]] = serve.EndpointStats{
-			Count:       h.Count,
-			Errors:      h.Errs,
-			TotalMicros: h.TotalNS / 1e3,
-			MaxMicros:   h.MaxNS / 1e3,
-			P50Micros:   uint64(h.Quantile(0.50).Microseconds()),
-			P95Micros:   uint64(h.Quantile(0.95).Microseconds()),
-			P99Micros:   uint64(h.Quantile(0.99).Microseconds()),
-		}
+		st.Endpoints[opNames[i]] = serve.DigestEndpoint(rt.lat[i].Snapshot())
 	}
 	return st
 }

@@ -178,8 +178,6 @@ func RunFleet(p FleetPreset, opts RunOptions) (*FleetMetrics, error) {
 	defer j.Close()
 	u, err := stream.NewUpdater(j, stream.Options{
 		Engine:       pubEngine,
-		Base:         baseModel,
-		Vocab:        b.Vocab,
 		WindowEvents: len(evs) + 16, // publish manually, per generation
 		FoldSweeps:   10,
 		FoldSeed:     p.Base.Synth.Seed,

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,9 +11,11 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/serve"
 	"repro/internal/socialgraph"
+	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -124,8 +127,8 @@ type StreamMetrics struct {
 	QualityRuns uint64 `json:"qualityRuns"`
 	// IncrementalPublishes counts the publishes that took the O(changed)
 	// path (patched model and indexes) rather than a full rebuild; the
-	// run verifies these serve bit-identically to a shadow updater forced
-	// to rebuild everything.
+	// run holds every generation to a from-scratch rebuild of the
+	// updater's own state (fromScratchDiff).
 	IncrementalPublishes uint64 `json:"incrementalPublishes"`
 
 	// NMI is detected-vs-planted agreement over the FULL population —
@@ -252,6 +255,9 @@ func buildStreamEvents(g *socialgraph.Graph, baseUsers int, docMap []int32, held
 //
 //   - freshness: a probe event ingested mid-run is query-visible after
 //     exactly one publish cycle, while a concurrent read hammer runs;
+//   - from scratch: every generation's file is the encoding of a fresh
+//     assembly of the updater's state, and the last one serves what a
+//     fresh engine that loads it serves (fromScratchDiff);
 //   - replay-equals-batch (pure fold-in presets): the incrementally
 //     ingested corpus serves bit-identical memberships and document
 //     assignments to batch-folding the same final corpus in one window;
@@ -309,7 +315,7 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 			fn()
 		}
 	}()
-	newUpdater := func(tag string, fullRebuild bool) (*serve.Engine, *stream.Journal, *stream.Updater, error) {
+	newUpdater := func(tag string) (*serve.Engine, *stream.Journal, *stream.Updater, error) {
 		engine := serve.New(baseModel, b.Vocab, serve.Options{})
 		tmp, err := os.MkdirTemp(opts.Dir, "cpd-stream-"+tag+"-*")
 		if err != nil {
@@ -324,8 +330,6 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 		}
 		u, err := stream.NewUpdater(j, stream.Options{
 			Engine:       engine,
-			Base:         baseModel,
-			Vocab:        b.Vocab,
 			Dir:          tmp,
 			WindowEvents: p.WindowEvents,
 			FoldSweeps:   10,
@@ -334,7 +338,6 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 			GibbsSweeps:  2,
 			BaseGraph:    baseG,
 			Workers:      2,
-			FullRebuild:  fullRebuild,
 			Quality:      p.QualityEvery,
 			QualityPLP:   p.QualityEvery > 0,
 		})
@@ -346,24 +349,13 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 		return engine, j, u, nil
 	}
 
-	engine, j, u, err := newUpdater("incr", false)
+	engine, j, u, err := newUpdater("incr")
 	if err != nil {
 		return nil, err
 	}
 	defer engine.Close()
 	defer j.Close()
 	defer u.Close()
-
-	// Shadow updater: same events, same publish cadence, but every publish
-	// forced down the full-rebuild path — the baseline the incremental
-	// publisher must serve bit-identically to.
-	fbEngine, fbJournal, fb, err := newUpdater("fullrb", true)
-	if err != nil {
-		return nil, err
-	}
-	defer fbEngine.Close()
-	defer fbJournal.Close()
-	defer fb.Close()
 
 	m := &StreamMetrics{
 		Preset: p.Name, BaseUsers: baseUsers, TotalUsers: g.NumUsers,
@@ -372,6 +364,17 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 	var problems []string
 	fail := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
+	}
+	// checkFile holds a published generation's file to the encoding of a
+	// fresh assembly of the updater's state; the last generation gets the
+	// whole of fromScratchDiff.
+	checkFile := func(info *stream.PublishInfo) {
+		if info == nil {
+			return
+		}
+		if diff := fileDiff(u, info.Path); diff != "" {
+			fail("generation %d: %s", info.Generation, diff)
+		}
 	}
 
 	// Concurrent read hammer: queries flow against the engine for the
@@ -412,32 +415,21 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 			wg.Wait()
 			return m, fmt.Errorf("scenario %s: ingest failed at event %d: %w", p.Name, i, err)
 		}
-		if _, _, err := u.MaybePublish(); err != nil {
+		info, _, err := u.MaybePublish()
+		if err != nil {
 			close(stopReads)
 			wg.Wait()
 			return m, fmt.Errorf("scenario %s: publish failed: %w", p.Name, err)
 		}
-		if _, err := fb.Ingest(evs[i:end]); err != nil {
-			close(stopReads)
-			wg.Wait()
-			return m, fmt.Errorf("scenario %s: shadow ingest failed at event %d: %w", p.Name, i, err)
-		}
-		if _, _, err := fb.MaybePublish(); err != nil {
-			close(stopReads)
-			wg.Wait()
-			return m, fmt.Errorf("scenario %s: shadow publish failed: %w", p.Name, err)
-		}
+		checkFile(info)
 	}
-	if _, err := u.Publish(); err != nil {
+	info, err := u.Publish()
+	if err != nil {
 		close(stopReads)
 		wg.Wait()
 		return m, fmt.Errorf("scenario %s: final publish failed: %w", p.Name, err)
 	}
-	if _, err := fb.Publish(); err != nil {
-		close(stopReads)
-		wg.Wait()
-		return m, fmt.Errorf("scenario %s: shadow final publish failed: %w", p.Name, err)
-	}
+	checkFile(info)
 
 	// Freshness probe: one more user+doc, one publish cycle, visible —
 	// all while the read hammer is still running.
@@ -455,7 +447,8 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 	if _, err := engine.MembershipIn(serve.DefaultSnapshot, int(probeUser), 3); err == nil {
 		fail("probe user visible before any publish cycle")
 	}
-	if _, err := u.Publish(); err != nil {
+	probe, err := u.Publish()
+	if err != nil {
 		close(stopReads)
 		wg.Wait()
 		return m, fmt.Errorf("scenario %s: probe publish failed: %w", p.Name, err)
@@ -465,16 +458,6 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 	}
 	if res, err := engine.MembershipIn(serve.DefaultSnapshot, int(probeUser), 3); err != nil || len(res.Communities) == 0 {
 		fail("probe event not query-visible within one publish cycle (%v)", err)
-	}
-	if _, err := fb.Ingest(probeEvents); err != nil {
-		close(stopReads)
-		wg.Wait()
-		return m, fmt.Errorf("scenario %s: shadow probe ingest failed: %w", p.Name, err)
-	}
-	if _, err := fb.Publish(); err != nil {
-		close(stopReads)
-		wg.Wait()
-		return m, fmt.Errorf("scenario %s: shadow probe publish failed: %w", p.Name, err)
 	}
 	close(stopReads)
 	wg.Wait()
@@ -517,18 +500,17 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 		fail("no publish took the incremental path over %d publishes", st.Publishes)
 	}
 
-	// Incremental-equals-full-rebuild, as served: after identical events
-	// through identical publish cadences, the chain of patched snapshots
-	// must answer every query bit-identically to the shadow's from-scratch
-	// rebuilds.
-	if diff := servedDiff(engine, fbEngine, g.NumUsers+1, baseModel.NumWords); diff != "" {
-		fail("incremental and full-rebuild publishes serve differently: %s", diff)
+	// Incremental-equals-from-scratch, as served: the chain of patched
+	// snapshots must answer every query bit-identically to an engine that
+	// builds everything from the last generation's file.
+	if diff := fromScratchDiff(engine, u, probe, b.Vocab, g.NumUsers+1, baseModel.NumWords); diff != "" {
+		fail("generation %d: %s", probe.Generation, diff)
 	}
 
 	// Replay-equals-batch (pure fold-in only): batch-ingest the identical
 	// event sequence (probe included) and compare the extended models.
 	if p.GibbsEvery == 0 {
-		bEngine, bJournal, batch, err := newUpdater("batch", false)
+		bEngine, bJournal, batch, err := newUpdater("batch")
 		if err != nil {
 			return m, err
 		}
@@ -574,6 +556,45 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 		return m, fmt.Errorf("scenario %s: %s", p.Name, strings.Join(problems, "; "))
 	}
 	return m, nil
+}
+
+// fileDiff reports how the generation file at path differs from
+// store.EncodeV2 of u.Model(), which assembles a fresh Π from the
+// updater's state ("" when they are byte-identical).
+func fileDiff(u *stream.Updater, path string) string {
+	var want bytes.Buffer
+	if err := store.EncodeV2(&want, u.Model()); err != nil {
+		return fmt.Sprintf("encoding the updater's model: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		return err.Error()
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		return fmt.Sprintf("%s (%d bytes) is not the encoding of a fresh assembly of the updater's model (%d bytes)", filepath.Base(path), len(got), want.Len())
+	}
+	return ""
+}
+
+// fromScratchDiff holds the generation info just published by u into
+// engine to a from-scratch rebuild of u's own state: its file must be
+// store.EncodeV2 of u.Model() (fileDiff), and engine must serve what a
+// fresh engine serves after loading that file with vocab — an engine with
+// no predecessor, whose every derived structure is built from the model.
+// It returns "" when both hold, else the first difference.
+func fromScratchDiff(engine *serve.Engine, u *stream.Updater, info *stream.PublishInfo, vocab *corpus.Vocabulary, users, words int) string {
+	if diff := fileDiff(u, info.Path); diff != "" {
+		return diff
+	}
+	fresh := serve.NewMulti(serve.Options{})
+	defer fresh.Close()
+	if _, err := fresh.LoadGeneration(serve.DefaultSnapshot, info.Path, vocab, info.Generation); err != nil {
+		return fmt.Sprintf("loading %s: %v", filepath.Base(info.Path), err)
+	}
+	if diff := servedDiff(engine, fresh, users, words); diff != "" {
+		return "the publisher and a fresh engine serve differently: " + diff
+	}
+	return ""
 }
 
 // servedDiff compares everything two engines serve on their default

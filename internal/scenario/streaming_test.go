@@ -26,7 +26,7 @@ func newStreamTarget(t *testing.T, model *core.Model) (*serve.Engine, *stream.Jo
 		engine.Close()
 		t.Fatal(err)
 	}
-	u, err := stream.NewUpdater(j, stream.Options{Engine: engine, Base: model, Dir: dir, FoldSweeps: 5})
+	u, err := stream.NewUpdater(j, stream.Options{Engine: engine, Dir: dir, FoldSweeps: 5})
 	if err != nil {
 		j.Close()
 		engine.Close()
@@ -175,9 +175,9 @@ func TestLoadGenIngestMix(t *testing.T) {
 	}
 }
 
-// TestServedDiffFailsClosed: the incremental-versus-full shadow check must
-// not call two engines equal when neither serves anything, and must call
-// two engines serving the same model equal.
+// TestServedDiffFailsClosed: the served half of the from-scratch check
+// (fromScratchDiff) must not call two engines equal when neither serves
+// anything, and must call two engines serving the same model equal.
 func TestServedDiffFailsClosed(t *testing.T) {
 	a, b := serve.NewMulti(serve.Options{}), serve.NewMulti(serve.Options{})
 	defer a.Close()

@@ -44,8 +44,8 @@ type BuildInfo struct {
 	// and BuildFull when everything was built from the model.
 	Kind string `json:"kind"`
 	// Reason says why a full build ran: "no predecessor", "globals changed"
-	// (Θ, Φ, η, ν, POPF, XI or a Cfg field other than a dimension differ,
-	// or the caller said so), "shape changed" (|C|, |Z|, |W| differ or users
+	// (Θ, Φ, η, ν, POPF, XI or a Cfg field other than a dimension differ),
+	// "shape changed" (|C|, |Z|, |W| differ or users
 	// shrank), "shard moved" (another shard index, count or first user) or
 	// "vocabulary changed". Empty for a patched build.
 	Reason string `json:"reason,omitempty"`

@@ -163,9 +163,9 @@ func TestPatchFromSharing(t *testing.T) {
 	}
 }
 
-// TestPatchFromFallbacks: deltas the patch path must refuse — Globals,
-// user shrink, shape changes — still produce correct (fully rebuilt)
-// snapshots.
+// TestPatchFromFallbacks: models the patch path must refuse — a user
+// shrink, shape changes — still produce correct (fully rebuilt)
+// snapshots, and out-of-range delta ids are ignored.
 func TestPatchFromFallbacks(t *testing.T) {
 	m := SyntheticModel(50, 6, 4, 120, 11)
 	opts := Options{}.withDefaults()
@@ -177,10 +177,14 @@ func TestPatchFromFallbacks(t *testing.T) {
 	randomizePiRow(next.Pi.Row(3), r)
 	next.Rehydrate()
 
-	// Globals forces a full rebuild even with no listed users.
-	full := patchFrom(snap, next, nil, Delta{Globals: true})
-	scratch := newSnapshot(next, nil, DefaultSnapshot, 0, opts)
+	// A shrunken user set forces a full rebuild even with no listed users.
+	shrunk := SyntheticModel(40, 6, 4, 120, 11)
+	full := patchFrom(snap, shrunk, nil, Delta{})
+	scratch := newSnapshot(shrunk, nil, DefaultSnapshot, 0, opts)
 	requireSameSnapshot(t, full, scratch)
+	if b := full.Build(); b.Kind != BuildFull || b.Reason != reasonShape {
+		t.Fatalf("patch onto fewer users: %+v, want a full build for %q", b, reasonShape)
+	}
 	full.Release()
 	scratch.Release()
 
@@ -494,7 +498,8 @@ func TestBuildSnapshotDerivedChain(t *testing.T) {
 
 // TestBuildSnapshotExplicitDelta: a caller's delta is taken as given while
 // the slot holds the snapshot it names, dropped for a derived one after an
-// external swap, and Globals forces the full build whatever the bytes say.
+// external swap, and cannot carry a model of another shape past the full
+// build.
 func TestBuildSnapshotExplicitDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	m := SyntheticModel(60, 8, 4, 150, 5)
@@ -523,17 +528,21 @@ func TestBuildSnapshotExplicitDelta(t *testing.T) {
 	}
 	s.Release()
 
-	s = e.buildSnapshot(DefaultSnapshot, next, nil, &Delta{Globals: true}, nil)
+	scratch.Release()
+
+	shrunk := SyntheticModel(40, 8, 4, 150, 5)
+	s = e.buildSnapshot(DefaultSnapshot, shrunk, nil, &Delta{Users: []int32{9}}, nil)
+	scratch = newSnapshot(shrunk, nil, DefaultSnapshot, 0, e.opts)
 	requireSameSnapshot(t, s, scratch)
-	if b := s.Build(); b.Kind != BuildFull || b.Reason != reasonGlobals || b.Derived {
-		t.Fatalf("Globals delta: %+v", b)
+	if b := s.Build(); b.Kind != BuildFull || b.Reason != reasonShape || b.Derived {
+		t.Fatalf("explicit delta onto fewer users: %+v", b)
 	}
 	s.Release()
 	scratch.Release()
 
 	// Every build is counted, promoted or not: New's, the patch, the
-	// external swap's derived patch, the re-derived patch and the Globals
-	// rebuild.
+	// external swap's derived patch, the re-derived patch and the
+	// shrunken model's rebuild.
 	var buf bytes.Buffer
 	e.WriteMetrics(&buf)
 	for _, line := range []string{

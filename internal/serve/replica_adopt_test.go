@@ -55,7 +55,7 @@ func newAdoptPublisher(t *testing.T, shards int) *adoptPublisher {
 	t.Cleanup(func() { j.Close() })
 	p := &adoptPublisher{dir: t.TempDir(), r: rand.New(rand.NewSource(6)), users: adoptUsers}
 	p.u, err = stream.NewUpdater(j, stream.Options{
-		Engine: engine, Base: base, FoldSweeps: 4, FoldSeed: 9,
+		Engine: engine, FoldSweeps: 4, FoldSeed: 9,
 		Dir: p.dir, Shards: shards, KeepSnapshots: 8,
 	})
 	if err != nil {

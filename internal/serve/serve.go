@@ -214,9 +214,6 @@ type Delta struct {
 	// previous snapshot's user count are implicitly new and need not be
 	// listed.
 	Users []int32
-	// Globals marks the shared profile blocks (Θ, Φ, η, ν wholesale) as
-	// changed — forces a full rebuild of every derived structure.
-	Globals bool
 	// Base, when non-zero, is the Version of the snapshot the delta was
 	// computed against. PromoteGroup honours the delta only while
 	// the slot still holds that snapshot; after an external swap (operator
@@ -234,9 +231,9 @@ type Delta struct {
 // A patched snapshot is bit-identical to a from-scratch newSnapshot of m
 // provided the delta covers every change between prev.Model and m: the
 // per-user top-K selection runs the exact float operation sequence of the
-// full builder. When patching does not apply — delta.Globals, a changed
+// full builder. When patching does not apply — a changed
 // community/topic/word count, or a shrunken user set — patchFrom falls
-// back to a full build (Build().Reason says which). It does not look at
+// back to a full build (Build().Reason says so). It does not look at
 // delta.Base or at shard identities: those are buildSnapshot's to check
 // before it calls here.
 //
@@ -245,18 +242,12 @@ type Delta struct {
 // it.
 func patchFrom(prev *Snapshot, m *core.Model, vocab *corpus.Vocabulary, delta Delta) *Snapshot {
 	pm := prev.Model
-	reason := ""
-	if delta.Globals {
-		reason = reasonGlobals
-	} else if m.Cfg.NumCommunities != pm.Cfg.NumCommunities ||
+	if m.Cfg.NumCommunities != pm.Cfg.NumCommunities ||
 		m.Cfg.NumTopics != pm.Cfg.NumTopics ||
 		m.NumWords != pm.NumWords ||
 		m.NumUsers < pm.NumUsers {
-		reason = reasonShape
-	}
-	if reason != "" {
 		s := newSnapshot(m, vocab, prev.Name, 0, prev.opts)
-		s.build.Reason = reason
+		s.build.Reason = reasonShape
 		return s
 	}
 	dirty := normalizeDirty(delta.Users, pm.NumUsers)
@@ -400,6 +391,21 @@ type EndpointStats struct {
 	P50Micros   uint64 `json:"p50Micros"`
 	P95Micros   uint64 `json:"p95Micros"`
 	P99Micros   uint64 `json:"p99Micros"`
+}
+
+// DigestEndpoint is the EndpointStats of one endpoint's latency histogram,
+// for every surface that reports one (the engine's and the router's
+// /api/stats).
+func DigestEndpoint(h *hist.Hist) EndpointStats {
+	return EndpointStats{
+		Count:       h.Count,
+		Errors:      h.Errs,
+		TotalMicros: h.TotalNS / 1e3,
+		MaxMicros:   h.MaxNS / 1e3,
+		P50Micros:   uint64(h.Quantile(0.50).Microseconds()),
+		P95Micros:   uint64(h.Quantile(0.95).Microseconds()),
+		P99Micros:   uint64(h.Quantile(0.99).Microseconds()),
+	}
 }
 
 // slot is one named snapshot holder.
@@ -715,16 +721,7 @@ func (e *Engine) LoadGeneration(name, modelPath string, vocab *corpus.Vocabulary
 func (e *Engine) Stats() map[string]EndpointStats {
 	out := make(map[string]EndpointStats, epCount)
 	for i := 0; i < epCount; i++ {
-		h := e.lat[i].Snapshot()
-		out[endpointNames[i]] = EndpointStats{
-			Count:       h.Count,
-			Errors:      h.Errs,
-			TotalMicros: h.TotalNS / 1e3,
-			MaxMicros:   h.MaxNS / 1e3,
-			P50Micros:   uint64(h.Quantile(0.50).Microseconds()),
-			P95Micros:   uint64(h.Quantile(0.95).Microseconds()),
-			P99Micros:   uint64(h.Quantile(0.99).Microseconds()),
-		}
+		out[endpointNames[i]] = DigestEndpoint(e.lat[i].Snapshot())
 	}
 	return out
 }

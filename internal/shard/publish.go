@@ -57,8 +57,8 @@ type PublishStats struct {
 
 // Delta tells Publish what moved since the previous published model.
 type Delta struct {
-	// Full marks a from-scratch publish (first publish, delta-Gibbs,
-	// operator-forced rebuild): nothing may be reused.
+	// Full marks a from-scratch publish (the first publish of a process, a
+	// delta-Gibbs publish, a Split): nothing may be reused.
 	Full bool
 	// ChangedUsers lists the user rows (global ids) whose Π bytes may
 	// differ from the previous published model; appended users are

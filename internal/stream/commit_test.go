@@ -30,7 +30,7 @@ func TestRestartNeverReusesAGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := NewUpdater(j, Options{Engine: e, Base: m, Dir: dir, KeepSnapshots: 10, FoldSweeps: 8, FoldSeed: 99})
+		u, err := NewUpdater(j, Options{Engine: e, Dir: dir, KeepSnapshots: 10, FoldSweeps: 8, FoldSeed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func costUpdater(t *testing.T, base *core.Model) *Updater {
 	}
 	t.Cleanup(func() { j.Close() })
 	u, err := NewUpdater(j, Options{
-		Engine: engine, Base: base, FoldSweeps: 4, FoldSeed: 5,
+		Engine: engine, FoldSweeps: 4, FoldSeed: 5,
 		Dir: t.TempDir(), Shards: 3,
 	})
 	if err != nil {
@@ -203,14 +203,17 @@ func TestDirtyUsersCountOnEveryPath(t *testing.T) {
 	evs := streamFixture(g, m)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "events.wal")
-	engine := serve.New(m, nil, serve.Options{})
-	defer engine.Close()
+	var engine *serve.Engine
+	// Each open is a (re)started process: a fresh engine serving the base
+	// model, which the updater takes from the slot.
 	open := func() (*Journal, *Updater) {
+		engine = serve.New(m, nil, serve.Options{})
+		t.Cleanup(engine.Close)
 		j, err := OpenJournal(path, JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := NewUpdater(j, Options{Engine: engine, Base: m, FoldSweeps: 4, FoldSeed: 99, Dir: dir})
+		u, err := NewUpdater(j, Options{Engine: engine, FoldSweeps: 4, FoldSeed: 99, Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,14 +304,16 @@ func TestRestartAfterCheckpointRefoldsOnlyTheNewWindow(t *testing.T) {
 	run := func(restart bool) (folded int, file []byte) {
 		path := filepath.Join(t.TempDir(), "events.wal")
 		dir := t.TempDir()
-		engine := serve.New(m, nil, serve.Options{})
-		defer engine.Close()
+		// Each open is a (re)started process: a fresh engine serving the
+		// base model, which the updater takes from the slot.
 		open := func() (*Journal, *Updater) {
+			engine := serve.New(m, nil, serve.Options{})
+			t.Cleanup(engine.Close)
 			j, err := OpenJournal(path, JournalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := NewUpdater(j, Options{Engine: engine, Base: m, FoldSweeps: 4, FoldSeed: 99, Dir: dir})
+			u, err := NewUpdater(j, Options{Engine: engine, FoldSweeps: 4, FoldSeed: 99, Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}

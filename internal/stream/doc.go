@@ -15,7 +15,9 @@
 //     accumulated stream corpus, and every delta window re-infers the
 //     affected users by folding their cumulative documents and friendships
 //     in against the frozen model parameters through serve.Engine's
-//     fold-in worker pool. Every GibbsEvery-th generation may additionally run
+//     fold-in worker pool. The frozen model and the vocabulary are the
+//     ones the target slot serves when the updater starts; it takes
+//     neither from anywhere else. Every GibbsEvery-th generation may additionally run
 //     a resumable delta-Gibbs pass (core.NewEngineFromModel +
 //     Engine.SetDirty) over the merged base+stream graph, re-estimating
 //     the affected rows — and the global Θ/Φ/η — by actual sampling.
@@ -57,18 +59,21 @@
 // to disk: no step walks the
 // users (a model has no per-user cache, the dirty-user gauge is a
 // maintained count), and Ingest costs the same however many stream users
-// exist. Every layer is bit-for-bit identical to a from-scratch rebuild (TestIncrementalPublish*
-// pins this differentially, down to byte-equal snapshot files). A publish
+// exist. Every layer is bit-for-bit identical to a from-scratch rebuild of
+// the updater's own state, and the tests (TestIncrementalPublish* and the
+// streaming scenarios) hold each generation to one: its file equals
+// store.EncodeV2 of Updater.Model, which assembles a fresh Π; a shard
+// group joins to that file; and the engine answers what a fresh engine
+// that loads the file, with no predecessor to patch, answers. A publish
 // falls back to the full model and save path exactly when the base model
-// itself moved or is unknown to this process: a delta-Gibbs pass ran, the
-// process restarted, or Options.FullRebuild pins the baseline. Even then
-// the serving index is rebuilt only if it has to be: with no delta to
-// give, the publisher lets the engine derive one by comparing the new
-// model's bytes with the served model's, so the first publish after a
-// restart, and a publish after the served snapshot was swapped
-// externally, patch the index (status.lastPublishPhases.indexPatched);
-// a delta-Gibbs publish, whose Θ/Φ/η really differ, and FullRebuild
-// build it from scratch.
+// itself moved or is unknown to this process: a delta-Gibbs pass ran or
+// the process restarted. Even then the serving index is rebuilt only if it
+// has to be: with no delta to give, the publisher lets the engine derive
+// one by comparing the new model's bytes with the served model's, so the
+// first publish after a restart, and a publish after the served snapshot
+// was swapped externally, patch the index
+// (status.lastPublishPhases.indexPatched); a delta-Gibbs publish, whose
+// Θ/Φ/η really differ, builds it from scratch.
 //
 // # Crash recovery
 //

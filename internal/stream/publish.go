@@ -43,11 +43,13 @@ package stream
 //
 // Each layer is bit-identical to its from-scratch counterpart — the
 // incremental path changes the cost of a publish, never its bytes or its
-// query results. A publish falls back to the full model and save path
-// whenever the incremental preconditions do not hold: the first publish of
-// a process, a publish right after a delta-Gibbs pass (the refined
-// reference — and with it every global block — changed), or
-// Options.FullRebuild.
+// query results. The tests hold every generation to that counterpart: the
+// file equals store.EncodeV2 of Updater.Model (which assembles a fresh Π),
+// a shard group joins to that file, and the engine answers what a fresh
+// engine that loads the file answers. A publish falls back to the full
+// model and save path whenever the incremental preconditions do not hold:
+// the first publish of a process, or a publish right after a delta-Gibbs
+// pass (the refined reference — and with it every global block — changed).
 //
 // The serving index is a separate question, and the engine answers it from
 // the bytes: a full publish hands PromoteGroup no delta, the engine
@@ -56,10 +58,10 @@ package stream
 // process — after every (re)start — no longer rebuilds the index
 // (PublishPhases reads Full with IndexPatched), and neither does a publish
 // after somebody else swapped the slot (the stale explicit delta is
-// dropped for a derived one). What still builds the index from scratch:
-// a delta-Gibbs publish (Θ, Φ and η really changed), a slot holding
-// nothing or a model of another shape or vocabulary, and
-// Options.FullRebuild, which stays the from-scratch baseline.
+// dropped for a derived one). What still builds the index from scratch: a
+// delta-Gibbs publish (Θ, Φ and η really changed), and a slot that by then
+// serves a model of another shape or vocabulary than the one the updater
+// started from.
 
 import (
 	"fmt"
@@ -266,8 +268,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	// one to exist (this process promoted it) and the refined reference to
 	// be the one that state was built from — a delta-Gibbs pass replaces
 	// the reference and with it every global block.
-	full := u.opts.FullRebuild || !u.published || gibbsDue ||
-		u.lastModel == nil || u.lastRef != u.refined
+	full := !u.published || gibbsDue || u.lastModel == nil || u.lastRef != u.refined
 	last := u.lastModel
 	if full {
 		last = nil
@@ -323,7 +324,7 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 	ph.FilesLinked = u.publisher.Last.FilesLinked
 	ph.ShardMicros = lap()
 	var build serve.BuildInfo
-	info.Version, build = u.opts.Engine.PromoteGroup(u.opts.Snapshot, g, u.opts.Vocab, u.generation, u.serveDeltaLocked(full))
+	info.Version, build = u.opts.Engine.PromoteGroup(u.opts.Snapshot, g, u.vocab, u.generation, u.serveDeltaLocked(full))
 	ph.IndexMicros = build.Micros
 	ph.IndexPatched = build.Kind == serve.BuildPatched
 	ph.PromoteMicros = lap() - build.Micros
@@ -367,21 +368,17 @@ func (u *Updater) publishLocked() (*PublishInfo, error) {
 
 // serveDeltaLocked is the delta a publish hands the engine. An
 // incremental publish has its explicit O(changed) delta — only user rows
-// differ: the vocabulary is fixed for the updater's
-// lifetime and without a Gibbs pass the global blocks are unchanged — and
-// names the promote it is relative to (u.lastVersion), so that after an
-// external swap (operator reload, another writer) the engine drops it. A
-// full publish has no delta to give; the engine then derives one from the
-// bytes and still patches when only rows moved (the first publish of a
-// process). Options.FullRebuild stays the from-scratch baseline.
+// differ: the vocabulary is the slot's, fixed for the updater's lifetime,
+// and without a Gibbs pass the global blocks are unchanged — and names the
+// promote it is relative to (u.lastVersion), so that after an external
+// swap (operator reload, another writer) the engine drops it. A full
+// publish has no delta to give; the engine then derives one from the bytes
+// and still patches when only rows moved (the first publish of a process).
 func (u *Updater) serveDeltaLocked(full bool) *serve.Delta {
-	switch {
-	case u.opts.FullRebuild:
-		return &serve.Delta{Globals: true}
-	case !full:
-		return &serve.Delta{Users: u.pendingRows, Base: u.lastVersion}
+	if full {
+		return nil
 	}
-	return nil
+	return &serve.Delta{Users: u.pendingRows, Base: u.lastVersion}
 }
 
 // openWhole opens and checks a written generation file for the engine to

@@ -96,19 +96,60 @@ func requireSameServed(t *testing.T, inc, full *serve.Engine, users int, queries
 	}
 }
 
+// requireFromScratch holds the generation u just published (info) to a
+// from-scratch rebuild of u's own state:
+//
+//  1. the generation file is store.EncodeV2 of u.Model(), which assembles
+//     a fresh Π from the fold rows and the reference instead of patching
+//     the last one;
+//  2. at Shards > 1, shard.Join of the generation's group is that file,
+//     byte for byte;
+//  3. u's engine serves what a fresh engine serves after LoadGeneration of
+//     that file — an engine with no predecessor, so every derived
+//     structure of its snapshot is built from the model.
+func requireFromScratch(t *testing.T, u *Updater, info *PublishInfo, queries [][]int32) {
+	t.Helper()
+	file, err := os.ReadFile(info.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := store.EncodeV2(&want, u.Model()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, want.Bytes()) {
+		t.Fatalf("generation %d: the file (%d bytes) is not the encoding of a fresh assembly of the updater's model (%d bytes)",
+			info.Generation, len(file), want.Len())
+	}
+	if u.opts.Shards > 1 {
+		joined := filepath.Join(t.TempDir(), "joined.v2.snap")
+		if err := shard.Join(u.opts.Dir, info.Generation, joined); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(joined); err != nil || !bytes.Equal(got, file) {
+			t.Fatalf("generation %d: the shard group does not join to the full file (%v)", info.Generation, err)
+		}
+	}
+	fresh := serve.NewMulti(serve.Options{})
+	defer fresh.Close()
+	if _, err := fresh.LoadGeneration(serve.DefaultSnapshot, info.Path, u.vocab, info.Generation); err != nil {
+		t.Fatal(err)
+	}
+	requireSameServed(t, u.opts.Engine, fresh, info.Users, queries)
+}
+
 // TestIncrementalPublishMatchesFullRebuild is the end-to-end differential
 // contract of the O(changed) publish path: an updater publishing
-// incrementally (patched model, patched indexes) must serve bit-identical
-// results to an updater forced to rebuild everything from scratch, across
-// a randomized churny event sequence published window by window. Every
-// generation is served from the file it wrote while Π is patched in
-// place, and the two updaters must write byte-identical snapshot files.
+// incrementally (patched model, patched indexes) must write and serve
+// what a from-scratch rebuild of its own state writes and serves
+// (requireFromScratch), across a randomized churny event sequence
+// published window by window. Every generation is served from the file it
+// wrote while Π is patched in place.
 func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
 	// A single case: every updater publishes to a directory.
 	t.Run("dir", func(t *testing.T) {
 		g, m := testBase(t)
 		_, _, inc := newTestUpdater(t, g, m, nil)
-		_, _, full := newTestUpdater(t, g, m, func(o *Options) { o.FullRebuild = true })
 
 		evs := randomEvents(g, m, 120, 42)
 		queries := [][]int32{
@@ -123,25 +164,15 @@ func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
 			if _, err := inc.Ingest(evs[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := full.Ingest(evs[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
 			ii, err := inc.Publish()
 			if err != nil {
 				t.Fatal(err)
-			}
-			fi, err := full.Publish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Incremental {
-				t.Fatal("FullRebuild updater reported an incremental publish")
 			}
 			gens++
 			if gens > 1 && !ii.Incremental {
 				t.Fatalf("publish %d did not take the incremental path", gens)
 			}
-			requireSameServed(t, inc.opts.Engine, full.opts.Engine, ii.Users, queries)
+			requireFromScratch(t, inc, ii, queries)
 			s, release, err := inc.opts.Engine.AcquireNamed(serve.DefaultSnapshot)
 			if err != nil {
 				t.Fatal(err)
@@ -150,17 +181,6 @@ func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
 			release()
 			if own {
 				t.Fatalf("generation %d: the engine serves the updater's own model, not the file's mapping", ii.Generation)
-			}
-			ab, err := os.ReadFile(store.GenPath(inc.opts.Dir, ii.Generation))
-			if err != nil {
-				t.Fatal(err)
-			}
-			bb, err := os.ReadFile(store.GenPath(full.opts.Dir, fi.Generation))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ab, bb) {
-				t.Fatalf("generation %d snapshot files differ (%d vs %d bytes)", ii.Generation, len(ab), len(bb))
 			}
 		}
 
@@ -186,16 +206,11 @@ func TestIncrementalPublishMatchesFullRebuild(t *testing.T) {
 // on the publish after it.
 func TestIncrementalPublishWithGibbsMatches(t *testing.T) {
 	g, m := testBase(t)
-	mod := func(o *Options) {
+	_, _, inc := newTestUpdater(t, g, m, func(o *Options) {
 		o.BaseGraph = g
 		o.GibbsEvery = 3
 		o.GibbsSweeps = 1
 		o.Workers = 2
-	}
-	_, _, inc := newTestUpdater(t, g, m, mod)
-	_, _, full := newTestUpdater(t, g, m, func(o *Options) {
-		mod(o)
-		o.FullRebuild = true
 	})
 
 	evs := randomEvents(g, m, 60, 7)
@@ -205,20 +220,14 @@ func TestIncrementalPublishWithGibbsMatches(t *testing.T) {
 		if _, err := inc.Ingest(evs[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := full.Ingest(evs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
 		ii, err := inc.Publish()
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := full.Publish(); err != nil {
 			t.Fatal(err)
 		}
 		if ii.Gibbs && ii.Incremental {
 			t.Fatal("a Gibbs publish must take the full path")
 		}
-		requireSameServed(t, inc.opts.Engine, full.opts.Engine, ii.Users, nil)
+		requireFromScratch(t, inc, ii, nil)
 	}
 	if inc.Status().IncrementalPublishes == 0 {
 		t.Fatal("no publish took the incremental path between Gibbs passes")
@@ -251,7 +260,7 @@ func TestPublishOverMappedBaseMatchesHeapBase(t *testing.T) {
 	}
 	_, _, overMapped := newTestUpdater(t, g, m, func(o *Options) {
 		gibbs(o)
-		o.Engine, o.Base = mappedEngine, nil
+		o.Engine = mappedEngine
 	})
 	_, _, overHeap := newTestUpdater(t, g, m, gibbs)
 
@@ -462,19 +471,14 @@ func TestPruneCommitsInOrder(t *testing.T) {
 // headroom: a delta window containing only edge events among users with
 // no stream documents hands out the last published model's doc arrays,
 // so the shard publisher hard-links the previous generation's state file
-// (DOCC/DOCZ/DOCB) instead of rewriting it, while every full file stays
-// byte-identical to a from-scratch rebuild's.
+// (DOCC/DOCZ/DOCB) instead of rewriting it, while every generation stays
+// what a from-scratch rebuild writes and serves (requireFromScratch).
 func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 	g, m := testBase(t)
-	incDir, fullDir := t.TempDir(), t.TempDir()
+	incDir := t.TempDir()
 	_, _, inc := newTestUpdater(t, g, m, func(o *Options) {
 		o.Dir = incDir
 		o.Shards = 3
-	})
-	_, _, full := newTestUpdater(t, g, m, func(o *Options) {
-		o.Dir = fullDir
-		o.Shards = 3
-		o.FullRebuild = true
 	})
 	// linked reports whether generation gen's state file is generation
 	// gen-1's, and how many of gen's group files are links of gen-1's.
@@ -510,46 +514,27 @@ func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 		return same(*prev.State, *cur.State), files
 	}
 
-	publishBoth := func(evs []Event) *PublishInfo {
+	publishWindow := func(evs []Event) *PublishInfo {
 		t.Helper()
 		if _, err := inc.Ingest(evs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := full.Ingest(evs); err != nil {
 			t.Fatal(err)
 		}
 		ii, err := inc.Publish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fi, err := full.Publish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		af := filepath.Join(incDir, fmt.Sprintf("gen-%08d.v2.snap", ii.Generation))
-		bf := filepath.Join(fullDir, fmt.Sprintf("gen-%08d.v2.snap", fi.Generation))
-		ab, err := os.ReadFile(af)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := os.ReadFile(bf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ab, bb) {
-			t.Fatalf("generation %d snapshot files differ (%d vs %d bytes)", ii.Generation, len(ab), len(bb))
-		}
+		requireFromScratch(t, inc, ii, [][]int32{g.Docs[0].Words[:2]})
 		return ii
 	}
 
 	// Two doc-bearing windows: the first publish is always full; the
 	// second is incremental but must re-encode the grown doc arrays.
-	publishBoth([]Event{
+	publishWindow([]Event{
 		{Type: EvAddDoc, User: 0, Time: 100, Words: g.Docs[0].Words},
 		{Type: EvAddDoc, User: 1, Time: 110, Words: g.Docs[1].Words},
 		{Type: EvAddEdge, User: 0, Target: 1},
 	})
-	withDocs := publishBoth([]Event{
+	withDocs := publishWindow([]Event{
 		{Type: EvAddDoc, User: 2, Time: 200, Words: g.Docs[2].Words},
 	})
 	if state, files := linked(withDocs.Generation); state || files != inc.Status().LastPublishPhases.FilesLinked {
@@ -566,7 +551,7 @@ func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 	// Friends-only window: edges among base users that own no stream
 	// documents. The fold refolds their membership rows but every doc
 	// assignment stays put, so the state file rides along unchanged.
-	friendsOnly := publishBoth([]Event{
+	friendsOnly := publishWindow([]Event{
 		{Type: EvAddEdge, User: 5, Target: 6},
 		{Type: EvAddEdge, User: 7, Target: 8},
 	})
@@ -585,76 +570,46 @@ func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 }
 
 // TestPublishPhasesIndexPatched pins what IndexPatched reports and that
-// every way the publisher reaches the index builder serves the same as
-// the from-scratch twin: the first publish of a process assembles the
-// full model but patches the index (the global blocks are the served
-// model's, byte for byte, in other memory when mapped), a steady publish
-// patches from its explicit delta, a delta-Gibbs publish rebuilds, a
-// publish after somebody else swapped the slot derives its delta anew,
-// and FullRebuild never patches.
+// every way the publisher reaches the index builder serves what a
+// from-scratch rebuild serves (requireFromScratch): the first publish of a
+// process assembles the full model but patches the index (the global
+// blocks are the served model's, byte for byte, in other memory when
+// mapped), a steady publish patches from its explicit delta, a
+// delta-Gibbs publish rebuilds, and a publish after somebody else swapped
+// the slot derives its delta anew.
 func TestPublishPhasesIndexPatched(t *testing.T) {
 	g, m := testBase(t)
-	mod := func(o *Options) {
-		o.Dir = t.TempDir()
+	incEngine, _, inc := newTestUpdater(t, g, m, func(o *Options) {
 		o.BaseGraph = g
 		o.GibbsEvery = 3
 		o.GibbsSweeps = 1
 		o.Workers = 2
-	}
-	mkEngine := func() *serve.Engine {
-		e := serve.New(m, nil, serve.Options{})
-		t.Cleanup(e.Close)
-		return e
-	}
-	mk := func(e *serve.Engine, fullRebuild bool) *Updater {
-		j, err := OpenJournal(filepath.Join(t.TempDir(), "events.wal"), JournalOptions{SyncEvery: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { j.Close() })
-		o := Options{Engine: e, Base: m, WindowEvents: 4, FoldSweeps: 8, FoldSeed: 99, FullRebuild: fullRebuild}
-		mod(&o)
-		u, err := NewUpdater(j, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(u.Close)
-		return u
-	}
-	incEngine, fullEngine := mkEngine(), mkEngine()
-	inc, full := mk(incEngine, false), mk(fullEngine, true)
+	})
 
 	evs := randomEvents(g, m, 50, 23)
 	const window = 10
-	publish := func(round int) (*PublishInfo, PublishPhases) {
+	publish := func(round int, queries [][]int32) (*PublishInfo, PublishPhases) {
 		t.Helper()
 		lo := round * window
-		for _, u := range []*Updater{inc, full} {
-			if _, err := u.Ingest(evs[lo : lo+window]); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := inc.Ingest(evs[lo : lo+window]); err != nil {
+			t.Fatal(err)
 		}
 		info, err := inc.Publish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := full.Publish(); err != nil {
-			t.Fatal(err)
-		}
-		if ph := full.Status().LastPublishPhases; ph == nil || !ph.Full || ph.IndexPatched {
-			t.Fatalf("round %d: FullRebuild publish reports %+v, want a full model and a from-scratch index", round, ph)
-		}
-		requireSameServed(t, incEngine, fullEngine, info.Users, [][]int32{g.Docs[0].Words[:2]})
+		requireFromScratch(t, inc, info, queries)
 		return info, *inc.Status().LastPublishPhases
 	}
+	queries := [][]int32{g.Docs[0].Words[:2]}
 
-	if info, ph := publish(0); info.Incremental || !ph.Full || !ph.IndexPatched {
+	if info, ph := publish(0, queries); info.Incremental || !ph.Full || !ph.IndexPatched {
 		t.Fatalf("first publish: %+v / %+v, want a full model with a patched index", info, ph)
 	}
-	if info, ph := publish(1); !info.Incremental || ph.Full || !ph.IndexPatched {
+	if info, ph := publish(1, queries); !info.Incremental || ph.Full || !ph.IndexPatched {
 		t.Fatalf("steady publish: %+v / %+v, want incremental with a patched index", info, ph)
 	}
-	info, ph := publish(2)
+	info, ph := publish(2, queries)
 	if !info.Gibbs || !ph.Full || ph.IndexPatched {
 		t.Fatalf("delta-Gibbs publish: %+v / %+v, want a full model and a from-scratch index (Θ, Φ, η moved)", info, ph)
 	}
@@ -664,11 +619,10 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 	if _, err := incEngine.LoadGeneration(serve.DefaultSnapshot, store.GenPath(inc.opts.Dir, info.Generation), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	info, ph = publish(3)
+	info, ph = publish(3, [][]int32{g.Docs[1].Words[:3], {g.Docs[2].Words[0]}})
 	if !info.Incremental {
 		t.Fatalf("publish after the external swap: %+v, want the incremental model path", info)
 	}
-	requireSameServed(t, incEngine, fullEngine, info.Users, [][]int32{g.Docs[1].Words[:3], {g.Docs[2].Words[0]}})
 	s, release, err := incEngine.AcquireNamed(serve.DefaultSnapshot)
 	if err != nil {
 		t.Fatal(err)
@@ -677,7 +631,7 @@ func TestPublishPhasesIndexPatched(t *testing.T) {
 		t.Fatalf("publish after the external swap built %+v (phases %+v), want a patch by a delta derived from the bytes", b, ph)
 	}
 	release()
-	if _, ph := publish(4); ph.Full || !ph.IndexPatched {
+	if _, ph := publish(4, queries); ph.Full || !ph.IndexPatched {
 		t.Fatalf("publish after that: %+v, want the steady patched path again", ph)
 	}
 }
@@ -803,24 +757,22 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 // the patch (here: its snapshot directory is gone when the save comes)
 // leaves that array ahead of what is served. The retry, with more events
 // ingested in between, must still write exactly the files an updater that
-// never failed and rebuilds everything from scratch writes: full snapshot
-// and every file of the shard group.
+// never failed writes — full snapshot and every file of the shard group —
+// and what a from-scratch rebuild writes and serves (requireFromScratch).
 func TestFailedPublishRetriesToSameBytes(t *testing.T) {
 	g, m := testBase(t)
-	mk := func(fullRebuild bool) (*Updater, string) {
-		e := serve.New(m, nil, serve.Options{})
-		t.Cleanup(e.Close)
+	mk := func() (*Updater, string) {
 		dir := filepath.Join(t.TempDir(), "snapshots") // a directory the test may rename
 		if err := os.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		_, _, u := newTestUpdater(t, g, m, func(o *Options) {
-			o.Engine, o.Dir, o.Shards, o.FullRebuild = e, dir, 3, fullRebuild
+			o.Dir, o.Shards = dir, 3
 		})
 		return u, dir
 	}
-	disturbed, dDir := mk(false)
-	steady, sDir := mk(true)
+	disturbed, dDir := mk()
+	steady, sDir := mk()
 	evs := randomEvents(g, m, 96, 31)
 	const window = 24
 	ingest := func(u *Updater, k int) {
@@ -861,6 +813,7 @@ func TestFailedPublishRetriesToSameBytes(t *testing.T) {
 	if !info.Incremental || info.Generation != 3 {
 		t.Fatalf("the retry published %+v, want incremental generation 3", info)
 	}
+	requireFromScratch(t, disturbed, info, [][]int32{g.Docs[0].Words[:2]})
 
 	ingest(steady, 2)
 	ingest(steady, 3)

@@ -33,7 +33,7 @@ func TestRestartPublishesTheSameBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			u, err := NewUpdater(j, Options{
-				Engine: e, Base: m, Dir: dir, FoldSweeps: 4, FoldSeed: 99,
+				Engine: e, Dir: dir, FoldSweeps: 4, FoldSeed: 99,
 				GibbsEvery: 3, GibbsSweeps: 1, Workers: 1, BaseGraph: g,
 			})
 			if err != nil {
@@ -107,7 +107,7 @@ func (r *restartRig) open() (*serve.Engine, *Journal, *Updater) {
 		r.t.Fatal(err)
 	}
 	r.t.Cleanup(func() { j.Close() })
-	u, err := NewUpdater(j, Options{Engine: e, Base: r.m, Dir: r.dir, FoldSweeps: 8, FoldSeed: 99})
+	u, err := NewUpdater(j, Options{Engine: e, Dir: r.dir, FoldSweeps: 8, FoldSeed: 99})
 	if err != nil {
 		r.t.Fatal(err)
 	}

@@ -18,21 +18,19 @@ import (
 	"repro/internal/store"
 )
 
-// Options configures an Updater. Engine is required; Base defaults to the
-// target slot's current snapshot (pinned for the updater's lifetime).
+// Options configures an Updater. Engine and Dir are required. The base
+// model and the vocabulary are not options: both are the target slot's,
+// read from the snapshot it serves when NewUpdater runs.
 type Options struct {
 	// Engine is the serving engine whose named slot the updater publishes
-	// into and whose fold-in worker pool it borrows.
+	// into and whose fold-in worker pool it borrows. The slot must serve a
+	// snapshot already: its model is the frozen generation-0 base every
+	// fold-in runs against, and its vocabulary labels every generation the
+	// updater publishes or adopts. The updater keeps that snapshot pinned
+	// until Close, so a mapped base can never be unmapped under it.
 	Engine *serve.Engine
 	// Snapshot is the target slot name (default serve.DefaultSnapshot).
 	Snapshot string
-	// Base is the frozen generation-0 model every fold-in runs against.
-	// nil acquires the target slot's current snapshot instead; the
-	// updater then keeps that snapshot pinned until Close, so a mapped
-	// base can never be unmapped under it.
-	Base *core.Model
-	// Vocab labels published snapshots (nil keeps free-text queries off).
-	Vocab *corpus.Vocabulary
 	// Dir is required: it is where published v2 snapshot files land
 	// (gen-%08d.v2.snap), each committed by a shard manifest
 	// (gen-%08d.shards.json) that replicas fetch it through. The engine
@@ -77,8 +75,9 @@ type Options struct {
 	GibbsEvery int
 	// GibbsSweeps is the EM iteration count per delta pass (default 2).
 	GibbsSweeps int
-	// BaseGraph is the training graph of Base, required for delta-Gibbs:
-	// it must match the base model exactly (same users, documents, words).
+	// BaseGraph is the training graph of the base model, required for
+	// delta-Gibbs: it must match the base model exactly (same users,
+	// documents, words).
 	BaseGraph *socialgraph.Graph
 	// Workers sizes the delta-Gibbs engine pool (0 = NumCPU).
 	Workers int
@@ -86,12 +85,6 @@ type Options struct {
 	// Mmap is ignored: with Dir every publish promotes the file it wrote
 	// from its mapping. The field stays for callers that still set it.
 	Mmap bool
-	// FullRebuild disables incremental publish maintenance: every publish
-	// reassembles the extended model from scratch, rebuilds the serving
-	// indexes over every user and word, and re-encodes every snapshot
-	// section. The incremental path is bit-identical to this one — the
-	// field is the differential-test baseline, not a correctness knob.
-	FullRebuild bool
 
 	// Quality, when > 0, scores every generation whose number is a
 	// multiple of Quality with the structural metrics of internal/quality
@@ -216,7 +209,8 @@ type Updater struct {
 	opts Options
 	j    *Journal
 
-	releaseBase func() // pin on the acquired base snapshot (may be nil)
+	releaseBase func()             // pin on the slot's snapshot the base came from
+	vocab       *corpus.Vocabulary // that snapshot's vocabulary: labels every generation
 
 	mu        sync.Mutex
 	base      *core.Model          // generation-0 reference (frozen)
@@ -326,15 +320,11 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 		notify:    make(chan struct{}, 1),
 		publisher: publisher,
 	}
-	u.base = opts.Base
-	if u.base == nil {
-		s, release, err := opts.Engine.AcquireNamed(opts.Snapshot)
-		if err != nil {
-			return nil, fmt.Errorf("stream: acquiring base snapshot: %w", err)
-		}
-		u.base = s.Model
-		u.releaseBase = release
+	s, release, err := opts.Engine.AcquireNamed(opts.Snapshot)
+	if err != nil {
+		return nil, fmt.Errorf("stream: acquiring base snapshot: %w", err)
 	}
+	u.base, u.vocab, u.releaseBase = s.Model, s.Vocab, release
 	u.refined = u.base
 	u.baseUsers = u.base.NumUsers
 	u.baseDocs = len(u.base.DocCommunity)
@@ -433,7 +423,7 @@ func (u *Updater) adoptLocked(markUsers, markDocs int) bool {
 		docs < markDocs || docs > len(u.docs) {
 		return false
 	}
-	if _, err := u.opts.Engine.LoadGeneration(u.opts.Snapshot, path, u.opts.Vocab, u.generation); err != nil {
+	if _, err := u.opts.Engine.LoadGeneration(u.opts.Snapshot, path, u.vocab, u.generation); err != nil {
 		return false
 	}
 	u.refined = m

@@ -41,7 +41,6 @@ func newTestUpdater(t testing.TB, g *socialgraph.Graph, m *core.Model, mod func(
 	t.Cleanup(func() { j.Close() })
 	opts := Options{
 		Engine:       engine,
-		Base:         m,
 		Dir:          t.TempDir(),
 		WindowEvents: 4,
 		FoldSweeps:   8,
@@ -235,7 +234,7 @@ func TestUpdaterValidation(t *testing.T) {
 	}
 	// Every publish is a committed file: an updater without a directory is
 	// refused before it touches anything.
-	if _, err := NewUpdater(j, Options{Engine: u.opts.Engine, Base: m}); err == nil || !strings.Contains(err.Error(), "Options.Dir") {
+	if _, err := NewUpdater(j, Options{Engine: u.opts.Engine}); err == nil || !strings.Contains(err.Error(), "Options.Dir") {
 		t.Fatalf("an updater without Dir: %v, want an error naming Options.Dir", err)
 	}
 }
@@ -293,5 +292,52 @@ func TestIngestHTTPAndDrain(t *testing.T) {
 	}
 	if err := u.Drain(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+}
+
+// TestPublishKeepsTheSlotVocabulary: the updater takes its vocabulary from
+// the slot it publishes into, as it takes its base model. A slot served
+// with a vocabulary keeps its word labels and free-text rank across a
+// publish, and the publish patches the index rather than rebuilding it
+// for a changed vocabulary.
+func TestPublishKeepsTheSlotVocabulary(t *testing.T) {
+	g, m := testBase(t)
+	vocab := synth.BuildVocabulary(synth.TwitterLike(60, 17))
+	engine := serve.New(m, vocab, serve.Options{})
+	t.Cleanup(engine.Close)
+	_, _, u := newTestUpdater(t, g, m, func(o *Options) { o.Engine = engine })
+	served := func() (label string, build serve.BuildInfo) {
+		t.Helper()
+		s, release, err := engine.AcquireNamed(serve.DefaultSnapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		return s.Label(0), s.Build()
+	}
+	query := vocab.Word(int(g.Docs[0].Words[0]))
+	label, _ := served()
+	if label == "c00" {
+		t.Fatalf("the slot labels community 0 %q before any publish; the fixture needs word labels", label)
+	}
+	if _, err := engine.RankTextIn(serve.DefaultSnapshot, query, 3); err != nil {
+		t.Fatalf("free-text rank before any publish: %v", err)
+	}
+
+	if _, err := u.Ingest([]Event{{Type: EvAddDoc, User: 3, Time: 1, Words: g.Docs[1].Words}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	after, build := served()
+	if after != label {
+		t.Fatalf("after a publish community 0 is labelled %q, before it %q", after, label)
+	}
+	if _, err := engine.RankTextIn(serve.DefaultSnapshot, query, 3); err != nil {
+		t.Fatalf("free-text rank after a publish: %v", err)
+	}
+	if build.Kind != serve.BuildPatched {
+		t.Fatalf("the publish built %+v, want a patched index", build)
 	}
 }

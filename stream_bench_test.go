@@ -20,13 +20,6 @@ import (
 // updater. Like every publisher it writes each generation's snapshot file
 // into a directory and the engine serves that file's mapping.
 func streamBenchSetup(b *testing.B, windowEvents int) (*serve.Engine, *stream.Updater) {
-	return streamBenchSetupMode(b, windowEvents, false)
-}
-
-// streamBenchSetupMode is streamBenchSetup with the publish path pinned:
-// fullRebuild forces every publish to rebuild model, indexes and encoding
-// from scratch (the pre-incremental behavior).
-func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild bool) (*serve.Engine, *stream.Updater) {
 	b.Helper()
 	m := serve.SyntheticModel(2000, 100, 50, 50000, 2018)
 	e := serve.New(m, nil, serve.Options{})
@@ -39,11 +32,9 @@ func streamBenchSetupMode(b *testing.B, windowEvents int, fullRebuild bool) (*se
 	b.Cleanup(func() { j.Close() })
 	u, err := stream.NewUpdater(j, stream.Options{
 		Engine:       e,
-		Base:         m,
 		WindowEvents: windowEvents,
 		FoldSweeps:   10,
 		FoldSeed:     7,
-		FullRebuild:  fullRebuild,
 		Dir:          dir,
 	})
 	if err != nil {
@@ -116,13 +107,13 @@ func BenchmarkIngestApply(b *testing.B) {
 
 // BenchmarkIncrementalPublish isolates one publish cycle at the serving
 // scale (2000 users, |C|=100, |W|=50k): ingest one 64-event window of
-// documents, publish, repeat. The incremental-dir sub-benchmark takes the
-// O(changed) path (Π patched in place, patched per-shard user index,
-// shared log tables) through snapshot files the engine maps, the save the
-// single-pass encode from memory; full-rebuild pins Options.FullRebuild
-// and reassembles everything — the pre-incremental publish cost. The two
-// serve bit-identical results (TestIncrementalPublishMatchesFullRebuild);
-// the ratio here is what the O(changed) claim buys.
+// documents, publish, repeat. Every timed publish takes the O(changed)
+// path (Π patched in place, patched user index, shared log tables)
+// through snapshot files the engine maps, the save the single-pass encode
+// from memory. What it serves equals a from-scratch rebuild of the same
+// state (TestIncrementalPublishMatchesFullRebuild); the from-scratch
+// index build alone is BenchmarkSnapshotBuild's scratch case
+// (internal/serve).
 func BenchmarkIncrementalPublish(b *testing.B) {
 	const window = 64
 	mkBatch := func(k int) []stream.Event {
@@ -140,37 +131,29 @@ func BenchmarkIncrementalPublish(b *testing.B) {
 		}
 		return evs
 	}
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{
-		{"incremental-dir", false},
-		{"full-rebuild", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			_, u := streamBenchSetupMode(b, window, mode.full)
-			// Prime generation 1 outside the clock: the first publish is
-			// always a full rebuild, so the incremental mode measures
-			// steady-state patching only.
-			if _, err := u.Ingest(mkBatch(0)); err != nil {
+	b.Run("incremental-dir", func(b *testing.B) {
+		_, u := streamBenchSetup(b, window)
+		// Prime generation 1 outside the clock: the first publish of a
+		// process assembles the full model, so the clock measures
+		// steady-state patching only.
+		if _, err := u.Ingest(mkBatch(0)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := u.Publish(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := u.Ingest(mkBatch(i + 1)); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := u.Publish(); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := u.Ingest(mkBatch(i + 1)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := u.Publish(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(window*b.N)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(window*b.N)/b.Elapsed().Seconds(), "events/sec")
+	})
 }
 
 // BenchmarkServeUnderIngest measures read throughput while a background
